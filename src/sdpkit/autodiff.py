@@ -6,9 +6,8 @@ parents and a closure that routes the upstream gradient to them. Calling
 topological order. Gradients are exact: a loss term multiplied by a zero mask
 contributes exactly 0.0 to every upstream gradient.
 
-Only the primitives the parser needs are provided. All of them keep float
-dtype of their inputs (float64 by default; float32 can be selected for
-throughput with `set_default_dtype`).
+Only the primitives the parser needs are provided. All of them keep the
+float dtype of their inputs; non-float data and parameters become float64.
 """
 
 from __future__ import annotations
@@ -21,20 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AutodiffError, CheckpointError
+from .formats import atomic_open
 
 _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
 
 CHECKPOINT_VERSION = 1
-
-
-def set_default_dtype(dtype):
-    """Select float64 (default, for correctness) or float32 (for speed)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float64, np.float32):
-        raise AutodiffError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
 
 
 def default_dtype():
@@ -725,7 +716,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
     header["checkpoint_version"] = CHECKPOINT_VERSION
     payload = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
                             dtype=np.uint8)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         np.savez(f, **{_META_KEY: payload}, **arrays)
 
 

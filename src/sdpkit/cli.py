@@ -30,9 +30,10 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, FormatError, SdpkitError
 from .evaluation import format_report, label_contribution, length_buckets, head_match_stats, score_graphs, write_series
-from .formats import (SdpDocument, read_alignments, read_conllu, read_context_vectors,
-                      read_sdp, read_word_vectors, write_alignments, write_sdp)
-from .graph import PartialGraph, SemanticGraph, make_sentence
+from .formats import (SdpDocument, atomic_open, read_alignments, read_conllu,
+                      read_context_vectors, read_sdp, read_word_vectors, write_alignments,
+                      write_sdp)
+from .graph import LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, make_sentence
 from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                       build_vocabs, semantic_label_vocab, syntactic_label_vocab,
                       pretrained_table)
@@ -91,26 +92,27 @@ def _resolve_seed(args, raw: dict) -> int:
     return seed
 
 
-def _write_manifest(args, command: str, inputs: list[str], outputs: list[str],
-                    config: dict):
-    path = getattr(args, "manifest", None)
+def _finish(args, inputs: list[str], outputs: list[str], config: dict) -> int:
+    """Every command's epilogue: log the config, write the manifest, return 0.
+
+    The manifest goes to --manifest, or next to the first output; a command
+    with neither writes none.
+    """
+    print(f"config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
+    path = args.manifest
     if path is None and outputs:
         path = outputs[0] + ".manifest.json"
-    if path is None:
-        return
-    manifest = {
-        "command": command,
-        "inputs": {p: _sha256(p) for p in sorted(set(inputs))},
-        "outputs": sorted(set(outputs)),
-        "config": config,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _log_config(config: dict):
-    print(f"config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
+    if path is not None:
+        manifest = {
+            "command": args.command,
+            "inputs": {p: _sha256(p) for p in sorted(set(inputs))},
+            "outputs": sorted(set(outputs)),
+            "config": config,
+        }
+        with atomic_open(path) as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
+    return 0
 
 
 def _read_sdp_file(path: str) -> SdpDocument:
@@ -154,12 +156,9 @@ def cmd_intersect(args) -> int:
                           f"{len(backward)} sentence pairs")
     intersected = [intersect_alignments(f_links, b_links).links
                    for f_links, b_links in zip(forward, backward)]
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_open(args.out) as f:
         write_alignments(intersected, f)
-    config = {"seed": None}
-    _log_config(config)
-    _write_manifest(args, "intersect", [args.forward, args.backward], [args.out], config)
-    return 0
+    return _finish(args, [args.forward, args.backward], [args.out], {"seed": None})
 
 
 def cmd_project(args) -> int:
@@ -176,44 +175,35 @@ def cmd_project(args) -> int:
             graph = graph.graph
         alignment = intersect_alignments(links, links)
         projected.append((sid, project_graph(graph, alignment, target)))
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_open(args.out) as f:
         write_sdp(SdpDocument(tuple(projected)), f)
-    config = {"seed": None}
-    _log_config(config)
-    _write_manifest(args, "project", [args.source, args.alignments, args.target],
-                    [args.out], config)
-    return 0
+    return _finish(args, [args.source, args.alignments, args.target], [args.out],
+                   {"seed": None})
 
 
 def cmd_sample(args) -> int:
     doc = _read_sdp_file(args.input)
-    entries = [(sid, g if isinstance(g, PartialGraph)
-                else PartialGraph(g, frozenset(range(g.n + 1))))
-               for sid, g in doc]
+    entries = [(sid, as_partial(g)) for sid, g in doc]
     graphs = [g for _, g in entries]
     chosen = density_sample(graphs, args.size, args.threshold, seed=args.seed or 0)
     chosen_ids = {id(g) for g in chosen}
     kept = tuple((sid, g) for sid, g in entries if id(g) in chosen_ids)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_open(args.out) as f:
         write_sdp(SdpDocument(kept), f)
-    config = {"seed": args.seed or 0, "size": args.size, "threshold": args.threshold}
-    _log_config(config)
-    _write_manifest(args, "sample", [args.input], [args.out], config)
-    return 0
+    return _finish(args, [args.input], [args.out],
+                   {"seed": args.seed or 0, "size": args.size, "threshold": args.threshold})
 
 
 def cmd_split(args) -> int:
     doc = _read_sdp_file(args.input)
     train_part, held_part = heldout_split(list(doc.sentences), args.heldout,
                                           seed=args.seed or 0)
-    with open(args.train_out, "w", encoding="utf-8") as f:
+    with atomic_open(args.train_out) as f:
         write_sdp(SdpDocument(tuple(train_part)), f)
-    with open(args.heldout_out, "w", encoding="utf-8") as f:
+    with atomic_open(args.heldout_out) as f:
         write_sdp(SdpDocument(tuple(held_part)), f)
-    config = {"seed": args.seed or 0, "heldout": args.heldout}
-    _log_config(config)
-    _write_manifest(args, "split", [args.input], [args.train_out, args.heldout_out], config)
-    return 0
+    return _finish(args, [args.input], [args.train_out, args.heldout_out],
+                   {"seed": args.seed or 0, "heldout": args.heldout})
 
 
 def cmd_synth(args) -> int:
@@ -223,10 +213,7 @@ def cmd_synth(args) -> int:
                       seed=args.seed or 0)
     corpus = synth_corpus(cfg)
     paths = write_corpus(corpus, args.out)
-    config = {"synth": asdict(cfg)}
-    _log_config(config)
-    _write_manifest(args, "synth", [], paths, config)
-    return 0
+    return _finish(args, [], paths, {"synth": asdict(cfg)})
 
 
 def _parse_tasks(spec: str) -> list[str]:
@@ -313,18 +300,15 @@ def cmd_train(args) -> int:
     model = ParserModel(net_cfg, task_vocabs, word_vocab, char_vocab, pos_vocab,
                         topology=topology, seed=seed, pretrained=pretrained)
 
-    sem_corpus = []
-    for i, graph in enumerate(train_doc.graphs()):
-        context = contexts[i] if contexts else None
-        sentence = graph.sentence if isinstance(graph, PartialGraph) else graph.sentence
-        sem_corpus.append((sentence, graph, context))
+    sem_corpus = [(graph.sentence, graph, contexts[i] if contexts else None)
+                  for i, graph in enumerate(train_doc.graphs())]
     corpora = {SEMANTIC: sem_corpus}
     if SYNTACTIC in tasks:
         corpora[SYNTACTIC] = [(t.sentence, t) for t in trees]
     held_corpus = [(g.sentence, g) for g in heldout_doc.graphs()]
 
     metrics_path = args.metrics or args.out + ".metrics"
-    with open(metrics_path, "w", encoding="utf-8") as metrics_f:
+    with atomic_open(metrics_path) as metrics_f:
         result = train(model, corpora, held_corpus, train_cfg, metrics_out=metrics_f)
     model.save(args.out)
 
@@ -335,7 +319,6 @@ def cmd_train(args) -> int:
         "sharing": asdict(topology) if topology else None,
         "tasks": tasks,
     }
-    _log_config(config)
     inputs = [args.train, args.heldout]
     if args.syntactic:
         inputs.append(args.syntactic)
@@ -343,10 +326,9 @@ def cmd_train(args) -> int:
         inputs.append(args.context)
     if args.word_vectors:
         inputs.append(args.word_vectors)
-    _write_manifest(args, "train", inputs, [args.out, metrics_path], config)
     print(f"best_epoch={result.best_epoch} best_heldout_lf={result.best_lf:.6f} "
           f"epochs_run={result.epochs_run}")
-    return 0
+    return _finish(args, inputs, [args.out, metrics_path], config)
 
 
 def cmd_parse(args) -> int:
@@ -358,13 +340,10 @@ def cmd_parse(args) -> int:
         raise ConfigError("--context given but the model has no context channel")
     graphs = parse_semantic(model, sentences, contexts)
     doc = SdpDocument(tuple((f"s{i + 1:05d}", g) for i, g in enumerate(graphs)))
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_open(args.out) as f:
         write_sdp(doc, f)
-    config = {"model": args.model}
-    _log_config(config)
     inputs = [args.model, args.input] + ([args.context] if args.context else [])
-    _write_manifest(args, "parse", inputs, [args.out], config)
-    return 0
+    return _finish(args, inputs, [args.out], {"model": args.model})
 
 
 def cmd_score(args) -> int:
@@ -375,11 +354,10 @@ def cmd_score(args) -> int:
     print(text)
     outputs = []
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_open(args.out) as f:
             f.write(text + "\n")
         outputs.append(args.out)
-    _write_manifest(args, "score", [args.pred, args.gold], outputs, {"seed": None})
-    return 0
+    return _finish(args, [args.pred, args.gold], outputs, {"seed": None})
 
 
 def cmd_analyze(args) -> int:
@@ -390,15 +368,17 @@ def cmd_analyze(args) -> int:
     gold = _read_sdp_file(args.gold).semantic_graphs()
     series: list[tuple[str, float]] = []
     if mode == "buckets":
+        inputs = [args.gold, args.pred]
         pred = _read_sdp_file(args.pred).semantic_graphs()
         stats = length_buckets(pred, gold)
         print("bucket\tpredicted\tcorrect\tprecision")
-        for bucket in ("1", "2", "3", "4", "5-9", ">=10"):
+        for bucket in LENGTH_BUCKETS:
             if bucket in stats:
                 s = stats[bucket]
                 print(f"{bucket}\t{s.predicted}\t{s.correct}\t{s.precision:.6f}")
                 series.append((bucket, s.precision))
     elif mode == "headmatch":
+        inputs = [args.gold, args.trees, args.pred_a, args.pred_b]
         with open(args.trees, "r", encoding="utf-8") as f:
             trees = read_conllu(f)
         pred_a = _read_sdp_file(args.pred_a).semantic_graphs()
@@ -415,6 +395,7 @@ def cmd_analyze(args) -> int:
                     series.append((f"{score_mode}.{key}.match", s.match_rate))
                     series.append((f"{score_mode}.{key}.mismatch", s.mismatch_rate))
     else:
+        inputs = [args.gold, args.trees, args.pred_multi, args.pred_single]
         with open(args.trees, "r", encoding="utf-8") as f:
             trees = read_conllu(f)
         pred_multi = _read_sdp_file(args.pred_multi).semantic_graphs()
@@ -426,17 +407,17 @@ def cmd_analyze(args) -> int:
             series.append((rel, pct))
     outputs = []
     if args.series:
-        with open(args.series, "w", encoding="utf-8") as f:
+        with atomic_open(args.series) as f:
             write_series(series, f)
         outputs.append(args.series)
-    _write_manifest(args, "analyze", [], outputs, {"seed": None})
-    return 0
+    return _finish(args, inputs, outputs, {"seed": None})
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(seed=args.seed or 0, epsilon=args.epsilon,
-                           tolerance=args.tolerance)
+    config = {"seed": args.seed or 0, "epsilon": args.epsilon, "tolerance": args.tolerance}
+    report = run_gradcheck(**config)
     print(report)
+    _finish(args, [], [], config)
     return 0 if report.passed else 1
 
 

@@ -1,6 +1,6 @@
 """Readers and writers for the on-disk formats the pipeline consumes and emits.
 
-Dialects (fixed here, documented in the README):
+Dialects (fixed here; this docstring is their specification):
 
 * ``.sdp`` -- tab-separated blocks, one per sentence, separated by blank lines.
   Columns: ID FORM LEMMA POS TOP PRED FRAME ARG1..ARGk, where k is the number
@@ -18,7 +18,9 @@ Dialects (fixed here, documented in the README):
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -75,6 +77,26 @@ class AlignmentFile:
 
     def __iter__(self):
         return iter(self.links)
+
+
+@contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Open `path` for writing so that it appears only once the block succeeds.
+
+    The stream is a temp file in the same directory, renamed over `path` when
+    the block exits normally and removed when it raises, so a failed write
+    never leaves a partial file. Text modes use UTF-8.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _blocks(stream: TextIO) -> Iterable[tuple[int, list[tuple[int, str]]]]:
@@ -319,15 +341,6 @@ def write_conllu(trees: Iterable[SyntacticTree], stream: TextIO):
             stream.write("\t".join(cols) + "\n")
 
 
-def sentences_from(path_kind: str, stream: TextIO) -> list[tuple[Token, ...]]:
-    """Read bare token sequences from either a .conllu or .sdp stream."""
-    if path_kind == "conllu":
-        return [t.sentence for t in read_conllu(stream)]
-    if path_kind == "sdp":
-        return [g.sentence for g in read_sdp(stream).semantic_graphs()]
-    raise FormatError(f"unknown sentence source kind {path_kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Pharaoh alignments
 
@@ -420,15 +433,3 @@ def read_word_vectors(stream: TextIO, expected_dim: int) -> dict[str, np.ndarray
             raise FormatError("non-numeric vector component", lineno) from None
     return vectors
 
-
-def attach_context_vectors(sentences: list[tuple[Token, ...]],
-                           vectors: list[np.ndarray]) -> list[np.ndarray]:
-    """Validate that a .vec file matches a corpus token-for-token."""
-    if len(vectors) != len(sentences):
-        raise FormatError(f"context file has {len(vectors)} sentences, "
-                          f"corpus has {len(sentences)}")
-    for i, (sent, mat) in enumerate(zip(sentences, vectors)):
-        if mat.shape[0] != len(sent):
-            raise FormatError(f"sentence {i + 1}: context file has {mat.shape[0]} tokens, "
-                              f"corpus has {len(sent)}")
-    return vectors

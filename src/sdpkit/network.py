@@ -292,17 +292,15 @@ class ParserModel:
     def embed_tokens(self, sentence: Sequence[Token], train: bool = False,
                      rng: np.random.Generator | None = None,
                      context: np.ndarray | None = None,
-                     char_cache: dict[str, Tensor] | None = None,
-                     word_drop_mask: np.ndarray | None = None,
-                     pos_drop_mask: np.ndarray | None = None) -> Tensor:
+                     char_cache: dict[str, Tensor] | None = None) -> Tensor:
         """Token input matrix of shape (n, word_dim + pos_dim + context_dim).
 
         The word component sums the trainable table row, the fixed pretrained
         row, and the char BiLSTM vector. In train mode each token's word and
         POS components are independently replaced by dedicated unknown
-        embeddings at the configured word-dropout rate (masks can be injected
-        explicitly for testing). `char_cache` shares char vectors across a
-        batch; it is exact because the char BiLSTM carries no dropout.
+        embeddings at the configured word-dropout rate. `char_cache` shares
+        char vectors across a batch; it is exact because the char BiLSTM
+        carries no dropout.
         """
         cfg = self.config
         n = len(sentence)
@@ -327,17 +325,11 @@ class ParserModel:
 
         x_te = ad.lookup(self.params["emb/pos"], pos_ids)
 
-        if train and (cfg.word_dropout > 0 or word_drop_mask is not None
-                      or pos_drop_mask is not None):
-            if word_drop_mask is None or pos_drop_mask is None:
-                if rng is None:
-                    raise ConfigError("train-mode embedding needs an rng")
-                if word_drop_mask is None:
-                    word_drop_mask = rng.random(n) >= cfg.word_dropout
-                if pos_drop_mask is None:
-                    pos_drop_mask = rng.random(n) >= cfg.word_dropout
-            keep_w = ad.constant(np.asarray(word_drop_mask, dtype=np.float64).reshape(n, 1))
-            keep_t = ad.constant(np.asarray(pos_drop_mask, dtype=np.float64).reshape(n, 1))
+        if train and cfg.word_dropout > 0:
+            if rng is None:
+                raise ConfigError("train-mode embedding needs an rng")
+            keep_w = ad.constant((rng.random((n, 1)) >= cfg.word_dropout).astype(np.float64))
+            keep_t = ad.constant((rng.random((n, 1)) >= cfg.word_dropout).astype(np.float64))
             unk_w = ad.reshape(self.params["emb/unk_word"], (1, cfg.word_dim))
             unk_t = ad.reshape(self.params["emb/unk_pos"], (1, cfg.pos_dim))
             x_we = ad.add(ad.mul(x_we, keep_w),
@@ -474,34 +466,35 @@ class ParserModel:
         ad.save_arrays(path, arrays, meta)
 
     @classmethod
-    def load(cls, path, expect_config: NetworkConfig | None = None,
-             expect_topology: SharingTopology | None = None) -> "ParserModel":
+    def load(cls, path) -> "ParserModel":
         arrays, meta = ad.load_arrays(path)
         if meta.get("kind") != "sdpkit-parser":
             raise CheckpointError(f"{path}: not a parser checkpoint")
-        config = NetworkConfig(**meta["config"])
-        topology = SharingTopology(**meta["topology"]) if meta["topology"] else None
-        if expect_config is not None and expect_config != config:
-            raise CheckpointError(f"{path}: checkpoint config {config} does not match "
-                                  f"expected {expect_config}")
-        if expect_topology is not None and expect_topology != topology:
-            raise CheckpointError(f"{path}: checkpoint topology {topology} does not "
-                                  f"match expected {expect_topology}")
 
-        def vocab_from(items, unk):
-            v = Vocab.__new__(Vocab)
-            v.unk = unk
-            v.items = list(items)
-            v._index = {s: i for i, s in enumerate(v.items)}
-            return v
+        def settings(kind, values):
+            fields = set(kind.__dataclass_fields__)
+            if set(values) != fields:
+                raise CheckpointError(f"{path}: {kind.__name__} keys {sorted(values)} "
+                                      f"differ from {sorted(fields)}")
+            return kind(**values)
 
-        tasks = {task: vocab_from(items, unk=False)
-                 for task, items in meta["tasks"].items()}
-        model = cls(config, tasks,
-                    vocab_from(meta["vocab"]["word"], True),
-                    vocab_from(meta["vocab"]["char"], True),
-                    vocab_from(meta["vocab"]["pos"], True),
-                    topology=topology, seed=meta["seed"],
+        def vocab(items, unk):
+            rebuilt = Vocab(items, unk)
+            if rebuilt.items != list(items):
+                raise CheckpointError(f"{path}: a saved vocabulary is not in canonical order")
+            return rebuilt
+
+        try:
+            config = settings(NetworkConfig, meta["config"])
+            topology = settings(SharingTopology, meta["topology"]) if meta["topology"] else None
+            tasks = {task: vocab(items, unk=False) for task, items in meta["tasks"].items()}
+            words, chars, pos = (vocab(meta["vocab"][kind], unk=True)
+                                 for kind in ("word", "char", "pos"))
+            seed = meta["seed"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise CheckpointError(f"{path}: malformed checkpoint metadata "
+                                  f"({type(exc).__name__}: {exc})") from exc
+        model = cls(config, tasks, words, chars, pos, topology=topology, seed=seed,
                     pretrained=arrays.get("pretrained"))
         missing = set(model.params) - set(arrays)
         if missing:

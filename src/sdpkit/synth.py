@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SynthError
-from .formats import AlignmentFile, SdpDocument, write_alignments, write_conllu, write_sdp
+from .formats import (AlignmentFile, SdpDocument, atomic_open, write_alignments, write_conllu,
+                      write_sdp)
 from .graph import ROOT, TOP_LABEL, Edge, SemanticGraph, SyntacticTree, Token
 
 _POS_CLASSES = ("N", "V", "J", "R")
@@ -218,14 +219,14 @@ def write_corpus(corpus: SynthCorpus, outdir: str) -> list[str]:
     """Write the five corpus files into a directory; returns their paths."""
     os.makedirs(outdir, exist_ok=True)
     paths = [os.path.join(outdir, name) for name in CORPUS_FILES]
-    with open(paths[0], "w", encoding="utf-8") as f:
+    with atomic_open(paths[0]) as f:
         write_sdp(corpus.source, f)
-    with open(paths[1], "w", encoding="utf-8") as f:
+    with atomic_open(paths[1]) as f:
         write_sdp(corpus.target_gold, f)
-    with open(paths[2], "w", encoding="utf-8") as f:
+    with atomic_open(paths[2]) as f:
         write_conllu(corpus.trees, f)
-    with open(paths[3], "w", encoding="utf-8") as f:
+    with atomic_open(paths[3]) as f:
         write_alignments(corpus.forward, f)
-    with open(paths[4], "w", encoding="utf-8") as f:
+    with atomic_open(paths[4]) as f:
         write_alignments(corpus.backward, f)
     return paths

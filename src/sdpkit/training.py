@@ -22,23 +22,10 @@ from .autodiff import Tensor
 from .errors import ConfigError, GraphError, TrainingDiverged
 from .evaluation import ScoreReport, score_graphs
 from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
-                    SyntacticTree, Token, as_partial, validate_tree)
+                    SyntacticTree, Token, as_partial)
 from .network import SEMANTIC, SYNTACTIC, ParserModel, Vocab
 
 _TASK_CODE = {SEMANTIC: 0, SYNTACTIC: 1}
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    task_id: str
-    labels: Vocab
-    weight: float
-
-    def __post_init__(self):
-        if self.task_id not in _TASK_CODE:
-            raise ConfigError(f"unknown task {self.task_id!r}")
-        if self.weight < 0:
-            raise ConfigError("task weight must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     combined_steps: bool = False    # False: alternate task minibatches
-    strict_partial: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.label_interp < 1.0:
@@ -165,29 +151,6 @@ def decode_semantic(s_edge, s_label, labels: Vocab,
     return SemanticGraph(sentence, frozenset(edges))
 
 
-def decode_syntactic(s_edge, s_label, labels: Vocab,
-                     sentence: Sequence[Token]) -> SyntacticTree:
-    """Greedy per-token head argmax; no tree-constraint repair.
-
-    Output that is not a well-formed tree is flagged with a comment.
-    """
-    s_edge = _scores(s_edge)
-    s_label = _scores(s_label)
-    sentence = tuple(sentence)
-    n = len(sentence)
-    heads = []
-    deprels = []
-    for j in range(1, n + 1):
-        head = int(s_edge[:, j - 1].argmax())
-        heads.append(head)
-        deprels.append(labels.value(int(s_label[:, head, j - 1].argmax())))
-    tree = SyntacticTree(sentence, tuple(heads), tuple(deprels))
-    if validate_tree(tree):
-        tree = SyntacticTree(sentence, tuple(heads), tuple(deprels),
-                             ("# greedy decode: not a well-formed tree",))
-    return tree
-
-
 # ---------------------------------------------------------------------------
 # corpora and batching
 
@@ -259,7 +222,8 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
 
     `corpora` maps task ids to lists of (sentence, gold) or
     (sentence, gold, context) items; `heldout` holds semantic items. The
-    model is left holding the best checkpoint seen. Tasks with weight zero
+    model is left holding the best checkpoint seen, also when training
+    stops by raising (such as `TrainingDiverged`). Tasks with weight zero
     are skipped entirely, so a multitask run with a zero syntactic weight
     follows the single-task trajectory exactly.
     """
@@ -283,80 +247,81 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     best_lf = -1.0
     since_improve = 0
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        task_batches = {}
-        for task in sorted(data):
-            items = data[task]
-            order = _shuffle_rng(cfg.seed, epoch, task).permutation(len(items))
-            lengths = [len(s) for s, _, _ in items]
-            task_batches[task] = pack_minibatches(lengths, order.tolist(), cfg.token_budget)
+    try:
+        for epoch in range(1, cfg.max_epochs + 1):
+            task_batches = {}
+            for task in sorted(data):
+                items = data[task]
+                order = _shuffle_rng(cfg.seed, epoch, task).permutation(len(items))
+                lengths = [len(s) for s, _, _ in items]
+                task_batches[task] = pack_minibatches(lengths, order.tolist(), cfg.token_budget)
 
-        loss_sums = {task: 0.0 for task in data}
-        token_sums = {task: 0 for task in data}
+            loss_sums = {task: 0.0 for task in data}
+            token_sums = {task: 0 for task in data}
 
-        if cfg.combined_steps and multitask:
-            steps = _combined_schedule(task_batches)
-        else:
-            steps = [[pair] for pair in _schedule(task_batches)]
+            if cfg.combined_steps and multitask:
+                steps = _combined_schedule(task_batches)
+            else:
+                steps = [[pair] for pair in _schedule(task_batches)]
 
-        for step_index, step in enumerate(steps):
-            total: Tensor | None = None
-            for task, batch_index in step:
-                batch = task_batches[task][batch_index]
-                rng = _dropout_rng(cfg.seed, epoch, task, batch_index)
-                char_cache: dict = {}
-                part: Tensor | None = None
-                tokens = 0
-                for idx in batch:
-                    sentence, gold, context = data[task][idx]
-                    s_edge, s_label = model.forward(sentence, task, train=True, rng=rng,
-                                                    context=context, char_cache=char_cache)
-                    if task == SEMANTIC:
-                        loss = semantic_loss(s_edge, s_label, gold, model.tasks[task],
-                                             cfg.label_interp, strict=cfg.strict_partial)
-                    else:
-                        loss = syntactic_loss(s_edge, s_label, gold, model.tasks[task],
-                                              cfg.label_interp)
-                    part = loss if part is None else part + loss
-                    tokens += len(sentence)
-                loss_sums[task] += float(part.data)
-                token_sums[task] += tokens
-                scaled = part * (weights[task] / tokens)
-                total = scaled if total is None else total + scaled
-            value = float(total.data)
-            if math.isnan(value) or math.isinf(value):
-                raise TrainingDiverged(f"loss became {value} at epoch {epoch}, "
-                                       f"step {step_index + 1}")
-            total.backward()
-            ad.adam_step(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            for step_index, step in enumerate(steps):
+                total: Tensor | None = None
+                for task, batch_index in step:
+                    batch = task_batches[task][batch_index]
+                    rng = _dropout_rng(cfg.seed, epoch, task, batch_index)
+                    char_cache: dict = {}
+                    part: Tensor | None = None
+                    tokens = 0
+                    for idx in batch:
+                        sentence, gold, context = data[task][idx]
+                        s_edge, s_label = model.forward(sentence, task, train=True, rng=rng,
+                                                        context=context, char_cache=char_cache)
+                        if task == SEMANTIC:
+                            loss = semantic_loss(s_edge, s_label, gold, model.tasks[task],
+                                                 cfg.label_interp)
+                        else:
+                            loss = syntactic_loss(s_edge, s_label, gold, model.tasks[task],
+                                                  cfg.label_interp)
+                        part = loss if part is None else part + loss
+                        tokens += len(sentence)
+                    loss_sums[task] += float(part.data)
+                    token_sums[task] += tokens
+                    scaled = part * (weights[task] / tokens)
+                    total = scaled if total is None else total + scaled
+                value = float(total.data)
+                if math.isnan(value) or math.isinf(value):
+                    raise TrainingDiverged(f"loss became {value} at epoch {epoch}, "
+                                           f"step {step_index + 1}")
+                total.backward()
+                ad.adam_step(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
-        report = evaluate_semantic(model, heldout)
-        entry = {"epoch": epoch}
-        for task in sorted(data):
-            entry[f"loss_{task}"] = (loss_sums[task] / token_sums[task]
-                                     if token_sums[task] else 0.0)
-        entry["heldout_lf"] = report.lf
-        entry["heldout_uf"] = report.uf
-        line = " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
-                        for k, v in entry.items())
-        result.metrics.append(entry)
-        result.lines.append(line)
-        if metrics_out is not None:
-            metrics_out.write(line + "\n")
+            report = evaluate_semantic(model, heldout)
+            entry = {"epoch": epoch}
+            for task in sorted(data):
+                entry[f"loss_{task}"] = (loss_sums[task] / token_sums[task]
+                                         if token_sums[task] else 0.0)
+            entry["heldout_lf"] = report.lf
+            entry["heldout_uf"] = report.uf
+            line = " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
+                            for k, v in entry.items())
+            result.metrics.append(entry)
+            result.lines.append(line)
+            if metrics_out is not None:
+                metrics_out.write(line + "\n")
 
-        if report.lf > best_lf:
-            best_lf = report.lf
-            result.best_epoch = epoch
-            best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
-            since_improve = 0
-        else:
-            since_improve += 1
-        result.epochs_run = epoch
-        if since_improve > cfg.patience:
-            break
-
-    for name, p in model.params.items():
-        p.data = best_snapshot[name]
+            if report.lf > best_lf:
+                best_lf = report.lf
+                result.best_epoch = epoch
+                best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
+                since_improve = 0
+            else:
+                since_improve += 1
+            result.epochs_run = epoch
+            if since_improve > cfg.patience:
+                break
+    finally:
+        for name, p in model.params.items():
+            p.data = best_snapshot[name]
     result.best_lf = best_lf if best_lf >= 0 else 0.0
     return result
 
@@ -391,20 +356,6 @@ def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]],
             graphs.append(decode_semantic(s_edge, s_label,
                                           model.tasks[SEMANTIC], sentence))
     return graphs
-
-
-def parse_syntactic(model: ParserModel, sentences: Sequence[Sequence[Token]],
-                    contexts: Sequence[np.ndarray] | None = None) -> list[SyntacticTree]:
-    trees = []
-    with ad.no_grad():
-        char_cache: dict = {}
-        for i, sentence in enumerate(sentences):
-            context = contexts[i] if contexts is not None else None
-            s_edge, s_label = model.forward(tuple(sentence), SYNTACTIC,
-                                            context=context, char_cache=char_cache)
-            trees.append(decode_syntactic(s_edge, s_label,
-                                          model.tasks[SYNTACTIC], sentence))
-    return trees
 
 
 def evaluate_semantic(model: ParserModel, corpus: list) -> ScoreReport:

@@ -1,0 +1,65 @@
+import numpy as np
+import pytest
+
+from sdpkit import training
+from sdpkit.errors import TrainingDiverged
+from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
+                            build_vocabs, semantic_label_vocab, syntactic_label_vocab)
+from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
+
+TINY = NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=2, fnn_size=8)
+
+
+def _corpus(sentences: int, seed: int = 5):
+    corpus = synth_corpus(SynthConfig(sentences=sentences, seed=seed))
+    return corpus.target_gold.graphs(), corpus.trees
+
+
+def _model(graphs, trees=(), seed: int = 5) -> ParserModel:
+    words, chars, pos = build_vocabs([g.sentence for g in graphs])
+    tasks = {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}
+    topology = None
+    if trees:
+        tasks[SYNTACTIC] = syntactic_label_vocab(DEFAULT_DEPRELS)
+        topology = SharingTopology(shared_rnn=True, task_rnn=True)
+    return ParserModel(TINY, tasks, words, chars, pos, topology=topology, seed=seed)
+
+
+def test_divergence_restores_best_snapshot(monkeypatch):
+    graphs, _ = _corpus(4)
+    model = _model(graphs)
+    initial = {name: p.data.copy() for name, p in model.params.items()}
+    real_loss = training.semantic_loss
+    calls = []
+
+    def nan_at_second_step(*args, **kwargs):
+        calls.append(1)
+        loss = real_loss(*args, **kwargs)
+        return loss * float("nan") if len(calls) == 2 else loss
+
+    monkeypatch.setattr(training, "semantic_loss", nan_at_second_step)
+    cfg = training.TrainConfig(token_budget=1, max_epochs=1)  # one sentence per step
+    with pytest.raises(TrainingDiverged, match="epoch 1, step 2"):
+        training.train(model, {SEMANTIC: [(g.sentence, g) for g in graphs]},
+                       [(g.sentence, g) for g in graphs], cfg)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p.data, initial[name], err_msg=name)
+
+
+def test_checkpoint_round_trip(tmp_path):
+    graphs, trees = _corpus(6)
+    model = _model(graphs, trees)
+    path = str(tmp_path / "model.npz")
+    model.save(path)
+    loaded = ParserModel.load(path)
+    for attr in ("word_vocab", "char_vocab", "pos_vocab"):
+        assert getattr(loaded, attr).items == getattr(model, attr).items
+    assert {t: v.items for t, v in loaded.tasks.items()} == \
+        {t: v.items for t, v in model.tasks.items()}
+    assert loaded.config == model.config and loaded.topology == model.topology
+    assert set(loaded.params) == set(model.params)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, p.data, err_msg=name)
+    sentences = [g.sentence for g in graphs]
+    assert training.parse_semantic(loaded, sentences) == \
+        training.parse_semantic(model, sentences)
