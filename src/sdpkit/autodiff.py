@@ -141,10 +141,16 @@ def _result(data, parents, backward) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add `g` into `t.grad`. A backward closure passes `owned` for an array it
+    has just allocated and keeps no reference to; the first one is adopted as
+    the gradient instead of being added into fresh zeros."""
     if not t.requires_grad:
         return
     if t.grad is None:
+        if owned:
+            t.grad = g
+            return
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
@@ -219,8 +225,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, owned=True)
+        _accumulate(b, a.data.T @ g, owned=True)
 
     return _result(data, (a, b), backward)
 
@@ -268,7 +274,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             full[start:stop] = g
-            _accumulate(a, full)
+            _accumulate(a, full, owned=True)
 
     return _result(data, (a,), backward)
 
@@ -374,7 +380,7 @@ def lookup(table: Tensor, ids) -> Tensor:
         if table.requires_grad:
             full = np.zeros_like(table.data)
             np.add.at(full, ids, g)
-            _accumulate(table, full)
+            _accumulate(table, full, owned=True)
 
     return _result(data, (table,), backward)
 
@@ -396,7 +402,7 @@ def pick_cells(a: Tensor, rows, cols) -> Tensor:
             if a.requires_grad:
                 full = np.zeros_like(a.data)
                 np.add.at(full, (rows, cols), g)
-                _accumulate(a, full)
+                _accumulate(a, full, owned=True)
 
         return _result(data, (a,), backward)
     if a.ndim == 3:
@@ -405,9 +411,8 @@ def pick_cells(a: Tensor, rows, cols) -> Tensor:
         def backward(g):
             if a.requires_grad:
                 full = np.zeros_like(a.data)
-                for layer in range(a.shape[0]):
-                    np.add.at(full[layer], (rows, cols), g[:, layer])
-                _accumulate(a, full)
+                np.add.at(full, (slice(None), rows, cols), g.T)
+                _accumulate(a, full, owned=True)
 
         return _result(data, (a,), backward)
     raise AutodiffError(f"pick_cells: expects a 2-D or 3-D tensor, got {a.shape}")
@@ -431,17 +436,22 @@ def bilinear(x: Tensor, w: Tensor, y: Tensor) -> Tensor:
     _check(w3.ndim == 3, "bilinear", f"w must be 2-D or 3-D, got {w.shape}")
     _check(w3.shape[1] == x.shape[1] and w3.shape[2] == y.shape[1], "bilinear",
            f"shape mismatch: x {x.shape}, w {w.shape}, y {y.shape}")
-    data = np.einsum("nd,lde,me->lnm", x.data, w3, y.data, optimize=True)
+    xw = x.data @ w3  # (L, n, dy)
+    data = xw @ y.data.T
 
     def backward(g):
         g3 = g[None] if squeeze else g
-        if x.requires_grad:
-            _accumulate(x, np.einsum("lnm,lde,me->nd", g3, w3, y.data, optimize=True))
-        if w.requires_grad:
-            gw = np.einsum("lnm,nd,me->lde", g3, x.data, y.data, optimize=True)
-            _accumulate(w, gw[0] if squeeze else gw)
+        if x.requires_grad or w.requires_grad:
+            gy = g3 @ y.data  # (L, n, dy)
+            if x.requires_grad:
+                _accumulate(x, (gy @ w3.transpose(0, 2, 1)).sum(axis=0), owned=True)
+            if w.requires_grad:
+                gw = x.data.T @ gy
+                _accumulate(w, gw[0] if squeeze else gw, owned=True)
         if y.requires_grad:
-            _accumulate(y, np.einsum("lnm,nd,lde->me", g3, x.data, w3, optimize=True))
+            # sum over labels and rows as one GEMM: (L*n, m)^T @ (L*n, dy)
+            dy = g3.reshape(-1, g3.shape[2]).T @ xw.reshape(-1, xw.shape[2])
+            _accumulate(y, dy, owned=True)
 
     return _result(data[0] if squeeze else data, (x, w, y), backward)
 
@@ -504,8 +514,13 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     """Run an LSTM over a (T, d_in) sequence; returns all hidden states (T, H).
 
     Gate layout in the 4H axis is input | forget | cell | output. Initial
-    hidden and cell states are zero. The whole sequence is one tape node;
-    backward replays the steps in reverse (exact BPTT).
+    hidden and cell states are zero. The whole sequence is one tape node.
+    Each forward step computes all four gates with one tanh over the 4H
+    pre-activation, taking every sigmoid in its tanh form
+    0.5 + 0.5 tanh(z/2). Backward replays only the recurrence in reverse
+    (exact BPTT), collecting the gate gradients dZ (T, 4H); the input, weight
+    and bias gradients are then one GEMM or sum each over all timesteps:
+    dX = dZ W^T, dW = X^T dZ, dU = H_prev^T dZ and db = sum_t dZ.
     """
     _check(x.ndim == 2, "lstm_seq", f"x must be (T, d_in), got {x.shape}")
     _check(w.ndim == 2 and u.ndim == 2 and b.ndim == 1, "lstm_seq",
@@ -520,65 +535,61 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
 
     steps = x.shape[0]
     dtype = x.data.dtype
-    gi = np.empty((steps, hidden), dtype=dtype)
-    gf = np.empty((steps, hidden), dtype=dtype)
-    gc = np.empty((steps, hidden), dtype=dtype)
-    go = np.empty((steps, hidden), dtype=dtype)
+    # Halving the i|f|o pre-activations is exact, so tanh(half * z) * half +
+    # offset is sigmoid on those slices and tanh on the cell slice.
+    half = np.full(_GATES * hidden, 0.5, dtype=dtype)
+    half[2 * hidden:3 * hidden] = 1.0
+    offset = 1.0 - half
+    pre = x.data @ w.data + b.data
+    gates = np.empty((steps, _GATES * hidden), dtype=dtype)
+    gi, gf, gc, go = (gates[:, k * hidden:(k + 1) * hidden] for k in range(_GATES))
     cell = np.empty((steps, hidden), dtype=dtype)
     tc = np.empty((steps, hidden), dtype=dtype)
     out = np.empty((steps, hidden), dtype=dtype)
 
-    pre = x.data @ w.data + b.data
     h_prev = np.zeros(hidden, dtype=dtype)
     c_prev = np.zeros(hidden, dtype=dtype)
     for t in range(steps):
         z = pre[t] + h_prev @ u.data
-        gi[t] = _sigmoid_stable(z[:hidden])
-        gf[t] = _sigmoid_stable(z[hidden:2 * hidden])
-        gc[t] = np.tanh(z[2 * hidden:3 * hidden])
-        go[t] = _sigmoid_stable(z[3 * hidden:])
+        z *= half
+        a = np.tanh(z, out=gates[t])
+        a *= half
+        a += offset
         cell[t] = gf[t] * c_prev + gi[t] * gc[t]
-        tc[t] = np.tanh(cell[t])
-        out[t] = go[t] * tc[t]
+        np.tanh(cell[t], out=tc[t])
+        np.multiply(go[t], tc[t], out=out[t])
         h_prev = out[t]
         c_prev = cell[t]
 
     def backward(g):
-        dw = np.zeros_like(w.data) if w.requires_grad else None
-        du = np.zeros_like(u.data) if u.requires_grad else None
-        db = np.zeros_like(b.data) if b.requires_grad else None
-        dx = np.zeros_like(x.data) if x.requires_grad else None
+        c_in = np.zeros_like(cell)
+        c_in[1:] = cell[:-1]
+        dtc = go * (1.0 - tc * tc)
+        # All of the gate gradients but dh_t and dc_t is known before the loop:
+        # dz[t, k] = coef[t, k] * dc_t for k = i, f, c and coef[t, o] * dh_t
+        coef = np.stack([gc * gi * (1.0 - gi), c_in * gf * (1.0 - gf),
+                         gi * (1.0 - gc * gc), tc * go * (1.0 - go)], axis=1)
+        dz = np.empty((steps, _GATES, hidden), dtype=dtype)
+        u_t = u.data.T
         dh = np.zeros(hidden, dtype=dtype)
         dc = np.zeros(hidden, dtype=dtype)
-        dz = np.empty(_GATES * hidden, dtype=dtype)
         for t in range(steps - 1, -1, -1):
             dht = g[t] + dh
-            c_in = cell[t - 1] if t > 0 else np.zeros(hidden, dtype=dtype)
-            h_in = out[t - 1] if t > 0 else np.zeros(hidden, dtype=dtype)
-            do = dht * tc[t]
-            dct = dc + dht * go[t] * (1.0 - tc[t] * tc[t])
-            dz[:hidden] = dct * gc[t] * gi[t] * (1.0 - gi[t])
-            dz[hidden:2 * hidden] = dct * c_in * gf[t] * (1.0 - gf[t])
-            dz[2 * hidden:3 * hidden] = dct * gi[t] * (1.0 - gc[t] * gc[t])
-            dz[3 * hidden:] = do * go[t] * (1.0 - go[t])
-            if dw is not None:
-                dw += np.outer(x.data[t], dz)
-            if du is not None:
-                du += np.outer(h_in, dz)
-            if db is not None:
-                db += dz
-            if dx is not None:
-                dx[t] = dz @ w.data.T
-            dh = dz @ u.data.T
-            dc = dct * gf[t]
-        if dx is not None:
-            _accumulate(x, dx)
-        if dw is not None:
-            _accumulate(w, dw)
-        if du is not None:
-            _accumulate(u, du)
-        if db is not None:
-            _accumulate(b, db)
+            dct = dc + dht * dtc[t]
+            np.multiply(coef[t, :3], dct, out=dz[t, :3])
+            np.multiply(coef[t, 3], dht, out=dz[t, 3])
+            if t:
+                dh = dz[t].reshape(-1) @ u_t
+                dc = dct * gf[t]
+        dz = dz.reshape(steps, _GATES * hidden)
+        if x.requires_grad:
+            _accumulate(x, dz @ w.data.T, owned=True)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ dz, owned=True)
+        if u.requires_grad:
+            _accumulate(u, out[:-1].T @ dz[1:], owned=True)  # zero when steps == 1
+        if b.requires_grad:
+            _accumulate(b, dz.sum(axis=0), owned=True)
 
     return _result(out, (x, w, u, b), backward)
 
@@ -595,9 +606,17 @@ class Parameter(Tensor):
     def __init__(self, data, name: str = ""):
         super().__init__(np.array(data, dtype=_DEFAULT_DTYPE), requires_grad=True)
         self.name = name
-        self.m = np.zeros_like(self.data)
-        self.v = np.zeros_like(self.data)
+        # np.zeros maps lazily zeroed pages, so a model that never trains
+        # (one loaded to parse) neither fills nor holds its moments
+        self.m = np.zeros(self.data.shape, dtype=self.data.dtype)
+        self.v = np.zeros(self.data.shape, dtype=self.data.dtype)
         self.step = 0
+
+
+# Elements per block of the in-place Adam update. A block of the gradient, both
+# moments, the data and the scratch (5 x 128 KiB in float64) stays in L2 cache
+# while the fourteen elementwise passes of the update run over it.
+_ADAM_BLOCK = 1 << 14
 
 
 def adam_step(params, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
@@ -605,18 +624,41 @@ def adam_step(params, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.99
     """Bias-corrected Adam over parameters with populated gradients.
 
     Parameters whose gradient is unset are skipped (their moments and step
-    counters do not advance). Gradients are cleared afterwards.
+    counters do not advance). The update runs in place, block by block, and
+    consumes each gradient array as scratch space; gradients are cleared
+    afterwards. Every element sees the operations of the textbook form
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, data -= lr m_hat / (sqrt(v_hat) + eps)
+    in the same order, so the result is bit-identical to it.
     """
+    scratch = np.empty(_ADAM_BLOCK, dtype=_DEFAULT_DTYPE)
     for p in params:
         if p.grad is None:
             continue
         p.step += 1
-        g = p.grad
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
-        m_hat = p.m / (1.0 - beta1 ** p.step)
-        v_hat = p.v / (1.0 - beta2 ** p.step)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        c1 = 1.0 - beta1 ** p.step
+        c2 = 1.0 - beta2 ** p.step
+        arrays = (p.grad, p.m, p.v, p.data)
+        _check(all(a.flags.c_contiguous for a in arrays), "adam_step",
+               f"{p.name}: arrays must be C-contiguous to update in place")
+        grad, m, v, data = (a.reshape(-1) for a in arrays)
+        for lo in range(0, data.size, _ADAM_BLOCK):
+            block = slice(lo, lo + _ADAM_BLOCK)
+            g, mb, vb, db = grad[block], m[block], v[block], data[block]
+            s = scratch[:g.size]
+            mb *= beta1
+            np.multiply(g, 1.0 - beta1, out=s)
+            mb += s
+            vb *= beta2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - beta2
+            vb += s
+            np.divide(vb, c2, out=s)   # v_hat
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(mb, c1, out=g)   # m_hat; the gradient block is spent
+            g *= lr
+            g /= s
+            db -= g
         p.grad = None
 
 

@@ -360,15 +360,24 @@ def cmd_score(args) -> int:
     return _finish(args, [args.pred, args.gold], outputs, {"seed": None})
 
 
+# The input files each analysis mode reads besides --gold.
+_ANALYZE_INPUTS = {"buckets": ("pred",), "headmatch": ("trees", "pred_a", "pred_b"),
+                   "contribution": ("trees", "pred_multi", "pred_single")}
+
+
 def cmd_analyze(args) -> int:
-    modes = [m for m in ("buckets", "headmatch", "contribution") if getattr(args, m)]
+    modes = [m for m in _ANALYZE_INPUTS if getattr(args, m)]
     if len(modes) != 1:
         raise ConfigError("exactly one of --buckets/--headmatch/--contribution is required")
     mode = modes[0]
+    missing = [f"--{name.replace('_', '-')}" for name in _ANALYZE_INPUTS[mode]
+               if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"analyze --{mode} needs {', '.join(missing)}")
+    inputs = [args.gold] + [getattr(args, name) for name in _ANALYZE_INPUTS[mode]]
     gold = _read_sdp_file(args.gold).semantic_graphs()
     series: list[tuple[str, float]] = []
     if mode == "buckets":
-        inputs = [args.gold, args.pred]
         pred = _read_sdp_file(args.pred).semantic_graphs()
         stats = length_buckets(pred, gold)
         print("bucket\tpredicted\tcorrect\tprecision")
@@ -378,7 +387,6 @@ def cmd_analyze(args) -> int:
                 print(f"{bucket}\t{s.predicted}\t{s.correct}\t{s.precision:.6f}")
                 series.append((bucket, s.precision))
     elif mode == "headmatch":
-        inputs = [args.gold, args.trees, args.pred_a, args.pred_b]
         with open(args.trees, "r", encoding="utf-8") as f:
             trees = read_conllu(f)
         pred_a = _read_sdp_file(args.pred_a).semantic_graphs()
@@ -395,7 +403,6 @@ def cmd_analyze(args) -> int:
                     series.append((f"{score_mode}.{key}.match", s.match_rate))
                     series.append((f"{score_mode}.{key}.mismatch", s.mismatch_rate))
     else:
-        inputs = [args.gold, args.trees, args.pred_multi, args.pred_single]
         with open(args.trees, "r", encoding="utf-8") as f:
             trees = read_conllu(f)
         pred_multi = _read_sdp_file(args.pred_multi).semantic_graphs()

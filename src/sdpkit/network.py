@@ -156,6 +156,21 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0x7FFFFFFF, zlib.crc32(name.encode("utf-8"))])
 
 
+# initializers of `ParserModel._param_specs`: (rng, shape) -> array
+
+def _normal(scale: float):
+    return lambda rng, shape: rng.normal(0.0, scale, size=shape)
+
+
+def _glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _zeros(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    return np.zeros(shape)
+
+
 FNN_TYPES = ("edge_dep", "edge_head", "label_dep", "label_head")
 
 
@@ -166,6 +181,16 @@ class ParserModel:
                  word_vocab: Vocab, char_vocab: Vocab, pos_vocab: Vocab,
                  topology: SharingTopology | None = None, seed: int = 0,
                  pretrained: np.ndarray | None = None):
+        self._configure(config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed,
+                        pretrained)
+        for name, shape, init in self._param_specs():
+            self._register(name, init(_rng_for(seed, name), shape))
+
+    # ------------------------------------------------------------------ setup
+
+    def _configure(self, config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed,
+                   pretrained):
+        """Validate and store everything but the parameters."""
         if not tasks:
             raise ConfigError("at least one task is required")
         unknown = set(tasks) - {SEMANTIC, SYNTACTIC}
@@ -188,43 +213,11 @@ class ParserModel:
                               f"({len(word_vocab)}, {config.word_dim})")
         self.pretrained = pretrained  # fixed; never updated
         self.params: dict[str, Parameter] = {}
-        self._build_params()
 
-    # ------------------------------------------------------------------ setup
-
-    def _embedding(self, name: str, rows: int, cols: int) -> Parameter:
-        rng = _rng_for(self.seed, name)
-        return self._register(name, rng.normal(0.0, 0.1, size=(rows, cols)))
-
-    def _vector(self, name: str, dim: int, scale: float = 0.1) -> Parameter:
-        rng = _rng_for(self.seed, name)
-        return self._register(name, rng.normal(0.0, scale, size=dim))
-
-    def _glorot(self, name: str, rows: int, cols: int) -> Parameter:
-        rng = _rng_for(self.seed, name)
-        limit = np.sqrt(6.0 / (rows + cols))
-        return self._register(name, rng.uniform(-limit, limit, size=(rows, cols)))
-
-    def _glorot3(self, name: str, slices: int, rows: int, cols: int) -> Parameter:
-        rng = _rng_for(self.seed, name)
-        limit = np.sqrt(6.0 / (rows + cols))
-        return self._register(name, rng.uniform(-limit, limit, size=(slices, rows, cols)))
-
-    def _zeros(self, name: str, dim: int) -> Parameter:
-        return self._register(name, np.zeros(dim))
-
-    def _register(self, name: str, data: np.ndarray) -> Parameter:
+    def _register(self, name: str, data: np.ndarray):
         if name in self.params:
             raise ConfigError(f"duplicate parameter {name!r}")
-        p = Parameter(data, name=name)
-        self.params[name] = p
-        return p
-
-    def _lstm_params(self, prefix: str, d_in: int, hidden: int):
-        for direction in ("fw", "bw"):
-            self._glorot(f"{prefix}/{direction}/w", d_in, 4 * hidden)
-            self._glorot(f"{prefix}/{direction}/u", hidden, 4 * hidden)
-            self._zeros(f"{prefix}/{direction}/b", 4 * hidden)
+        self.params[name] = Parameter(data, name=name)
 
     def _rnn_owner(self, task: str) -> str:
         if self.topology is None:
@@ -236,42 +229,48 @@ class ParserModel:
             return task
         return "shared" if self.topology.shared_fnn else task
 
-    def _build_params(self):
+    def _param_specs(self) -> list[tuple[str, tuple, object]]:
+        """(name, shape, initializer) of every parameter the model owns."""
         cfg = self.config
-        self._embedding("emb/word", len(self.word_vocab), cfg.word_dim)
-        self._embedding("emb/pos", len(self.pos_vocab), cfg.pos_dim)
-        self._embedding("emb/char", len(self.char_vocab), cfg.char_dim)
-        self._vector("emb/unk_word", cfg.word_dim)
-        self._vector("emb/unk_pos", cfg.pos_dim)
-        self._vector("emb/root", cfg.input_dim)
-        half_word = cfg.word_dim // 2
-        self._lstm_params("char_rnn", cfg.char_dim, half_word)
+        specs = [("emb/word", (len(self.word_vocab), cfg.word_dim), _normal(0.1)),
+                 ("emb/pos", (len(self.pos_vocab), cfg.pos_dim), _normal(0.1)),
+                 ("emb/char", (len(self.char_vocab), cfg.char_dim), _normal(0.1)),
+                 ("emb/unk_word", (cfg.word_dim,), _normal(0.1)),
+                 ("emb/unk_pos", (cfg.pos_dim,), _normal(0.1)),
+                 ("emb/root", (cfg.input_dim,), _normal(0.1))]
 
+        def lstm(prefix: str, d_in: int, hidden: int):
+            for direction in ("fw", "bw"):
+                specs.extend([(f"{prefix}/{direction}/w", (d_in, 4 * hidden), _glorot),
+                              (f"{prefix}/{direction}/u", (hidden, 4 * hidden), _glorot),
+                              (f"{prefix}/{direction}/b", (4 * hidden,), _zeros)])
+
+        lstm("char_rnn", cfg.char_dim, cfg.word_dim // 2)
         half = cfg.rnn_size // 2
-        rnn_owners = {self._rnn_owner(task) for task in self.tasks}
-        for owner in sorted(rnn_owners):
+        for owner in sorted({self._rnn_owner(task) for task in self.tasks}):
             d_in = cfg.input_dim
             for layer in range(cfg.rnn_layers):
-                self._lstm_params(f"rnn/{owner}/layer{layer}", d_in, half)
+                lstm(f"rnn/{owner}/layer{layer}", d_in, half)
                 d_in = cfg.rnn_size
         if self.topology is not None and self.topology.task_rnn:
             for task in sorted(self.tasks):
-                self._lstm_params(f"rnn_task/{task}", cfg.rnn_size, half)
+                lstm(f"rnn_task/{task}", cfg.rnn_size, half)
 
-        fnn_owners = {self._fnn_owner(task) for task in self.tasks}
-        for owner in sorted(fnn_owners):
+        for owner in sorted({self._fnn_owner(task) for task in self.tasks}):
             for kind in FNN_TYPES:
-                self._glorot(f"fnn/{owner}/{kind}/w", cfg.rnn_size, cfg.fnn_size)
-                self._zeros(f"fnn/{owner}/{kind}/b", cfg.fnn_size)
+                specs.extend([(f"fnn/{owner}/{kind}/w", (cfg.rnn_size, cfg.fnn_size), _glorot),
+                              (f"fnn/{owner}/{kind}/b", (cfg.fnn_size,), _zeros)])
 
         for task in sorted(self.tasks):
-            labels = self.tasks[task]
-            self._glorot(f"scorer/{task}/edge", cfg.fnn_size, cfg.fnn_size)
-            self._glorot3(f"scorer/{task}/label", len(labels), cfg.fnn_size, cfg.fnn_size)
+            labels = len(self.tasks[task])
+            specs.extend([(f"scorer/{task}/edge", (cfg.fnn_size, cfg.fnn_size), _glorot),
+                          (f"scorer/{task}/label", (labels, cfg.fnn_size, cfg.fnn_size),
+                           _glorot)])
             if cfg.biaffine_bias:
-                self._vector(f"scorer/{task}/edge_bias_dep", cfg.fnn_size, scale=0.0)
-                self._vector(f"scorer/{task}/edge_bias_head", cfg.fnn_size, scale=0.0)
-                self._vector(f"scorer/{task}/edge_bias", 1, scale=0.0)
+                specs.extend([(f"scorer/{task}/edge_bias_dep", (cfg.fnn_size,), _normal(0.0)),
+                              (f"scorer/{task}/edge_bias_head", (cfg.fnn_size,), _normal(0.0)),
+                              (f"scorer/{task}/edge_bias", (1,), _normal(0.0))])
+        return specs
 
     def parameters(self) -> list[Parameter]:
         return [self.params[name] for name in sorted(self.params)]
@@ -424,9 +423,7 @@ class ParserModel:
         s_label = ad.transpose(ad.bilinear(label_dep, self.params[f"scorer/{task}/label"],
                                            heads["label_head"]), (0, 2, 1))
 
-        diag = np.zeros((n_plus_1, n))
-        for j in range(1, n + 1):
-            diag[j, j - 1] = 1.0
+        diag = np.eye(n_plus_1, n, k=-1)  # cells (j, j-1): head j, dependent j
         keep = ad.constant(1.0 - diag)
         fill = ad.constant(diag * NEG_SCORE)
         s_edge = ad.add(ad.mul(s_edge, keep), fill)
@@ -494,15 +491,18 @@ class ParserModel:
         except (KeyError, TypeError, AttributeError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint metadata "
                                   f"({type(exc).__name__}: {exc})") from exc
-        model = cls(config, tasks, words, chars, pos, topology=topology, seed=seed,
-                    pretrained=arrays.get("pretrained"))
-        missing = set(model.params) - set(arrays)
+        # the saved arrays become the parameters; nothing is drawn at random
+        model = cls.__new__(cls)
+        model._configure(config, tasks, words, chars, pos, topology, seed,
+                         arrays.get("pretrained"))
+        specs = model._param_specs()
+        missing = {name for name, _, _ in specs} - set(arrays)
         if missing:
             raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
-        for name, p in model.params.items():
+        for name, shape, _ in specs:
             data = arrays[name]
-            if data.shape != p.data.shape:
+            if data.shape != shape:
                 raise CheckpointError(f"{path}: tensor {name} has shape {data.shape}, "
-                                      f"expected {p.data.shape}")
-            p.data = data.astype(p.data.dtype)
+                                      f"expected {shape}")
+            model._register(name, data)
         return model

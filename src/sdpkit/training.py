@@ -75,8 +75,7 @@ def semantic_loss(s_edge: Tensor, s_label: Tensor, gold: PartialGraph | Semantic
     for j in gold.aligned:
         decided[j] = 1.0
     mask = np.outer(decided, decided[1:])
-    for j in range(1, n + 1):
-        mask[j, j - 1] = 0.0
+    mask[np.arange(1, n + 1), np.arange(n)] = 0.0  # self-loops
 
     targets = np.zeros((n + 1, n))
     label_rows, label_cols, label_ids = [], [], []

@@ -120,3 +120,90 @@ def brute_force_score(predicted, gold):
         up += len(pu)
         uc += len(pu & gu)
     return lg, lp, lc, ug, up, uc
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the straightforward per-step / einsum / textbook forms
+# that the fused autodiff kernels must reproduce
+
+
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_lstm_seq(x, w, u, b, g):
+    """Per-step LSTM forward and BPTT with one outer product per step.
+
+    Takes plain arrays and the upstream gradient `g` (T, H); returns
+    (out, dx, dw, du, db).
+    """
+    steps, hidden = x.shape[0], u.shape[0]
+    gi, gf, gc, go, cell, tc, out = (np.empty((steps, hidden)) for _ in range(7))
+    pre = x @ w + b
+    h_prev = np.zeros(hidden)
+    c_prev = np.zeros(hidden)
+    for t in range(steps):
+        z = pre[t] + h_prev @ u
+        gi[t] = reference_sigmoid(z[:hidden])
+        gf[t] = reference_sigmoid(z[hidden:2 * hidden])
+        gc[t] = np.tanh(z[2 * hidden:3 * hidden])
+        go[t] = reference_sigmoid(z[3 * hidden:])
+        cell[t] = gf[t] * c_prev + gi[t] * gc[t]
+        tc[t] = np.tanh(cell[t])
+        out[t] = go[t] * tc[t]
+        h_prev = out[t]
+        c_prev = cell[t]
+
+    dw, du, db, dx = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b), np.zeros_like(x)
+    dh = np.zeros(hidden)
+    dc = np.zeros(hidden)
+    dz = np.empty(4 * hidden)
+    for t in range(steps - 1, -1, -1):
+        dht = g[t] + dh
+        c_in = cell[t - 1] if t > 0 else np.zeros(hidden)
+        h_in = out[t - 1] if t > 0 else np.zeros(hidden)
+        do = dht * tc[t]
+        dct = dc + dht * go[t] * (1.0 - tc[t] * tc[t])
+        dz[:hidden] = dct * gc[t] * gi[t] * (1.0 - gi[t])
+        dz[hidden:2 * hidden] = dct * c_in * gf[t] * (1.0 - gf[t])
+        dz[2 * hidden:3 * hidden] = dct * gi[t] * (1.0 - gc[t] * gc[t])
+        dz[3 * hidden:] = do * go[t] * (1.0 - go[t])
+        dw += np.outer(x[t], dz)
+        du += np.outer(h_in, dz)
+        db += dz
+        dx[t] = dz @ w.T
+        dh = dz @ u.T
+        dc = dct * gf[t]
+    return out, dx, dw, du, db
+
+
+def reference_bilinear(x, w, y, g):
+    """einsum bilinear x W y^T with its gradients; returns (out, dx, dw, dy)."""
+    squeeze = w.ndim == 2
+    w3 = w[None] if squeeze else w
+    g3 = g[None] if squeeze else g
+    out = np.einsum("nd,lde,me->lnm", x, w3, y, optimize=True)
+    dx = np.einsum("lnm,lde,me->nd", g3, w3, y, optimize=True)
+    dw = np.einsum("lnm,nd,me->lde", g3, x, y, optimize=True)
+    dy = np.einsum("lnm,nd,lde->me", g3, x, w3, optimize=True)
+    return (out[0] if squeeze else out), dx, (dw[0] if squeeze else dw), dy
+
+
+def reference_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook bias-corrected Adam over `Parameter`s, allocating per step."""
+    for p in params:
+        if p.grad is None:
+            continue
+        p.step += 1
+        g = p.grad
+        p.m = beta1 * p.m + (1.0 - beta1) * g
+        p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
+        m_hat = p.m / (1.0 - beta1 ** p.step)
+        v_hat = p.v / (1.0 - beta2 ** p.step)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.grad = None

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_adam_step, reference_bilinear, reference_lstm_seq
+
 from sdpkit import autodiff as ad
 from sdpkit.errors import AutodiffError
 
@@ -15,6 +17,13 @@ def check_op(build, params, tol=1e-7):
 
 def param(rng, *shape, name=""):
     return ad.Parameter(rng.standard_normal(shape), name=name)
+
+
+def assert_close(got, want, rtol=1e-12, err_msg=""):
+    """Equal to `rtol` relative to the largest entry of `want`: a sum whose terms
+    cancel is off by the rounding of its terms, not of its small result."""
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max(),
+                               err_msg=err_msg)
 
 
 class TestForwardValues:
@@ -292,6 +301,98 @@ class TestAdam:
         assert p.step == 0 and q.step == 1
         np.testing.assert_array_equal(p.data, [1.0])
         assert q.data[0] != 1.0
+
+
+class TestKernelsMatchReference:
+    """The fused kernels against the per-step, einsum and textbook forms."""
+
+    @staticmethod
+    def _lstm(x, w, u, b, g, x_grad=True):
+        """Run ad.lstm_seq under upstream gradient g; returns (out, grads, reference)."""
+        tx = ad.Parameter(x, name="x") if x_grad else ad.constant(x)
+        tw, tu, tb = (ad.Parameter(a, name=n) for a, n in ((w, "w"), (u, "u"), (b, "b")))
+        out = ad.lstm_seq(tx, tw, tu, tb)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        return out.data, (tx.grad, tw.grad, tu.grad, tb.grad), reference_lstm_seq(x, w, u, b, g)
+
+    @pytest.mark.parametrize("steps,d_in,hidden,x_grad", [
+        (1, 3, 2, True), (5, 7, 3, True), (6, 4, 4, False), (41, 600, 300, True)],
+        ids=["T1", "d_in-ne-H", "x-constant", "600-to-300"])
+    def test_lstm_seq(self, steps, d_in, hidden, x_grad):
+        rng = np.random.default_rng(steps * 1000 + d_in)
+        limit_w = np.sqrt(6.0 / (d_in + 4 * hidden))
+        limit_u = np.sqrt(6.0 / (5 * hidden))
+        x = rng.standard_normal((steps, d_in))
+        w = rng.uniform(-limit_w, limit_w, (d_in, 4 * hidden))
+        u = rng.uniform(-limit_u, limit_u, (hidden, 4 * hidden))
+        b = rng.standard_normal(4 * hidden) * 0.1
+        g = rng.standard_normal((steps, hidden))
+        out, grads, (ref_out, *ref_grads) = self._lstm(x, w, u, b, g, x_grad)
+        assert_close(out, ref_out)
+        for name, got, want in zip("xwub", grads, ref_grads):
+            if name == "x" and not x_grad:
+                assert got is None
+                continue
+            assert_close(got, want, err_msg=name)
+        if steps == 1:
+            np.testing.assert_array_equal(grads[2], np.zeros_like(u))
+
+    def test_lstm_seq_saturated_gates(self):
+        rng = np.random.default_rng(30)
+        steps, d_in, hidden = 6, 3, 4
+        x = rng.standard_normal((steps, d_in))
+        w = np.zeros((d_in, 4 * hidden))
+        u = rng.standard_normal((hidden, 4 * hidden)) * 0.01
+        b = np.where(np.arange(4 * hidden) % 2 == 0, 50.0, -50.0)
+        g = rng.standard_normal((steps, hidden))
+        out, grads, (ref_out, *ref_grads) = self._lstm(x, w, u, b, g)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-15)
+        for name, got, want in zip("xwub", grads, ref_grads):
+            assert np.all(np.isfinite(got)), name
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("w_shape", [(6, 5), (4, 6, 5)], ids=["2d", "3d"])
+    def test_bilinear(self, w_shape):
+        rng = np.random.default_rng(len(w_shape))
+        x, w, y = (rng.standard_normal(shape) for shape in ((7, 6), w_shape, (8, 5)))
+        g = rng.standard_normal(w_shape[:-2] + (7, 8))
+        tx, tw, ty = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(y, "y")
+        out = ad.bilinear(tx, tw, ty)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        ref_out, *ref_grads = reference_bilinear(x, w, y, g)
+        assert_close(out.data, ref_out)
+        for name, got, want in zip("xwy", (tx.grad, tw.grad, ty.grad), ref_grads):
+            assert_close(got, want, err_msg=name)
+
+    def test_adam_step_is_bit_identical(self):
+        rng = np.random.default_rng(31)
+        big = (2, 3, ad._ADAM_BLOCK // 5 + 1)
+        assert np.prod(big) > ad._ADAM_BLOCK and np.prod(big) % ad._ADAM_BLOCK
+        shapes = {"big": big, "small": (7,), "idle": (4, 4)}
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        fused = [ad.Parameter(start[name], name=name) for name in shapes]
+        reference = [ad.Parameter(start[name], name=name) for name in shapes]
+        for _ in range(3):
+            for p, q in zip(fused, reference):
+                if p.name != "idle":
+                    p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
+                    q.grad = p.grad.copy()
+            ad.adam_step(fused, lr=0.01)
+            reference_adam_step(reference, lr=0.01)
+        for p, q in zip(fused, reference):
+            for attr in ("data", "m", "v"):
+                assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
+            assert p.step == q.step == (0 if p.name == "idle" else 3)
+            assert p.grad is None
+        np.testing.assert_array_equal(fused[2].data, start["idle"])
+
+    def test_adam_step_rejects_a_non_contiguous_parameter(self):
+        p = ad.Parameter(np.ones((3, 4)), name="p")
+        p.data = np.asfortranarray(p.data)
+        p.grad = np.ones((3, 4))
+        with pytest.raises(AutodiffError, match="C-contiguous"):
+            ad.adam_step([p])
 
 
 class TestGradientCheckMachinery:

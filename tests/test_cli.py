@@ -90,6 +90,24 @@ def test_score_and_analyze_print_config_and_list_inputs(pipeline, tmp_path, caps
     assert list(manifest["inputs"]) == [held]
 
 
+@pytest.mark.parametrize("mode,given,missing", [
+    ("buckets", [], "--pred"),
+    ("headmatch", ["--pred-a", "--pred-b"], "--trees"),
+    ("headmatch", ["--trees"], "--pred-a, --pred-b"),
+    ("contribution", ["--pred-multi"], "--trees, --pred-single"),
+], ids=["buckets", "headmatch-no-trees", "headmatch-no-preds", "contribution"])
+def test_analyze_names_missing_inputs(pipeline, tmp_path, capsys, mode, given, missing):
+    held = pipeline["heldout.sdp"]
+    files = {"--trees": os.path.join(pipeline["corpus"], "target.conllu")}
+    argv = ["analyze", f"--{mode}", "--gold", held]
+    for flag in given:
+        argv += [flag, files.get(flag, held)]
+    series = tmp_path / "series.tsv"
+    assert cli.main(argv + ["--series", str(series)]) == 2
+    assert f"analyze --{mode} needs {missing}" in capsys.readouterr().err
+    assert not series.exists()
+
+
 @pytest.mark.parametrize("biaffine_bias", [False, True])
 def test_gradcheck(monkeypatch, biaffine_bias):
     if biaffine_bias:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sdpkit import training
-from sdpkit.errors import TrainingDiverged
+from sdpkit import autodiff as ad
+from sdpkit import network, training
+from sdpkit.errors import CheckpointError, TrainingDiverged
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                             build_vocabs, semantic_label_vocab, syntactic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
@@ -63,3 +64,35 @@ def test_checkpoint_round_trip(tmp_path):
     sentences = [g.sentence for g in graphs]
     assert training.parse_semantic(loaded, sentences) == \
         training.parse_semantic(model, sentences)
+
+
+def test_load_draws_no_random_initialisation(tmp_path, monkeypatch):
+    graphs, trees = _corpus(6)
+    model = _model(graphs, trees)
+    path = str(tmp_path / "model.npz")
+    model.save(path)
+
+    def no_draws(seed, name):
+        raise AssertionError(f"load drew initial values for {name}")
+
+    monkeypatch.setattr(network, "_rng_for", no_draws)
+    loaded = ParserModel.load(path)
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, p.data, err_msg=name)
+        assert loaded.params[name].data.dtype == np.float64
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda arrays: arrays.pop("scorer/semantic/edge"), "missing tensors"),
+    (lambda arrays: arrays.update({"fnn/semantic/edge_dep/b": np.zeros(3)}), "has shape"),
+], ids=["missing-tensor", "wrong-shape"])
+def test_load_rejects_bad_tensors(tmp_path, edit, message):
+    graphs, _ = _corpus(4)
+    path = str(tmp_path / "model.npz")
+    _model(graphs).save(path)
+    arrays, meta = ad.load_arrays(path)
+    edit(arrays)
+    ad.save_arrays(path, arrays, meta)
+    with pytest.raises(CheckpointError, match=message):
+        ParserModel.load(path)
