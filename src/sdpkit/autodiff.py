@@ -604,7 +604,8 @@ class Parameter(Tensor):
     __slots__ = ("name", "m", "v", "step")
 
     def __init__(self, data, name: str = ""):
-        super().__init__(np.array(data, dtype=_DEFAULT_DTYPE), requires_grad=True)
+        # adopts `data` when it already is a C-contiguous float64 array
+        super().__init__(np.ascontiguousarray(data, dtype=_DEFAULT_DTYPE), requires_grad=True)
         self.name = name
         # np.zeros maps lazily zeroed pages, so a model that never trains
         # (one loaded to parse) neither fills nor holds its moments

@@ -445,7 +445,7 @@ def run_gradcheck(seed: int = 0, epsilon: float = 1e-5, tolerance: float = 1e-4)
         frozenset({0, 1, 2, 4}))
 
     def closure():
-        s_edge, s_label = model.forward(sentence, SEMANTIC)
+        (s_edge, s_label), = model.forward([sentence], SEMANTIC)
         return semantic_loss(s_edge, s_label, gold, labels, label_interp=0.5)
 
     return ad.gradient_check(closure, model.parameters(), epsilon=epsilon,

@@ -7,7 +7,7 @@ stored as ordinary edges from the root with the reserved label ``TOP``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GraphError
@@ -117,26 +117,23 @@ class PartialGraph:
     """A projected graph plus the set of target positions whose cells are decided.
 
     A cell (i, j) is decided iff both i and j are aligned; the root position 0
-    is always aligned. With `validate=False` the edge-endpoint invariant is not
-    enforced, which allows tests to plant edge content at undecided cells and
-    confirm that the training loss masks it out exactly.
+    is always aligned. Every edge joins two aligned positions, so no edge
+    sits at an undecided cell.
     """
 
     graph: SemanticGraph
     aligned: frozenset[int]
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         aligned = frozenset(self.aligned) | {ROOT}
         object.__setattr__(self, "aligned", aligned)
         n = self.graph.n
         for j in aligned:
             if j < 0 or j > n:
                 raise GraphError(f"aligned index {j} out of range 0..{n}")
-        if validate:
-            for h, d, _ in self.graph.sorted_edges():
-                if h not in aligned or d not in aligned:
-                    raise GraphError(f"edge ({h},{d}) touches an unaligned token")
+        for h, d, _ in self.graph.sorted_edges():
+            if h not in aligned or d not in aligned:
+                raise GraphError(f"edge ({h},{d}) touches an unaligned token")
 
     @property
     def sentence(self) -> tuple[Token, ...]:

@@ -5,7 +5,8 @@ optional external context features. The word component sums a trainable table,
 a fixed pretrained table, and a character BiLSTM's final states (no projection,
 so the char hidden size is half the word dimension per direction). A learned
 root row is prepended before encoding; scores are matrices over head positions
-0..n and dependent positions 1..n with self-loops masked to a large negative.
+0..n and dependent positions 1..n, with self-loop edges masked to a large
+negative.
 
 In multitask mode the embedding layer is always shared; the recurrent stack
 and the four attention FNNs are shared or task-specific according to the
@@ -16,8 +17,8 @@ top of a shared stack. Bilinear scorers are always task-specific.
 from __future__ import annotations
 
 import zlib
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -288,18 +289,18 @@ class ParserModel:
         last_b = ad.slice_rows(bw, len(form) - 1, len(form))
         return ad.concat([last_f, last_b], axis=1)
 
-    def embed_tokens(self, sentence: Sequence[Token], train: bool = False,
+    def embed_tokens(self, sentence: Sequence[Token], char_vectors: dict[str, Tensor],
                      rng: np.random.Generator | None = None,
-                     context: np.ndarray | None = None,
-                     char_cache: dict[str, Tensor] | None = None) -> Tensor:
+                     context: np.ndarray | None = None) -> Tensor:
         """Token input matrix of shape (n, word_dim + pos_dim + context_dim).
 
         The word component sums the trainable table row, the fixed pretrained
-        row, and the char BiLSTM vector. In train mode each token's word and
-        POS components are independently replaced by dedicated unknown
-        embeddings at the configured word-dropout rate. `char_cache` shares
-        char vectors across a batch; it is exact because the char BiLSTM
-        carries no dropout.
+        row, and the char BiLSTM vector. `char_vectors` maps forms to char
+        vectors already built on the current tape and gains the new ones;
+        sharing them is exact because the char BiLSTM carries no dropout.
+        With an `rng` (train mode) each token's word and POS components are
+        independently replaced by dedicated unknown embeddings at the
+        configured word-dropout rate.
         """
         cfg = self.config
         n = len(sentence)
@@ -312,21 +313,15 @@ class ParserModel:
         x_pe = ad.constant(self.pretrained[word_ids])
         char_rows = []
         for tok in sentence:
-            if char_cache is not None and tok.form in char_cache:
-                char_rows.append(char_cache[tok.form])
-                continue
-            vec = self._char_vector(tok.form)
-            if char_cache is not None:
-                char_cache[tok.form] = vec
-            char_rows.append(vec)
+            if tok.form not in char_vectors:
+                char_vectors[tok.form] = self._char_vector(tok.form)
+            char_rows.append(char_vectors[tok.form])
         x_ce = char_rows[0] if n == 1 else ad.concat(char_rows, axis=0)
         x_we = ad.add(ad.add(x_re, x_pe), x_ce)
 
         x_te = ad.lookup(self.params["emb/pos"], pos_ids)
 
-        if train and cfg.word_dropout > 0:
-            if rng is None:
-                raise ConfigError("train-mode embedding needs an rng")
+        if rng is not None and cfg.word_dropout > 0:
             keep_w = ad.constant((rng.random((n, 1)) >= cfg.word_dropout).astype(np.float64))
             keep_t = ad.constant((rng.random((n, 1)) >= cfg.word_dropout).astype(np.float64))
             unk_w = ad.reshape(self.params["emb/unk_word"], (1, cfg.word_dim))
@@ -356,39 +351,41 @@ class ParserModel:
                                       self.params[f"{prefix}/bw/b"]))
         return ad.concat([fw, bw], axis=1)
 
-    def encode(self, embedded: Tensor, task: str, train: bool = False,
+    def encode(self, embedded: Tensor, task: str,
                rng: np.random.Generator | None = None) -> Tensor:
-        """Recurrent states for positions 0..n; row 0 is the learned root."""
+        """Recurrent states for positions 0..n; row 0 is the learned root.
+
+        With an `rng` (train mode) recurrent dropout is applied between layers.
+        """
         self._check_task(task)
         cfg = self.config
-        if train and cfg.recurrent_dropout > 0 and rng is None:
-            raise ConfigError("train-mode encode needs an rng")
+        dropout = rng is not None and cfg.recurrent_dropout > 0
         root = ad.reshape(self.params["emb/root"], (1, cfg.input_dim))
         states = ad.concat([root, embedded], axis=0)
         owner = self._rnn_owner(task)
         for layer in range(cfg.rnn_layers):
-            if layer > 0 and train and cfg.recurrent_dropout > 0:
+            if layer > 0 and dropout:
                 states = ad.dropout(states, cfg.recurrent_dropout, rng)
             states = self._bilstm_layer(states, f"rnn/{owner}/layer{layer}")
         if self.topology is not None and self.topology.task_rnn:
-            if train and cfg.recurrent_dropout > 0:
+            if dropout:
                 states = ad.dropout(states, cfg.recurrent_dropout, rng)
             states = self._bilstm_layer(states, f"rnn_task/{task}")
         return states
 
-    def score_edges_labels(self, states: Tensor, task: str, train: bool = False,
+    def score_edges_labels(self, states: Tensor, task: str,
                            rng: np.random.Generator | None = None
                            ) -> tuple[Tensor, Tensor]:
         """Edge scores (n+1, n) and label scores (|L|, n+1, n) for one task.
 
         Row i is the head position (0 = root), column j-1 the dependent.
-        Diagonal cells (i == j) are masked to a large negative score so
-        decoding and head softmaxes never select self-loops.
+        Diagonal edge cells (i == j) are masked to a large negative score so
+        decoding and head softmaxes never select self-loops; label scores are
+        read only at edges, so their diagonal is left as computed. With an
+        `rng` (train mode) the FNN outputs get edge and label dropout.
         """
         self._check_task(task)
         cfg = self.config
-        if train and rng is None and (cfg.edge_dropout > 0 or cfg.label_dropout > 0):
-            raise ConfigError("train-mode scoring needs an rng")
         owner = self._fnn_owner(task)
         n_plus_1 = states.shape[0]
         n = n_plus_1 - 1
@@ -397,10 +394,9 @@ class ParserModel:
         for kind in FNN_TYPES:
             h = ad.tanh(ad.add(ad.matmul(states, self.params[f"fnn/{owner}/{kind}/w"]),
                                self.params[f"fnn/{owner}/{kind}/b"]))
-            if train:
-                rate = cfg.edge_dropout if kind.startswith("edge") else cfg.label_dropout
-                if rate > 0:
-                    h = ad.dropout(h, rate, rng)
+            rate = cfg.edge_dropout if kind.startswith("edge") else cfg.label_dropout
+            if rng is not None and rate > 0:
+                h = ad.dropout(h, rate, rng)
             heads[kind] = h
 
         edge_dep = ad.slice_rows(heads["edge_dep"], 1, n_plus_1)
@@ -419,25 +415,30 @@ class ParserModel:
             s_edge = ad.add(s_edge, ad.transpose(dep_bias))
             s_edge = ad.add(s_edge, head_bias)
             s_edge = ad.add(s_edge, ad.reshape(self.params[f"scorer/{task}/edge_bias"], (1, 1)))
+        diag = np.eye(n_plus_1, n, k=-1)  # cells (j, j-1): head j, dependent j
+        s_edge = ad.add(ad.mul(s_edge, ad.constant(1.0 - diag)), ad.constant(diag * NEG_SCORE))
 
         s_label = ad.transpose(ad.bilinear(label_dep, self.params[f"scorer/{task}/label"],
                                            heads["label_head"]), (0, 2, 1))
-
-        diag = np.eye(n_plus_1, n, k=-1)  # cells (j, j-1): head j, dependent j
-        keep = ad.constant(1.0 - diag)
-        fill = ad.constant(diag * NEG_SCORE)
-        s_edge = ad.add(ad.mul(s_edge, keep), fill)
-        s_label = ad.add(ad.mul(s_label, keep), fill)
         return s_edge, s_label
 
-    def forward(self, sentence: Sequence[Token], task: str, train: bool = False,
+    def forward(self, sentences: Sequence[Sequence[Token]], task: str,
                 rng: np.random.Generator | None = None,
-                context: np.ndarray | None = None,
-                char_cache: dict | None = None) -> tuple[Tensor, Tensor]:
-        x = self.embed_tokens(sentence, train=train, rng=rng, context=context,
-                              char_cache=char_cache)
-        states = self.encode(x, task, train=train, rng=rng)
-        return self.score_edges_labels(states, task, train=train, rng=rng)
+                contexts: Sequence[np.ndarray | None] | None = None
+                ) -> Iterator[tuple[Tensor, Tensor]]:
+        """Yield (s_edge, s_label) of `score_edges_labels` for each sentence, in order.
+
+        Train mode (all dropout on) is `rng is not None`; the draws come from
+        `rng` sentence by sentence. The call owns one char-vector table, so a
+        form's char BiLSTM runs once per call. Scores are built lazily: the
+        caller may consume (for example decode) each pair before the next
+        sentence runs.
+        """
+        char_vectors: dict[str, Tensor] = {}
+        for i, sentence in enumerate(sentences):
+            context = contexts[i] if contexts is not None else None
+            x = self.embed_tokens(sentence, char_vectors, rng, context)
+            yield self.score_edges_labels(self.encode(x, task, rng), task, rng)
 
     def _check_task(self, task: str):
         if task not in self.tasks:

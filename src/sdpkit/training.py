@@ -5,13 +5,15 @@ only: undecided cells are multiplied by a zero mask, which cancels
 backpropagation for those directions exactly. The label loss is a softmax
 cross-entropy gathered at decided gold-edge cells. The syntactic auxiliary
 task uses per-dependent softmaxes over candidate heads. Within a task the two
-losses are interpolated by `label_interp`; across tasks each loss is scaled
-by its task weight.
+losses are interpolated by `label_interp`. In multitask mode the syntactic
+loss is scaled by `syntactic_weight` and the semantic loss by one minus it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, GraphError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .evaluation import ScoreReport, score_graphs
 from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
                     SyntacticTree, Token, as_partial)
@@ -36,8 +38,7 @@ class TrainConfig:
     eps: float = 1e-8
     token_budget: int = 1000
     label_interp: float = 0.5       # label vs edge loss within a task
-    semantic_weight: float = 0.975  # task interpolation in multitask mode
-    syntactic_weight: float = 0.025
+    syntactic_weight: float = 0.025  # multitask only; the semantic weight is 1 minus it
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
@@ -46,8 +47,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.label_interp < 1.0:
             raise ConfigError("label_interp must be in (0,1)")
-        if self.semantic_weight < 0 or self.syntactic_weight < 0:
-            raise ConfigError("task weights must be non-negative")
+        if not 0.0 <= self.syntactic_weight <= 1.0:
+            raise ConfigError("syntactic_weight must be in [0,1]")
         if self.token_budget < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ConfigError("token_budget/max_epochs must be >= 1 and patience >= 0")
 
@@ -57,14 +58,12 @@ class TrainConfig:
 
 
 def semantic_loss(s_edge: Tensor, s_label: Tensor, gold: PartialGraph | SemanticGraph,
-                  labels: Vocab, label_interp: float = 0.5,
-                  strict: bool = True) -> Tensor:
+                  labels: Vocab, label_interp: float = 0.5) -> Tensor:
     """Masked interpolated loss for one sentence against a (partial) graph.
 
     Cells outside decided x decided (and the self-loop diagonal) contribute
-    exactly zero to the loss and to every gradient. With `strict`, a gold
-    edge at an undecided cell raises; with strict off such edges are simply
-    masked out, which is what the masking-soundness tests rely on.
+    exactly zero to the loss and to every gradient; a `PartialGraph` has gold
+    edges at decided cells only, so every gold edge is a target.
     """
     gold = as_partial(gold) if isinstance(gold, SemanticGraph) else gold
     n = gold.graph.n
@@ -80,10 +79,6 @@ def semantic_loss(s_edge: Tensor, s_label: Tensor, gold: PartialGraph | Semantic
     targets = np.zeros((n + 1, n))
     label_rows, label_cols, label_ids = [], [], []
     for h, d, label in gold.graph.sorted_edges():
-        if not gold.decided(h, d):
-            if strict:
-                raise GraphError(f"gold edge ({h},{d}) sits at an undecided cell")
-            continue
         targets[h, d - 1] = 1.0
         label_rows.append(h)
         label_cols.append(d - 1)
@@ -201,7 +196,6 @@ def _schedule(task_batches: dict[str, list[list[int]]]) -> list[tuple[str, int]]
 @dataclass
 class TrainResult:
     metrics: list[dict] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
     best_epoch: int = 0
     best_lf: float = 0.0
     epochs_run: int = 0
@@ -222,9 +216,10 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     `corpora` maps task ids to lists of (sentence, gold) or
     (sentence, gold, context) items; `heldout` holds semantic items. The
     model is left holding the best checkpoint seen, also when training
-    stops by raising (such as `TrainingDiverged`). Tasks with weight zero
-    are skipped entirely, so a multitask run with a zero syntactic weight
-    follows the single-task trajectory exactly.
+    stops by raising (such as `TrainingDiverged`). In multitask mode the
+    semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
+    zero is skipped entirely, so a multitask run with a zero syntactic
+    weight follows the single-task trajectory exactly.
     """
     if not corpora:
         raise ConfigError("at least one task corpus is required")
@@ -234,7 +229,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     if not heldout:
         raise ConfigError("heldout corpus must be non-empty")
     multitask = len(corpora) > 1
-    weights = {SEMANTIC: cfg.semantic_weight if multitask else 1.0,
+    weights = {SEMANTIC: 1.0 - cfg.syntactic_weight if multitask else 1.0,
                SYNTACTIC: cfg.syntactic_weight if multitask else 1.0}
     data = {task: _normalize_corpus(items) for task, items in corpora.items()
             if (weights[task] > 0 or not multitask)}
@@ -266,23 +261,15 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             for step_index, step in enumerate(steps):
                 total: Tensor | None = None
                 for task, batch_index in step:
-                    batch = task_batches[task][batch_index]
+                    batch = [data[task][idx] for idx in task_batches[task][batch_index]]
+                    sentences, golds, contexts = zip(*batch)
                     rng = _dropout_rng(cfg.seed, epoch, task, batch_index)
-                    char_cache: dict = {}
-                    part: Tensor | None = None
-                    tokens = 0
-                    for idx in batch:
-                        sentence, gold, context = data[task][idx]
-                        s_edge, s_label = model.forward(sentence, task, train=True, rng=rng,
-                                                        context=context, char_cache=char_cache)
-                        if task == SEMANTIC:
-                            loss = semantic_loss(s_edge, s_label, gold, model.tasks[task],
-                                                 cfg.label_interp)
-                        else:
-                            loss = syntactic_loss(s_edge, s_label, gold, model.tasks[task],
-                                                  cfg.label_interp)
-                        part = loss if part is None else part + loss
-                        tokens += len(sentence)
+                    task_loss = semantic_loss if task == SEMANTIC else syntactic_loss
+                    part = functools.reduce(operator.add, [
+                        task_loss(s_edge, s_label, gold, model.tasks[task], cfg.label_interp)
+                        for (s_edge, s_label), gold
+                        in zip(model.forward(sentences, task, rng, contexts), golds)])
+                    tokens = sum(len(sentence) for sentence in sentences)
                     loss_sums[task] += float(part.data)
                     token_sums[task] += tokens
                     scaled = part * (weights[task] / tokens)
@@ -304,7 +291,6 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             line = " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
                             for k, v in entry.items())
             result.metrics.append(entry)
-            result.lines.append(line)
             if metrics_out is not None:
                 metrics_out.write(line + "\n")
 
@@ -343,27 +329,23 @@ def _combined_schedule(task_batches: dict[str, list[list[int]]]
 
 
 def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]],
-                   contexts: Sequence[np.ndarray] | None = None) -> list[SemanticGraph]:
-    """Decode semantic graphs for raw sentences in eval mode."""
-    graphs = []
+                   contexts: Sequence[np.ndarray | None] | None = None
+                   ) -> list[SemanticGraph]:
+    """Decode semantic graphs for raw sentences in eval mode.
+
+    Each sentence is decoded before the next is scored, so only one
+    sentence's label scores are held at a time.
+    """
+    labels = model.tasks[SEMANTIC]
     with ad.no_grad():
-        char_cache: dict = {}
-        for i, sentence in enumerate(sentences):
-            context = contexts[i] if contexts is not None else None
-            s_edge, s_label = model.forward(tuple(sentence), SEMANTIC,
-                                            context=context, char_cache=char_cache)
-            graphs.append(decode_semantic(s_edge, s_label,
-                                          model.tasks[SEMANTIC], sentence))
-    return graphs
+        return [decode_semantic(s_edge, s_label, labels, sentence)
+                for (s_edge, s_label), sentence
+                in zip(model.forward(sentences, SEMANTIC, contexts=contexts), sentences)]
 
 
 def evaluate_semantic(model: ParserModel, corpus: list) -> ScoreReport:
     """Labeled/unlabeled F1 of decoded graphs against (possibly partial) gold."""
     items = _normalize_corpus(corpus)
-    sentences = [s for s, _, _ in items]
-    contexts = [c for _, _, c in items]
-    if all(c is None for c in contexts):
-        contexts = None
-    predicted = parse_semantic(model, sentences, contexts)
+    predicted = parse_semantic(model, [s for s, _, _ in items], [c for _, _, c in items])
     gold = [g.graph if isinstance(g, PartialGraph) else g for _, g, _ in items]
     return score_graphs(predicted, gold)

@@ -371,8 +371,9 @@ class TestKernelsMatchReference:
         assert np.prod(big) > ad._ADAM_BLOCK and np.prod(big) % ad._ADAM_BLOCK
         shapes = {"big": big, "small": (7,), "idle": (4, 4)}
         start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-        fused = [ad.Parameter(start[name], name=name) for name in shapes]
-        reference = [ad.Parameter(start[name], name=name) for name in shapes]
+        # Parameter adopts its array, so each side gets its own copy
+        fused = [ad.Parameter(start[name].copy(), name=name) for name in shapes]
+        reference = [ad.Parameter(start[name].copy(), name=name) for name in shapes]
         for _ in range(3):
             for p, q in zip(fused, reference):
                 if p.name != "idle":

@@ -116,3 +116,13 @@ def test_gradcheck(monkeypatch, biaffine_bias):
     report = cli.run_gradcheck()
     assert report.max_rel_error <= 1e-4, str(report)
     assert ("scorer/semantic/edge_bias" in report.per_param) == biaffine_bias
+
+
+def test_semantic_weight_config_key_rejected(pipeline, tmp_path, capsys):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"network": TINY, "train": {"semantic_weight": 0.975}}))
+    out = tmp_path / "model.npz"
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--config", str(config), "--out", str(out)]) == 2
+    assert "unknown keys ['semantic_weight']" in capsys.readouterr().err
+    assert not out.exists()

@@ -153,11 +153,6 @@ class TestPartialGraph:
         with pytest.raises(GraphError, match="unaligned"):
             PartialGraph(g, frozenset({1}))
 
-    def test_validate_false_allows_planted_edges(self):
-        g = graph(3, {(1, 2, "A")})
-        pg = PartialGraph(g, frozenset({1}), validate=False)
-        assert not pg.decided(1, 2)
-
     def test_fully_aligned_mask_is_all_decided(self):
         g = graph(3, {(0, 1, "TOP"), (1, 2, "A")})
         pg = PartialGraph(g, frozenset({1, 2, 3}))

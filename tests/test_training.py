@@ -3,7 +3,7 @@ import pytest
 
 from sdpkit import autodiff as ad
 from sdpkit import network, training
-from sdpkit.errors import CheckpointError, TrainingDiverged
+from sdpkit.errors import CheckpointError, ConfigError, TrainingDiverged
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                             build_vocabs, semantic_label_vocab, syntactic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
@@ -96,3 +96,23 @@ def test_load_rejects_bad_tensors(tmp_path, edit, message):
     ad.save_arrays(path, arrays, meta)
     with pytest.raises(CheckpointError, match=message):
         ParserModel.load(path)
+
+
+def test_zero_syntactic_weight_follows_the_single_task_trajectory():
+    graphs, trees = _corpus(8)
+    semantic = [(g.sentence, g) for g in graphs]
+    heldout = semantic[:2]
+    cfg = training.TrainConfig(token_budget=20, max_epochs=2, syntactic_weight=0.0, lr=0.01)
+    single, multi = _model(graphs, trees), _model(graphs, trees)
+    single_result = training.train(single, {SEMANTIC: semantic}, heldout, cfg)
+    multi_result = training.train(
+        multi, {SEMANTIC: semantic, SYNTACTIC: [(t.sentence, t) for t in trees]}, heldout, cfg)
+    assert multi_result.metrics == single_result.metrics
+    for name, p in single.params.items():
+        assert np.array_equal(multi.params[name].data, p.data), name
+
+
+@pytest.mark.parametrize("weight", [-0.1, 1.5])
+def test_syntactic_weight_outside_unit_interval_rejected(weight):
+    with pytest.raises(ConfigError, match=r"syntactic_weight must be in \[0,1\]"):
+        training.TrainConfig(syntactic_weight=weight)
