@@ -423,37 +423,49 @@ def pick_cells(a: Tensor, rows, cols) -> Tensor:
 
 
 def bilinear(x: Tensor, w: Tensor, y: Tensor) -> Tensor:
-    """Bilinear form x W y^T.
+    """Bilinear form x W y^T, on its own or for every row of a batch.
 
     x: (n, dx), y: (m, dy). With w of shape (dx, dy) the result is (n, m)
     with entry x_i^T W y_j; with w of shape (L, dx, dy) the result is
-    (L, n, m), one slice per label.
+    (L, n, m), one slice per label. Batched, x is (B, n, dx), y is (B, m, dy)
+    and the result is (B, n, m) or (B, L, n, m). The x W product is one GEMM
+    per label over all B*n rows.
     """
-    _check(x.ndim == 2 and y.ndim == 2, "bilinear",
-           f"x and y must be matrices, got {x.shape}, {y.shape}")
+    _check(x.ndim == y.ndim and x.ndim in (2, 3) and x.shape[:-2] == y.shape[:-2],
+           "bilinear", f"x and y must be matrices or equal-sized batches of them, "
+           f"got {x.shape}, {y.shape}")
     squeeze = w.ndim == 2
     w3 = w.data[None] if squeeze else w.data
     _check(w3.ndim == 3, "bilinear", f"w must be 2-D or 3-D, got {w.shape}")
-    _check(w3.shape[1] == x.shape[1] and w3.shape[2] == y.shape[1], "bilinear",
+    _check(w3.shape[1] == x.shape[-1] and w3.shape[2] == y.shape[-1], "bilinear",
            f"shape mismatch: x {x.shape}, w {w.shape}, y {y.shape}")
-    xw = x.data @ w3  # (L, n, dy)
-    data = xw @ y.data.T
+    batched = x.ndim == 3
+    xb = x.data if batched else x.data[None]  # (B, n, dx)
+    yb = y.data if batched else y.data[None]  # (B, m, dy)
+    nb, n, dx = xb.shape
+    labels, _, dy = w3.shape
+    xw = (xb.reshape(nb * n, dx) @ w3).reshape(labels, nb, n, dy)
+    data = (xw @ yb.transpose(0, 2, 1)).transpose(1, 0, 2, 3)  # (B, L, n, m)
 
     def backward(g):
-        g3 = g[None] if squeeze else g
+        g4 = g if batched else g[None]
+        g4 = g4[:, None] if squeeze else g4  # (B, L, n, m)
         if x.requires_grad or w.requires_grad:
-            gy = g3 @ y.data  # (L, n, dy)
+            gy = (g4.transpose(1, 0, 2, 3) @ yb).reshape(labels, nb * n, dy)
             if x.requires_grad:
-                _accumulate(x, (gy @ w3.transpose(0, 2, 1)).sum(axis=0), owned=True)
+                dxb = (gy @ w3.transpose(0, 2, 1)).sum(axis=0).reshape(xb.shape)
+                _accumulate(x, dxb if batched else dxb[0], owned=True)
             if w.requires_grad:
-                gw = x.data.T @ gy
+                gw = xb.reshape(nb * n, dx).T @ gy
                 _accumulate(w, gw[0] if squeeze else gw, owned=True)
         if y.requires_grad:
-            # sum over labels and rows as one GEMM: (L*n, m)^T @ (L*n, dy)
-            dy = g3.reshape(-1, g3.shape[2]).T @ xw.reshape(-1, xw.shape[2])
-            _accumulate(y, dy, owned=True)
+            # per batch row, sum over labels and rows as one GEMM: (L*n, m)^T @ (L*n, dy)
+            dyb = (g4.reshape(nb, labels * n, -1).transpose(0, 2, 1)
+                   @ xw.transpose(1, 0, 2, 3).reshape(nb, labels * n, dy))
+            _accumulate(y, dyb if batched else dyb[0], owned=True)
 
-    return _result(data[0] if squeeze else data, (x, w, y), backward)
+    out = data[:, 0] if squeeze else data
+    return _result(out if batched else out[0], (x, w, y), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -505,93 +517,142 @@ def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused LSTM over a full sequence
+# fused LSTM over a padded batch of sequences
 
 _GATES = 4
 
 
-def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
-    """Run an LSTM over a (T, d_in) sequence; returns all hidden states (T, H).
+def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
+             reverse: bool = False) -> Tensor:
+    """Run an LSTM over a padded, time-major batch; returns all hidden states (T, B, H).
+
+    x is (T, B, d_in) and `lengths` (B,) holds each sequence's length, longest
+    first, so the k_t sequences still live at step t are the first k_t rows and
+    step t is one (k_t, H) x (H, 4H) GEMM. Padded cells are never read; they
+    hold 0 in the output and get no gradient. With `reverse` every sequence is
+    read from its last real position back to its first, and each state is
+    returned at the position it was computed for.
 
     Gate layout in the 4H axis is input | forget | cell | output. Initial
-    hidden and cell states are zero. The whole sequence is one tape node.
-    Each forward step computes all four gates with one tanh over the 4H
-    pre-activation, taking every sigmoid in its tanh form
-    0.5 + 0.5 tanh(z/2). Backward replays only the recurrence in reverse
-    (exact BPTT), collecting the gate gradients dZ (T, 4H); the input, weight
-    and bias gradients are then one GEMM or sum each over all timesteps:
-    dX = dZ W^T, dW = X^T dZ, dU = H_prev^T dZ and db = sum_t dZ.
+    hidden and cell states are zero. The whole batch is one tape node. The
+    live cells are packed step by step (k_0 rows of step 0, then k_1 of step 1
+    ...), so the previous step's states are a contiguous block. Each forward
+    step computes all four gates with one tanh over the 4H pre-activation,
+    taking every sigmoid in its tanh form 0.5 + 0.5 tanh(z/2). Backward
+    replays only the recurrence in reverse (exact BPTT), collecting the gate
+    gradients dZ (one row per live cell); the input, weight and bias gradients
+    are then one GEMM or sum each over all cells: dX = dZ W^T, dW = X^T dZ,
+    dU = H_prev^T dZ and db = sum dZ.
     """
-    _check(x.ndim == 2, "lstm_seq", f"x must be (T, d_in), got {x.shape}")
+    _check(x.ndim == 3, "lstm_seq", f"x must be (T, B, d_in), got {x.shape}")
     _check(w.ndim == 2 and u.ndim == 2 and b.ndim == 1, "lstm_seq",
            "w, u must be matrices and b a vector")
+    steps, batch, d_in = x.shape
     hidden = u.shape[0]
-    _check(w.shape == (x.shape[1], _GATES * hidden), "lstm_seq",
-           f"w shape {w.shape} != ({x.shape[1]}, {_GATES * hidden})")
+    _check(w.shape == (d_in, _GATES * hidden), "lstm_seq",
+           f"w shape {w.shape} != ({d_in}, {_GATES * hidden})")
     _check(u.shape == (hidden, _GATES * hidden), "lstm_seq",
            f"u shape {u.shape} != ({hidden}, {_GATES * hidden})")
     _check(b.shape == (_GATES * hidden,), "lstm_seq",
            f"b shape {b.shape} != ({_GATES * hidden},)")
+    lens = np.asarray(lengths, dtype=np.int64).tolist()
+    _check(len(lens) == batch and 1 <= lens[-1] and lens[0] <= steps
+           and lens == sorted(lens, reverse=True), "lstm_seq",
+           f"lengths must be {batch} values in [1, {steps}], longest first")
 
-    steps = x.shape[0]
+    # live[t] = k_t. Packed cell p = bounds[t] + r is row r at step t; src[p]
+    # is its flat index in the (T*B) grid, and src is None when that is p.
+    lengths = np.array(lens)
+    live = np.count_nonzero(lengths > np.arange(steps)[:, None], axis=1)
+    ends = np.cumsum(live)
+    bounds = [0] + ends.tolist()
+    cells = bounds[-1]
+    step_of = np.repeat(np.arange(steps), live)
+    src = None
+    if reverse or cells < steps * batch:
+        row_of = np.arange(cells) - (ends - live)[step_of]
+        src = ((lengths[row_of] - 1 - step_of) if reverse else step_of) * batch + row_of
+
+    def pack(a):
+        flat = a.reshape(steps * batch, -1)
+        return flat if src is None else flat[src]
+
+    def unpack(p):
+        if src is not None:
+            full = np.zeros((steps * batch, p.shape[1]), dtype=p.dtype)
+            full[src] = p
+            p = full
+        return p.reshape(steps, batch, -1)
+
     dtype = x.data.dtype
     # Halving the i|f|o pre-activations is exact, so tanh(half * z) * half +
     # offset is sigmoid on those slices and tanh on the cell slice.
     half = np.full(_GATES * hidden, 0.5, dtype=dtype)
     half[2 * hidden:3 * hidden] = 1.0
     offset = 1.0 - half
-    pre = x.data @ w.data + b.data
-    gates = np.empty((steps, _GATES * hidden), dtype=dtype)
+    # the pre-activations x W + b, turned into the gates step by step
+    gates = pack(x.data) @ w.data + b.data
     gi, gf, gc, go = (gates[:, k * hidden:(k + 1) * hidden] for k in range(_GATES))
-    cell = np.empty((steps, hidden), dtype=dtype)
-    tc = np.empty((steps, hidden), dtype=dtype)
-    out = np.empty((steps, hidden), dtype=dtype)
+    cell = np.empty((cells, hidden), dtype=dtype)
+    tc = np.empty((cells, hidden), dtype=dtype)
+    out = np.empty((cells, hidden), dtype=dtype)
+    u_data = u.data
 
-    h_prev = np.zeros(hidden, dtype=dtype)
-    c_prev = np.zeros(hidden, dtype=dtype)
     for t in range(steps):
-        z = pre[t] + h_prev @ u.data
-        z *= half
-        a = np.tanh(z, out=gates[t])
+        lo, hi = bounds[t], bounds[t + 1]
+        a = gates[lo:hi]
+        if t:
+            before = bounds[t - 1]
+            a += out[before:before + hi - lo] @ u_data
+        a *= half
+        np.tanh(a, out=a)
         a *= half
         a += offset
-        cell[t] = gf[t] * c_prev + gi[t] * gc[t]
-        np.tanh(cell[t], out=tc[t])
-        np.multiply(go[t], tc[t], out=out[t])
-        h_prev = out[t]
-        c_prev = cell[t]
+        c = cell[lo:hi]
+        np.multiply(gi[lo:hi], gc[lo:hi], out=c)
+        if t:
+            c += gf[lo:hi] * cell[before:before + hi - lo]
+        np.tanh(c, out=tc[lo:hi])
+        np.multiply(go[lo:hi], tc[lo:hi], out=out[lo:hi])
 
     def backward(g):
+        # prev[p - k_0] is the packed cell of the same row one step earlier
+        prev = np.arange(live[0], cells) - live[step_of[live[0]:] - 1]
         c_in = np.zeros_like(cell)
-        c_in[1:] = cell[:-1]
+        c_in[live[0]:] = cell[prev]
         dtc = go * (1.0 - tc * tc)
         # All of the gate gradients but dh_t and dc_t is known before the loop:
-        # dz[t, k] = coef[t, k] * dc_t for k = i, f, c and coef[t, o] * dh_t
+        # dz[p, k] = coef[p, k] * dc_t for k = i, f, c and coef[p, o] * dh_t
         coef = np.stack([gc * gi * (1.0 - gi), c_in * gf * (1.0 - gf),
                          gi * (1.0 - gc * gc), tc * go * (1.0 - go)], axis=1)
-        dz = np.empty((steps, _GATES, hidden), dtype=dtype)
-        u_t = u.data.T
-        dh = np.zeros(hidden, dtype=dtype)
-        dc = np.zeros(hidden, dtype=dtype)
+        dz = np.empty((cells, _GATES, hidden), dtype=dtype)
+        g_live = pack(g)
+        u_t = u_data.T
+        # rows that are not live yet (in reverse time) keep zero dh and dc
+        dh = np.zeros((batch, hidden), dtype=dtype)
+        dc = np.zeros((batch, hidden), dtype=dtype)
         for t in range(steps - 1, -1, -1):
-            dht = g[t] + dh
-            dct = dc + dht * dtc[t]
-            np.multiply(coef[t, :3], dct, out=dz[t, :3])
-            np.multiply(coef[t, 3], dht, out=dz[t, 3])
+            lo, hi = bounds[t], bounds[t + 1]
+            k = hi - lo
+            dht = g_live[lo:hi] + dh[:k]
+            dct = dc[:k] + dht * dtc[lo:hi]
+            np.multiply(coef[lo:hi, :3], dct[:, None], out=dz[lo:hi, :3])
+            np.multiply(coef[lo:hi, 3], dht, out=dz[lo:hi, 3])
             if t:
-                dh = dz[t].reshape(-1) @ u_t
-                dc = dct * gf[t]
-        dz = dz.reshape(steps, _GATES * hidden)
+                np.matmul(dz[lo:hi].reshape(k, -1), u_t, out=dh[:k])
+                np.multiply(dct, gf[lo:hi], out=dc[:k])
+        dz = dz.reshape(cells, _GATES * hidden)
         if x.requires_grad:
-            _accumulate(x, dz @ w.data.T, owned=True)
+            _accumulate(x, unpack(dz @ w.data.T), owned=True)
         if w.requires_grad:
-            _accumulate(w, x.data.T @ dz, owned=True)
+            _accumulate(w, pack(x.data).T @ dz, owned=True)
         if u.requires_grad:
-            _accumulate(u, out[:-1].T @ dz[1:], owned=True)  # zero when steps == 1
+            # zero when no sequence is longer than one step
+            _accumulate(u, out[prev].T @ dz[live[0]:], owned=True)
         if b.requires_grad:
             _accumulate(b, dz.sum(axis=0), owned=True)
 
-    return _result(out, (x, w, u, b), backward)
+    return _result(unpack(out), (x, w, u, b), backward)
 
 
 # ---------------------------------------------------------------------------

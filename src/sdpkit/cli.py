@@ -264,6 +264,12 @@ def cmd_train(args) -> int:
         raise ConfigError("--syntactic FILE is required for the syn task")
     if args.syntactic and SYNTACTIC not in tasks:
         raise ConfigError("--syntactic given but the syn task is not enabled")
+    net_cfg = NetworkConfig(**net_section)
+    if SYNTACTIC in tasks and net_cfg.context_dim:
+        raise ConfigError("the syn task has no context vectors; it needs "
+                          "network.context_dim 0")
+    if (args.context or args.heldout_context) and not net_cfg.context_dim:
+        raise ConfigError("--context/--heldout-context given but network.context_dim is 0")
 
     train_doc = _read_sdp_file(args.train)
     heldout_doc = _read_sdp_file(args.heldout)
@@ -272,7 +278,6 @@ def cmd_train(args) -> int:
         with open(args.syntactic, "r", encoding="utf-8") as f:
             trees = read_conllu(f)
 
-    net_cfg = NetworkConfig(**net_section)
     train_cfg = TrainConfig(**train_section)
     topology = _parse_share(args.share, raw) if len(tasks) > 1 else None
 
@@ -286,10 +291,10 @@ def cmd_train(args) -> int:
         task_vocabs[SYNTACTIC] = syntactic_label_vocab(
             [r for t in trees for r in t.deprels])
 
-    contexts = _read_contexts(args.context, net_cfg.context_dim, sentences) \
-        if net_cfg.context_dim else None
-    if args.context and not net_cfg.context_dim:
-        raise ConfigError("--context given but network.context_dim is 0")
+    contexts = _read_contexts(args.context, net_cfg.context_dim, sentences)
+    heldout_graphs = heldout_doc.graphs()
+    heldout_contexts = _read_contexts(args.heldout_context, net_cfg.context_dim,
+                                      [g.sentence for g in heldout_graphs])
 
     pretrained = None
     if args.word_vectors:
@@ -305,7 +310,8 @@ def cmd_train(args) -> int:
     corpora = {SEMANTIC: sem_corpus}
     if SYNTACTIC in tasks:
         corpora[SYNTACTIC] = [(t.sentence, t) for t in trees]
-    held_corpus = [(g.sentence, g) for g in heldout_doc.graphs()]
+    held_corpus = [(g.sentence, g, heldout_contexts[i] if heldout_contexts else None)
+                   for i, g in enumerate(heldout_graphs)]
 
     metrics_path = args.metrics or args.out + ".metrics"
     with atomic_open(metrics_path) as metrics_f:
@@ -322,8 +328,9 @@ def cmd_train(args) -> int:
     inputs = [args.train, args.heldout]
     if args.syntactic:
         inputs.append(args.syntactic)
-    if args.context:
-        inputs.append(args.context)
+    for path in (args.context, args.heldout_context):
+        if path:
+            inputs.append(path)
     if args.word_vectors:
         inputs.append(args.word_vectors)
     print(f"best_epoch={result.best_epoch} best_heldout_lf={result.best_lf:.6f} "
@@ -435,18 +442,23 @@ def run_gradcheck(seed: int = 0, epsilon: float = 1e-5, tolerance: float = 1e-4)
     config = NetworkConfig(word_dim=4, pos_dim=2, rnn_size=4, rnn_layers=3,
                            fnn_size=4, char_emb_dim=2, word_dropout=0.0,
                            recurrent_dropout=0.0, edge_dropout=0.0, label_dropout=0.0)
-    sentence = make_sentence(["v1", "n1", "n2", "j1"], pos=["V", "N", "N", "J"])
-    word_vocab, char_vocab, pos_vocab = build_vocabs([sentence])
+    # a padded batch: two sentences of unequal length that share a form
+    sentences = [make_sentence(["v1", "n1", "n2", "j1"], pos=["V", "N", "N", "J"]),
+                 make_sentence(["n2", "v2"], pos=["N", "V"])]
+    word_vocab, char_vocab, pos_vocab = build_vocabs(sentences)
     labels = semantic_label_vocab(["A", "B"])
     model = ParserModel(config, {SEMANTIC: labels}, word_vocab, char_vocab,
                         pos_vocab, seed=seed)
-    gold = PartialGraph(
-        SemanticGraph(sentence, frozenset({(0, 1, "TOP"), (1, 2, "A"), (2, 4, "B")})),
-        frozenset({0, 1, 2, 4}))
+    golds = [
+        PartialGraph(SemanticGraph(sentences[0], frozenset({(0, 1, "TOP"), (1, 2, "A"),
+                                                            (2, 4, "B")})),
+                     frozenset({0, 1, 2, 4})),
+        PartialGraph(SemanticGraph(sentences[1], frozenset({(0, 2, "TOP"), (2, 1, "A")})),
+                     frozenset({0, 1, 2}))]
 
     def closure():
-        (s_edge, s_label), = model.forward([sentence], SEMANTIC)
-        return semantic_loss(s_edge, s_label, gold, labels, label_interp=0.5)
+        s_edge, s_label = model.forward(sentences, SEMANTIC)
+        return semantic_loss(s_edge, s_label, golds, labels, label_interp=0.5)
 
     return ad.gradient_check(closure, model.parameters(), epsilon=epsilon,
                              tolerance=tolerance)
@@ -520,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--combined", action="store_true",
                    help="combined multitask steps instead of alternating")
     p.add_argument("--metrics", help="metrics log path (default: <out>.metrics)")
-    p.add_argument("--context", help="per-token context vectors (.vec)")
+    p.add_argument("--context", help="per-token context vectors (.vec) of --train")
+    p.add_argument("--heldout-context", help="per-token context vectors (.vec) of --heldout")
     p.add_argument("--word-vectors", help="pretrained word vectors (text)")
 
     p = add("parse", cmd_parse, "parse sentences with a trained model")

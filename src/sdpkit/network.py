@@ -6,7 +6,8 @@ a fixed pretrained table, and a character BiLSTM's final states (no projection,
 so the char hidden size is half the word dimension per direction). A learned
 root row is prepended before encoding; scores are matrices over head positions
 0..n and dependent positions 1..n, with self-loop edges masked to a large
-negative.
+negative. One model call runs every stage once over a padded `Batch` of
+sentences, and padding is masked like the self-loops.
 
 In multitask mode the embedding layer is always shared; the recurrent stack
 and the four attention FNNs are shared or task-specific according to the
@@ -175,6 +176,58 @@ def _zeros(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 FNN_TYPES = ("edge_dep", "edge_head", "label_dep", "label_head")
 
 
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """The sentences of one model call, laid out for batched encoding.
+
+    Rows are the sentences sorted by length, longest first (ties keep input
+    order); `order[r]` is the input index of row r, and tokens are packed row
+    after row. The encoder runs time-major over (T+1, B) cells, T the longest
+    sentence: step 0 of every row is the root and step i its token i. Scores
+    come back batch-major, in input order.
+    """
+
+    sizes: np.ndarray             # (B,) tokens per sentence, input order
+    order: np.ndarray             # (B,) input index of each row
+    word_ids: np.ndarray          # (N,) packed
+    pos_ids: np.ndarray           # (N,) packed
+    form_ids: np.ndarray          # (N,) column of each token's form in char_ids
+    char_ids: np.ndarray          # (C, F) the distinct forms, time-major, longest first
+    char_lengths: np.ndarray      # (F,)
+    contexts: np.ndarray | None   # (N, context_dim) packed
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Tokens per row."""
+        return self.sizes[self.order]
+
+    def cells(self) -> np.ndarray:
+        """(T+1, B) rows of [root; packed tokens] that fill the encoder's cells.
+
+        Padding cells repeat the root row; `lstm_seq` never reads them.
+        """
+        lengths = self.lengths
+        step = np.arange(lengths[0] + 1)[:, None]
+        return np.where((step >= 1) & (step <= lengths), np.cumsum(lengths) - lengths + step, 0)
+
+    def positions(self, first: int) -> np.ndarray:
+        """Flat indices into the (T+1) * B cells of positions first..T of every
+        sentence, sentence by sentence in input order."""
+        rows = len(self.order)
+        row_of = np.empty(rows, dtype=np.int64)
+        row_of[self.order] = np.arange(rows)
+        step = np.arange(first, self.lengths[0] + 1)
+        return (step * rows + row_of[:, None]).reshape(-1)
+
+    def edge_cells(self) -> np.ndarray:
+        """(B, T+1, T) 0/1 mask of every sentence's real, non-diagonal edge cells."""
+        longest = self.lengths[0]
+        n = self.sizes[:, None, None]
+        head = np.arange(longest + 1)[:, None]
+        dep = np.arange(1, longest + 1)
+        return ((head <= n) & (dep <= n) & (head != dep)).astype(np.float64)
+
+
 class ParserModel:
     """All trainable state plus the forward operations of the parser."""
 
@@ -278,48 +331,76 @@ class ParserModel:
 
     # ---------------------------------------------------------------- forward
 
-    def _char_vector(self, form: str) -> Tensor:
-        ids = np.array([self.char_vocab.id(c) for c in form], dtype=np.int64)
-        emb = ad.lookup(self.params["emb/char"], ids)
-        fw = ad.lstm_seq(emb, self.params["char_rnn/fw/w"],
-                         self.params["char_rnn/fw/u"], self.params["char_rnn/fw/b"])
-        bw = ad.lstm_seq(ad.flip_rows(emb), self.params["char_rnn/bw/w"],
-                         self.params["char_rnn/bw/u"], self.params["char_rnn/bw/b"])
-        last_f = ad.slice_rows(fw, len(form) - 1, len(form))
-        last_b = ad.slice_rows(bw, len(form) - 1, len(form))
-        return ad.concat([last_f, last_b], axis=1)
+    def batch(self, sentences: Sequence[Sequence[Token]],
+              contexts: Sequence[np.ndarray | None] | None = None) -> Batch:
+        """Lay out the sentences (and their context vectors) of one model call."""
+        cfg = self.config
+        sizes = np.array([len(s) for s in sentences], dtype=np.int64)
+        if sizes.size == 0 or sizes.min() == 0:
+            raise ConfigError("cannot embed an empty sentence")
+        order = np.argsort(-sizes, kind="stable")
+        tokens = [tok for r in order for tok in sentences[r]]
+        forms = sorted({tok.form for tok in tokens}, key=lambda form: (-len(form), form))
+        column = {form: k for k, form in enumerate(forms)}
+        char_ids = np.zeros((len(forms[0]), len(forms)), dtype=np.int64)
+        for k, form in enumerate(forms):
+            char_ids[:len(form), k] = [self.char_vocab.id(c) for c in form]
 
-    def embed_tokens(self, sentence: Sequence[Token], char_vectors: dict[str, Tensor],
-                     rng: np.random.Generator | None = None,
-                     context: np.ndarray | None = None) -> Tensor:
-        """Token input matrix of shape (n, word_dim + pos_dim + context_dim).
+        packed = None
+        if cfg.context_dim:
+            if contexts is None or any(c is None for c in contexts):
+                raise ConfigError("model was configured with context vectors; none given")
+            mats = [np.asarray(contexts[r], dtype=np.float64) for r in order]
+            for r, mat in zip(order, mats):
+                if mat.shape != (sizes[r], cfg.context_dim):
+                    raise ConfigError(f"context shape {mat.shape} != "
+                                      f"({sizes[r]}, {cfg.context_dim})")
+            packed = np.concatenate(mats)
+        elif contexts is not None and any(c is not None for c in contexts):
+            raise ConfigError("context vectors given but context_dim is 0")
+
+        return Batch(
+            sizes=sizes, order=order,
+            word_ids=np.array([self.word_vocab.id(t.form) for t in tokens], dtype=np.int64),
+            pos_ids=np.array([self.pos_vocab.id(t.pos) for t in tokens], dtype=np.int64),
+            form_ids=np.array([column[t.form] for t in tokens], dtype=np.int64),
+            char_ids=char_ids,
+            char_lengths=np.array([len(form) for form in forms], dtype=np.int64),
+            contexts=packed)
+
+    def _char_vectors(self, batch: Batch) -> Tensor:
+        """Final states of the char BiLSTM, (F, word_dim): one row per distinct form."""
+        steps, forms = batch.char_ids.shape
+        emb = ad.reshape(ad.lookup(self.params["emb/char"], batch.char_ids.reshape(-1)),
+                         (steps, forms, self.config.char_dim))
+        fw, bw = (ad.lstm_seq(emb, self.params[f"char_rnn/{d}/w"], self.params[f"char_rnn/{d}/u"],
+                              self.params[f"char_rnn/{d}/b"], batch.char_lengths,
+                              reverse=d == "bw")
+                  for d in ("fw", "bw"))
+        hidden = self.config.word_dim // 2
+        # forward: the state at each form's last char; backward: at its first
+        last_f = ad.lookup(ad.reshape(fw, (steps * forms, hidden)),
+                           (batch.char_lengths - 1) * forms + np.arange(forms))
+        first_b = ad.reshape(ad.slice_rows(bw, 0, 1), (forms, hidden))
+        return ad.concat([last_f, first_b], axis=1)
+
+    def embed_tokens(self, batch: Batch, rng: np.random.Generator | None = None) -> Tensor:
+        """Token input matrix (N, word_dim + pos_dim + context_dim), packed in row order.
 
         The word component sums the trainable table row, the fixed pretrained
-        row, and the char BiLSTM vector. `char_vectors` maps forms to char
-        vectors already built on the current tape and gains the new ones;
-        sharing them is exact because the char BiLSTM carries no dropout.
-        With an `rng` (train mode) each token's word and POS components are
-        independently replaced by dedicated unknown embeddings at the
-        configured word-dropout rate.
+        row, and the char BiLSTM vector; the char BiLSTM runs once per
+        direction over the distinct forms of the batch. With an `rng` (train
+        mode) each token's word and POS components are independently replaced
+        by dedicated unknown embeddings at the configured word-dropout rate.
         """
         cfg = self.config
-        n = len(sentence)
-        if n == 0:
-            raise ConfigError("cannot embed an empty sentence")
-        word_ids = np.array([self.word_vocab.id(t.form) for t in sentence], dtype=np.int64)
-        pos_ids = np.array([self.pos_vocab.id(t.pos) for t in sentence], dtype=np.int64)
-
-        x_re = ad.lookup(self.params["emb/word"], word_ids)
-        x_pe = ad.constant(self.pretrained[word_ids])
-        char_rows = []
-        for tok in sentence:
-            if tok.form not in char_vectors:
-                char_vectors[tok.form] = self._char_vector(tok.form)
-            char_rows.append(char_vectors[tok.form])
-        x_ce = char_rows[0] if n == 1 else ad.concat(char_rows, axis=0)
+        n = batch.word_ids.size
+        x_re = ad.lookup(self.params["emb/word"], batch.word_ids)
+        x_pe = ad.constant(self.pretrained[batch.word_ids])
+        x_ce = ad.lookup(self._char_vectors(batch), batch.form_ids)
         x_we = ad.add(ad.add(x_re, x_pe), x_ce)
 
-        x_te = ad.lookup(self.params["emb/pos"], pos_ids)
+        x_te = ad.lookup(self.params["emb/pos"], batch.pos_ids)
 
         if rng is not None and cfg.word_dropout > 0:
             keep_w = ad.constant((rng.random((n, 1)) >= cfg.word_dropout).astype(np.float64))
@@ -332,113 +413,117 @@ class ParserModel:
                           ad.mul(unk_t, ad.constant(1.0 - keep_t.data)))
 
         parts = [x_we, x_te]
-        if cfg.context_dim:
-            if context is None:
-                raise ConfigError("model was configured with context vectors; none given")
-            context = np.asarray(context, dtype=np.float64)
-            if context.shape != (n, cfg.context_dim):
-                raise ConfigError(f"context shape {context.shape} != ({n}, {cfg.context_dim})")
-            parts.append(ad.constant(context))
-        elif context is not None:
-            raise ConfigError("context vectors given but context_dim is 0")
+        if batch.contexts is not None:
+            parts.append(ad.constant(batch.contexts))
         return ad.concat(parts, axis=1)
 
-    def _bilstm_layer(self, x: Tensor, prefix: str) -> Tensor:
-        fw = ad.lstm_seq(x, self.params[f"{prefix}/fw/w"],
-                         self.params[f"{prefix}/fw/u"], self.params[f"{prefix}/fw/b"])
-        bw = ad.flip_rows(ad.lstm_seq(ad.flip_rows(x), self.params[f"{prefix}/bw/w"],
-                                      self.params[f"{prefix}/bw/u"],
-                                      self.params[f"{prefix}/bw/b"]))
-        return ad.concat([fw, bw], axis=1)
+    def _bilstm_layer(self, x: Tensor, lengths: np.ndarray, prefix: str) -> Tensor:
+        fw, bw = (ad.lstm_seq(x, self.params[f"{prefix}/{d}/w"], self.params[f"{prefix}/{d}/u"],
+                              self.params[f"{prefix}/{d}/b"], lengths, reverse=d == "bw")
+                  for d in ("fw", "bw"))
+        return ad.concat([fw, bw], axis=2)
 
-    def encode(self, embedded: Tensor, task: str,
+    def encode(self, embedded: Tensor, batch: Batch, task: str,
                rng: np.random.Generator | None = None) -> Tensor:
-        """Recurrent states for positions 0..n; row 0 is the learned root.
+        """Recurrent states (T+1, B, rnn_size), time-major in row order.
 
-        With an `rng` (train mode) recurrent dropout is applied between layers.
+        Step 0 of every row is the learned root. With an `rng` (train mode)
+        recurrent dropout is applied between layers.
         """
         self._check_task(task)
         cfg = self.config
         dropout = rng is not None and cfg.recurrent_dropout > 0
         root = ad.reshape(self.params["emb/root"], (1, cfg.input_dim))
-        states = ad.concat([root, embedded], axis=0)
+        cells = batch.cells()
+        states = ad.reshape(ad.lookup(ad.concat([root, embedded], axis=0), cells.reshape(-1)),
+                            cells.shape + (cfg.input_dim,))
+        lengths = batch.lengths + 1
         owner = self._rnn_owner(task)
         for layer in range(cfg.rnn_layers):
             if layer > 0 and dropout:
                 states = ad.dropout(states, cfg.recurrent_dropout, rng)
-            states = self._bilstm_layer(states, f"rnn/{owner}/layer{layer}")
+            states = self._bilstm_layer(states, lengths, f"rnn/{owner}/layer{layer}")
         if self.topology is not None and self.topology.task_rnn:
             if dropout:
                 states = ad.dropout(states, cfg.recurrent_dropout, rng)
-            states = self._bilstm_layer(states, f"rnn_task/{task}")
+            states = self._bilstm_layer(states, lengths, f"rnn_task/{task}")
         return states
 
-    def score_edges_labels(self, states: Tensor, task: str,
+    def score_edges_labels(self, states: Tensor, batch: Batch, task: str,
                            rng: np.random.Generator | None = None
                            ) -> tuple[Tensor, Tensor]:
-        """Edge scores (n+1, n) and label scores (|L|, n+1, n) for one task.
+        """Edge scores (B, T+1, T) and label scores (B, |L|, T+1, T), input order.
 
-        Row i is the head position (0 = root), column j-1 the dependent.
-        Diagonal edge cells (i == j) are masked to a large negative score so
-        decoding and head softmaxes never select self-loops; label scores are
-        read only at edges, so their diagonal is left as computed. With an
-        `rng` (train mode) the FNN outputs get edge and label dropout.
+        In sentence b, cell [i, j-1] scores head i (0 = root) for dependent j.
+        The diagonal (i == j) and the padding of sentences shorter than T
+        (i or j beyond n_b) are masked to a large negative edge score, so
+        decoding and head softmaxes never select them; label scores are read
+        only at edges, so they are left as computed. With an `rng` (train
+        mode) the FNN outputs get edge and label dropout.
         """
         self._check_task(task)
         cfg = self.config
         owner = self._fnn_owner(task)
-        n_plus_1 = states.shape[0]
-        n = n_plus_1 - 1
+        steps, count, width = states.shape
+        flat = ad.reshape(states, (steps * count, width))
+        # batch-major rows in input order: positions 0..T as heads, 1..T as dependents
+        head_rows = ad.lookup(flat, batch.positions(0))
+        dep_rows = ad.lookup(flat, batch.positions(1))
 
         heads = {}
         for kind in FNN_TYPES:
-            h = ad.tanh(ad.add(ad.matmul(states, self.params[f"fnn/{owner}/{kind}/w"]),
+            rows = dep_rows if kind.endswith("_dep") else head_rows
+            h = ad.tanh(ad.add(ad.matmul(rows, self.params[f"fnn/{owner}/{kind}/w"]),
                                self.params[f"fnn/{owner}/{kind}/b"]))
             rate = cfg.edge_dropout if kind.startswith("edge") else cfg.label_dropout
             if rng is not None and rate > 0:
                 h = ad.dropout(h, rate, rng)
             heads[kind] = h
-
-        edge_dep = ad.slice_rows(heads["edge_dep"], 1, n_plus_1)
-        label_dep = ad.slice_rows(heads["label_dep"], 1, n_plus_1)
+        edge_dep, label_dep = (ad.reshape(heads[kind], (count, steps - 1, cfg.fnn_size))
+                               for kind in ("edge_dep", "label_dep"))
+        edge_head, label_head = (ad.reshape(heads[kind], (count, steps, cfg.fnn_size))
+                                 for kind in ("edge_head", "label_head"))
 
         # written form: score(i, j) = h_i^(dep) W h_j^(head); stored as [head, dep]
         s_edge = ad.transpose(ad.bilinear(edge_dep, self.params[f"scorer/{task}/edge"],
-                                          heads["edge_head"]))
+                                          edge_head), (0, 2, 1))
         if cfg.biaffine_bias:
-            dep_bias = ad.matmul(edge_dep,
+            dep_bias = ad.matmul(heads["edge_dep"],
                                  ad.reshape(self.params[f"scorer/{task}/edge_bias_dep"],
                                             (cfg.fnn_size, 1)))
             head_bias = ad.matmul(heads["edge_head"],
                                   ad.reshape(self.params[f"scorer/{task}/edge_bias_head"],
                                              (cfg.fnn_size, 1)))
-            s_edge = ad.add(s_edge, ad.transpose(dep_bias))
-            s_edge = ad.add(s_edge, head_bias)
-            s_edge = ad.add(s_edge, ad.reshape(self.params[f"scorer/{task}/edge_bias"], (1, 1)))
-        diag = np.eye(n_plus_1, n, k=-1)  # cells (j, j-1): head j, dependent j
-        s_edge = ad.add(ad.mul(s_edge, ad.constant(1.0 - diag)), ad.constant(diag * NEG_SCORE))
+            s_edge = ad.add(s_edge, ad.reshape(dep_bias, (count, 1, steps - 1)))
+            s_edge = ad.add(s_edge, ad.reshape(head_bias, (count, steps, 1)))
+            s_edge = ad.add(s_edge, ad.reshape(self.params[f"scorer/{task}/edge_bias"],
+                                               (1, 1, 1)))
+        valid = batch.edge_cells()
+        s_edge = ad.add(ad.mul(s_edge, ad.constant(valid)),
+                        ad.constant((1.0 - valid) * NEG_SCORE))
 
         s_label = ad.transpose(ad.bilinear(label_dep, self.params[f"scorer/{task}/label"],
-                                           heads["label_head"]), (0, 2, 1))
+                                           label_head), (0, 1, 3, 2))
         return s_edge, s_label
 
     def forward(self, sentences: Sequence[Sequence[Token]], task: str,
                 rng: np.random.Generator | None = None,
                 contexts: Sequence[np.ndarray | None] | None = None
-                ) -> Iterator[tuple[Tensor, Tensor]]:
-        """Yield (s_edge, s_label) of `score_edges_labels` for each sentence, in order.
+                ) -> tuple[Tensor, Tensor]:
+        """Scores of `score_edges_labels` for all sentences, from one padded batch.
 
-        Train mode (all dropout on) is `rng is not None`; the draws come from
-        `rng` sentence by sentence. The call owns one char-vector table, so a
-        form's char BiLSTM runs once per call. Scores are built lazily: the
-        caller may consume (for example decode) each pair before the next
-        sentence runs.
+        The call lays the sentences out as one `Batch` (rows sorted by length,
+        longest first; encoder states time-major) and runs every stage once
+        over it: the char BiLSTM over the call's distinct forms, one
+        `lstm_seq` per encoder layer and direction, and the FNN heads and
+        bilinear scorers over all rows. Edge scores are (B, T+1, T) and label
+        scores (B, |L|, T+1, T), in input order, T the longest sentence;
+        sentence b's scores are [b, :n_b+1, :n_b] and [b, :, :n_b+1, :n_b].
+        Train mode (all dropout on) is `rng is not None`.
         """
-        char_vectors: dict[str, Tensor] = {}
-        for i, sentence in enumerate(sentences):
-            context = contexts[i] if contexts is not None else None
-            x = self.embed_tokens(sentence, char_vectors, rng, context)
-            yield self.score_edges_labels(self.encode(x, task, rng), task, rng)
+        batch = self.batch(sentences, contexts)
+        x = self.embed_tokens(batch, rng)
+        return self.score_edges_labels(self.encode(x, batch, task, rng), batch, task, rng)
 
     def _check_task(self, task: str):
         if task not in self.tasks:

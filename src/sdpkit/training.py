@@ -11,11 +11,9 @@ loss is scaled by `syntactic_weight` and the semantic loss by one minus it.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -28,6 +26,10 @@ from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
 from .network import SEMANTIC, SYNTACTIC, ParserModel, Vocab
 
 _TASK_CODE = {SEMANTIC: 0, SYNTACTIC: 1}
+
+# Padded tokens (sentences times the longest) of one model call in
+# `parse_semantic`; bounds the score arrays a call holds.
+PARSE_BATCH_TOKENS = 512
 
 
 @dataclass(frozen=True)
@@ -57,54 +59,74 @@ class TrainConfig:
 # losses
 
 
-def semantic_loss(s_edge: Tensor, s_label: Tensor, gold: PartialGraph | SemanticGraph,
-                  labels: Vocab, label_interp: float = 0.5) -> Tensor:
-    """Masked interpolated loss for one sentence against a (partial) graph.
+def _check_scores(s_edge: Tensor, sizes: list[int]):
+    longest = max(sizes)
+    if s_edge.shape != (len(sizes), longest + 1, longest):
+        raise ConfigError(f"edge scores {s_edge.shape} do not match {len(sizes)} sentences "
+                          f"of at most {longest} tokens")
 
-    Cells outside decided x decided (and the self-loop diagonal) contribute
-    exactly zero to the loss and to every gradient; a `PartialGraph` has gold
-    edges at decided cells only, so every gold edge is a target.
+
+def _picked_labels(s_label: Tensor, batch_rows, heads, deps) -> Tensor:
+    """Label scores (k, |L|) at cells (heads[k], deps[k]) of sentences batch_rows[k]."""
+    rows, labels, steps, longest = s_label.shape
+    flat = ad.reshape(ad.transpose(s_label, (1, 0, 2, 3)), (labels, rows * steps, longest))
+    return ad.pick_cells(flat, np.asarray(batch_rows) * steps + heads, deps)
+
+
+def semantic_loss(s_edge: Tensor, s_label: Tensor,
+                  golds: Sequence[PartialGraph | SemanticGraph], labels: Vocab,
+                  label_interp: float = 0.5) -> Tensor:
+    """Masked interpolated loss, summed over a batch, against (partial) gold graphs.
+
+    Scores are a batch from `ParserModel.forward`; `golds` are in its input
+    order. Cells outside decided x decided, the self-loop diagonal and the
+    padding of sentences shorter than the longest contribute exactly zero to
+    the loss and to every gradient; a `PartialGraph` has gold edges at
+    decided cells only, so every gold edge is a target.
     """
-    gold = as_partial(gold) if isinstance(gold, SemanticGraph) else gold
-    n = gold.graph.n
-    if s_edge.shape != (n + 1, n):
-        raise ConfigError(f"edge scores {s_edge.shape} do not match sentence length {n}")
-
-    decided = np.zeros(n + 1)
-    for j in gold.aligned:
-        decided[j] = 1.0
-    mask = np.outer(decided, decided[1:])
-    mask[np.arange(1, n + 1), np.arange(n)] = 0.0  # self-loops
-
-    targets = np.zeros((n + 1, n))
-    label_rows, label_cols, label_ids = [], [], []
-    for h, d, label in gold.graph.sorted_edges():
-        targets[h, d - 1] = 1.0
-        label_rows.append(h)
-        label_cols.append(d - 1)
-        label_ids.append(labels.id(label))
+    golds = [as_partial(g) if isinstance(g, SemanticGraph) else g for g in golds]
+    _check_scores(s_edge, [gold.graph.n for gold in golds])
+    mask = np.zeros(s_edge.shape)
+    edges = []  # (sentence, head, dependent - 1, label id)
+    for b, gold in enumerate(golds):
+        decided = np.zeros(gold.graph.n + 1)
+        decided[list(gold.aligned)] = 1.0
+        mask[b, :len(decided), :len(decided) - 1] = np.outer(decided, decided[1:])
+        edges.extend((b, h, d - 1, labels.id(label)) for h, d, label in gold.graph.sorted_edges())
+    longest = s_edge.shape[2]
+    mask[:, np.arange(1, longest + 1), np.arange(longest)] = 0.0  # self-loops
+    b, h, d, ids = np.array(edges, dtype=np.int64).reshape(-1, 4).T
+    targets = np.zeros(s_edge.shape)
+    targets[b, h, d] = 1.0
 
     edge_loss = ad.sum_all(ad.mul(ad.sigmoid_cross_entropy(s_edge, targets),
                                   ad.constant(mask)))
-    if label_rows:
-        picked = ad.pick_cells(s_label, np.array(label_rows), np.array(label_cols))
-        label_loss = ad.sum_all(ad.softmax_cross_entropy(picked, np.array(label_ids)))
+    if edges:
+        label_loss = ad.sum_all(ad.softmax_cross_entropy(_picked_labels(s_label, b, h, d), ids))
     else:
         label_loss = ad.constant(0.0)
     return label_interp * label_loss + (1.0 - label_interp) * edge_loss
 
 
-def syntactic_loss(s_edge: Tensor, s_label: Tensor, gold: SyntacticTree,
+def syntactic_loss(s_edge: Tensor, s_label: Tensor, golds: Sequence[SyntacticTree],
                    labels: Vocab, label_interp: float = 0.5) -> Tensor:
-    """Head-selection softmax per token plus label softmax at the gold head."""
-    n = gold.n
-    if s_edge.shape != (n + 1, n):
-        raise ConfigError(f"edge scores {s_edge.shape} do not match sentence length {n}")
-    head_ids = np.array(gold.heads, dtype=np.int64)
-    head_loss = ad.sum_all(ad.softmax_cross_entropy(ad.transpose(s_edge), head_ids))
-    cols = np.arange(n, dtype=np.int64)
-    picked = ad.pick_cells(s_label, head_ids, cols)
-    deprel_ids = np.array([labels.id(r) for r in gold.deprels], dtype=np.int64)
+    """Head-selection softmax per token plus label softmax at the gold head, summed
+    over a batch. Masked heads score `NEG_SCORE`, so each softmax is exact over its
+    own sentence's candidate heads; padded dependents carry a zero loss mask."""
+    sizes = [gold.n for gold in golds]
+    _check_scores(s_edge, sizes)
+    rows, steps, longest = s_edge.shape
+    head_ids = np.zeros((rows, longest), dtype=np.int64)
+    real = np.zeros((rows, longest))
+    for b, gold in enumerate(golds):
+        head_ids[b, :gold.n] = gold.heads
+        real[b, :gold.n] = 1.0
+    logits = ad.reshape(ad.transpose(s_edge, (0, 2, 1)), (rows * longest, steps))
+    head_loss = ad.sum_all(ad.mul(ad.softmax_cross_entropy(logits, head_ids.reshape(-1)),
+                                  ad.constant(real.reshape(-1))))
+    b, d = np.nonzero(real)
+    picked = _picked_labels(s_label, b, head_ids[b, d], d)
+    deprel_ids = np.array([labels.id(r) for gold in golds for r in gold.deprels], dtype=np.int64)
     label_loss = ad.sum_all(ad.softmax_cross_entropy(picked, deprel_ids))
     return label_interp * label_loss + (1.0 - label_interp) * head_loss
 
@@ -121,9 +143,10 @@ def decode_semantic(s_edge, s_label, labels: Vocab,
                     sentence: Sequence[Token]) -> SemanticGraph:
     """Sign-function decoding: an edge exists wherever its score is >= 0.
 
-    Root-row edges become tops (label TOP). Other edges take the highest
-    scoring non-TOP label; exact ties go to the lowest label index in the
-    vocabulary's canonical (sorted) order.
+    Takes one sentence's scores, (n+1, n) and (|L|, n+1, n). Root-row edges
+    become tops (label TOP). Other edges take the highest scoring non-TOP
+    label; exact ties go to the lowest label index in the vocabulary's
+    canonical (sorted) order.
     """
     s_edge = _scores(s_edge)
     s_label = _scores(s_label)
@@ -131,34 +154,42 @@ def decode_semantic(s_edge, s_label, labels: Vocab,
     n = len(sentence)
     if s_edge.shape != (n + 1, n):
         raise ConfigError(f"edge scores {s_edge.shape} do not match sentence length {n}")
-    label_scores = s_label.copy()
+    chosen = s_edge >= 0
+    chosen[np.arange(1, n + 1), np.arange(n)] = False  # self-loops
+    heads, deps = np.nonzero(chosen)
+    label_scores = s_label[:, heads, deps]
     if TOP_LABEL in labels and len(labels) > 1:
         label_scores[labels.id(TOP_LABEL)] = -np.inf
     best = label_scores.argmax(axis=0)
-    edges = []
-    for i in range(n + 1):
-        for j in range(1, n + 1):
-            if i == j or s_edge[i, j - 1] < 0:
-                continue
-            label = TOP_LABEL if i == ROOT else labels.value(int(best[i, j - 1]))
-            edges.append(Edge(i, j, label))
-    return SemanticGraph(sentence, frozenset(edges))
+    edges = frozenset(Edge(int(i), int(j) + 1, TOP_LABEL if i == ROOT else labels.value(int(k)))
+                      for i, j, k in zip(heads, deps, best))
+    return SemanticGraph(sentence, edges)
 
 
 # ---------------------------------------------------------------------------
 # corpora and batching
 
 
-def _normalize_corpus(items) -> list[tuple]:
-    out = []
-    for item in items:
-        if len(item) == 2:
-            sentence, gold = item
-            out.append((tuple(sentence), gold, None))
-        else:
-            sentence, gold, context = item
-            out.append((tuple(sentence), gold, context))
-    return out
+class Example(NamedTuple):
+    """One corpus item; a (sentence, gold) or (sentence, gold, context) tuple
+    unpacks into it as `Example(*item)`."""
+
+    sentence: Sequence[Token]
+    gold: PartialGraph | SemanticGraph | SyntacticTree
+    context: np.ndarray | None = None
+
+
+def _examples(items, context_dim: int, what: str) -> list[Example]:
+    """The items as `Example`s, each with context vectors exactly when the model uses them."""
+    examples = [Example(*item) for item in items]
+    for k, example in enumerate(examples, 1):
+        if context_dim and example.context is None:
+            raise ConfigError(f"{what} item {k} has no context vectors, but the model "
+                              f"has context_dim {context_dim}")
+        if not context_dim and example.context is not None:
+            raise ConfigError(f"{what} item {k} has context vectors, but the model "
+                              "has context_dim 0")
+    return examples
 
 
 def pack_minibatches(lengths: Sequence[int], order: Sequence[int],
@@ -214,8 +245,10 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     """Train (single- or multi-task) with early stopping on heldout labeled F1.
 
     `corpora` maps task ids to lists of (sentence, gold) or
-    (sentence, gold, context) items; `heldout` holds semantic items. The
-    model is left holding the best checkpoint seen, also when training
+    (sentence, gold, context) items; `heldout` holds semantic items. Every
+    item must carry context vectors if the model has a context channel and
+    must not otherwise; this is checked before the first step. The model is
+    left holding the best checkpoint seen, also when training
     stops by raising (such as `TrainingDiverged`). In multitask mode the
     semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
     zero is skipped entirely, so a multitask run with a zero syntactic
@@ -231,9 +264,11 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     multitask = len(corpora) > 1
     weights = {SEMANTIC: 1.0 - cfg.syntactic_weight if multitask else 1.0,
                SYNTACTIC: cfg.syntactic_weight if multitask else 1.0}
-    data = {task: _normalize_corpus(items) for task, items in corpora.items()
+    context_dim = model.config.context_dim
+    examples = {task: _examples(items, context_dim, task) for task, items in corpora.items()}
+    heldout = _examples(heldout, context_dim, "heldout")
+    data = {task: items for task, items in examples.items()
             if (weights[task] > 0 or not multitask)}
-    heldout = _normalize_corpus(heldout)
     params = model.parameters()
 
     result = TrainResult()
@@ -247,7 +282,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             for task in sorted(data):
                 items = data[task]
                 order = _shuffle_rng(cfg.seed, epoch, task).permutation(len(items))
-                lengths = [len(s) for s, _, _ in items]
+                lengths = [len(example.sentence) for example in items]
                 task_batches[task] = pack_minibatches(lengths, order.tolist(), cfg.token_budget)
 
             loss_sums = {task: 0.0 for task in data}
@@ -265,10 +300,9 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                     sentences, golds, contexts = zip(*batch)
                     rng = _dropout_rng(cfg.seed, epoch, task, batch_index)
                     task_loss = semantic_loss if task == SEMANTIC else syntactic_loss
-                    part = functools.reduce(operator.add, [
-                        task_loss(s_edge, s_label, gold, model.tasks[task], cfg.label_interp)
-                        for (s_edge, s_label), gold
-                        in zip(model.forward(sentences, task, rng, contexts), golds)])
+                    s_edge, s_label = model.forward(sentences, task, rng, contexts)
+                    part = task_loss(s_edge, s_label, golds, model.tasks[task],
+                                     cfg.label_interp)
                     tokens = sum(len(sentence) for sentence in sentences)
                     loss_sums[task] += float(part.data)
                     token_sums[task] += tokens
@@ -328,24 +362,46 @@ def _combined_schedule(task_batches: dict[str, list[list[int]]]
 # inference helpers
 
 
+def _chunks(sizes: Sequence[int], budget: int) -> list[range]:
+    """Consecutive runs of sentences whose padded size (count times longest)
+    stays within `budget`; a longer sentence is a run of its own."""
+    runs, start, longest = [], 0, 0
+    for i, n in enumerate(sizes):
+        if i > start and (i - start + 1) * max(longest, n) > budget:
+            runs.append(range(start, i))
+            start, longest = i, 0
+        longest = max(longest, n)
+    if sizes:
+        runs.append(range(start, len(sizes)))
+    return runs
+
+
 def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]],
                    contexts: Sequence[np.ndarray | None] | None = None
                    ) -> list[SemanticGraph]:
     """Decode semantic graphs for raw sentences in eval mode.
 
-    Each sentence is decoded before the next is scored, so only one
-    sentence's label scores are held at a time.
+    Sentences go to the model in input order, in runs of at most
+    `PARSE_BATCH_TOKENS` padded tokens (sentences times the longest); each
+    run is one `ParserModel.forward` call, decoded before the next is scored.
     """
     labels = model.tasks[SEMANTIC]
+    graphs = []
     with ad.no_grad():
-        return [decode_semantic(s_edge, s_label, labels, sentence)
-                for (s_edge, s_label), sentence
-                in zip(model.forward(sentences, SEMANTIC, contexts=contexts), sentences)]
+        for run in _chunks([len(s) for s in sentences], PARSE_BATCH_TOKENS):
+            part = [sentences[i] for i in run]
+            s_edge, s_label = model.forward(
+                part, SEMANTIC, contexts=None if contexts is None else [contexts[i] for i in run])
+            for b, sentence in enumerate(part):
+                n = len(sentence)
+                graphs.append(decode_semantic(s_edge.data[b, :n + 1, :n],
+                                              s_label.data[b, :, :n + 1, :n], labels, sentence))
+    return graphs
 
 
 def evaluate_semantic(model: ParserModel, corpus: list) -> ScoreReport:
     """Labeled/unlabeled F1 of decoded graphs against (possibly partial) gold."""
-    items = _normalize_corpus(corpus)
-    predicted = parse_semantic(model, [s for s, _, _ in items], [c for _, _, c in items])
-    gold = [g.graph if isinstance(g, PartialGraph) else g for _, g, _ in items]
+    items = _examples(corpus, model.config.context_dim, "heldout")
+    predicted = parse_semantic(model, [e.sentence for e in items], [e.context for e in items])
+    gold = [e.gold.graph if isinstance(e.gold, PartialGraph) else e.gold for e in items]
     return score_graphs(predicted, gold)

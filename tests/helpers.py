@@ -207,3 +207,21 @@ def reference_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = p.v / (1.0 - beta2 ** p.step)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
         p.grad = None
+
+
+def reference_decode_semantic(s_edge, s_label, labels, sentence):
+    """Cell-by-cell sign decoding: the loop form of training.decode_semantic."""
+    sentence = tuple(sentence)
+    n = len(sentence)
+    label_scores = np.array(s_label, dtype=float)
+    if "TOP" in labels and len(labels) > 1:
+        label_scores[labels.id("TOP")] = -np.inf
+    best = label_scores.argmax(axis=0)
+    edges = []
+    for i in range(n + 1):
+        for j in range(1, n + 1):
+            if i == j or s_edge[i, j - 1] < 0:
+                continue
+            label = "TOP" if i == 0 else labels.value(int(best[i, j - 1]))
+            edges.append(Edge(i, j, label))
+    return SemanticGraph(sentence, frozenset(edges))

@@ -244,15 +244,18 @@ class TestPerPrimitiveGradients:
         check_op(build, [a])
 
     def test_lstm_seq(self):
+        # a padded batch of a 4-step and a 2-step sequence, read both ways
         rng = np.random.default_rng(26)
         t, d_in, h = 4, 3, 2
-        x = param(rng, t, d_in, name="x")
+        x = param(rng, t, 2, d_in, name="x")
         w = param(rng, d_in, 4 * h, name="w")
         u = param(rng, h, 4 * h, name="u")
         b = param(rng, 4 * h, name="b")
-        weights = ad.constant(np.linspace(-1, 1, t * h).reshape(t, h))
-        check_op(lambda: ad.sum_all(ad.mul(ad.lstm_seq(x, w, u, b), weights)),
-                 [x, w, u, b])
+        weights = ad.constant(np.linspace(-1, 1, t * 2 * h).reshape(t, 2, h))
+        for reverse in (False, True):
+            check_op(lambda: ad.sum_all(ad.mul(ad.lstm_seq(x, w, u, b, [4, 2], reverse=reverse),
+                                               weights)),
+                     [x, w, u, b])
 
     def test_quadratic_loss_matches_2x(self):
         rng = np.random.default_rng(27)
@@ -308,24 +311,30 @@ class TestKernelsMatchReference:
 
     @staticmethod
     def _lstm(x, w, u, b, g, x_grad=True):
-        """Run ad.lstm_seq under upstream gradient g; returns (out, grads, reference)."""
-        tx = ad.Parameter(x, name="x") if x_grad else ad.constant(x)
+        """Run ad.lstm_seq on x as a batch of one under upstream gradient g;
+        returns (out, grads, reference)."""
+        tx = ad.Parameter(x[:, None], name="x") if x_grad else ad.constant(x[:, None])
         tw, tu, tb = (ad.Parameter(a, name=n) for a, n in ((w, "w"), (u, "u"), (b, "b")))
-        out = ad.lstm_seq(tx, tw, tu, tb)
-        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
-        return out.data, (tx.grad, tw.grad, tu.grad, tb.grad), reference_lstm_seq(x, w, u, b, g)
+        out = ad.lstm_seq(tx, tw, tu, tb, [len(x)])
+        ad.sum_all(ad.mul(out, ad.constant(g[:, None]))).backward()
+        dx = None if tx.grad is None else tx.grad[:, 0]
+        return out.data[:, 0], (dx, tw.grad, tu.grad, tb.grad), reference_lstm_seq(x, w, u, b, g)
+
+    @staticmethod
+    def _lstm_weights(rng, d_in, hidden):
+        limit_w = np.sqrt(6.0 / (d_in + 4 * hidden))
+        limit_u = np.sqrt(6.0 / (5 * hidden))
+        return (rng.uniform(-limit_w, limit_w, (d_in, 4 * hidden)),
+                rng.uniform(-limit_u, limit_u, (hidden, 4 * hidden)),
+                rng.standard_normal(4 * hidden) * 0.1)
 
     @pytest.mark.parametrize("steps,d_in,hidden,x_grad", [
         (1, 3, 2, True), (5, 7, 3, True), (6, 4, 4, False), (41, 600, 300, True)],
         ids=["T1", "d_in-ne-H", "x-constant", "600-to-300"])
     def test_lstm_seq(self, steps, d_in, hidden, x_grad):
         rng = np.random.default_rng(steps * 1000 + d_in)
-        limit_w = np.sqrt(6.0 / (d_in + 4 * hidden))
-        limit_u = np.sqrt(6.0 / (5 * hidden))
         x = rng.standard_normal((steps, d_in))
-        w = rng.uniform(-limit_w, limit_w, (d_in, 4 * hidden))
-        u = rng.uniform(-limit_u, limit_u, (hidden, 4 * hidden))
-        b = rng.standard_normal(4 * hidden) * 0.1
+        w, u, b = self._lstm_weights(rng, d_in, hidden)
         g = rng.standard_normal((steps, hidden))
         out, grads, (ref_out, *ref_grads) = self._lstm(x, w, u, b, g, x_grad)
         assert_close(out, ref_out)
@@ -336,6 +345,32 @@ class TestKernelsMatchReference:
             assert_close(got, want, err_msg=name)
         if steps == 1:
             np.testing.assert_array_equal(grads[2], np.zeros_like(u))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("lengths", [(1, 1, 1), (5, 5, 5), (7, 4, 4, 1)],
+                             ids=["all-one", "all-equal", "mixed"])
+    def test_batched_lstm_seq_matches_each_sequence(self, lengths, reverse):
+        rng = np.random.default_rng(sum(lengths))
+        steps, rows, d_in, hidden = max(lengths), len(lengths), 5, 3
+        x = rng.standard_normal((steps, rows, d_in))
+        w, u, b = self._lstm_weights(rng, d_in, hidden)
+        g = rng.standard_normal((steps, rows, hidden))
+        tx, tw, tu, tb = (ad.Parameter(a, name=n) for a, n in ((x, "x"), (w, "w"), (u, "u"),
+                                                                (b, "b")))
+        out = ad.lstm_seq(tx, tw, tu, tb, lengths, reverse=reverse)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        sums = [np.zeros_like(a) for a in (w, u, b)]
+        for r, n in enumerate(lengths):
+            seq = slice(n - 1, None, -1) if reverse else slice(0, n)
+            ref_out, ref_dx, *ref_grads = reference_lstm_seq(x[seq, r], w, u, b, g[seq, r])
+            assert_close(out.data[seq, r], ref_out, err_msg=f"out {r}")
+            assert_close(tx.grad[seq, r], ref_dx, err_msg=f"x {r}")
+            for total, grad in zip(sums, ref_grads):
+                total += grad
+            # padded cells hold 0 and get exactly no gradient
+            assert np.all(out.data[n:, r] == 0.0) and np.all(tx.grad[n:, r] == 0.0)
+        for name, got, want in zip("wub", (tw.grad, tu.grad, tb.grad), sums):
+            assert_close(got, want, err_msg=name)
 
     def test_lstm_seq_saturated_gates(self):
         rng = np.random.default_rng(30)
@@ -364,6 +399,23 @@ class TestKernelsMatchReference:
         assert_close(out.data, ref_out)
         for name, got, want in zip("xwy", (tx.grad, tw.grad, ty.grad), ref_grads):
             assert_close(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("w_shape", [(6, 5), (4, 6, 5)], ids=["2d", "3d"])
+    def test_batched_bilinear_matches_each_row(self, w_shape):
+        rng = np.random.default_rng(10 + len(w_shape))
+        x, w, y = (rng.standard_normal(shape) for shape in ((3, 7, 6), w_shape, (3, 8, 5)))
+        g = rng.standard_normal((3,) + w_shape[:-2] + (7, 8))
+        tx, tw, ty = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(y, "y")
+        out = ad.bilinear(tx, tw, ty)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        dw = np.zeros_like(w)
+        for b in range(3):
+            ref_out, ref_dx, ref_dw, ref_dy = reference_bilinear(x[b], w, y[b], g[b])
+            assert_close(out.data[b], ref_out)
+            assert_close(tx.grad[b], ref_dx, err_msg="x")
+            assert_close(ty.grad[b], ref_dy, err_msg="y")
+            dw += ref_dw
+        assert_close(tw.grad, dw, err_msg="w")
 
     def test_adam_step_is_bit_identical(self):
         rng = np.random.default_rng(31)

@@ -1,11 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import sdpkit.cli as cli
 from sdpkit import autodiff as ad
 from sdpkit.errors import CheckpointError, FormatError
+from sdpkit.formats import read_sdp, write_context_vectors
 from sdpkit.network import NetworkConfig, ParserModel
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
@@ -125,4 +127,40 @@ def test_semantic_weight_config_key_rejected(pipeline, tmp_path, capsys):
     assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
                      pipeline["heldout.sdp"], "--config", str(config), "--out", str(out)]) == 2
     assert "unknown keys ['semantic_weight']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_contexts(sdp_path, out_path, dim, seed):
+    with open(sdp_path, encoding="utf-8") as f:
+        sentences = [g.sentence for g in read_sdp(f).semantic_graphs()]
+    rng = np.random.default_rng(seed)
+    with open(out_path, "w", encoding="utf-8") as f:
+        write_context_vectors([rng.standard_normal((len(s), dim)) for s in sentences], f)
+
+
+def test_train_with_context_vectors(pipeline, tmp_path):
+    config = tmp_path / "context.json"
+    config.write_text(json.dumps({"network": {**TINY, "context_dim": 3}}))
+    train_vec, heldout_vec = str(tmp_path / "train.vec"), str(tmp_path / "heldout.vec")
+    _write_contexts(pipeline["train.sdp"], train_vec, 3, seed=1)
+    _write_contexts(pipeline["heldout.sdp"], heldout_vec, 3, seed=2)
+    out = str(tmp_path / "model.npz")
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                     "--config", str(config), "--epochs", "1", "--context", train_vec,
+                     "--heldout-context", heldout_vec, "--out", out]) == 0
+    with open(out + ".manifest.json", encoding="utf-8") as f:
+        assert heldout_vec in json.load(f)["inputs"]
+    pred = str(tmp_path / "pred.sdp")
+    assert cli.main(["parse", "--model", out, "--input", pipeline["heldout.sdp"],
+                     "--context", heldout_vec, "--out", pred]) in (0, 2)  # 2: a cyclic decode
+
+
+def test_train_rejects_syntactic_task_with_context_channel(pipeline, tmp_path, capsys):
+    config = tmp_path / "context.json"
+    config.write_text(json.dumps({"network": {**TINY, "context_dim": 3}}))
+    out = tmp_path / "model.npz"
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                     "--syntactic", os.path.join(pipeline["corpus"], "target.conllu"),
+                     "--tasks", "sem,syn", "--config", str(config), "--out", str(out)]) == 2
+    assert "needs network.context_dim 0" in capsys.readouterr().err
     assert not out.exists()

@@ -3,10 +3,11 @@ import pytest
 
 from sdpkit import autodiff as ad
 from sdpkit.graph import PartialGraph, SemanticGraph
-from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
-                            build_vocabs, semantic_label_vocab, syntactic_label_vocab)
+from sdpkit.network import (NEG_SCORE, SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel,
+                            SharingTopology, build_vocabs, semantic_label_vocab,
+                            syntactic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
-from sdpkit.training import semantic_loss
+from sdpkit.training import semantic_loss, syntactic_loss
 
 TINY = NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=2, fnn_size=8,
                      biaffine_bias=True)
@@ -25,20 +26,33 @@ def _model(graphs, tasks=(SEMANTIC,), topology=None, seed: int = 4) -> ParserMod
                        topology=topology, seed=seed)
 
 
-def _arrays(scores):
-    return [(s_edge.data, s_label.data) for s_edge, s_label in scores]
+def _close(got, want, rtol):
+    """Equal to `rtol` of the largest entry of `want`."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def test_batch_call_equals_one_sentence_calls(graphs):
     model = _model(graphs)
     sentences = [g.sentence for g in graphs]
+    longest = max(len(s) for s in sentences)
+    assert min(len(s) for s in sentences) < longest  # the batch is padded
     with ad.no_grad():
-        batched = _arrays(model.forward(sentences, SEMANTIC))
-        single = [pair for s in sentences for pair in _arrays(model.forward([s], SEMANTIC))]
-    assert len(batched) == len(sentences)
-    for (edge, label), (edge_1, label_1), s in zip(batched, single, sentences):
-        assert edge.shape == (len(s) + 1, len(s))
-        assert np.array_equal(edge, edge_1) and np.array_equal(label, label_1)
+        s_edge, s_label = model.forward(sentences, SEMANTIC)
+        single = [model.forward([s], SEMANTIC) for s in sentences]
+    assert s_edge.shape == (len(sentences), longest + 1, longest)
+    assert s_label.shape == (len(sentences), len(model.tasks[SEMANTIC]), longest + 1, longest)
+    for b, (s, (edge_1, label_1)) in enumerate(zip(sentences, single)):
+        n = len(s)
+        edge, edge_1 = s_edge.data[b, :n + 1, :n], edge_1.data[0]
+        assert edge_1.shape == (n + 1, n)
+        diagonal = np.eye(n + 1, n, k=-1, dtype=bool)
+        assert np.all(edge[diagonal] == NEG_SCORE) and np.all(edge_1[diagonal] == NEG_SCORE)
+        _close(edge[~diagonal], edge_1[~diagonal], 1e-12)
+        _close(s_label.data[b, :, :n + 1, :n], label_1.data[0], 1e-12)
+        # padding is masked like the diagonal
+        assert np.all(s_edge.data[b, n + 1:] == NEG_SCORE)
+        assert np.all(s_edge.data[b, :, n:] == NEG_SCORE)
 
 
 def test_char_vector_runs_once_per_distinct_form_per_call(graphs, monkeypatch):
@@ -46,32 +60,36 @@ def test_char_vector_runs_once_per_distinct_form_per_call(graphs, monkeypatch):
     sentences = [g.sentence for g in graphs]
     forms = [tok.form for s in sentences for tok in s]
     assert len(set(forms)) < len(forms)  # the corpus repeats forms
-    runs = []
-    char_vector = model._char_vector
+    char_calls = []
+    lstm_seq = ad.lstm_seq
 
-    def counted(form):
-        runs.append(form)
-        return char_vector(form)
+    def counted(x, w, u, b, lengths, reverse=False):
+        if w.name.startswith("char_rnn/"):
+            char_calls.append((w.name, x.shape[1], tuple(lengths), reverse))
+        return lstm_seq(x, w, u, b, lengths, reverse)
 
-    monkeypatch.setattr(model, "_char_vector", counted)
+    monkeypatch.setattr(ad, "lstm_seq", counted)
+    lengths = tuple(sorted((len(form) for form in set(forms)), reverse=True))
     for _ in range(2):
-        runs.clear()
+        char_calls.clear()
         with ad.no_grad():
-            list(model.forward(sentences, SEMANTIC))
-        assert sorted(runs) == sorted(set(forms))
+            model.forward(sentences, SEMANTIC)
+        # one call per direction, each over every distinct form of the call
+        assert char_calls == [("char_rnn/fw/w", len(set(forms)), lengths, False),
+                              ("char_rnn/bw/w", len(set(forms)), lengths, True)]
 
 
 def test_equal_seeded_rngs_give_equal_train_scores(graphs):
     model = _model(graphs)
     sentences = [g.sentence for g in graphs]
-    first = _arrays(model.forward(sentences, SEMANTIC, np.random.default_rng(7)))
-    second = _arrays(model.forward(sentences, SEMANTIC, np.random.default_rng(7)))
+    first = model.forward(sentences, SEMANTIC, np.random.default_rng(7))
+    second = model.forward(sentences, SEMANTIC, np.random.default_rng(7))
     with ad.no_grad():
-        evaluated = _arrays(model.forward(sentences, SEMANTIC))
-    for (edge, label), (edge_2, label_2) in zip(first, second):
-        assert np.array_equal(edge, edge_2) and np.array_equal(label, label_2)
+        evaluated = model.forward(sentences, SEMANTIC)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.data, b.data)
     # an rng switches dropout on
-    assert not all(np.array_equal(a[0], b[0]) for a, b in zip(first, evaluated))
+    assert not np.array_equal(first[0].data, evaluated[0].data)
 
 
 @pytest.mark.parametrize("topology", [
@@ -103,8 +121,8 @@ def test_undecided_cells_get_exactly_zero_gradient(graphs, train):
     model = _model(graphs)
     labels = model.tasks[SEMANTIC]
     rng = np.random.default_rng(2) if train else None
-    (s_edge, s_label), = model.forward([graph.sentence], SEMANTIC, rng)
-    semantic_loss(s_edge, s_label, gold, labels).backward()
+    s_edge, s_label = model.forward([graph.sentence], SEMANTIC, rng)
+    semantic_loss(s_edge, s_label, [gold], labels).backward()
 
     decided = np.array([[gold.decided(i, j) and i != j for j in range(1, n + 1)]
                         for i in range(n + 1)])
@@ -112,7 +130,64 @@ def test_undecided_cells_get_exactly_zero_gradient(graphs, train):
     for h, d, _ in edges:
         gold_cells[h, d - 1] = True
     assert 0 < decided.sum() < decided.size and gold_cells.any()
-    assert np.all(s_edge.grad[~decided] == 0.0)
-    assert np.all(s_edge.grad[decided] != 0.0)
-    assert np.all(s_label.grad[:, ~gold_cells] == 0.0)
-    assert np.all(np.any(s_label.grad[:, gold_cells] != 0.0, axis=0))
+    edge_grad, label_grad = s_edge.grad[0], s_label.grad[0]
+    assert np.all(edge_grad[~decided] == 0.0)
+    assert np.all(edge_grad[decided] != 0.0)
+    assert np.all(label_grad[:, ~gold_cells] == 0.0)
+    assert np.all(np.any(label_grad[:, gold_cells] != 0.0, axis=0))
+
+
+def _loss_and_grads(model, task, sentences, golds):
+    loss_of = semantic_loss if task == SEMANTIC else syntactic_loss
+    ad.clear_grads(model.parameters())
+    s_edge, s_label = model.forward(sentences, task)
+    loss = loss_of(s_edge, s_label, golds, model.tasks[task])
+    loss.backward()
+    grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad
+             for name, p in model.params.items()}
+    ad.clear_grads(model.parameters())
+    return float(loss.data), grads, (s_edge, s_label)
+
+
+@pytest.mark.parametrize("task", [SEMANTIC, SYNTACTIC])
+def test_batch_loss_equals_sum_of_one_sentence_losses(task):
+    corpus = synth_corpus(SynthConfig(sentences=5, seed=12))
+    golds = corpus.target_gold.graphs() if task == SEMANTIC else corpus.trees
+    if task == SEMANTIC:  # partial gold: every third token undecided
+        golds = [PartialGraph(SemanticGraph(g.sentence, frozenset(
+            e for e in g.edges if e.head % 3 != 2 and e.dependent % 3 != 2)),
+            frozenset(j for j in range(1, g.n + 1) if j % 3 != 2)) for g in golds]
+    sentences = [g.graph.sentence if task == SEMANTIC else g.sentence for g in golds]
+    assert len({len(s) for s in sentences}) > 1
+    model = _model(corpus.target_gold.graphs(), (SEMANTIC, SYNTACTIC),
+                   SharingTopology(shared_rnn=True))
+    loss, grads, _ = _loss_and_grads(model, task, sentences, golds)
+    parts = [_loss_and_grads(model, task, [s], [g]) for s, g in zip(sentences, golds)]
+    assert abs(loss - sum(p[0] for p in parts)) <= 1e-10 * abs(loss)
+    wants = {name: sum(p[1][name] for p in parts) for name in grads}
+    # gradients that vanish mathematically (a bias constant across a head
+    # softmax) hold only round-off, so the absolute floor is the largest entry
+    scale = max(np.abs(want).max() for want in wants.values())
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, wants[name], rtol=1e-10, atol=1e-10 * scale,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("task", [SEMANTIC, SYNTACTIC])
+def test_padded_cells_get_exactly_zero_gradient(task):
+    corpus = synth_corpus(SynthConfig(sentences=5, seed=12))
+    golds = corpus.target_gold.graphs() if task == SEMANTIC else corpus.trees
+    sentences = [g.sentence for g in golds]
+    model = _model(corpus.target_gold.graphs(), (SEMANTIC, SYNTACTIC),
+                   SharingTopology(shared_rnn=True))
+    _, _, (s_edge, s_label) = _loss_and_grads(model, task, sentences, golds)
+    longest = max(len(s) for s in sentences)
+    padded = 0
+    for b, s in enumerate(sentences):
+        n = len(s)
+        pad = np.ones((longest + 1, longest), dtype=bool)
+        pad[:n + 1, :n] = False
+        padded += pad.sum()
+        assert np.all(s_edge.grad[b][pad] == 0.0)
+        assert np.all(s_label.grad[b][:, pad] == 0.0)
+    assert padded > 0

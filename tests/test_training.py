@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import LABELS, random_sentence, reference_decode_semantic
 
 from sdpkit import autodiff as ad
 from sdpkit import network, training
@@ -116,3 +117,54 @@ def test_zero_syntactic_weight_follows_the_single_task_trajectory():
 def test_syntactic_weight_outside_unit_interval_rejected(weight):
     with pytest.raises(ConfigError, match=r"syntactic_weight must be in \[0,1\]"):
         training.TrainConfig(syntactic_weight=weight)
+
+
+@pytest.mark.parametrize("context_dim,which,message", [
+    (3, "heldout", "heldout item 1 has no context vectors"),
+    (3, "semantic", "semantic item 2 has no context vectors"),
+    (0, "heldout", "heldout item 1 has context vectors"),
+], ids=["heldout-missing", "train-missing", "given-without-channel"])
+def test_train_checks_context_vectors_before_the_first_step(monkeypatch, context_dim, which,
+                                                            message):
+    graphs, _ = _corpus(4)
+    words, chars, pos = build_vocabs([g.sentence for g in graphs])
+    model = ParserModel(NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=1,
+                                      fnn_size=8, context_dim=context_dim),
+                        {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}, words, chars, pos)
+    rng = np.random.default_rng(0)
+    items = [(g.sentence, g, rng.standard_normal((g.n, 3)) if context_dim else None)
+             for g in graphs]
+    corpus, heldout = list(items), list(items[:2])
+    if context_dim:  # drop one context
+        target = heldout if which == "heldout" else corpus
+        k = 0 if which == "heldout" else 1
+        target[k] = target[k][:2]
+    else:
+        heldout[0] = heldout[0][:2] + (rng.standard_normal((graphs[0].n, 3)),)
+    steps = []
+    monkeypatch.setattr(ad, "adam_step", lambda *args, **kwargs: steps.append(1))
+    with pytest.raises(ConfigError, match=message):
+        training.train(model, {SEMANTIC: corpus}, heldout, training.TrainConfig(max_epochs=1))
+    assert steps == []
+
+
+@pytest.mark.parametrize("top", [True, False], ids=["with-top", "top-only-vocab"])
+def test_decode_semantic_matches_the_cell_loop(top):
+    rng = np.random.default_rng(8)
+    labels = semantic_label_vocab(LABELS) if top else network.Vocab(["TOP"], unk=False)
+    zeros = ties = top_wins = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        sentence = random_sentence(rng, n)
+        # scores on a coarse grid: exact zeros on the decision boundary, label ties
+        s_edge = rng.integers(-2, 3, (n + 1, n)).astype(float)
+        s_label = rng.integers(0, 3, (len(labels), n + 1, n)).astype(float)
+        got = training.decode_semantic(s_edge, s_label, labels, sentence)
+        assert got == reference_decode_semantic(s_edge, s_label, labels, sentence)
+        zeros += int((s_edge == 0.0).sum())
+        ties += int(((s_label == s_label.max(axis=0)).sum(axis=0) > 1).sum())
+        top_wins += int((s_label[labels.id("TOP")] > np.delete(s_label, labels.id("TOP"),
+                                                               axis=0).max(axis=0)).sum()
+                        if len(labels) > 1 else 0)
+    # decisions at 0.0, ties and a TOP label that must be passed over all occur
+    assert zeros > 0 and (ties > 0 and top_wins > 0 or len(labels) == 1)
