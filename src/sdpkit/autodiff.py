@@ -561,28 +561,23 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
            f"lengths must be {batch} values in [1, {steps}], longest first")
 
     # live[t] = k_t. Packed cell p = bounds[t] + r is row r at step t; src[p]
-    # is its flat index in the (T*B) grid, and src is None when that is p.
+    # is its flat index in the (T*B) grid.
     lengths = np.array(lens)
     live = np.count_nonzero(lengths > np.arange(steps)[:, None], axis=1)
     ends = np.cumsum(live)
     bounds = [0] + ends.tolist()
     cells = bounds[-1]
     step_of = np.repeat(np.arange(steps), live)
-    src = None
-    if reverse or cells < steps * batch:
-        row_of = np.arange(cells) - (ends - live)[step_of]
-        src = ((lengths[row_of] - 1 - step_of) if reverse else step_of) * batch + row_of
+    row_of = np.arange(cells) - (ends - live)[step_of]
+    src = ((lengths[row_of] - 1 - step_of) if reverse else step_of) * batch + row_of
 
     def pack(a):
-        flat = a.reshape(steps * batch, -1)
-        return flat if src is None else flat[src]
+        return a.reshape(steps * batch, -1)[src]
 
     def unpack(p):
-        if src is not None:
-            full = np.zeros((steps * batch, p.shape[1]), dtype=p.dtype)
-            full[src] = p
-            p = full
-        return p.reshape(steps, batch, -1)
+        full = np.zeros((steps * batch, p.shape[1]), dtype=p.dtype)
+        full[src] = p
+        return full.reshape(steps, batch, -1)
 
     dtype = x.data.dtype
     # Halving the i|f|o pre-activations is exact, so tanh(half * z) * half +

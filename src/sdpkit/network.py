@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 

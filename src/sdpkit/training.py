@@ -401,7 +401,7 @@ def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]],
 
 def evaluate_semantic(model: ParserModel, corpus: list) -> ScoreReport:
     """Labeled/unlabeled F1 of decoded graphs against (possibly partial) gold."""
-    items = _examples(corpus, model.config.context_dim, "heldout")
+    items = [Example(*item) for item in corpus]
     predicted = parse_semantic(model, [e.sentence for e in items], [e.context for e in items])
     gold = [e.gold.graph if isinstance(e.gold, PartialGraph) else e.gold for e in items]
     return score_graphs(predicted, gold)

@@ -7,7 +7,8 @@ import pytest
 import sdpkit.cli as cli
 from sdpkit import autodiff as ad
 from sdpkit.errors import CheckpointError, FormatError
-from sdpkit.formats import read_sdp, write_context_vectors
+from sdpkit.formats import SdpDocument, read_sdp, write_context_vectors, write_sdp
+from sdpkit.graph import SemanticGraph
 from sdpkit.network import NetworkConfig, ParserModel
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
@@ -150,9 +151,19 @@ def test_train_with_context_vectors(pipeline, tmp_path):
                      "--heldout-context", heldout_vec, "--out", out]) == 0
     with open(out + ".manifest.json", encoding="utf-8") as f:
         assert heldout_vec in json.load(f)["inputs"]
+    # one-token sentences decode acyclically whatever the model scores
+    with open(pipeline["heldout.sdp"], encoding="utf-8") as f:
+        firsts = [g.sentence[:1] for g in read_sdp(f).semantic_graphs()]
+    single, single_vec = str(tmp_path / "single.sdp"), str(tmp_path / "single.vec")
+    with open(single, "w", encoding="utf-8") as f:
+        write_sdp(SdpDocument(tuple((f"s{i}", SemanticGraph(s, frozenset()))
+                                    for i, s in enumerate(firsts))), f)
+    _write_contexts(single, single_vec, 3, seed=3)
     pred = str(tmp_path / "pred.sdp")
-    assert cli.main(["parse", "--model", out, "--input", pipeline["heldout.sdp"],
-                     "--context", heldout_vec, "--out", pred]) in (0, 2)  # 2: a cyclic decode
+    assert cli.main(["parse", "--model", out, "--input", single,
+                     "--context", single_vec, "--out", pred]) == 0
+    with open(pred, encoding="utf-8") as f:
+        assert [g.sentence for g in read_sdp(f).semantic_graphs()] == firsts
 
 
 def test_train_rejects_syntactic_task_with_context_channel(pipeline, tmp_path, capsys):
