@@ -6,8 +6,8 @@ parents and a closure that routes the upstream gradient to them. Calling
 topological order. Gradients are exact: a loss term multiplied by a zero mask
 contributes exactly 0.0 to every upstream gradient.
 
-Only the primitives the parser needs are provided. All of them keep the
-float dtype of their inputs; non-float data and parameters become float64.
+Only the primitives the parser needs are provided. Every tensor holds float64
+data; input of any other dtype is converted.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float64, np.float32):
+        if arr.dtype != _DEFAULT_DTYPE:
             arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
@@ -422,47 +422,63 @@ def pick_cells(a: Tensor, rows, cols) -> Tensor:
 # bilinear scoring
 
 
-def bilinear(x: Tensor, w: Tensor, y: Tensor) -> Tensor:
-    """Bilinear form x W y^T, on its own or for every row of a batch.
+def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes=None) -> Tensor:
+    """Bilinear form x W y^T for one sentence, or ragged over the packed rows of several.
 
-    x: (n, dx), y: (m, dy). With w of shape (dx, dy) the result is (n, m)
-    with entry x_i^T W y_j; with w of shape (L, dx, dy) the result is
-    (L, n, m), one slice per label. Batched, x is (B, n, dx), y is (B, m, dy)
-    and the result is (B, n, m) or (B, L, n, m). The x W product is one GEMM
-    per label over all B*n rows.
+    x is (N, dx) and y (M, dy). With w of shape (dx, dy) each score is
+    x_i^T W y_j; with w of shape (L, dx, dy) there is one such slice per label.
+    Without `sizes`, x and y are one sentence and the result is (N, M) or
+    (L, N, M). With `sizes` (B, 2), x and y hold the rows of B sentences packed
+    one after another, sentence b owning sizes[b] = (n_b, m_b) rows of x and y
+    in turn. The result is then (B, n, m) or (B, L, n, m), n and m the largest
+    n_b and m_b: sentence b's scores fill its [:n_b, :m_b] block, and every
+    other cell is 0 and passes no gradient. x W is one GEMM per label over the
+    N rows; its product with y^T is one (L, n_b, dy) @ (dy, m_b) per sentence.
     """
-    _check(x.ndim == y.ndim and x.ndim in (2, 3) and x.shape[:-2] == y.shape[:-2],
-           "bilinear", f"x and y must be matrices or equal-sized batches of them, "
-           f"got {x.shape}, {y.shape}")
+    _check(x.ndim == 2 and y.ndim == 2, "bilinear",
+           f"x and y must be matrices, got {x.shape}, {y.shape}")
     squeeze = w.ndim == 2
     w3 = w.data[None] if squeeze else w.data
     _check(w3.ndim == 3, "bilinear", f"w must be 2-D or 3-D, got {w.shape}")
-    _check(w3.shape[1] == x.shape[-1] and w3.shape[2] == y.shape[-1], "bilinear",
+    _check(w3.shape[1] == x.shape[1] and w3.shape[2] == y.shape[1], "bilinear",
            f"shape mismatch: x {x.shape}, w {w.shape}, y {y.shape}")
-    batched = x.ndim == 3
-    xb = x.data if batched else x.data[None]  # (B, n, dx)
-    yb = y.data if batched else y.data[None]  # (B, m, dy)
-    nb, n, dx = xb.shape
-    labels, _, dy = w3.shape
-    xw = (xb.reshape(nb * n, dx) @ w3).reshape(labels, nb, n, dy)
-    data = (xw @ yb.transpose(0, 2, 1)).transpose(1, 0, 2, 3)  # (B, L, n, m)
+    batched = sizes is not None
+    counts = np.asarray(sizes if batched else [[x.shape[0], y.shape[0]]], dtype=np.int64)
+    _check(counts.ndim == 2 and counts.shape[1] == 2 and len(counts) > 0, "bilinear",
+           f"sizes must be (B, 2), got shape {counts.shape}")
+    ns, ms = counts.T.tolist()
+    _check(min(ns + ms) >= 1 and sum(ns) == x.shape[0] and sum(ms) == y.shape[0], "bilinear",
+           f"sizes must be positive and sum to ({x.shape[0]}, {y.shape[0]}) rows")
+    # sentence b: its rows of x and of y, and its n_b x m_b block of the result
+    blocks, x0, y0 = [], 0, 0
+    for nb, mb in zip(ns, ms):
+        blocks.append((slice(x0, x0 + nb), slice(y0, y0 + mb),
+                       (slice(None), slice(nb), slice(mb))))
+        x0, y0 = x0 + nb, y0 + mb
+    xd, yd = x.data, y.data
+    xw = xd @ w3  # (L, N, dy)
+    data = np.zeros((len(blocks), w3.shape[0], max(ns), max(ms)))
+    for out, (xs, ys, cell) in zip(data, blocks):
+        np.matmul(xw[:, xs], yd[ys].T, out=out[cell])
 
     def backward(g):
         g4 = g if batched else g[None]
         g4 = g4[:, None] if squeeze else g4  # (B, L, n, m)
         if x.requires_grad or w.requires_grad:
-            gy = (g4.transpose(1, 0, 2, 3) @ yb).reshape(labels, nb * n, dy)
+            gxw = np.empty_like(xw)  # dL/d(xW), packed like xw
+            for gb, (xs, ys, cell) in zip(g4, blocks):
+                np.matmul(gb[cell], yd[ys], out=gxw[:, xs])
             if x.requires_grad:
-                dxb = (gy @ w3.transpose(0, 2, 1)).sum(axis=0).reshape(xb.shape)
-                _accumulate(x, dxb if batched else dxb[0], owned=True)
+                _accumulate(x, (gxw @ w3.transpose(0, 2, 1)).sum(axis=0), owned=True)
             if w.requires_grad:
-                gw = xb.reshape(nb * n, dx).T @ gy
+                gw = xd.T @ gxw
                 _accumulate(w, gw[0] if squeeze else gw, owned=True)
         if y.requires_grad:
-            # per batch row, sum over labels and rows as one GEMM: (L*n, m)^T @ (L*n, dy)
-            dyb = (g4.reshape(nb, labels * n, -1).transpose(0, 2, 1)
-                   @ xw.transpose(1, 0, 2, 3).reshape(nb, labels * n, dy))
-            _accumulate(y, dyb if batched else dyb[0], owned=True)
+            gy = np.empty_like(yd)
+            for gb, (xs, ys, cell) in zip(g4, blocks):
+                # sum over labels of G_l^T (xW)_l, per sentence
+                gy[ys] = (gb[cell].transpose(0, 2, 1) @ xw[:, xs]).sum(axis=0)
+            _accumulate(y, gy, owned=True)
 
     out = data[:, 0] if squeeze else data
     return _result(out if batched else out[0], (x, w, y), backward)

@@ -71,7 +71,7 @@ class SemanticGraph:
 
     def __post_init__(self):
         sentence = tuple(self.sentence)
-        edges = frozenset(Edge(*e) for e in self.edges)
+        edges = frozenset(e if type(e) is Edge else Edge(*e) for e in self.edges)
         object.__setattr__(self, "sentence", sentence)
         object.__setattr__(self, "edges", edges)
         _check_sentence(sentence)

@@ -7,7 +7,8 @@ so the char hidden size is half the word dimension per direction). A learned
 root row is prepended before encoding; scores are matrices over head positions
 0..n and dependent positions 1..n, with self-loop edges masked to a large
 negative. One model call runs every stage once over a padded `Batch` of
-sentences, and padding is masked like the self-loops.
+sentences; the scorer skips padding, and padded scores are masked like the
+self-loops.
 
 In multitask mode the embedding layer is always shared; the recurrent stack
 and the four attention FNNs are shared or task-specific according to the
@@ -178,13 +179,16 @@ FNN_TYPES = ("edge_dep", "edge_head", "label_dep", "label_head")
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """The sentences of one model call, laid out for batched encoding.
+    """The sentences of one model call, laid out for batched encoding and scoring.
 
     Rows are the sentences sorted by length, longest first (ties keep input
     order); `order[r]` is the input index of row r, and tokens are packed row
     after row. The encoder runs time-major over (T+1, B) cells, T the longest
-    sentence: step 0 of every row is the root and step i its token i. Scores
-    come back batch-major, in input order.
+    sentence: step 0 of every row is the root and step i its token i. The
+    scorer reads only real cells, packed sentence after sentence in input
+    order (`real_cells`): n_b + 1 head rows (root and tokens) and n_b
+    dependent rows per sentence. Scores come back padded and batch-major, in
+    input order.
     """
 
     sizes: np.ndarray             # (B,) tokens per sentence, input order
@@ -210,14 +214,22 @@ class Batch:
         step = np.arange(lengths[0] + 1)[:, None]
         return np.where((step >= 1) & (step <= lengths), np.cumsum(lengths) - lengths + step, 0)
 
-    def positions(self, first: int) -> np.ndarray:
-        """Flat indices into the (T+1) * B cells of positions first..T of every
-        sentence, sentence by sentence in input order."""
+    def real_cells(self, first: int) -> np.ndarray:
+        """Flat indices into the (T+1) * B encoder cells of positions first..n_b
+        of every sentence, packed sentence after sentence in input order."""
         rows = len(self.order)
         row_of = np.empty(rows, dtype=np.int64)
         row_of[self.order] = np.arange(rows)
-        step = np.arange(first, self.lengths[0] + 1)
-        return (step * rows + row_of[:, None]).reshape(-1)
+        counts = self.sizes + 1 - first
+        step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+        return step * rows + np.repeat(row_of, counts)
+
+    def padded_rows(self, first: int) -> np.ndarray:
+        """(B, T+1-first): for position first+k of sentence b, 1 + its row in the
+        packing of `real_cells(first)`, or 0 past the sentence's end."""
+        counts = self.sizes + 1 - first
+        step = np.arange(self.lengths[0] + 1 - first)
+        return np.where(step < counts[:, None], (np.cumsum(counts) - counts + 1)[:, None] + step, 0)
 
     def edge_cells(self) -> np.ndarray:
         """(B, T+1, T) 0/1 mask of every sentence's real, non-diagonal edge cells."""
@@ -455,21 +467,23 @@ class ParserModel:
         """Edge scores (B, T+1, T) and label scores (B, |L|, T+1, T), input order.
 
         In sentence b, cell [i, j-1] scores head i (0 = root) for dependent j.
-        The diagonal (i == j) and the padding of sentences shorter than T
-        (i or j beyond n_b) are masked to a large negative edge score, so
-        decoding and head softmaxes never select them; label scores are read
-        only at edges, so they are left as computed. With an `rng` (train
-        mode) the FNN outputs get edge and label dropout.
+        The four FNN heads (and, with an `rng` in train mode, their edge and
+        label dropout) run on real rows only: each sentence's head rows
+        (positions 0..n_b) and dependent rows (1..n_b), packed in input order.
+        Both bilinears are ragged over those rows and write sentence b's scores
+        into its [:n_b+1, :n_b] block of the padded result. The diagonal
+        (i == j) and the padding (i or j beyond n_b) are masked to a large
+        negative edge score, so decoding and head softmaxes never select them;
+        label scores are 0 on padding and are read only at edges.
         """
         self._check_task(task)
         cfg = self.config
         owner = self._fnn_owner(task)
         steps, count, width = states.shape
         flat = ad.reshape(states, (steps * count, width))
-        # batch-major rows in input order: positions 0..T as heads, 1..T as dependents
-        head_rows = ad.lookup(flat, batch.positions(0))
-        dep_rows = ad.lookup(flat, batch.positions(1))
-
+        # real rows only, packed in input order: positions 0..n_b as heads, 1..n_b as dependents
+        head_rows = ad.lookup(flat, batch.real_cells(0))
+        dep_rows = ad.lookup(flat, batch.real_cells(1))
         heads = {}
         for kind in FNN_TYPES:
             rows = dep_rows if kind.endswith("_dep") else head_rows
@@ -479,31 +493,31 @@ class ParserModel:
             if rng is not None and rate > 0:
                 h = ad.dropout(h, rate, rng)
             heads[kind] = h
-        edge_dep, label_dep = (ad.reshape(heads[kind], (count, steps - 1, cfg.fnn_size))
-                               for kind in ("edge_dep", "label_dep"))
-        edge_head, label_head = (ad.reshape(heads[kind], (count, steps, cfg.fnn_size))
-                                 for kind in ("edge_head", "label_head"))
+        # sentence b has n_b dependent rows and n_b + 1 head rows
+        sizes = np.stack([batch.sizes, batch.sizes + 1], axis=1)
 
         # written form: score(i, j) = h_i^(dep) W h_j^(head); stored as [head, dep]
-        s_edge = ad.transpose(ad.bilinear(edge_dep, self.params[f"scorer/{task}/edge"],
-                                          edge_head), (0, 2, 1))
+        s_edge = ad.transpose(ad.bilinear(heads["edge_dep"], self.params[f"scorer/{task}/edge"],
+                                          heads["edge_head"], sizes), (0, 2, 1))
         if cfg.biaffine_bias:
-            dep_bias = ad.matmul(heads["edge_dep"],
-                                 ad.reshape(self.params[f"scorer/{task}/edge_bias_dep"],
+            # one bias column per head kind, scattered from the packed rows into
+            # the padded layout; cells past a sentence's end read a zero row
+            zero = ad.constant(np.zeros((1, 1)))
+            for kind, first, shape in (("dep", 1, (count, 1, steps - 1)),
+                                       ("head", 0, (count, steps, 1))):
+                bias = ad.matmul(heads[f"edge_{kind}"],
+                                 ad.reshape(self.params[f"scorer/{task}/edge_bias_{kind}"],
                                             (cfg.fnn_size, 1)))
-            head_bias = ad.matmul(heads["edge_head"],
-                                  ad.reshape(self.params[f"scorer/{task}/edge_bias_head"],
-                                             (cfg.fnn_size, 1)))
-            s_edge = ad.add(s_edge, ad.reshape(dep_bias, (count, 1, steps - 1)))
-            s_edge = ad.add(s_edge, ad.reshape(head_bias, (count, steps, 1)))
+                bias = ad.lookup(ad.concat([zero, bias]), batch.padded_rows(first).reshape(-1))
+                s_edge = ad.add(s_edge, ad.reshape(bias, shape))
             s_edge = ad.add(s_edge, ad.reshape(self.params[f"scorer/{task}/edge_bias"],
                                                (1, 1, 1)))
         valid = batch.edge_cells()
         s_edge = ad.add(ad.mul(s_edge, ad.constant(valid)),
                         ad.constant((1.0 - valid) * NEG_SCORE))
 
-        s_label = ad.transpose(ad.bilinear(label_dep, self.params[f"scorer/{task}/label"],
-                                           label_head), (0, 1, 3, 2))
+        s_label = ad.transpose(ad.bilinear(heads["label_dep"], self.params[f"scorer/{task}/label"],
+                                           heads["label_head"], sizes), (0, 1, 3, 2))
         return s_edge, s_label
 
     def forward(self, sentences: Sequence[Sequence[Token]], task: str,
@@ -516,7 +530,7 @@ class ParserModel:
         longest first; encoder states time-major) and runs every stage once
         over it: the char BiLSTM over the call's distinct forms, one
         `lstm_seq` per encoder layer and direction, and the FNN heads and
-        bilinear scorers over all rows. Edge scores are (B, T+1, T) and label
+        bilinear scorers over the real rows of all sentences. Edge scores are (B, T+1, T) and label
         scores (B, |L|, T+1, T), in input order, T the longest sentence;
         sentence b's scores are [b, :n_b+1, :n_b] and [b, :, :n_b+1, :n_b].
         Train mode (all dropout on) is `rng is not None`.

@@ -161,8 +161,9 @@ def decode_semantic(s_edge, s_label, labels: Vocab,
     if TOP_LABEL in labels and len(labels) > 1:
         label_scores[labels.id(TOP_LABEL)] = -np.inf
     best = label_scores.argmax(axis=0)
-    edges = frozenset(Edge(int(i), int(j) + 1, TOP_LABEL if i == ROOT else labels.value(int(k)))
-                      for i, j, k in zip(heads, deps, best))
+    names = labels.items
+    edges = frozenset(Edge(i, j, TOP_LABEL if i == ROOT else names[k])
+                      for i, j, k in zip(heads.tolist(), (deps + 1).tolist(), best.tolist()))
     return SemanticGraph(sentence, edges)
 
 

@@ -83,6 +83,10 @@ class TestForwardValues:
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
 
+    def test_float32_input_becomes_float64(self):
+        assert ad.Tensor(np.ones(3, np.float32)).data.dtype == np.float64
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = ad.Parameter(np.arange(6.0).reshape(2, 3))
@@ -400,22 +404,68 @@ class TestKernelsMatchReference:
         for name, got, want in zip("xwy", (tx.grad, tw.grad, ty.grad), ref_grads):
             assert_close(got, want, err_msg=name)
 
+    @staticmethod
+    def _ragged_bilinear(rng, w_shape, sizes, g=None):
+        """A packed bilinear over sentences of `sizes` (n_b, m_b), backpropagated from
+        the upstream gradient `g` (random if None); returns (x, w, y, g, out, tx, tw, ty)."""
+        counts = np.array(sizes)
+        (rows_x, rows_y), (n, m) = counts.sum(axis=0), counts.max(axis=0)
+        x, y = rng.standard_normal((rows_x, w_shape[-2])), rng.standard_normal((rows_y, w_shape[-1]))
+        w = rng.standard_normal(w_shape)
+        if g is None:
+            g = rng.standard_normal((len(sizes),) + w_shape[:-2] + (n, m))
+        tx, tw, ty = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(y, "y")
+        out = ad.bilinear(tx, tw, ty, sizes)
+        assert out.shape == g.shape
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        return x, w, y, g, out, tx, tw, ty
+
     @pytest.mark.parametrize("w_shape", [(6, 5), (4, 6, 5)], ids=["2d", "3d"])
     def test_batched_bilinear_matches_each_row(self, w_shape):
-        rng = np.random.default_rng(10 + len(w_shape))
-        x, w, y = (rng.standard_normal(shape) for shape in ((3, 7, 6), w_shape, (3, 8, 5)))
-        g = rng.standard_normal((3,) + w_shape[:-2] + (7, 8))
-        tx, tw, ty = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(y, "y")
-        out = ad.bilinear(tx, tw, ty)
-        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
-        dw = np.zeros_like(w)
-        for b in range(3):
-            ref_out, ref_dx, ref_dw, ref_dy = reference_bilinear(x[b], w, y[b], g[b])
-            assert_close(out.data[b], ref_out)
-            assert_close(tx.grad[b], ref_dx, err_msg="x")
-            assert_close(ty.grad[b], ref_dy, err_msg="y")
-            dw += ref_dw
-        assert_close(tw.grad, dw, err_msg="w")
+        # packed rows of several sentences: every sentence's block of the result
+        # and of the x and y gradients equals the one-sentence reference
+        for sizes in ([(1, 1)] * 3, [(4, 5)] * 3, [(7, 2), (1, 8), (3, 3), (5, 1)]):
+            rng = np.random.default_rng(10 + len(w_shape) + len(sizes))
+            x, w, y, g, out, tx, tw, ty = self._ragged_bilinear(rng, w_shape, sizes)
+            dw = np.zeros_like(w)
+            x0 = y0 = 0
+            for b, (n, m) in enumerate(sizes):
+                xs, ys = slice(x0, x0 + n), slice(y0, y0 + m)
+                ref_out, ref_dx, ref_dw, ref_dy = reference_bilinear(x[xs], w, y[ys],
+                                                                     g[b, ..., :n, :m])
+                assert_close(out.data[b, ..., :n, :m], ref_out, err_msg=f"out {sizes}")
+                assert_close(tx.grad[xs], ref_dx, err_msg=f"x {sizes}")
+                assert_close(ty.grad[ys], ref_dy, err_msg=f"y {sizes}")
+                dw += ref_dw
+                x0, y0 = x0 + n, y0 + m
+            assert_close(tw.grad, dw, err_msg=f"w {sizes}")
+
+    @pytest.mark.parametrize("w_shape", [(6, 5), (4, 6, 5)], ids=["2d", "3d"])
+    def test_ragged_bilinear_padding_is_zero_and_passes_no_gradient(self, w_shape):
+        sizes = [(2, 5), (4, 1), (3, 3)]
+        pad = np.ones((3, 4, 5), dtype=bool)
+        for b, (n, m) in enumerate(sizes):
+            pad[b, :n, :m] = False
+        if len(w_shape) == 3:
+            pad = np.broadcast_to(pad[:, None], (3, w_shape[0], 4, 5))
+        first = self._ragged_bilinear(np.random.default_rng(5), w_shape, sizes)
+        out, g = first[4], first[3]
+        assert np.all(out.data[pad] == 0.0)
+        # an upstream gradient that differs only on padding gives the same gradients
+        other = g.copy()
+        other[pad] = 1e3
+        second = self._ragged_bilinear(np.random.default_rng(5), w_shape, sizes, other)
+        assert not np.array_equal(g, other)
+        for got, want in zip(second[5:], first[5:]):
+            np.testing.assert_array_equal(got.grad, want.grad)
+
+    def test_bilinear_rejects_sizes_that_do_not_cover_the_rows(self):
+        x, y = ad.constant(np.ones((5, 2))), ad.constant(np.ones((4, 3)))
+        w = ad.constant(np.ones((2, 3)))
+        assert ad.bilinear(x, w, y, [(2, 1), (3, 3)]).shape == (2, 3, 3)
+        for sizes in ([(2, 1), (2, 3)], [(5, 4), (0, 0)], [(5, 4, 1)]):
+            with pytest.raises(AutodiffError):
+                ad.bilinear(x, w, y, sizes)
 
     def test_adam_step_is_bit_identical(self):
         rng = np.random.default_rng(31)

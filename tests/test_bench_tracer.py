@@ -1,15 +1,23 @@
-"""The benchmark's tracer must still find every name it wraps.
+"""The benchmark's tracer must still find every name it wraps and every span it reports.
 
 `bench/tracer.py` looks sdpkit names up at install time; a rename or deletion
-in the package makes `install` raise. This catches that in the unit suite
-instead of in a full benchmark smoke run.
+in the package makes `install` raise. It labels the spans of `lstm_seq` and
+`bilinear` by their weight argument, so a signature change silently zeroes
+per-layer metrics. This catches both in the unit suite instead of in a full
+benchmark smoke run.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import sdpkit
 import sdpkit.cli
+from sdpkit.network import (SEMANTIC, NetworkConfig, ParserModel, build_vocabs,
+                            semantic_label_vocab)
+from sdpkit.synth import DEFAULT_LABELS, SynthConfig, synth_corpus
+from sdpkit.training import semantic_loss
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -36,3 +44,27 @@ def test_tracer_installs_and_restores_every_name():
         now = vars(owner)
         assert set(now) == set(saved), owner
         assert all(now[name] is value for name, value in saved.items()), owner
+
+
+def test_tracer_sees_every_scorer_and_encoder_span():
+    # the per-layer metrics read these span names: a signature change that
+    # moves the weight argument or merges the char calls must fail here
+    golds = synth_corpus(SynthConfig(sentences=3, seed=5)).target_gold.graphs()
+    sentences = [g.sentence for g in golds]
+    labels = semantic_label_vocab(DEFAULT_LABELS)
+    config = NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=3, fnn_size=8)
+    model = ParserModel(config, {SEMANTIC: labels}, *build_vocabs(sentences), seed=1)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install(sdpkit)
+        s_edge, s_label = model.forward(sentences, SEMANTIC, np.random.default_rng(2))
+        semantic_loss(s_edge, s_label, golds, labels).backward()
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    required = {f"autodiff.bilinear.{kind}.{phase}" for kind in ("edge", "label")
+                for phase in ("fwd", "bwd")}
+    required |= {f"autodiff.lstm_seq.layer{k}.{phase}" for k in range(3)
+                 for phase in ("fwd", "bwd")}
+    assert required <= set(names), sorted(required - set(names))
+    assert names.count("autodiff.lstm_seq.char.fwd") == 2

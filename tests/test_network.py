@@ -79,6 +79,26 @@ def test_char_vector_runs_once_per_distinct_form_per_call(graphs, monkeypatch):
                               ("char_rnn/bw/w", len(set(forms)), lengths, True)]
 
 
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_fnn_heads_run_on_real_rows_only(graphs, monkeypatch, train):
+    model = _model(graphs)
+    sentences = [g.sentence for g in graphs]
+    sizes = [len(s) for s in sentences]
+    assert len(set(sizes)) > 1  # the batch is padded
+    rows = {}
+    matmul = ad.matmul
+
+    def recorded(a, b):
+        if getattr(b, "name", "").startswith("fnn/"):
+            rows[b.name.split("/")[2]] = a.shape[0]
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "matmul", recorded)
+    model.forward(sentences, SEMANTIC, np.random.default_rng(3) if train else None)
+    heads, deps = sum(sizes) + len(sizes), sum(sizes)
+    assert rows == {"edge_head": heads, "label_head": heads, "edge_dep": deps, "label_dep": deps}
+
+
 def test_equal_seeded_rngs_give_equal_train_scores(graphs):
     model = _model(graphs)
     sentences = [g.sentence for g in graphs]
