@@ -6,13 +6,16 @@ parents and a closure that routes the upstream gradient to them. Calling
 topological order. Gradients are exact: a loss term multiplied by a zero mask
 contributes exactly 0.0 to every upstream gradient.
 
-Only the primitives the parser needs are provided. Every tensor holds float64
+Only the primitives the parser needs are provided, each with the one calling
+convention the parser uses. Five have no caller in the package: `flip_rows`,
+`mean_all`, `sigmoid`, `softmax_rows` and `shift` (reached only through
+`Tensor + float`). They stay because `bench/tracer.py` wraps each of them by
+name, and a missing name breaks every traced run. Every tensor holds float64
 data; input of any other dtype is converted.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -67,9 +70,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -114,22 +114,6 @@ class Tensor:
         return scale(self, float(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return shift(scale(self, -1.0), float(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise AutodiffError("tensor/tensor division is not a registered primitive")
-        return scale(self, 1.0 / float(other))
 
 
 def _result(data, parents, backward) -> Tensor:
@@ -231,9 +215,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def transpose(a: Tensor, axes: tuple | None = None) -> Tensor:
+def transpose(a: Tensor, axes: tuple) -> Tensor:
     data = np.transpose(a.data, axes)
-    inverse = None if axes is None else tuple(np.argsort(axes))
+    inverse = tuple(np.argsort(axes))
 
     def backward(g):
         _accumulate(a, np.transpose(g, inverse))
@@ -385,55 +369,40 @@ def lookup(table: Tensor, ids) -> Tensor:
     return _result(data, (table,), backward)
 
 
-def pick_cells(a: Tensor, rows, cols) -> Tensor:
-    """Gather cells (rows[k], cols[k]); for a 3-D tensor gathers across axis 0.
+def pick_cells(a: Tensor, sentences, heads, deps) -> Tensor:
+    """Label scores (k, L) at cells [sentences[k], :, heads[k], deps[k]] of (B, L, T+1, T)
+    scores; the gradient scatters back into those cells only."""
+    sentences, heads, deps = (np.asarray(v, dtype=np.int64) for v in (sentences, heads, deps))
+    _check(a.ndim == 4, "pick_cells", f"expects (B, L, T+1, T) scores, got {a.shape}")
+    _check(sentences.ndim == 1 and sentences.shape == heads.shape == deps.shape, "pick_cells",
+           "sentences, heads and deps must be equal-length vectors")
+    cells = (sentences, slice(None), heads, deps)
+    data = a.data[cells]
 
-    2-D input of shape (R, C) yields shape (k,); 3-D input of shape (L, R, C)
-    yields (k, L).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    _check(rows.shape == cols.shape and rows.ndim == 1, "pick_cells",
-           "rows and cols must be equal-length vectors")
-    if a.ndim == 2:
-        data = a.data[rows, cols]
+    def backward(g):
+        if a.requires_grad:
+            full = np.zeros_like(a.data)
+            np.add.at(full, cells, g)
+            _accumulate(a, full, owned=True)
 
-        def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                np.add.at(full, (rows, cols), g)
-                _accumulate(a, full, owned=True)
-
-        return _result(data, (a,), backward)
-    if a.ndim == 3:
-        data = a.data[:, rows, cols].T
-
-        def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                np.add.at(full, (slice(None), rows, cols), g.T)
-                _accumulate(a, full, owned=True)
-
-        return _result(data, (a,), backward)
-    raise AutodiffError(f"pick_cells: expects a 2-D or 3-D tensor, got {a.shape}")
+    return _result(data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
 # bilinear scoring
 
 
-def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes=None) -> Tensor:
-    """Bilinear form x W y^T for one sentence, or ragged over the packed rows of several.
+def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes) -> Tensor:
+    """Bilinear form x W y^T, ragged over the packed rows of B sentences.
 
-    x is (N, dx) and y (M, dy). With w of shape (dx, dy) each score is
-    x_i^T W y_j; with w of shape (L, dx, dy) there is one such slice per label.
-    Without `sizes`, x and y are one sentence and the result is (N, M) or
-    (L, N, M). With `sizes` (B, 2), x and y hold the rows of B sentences packed
-    one after another, sentence b owning sizes[b] = (n_b, m_b) rows of x and y
-    in turn. The result is then (B, n, m) or (B, L, n, m), n and m the largest
-    n_b and m_b: sentence b's scores fill its [:n_b, :m_b] block, and every
-    other cell is 0 and passes no gradient. x W is one GEMM per label over the
-    N rows; its product with y^T is one (L, n_b, dy) @ (dy, m_b) per sentence.
+    x is (N, dx), y (M, dy) and `sizes` (B, 2): sentence b owns sizes[b] =
+    (n_b, m_b) rows of x and y, packed one sentence after another. With w of
+    shape (dx, dy) each score is x_i^T W y_j; with w of shape (L, dx, dy) there
+    is one such slice per label. The result is (B, n, m) or (B, L, n, m), n and
+    m the largest n_b and m_b: sentence b's scores fill its [:n_b, :m_b] block,
+    and every other cell is 0 and passes no gradient. x W is one GEMM per label
+    over the N rows; its product with y^T is one (L, n_b, dy) @ (dy, m_b) per
+    sentence.
     """
     _check(x.ndim == 2 and y.ndim == 2, "bilinear",
            f"x and y must be matrices, got {x.shape}, {y.shape}")
@@ -442,8 +411,7 @@ def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes=None) -> Tensor:
     _check(w3.ndim == 3, "bilinear", f"w must be 2-D or 3-D, got {w.shape}")
     _check(w3.shape[1] == x.shape[1] and w3.shape[2] == y.shape[1], "bilinear",
            f"shape mismatch: x {x.shape}, w {w.shape}, y {y.shape}")
-    batched = sizes is not None
-    counts = np.asarray(sizes if batched else [[x.shape[0], y.shape[0]]], dtype=np.int64)
+    counts = np.asarray(sizes, dtype=np.int64)
     _check(counts.ndim == 2 and counts.shape[1] == 2 and len(counts) > 0, "bilinear",
            f"sizes must be (B, 2), got shape {counts.shape}")
     ns, ms = counts.T.tolist()
@@ -462,8 +430,7 @@ def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes=None) -> Tensor:
         np.matmul(xw[:, xs], yd[ys].T, out=out[cell])
 
     def backward(g):
-        g4 = g if batched else g[None]
-        g4 = g4[:, None] if squeeze else g4  # (B, L, n, m)
+        g4 = g[:, None] if squeeze else g  # (B, L, n, m)
         if x.requires_grad or w.requires_grad:
             gxw = np.empty_like(xw)  # dL/d(xW), packed like xw
             for gb, (xs, ys, cell) in zip(g4, blocks):
@@ -480,8 +447,7 @@ def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes=None) -> Tensor:
                 gy[ys] = (gb[cell].transpose(0, 2, 1) @ xw[:, xs]).sum(axis=0)
             _accumulate(y, gy, owned=True)
 
-    out = data[:, 0] if squeeze else data
-    return _result(out if batched else out[0], (x, w, y), backward)
+    return _result(data[:, 0] if squeeze else data, (x, w, y), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,14 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import autodiff as ad
 from .errors import ConfigError, FormatError, SdpkitError
 from .evaluation import format_report, label_contribution, length_buckets, head_match_stats, score_graphs, write_series
 from .formats import (SdpDocument, atomic_open, read_alignments, read_conllu,
                       read_context_vectors, read_sdp, read_word_vectors, write_alignments,
                       write_sdp)
-from .graph import LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, make_sentence
+from .graph import (LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, as_semantic,
+                    make_sentence)
 from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                       build_vocabs, semantic_label_vocab, syntactic_label_vocab,
                       pretrained_table)
@@ -171,10 +170,8 @@ def cmd_project(args) -> int:
                           f"{len(alignments)} alignment lines, {len(targets)} target sentences")
     projected = []
     for (sid, graph), links, target in zip(source, alignments, targets):
-        if isinstance(graph, PartialGraph):
-            graph = graph.graph
         alignment = intersect_alignments(links, links)
-        projected.append((sid, project_graph(graph, alignment, target)))
+        projected.append((sid, project_graph(as_semantic(graph), alignment, target)))
     with atomic_open(args.out) as f:
         write_sdp(SdpDocument(tuple(projected)), f)
     return _finish(args, [args.source, args.alignments, args.target], [args.out],

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ScoringError
-from .graph import (ROOT, PartialGraph, SemanticGraph, SyntacticTree,
-                    dependency_length, length_bucket, LENGTH_BUCKETS)
+from .graph import (PartialGraph, SemanticGraph, SyntacticTree, as_semantic,
+                    dependency_length, length_bucket)
 
 
 def _f1(p: float, r: float) -> float:
@@ -71,18 +71,15 @@ class ScoreReport:
         }
 
 
-def _plain(graph: SemanticGraph | PartialGraph) -> SemanticGraph:
-    return graph.graph if isinstance(graph, PartialGraph) else graph
-
-
 def _check_aligned_corpora(predicted: Sequence, gold: Sequence):
     if len(predicted) != len(gold):
         raise ScoringError(f"corpus size mismatch: {len(predicted)} predicted "
                            f"vs {len(gold)} gold sentences")
     for i, (p, g) in enumerate(zip(predicted, gold)):
-        if _plain(p).n != _plain(g).n:
+        n_pred, n_gold = as_semantic(p).n, as_semantic(g).n
+        if n_pred != n_gold:
             raise ScoringError(f"sentence {i + 1}: length mismatch "
-                               f"({_plain(p).n} predicted vs {_plain(g).n} gold)")
+                               f"({n_pred} predicted vs {n_gold} gold)")
 
 
 def score_graphs(predicted: Sequence[SemanticGraph | PartialGraph],
@@ -91,11 +88,12 @@ def score_graphs(predicted: Sequence[SemanticGraph | PartialGraph],
     _check_aligned_corpora(predicted, gold)
     lg = lp_ = lc = ug = up_ = uc = 0
     for p, g in zip(predicted, gold):
-        pe, ge = _plain(p).edges, _plain(g).edges
+        p, g = as_semantic(p), as_semantic(g)
+        pe, ge = p.edges, g.edges
         lg += len(ge)
         lp_ += len(pe)
         lc += len(pe & ge)
-        pu, gu = _plain(p).unlabeled(), _plain(g).unlabeled()
+        pu, gu = p.unlabeled(), g.unlabeled()
         ug += len(gu)
         up_ += len(pu)
         uc += len(pu & gu)
@@ -123,8 +121,8 @@ def length_buckets(predicted: Sequence[SemanticGraph | PartialGraph],
     _check_aligned_corpora(predicted, gold)
     counts: dict[str, list[int]] = {}
     for p, g in zip(predicted, gold):
-        ge = _plain(g).edges
-        for edge in _plain(p).non_top_edges():
+        ge = as_semantic(g).edges
+        for edge in as_semantic(p).non_top_edges():
             bucket = length_bucket(dependency_length(edge.head, edge.dependent))
             stat = counts.setdefault(bucket, [0, 0])
             stat[0] += 1
@@ -173,13 +171,13 @@ def head_match_stats(gold: Sequence[SemanticGraph | PartialGraph],
         labeled = mode == "labeled"
         sets: dict[str, list[int]] = {"a_improved": [0, 0, 0], "b_improved": [0, 0, 0]}
         for g, tree, pa, pb in zip(gold, trees, predictions_a, predictions_b):
-            gg = _plain(g)
+            gg = as_semantic(g)
             if tree.n != gg.n:
                 raise ScoringError("tree/sentence length mismatch")
             sem_heads = {j: {h for h, d, _ in gg.edges if d == j} for j in range(1, gg.n + 1)}
             for j in range(1, gg.n + 1):
-                ok_a = _token_correct(_plain(pa), gg, j, labeled)
-                ok_b = _token_correct(_plain(pb), gg, j, labeled)
+                ok_a = _token_correct(as_semantic(pa), gg, j, labeled)
+                ok_b = _token_correct(as_semantic(pb), gg, j, labeled)
                 if ok_a == ok_b:
                     continue
                 key = "a_improved" if ok_a else "b_improved"
@@ -214,10 +212,10 @@ def label_contribution(predictions_multitask: Sequence[SemanticGraph | PartialGr
     counts: dict[str, int] = {}
     total = 0
     for pm, ps, g, tree in zip(predictions_multitask, predictions_single, gold, trees):
-        gg = _plain(g)
+        gg = as_semantic(g)
         if tree.n != gg.n:
             raise ScoringError("tree/sentence length mismatch")
-        improved = (gg.edges & _plain(pm).edges) - _plain(ps).edges
+        improved = (gg.edges & as_semantic(pm).edges) - as_semantic(ps).edges
         for _, d, _ in sorted(improved):
             deprel = tree.deprel_of(d)
             counts[deprel] = counts.get(deprel, 0) + 1

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import FormatError, GraphError
 from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
-                    SyntacticTree, Token, validate_graph)
+                    SyntacticTree, Token, as_semantic, is_acyclic)
 
 EMPTY = "_"
 ALIGNED_PREFIX = "#aligned:"
@@ -60,7 +60,7 @@ class SdpDocument:
 
     def semantic_graphs(self) -> list[SemanticGraph]:
         """Graphs with any partial masks stripped."""
-        return [g.graph if isinstance(g, PartialGraph) else g for _, g in self.sentences]
+        return [as_semantic(g) for _, g in self.sentences]
 
 
 @dataclass(frozen=True)
@@ -214,16 +214,15 @@ def _check_cell(value: str, what: str):
 def write_sdp(doc: SdpDocument, stream: TextIO):
     """Serialize a document; inverse of `read_sdp` on valid input.
 
-    Graphs must be valid per `validate_graph` (non-strict). Labels and forms
-    may not contain tabs or newlines; a label equal to the empty-cell marker
-    cannot be represented.
+    Graphs must be acyclic per `is_acyclic`. Labels and forms may not contain
+    tabs or newlines; a label equal to the empty-cell marker cannot be
+    represented.
     """
     first = True
     for sid, entry in doc:
-        graph = entry.graph if isinstance(entry, PartialGraph) else entry
-        violations = validate_graph(graph, strict=False)
-        if violations:
-            raise FormatError(f"sentence {sid!r} is not writable: {'; '.join(violations)}")
+        graph = as_semantic(entry)
+        if not is_acyclic(graph):
+            raise FormatError(f"sentence {sid!r} is not writable: graph contains a directed cycle")
         if not first:
             stream.write("\n")
         first = False
@@ -402,14 +401,6 @@ def read_context_vectors(stream: TextIO, expected_dim: int) -> list[np.ndarray]:
             raise FormatError("non-numeric vector component", lineno) from None
     flush()
     return sentences
-
-
-def write_context_vectors(sentences: Iterable[np.ndarray], stream: TextIO):
-    for i, mat in enumerate(sentences):
-        if i:
-            stream.write("\n")
-        for row in np.asarray(mat):
-            stream.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def read_word_vectors(stream: TextIO, expected_dim: int) -> dict[str, np.ndarray]:

@@ -8,7 +8,7 @@ stored as ordinary edges from the root with the reserved label ``TOP``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GraphError
 
@@ -62,8 +62,8 @@ class SemanticGraph:
 
     Construction rejects self-loops, out-of-range endpoints, conflicting
     labels on one (head, dependent) pair, and root edges not labeled TOP.
-    Acyclicity and top count are checked separately by `validate_graph`
-    because decoded (non-gold) graphs may legitimately violate them.
+    Acyclicity is checked separately, by `is_acyclic`, because a decoded
+    graph may have a cycle; `write_sdp` rejects such a graph.
     """
 
     sentence: tuple[Token, ...]
@@ -139,17 +139,11 @@ class PartialGraph:
     def sentence(self) -> tuple[Token, ...]:
         return self.graph.sentence
 
-    def decided(self, head: int, dependent: int) -> bool:
-        return head in self.aligned and dependent in self.aligned
-
     def density(self) -> float:
         n = self.graph.n
         if n < 1:
             raise GraphError("density undefined for an empty sentence")
         return (len(self.aligned) - 1) / n
-
-    def fully_decided(self) -> bool:
-        return len(self.aligned) == self.graph.n + 1
 
 
 def as_partial(graph: SemanticGraph | PartialGraph) -> PartialGraph:
@@ -159,13 +153,17 @@ def as_partial(graph: SemanticGraph | PartialGraph) -> PartialGraph:
     return PartialGraph(graph, frozenset(range(graph.n + 1)))
 
 
+def as_semantic(graph: SemanticGraph | PartialGraph) -> SemanticGraph:
+    """The graph with any projection mask stripped."""
+    return graph.graph if isinstance(graph, PartialGraph) else graph
+
+
 @dataclass(frozen=True)
 class SyntacticTree:
     """Single-head labeled dependency structure; `heads[j-1]` is token j's head.
 
-    Construction checks ranges only; connectedness and single-rootedness are
-    reported by `validate_tree` so that greedy decoder output (which may not
-    be a tree) can still be represented and written out.
+    Construction checks ranges and self-heads only; connectedness and
+    single-rootedness are not checked.
     """
 
     sentence: tuple[Token, ...]
@@ -220,40 +218,6 @@ def is_acyclic(g: SemanticGraph) -> bool:
             if indeg[w] == 0:
                 queue.append(w)
     return visited == n
-
-
-def validate_graph(g: SemanticGraph, strict: bool = False) -> list[str]:
-    """Return invariant violations as data; empty list means the graph is valid.
-
-    Non-strict mode checks acyclicity only. Strict (gold) mode additionally
-    requires exactly one top node.
-    """
-    violations = []
-    if not is_acyclic(g):
-        violations.append("graph contains a directed cycle")
-    if strict:
-        tops = g.tops
-        if len(tops) != 1:
-            violations.append(f"expected exactly one top node, found {len(tops)}")
-    return violations
-
-
-def validate_tree(t: SyntacticTree) -> list[str]:
-    """Well-formedness violations: root count and reachability of the root."""
-    violations = []
-    roots = [j for j in range(1, t.n + 1) if t.head_of(j) == ROOT]
-    if len(roots) != 1:
-        violations.append(f"expected exactly one root, found {len(roots)}")
-    for j in range(1, t.n + 1):
-        seen = set()
-        v = j
-        while v != ROOT:
-            if v in seen:
-                violations.append(f"cycle through token {j}")
-                break
-            seen.add(v)
-            v = t.head_of(v)
-    return violations
 
 
 def dependency_length(head: int, dependent: int) -> int:

@@ -111,9 +111,6 @@ class Vocab:
             return 0
         return idx
 
-    def value(self, idx: int) -> str:
-        return self.items[idx]
-
 
 def build_vocabs(sentences: Sequence[Sequence[Token]]) -> tuple[Vocab, Vocab, Vocab]:
     """Word, character, and POS vocabularies from a corpus of token sequences."""

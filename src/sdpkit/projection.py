@@ -35,17 +35,8 @@ class IntersectedAlignment:
                 raise ProjectionError(f"alignment link ({s},{t}) must be 1-based")
         object.__setattr__(self, "_map", dict(sorted(links)))
 
-    def target_of(self, source: int) -> int | None:
-        """Aligned target position, 0 for the root, None when unaligned."""
-        if source == ROOT:
-            return ROOT
-        return self._map.get(source)
-
     def mapping(self) -> dict[int, int]:
         return dict(self._map)
-
-    def target_indices(self) -> frozenset[int]:
-        return frozenset(t for _, t in self.links)
 
 
 def intersect_alignments(forward: Iterable[tuple[int, int]],
@@ -94,14 +85,6 @@ def project_graph(source: SemanticGraph, alignment: IntersectedAlignment,
     aligned = frozenset({ROOT} | set(mapping.values()))
     edges = frozenset(Edge(h, d, l) for (h, d), l in projected.items())
     return PartialGraph(SemanticGraph(target_sentence, edges), aligned)
-
-
-def alignment_density(alignment: IntersectedAlignment, target_length: int) -> float:
-    """Fraction of target tokens carrying an alignment link."""
-    if target_length < 1:
-        raise ProjectionError(f"target length must be >= 1, got {target_length}")
-    aligned = {t for t in alignment.target_indices() if 1 <= t <= target_length}
-    return len(aligned) / target_length
 
 
 def density_sample(corpus: Sequence[PartialGraph], size: int, threshold: float,

@@ -13,7 +13,7 @@ real projected data would be.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +65,6 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthCorpus:
-    ids: tuple[str, ...]
     source: SdpDocument
     target_sentences: tuple[tuple[Token, ...], ...]
     target_gold: SdpDocument
@@ -188,7 +187,6 @@ def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig):
 def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     """Generate the full parallel corpus; byte-identical for equal configs."""
     rng = np.random.default_rng([cfg.seed, 0x517F])
-    ids = []
     sources = []
     targets = []
     golds = []
@@ -198,7 +196,6 @@ def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     for k in range(cfg.sentences):
         sid = f"s{k + 1:05d}"
         tokens, gold, tree, source, links, fwd_links = _generate_sentence(rng, cfg)
-        ids.append(sid)
         targets.append(tokens)
         golds.append((sid, gold))
         trees.append(SyntacticTree(tree.sentence, tree.heads, tree.deprels,
@@ -206,7 +203,7 @@ def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
         sources.append((sid, source))
         fwd.append(fwd_links)
         bwd.append(links)
-    return SynthCorpus(tuple(ids), SdpDocument(tuple(sources)), tuple(targets),
+    return SynthCorpus(SdpDocument(tuple(sources)), tuple(targets),
                        SdpDocument(tuple(golds)), tuple(trees),
                        AlignmentFile(tuple(fwd)), AlignmentFile(tuple(bwd)))
 

@@ -66,13 +66,6 @@ def _check_scores(s_edge: Tensor, sizes: list[int]):
                           f"of at most {longest} tokens")
 
 
-def _picked_labels(s_label: Tensor, batch_rows, heads, deps) -> Tensor:
-    """Label scores (k, |L|) at cells (heads[k], deps[k]) of sentences batch_rows[k]."""
-    rows, labels, steps, longest = s_label.shape
-    flat = ad.reshape(ad.transpose(s_label, (1, 0, 2, 3)), (labels, rows * steps, longest))
-    return ad.pick_cells(flat, np.asarray(batch_rows) * steps + heads, deps)
-
-
 def semantic_loss(s_edge: Tensor, s_label: Tensor,
                   golds: Sequence[PartialGraph | SemanticGraph], labels: Vocab,
                   label_interp: float = 0.5) -> Tensor:
@@ -84,7 +77,7 @@ def semantic_loss(s_edge: Tensor, s_label: Tensor,
     the loss and to every gradient; a `PartialGraph` has gold edges at
     decided cells only, so every gold edge is a target.
     """
-    golds = [as_partial(g) if isinstance(g, SemanticGraph) else g for g in golds]
+    golds = [as_partial(g) for g in golds]
     _check_scores(s_edge, [gold.graph.n for gold in golds])
     mask = np.zeros(s_edge.shape)
     edges = []  # (sentence, head, dependent - 1, label id)
@@ -102,7 +95,7 @@ def semantic_loss(s_edge: Tensor, s_label: Tensor,
     edge_loss = ad.sum_all(ad.mul(ad.sigmoid_cross_entropy(s_edge, targets),
                                   ad.constant(mask)))
     if edges:
-        label_loss = ad.sum_all(ad.softmax_cross_entropy(_picked_labels(s_label, b, h, d), ids))
+        label_loss = ad.sum_all(ad.softmax_cross_entropy(ad.pick_cells(s_label, b, h, d), ids))
     else:
         label_loss = ad.constant(0.0)
     return label_interp * label_loss + (1.0 - label_interp) * edge_loss
@@ -125,7 +118,7 @@ def syntactic_loss(s_edge: Tensor, s_label: Tensor, golds: Sequence[SyntacticTre
     head_loss = ad.sum_all(ad.mul(ad.softmax_cross_entropy(logits, head_ids.reshape(-1)),
                                   ad.constant(real.reshape(-1))))
     b, d = np.nonzero(real)
-    picked = _picked_labels(s_label, b, head_ids[b, d], d)
+    picked = ad.pick_cells(s_label, b, head_ids[b, d], d)
     deprel_ids = np.array([labels.id(r) for gold in golds for r in gold.deprels], dtype=np.int64)
     label_loss = ad.sum_all(ad.softmax_cross_entropy(picked, deprel_ids))
     return label_interp * label_loss + (1.0 - label_interp) * head_loss
@@ -135,21 +128,15 @@ def syntactic_loss(s_edge: Tensor, s_label: Tensor, golds: Sequence[SyntacticTre
 # decoding
 
 
-def _scores(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
-def decode_semantic(s_edge, s_label, labels: Vocab,
+def decode_semantic(s_edge: np.ndarray, s_label: np.ndarray, labels: Vocab,
                     sentence: Sequence[Token]) -> SemanticGraph:
     """Sign-function decoding: an edge exists wherever its score is >= 0.
 
-    Takes one sentence's scores, (n+1, n) and (|L|, n+1, n). Root-row edges
-    become tops (label TOP). Other edges take the highest scoring non-TOP
-    label; exact ties go to the lowest label index in the vocabulary's
-    canonical (sorted) order.
+    Takes one sentence's score arrays, edge (n+1, n) and label (|L|, n+1, n).
+    Root-row edges become tops (label TOP). Other edges take the highest
+    scoring non-TOP label; exact ties go to the lowest label index in the
+    vocabulary's canonical (sorted) order.
     """
-    s_edge = _scores(s_edge)
-    s_label = _scores(s_label)
     sentence = tuple(sentence)
     n = len(sentence)
     if s_edge.shape != (n + 1, n):
@@ -404,5 +391,4 @@ def evaluate_semantic(model: ParserModel, corpus: list) -> ScoreReport:
     """Labeled/unlabeled F1 of decoded graphs against (possibly partial) gold."""
     items = [Example(*item) for item in corpus]
     predicted = parse_semantic(model, [e.sentence for e in items], [e.context for e in items])
-    gold = [e.gold.graph if isinstance(e.gold, PartialGraph) else e.gold for e in items]
-    return score_graphs(predicted, gold)
+    return score_graphs(predicted, [e.gold for e in items])

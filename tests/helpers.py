@@ -76,6 +76,15 @@ def random_tree(rng: np.random.Generator, n: int | None = None,
     return SyntacticTree(sentence, tuple(heads), tuple(deprels), comments)
 
 
+def write_context_vectors(sentences, stream):
+    """Per-token context vectors in the `.vec` text format `read_context_vectors` reads."""
+    for i, mat in enumerate(sentences):
+        if i:
+            stream.write("\n")
+        for row in np.asarray(mat):
+            stream.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
 def random_alignment_links(rng: np.random.Generator, m: int, n: int,
                            p: float = 0.4) -> frozenset:
     links = set()
@@ -222,6 +231,6 @@ def reference_decode_semantic(s_edge, s_label, labels, sentence):
         for j in range(1, n + 1):
             if i == j or s_edge[i, j - 1] < 0:
                 continue
-            label = "TOP" if i == 0 else labels.value(int(best[i, j - 1]))
+            label = "TOP" if i == 0 else labels.items[best[i, j - 1]]
             edges.append(Edge(i, j, label))
     return SemanticGraph(sentence, frozenset(edges))

@@ -50,7 +50,7 @@ class TestForwardValues:
         x = ad.constant([[1.0, 0.0]])
         y = ad.constant([[0.0, 1.0]])
         w = ad.constant([[3.0, 5.0], [7.0, 11.0]])
-        assert ad.bilinear(x, w, y).data[0, 0] == 5.0
+        assert ad.bilinear(x, w, y, [(1, 1)]).data[0, 0, 0] == 5.0
 
     def test_bilinear_multi_slice_permutation(self):
         rng = np.random.default_rng(2)
@@ -58,8 +58,8 @@ class TestForwardValues:
         y = ad.constant(rng.standard_normal((5, 4)))
         w = rng.standard_normal((6, 4, 4))
         perm = rng.permutation(6)
-        s = ad.bilinear(x, ad.constant(w), y).data
-        s_perm = ad.bilinear(x, ad.constant(w[perm]), y).data
+        s = ad.bilinear(x, ad.constant(w), y, [(3, 5)]).data[0]
+        s_perm = ad.bilinear(x, ad.constant(w[perm]), y, [(3, 5)]).data[0]
         np.testing.assert_array_equal(s[perm], s_perm)
 
     def test_no_nan_inf_on_extreme_inputs(self):
@@ -202,28 +202,23 @@ class TestPerPrimitiveGradients:
         ids = np.array([0, 2, 2, 4])
         check_op(lambda: ad.sum_all(ad.tanh(ad.lookup(table, ids))), [table])
 
-    def test_pick_cells_2d(self):
-        rng = np.random.default_rng(19)
-        a = param(rng, 4, 5, name="a")
-        rows, cols = np.array([0, 3, 2]), np.array([1, 4, 2])
-        check_op(lambda: ad.sum_all(ad.sigmoid(ad.pick_cells(a, rows, cols))), [a])
-
-    def test_pick_cells_3d(self):
+    def test_pick_cells(self):
+        # (B, L, T+1, T) label scores; one cell is picked twice and accumulates
         rng = np.random.default_rng(20)
-        a = param(rng, 3, 4, 5, name="a")
-        rows, cols = np.array([1, 0]), np.array([2, 4])
+        a = param(rng, 2, 3, 4, 3, name="a")
+        sentences, heads, deps = np.array([1, 0, 1]), np.array([2, 0, 2]), np.array([1, 2, 1])
         check_op(lambda: ad.sum_all(ad.softmax_cross_entropy(
-            ad.pick_cells(a, rows, cols), [0, 2])), [a])
+            ad.pick_cells(a, sentences, heads, deps), [0, 2, 1])), [a])
 
     def test_bilinear_2d(self):
         rng = np.random.default_rng(21)
         x, w, y = param(rng, 3, 4, name="x"), param(rng, 4, 5, name="w"), param(rng, 2, 5, name="y")
-        check_op(lambda: ad.sum_all(ad.tanh(ad.bilinear(x, w, y))), [x, w, y])
+        check_op(lambda: ad.sum_all(ad.tanh(ad.bilinear(x, w, y, [(3, 2)]))), [x, w, y])
 
     def test_bilinear_3d(self):
         rng = np.random.default_rng(22)
         x, w, y = param(rng, 3, 4, name="x"), param(rng, 2, 4, 4, name="w"), param(rng, 3, 4, name="y")
-        check_op(lambda: ad.sum_all(ad.sigmoid(ad.bilinear(x, w, y))), [x, w, y])
+        check_op(lambda: ad.sum_all(ad.sigmoid(ad.bilinear(x, w, y, [(3, 3)]))), [x, w, y])
 
     def test_sigmoid_cross_entropy(self):
         rng = np.random.default_rng(23)
@@ -397,10 +392,10 @@ class TestKernelsMatchReference:
         x, w, y = (rng.standard_normal(shape) for shape in ((7, 6), w_shape, (8, 5)))
         g = rng.standard_normal(w_shape[:-2] + (7, 8))
         tx, tw, ty = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(y, "y")
-        out = ad.bilinear(tx, tw, ty)
-        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        out = ad.bilinear(tx, tw, ty, [(7, 8)])  # one sentence
+        ad.sum_all(ad.mul(out, ad.constant(g[None]))).backward()
         ref_out, *ref_grads = reference_bilinear(x, w, y, g)
-        assert_close(out.data, ref_out)
+        assert_close(out.data[0], ref_out)
         for name, got, want in zip("xwy", (tx.grad, tw.grad, ty.grad), ref_grads):
             assert_close(got, want, err_msg=name)
 

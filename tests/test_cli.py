@@ -7,8 +7,9 @@ import pytest
 import sdpkit.cli as cli
 from sdpkit import autodiff as ad
 from sdpkit.errors import CheckpointError, FormatError
-from sdpkit.formats import SdpDocument, read_sdp, write_context_vectors, write_sdp
-from sdpkit.graph import SemanticGraph
+from helpers import write_context_vectors
+from sdpkit.formats import SdpDocument, read_sdp, write_sdp
+from sdpkit.graph import PartialGraph, SemanticGraph
 from sdpkit.network import NetworkConfig, ParserModel
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
@@ -175,3 +176,44 @@ def test_train_rejects_syntactic_task_with_context_channel(pipeline, tmp_path, c
                      "--tasks", "sem,syn", "--config", str(config), "--out", str(out)]) == 2
     assert "needs network.context_dim 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_keeps_corpus_order_and_masks(pipeline, tmp_path, capsys):
+    with open(pipeline["proj.sdp"], encoding="utf-8") as f:
+        corpus = list(read_sdp(f))
+    densities = sorted({g.density() for _, g in corpus})
+    # a threshold with at least two sentences on each side
+    threshold = next(t for t in densities
+                     if sum(g.density() < t for _, g in corpus) >= 2
+                     and sum(g.density() >= t for _, g in corpus) >= 2)
+    out = tmp_path / "sample.sdp"
+    assert cli.main(["sample", "--input", pipeline["proj.sdp"], "--out", str(out),
+                     "--size", "4", "--threshold", str(threshold), "--seed", "1"]) == 0
+    with open(out, encoding="utf-8") as f:
+        sample = list(read_sdp(f))
+    assert len(sample) == 4
+    ids = [sid for sid, _ in corpus]
+    assert [sid for sid, _ in sample] == sorted((sid for sid, _ in sample), key=ids.index)
+    for sid, graph in sample:  # the same partial graph, #aligned mask included
+        assert isinstance(graph, PartialGraph) and graph == dict(corpus)[sid]
+    assert sum(g.density() < threshold for _, g in sample) == 2
+    with open(str(out) + ".manifest.json", encoding="utf-8") as f:
+        assert list(json.load(f)["inputs"]) == [pipeline["proj.sdp"]]
+
+    odd = tmp_path / "odd.sdp"
+    assert cli.main(["sample", "--input", pipeline["proj.sdp"], "--out", str(odd),
+                     "--size", "3", "--threshold", str(threshold)]) == 2
+    assert "positive and even" in capsys.readouterr().err
+    assert not odd.exists()
+
+
+def test_train_combined_multitask_steps(pipeline, tmp_path):
+    out = str(tmp_path / "model.npz")
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                     "--syntactic", os.path.join(pipeline["corpus"], "target.conllu"),
+                     "--tasks", "sem,syn", "--share", "rnn", "--combined",
+                     "--config", pipeline["tiny.json"], "--epochs", "1", "--out", out]) == 0
+    with open(out + ".manifest.json", encoding="utf-8") as f:
+        assert json.load(f)["config"]["train"]["combined_steps"] is True
+    with open(out + ".metrics", encoding="utf-8") as f:
+        assert "loss_syntactic=" in f.read()

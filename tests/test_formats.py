@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_graph, random_partial, random_tree
+from helpers import random_graph, random_partial, random_tree, write_context_vectors
 from sdpkit.errors import FormatError
 from sdpkit.formats import (AlignmentFile, SdpDocument, read_alignments, read_conllu,
                             read_context_vectors, read_sdp, read_word_vectors,
-                            write_alignments, write_conllu, write_context_vectors,
-                            write_sdp)
+                            write_alignments, write_conllu, write_sdp)
 from sdpkit.graph import PartialGraph, make_sentence
 
 

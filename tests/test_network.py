@@ -144,7 +144,7 @@ def test_undecided_cells_get_exactly_zero_gradient(graphs, train):
     s_edge, s_label = model.forward([graph.sentence], SEMANTIC, rng)
     semantic_loss(s_edge, s_label, [gold], labels).backward()
 
-    decided = np.array([[gold.decided(i, j) and i != j for j in range(1, n + 1)]
+    decided = np.array([[{i, j} <= gold.aligned and i != j for j in range(1, n + 1)]
                         for i in range(n + 1)])
     gold_cells = np.zeros((n + 1, n), dtype=bool)
     for h, d, _ in edges:

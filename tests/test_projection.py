@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_project, random_alignment_links, random_graph, random_partial, random_sentence
-from sdpkit.errors import ProjectionError
+from sdpkit.errors import GraphError, ProjectionError
 from sdpkit.graph import Edge, PartialGraph, SemanticGraph
-from sdpkit.projection import (IntersectedAlignment, alignment_density, density_sample,
-                               heldout_split, intersect_alignments, project_graph)
+from sdpkit.projection import (IntersectedAlignment, density_sample, heldout_split,
+                               intersect_alignments, project_graph)
 
 
 def brute_force_one_to_one(links):
@@ -21,8 +21,7 @@ def brute_force_one_to_one(links):
 class TestIntersect:
     def test_plain_intersection(self):
         a = intersect_alignments({(1, 1), (2, 3)}, {(1, 1)})
-        assert a.target_of(1) == 1
-        assert a.target_of(2) is None
+        assert a.mapping() == {1: 1}
 
     def test_doubly_linked_target_drops_both(self):
         links = {(1, 2), (2, 2)}
@@ -32,8 +31,7 @@ class TestIntersect:
     def test_empty(self):
         a = intersect_alignments(set(), set())
         assert a.links == frozenset()
-        assert a.target_of(5) is None
-        assert a.target_of(0) == 0
+        assert a.mapping() == {}
 
     def test_output_one_to_one_and_subset_randomized(self):
         rng = np.random.default_rng(0)
@@ -70,7 +68,7 @@ class TestProjectGraph:
         a = IntersectedAlignment(frozenset({(2, 1)}))  # source 1 unaligned
         out = project_graph(src, a, sentence(3))
         assert out.graph.edges == frozenset()
-        assert not out.decided(1, 2)
+        assert out.aligned == {0, 1}  # cell (1, 2) is undecided
 
     def test_identity_alignment_reproduces_source(self):
         rng = np.random.default_rng(1)
@@ -78,7 +76,7 @@ class TestProjectGraph:
         a = IntersectedAlignment(frozenset((j, j) for j in range(1, 7)))
         out = project_graph(src, a, src.sentence)
         assert out.graph.edges == src.edges
-        assert out.fully_decided()
+        assert out.aligned == frozenset(range(7))
 
     def test_alignment_exceeding_target_length(self):
         src = SemanticGraph(sentence(2), frozenset())
@@ -124,24 +122,29 @@ class TestProjectGraph:
             assert actual.aligned == expected.aligned
 
 
+def _projected_density(links, target_length: int) -> float:
+    """`PartialGraph.density` of an edgeless source projected through `links`."""
+    src = SemanticGraph(sentence(max([s for s, _ in links], default=1)), frozenset())
+    return project_graph(src, IntersectedAlignment(frozenset(links)),
+                         sentence(target_length)).density()
+
+
 class TestDensity:
+    """The aligned share of target tokens, as `PartialGraph.density` reports it."""
+
     def test_eight_of_ten(self):
-        a = IntersectedAlignment(frozenset((j, j) for j in range(1, 9)))
-        assert alignment_density(a, 10) == 0.8
+        assert _projected_density({(j, j) for j in range(1, 9)}, 10) == 0.8
 
     def test_extremes(self):
-        assert alignment_density(IntersectedAlignment(frozenset()), 5) == 0.0
-        full = IntersectedAlignment(frozenset((j, j) for j in range(1, 6)))
-        assert alignment_density(full, 5) == 1.0
+        assert _projected_density(set(), 5) == 0.0
+        assert _projected_density({(j, j) for j in range(1, 6)}, 5) == 1.0
 
     def test_zero_length_rejected(self):
-        with pytest.raises(ProjectionError):
-            alignment_density(IntersectedAlignment(frozenset()), 0)
+        with pytest.raises(GraphError, match="empty sentence"):
+            PartialGraph(SemanticGraph((), frozenset()), frozenset()).density()
 
     def test_monotone_in_aligned_set(self):
-        small = IntersectedAlignment(frozenset({(1, 1)}))
-        large = IntersectedAlignment(frozenset({(1, 1), (2, 2)}))
-        assert alignment_density(small, 4) < alignment_density(large, 4)
+        assert _projected_density({(1, 1)}, 4) < _projected_density({(1, 1), (2, 2)}, 4)
 
 
 def partial_with_density(rng, density, n=10):

@@ -168,3 +168,99 @@ def test_decode_semantic_matches_the_cell_loop(top):
                         if len(labels) > 1 else 0)
     # decisions at 0.0, ties and a TOP label that must be passed over all occur
     assert zeros > 0 and (ties > 0 and top_wins > 0 or len(labels) == 1)
+
+
+def test_combined_schedule_cycles_short_queues_and_alternating_sums_them():
+    queues = {SEMANTIC: [[0], [1], [2]], SYNTACTIC: [[0]]}
+    assert training._combined_schedule(queues) == [
+        [(SEMANTIC, 0), (SYNTACTIC, 0)], [(SEMANTIC, 1), (SYNTACTIC, 0)],
+        [(SEMANTIC, 2), (SYNTACTIC, 0)]]
+    assert sorted(training._schedule(queues)) == [
+        (SEMANTIC, 0), (SEMANTIC, 1), (SEMANTIC, 2), (SYNTACTIC, 0)]
+
+
+def _logging(log: list, name: str, func):
+    """`func`, appending `name` to `log` on every call."""
+    def wrapper(*args, **kwargs):
+        log.append(name)
+        return func(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("combined", [True, False], ids=["combined", "alternating"])
+def test_epoch_step_count_follows_the_task_queues(monkeypatch, combined):
+    graphs, trees = _corpus(5)
+    semantic = [(g.sentence, g) for g in graphs[:4]]
+    syntactic = [(t.sentence, t) for t in trees[:2]]
+    calls = []
+    monkeypatch.setattr(ad, "adam_step", _logging(calls, "step", ad.adam_step))
+    for name in ("semantic_loss", "syntactic_loss"):
+        monkeypatch.setattr(training, name, _logging(calls, name, getattr(training, name)))
+    # a budget of one token makes every sentence a minibatch: queues of 4 and 2
+    cfg = training.TrainConfig(token_budget=1, max_epochs=1, combined_steps=combined)
+    training.train(_model(graphs, trees), {SEMANTIC: semantic, SYNTACTIC: syntactic},
+                   semantic[:1], cfg)
+    counts = [calls.count(name) for name in ("step", "semantic_loss", "syntactic_loss")]
+    # combined: one step per semantic batch, each with a (cycled) syntactic
+    # batch; alternating: one step per batch of either task
+    assert counts == ([4, 4, 4] if combined else [6, 4, 2])
+
+
+def test_combined_zero_syntactic_weight_follows_the_single_task_trajectory():
+    graphs, trees = _corpus(8)
+    semantic = [(g.sentence, g) for g in graphs]
+    heldout = semantic[:2]
+    cfg = training.TrainConfig(token_budget=20, max_epochs=2, syntactic_weight=0.0, lr=0.01,
+                               combined_steps=True)
+    single, multi = _model(graphs, trees), _model(graphs, trees)
+    single_result = training.train(single, {SEMANTIC: semantic}, heldout, cfg)
+    multi_result = training.train(
+        multi, {SEMANTIC: semantic, SYNTACTIC: [(t.sentence, t) for t in trees]}, heldout, cfg)
+    assert multi_result.metrics == single_result.metrics
+    for name, p in single.params.items():
+        assert np.array_equal(multi.params[name].data, p.data), name
+
+
+def test_pack_minibatches_is_greedy_and_keeps_the_order():
+    lengths = [3, 4, 10, 2, 2, 5]
+    order = [5, 0, 1, 2, 3, 4]
+    # 5 | 0 1 (7 tokens: exactly the budget) | 2 (alone over budget) | 3 4
+    assert training.pack_minibatches(lengths, order, 7) == [[5], [0, 1], [2], [3, 4]]
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        lengths = rng.integers(1, 12, int(rng.integers(1, 20))).tolist()
+        order = rng.permutation(len(lengths)).tolist()
+        budget = int(rng.integers(1, 25))
+        batches = training.pack_minibatches(lengths, order, budget)
+        assert [i for batch in batches for i in batch] == order
+        for k, batch in enumerate(batches):
+            used = sum(lengths[i] for i in batch)
+            assert used <= budget or len(batch) == 1
+            if k + 1 < len(batches):  # greedy: the next sentence did not fit
+                assert used + lengths[batches[k + 1][0]] > budget
+
+
+def test_parse_semantic_runs_stay_within_the_token_budget_in_input_order(monkeypatch):
+    rng = np.random.default_rng(6)
+    sizes = [3, 7, 2, 25, 6, 6, 1, 9, 4]
+    sentences = [random_sentence(rng, n) for n in sizes]
+    words, chars, pos = build_vocabs(sentences)
+    model = ParserModel(TINY, {SEMANTIC: semantic_label_vocab(LABELS)}, words, chars, pos)
+    calls = []
+    forward = model.forward
+
+    def recording(part, *args, **kwargs):
+        calls.append(list(part))
+        return forward(part, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recording)
+    monkeypatch.setattr(training, "PARSE_BATCH_TOKENS", 20)
+    graphs = training.parse_semantic(model, sentences)
+    assert [s for call in calls for s in call] == sentences
+    assert [g.sentence for g in graphs] == sentences
+    assert len(calls) > 1
+    for call in calls:
+        padded = len(call) * max(len(s) for s in call)
+        assert padded <= 20 or len(call) == 1
+    # the sentence over the budget is a run of its own
+    assert [[len(s) for s in call] for call in calls if 25 in map(len, call)] == [[25]]
