@@ -126,17 +126,42 @@ def _result(data, parents, backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
-    """Add `g` into `t.grad`. A backward closure passes `owned` for an array it
-    has just allocated and keeps no reference to; the first one is adopted as
-    the gradient instead of being added into fresh zeros."""
+    """Add `g` into `t.grad`.
+
+    A parameter never adopts an array: its first gradient of a step is written
+    into its buffer view (see `Parameter`), bit for bit as adoption or fresh
+    zeros plus `g` would give it. For any other tensor a backward closure
+    passes `owned` for an array it has just allocated and keeps no reference
+    to; the first one is adopted as the gradient instead of being added into
+    fresh zeros."""
     if not t.requires_grad:
         return
     if t.grad is None:
+        if isinstance(t, Parameter):
+            if owned:
+                np.copyto(t._buffer, g)
+            else:
+                np.add(g, 0.0, out=t._buffer)  # as 0 + g: -0.0 becomes 0.0
+            t.grad = t._buffer
+            return
         if owned:
             t.grad = g
             return
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray):
+    """Add the GEMM a @ b into `t.grad`; a parameter's first gradient of a step
+    is computed straight into its buffer, with no copy."""
+    if not t.requires_grad:
+        return
+    if t.grad is None and isinstance(t, Parameter):
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        np.matmul(a, b, out=t._buffer.reshape(shape))
+        t.grad = t._buffer
+    else:
+        _accumulate(t, (a @ b).reshape(t.shape), owned=True)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -209,8 +234,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T, owned=True)
-        _accumulate(b, a.data.T @ g, owned=True)
+        _accumulate_product(a, g, b.data.T)
+        _accumulate_product(b, a.data.T, g)
 
     return _result(data, (a, b), backward)
 
@@ -361,7 +386,13 @@ def lookup(table: Tensor, ids) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        if table.requires_grad:
+        if not table.requires_grad:
+            return
+        if table.grad is None and isinstance(table, Parameter):
+            table._buffer.fill(0.0)
+            np.add.at(table._buffer, ids, g)
+            table.grad = table._buffer
+        else:
             full = np.zeros_like(table.data)
             np.add.at(full, ids, g)
             _accumulate(table, full, owned=True)
@@ -437,9 +468,7 @@ def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes) -> Tensor:
                 np.matmul(gb[cell], yd[ys], out=gxw[:, xs])
             if x.requires_grad:
                 _accumulate(x, (gxw @ w3.transpose(0, 2, 1)).sum(axis=0), owned=True)
-            if w.requires_grad:
-                gw = xd.T @ gxw
-                _accumulate(w, gw[0] if squeeze else gw, owned=True)
+            _accumulate_product(w, xd.T, gxw)
         if y.requires_grad:
             gy = np.empty_like(yd)
             for gb, (xs, ys, cell) in zip(g4, blocks):
@@ -622,10 +651,10 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
         if x.requires_grad:
             _accumulate(x, unpack(dz @ w.data.T), owned=True)
         if w.requires_grad:
-            _accumulate(w, pack(x.data).T @ dz, owned=True)
+            _accumulate_product(w, pack(x.data).T, dz)
         if u.requires_grad:
             # zero when no sequence is longer than one step
-            _accumulate(u, out[prev].T @ dz[live[0]:], owned=True)
+            _accumulate_product(u, out[prev].T, dz[live[0]:])
         if b.requires_grad:
             _accumulate(b, dz.sum(axis=0), owned=True)
 
@@ -637,19 +666,51 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
 
 
 class Parameter(Tensor):
-    """A named trainable tensor carrying its Adam moments and step counter."""
+    """A named trainable tensor with its gradient buffer, Adam moments and step counter.
 
-    __slots__ = ("name", "m", "v", "step")
+    `data` is the parameter's own array. Its gradient buffer, `m` and `v` are
+    views at one offset into three flat float64 arrays, one per role, shared
+    by every parameter of a `parameter_set`; a standalone `Parameter` gets
+    flat arrays of its own size. With one allocation per role, a model-sized
+    np.empty or np.zeros maps lazily zeroed pages, so a model that never
+    trains (one loaded to parse) neither fills nor touches its moments and
+    gradient buffer; small per-parameter arrays would come from recycled heap
+    and be zero-filled at once.
 
-    def __init__(self, data, name: str = ""):
+    `grad` is None or the buffer view. Backward writes a step's first gradient
+    straight into the view and adds later ones to it. It stays valid until the
+    next `adam_step` (which spends it as scratch) or the next `clear_grads`
+    plus backward (which overwrites it); copy it to keep it.
+    """
+
+    __slots__ = ("name", "m", "v", "step", "_flat", "_offset", "_buffer")
+
+    def __init__(self, data, name: str = "", *, flat=None, offset: int = 0):
         # adopts `data` when it already is a C-contiguous float64 array
         super().__init__(np.ascontiguousarray(data, dtype=_DEFAULT_DTYPE), requires_grad=True)
         self.name = name
-        # np.zeros maps lazily zeroed pages, so a model that never trains
-        # (one loaded to parse) neither fills nor holds its moments
-        self.m = np.zeros(self.data.shape, dtype=self.data.dtype)
-        self.v = np.zeros(self.data.shape, dtype=self.data.dtype)
+        size = self.data.size
+        self._flat = _flat_state(size) if flat is None else flat
+        self._offset = offset
+        self._buffer, self.m, self.v = (a[offset:offset + size].reshape(self.data.shape)
+                                        for a in self._flat)
         self.step = 0
+
+
+def _flat_state(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat gradient buffer, m and v of `size` float64 elements each."""
+    return np.empty(size), np.zeros(size), np.zeros(size)
+
+
+def parameter_set(named_arrays: dict[str, np.ndarray]) -> dict[str, Parameter]:
+    """Parameters over the named arrays, in the dict's order, sharing one flat
+    gradient buffer, `m` and `v`, laid out in sorted-name order."""
+    flat = _flat_state(sum(np.size(a) for a in named_arrays.values()))
+    params, offset = {}, 0
+    for name in sorted(named_arrays):
+        params[name] = Parameter(named_arrays[name], name, flat=flat, offset=offset)
+        offset += params[name].data.size
+    return {name: params[name] for name in named_arrays}
 
 
 # Elements per block of the in-place Adam update. A block of the gradient, both
@@ -663,42 +724,75 @@ def adam_step(params, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.99
     """Bias-corrected Adam over parameters with populated gradients.
 
     Parameters whose gradient is unset are skipped (their moments and step
-    counters do not advance). The update runs in place, block by block, and
-    consumes each gradient array as scratch space; gradients are cleared
-    afterwards. Every element sees the operations of the textbook form
+    counters do not advance); a gradient assigned from outside is first
+    copied into the parameter's buffer. Walking `params` in order, each
+    parameter joins the run of the one before it when it sits right after it
+    in the same flat arrays and reaches the same step count. Each run is one
+    blocked, in-place pass over its slices of the flat gradient buffer and
+    moments, which leaves each block's update in the gradient slice and
+    subtracts it from the parameters' data. Gradients are cleared. Every
+    element sees the operations of the textbook form
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, data -= lr m_hat / (sqrt(v_hat) + eps)
     in the same order, so the result is bit-identical to it.
     """
     scratch = np.empty(_ADAM_BLOCK, dtype=_DEFAULT_DTYPE)
+    run: list[Parameter] = []
     for p in params:
         if p.grad is None:
             continue
         p.step += 1
-        c1 = 1.0 - beta1 ** p.step
-        c2 = 1.0 - beta2 ** p.step
-        arrays = (p.grad, p.m, p.v, p.data)
-        _check(all(a.flags.c_contiguous for a in arrays), "adam_step",
-               f"{p.name}: arrays must be C-contiguous to update in place")
-        grad, m, v, data = (a.reshape(-1) for a in arrays)
-        for lo in range(0, data.size, _ADAM_BLOCK):
-            block = slice(lo, lo + _ADAM_BLOCK)
-            g, mb, vb, db = grad[block], m[block], v[block], data[block]
-            s = scratch[:g.size]
-            mb *= beta1
-            np.multiply(g, 1.0 - beta1, out=s)
-            mb += s
-            vb *= beta2
-            np.multiply(g, g, out=s)
-            s *= 1.0 - beta2
-            vb += s
-            np.divide(vb, c2, out=s)   # v_hat
-            np.sqrt(s, out=s)
-            s += eps
-            np.divide(mb, c1, out=g)   # m_hat; the gradient block is spent
-            g *= lr
-            g /= s
-            db -= g
+        _check(p.data.flags.c_contiguous, "adam_step",
+               f"{p.name}: data must be C-contiguous to update in place")
+        if p.grad is not p._buffer:
+            np.copyto(p._buffer, p.grad)
         p.grad = None
+        if run:
+            last = run[-1]
+            if (p._flat is not last._flat or p.step != last.step
+                    or p._offset != last._offset + last.data.size):
+                _adam_run(run, scratch, lr, beta1, beta2, eps)
+                run = []
+        run.append(p)
+    if run:
+        _adam_run(run, scratch, lr, beta1, beta2, eps)
+
+
+def _adam_run(run: list[Parameter], scratch: np.ndarray, lr: float, beta1: float,
+              beta2: float, eps: float):
+    """One Adam step over parameters that tile a slice of the same flat arrays.
+
+    Blocks may span parameters. Each block's update is subtracted from the data
+    of the parameters it covers while the block is still in cache."""
+    lo = run[0]._offset
+    grad, m, v = (a[lo:run[-1]._offset + run[-1].data.size] for a in run[0]._flat)
+    parts = [(p._offset - lo, p.data.reshape(-1)) for p in run]  # C-contiguous: views
+    c1 = 1.0 - beta1 ** run[0].step
+    c2 = 1.0 - beta2 ** run[0].step
+    k = 0
+    for start in range(0, grad.size, _ADAM_BLOCK):
+        stop = min(start + _ADAM_BLOCK, grad.size)
+        g, mb, vb = grad[start:stop], m[start:stop], v[start:stop]
+        s = scratch[:g.size]
+        mb *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        mb += s
+        vb *= beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - beta2
+        vb += s
+        np.divide(vb, c2, out=s)   # v_hat
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(mb, c1, out=g)   # m_hat; the gradient block is spent
+        g *= lr
+        g /= s
+        while k < len(parts):  # data -= update, over the parameters the block covers
+            at, data = parts[k]
+            first, last = max(start, at), min(stop, at + data.size)
+            data[first - at:last - at] -= grad[first:last]
+            if at + data.size > stop:
+                break
+            k += 1
 
 
 def clear_grads(params):

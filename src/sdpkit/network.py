@@ -246,8 +246,8 @@ class ParserModel:
                  pretrained: np.ndarray | None = None):
         self._configure(config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed,
                         pretrained)
-        for name, shape, init in self._param_specs():
-            self._register(name, init(_rng_for(seed, name), shape))
+        self._install([(name, init(_rng_for(seed, name), shape))
+                       for name, shape, init in self._param_specs()])
 
     # ------------------------------------------------------------------ setup
 
@@ -275,12 +275,16 @@ class ParserModel:
             raise ConfigError(f"pretrained table shape {pretrained.shape} != "
                               f"({len(word_vocab)}, {config.word_dim})")
         self.pretrained = pretrained  # fixed; never updated
-        self.params: dict[str, Parameter] = {}
 
-    def _register(self, name: str, data: np.ndarray):
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter {name!r}")
-        self.params[name] = Parameter(data, name=name)
+    def _install(self, named: list[tuple[str, np.ndarray]]):
+        """Make the arrays the parameters: one `ad.parameter_set`, so one
+        gradient buffer and one pair of Adam moments for the whole model."""
+        arrays = {}
+        for name, data in named:
+            if name in arrays:
+                raise ConfigError(f"duplicate parameter {name!r}")
+            arrays[name] = data
+        self.params: dict[str, Parameter] = ad.parameter_set(arrays)
 
     def _rnn_owner(self, task: str) -> str:
         if self.topology is None:
@@ -601,5 +605,5 @@ class ParserModel:
             if data.shape != shape:
                 raise CheckpointError(f"{path}: tensor {name} has shape {data.shape}, "
                                       f"expected {shape}")
-            model._register(name, data)
+        model._install([(name, arrays[name]) for name, _, _ in specs])
         return model

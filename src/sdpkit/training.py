@@ -260,6 +260,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     params = model.parameters()
 
     result = TrainResult()
+    # allocated once and overwritten in place on every improving epoch
     best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
     best_lf = -1.0
     since_improve = 0
@@ -319,7 +320,8 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             if report.lf > best_lf:
                 best_lf = report.lf
                 result.best_epoch = epoch
-                best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
+                for name, p in model.params.items():
+                    np.copyto(best_snapshot[name], p.data)
                 since_improve = 0
             else:
                 since_improve += 1

@@ -485,6 +485,35 @@ class TestKernelsMatchReference:
             assert p.grad is None
         np.testing.assert_array_equal(fused[2].data, start["idle"])
 
+    def test_adam_runs_over_a_parameter_set_are_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        shapes = {"e": (5,), "a": (3, ad._ADAM_BLOCK // 2 + 7), "d": (2, 2), "c": (9,), "b": (4,)}
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        flat = ad.parameter_set({name: start[name].copy() for name in shapes})
+        assert list(flat) == list(shapes)  # the dict keeps the given order
+        fused = [flat[name] for name in sorted(shapes)]
+        reference = [ad.Parameter(start[name].copy(), name=name) for name in sorted(shapes)]
+        runs = []
+        adam_run = ad._adam_run
+        monkeypatch.setattr(ad, "_adam_run",
+                            lambda run, *args: (runs.append([p.name for p in run]),
+                                                adam_run(run, *args)))
+        # "c" skips the second step, which splits the runs then and after
+        for skip, want in (("", ["abcde"]), ("c", ["ab", "de"]), ("", ["ab", "c", "de"])):
+            runs.clear()
+            for p, q in zip(fused, reference):
+                if p.name != skip:
+                    q.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
+                    p.grad = q.grad.copy()
+            ad.adam_step(fused, lr=0.01)
+            reference_adam_step(reference, lr=0.01)
+            assert ["".join(run) for run in runs] == want
+        for p, q in zip(fused, reference):
+            for attr in ("data", "m", "v"):
+                assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
+            assert p.step == q.step == (2 if p.name == "c" else 3)
+            assert p.grad is None
+
     def test_adam_step_rejects_a_non_contiguous_parameter(self):
         p = ad.Parameter(np.ones((3, 4)), name="p")
         p.data = np.asfortranarray(p.data)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import reference_adam_step
 
 from sdpkit import autodiff as ad
 from sdpkit.graph import PartialGraph, SemanticGraph
@@ -163,7 +164,8 @@ def _loss_and_grads(model, task, sentences, golds):
     s_edge, s_label = model.forward(sentences, task)
     loss = loss_of(s_edge, s_label, golds, model.tasks[task])
     loss.backward()
-    grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad
+    # the gradient buffers are reused by the next backward
+    grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
              for name, p in model.params.items()}
     ad.clear_grads(model.parameters())
     return float(loss.data), grads, (s_edge, s_label)
@@ -211,3 +213,126 @@ def test_padded_cells_get_exactly_zero_gradient(task):
         assert np.all(s_edge.grad[b][pad] == 0.0)
         assert np.all(s_label.grad[b][:, pad] == 0.0)
     assert padded > 0
+
+
+def _two_task():
+    corpus = synth_corpus(SynthConfig(sentences=5, seed=12))
+    graphs = corpus.target_gold.graphs()
+    model = _model(graphs, (SEMANTIC, SYNTACTIC), SharingTopology(shared_rnn=True))
+    return model, {SEMANTIC: graphs, SYNTACTIC: corpus.trees}
+
+
+def _task_loss(model, task, golds, weight: float = 1.0):
+    loss_of = semantic_loss if task == SEMANTIC else syntactic_loss
+    s_edge, s_label = model.forward([g.sentence for g in golds], task)
+    return loss_of(s_edge, s_label, golds, model.tasks[task]) * weight
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_parameter_state_is_three_flat_arrays_in_sorted_name_order(graphs, tmp_path, loaded):
+    model = _model(graphs)
+    if loaded:
+        model.save(str(tmp_path / "model.npz"))
+        model = ParserModel.load(str(tmp_path / "model.npz"))
+    s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
+                                    np.random.default_rng(1))
+    semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC]).backward()
+    params = [model.params[name] for name in sorted(model.params)]
+    assert all(p.grad is not None for p in params)  # train mode reaches every parameter
+    flats = []
+    for role in ("grad", "m", "v"):
+        views = [getattr(p, role) for p in params]
+        flat = views[0].base
+        assert flat.ndim == 1 and flat.size == sum(p.data.size for p in params), role
+        offset = 0
+        for p, view in zip(params, views):
+            assert view.base is flat and np.shares_memory(view, flat), (role, p.name)
+            assert view.shape == p.shape and view.flags.c_contiguous, (role, p.name)
+            # the views tile the flat array in sorted-name order
+            assert (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+                    == offset * flat.itemsize), (role, p.name)
+            offset += p.data.size
+        flats.append(flat)
+    grads, m, v = flats
+    assert not (np.shares_memory(grads, m) or np.shares_memory(grads, v)
+                or np.shares_memory(m, v))
+    assert not any(np.shares_memory(p.data, flat) for p in params for flat in flats)
+
+
+def test_backward_overwrites_the_gradient_buffers(graphs):
+    model = _model(graphs)
+    params = model.parameters()
+
+    def backward():
+        ad.clear_grads(params)
+        s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
+                                        np.random.default_rng(5))
+        semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC]).backward()
+        return {p.name: p.grad for p in params}
+
+    first = backward()
+    flat = params[0].grad.base
+    assert all(grad.base is flat for grad in first.values())
+    kept = {name: grad.copy() for name, grad in first.items()}
+    flat.fill(np.nan)  # stale contents, such as an Adam update left in the buffer
+    second = backward()
+    for name, grad in second.items():
+        assert grad.base is flat and np.shares_memory(grad, first[name]), name
+        assert np.array_equal(grad, kept[name]), name
+
+
+def test_combined_step_gradients_are_the_sum_of_each_task():
+    model, golds = _two_task()
+    params = model.parameters()
+
+    def grads(tasks):
+        ad.clear_grads(params)
+        total = None
+        for task, weight in tasks:
+            part = _task_loss(model, task, golds[task], weight)
+            total = part if total is None else total + part
+        total.backward()
+        return {p.name: None if p.grad is None else p.grad.copy() for p in params}
+
+    semantic, syntactic = (SEMANTIC, 0.975 / 40), (SYNTACTIC, 0.025 / 40)
+    alone = [grads([semantic]), grads([syntactic])]
+    both = grads([semantic, syntactic])
+    shared = {name for name in both if all(g[name] is not None for g in alone)}
+    assert {"emb/word", "char_rnn/fw/w", "rnn/shared/layer0/fw/u"} <= shared
+    for name, grad in both.items():
+        parts = [g[name] for g in alone if g[name] is not None]
+        if not parts:
+            assert grad is None, name
+            continue
+        assert np.array_equal(grad, parts[0] if len(parts) == 1 else parts[0] + parts[1]), name
+
+
+def test_adam_over_a_two_task_model_matches_the_textbook_form(monkeypatch):
+    model, golds = _two_task()
+    params = model.parameters()
+    # the textbook form on copies; it rebinds its moments to fresh arrays
+    reference = [ad.Parameter(p.data.copy(), name=p.name) for p in params]
+    runs = []
+    adam_run = ad._adam_run
+
+    def counted(run, *args):
+        runs[-1].append(len(run))
+        return adam_run(run, *args)
+
+    monkeypatch.setattr(ad, "_adam_run", counted)
+    for task in (SEMANTIC, SYNTACTIC, SEMANTIC, SYNTACTIC, SEMANTIC):
+        ad.clear_grads(params)
+        _task_loss(model, task, golds[task], 1.0 / 40).backward()
+        for p, q in zip(params, reference):
+            q.grad = None if p.grad is None else p.grad.copy()
+        runs.append([])
+        ad.adam_step(params, lr=0.01)
+        assert sum(runs[-1]) == sum(q.grad is not None for q in reference)
+        reference_adam_step(reference, lr=0.01)
+        for p, q in zip(params, reference):
+            for attr in ("data", "m", "v"):
+                assert np.array_equal(getattr(p, attr), getattr(q, attr)), (task, p.name, attr)
+            assert p.step == q.step and p.grad is None, p.name
+    # one pass per run of adjacent parameters at one step count: the unused
+    # emb/unk_* and the other task's parameters split them
+    assert [len(step) for step in runs] == [3, 5, 5, 5, 5]

@@ -5,6 +5,7 @@ from helpers import LABELS, random_sentence, reference_decode_semantic
 from sdpkit import autodiff as ad
 from sdpkit import network, training
 from sdpkit.errors import CheckpointError, ConfigError, TrainingDiverged
+from sdpkit.evaluation import ScoreReport
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                             build_vocabs, semantic_label_vocab, syntactic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
@@ -46,6 +47,57 @@ def test_divergence_restores_best_snapshot(monkeypatch):
                        [(g.sentence, g) for g in graphs], cfg)
     for name, p in model.params.items():
         np.testing.assert_array_equal(p.data, initial[name], err_msg=name)
+
+
+def _train_one_sentence_per_step(model, graphs, max_epochs: int):
+    items = [(g.sentence, g) for g in graphs]
+    cfg = training.TrainConfig(token_budget=1, max_epochs=max_epochs, patience=5, lr=0.01)
+    return training.train(model, {SEMANTIC: items}, items, cfg)
+
+
+def test_divergence_after_epoch_one_restores_the_epoch_one_snapshot(monkeypatch):
+    graphs, _ = _corpus(4)
+    epoch_one = _model(graphs)
+    _train_one_sentence_per_step(epoch_one, graphs, max_epochs=1)
+    real_loss = training.semantic_loss
+    calls = []
+
+    def nan_at_third_step_of_epoch_two(*args, **kwargs):
+        calls.append(1)
+        loss = real_loss(*args, **kwargs)
+        return loss * float("nan") if len(calls) == len(graphs) + 3 else loss
+
+    monkeypatch.setattr(training, "semantic_loss", nan_at_third_step_of_epoch_two)
+    model = _model(graphs)
+    initial = model.params["emb/word"].data.copy()
+    # two Adam steps of epoch 2 have moved the parameters before the NaN
+    with pytest.raises(TrainingDiverged, match="epoch 2, step 3"):
+        _train_one_sentence_per_step(model, graphs, max_epochs=2)
+    assert not np.array_equal(model.params["emb/word"].data, initial)
+    for name, p in epoch_one.params.items():
+        assert np.array_equal(model.params[name].data, p.data), name
+
+
+@pytest.mark.parametrize("lfs,best", [((5, 4), 1), ((4, 5, 3), 2)],
+                         ids=["epoch-1-best", "epoch-2-best"])
+def test_train_ends_holding_the_best_epoch(monkeypatch, lfs, best):
+    graphs, _ = _corpus(4)
+    scores = iter(lfs)
+    seen = []  # the parameters each epoch ended with
+
+    def scored(model, corpus):
+        seen.append({name: p.data.copy() for name, p in model.params.items()})
+        correct = next(scores)  # labeled F1 is correct / 10
+        return ScoreReport(10, 10, correct, 10, 10, correct)
+
+    monkeypatch.setattr(training, "evaluate_semantic", scored)
+    model = _model(graphs)
+    result = _train_one_sentence_per_step(model, graphs, max_epochs=len(lfs))
+    assert result.epochs_run == len(lfs) and result.best_epoch == best
+    assert result.best_lf == max(lfs) / 10
+    assert not np.array_equal(seen[best - 1]["emb/word"], seen[-1]["emb/word"])
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, seen[best - 1][name]), name
 
 
 def test_checkpoint_round_trip(tmp_path):
