@@ -7,11 +7,11 @@ topological order. Gradients are exact: a loss term multiplied by a zero mask
 contributes exactly 0.0 to every upstream gradient.
 
 Only the primitives the parser needs are provided, each with the one calling
-convention the parser uses. Five have no caller in the package: `flip_rows`,
-`mean_all`, `sigmoid`, `softmax_rows` and `shift` (reached only through
-`Tensor + float`). They stay because `bench/tracer.py` wraps each of them by
-name, and a missing name breaks every traced run. Every tensor holds float64
-data; input of any other dtype is converted.
+convention the parser uses. Six have no caller in the package: `flip_rows`,
+`mean_all`, `sigmoid`, `slice_rows`, `softmax_rows` and `shift` (reached only
+through `Tensor + float`). They stay because `bench/tracer.py` wraps each of
+them by name, and a missing name breaks every traced run. Every tensor holds
+float64 data; input of any other dtype is converted.
 """
 
 from __future__ import annotations
@@ -528,37 +528,38 @@ def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused LSTM over a padded batch of sequences
+# fused LSTM over sequences packed row after row
 
 _GATES = 4
 
 
 def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
              reverse: bool = False) -> Tensor:
-    """Run an LSTM over a padded, time-major batch; returns all hidden states (T, B, H).
+    """Run an LSTM over sequences packed row after row; returns all hidden states (N, H).
 
-    x is (T, B, d_in) and `lengths` (B,) holds each sequence's length, longest
-    first, so the k_t sequences still live at step t are the first k_t rows and
-    step t is one (k_t, H) x (H, 4H) GEMM. Padded cells are never read; they
-    hold 0 in the output and get no gradient. With `reverse` every sequence is
-    read from its last real position back to its first, and each state is
-    returned at the position it was computed for.
+    x is (N, d_in): sequence k sits on `lengths[k]` consecutive rows, in the
+    order of `lengths`, which may be any order of positive values summing to
+    N. The output has the same layout. The kernel takes the sequences longest
+    first (a stable sort), so the k_t sequences still live at step t are the
+    first k_t of that order and step t is one (k_t, H) x (H, 4H) GEMM. With
+    `reverse` every sequence is read from its last row back to its first, and
+    each state is returned on the row it was computed for.
 
     Gate layout in the 4H axis is input | forget | cell | output. Initial
     hidden and cell states are zero. The whole batch is one tape node. The
-    live cells are packed step by step (k_0 rows of step 0, then k_1 of step 1
-    ...), so the previous step's states are a contiguous block. Each forward
-    step computes all four gates with one tanh over the 4H pre-activation,
-    taking every sigmoid in its tanh form 0.5 + 0.5 tanh(z/2). Backward
-    replays only the recurrence in reverse (exact BPTT), collecting the gate
-    gradients dZ (one row per live cell); the input, weight and bias gradients
-    are then one GEMM or sum each over all cells: dX = dZ W^T, dW = X^T dZ,
+    cells are packed step by step (k_0 of step 0, then k_1 of step 1 ...), so
+    the previous step's states are a contiguous block. Each forward step
+    computes all four gates with one tanh over the 4H pre-activation, taking
+    every sigmoid in its tanh form 0.5 + 0.5 tanh(z/2). Backward replays only
+    the recurrence in reverse (exact BPTT), collecting the gate gradients dZ
+    (one row per cell); the input, weight and bias gradients are then one
+    GEMM or sum each over all cells: dX = dZ W^T, dW = X^T dZ,
     dU = H_prev^T dZ and db = sum dZ.
     """
-    _check(x.ndim == 3, "lstm_seq", f"x must be (T, B, d_in), got {x.shape}")
+    _check(x.ndim == 2, "lstm_seq", f"x must be (N, d_in), got {x.shape}")
     _check(w.ndim == 2 and u.ndim == 2 and b.ndim == 1, "lstm_seq",
            "w, u must be matrices and b a vector")
-    steps, batch, d_in = x.shape
+    cells, d_in = x.shape
     hidden = u.shape[0]
     _check(w.shape == (d_in, _GATES * hidden), "lstm_seq",
            f"w shape {w.shape} != ({d_in}, {_GATES * hidden})")
@@ -566,29 +567,27 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
            f"u shape {u.shape} != ({hidden}, {_GATES * hidden})")
     _check(b.shape == (_GATES * hidden,), "lstm_seq",
            f"b shape {b.shape} != ({_GATES * hidden},)")
-    lens = np.asarray(lengths, dtype=np.int64).tolist()
-    _check(len(lens) == batch and 1 <= lens[-1] and lens[0] <= steps
-           and lens == sorted(lens, reverse=True), "lstm_seq",
-           f"lengths must be {batch} values in [1, {steps}], longest first")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    _check(lengths.ndim == 1 and lengths.size > 0 and lengths.min() >= 1
+           and lengths.sum() == cells, "lstm_seq",
+           f"lengths must be positive and sum to the {cells} rows of x")
 
-    # live[t] = k_t. Packed cell p = bounds[t] + r is row r at step t; src[p]
-    # is its flat index in the (T*B) grid.
-    lengths = np.array(lens)
-    live = np.count_nonzero(lengths > np.arange(steps)[:, None], axis=1)
+    # live[t] = k_t. Packed cell p = bounds[t] + r is the r-th longest
+    # sequence at step t; seq[p] is that sequence and src[p] its row in x.
+    order = np.argsort(-lengths, kind="stable")
+    first = np.cumsum(lengths) - lengths
+    steps = int(lengths.max())
+    live = np.count_nonzero(lengths[order] > np.arange(steps)[:, None], axis=1)
     ends = np.cumsum(live)
     bounds = [0] + ends.tolist()
-    cells = bounds[-1]
     step_of = np.repeat(np.arange(steps), live)
-    row_of = np.arange(cells) - (ends - live)[step_of]
-    src = ((lengths[row_of] - 1 - step_of) if reverse else step_of) * batch + row_of
-
-    def pack(a):
-        return a.reshape(steps * batch, -1)[src]
+    seq = order[np.arange(cells) - (ends - live)[step_of]]
+    src = first[seq] + ((lengths[seq] - 1 - step_of) if reverse else step_of)
 
     def unpack(p):
-        full = np.zeros((steps * batch, p.shape[1]), dtype=p.dtype)
+        full = np.empty_like(p)
         full[src] = p
-        return full.reshape(steps, batch, -1)
+        return full
 
     dtype = x.data.dtype
     # Halving the i|f|o pre-activations is exact, so tanh(half * z) * half +
@@ -597,7 +596,7 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
     half[2 * hidden:3 * hidden] = 1.0
     offset = 1.0 - half
     # the pre-activations x W + b, turned into the gates step by step
-    gates = pack(x.data) @ w.data + b.data
+    gates = x.data[src] @ w.data + b.data
     gi, gf, gc, go = (gates[:, k * hidden:(k + 1) * hidden] for k in range(_GATES))
     cell = np.empty((cells, hidden), dtype=dtype)
     tc = np.empty((cells, hidden), dtype=dtype)
@@ -622,7 +621,7 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
         np.multiply(go[lo:hi], tc[lo:hi], out=out[lo:hi])
 
     def backward(g):
-        # prev[p - k_0] is the packed cell of the same row one step earlier
+        # prev[p - k_0] is the packed cell of the same sequence one step earlier
         prev = np.arange(live[0], cells) - live[step_of[live[0]:] - 1]
         c_in = np.zeros_like(cell)
         c_in[live[0]:] = cell[prev]
@@ -632,11 +631,11 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
         coef = np.stack([gc * gi * (1.0 - gi), c_in * gf * (1.0 - gf),
                          gi * (1.0 - gc * gc), tc * go * (1.0 - go)], axis=1)
         dz = np.empty((cells, _GATES, hidden), dtype=dtype)
-        g_live = pack(g)
+        g_live = g[src]
         u_t = u_data.T
-        # rows that are not live yet (in reverse time) keep zero dh and dc
-        dh = np.zeros((batch, hidden), dtype=dtype)
-        dc = np.zeros((batch, hidden), dtype=dtype)
+        # sequences that are not live yet (in reverse time) keep zero dh and dc
+        dh = np.zeros((lengths.size, hidden), dtype=dtype)
+        dc = np.zeros((lengths.size, hidden), dtype=dtype)
         for t in range(steps - 1, -1, -1):
             lo, hi = bounds[t], bounds[t + 1]
             k = hi - lo
@@ -651,7 +650,7 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
         if x.requires_grad:
             _accumulate(x, unpack(dz @ w.data.T), owned=True)
         if w.requires_grad:
-            _accumulate_product(w, pack(x.data).T, dz)
+            _accumulate_product(w, x.data[src].T, dz)
         if u.requires_grad:
             # zero when no sequence is longer than one step
             _accumulate_product(u, out[prev].T, dz[live[0]:])

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -40,8 +39,6 @@ from .projection import density_sample, heldout_split, intersect_alignments, pro
 from .synth import SynthConfig, synth_corpus, write_corpus
 from .training import TrainConfig, parse_semantic, train
 
-CONFIG_ENV = "SDPKIT_CONFIG"
-
 _CONFIG_SECTIONS = ("seed", "network", "train", "sharing")
 
 
@@ -54,8 +51,6 @@ def _sha256(path: str) -> str:
 
 
 def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as f:
@@ -439,7 +434,7 @@ def run_gradcheck(seed: int = 0, epsilon: float = 1e-5, tolerance: float = 1e-4)
     config = NetworkConfig(word_dim=4, pos_dim=2, rnn_size=4, rnn_layers=3,
                            fnn_size=4, char_emb_dim=2, word_dropout=0.0,
                            recurrent_dropout=0.0, edge_dropout=0.0, label_dropout=0.0)
-    # a padded batch: two sentences of unequal length that share a form
+    # two sentences of unequal length that share a form
     sentences = [make_sentence(["v1", "n1", "n2", "j1"], pos=["V", "N", "N", "J"]),
                  make_sentence(["n2", "v2"], pos=["N", "V"])]
     word_vocab, char_vocab, pos_vocab = build_vocabs(sentences)
@@ -520,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model checkpoint output")
     p.add_argument("--tasks", default="sem", help="sem or sem,syn")
     p.add_argument("--share", help="rnn[,fnn][,taskrnn] (multitask only)")
-    p.add_argument("--config", help=f"JSON config (or ${CONFIG_ENV})")
+    p.add_argument("--config", help="JSON config")
     p.add_argument("--seed", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)

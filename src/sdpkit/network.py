@@ -6,9 +6,11 @@ a fixed pretrained table, and a character BiLSTM's final states (no projection,
 so the char hidden size is half the word dimension per direction). A learned
 root row is prepended before encoding; scores are matrices over head positions
 0..n and dependent positions 1..n, with self-loop edges masked to a large
-negative. One model call runs every stage once over a padded `Batch` of
-sentences; the scorer skips padding, and padded scores are masked like the
-self-loops.
+negative. One model call runs every stage once over a `Batch` of sentences in
+one row layout, sentence after sentence in input order: each sentence's root
+and then its tokens on consecutive rows, from the encoder's input to the
+scorer's heads. Only the scores come back padded, and padded scores are
+masked like the self-loops.
 
 In multitask mode the embedding layer is always shared; the recurrent stack
 and the four attention FNNs are shared or task-specific according to the
@@ -94,8 +96,6 @@ class Vocab:
         items = sorted(set(items) - ({UNK} if unk else set()))
         self.items = ([UNK] if unk else []) + items
         self._index = {s: i for i, s in enumerate(self.items)}
-        if len(self._index) != len(self.items):
-            raise ConfigError("duplicate vocabulary items")
 
     def __len__(self):
         return len(self.items)
@@ -176,65 +176,50 @@ FNN_TYPES = ("edge_dep", "edge_head", "label_dep", "label_head")
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """The sentences of one model call, laid out for batched encoding and scoring.
+    """The sentences of one model call, in the one row layout every stage reads.
 
-    Rows are the sentences sorted by length, longest first (ties keep input
-    order); `order[r]` is the input index of row r, and tokens are packed row
-    after row. The encoder runs time-major over (T+1, B) cells, T the longest
-    sentence: step 0 of every row is the root and step i its token i. The
-    scorer reads only real cells, packed sentence after sentence in input
-    order (`real_cells`): n_b + 1 head rows (root and tokens) and n_b
-    dependent rows per sentence. Scores come back padded and batch-major, in
-    input order.
+    Everything is packed sentence after sentence in input order. The tokens
+    take N rows (`word_ids`, `pos_ids`, `form_ids`, `contexts`). The encoder
+    runs on N + B rows, each sentence's root and then its tokens, so sentence
+    b's positions 0..n_b are n_b + 1 consecutive rows; the scorer takes those
+    rows as its head rows and the token rows (`token_rows`) as its dependent
+    rows. The char BiLSTM reads the call's distinct forms in sorted order,
+    packed form after form. Scores come back padded and batch-major, in
+    input order, T the longest sentence.
     """
 
-    sizes: np.ndarray             # (B,) tokens per sentence, input order
-    order: np.ndarray             # (B,) input index of each row
-    word_ids: np.ndarray          # (N,) packed
-    pos_ids: np.ndarray           # (N,) packed
-    form_ids: np.ndarray          # (N,) column of each token's form in char_ids
-    char_ids: np.ndarray          # (C, F) the distinct forms, time-major, longest first
-    char_lengths: np.ndarray      # (F,)
-    contexts: np.ndarray | None   # (N, context_dim) packed
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Tokens per row."""
-        return self.sizes[self.order]
-
-    def cells(self) -> np.ndarray:
-        """(T+1, B) rows of [root; packed tokens] that fill the encoder's cells.
-
-        Padding cells repeat the root row; `lstm_seq` never reads them.
-        """
-        lengths = self.lengths
-        step = np.arange(lengths[0] + 1)[:, None]
-        return np.where((step >= 1) & (step <= lengths), np.cumsum(lengths) - lengths + step, 0)
-
-    def real_cells(self, first: int) -> np.ndarray:
-        """Flat indices into the (T+1) * B encoder cells of positions first..n_b
-        of every sentence, packed sentence after sentence in input order."""
-        rows = len(self.order)
-        row_of = np.empty(rows, dtype=np.int64)
-        row_of[self.order] = np.arange(rows)
-        counts = self.sizes + 1 - first
-        step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
-        return step * rows + np.repeat(row_of, counts)
+    sizes: np.ndarray             # (B,) tokens per sentence
+    word_ids: np.ndarray          # (N,)
+    pos_ids: np.ndarray           # (N,)
+    form_ids: np.ndarray          # (N,) index of each token's form among the distinct forms
+    char_ids: np.ndarray          # (C,) the distinct forms' characters, form after form
+    char_lengths: np.ndarray      # (F,) characters per distinct form
+    contexts: np.ndarray | None   # (N, context_dim)
+    input_ids: np.ndarray         # (N+B,) row of [root; tokens] behind each encoder row
+    token_rows: np.ndarray        # (N,) encoder row of each token
 
     def padded_rows(self, first: int) -> np.ndarray:
-        """(B, T+1-first): for position first+k of sentence b, 1 + its row in the
-        packing of `real_cells(first)`, or 0 past the sentence's end."""
+        """(B, T+1-first): for position first+k of sentence b, 1 + its row among
+        the head rows (first = 0) or the dependent rows (first = 1), or 0 past
+        the sentence's end."""
         counts = self.sizes + 1 - first
-        step = np.arange(self.lengths[0] + 1 - first)
+        step = np.arange(self.sizes.max() + 1 - first)
         return np.where(step < counts[:, None], (np.cumsum(counts) - counts + 1)[:, None] + step, 0)
 
     def edge_cells(self) -> np.ndarray:
         """(B, T+1, T) 0/1 mask of every sentence's real, non-diagonal edge cells."""
-        longest = self.lengths[0]
+        longest = self.sizes.max()
         n = self.sizes[:, None, None]
         head = np.arange(longest + 1)[:, None]
         dep = np.arange(1, longest + 1)
         return ((head <= n) & (dep <= n) & (head != dep)).astype(np.float64)
+
+
+def check_contexts(sentences: Sequence, contexts: Sequence | None):
+    """Raise ConfigError unless `contexts` is None or holds one entry per sentence."""
+    if contexts is not None and len(contexts) != len(sentences):
+        raise ConfigError(f"{len(contexts)} context entries given for "
+                          f"{len(sentences)} sentences")
 
 
 class ParserModel:
@@ -351,54 +336,51 @@ class ParserModel:
         sizes = np.array([len(s) for s in sentences], dtype=np.int64)
         if sizes.size == 0 or sizes.min() == 0:
             raise ConfigError("cannot embed an empty sentence")
-        order = np.argsort(-sizes, kind="stable")
-        tokens = [tok for r in order for tok in sentences[r]]
-        forms = sorted({tok.form for tok in tokens}, key=lambda form: (-len(form), form))
+        check_contexts(sentences, contexts)
+        tokens = [tok for s in sentences for tok in s]
+        forms = sorted({tok.form for tok in tokens})
         column = {form: k for k, form in enumerate(forms)}
-        char_ids = np.zeros((len(forms[0]), len(forms)), dtype=np.int64)
-        for k, form in enumerate(forms):
-            char_ids[:len(form), k] = [self.char_vocab.id(c) for c in form]
 
         packed = None
         if cfg.context_dim:
             if contexts is None or any(c is None for c in contexts):
                 raise ConfigError("model was configured with context vectors; none given")
-            mats = [np.asarray(contexts[r], dtype=np.float64) for r in order]
-            for r, mat in zip(order, mats):
-                if mat.shape != (sizes[r], cfg.context_dim):
-                    raise ConfigError(f"context shape {mat.shape} != "
-                                      f"({sizes[r]}, {cfg.context_dim})")
+            mats = [np.asarray(c, dtype=np.float64) for c in contexts]
+            for n, mat in zip(sizes, mats):
+                if mat.shape != (n, cfg.context_dim):
+                    raise ConfigError(f"context shape {mat.shape} != ({n}, {cfg.context_dim})")
             packed = np.concatenate(mats)
         elif contexts is not None and any(c is not None for c in contexts):
             raise ConfigError("context vectors given but context_dim is 0")
 
+        count = len(tokens)
         return Batch(
-            sizes=sizes, order=order,
+            sizes=sizes,
             word_ids=np.array([self.word_vocab.id(t.form) for t in tokens], dtype=np.int64),
             pos_ids=np.array([self.pos_vocab.id(t.pos) for t in tokens], dtype=np.int64),
             form_ids=np.array([column[t.form] for t in tokens], dtype=np.int64),
-            char_ids=char_ids,
+            char_ids=np.array([self.char_vocab.id(c) for form in forms for c in form],
+                              dtype=np.int64),
             char_lengths=np.array([len(form) for form in forms], dtype=np.int64),
-            contexts=packed)
+            contexts=packed,
+            # row 0 of [root; tokens] is the root, row 1 + k token k
+            input_ids=np.insert(np.arange(1, count + 1), np.cumsum(sizes) - sizes, 0),
+            token_rows=np.arange(count) + np.repeat(np.arange(1, sizes.size + 1), sizes))
 
     def _char_vectors(self, batch: Batch) -> Tensor:
         """Final states of the char BiLSTM, (F, word_dim): one row per distinct form."""
-        steps, forms = batch.char_ids.shape
-        emb = ad.reshape(ad.lookup(self.params["emb/char"], batch.char_ids.reshape(-1)),
-                         (steps, forms, self.config.char_dim))
+        emb = ad.lookup(self.params["emb/char"], batch.char_ids)
         fw, bw = (ad.lstm_seq(emb, self.params[f"char_rnn/{d}/w"], self.params[f"char_rnn/{d}/u"],
                               self.params[f"char_rnn/{d}/b"], batch.char_lengths,
                               reverse=d == "bw")
                   for d in ("fw", "bw"))
-        hidden = self.config.word_dim // 2
         # forward: the state at each form's last char; backward: at its first
-        last_f = ad.lookup(ad.reshape(fw, (steps * forms, hidden)),
-                           (batch.char_lengths - 1) * forms + np.arange(forms))
-        first_b = ad.reshape(ad.slice_rows(bw, 0, 1), (forms, hidden))
-        return ad.concat([last_f, first_b], axis=1)
+        ends = np.cumsum(batch.char_lengths)
+        return ad.concat([ad.lookup(fw, ends - 1), ad.lookup(bw, ends - batch.char_lengths)],
+                         axis=1)
 
     def embed_tokens(self, batch: Batch, rng: np.random.Generator | None = None) -> Tensor:
-        """Token input matrix (N, word_dim + pos_dim + context_dim), packed in row order.
+        """Token input matrix (N, word_dim + pos_dim + context_dim), packed in input order.
 
         The word component sums the trainable table row, the fixed pretrained
         row, and the char BiLSTM vector; the char BiLSTM runs once per
@@ -434,23 +416,21 @@ class ParserModel:
         fw, bw = (ad.lstm_seq(x, self.params[f"{prefix}/{d}/w"], self.params[f"{prefix}/{d}/u"],
                               self.params[f"{prefix}/{d}/b"], lengths, reverse=d == "bw")
                   for d in ("fw", "bw"))
-        return ad.concat([fw, bw], axis=2)
+        return ad.concat([fw, bw], axis=1)
 
     def encode(self, embedded: Tensor, batch: Batch, task: str,
                rng: np.random.Generator | None = None) -> Tensor:
-        """Recurrent states (T+1, B, rnn_size), time-major in row order.
+        """Recurrent states (N+B, rnn_size): each sentence's root, then its tokens.
 
-        Step 0 of every row is the learned root. With an `rng` (train mode)
-        recurrent dropout is applied between layers.
+        The root row is the learned root embedding. With an `rng` (train
+        mode) recurrent dropout is applied between layers.
         """
         self._check_task(task)
         cfg = self.config
         dropout = rng is not None and cfg.recurrent_dropout > 0
         root = ad.reshape(self.params["emb/root"], (1, cfg.input_dim))
-        cells = batch.cells()
-        states = ad.reshape(ad.lookup(ad.concat([root, embedded], axis=0), cells.reshape(-1)),
-                            cells.shape + (cfg.input_dim,))
-        lengths = batch.lengths + 1
+        states = ad.lookup(ad.concat([root, embedded], axis=0), batch.input_ids)
+        lengths = batch.sizes + 1
         owner = self._rnn_owner(task)
         for layer in range(cfg.rnn_layers):
             if layer > 0 and dropout:
@@ -469,8 +449,9 @@ class ParserModel:
 
         In sentence b, cell [i, j-1] scores head i (0 = root) for dependent j.
         The four FNN heads (and, with an `rng` in train mode, their edge and
-        label dropout) run on real rows only: each sentence's head rows
-        (positions 0..n_b) and dependent rows (1..n_b), packed in input order.
+        label dropout) run on real rows only: the encoder rows as they stand
+        are the head rows (positions 0..n_b of each sentence) and its token
+        rows the dependent rows (1..n_b).
         Both bilinears are ragged over those rows and write sentence b's scores
         into its [:n_b+1, :n_b] block of the padded result. The diagonal
         (i == j) and the padding (i or j beyond n_b) are masked to a large
@@ -480,14 +461,10 @@ class ParserModel:
         self._check_task(task)
         cfg = self.config
         owner = self._fnn_owner(task)
-        steps, count, width = states.shape
-        flat = ad.reshape(states, (steps * count, width))
-        # real rows only, packed in input order: positions 0..n_b as heads, 1..n_b as dependents
-        head_rows = ad.lookup(flat, batch.real_cells(0))
-        dep_rows = ad.lookup(flat, batch.real_cells(1))
+        dep_rows = ad.lookup(states, batch.token_rows)
         heads = {}
         for kind in FNN_TYPES:
-            rows = dep_rows if kind.endswith("_dep") else head_rows
+            rows = dep_rows if kind.endswith("_dep") else states
             h = ad.tanh(ad.add(ad.matmul(rows, self.params[f"fnn/{owner}/{kind}/w"]),
                                self.params[f"fnn/{owner}/{kind}/b"]))
             rate = cfg.edge_dropout if kind.startswith("edge") else cfg.label_dropout
@@ -503,6 +480,7 @@ class ParserModel:
         if cfg.biaffine_bias:
             # one bias column per head kind, scattered from the packed rows into
             # the padded layout; cells past a sentence's end read a zero row
+            count, steps = batch.sizes.size, int(batch.sizes.max()) + 1
             zero = ad.constant(np.zeros((1, 1)))
             for kind, first, shape in (("dep", 1, (count, 1, steps - 1)),
                                        ("head", 0, (count, steps, 1))):
@@ -525,15 +503,16 @@ class ParserModel:
                 rng: np.random.Generator | None = None,
                 contexts: Sequence[np.ndarray | None] | None = None
                 ) -> tuple[Tensor, Tensor]:
-        """Scores of `score_edges_labels` for all sentences, from one padded batch.
+        """Scores of `score_edges_labels` for all sentences, from one `Batch`.
 
-        The call lays the sentences out as one `Batch` (rows sorted by length,
-        longest first; encoder states time-major) and runs every stage once
-        over it: the char BiLSTM over the call's distinct forms, one
-        `lstm_seq` per encoder layer and direction, and the FNN heads and
-        bilinear scorers over the real rows of all sentences. Edge scores are (B, T+1, T) and label
-        scores (B, |L|, T+1, T), in input order, T the longest sentence;
-        sentence b's scores are [b, :n_b+1, :n_b] and [b, :, :n_b+1, :n_b].
+        The call lays the sentences out once, packed sentence after sentence
+        in input order, and runs every stage once over that layout: the char
+        BiLSTM over the call's distinct forms, one `lstm_seq` per encoder
+        layer and direction over each sentence's root and tokens, and the FNN
+        heads and bilinear scorers over those same rows. Edge scores are
+        (B, T+1, T) and label scores (B, |L|, T+1, T), in input order, T the
+        longest sentence; sentence b's scores are [b, :n_b+1, :n_b] and
+        [b, :, :n_b+1, :n_b].
         Train mode (all dropout on) is `rng is not None`.
         """
         batch = self.batch(sentences, contexts)
@@ -597,7 +576,8 @@ class ParserModel:
         model._configure(config, tasks, words, chars, pos, topology, seed,
                          arrays.get("pretrained"))
         specs = model._param_specs()
-        missing = {name for name, _, _ in specs} - set(arrays)
+        # `save` always writes the pretrained table; zeros must not stand in for it
+        missing = ({name for name, _, _ in specs} | {"pretrained"}) - set(arrays)
         if missing:
             raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
         for name, shape, _ in specs:

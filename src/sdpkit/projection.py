@@ -111,13 +111,20 @@ def density_sample(corpus: Sequence[PartialGraph], size: int, threshold: float,
 
 
 def heldout_split(corpus: Sequence, fraction: float, seed: int = 0) -> tuple[list, list]:
-    """Disjoint (train, heldout) partition with |heldout| = round(fraction * N)."""
+    """Disjoint (train, heldout) partition with |heldout| = round(fraction * N).
+
+    Both parts must be non-empty; a fraction that rounds to none or all of the
+    corpus is an error.
+    """
     if not 0 < fraction < 1:
         raise ProjectionError(f"fraction must be in (0,1), got {fraction}")
     n = len(corpus)
     if n == 0:
         raise ProjectionError("cannot split an empty corpus")
     k = round(fraction * n)
+    if not 0 < k < n:
+        raise ProjectionError(f"a held-out fraction of {fraction} of {n} sentences "
+                              f"leaves {'no held-out' if k == 0 else 'no training'} sentences")
     rng = np.random.default_rng([seed, 0x5011])
     held_idx = set(rng.choice(n, size=k, replace=False).tolist())
     train = [corpus[i] for i in range(n) if i not in held_idx]

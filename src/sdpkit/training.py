@@ -23,7 +23,7 @@ from .errors import ConfigError, TrainingDiverged
 from .evaluation import ScoreReport, score_graphs
 from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
                     SyntacticTree, Token, as_partial)
-from .network import SEMANTIC, SYNTACTIC, ParserModel, Vocab
+from .network import SEMANTIC, SYNTACTIC, ParserModel, Vocab, check_contexts
 
 _TASK_CODE = {SEMANTIC: 0, SYNTACTIC: 1}
 
@@ -375,6 +375,7 @@ def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]],
     `PARSE_BATCH_TOKENS` padded tokens (sentences times the longest); each
     run is one `ParserModel.forward` call, decoded before the next is scored.
     """
+    check_contexts(sentences, contexts)
     labels = model.tasks[SEMANTIC]
     graphs = []
     with ad.no_grad():

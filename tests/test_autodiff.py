@@ -243,14 +243,14 @@ class TestPerPrimitiveGradients:
         check_op(build, [a])
 
     def test_lstm_seq(self):
-        # a padded batch of a 4-step and a 2-step sequence, read both ways
+        # a 4-step and a 2-step sequence packed row after row, read both ways
         rng = np.random.default_rng(26)
-        t, d_in, h = 4, 3, 2
-        x = param(rng, t, 2, d_in, name="x")
+        n, d_in, h = 6, 3, 2
+        x = param(rng, n, d_in, name="x")
         w = param(rng, d_in, 4 * h, name="w")
         u = param(rng, h, 4 * h, name="u")
         b = param(rng, 4 * h, name="b")
-        weights = ad.constant(np.linspace(-1, 1, t * 2 * h).reshape(t, 2, h))
+        weights = ad.constant(np.linspace(-1, 1, n * h).reshape(n, h))
         for reverse in (False, True):
             check_op(lambda: ad.sum_all(ad.mul(ad.lstm_seq(x, w, u, b, [4, 2], reverse=reverse),
                                                weights)),
@@ -310,14 +310,13 @@ class TestKernelsMatchReference:
 
     @staticmethod
     def _lstm(x, w, u, b, g, x_grad=True):
-        """Run ad.lstm_seq on x as a batch of one under upstream gradient g;
+        """Run ad.lstm_seq on x as one sequence under upstream gradient g;
         returns (out, grads, reference)."""
-        tx = ad.Parameter(x[:, None], name="x") if x_grad else ad.constant(x[:, None])
+        tx = ad.Parameter(x, name="x") if x_grad else ad.constant(x)
         tw, tu, tb = (ad.Parameter(a, name=n) for a, n in ((w, "w"), (u, "u"), (b, "b")))
         out = ad.lstm_seq(tx, tw, tu, tb, [len(x)])
-        ad.sum_all(ad.mul(out, ad.constant(g[:, None]))).backward()
-        dx = None if tx.grad is None else tx.grad[:, 0]
-        return out.data[:, 0], (dx, tw.grad, tu.grad, tb.grad), reference_lstm_seq(x, w, u, b, g)
+        ad.sum_all(ad.mul(out, ad.constant(g))).backward()
+        return out.data, (tx.grad, tw.grad, tu.grad, tb.grad), reference_lstm_seq(x, w, u, b, g)
 
     @staticmethod
     def _lstm_weights(rng, d_in, hidden):
@@ -346,30 +345,40 @@ class TestKernelsMatchReference:
             np.testing.assert_array_equal(grads[2], np.zeros_like(u))
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-    @pytest.mark.parametrize("lengths", [(1, 1, 1), (5, 5, 5), (7, 4, 4, 1)],
-                             ids=["all-one", "all-equal", "mixed"])
+    @pytest.mark.parametrize("lengths", [(1, 1, 1), (5, 5, 5), (7, 4, 4, 1), (2, 7, 1, 4, 4)],
+                             ids=["all-one", "all-equal", "mixed", "unsorted"])
     def test_batched_lstm_seq_matches_each_sequence(self, lengths, reverse):
         rng = np.random.default_rng(sum(lengths))
-        steps, rows, d_in, hidden = max(lengths), len(lengths), 5, 3
-        x = rng.standard_normal((steps, rows, d_in))
+        rows, d_in, hidden = sum(lengths), 5, 3
+        x = rng.standard_normal((rows, d_in))
         w, u, b = self._lstm_weights(rng, d_in, hidden)
-        g = rng.standard_normal((steps, rows, hidden))
+        g = rng.standard_normal((rows, hidden))
         tx, tw, tu, tb = (ad.Parameter(a, name=n) for a, n in ((x, "x"), (w, "w"), (u, "u"),
                                                                 (b, "b")))
         out = ad.lstm_seq(tx, tw, tu, tb, lengths, reverse=reverse)
         ad.sum_all(ad.mul(out, ad.constant(g))).backward()
         sums = [np.zeros_like(a) for a in (w, u, b)]
+        first = 0
         for r, n in enumerate(lengths):
-            seq = slice(n - 1, None, -1) if reverse else slice(0, n)
-            ref_out, ref_dx, *ref_grads = reference_lstm_seq(x[seq, r], w, u, b, g[seq, r])
-            assert_close(out.data[seq, r], ref_out, err_msg=f"out {r}")
-            assert_close(tx.grad[seq, r], ref_dx, err_msg=f"x {r}")
+            # sequence r is rows first..first+n-1, read backwards with `reverse`
+            seq = np.arange(first, first + n)[::-1 if reverse else 1]
+            first += n
+            ref_out, ref_dx, *ref_grads = reference_lstm_seq(x[seq], w, u, b, g[seq])
+            assert_close(out.data[seq], ref_out, err_msg=f"out {r}")
+            assert_close(tx.grad[seq], ref_dx, err_msg=f"x {r}")
             for total, grad in zip(sums, ref_grads):
                 total += grad
-            # padded cells hold 0 and get exactly no gradient
-            assert np.all(out.data[n:, r] == 0.0) and np.all(tx.grad[n:, r] == 0.0)
         for name, got, want in zip("wub", (tw.grad, tu.grad, tb.grad), sums):
             assert_close(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("lengths", [(3, 0, 2), (4, -1, 2), (3, 3), (2, 2), ()],
+                             ids=["zero", "negative", "too-many-rows", "too-few-rows", "none"])
+    def test_lstm_seq_rejects_lengths_that_do_not_cover_the_rows(self, lengths):
+        rng = np.random.default_rng(31)
+        w, u, b = self._lstm_weights(rng, 3, 2)
+        with pytest.raises(AutodiffError, match="lengths must be positive"):
+            ad.lstm_seq(ad.constant(rng.standard_normal((5, 3))), *map(ad.constant, (w, u, b)),
+                        lengths)
 
     def test_lstm_seq_saturated_gates(self):
         rng = np.random.default_rng(30)

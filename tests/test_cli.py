@@ -54,29 +54,39 @@ def test_failed_write_leaves_no_output(pipeline, tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-def _rewrite_meta(src, dst, edit):
+def _rewrite_checkpoint(src, dst, edit):
     arrays, meta = ad.load_arrays(src)
-    edit(meta)
+    edit(meta, arrays)
     ad.save_arrays(dst, arrays, meta)
 
 
 @pytest.mark.parametrize("edit", [
-    lambda m: m["config"].update(bogus=1),
-    lambda m: m["config"].pop("biaffine_bias"),
-    lambda m: m.pop("vocab"),
-    lambda m: m["vocab"].pop("char"),
-    lambda m: m.pop("tasks"),
-    lambda m: m["vocab"]["word"].reverse(),
+    lambda m, a: m["config"].update(bogus=1),
+    lambda m, a: m["config"].pop("biaffine_bias"),
+    lambda m, a: m.pop("vocab"),
+    lambda m, a: m["vocab"].pop("char"),
+    lambda m, a: m.pop("tasks"),
+    lambda m, a: m["vocab"]["word"].reverse(),
+    lambda m, a: a.pop("pretrained"),
 ], ids=["unknown-config-key", "missing-config-key", "missing-vocab", "missing-char-vocab",
-        "missing-tasks", "unsorted-vocab"])
+        "missing-tasks", "unsorted-vocab", "missing-pretrained"])
 def test_malformed_checkpoint_metadata(pipeline, tmp_path, edit):
     bad = str(tmp_path / "bad.npz")
-    _rewrite_meta(pipeline["model.npz"], bad, edit)
+    _rewrite_checkpoint(pipeline["model.npz"], bad, edit)
     with pytest.raises(CheckpointError):
         ParserModel.load(bad)
     assert cli.main(["parse", "--model", bad, "--input", pipeline["heldout.sdp"],
                      "--out", str(tmp_path / "pred.sdp")]) == 2
     assert not (tmp_path / "pred.sdp").exists()
+
+
+def test_split_that_leaves_a_part_empty_writes_nothing(pipeline, tmp_path, capsys):
+    train_out, heldout_out = tmp_path / "train.sdp", tmp_path / "heldout.sdp"
+    # 12 sentences: 0.01 of them rounds to no held-out sentence
+    assert cli.main(["split", "--input", pipeline["proj.sdp"], "--train-out", str(train_out),
+                     "--heldout-out", str(heldout_out), "--heldout", "0.01"]) == 2
+    assert "0.01 of 12 sentences" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_score_and_analyze_print_config_and_list_inputs(pipeline, tmp_path, capsys):

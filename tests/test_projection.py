@@ -207,6 +207,14 @@ class TestHeldoutSplit:
         with pytest.raises(ProjectionError):
             heldout_split([], 0.5, seed=0)
 
+    @pytest.mark.parametrize("corpus,fraction,empty", [
+        (list(range(10)), 0.01, "no held-out"), ([7], 0.5, "no held-out"),
+        (list(range(10)), 0.99, "no training")], ids=["none-held-out", "one-sentence", "all"])
+    def test_empty_part_rejected(self, corpus, fraction, empty):
+        message = f"fraction of {fraction} of {len(corpus)} sentences leaves {empty}"
+        with pytest.raises(ProjectionError, match=message):
+            heldout_split(corpus, fraction, seed=0)
+
     def test_bad_fraction(self):
         with pytest.raises(ProjectionError):
             heldout_split([1], 1.5, seed=0)

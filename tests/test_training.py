@@ -200,6 +200,26 @@ def test_train_checks_context_vectors_before_the_first_step(monkeypatch, context
     assert steps == []
 
 
+@pytest.mark.parametrize("entry", ["forward", "parse_semantic"])
+@pytest.mark.parametrize("surplus", [-1, 1], ids=["short", "long"])
+def test_contexts_need_one_entry_per_sentence(entry, surplus):
+    graphs, _ = _corpus(4)
+    words, chars, pos = build_vocabs([g.sentence for g in graphs])
+    model = ParserModel(NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=1,
+                                      fnn_size=8, context_dim=3),
+                        {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}, words, chars, pos)
+    rng = np.random.default_rng(0)
+    sentences = [g.sentence for g in graphs]
+    contexts = [rng.standard_normal((len(s), 3)) for s in sentences + sentences[:1]]
+    contexts = contexts[:len(sentences) + surplus]
+    message = f"{len(contexts)} context entries given for {len(sentences)} sentences"
+    with pytest.raises(ConfigError, match=message):
+        if entry == "forward":
+            model.forward(sentences, SEMANTIC, contexts=contexts)
+        else:
+            training.parse_semantic(model, sentences, contexts)
+
+
 @pytest.mark.parametrize("top", [True, False], ids=["with-top", "top-only-vocab"])
 def test_decode_semantic_matches_the_cell_loop(top):
     rng = np.random.default_rng(8)
