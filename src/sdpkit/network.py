@@ -568,13 +568,16 @@ class ParserModel:
             words, chars, pos = (vocab(meta["vocab"][kind], unk=True)
                                  for kind in ("word", "char", "pos"))
             seed = meta["seed"]
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint metadata "
                                   f"({type(exc).__name__}: {exc})") from exc
         # the saved arrays become the parameters; nothing is drawn at random
         model = cls.__new__(cls)
-        model._configure(config, tasks, words, chars, pos, topology, seed,
-                         arrays.get("pretrained"))
+        try:
+            model._configure(config, tasks, words, chars, pos, topology, seed,
+                             arrays.get("pretrained"))
+        except ConfigError as exc:  # such as a pretrained table of the wrong shape
+            raise CheckpointError(f"{path}: {exc}") from exc
         specs = model._param_specs()
         # `save` always writes the pretrained table; zeros must not stand in for it
         missing = ({name for name, _, _ in specs} | {"pretrained"}) - set(arrays)

@@ -47,6 +47,12 @@ class TrainConfig:
     combined_steps: bool = False    # False: alternate task minibatches
 
     def __post_init__(self):
+        # Adam divides by 1 - beta1^t and 1 - beta2^t, and by eps where sqrt(v) is 0
+        if not (self.lr > 0.0 and 0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0
+                and self.eps > 0.0):
+            raise ConfigError(f"optimizer settings need lr > 0, beta1 and beta2 in [0,1) and "
+                              f"eps > 0; got lr={self.lr}, beta1={self.beta1}, "
+                              f"beta2={self.beta2}, eps={self.eps}")
         if not 0.0 < self.label_interp < 1.0:
             raise ConfigError("label_interp must be in (0,1)")
         if not 0.0 <= self.syntactic_weight <= 1.0:

@@ -218,6 +218,26 @@ def reference_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         p.grad = None
 
 
+def reference_folded_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with the bias corrections folded into the step size, allocating per step.
+
+    `m` and `v` hold the unnormalised sums M = b1 M + g and V = b2 V + g^2;
+    with k = sqrt((1-b2) / (1-b2^t)) and a = lr (1-b1) / ((1-b1^t) k) the
+    update is a M / (sqrt(V) + eps / k), the same operations in the same
+    order as `autodiff.adam_step`."""
+    for p in params:
+        if p.grad is None:
+            continue
+        p.step += 1
+        g = p.grad
+        p.m = beta1 * p.m + g
+        p.v = beta2 * p.v + g * g
+        k = np.sqrt((1.0 - beta2) / (1.0 - beta2 ** p.step))
+        alpha = lr * (1.0 - beta1) / ((1.0 - beta1 ** p.step) * k)
+        p.data -= alpha * (p.m / (np.sqrt(p.v) + eps / k))
+        p.grad = None
+
+
 def reference_decode_semantic(s_edge, s_label, labels, sentence):
     """Cell-by-cell sign decoding: the loop form of training.decode_semantic."""
     sentence = tuple(sentence)

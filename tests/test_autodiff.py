@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from helpers import reference_adam_step, reference_bilinear, reference_lstm_seq
+from helpers import (reference_adam_step, reference_bilinear, reference_folded_adam_step,
+                     reference_lstm_seq)
 
 from sdpkit import autodiff as ad
 from sdpkit.errors import AutodiffError
@@ -380,6 +382,64 @@ class TestKernelsMatchReference:
             ad.lstm_seq(ad.constant(rng.standard_normal((5, 3))), *map(ad.constant, (w, u, b)),
                         lengths)
 
+    def _lstm_run(self, lengths, reverse=False):
+        """Output and x/w/u/b gradients of one lstm_seq call on fixed inputs."""
+        rng = np.random.default_rng(34)
+        rows, d_in, hidden = sum(lengths), 5, 3
+        params = [ad.Parameter(a, name=n) for a, n in zip(
+            (rng.standard_normal((rows, d_in)), *self._lstm_weights(rng, d_in, hidden)), "xwub")]
+        out = ad.lstm_seq(*params, lengths, reverse=reverse)
+        ad.sum_all(ad.mul(out, ad.constant(rng.standard_normal((rows, hidden))))).backward()
+        return [out.data] + [p.grad.copy() for p in params]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_lstm_seq_cache_hit_is_bit_identical_to_a_cold_call(self, reverse):
+        lengths = (2, 7, 1, 4, 4)
+        ad._packing.cache_clear()
+        cold = self._lstm_run(lengths, reverse)
+        hits = ad._packing.cache_info().hits
+        warm = self._lstm_run(lengths, reverse)
+        assert ad._packing.cache_info().hits == hits + 1
+        for got, want in zip(warm, cold):
+            assert got.tobytes() == want.tobytes()
+
+    def test_lstm_seq_packing_is_cached_per_direction(self):
+        ad._packing.cache_clear()
+        self._lstm_run((3, 1, 2))
+        self._lstm_run((3, 1, 2), reverse=True)
+        assert ad._packing.cache_info().currsize == 2
+        key = np.array([3, 1, 2], dtype=np.int64).tobytes()
+        forward, reverse = ad._packing(key, False), ad._packing(key, True)
+        assert ad._packing.cache_info().hits == 2
+        assert not np.array_equal(forward[3], reverse[3])  # src
+
+    def test_lstm_seq_packing_arrays_are_read_only(self):
+        key = np.array([3, 1, 2], dtype=np.int64).tobytes()
+        steps, bounds, live0, src, prev = ad._packing(key, True)
+        assert (steps, bounds, live0) == (3, (0, 3, 5, 6), 3)
+        for array in (src, prev, *ad._gate_constants(4)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_lstm_seq_packing_cache_is_bounded(self):
+        ad._packing.cache_clear()
+        bound = ad._packing.cache_info().maxsize
+        assert bound is not None
+        for n in range(1, bound + 10):
+            ad._packing(np.array([n, 1], dtype=np.int64).tobytes(), False)
+        assert ad._packing.cache_info().currsize == bound
+
+    @pytest.mark.parametrize("shapes", [
+        ((5, 3), (4, 8), (2, 8), (8,)), ((5, 3), (3, 8), (2, 6), (8,)),
+        ((5, 3), (3, 8), (2, 8), (7,)), ((5,), (3, 8), (2, 8), (8,)),
+    ], ids=["w", "u", "b", "x"])
+    def test_lstm_seq_shape_error_names_the_shapes(self, shapes):
+        x, w, u, b = (ad.constant(np.ones(shape)) for shape in shapes)
+        named = ", ".join(f"{name} {shape}" for name, shape in zip("xwub", shapes))
+        with pytest.raises(AutodiffError, match=re.escape(named)):
+            ad.lstm_seq(x, w, u, b, [3, 2])
+
     def test_lstm_seq_saturated_gates(self):
         rng = np.random.default_rng(30)
         steps, d_in, hidden = 6, 3, 4
@@ -472,6 +532,7 @@ class TestKernelsMatchReference:
                 ad.bilinear(x, w, y, sizes)
 
     def test_adam_step_is_bit_identical(self):
+        # to the folded form of `reference_folded_adam_step`
         rng = np.random.default_rng(31)
         big = (2, 3, ad._ADAM_BLOCK // 5 + 1)
         assert np.prod(big) > ad._ADAM_BLOCK and np.prod(big) % ad._ADAM_BLOCK
@@ -486,7 +547,7 @@ class TestKernelsMatchReference:
                     p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
                     q.grad = p.grad.copy()
             ad.adam_step(fused, lr=0.01)
-            reference_adam_step(reference, lr=0.01)
+            reference_folded_adam_step(reference, lr=0.01)
         for p, q in zip(fused, reference):
             for attr in ("data", "m", "v"):
                 assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
@@ -515,13 +576,36 @@ class TestKernelsMatchReference:
                     q.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
                     p.grad = q.grad.copy()
             ad.adam_step(fused, lr=0.01)
-            reference_adam_step(reference, lr=0.01)
+            reference_folded_adam_step(reference, lr=0.01)
             assert ["".join(run) for run in runs] == want
         for p, q in zip(fused, reference):
             for attr in ("data", "m", "v"):
                 assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
             assert p.step == q.step == (2 if p.name == "c" else 3)
             assert p.grad is None
+
+    def test_adam_step_is_within_a_bound_of_the_textbook_form(self):
+        # The folded form rounds differently from the textbook form. With
+        # gradients from 1e-6 to 10, over 3 steps, the data differ by at most
+        # 4 eps (|data| + 4 lr), and the moments, scaled back to m = (1-b1) M
+        # and v = (1-b2) V, by at most 2 eps of the largest |g| and g^2 seen
+        # at each element.
+        rng = np.random.default_rng(33)
+        eps, lr, size = np.finfo(np.float64).eps, 0.01, 3 * ad._ADAM_BLOCK // 2
+        start = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 1, size)
+        fused, textbook = ad.Parameter(start.copy(), "p"), ad.Parameter(start.copy(), "p")
+        largest = np.zeros(size)
+        for _ in range(3):
+            g = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-6, 1, size)
+            largest = np.maximum(largest, np.abs(g))
+            fused.grad, textbook.grad = g.copy(), g.copy()
+            ad.adam_step([fused], lr=lr)
+            reference_adam_step([textbook], lr=lr)
+        assert not np.array_equal(fused.data, textbook.data)
+        assert np.all(np.abs(fused.data - textbook.data)
+                      <= 4 * eps * (np.abs(textbook.data) + 4 * lr))
+        assert np.all(np.abs((1 - 0.9) * fused.m - textbook.m) <= 2 * eps * largest)
+        assert np.all(np.abs((1 - 0.999) * fused.v - textbook.v) <= 2 * eps * largest ** 2)
 
     def test_adam_step_rejects_a_non_contiguous_parameter(self):
         p = ad.Parameter(np.ones((3, 4)), name="p")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,16 +69,28 @@ def _rewrite_checkpoint(src, dst, edit):
     lambda m, a: m.pop("tasks"),
     lambda m, a: m["vocab"]["word"].reverse(),
     lambda m, a: a.pop("pretrained"),
+    lambda m, a: a.update(pretrained=np.zeros((3, 3))),
+    lambda m, a: m["config"].update(word_dim=7),
 ], ids=["unknown-config-key", "missing-config-key", "missing-vocab", "missing-char-vocab",
-        "missing-tasks", "unsorted-vocab", "missing-pretrained"])
+        "missing-tasks", "unsorted-vocab", "missing-pretrained", "misshapen-pretrained",
+        "invalid-config-value"])
 def test_malformed_checkpoint_metadata(pipeline, tmp_path, edit):
     bad = str(tmp_path / "bad.npz")
     _rewrite_checkpoint(pipeline["model.npz"], bad, edit)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=re.escape(bad)):
         ParserModel.load(bad)
     assert cli.main(["parse", "--model", bad, "--input", pipeline["heldout.sdp"],
                      "--out", str(tmp_path / "pred.sdp")]) == 2
     assert not (tmp_path / "pred.sdp").exists()
+
+
+def test_train_with_a_zero_learning_rate_writes_no_model(pipeline, tmp_path, capsys):
+    out = tmp_path / "model.npz"
+    assert cli.main(["train", "--train", pipeline["train.sdp"],
+                     "--heldout", pipeline["heldout.sdp"], "--config", pipeline["tiny.json"],
+                     "--epochs", "1", "--lr", "0", "--out", str(out)]) == 2
+    assert "lr=0.0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_split_that_leaves_a_part_empty_writes_nothing(pipeline, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import reference_adam_step
+from helpers import reference_folded_adam_step
 
 from sdpkit import autodiff as ad
 from sdpkit.graph import PartialGraph, SemanticGraph
@@ -308,9 +308,11 @@ def test_combined_step_gradients_are_the_sum_of_each_task():
 
 
 def test_adam_over_a_two_task_model_matches_the_textbook_form(monkeypatch):
+    # bit for bit against `reference_folded_adam_step`, the per-parameter form
+    # of the kernel's folded arithmetic
     model, golds = _two_task()
     params = model.parameters()
-    # the textbook form on copies; it rebinds its moments to fresh arrays
+    # the reference on copies; it rebinds its moments to fresh arrays
     reference = [ad.Parameter(p.data.copy(), name=p.name) for p in params]
     runs = []
     adam_run = ad._adam_run
@@ -328,7 +330,7 @@ def test_adam_over_a_two_task_model_matches_the_textbook_form(monkeypatch):
         runs.append([])
         ad.adam_step(params, lr=0.01)
         assert sum(runs[-1]) == sum(q.grad is not None for q in reference)
-        reference_adam_step(reference, lr=0.01)
+        reference_folded_adam_step(reference, lr=0.01)
         for p, q in zip(params, reference):
             for attr in ("data", "m", "v"):
                 assert np.array_equal(getattr(p, attr), getattr(q, attr)), (task, p.name, attr)

@@ -171,6 +171,17 @@ def test_syntactic_weight_outside_unit_interval_rejected(weight):
         training.TrainConfig(syntactic_weight=weight)
 
 
+@pytest.mark.parametrize("setting", [
+    {"lr": -1.0}, {"lr": 0.0}, {"lr": float("nan")}, {"beta1": 1.0}, {"beta1": -0.1},
+    {"beta2": 1.5}, {"beta2": 1.0}, {"eps": 0.0}, {"eps": -1.0},
+], ids=["lr-negative", "lr-zero", "lr-nan", "beta1-one", "beta1-negative", "beta2-above-one",
+        "beta2-one", "eps-zero", "eps-negative"])
+def test_optimizer_settings_that_cannot_train_rejected(setting):
+    (name, value), = setting.items()
+    with pytest.raises(ConfigError, match=f"{name}={value}"):
+        training.TrainConfig(**setting)
+
+
 @pytest.mark.parametrize("context_dim,which,message", [
     (3, "heldout", "heldout item 1 has no context vectors"),
     (3, "semantic", "semantic item 2 has no context vectors"),
