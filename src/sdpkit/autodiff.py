@@ -431,11 +431,12 @@ def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes) -> Tensor:
     x is (N, dx), y (M, dy) and `sizes` (B, 2): sentence b owns sizes[b] =
     (n_b, m_b) rows of x and y, packed one sentence after another. With w of
     shape (dx, dy) each score is x_i^T W y_j; with w of shape (L, dx, dy) there
-    is one such slice per label. The result is (B, n, m) or (B, L, n, m), n and
-    m the largest n_b and m_b: sentence b's scores fill its [:n_b, :m_b] block,
-    and every other cell is 0 and passes no gradient. x W is one GEMM per label
-    over the N rows; its product with y^T is one (L, n_b, dy) @ (dy, m_b) per
-    sentence.
+    is one such slice per label. The result is y-major: (B, m, n) or
+    (B, L, m, n), m and n the largest m_b and n_b. Sentence b's scores fill its
+    [..., :m_b, :n_b] block, x_i^T W_l y_j at [b, l, j, i] (j indexes y, i
+    indexes x), and every other cell is 0 and passes no gradient. x W is one
+    GEMM per label over the N rows; its product with y is one
+    (m_b, dy) @ (L, dy, n_b) per sentence.
     """
     _check(x.ndim == 2 and y.ndim == 2, "bilinear",
            f"x and y must be matrices, got {x.shape}, {y.shape}")
@@ -450,33 +451,32 @@ def bilinear(x: Tensor, w: Tensor, y: Tensor, sizes) -> Tensor:
     ns, ms = counts.T.tolist()
     _check(min(ns + ms) >= 1 and sum(ns) == x.shape[0] and sum(ms) == y.shape[0], "bilinear",
            f"sizes must be positive and sum to ({x.shape[0]}, {y.shape[0]}) rows")
-    # sentence b: its rows of x and of y, and its n_b x m_b block of the result
+    # sentence b: its rows of x and of y, and its m_b x n_b block of the result
     blocks, x0, y0 = [], 0, 0
     for nb, mb in zip(ns, ms):
         blocks.append((slice(x0, x0 + nb), slice(y0, y0 + mb),
-                       (slice(None), slice(nb), slice(mb))))
+                       (slice(None), slice(mb), slice(nb))))
         x0, y0 = x0 + nb, y0 + mb
     xd, yd = x.data, y.data
     xw = xd @ w3  # (L, N, dy)
-    data = np.zeros((len(blocks), w3.shape[0], max(ns), max(ms)))
+    data = np.zeros((len(blocks), w3.shape[0], max(ms), max(ns)))
     for out, (xs, ys, cell) in zip(data, blocks):
-        np.matmul(xw[:, xs], yd[ys].T, out=out[cell])
+        np.matmul(yd[ys], xw[:, xs].transpose(0, 2, 1), out=out[cell])
 
     def backward(g):
-        g4 = g[:, None] if squeeze else g  # (B, L, n, m)
-        if x.requires_grad or w.requires_grad:
-            gxw = np.empty_like(xw)  # dL/d(xW), packed like xw
-            for gb, (xs, ys, cell) in zip(g4, blocks):
-                np.matmul(gb[cell], yd[ys], out=gxw[:, xs])
-            if x.requires_grad:
-                _accumulate(x, (gxw @ w3.transpose(0, 2, 1)).sum(axis=0), owned=True)
-            _accumulate_product(w, xd.T, gxw)
-        if y.requires_grad:
-            gy = np.empty_like(yd)
-            for gb, (xs, ys, cell) in zip(g4, blocks):
-                # sum over labels of G_l^T (xW)_l, per sentence
-                gy[ys] = (gb[cell].transpose(0, 2, 1) @ xw[:, xs]).sum(axis=0)
-            _accumulate(y, gy, owned=True)
+        g4 = g[:, None] if squeeze else g  # (B, L, m, n)
+        gxw = np.empty_like(xw)  # dL/d(xW), packed like xw
+        gy = np.empty_like(yd)
+        for gb, (xs, ys, cell) in zip(g4, blocks):
+            gb = gb[cell]
+            # G_l^T y per label, and the sum over labels of G_l (xW)_l; G_l^T goes to C
+            # order, as a one-token sentence's strided row rounds differently in numpy
+            np.matmul(np.ascontiguousarray(gb.transpose(0, 2, 1)), yd[ys], out=gxw[:, xs])
+            gy[ys] = (gb @ xw[:, xs]).sum(axis=0)
+        if x.requires_grad:
+            _accumulate(x, (gxw @ w3.transpose(0, 2, 1)).sum(axis=0), owned=True)
+        _accumulate_product(w, xd.T, gxw)
+        _accumulate(y, gy, owned=True)
 
     return _result(data[:, 0] if squeeze else data, (x, w, y), backward)
 

@@ -560,22 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv) -> int:
-    """Parse argv and run the selected subcommand; returns the exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    """Parse argv (None: the command line) and run the selected subcommand;
+    returns the exit status."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SdpkitError as exc:
+    except (SdpkitError, OSError) as exc:
         print(f"sdpkit: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"sdpkit: error: {exc}", file=sys.stderr)
-        return 2
-
-
-def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

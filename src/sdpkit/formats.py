@@ -286,6 +286,8 @@ def read_conllu(stream: TextIO) -> list[SyntacticTree]:
             if "-" in cols[0] or "." in cols[0]:
                 continue  # multiword tokens and empty nodes carry no tree structure
             rows.append((lineno, cols))
+        if not rows:
+            raise FormatError("sentence has no token lines", start)
         tokens = []
         heads = []
         deprels = []
@@ -406,14 +408,16 @@ def read_context_vectors(stream: TextIO, expected_dim: int) -> list[np.ndarray]:
 def read_word_vectors(stream: TextIO, expected_dim: int) -> dict[str, np.ndarray]:
     """Read a word2vec-style text table: ``word v1 .. vd`` per line.
 
-    A leading ``count dim`` header line is tolerated and skipped.
+    A leading ``count dim`` header line is tolerated and skipped: a first line
+    of two integers whose second is `expected_dim`.
     """
     vectors: dict[str, np.ndarray] = {}
     for lineno, raw in enumerate(stream, start=1):
         fields = raw.split()
         if not fields:
             continue
-        if lineno == 1 and len(fields) == 2 and all(f.isdigit() for f in fields):
+        if (lineno == 1 and len(fields) == 2 and all(f.isdigit() for f in fields)
+                and int(fields[1]) == expected_dim):
             continue
         if len(fields) != expected_dim + 1:
             raise FormatError(f"expected a word and {expected_dim} values, "

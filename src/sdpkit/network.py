@@ -5,12 +5,14 @@ optional external context features. The word component sums a trainable table,
 a fixed pretrained table, and a character BiLSTM's final states (no projection,
 so the char hidden size is half the word dimension per direction). A learned
 root row is prepended before encoding; scores are matrices over head positions
-0..n and dependent positions 1..n, with self-loop edges masked to a large
-negative. One model call runs every stage once over a `Batch` of sentences in
-one row layout, sentence after sentence in input order: each sentence's root
-and then its tokens on consecutive rows, from the encoder's input to the
-scorer's heads. Only the scores come back padded, and padded scores are
-masked like the self-loops.
+0..n and dependent positions 1..n, head-major as `ad.bilinear` writes them,
+with self-loop edges masked to a large negative. The optional biaffine bias
+(Dozat & Manning) is a zero-initialised border of the edge weight, met by a
+ones column on the edge FNN rows. One model call runs every stage once over
+a `Batch` of sentences in one row layout, sentence after sentence in input
+order: each sentence's root and then its tokens on consecutive rows, from
+the encoder's input to the scorer's heads. Only the scores come back padded,
+and padded scores are masked like the self-loops.
 
 In multitask mode the embedding layer is always shared; the recurrent stack
 and the four attention FNNs are shared or task-specific according to the
@@ -167,6 +169,11 @@ def _glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _glorot_bordered(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """`_glorot` of the shape one smaller, then a zero last row and column."""
+    return np.pad(_glorot(rng, (shape[0] - 1, shape[1] - 1)), (0, 1))
+
+
 def _zeros(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return np.zeros(shape)
 
@@ -185,7 +192,8 @@ class Batch:
     rows as its head rows and the token rows (`token_rows`) as its dependent
     rows. The char BiLSTM reads the call's distinct forms in sorted order,
     packed form after form. Scores come back padded and batch-major, in
-    input order, T the longest sentence.
+    input order, T the longest sentence: sentence b's edge scores are its
+    [b, :n_b+1, :n_b] block, [head, dependent - 1], as the scorer writes them.
     """
 
     sizes: np.ndarray             # (B,) tokens per sentence
@@ -197,14 +205,6 @@ class Batch:
     contexts: np.ndarray | None   # (N, context_dim)
     input_ids: np.ndarray         # (N+B,) row of [root; tokens] behind each encoder row
     token_rows: np.ndarray        # (N,) encoder row of each token
-
-    def padded_rows(self, first: int) -> np.ndarray:
-        """(B, T+1-first): for position first+k of sentence b, 1 + its row among
-        the head rows (first = 0) or the dependent rows (first = 1), or 0 past
-        the sentence's end."""
-        counts = self.sizes + 1 - first
-        step = np.arange(self.sizes.max() + 1 - first)
-        return np.where(step < counts[:, None], (np.cumsum(counts) - counts + 1)[:, None] + step, 0)
 
     def edge_cells(self) -> np.ndarray:
         """(B, T+1, T) 0/1 mask of every sentence's real, non-diagonal edge cells."""
@@ -271,15 +271,10 @@ class ParserModel:
             arrays[name] = data
         self.params: dict[str, Parameter] = ad.parameter_set(arrays)
 
-    def _rnn_owner(self, task: str) -> str:
-        if self.topology is None:
-            return task
-        return "shared" if self.topology.shared_rnn else task
-
-    def _fnn_owner(self, task: str) -> str:
-        if self.topology is None:
-            return task
-        return "shared" if self.topology.shared_fnn else task
+    def _owner(self, task: str, stack: str) -> str:
+        """Owner of `task`'s "rnn" or "fnn" parameters: the task, or "shared"."""
+        shared = self.topology is not None and getattr(self.topology, f"shared_{stack}")
+        return "shared" if shared else task
 
     def _param_specs(self) -> list[tuple[str, tuple, object]]:
         """(name, shape, initializer) of every parameter the model owns."""
@@ -299,7 +294,7 @@ class ParserModel:
 
         lstm("char_rnn", cfg.char_dim, cfg.word_dim // 2)
         half = cfg.rnn_size // 2
-        for owner in sorted({self._rnn_owner(task) for task in self.tasks}):
+        for owner in sorted({self._owner(task, "rnn") for task in self.tasks}):
             d_in = cfg.input_dim
             for layer in range(cfg.rnn_layers):
                 lstm(f"rnn/{owner}/layer{layer}", d_in, half)
@@ -308,20 +303,19 @@ class ParserModel:
             for task in sorted(self.tasks):
                 lstm(f"rnn_task/{task}", cfg.rnn_size, half)
 
-        for owner in sorted({self._fnn_owner(task) for task in self.tasks}):
+        for owner in sorted({self._owner(task, "fnn") for task in self.tasks}):
             for kind in FNN_TYPES:
                 specs.extend([(f"fnn/{owner}/{kind}/w", (cfg.rnn_size, cfg.fnn_size), _glorot),
                               (f"fnn/{owner}/{kind}/b", (cfg.fnn_size,), _zeros)])
 
+        # the biaffine bias is a border of the edge weight (see `score_edges_labels`)
+        edge = cfg.fnn_size + cfg.biaffine_bias
+        edge_init = _glorot_bordered if cfg.biaffine_bias else _glorot
         for task in sorted(self.tasks):
             labels = len(self.tasks[task])
-            specs.extend([(f"scorer/{task}/edge", (cfg.fnn_size, cfg.fnn_size), _glorot),
+            specs.extend([(f"scorer/{task}/edge", (edge, edge), edge_init),
                           (f"scorer/{task}/label", (labels, cfg.fnn_size, cfg.fnn_size),
                            _glorot)])
-            if cfg.biaffine_bias:
-                specs.extend([(f"scorer/{task}/edge_bias_dep", (cfg.fnn_size,), _normal(0.0)),
-                              (f"scorer/{task}/edge_bias_head", (cfg.fnn_size,), _normal(0.0)),
-                              (f"scorer/{task}/edge_bias", (1,), _normal(0.0))])
         return specs
 
     def parameters(self) -> list[Parameter]:
@@ -369,11 +363,8 @@ class ParserModel:
 
     def _char_vectors(self, batch: Batch) -> Tensor:
         """Final states of the char BiLSTM, (F, word_dim): one row per distinct form."""
-        emb = ad.lookup(self.params["emb/char"], batch.char_ids)
-        fw, bw = (ad.lstm_seq(emb, self.params[f"char_rnn/{d}/w"], self.params[f"char_rnn/{d}/u"],
-                              self.params[f"char_rnn/{d}/b"], batch.char_lengths,
-                              reverse=d == "bw")
-                  for d in ("fw", "bw"))
+        fw, bw = self._bilstm(ad.lookup(self.params["emb/char"], batch.char_ids),
+                              batch.char_lengths, "char_rnn")
         # forward: the state at each form's last char; backward: at its first
         ends = np.cumsum(batch.char_lengths)
         return ad.concat([ad.lookup(fw, ends - 1), ad.lookup(bw, ends - batch.char_lengths)],
@@ -412,11 +403,12 @@ class ParserModel:
             parts.append(ad.constant(batch.contexts))
         return ad.concat(parts, axis=1)
 
-    def _bilstm_layer(self, x: Tensor, lengths: np.ndarray, prefix: str) -> Tensor:
-        fw, bw = (ad.lstm_seq(x, self.params[f"{prefix}/{d}/w"], self.params[f"{prefix}/{d}/u"],
-                              self.params[f"{prefix}/{d}/b"], lengths, reverse=d == "bw")
-                  for d in ("fw", "bw"))
-        return ad.concat([fw, bw], axis=1)
+    def _bilstm(self, x: Tensor, lengths: np.ndarray, prefix: str) -> tuple[Tensor, Tensor]:
+        """The forward and backward `lstm_seq` states of the BiLSTM `prefix`."""
+        return tuple(ad.lstm_seq(x, self.params[f"{prefix}/{d}/w"],
+                                 self.params[f"{prefix}/{d}/u"], self.params[f"{prefix}/{d}/b"],
+                                 lengths, reverse=d == "bw")
+                     for d in ("fw", "bw"))
 
     def encode(self, embedded: Tensor, batch: Batch, task: str,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -431,15 +423,14 @@ class ParserModel:
         root = ad.reshape(self.params["emb/root"], (1, cfg.input_dim))
         states = ad.lookup(ad.concat([root, embedded], axis=0), batch.input_ids)
         lengths = batch.sizes + 1
-        owner = self._rnn_owner(task)
-        for layer in range(cfg.rnn_layers):
+        owner = self._owner(task, "rnn")
+        prefixes = [f"rnn/{owner}/layer{layer}" for layer in range(cfg.rnn_layers)]
+        if self.topology is not None and self.topology.task_rnn:
+            prefixes.append(f"rnn_task/{task}")
+        for layer, prefix in enumerate(prefixes):
             if layer > 0 and dropout:
                 states = ad.dropout(states, cfg.recurrent_dropout, rng)
-            states = self._bilstm_layer(states, lengths, f"rnn/{owner}/layer{layer}")
-        if self.topology is not None and self.topology.task_rnn:
-            if dropout:
-                states = ad.dropout(states, cfg.recurrent_dropout, rng)
-            states = self._bilstm_layer(states, lengths, f"rnn_task/{task}")
+            states = ad.concat(self._bilstm(states, lengths, prefix), axis=1)
         return states
 
     def score_edges_labels(self, states: Tensor, batch: Batch, task: str,
@@ -452,15 +443,19 @@ class ParserModel:
         label dropout) run on real rows only: the encoder rows as they stand
         are the head rows (positions 0..n_b of each sentence) and its token
         rows the dependent rows (1..n_b).
-        Both bilinears are ragged over those rows and write sentence b's scores
-        into its [:n_b+1, :n_b] block of the padded result. The diagonal
-        (i == j) and the padding (i or j beyond n_b) are masked to a large
-        negative edge score, so decoding and head softmaxes never select them;
-        label scores are 0 on padding and are read only at edges.
+        Both bilinears are ragged over those rows, dependent rows first, so
+        each writes sentence b's scores head-major into its [:n_b+1, :n_b]
+        block of the padded result. With `biaffine_bias` the edge FNN rows
+        carry an appended ones column, so the last column of the (f+1, f+1)
+        edge weight holds the dependent bias, its last row the head bias and
+        its corner the constant. The diagonal (i == j) and the padding (i or
+        j beyond n_b) are masked to a large negative edge score, so decoding
+        and head softmaxes never select them; label scores are 0 on padding
+        and are read only at edges.
         """
         self._check_task(task)
         cfg = self.config
-        owner = self._fnn_owner(task)
+        owner = self._owner(task, "fnn")
         dep_rows = ad.lookup(states, batch.token_rows)
         heads = {}
         for kind in FNN_TYPES:
@@ -470,33 +465,21 @@ class ParserModel:
             rate = cfg.edge_dropout if kind.startswith("edge") else cfg.label_dropout
             if rng is not None and rate > 0:
                 h = ad.dropout(h, rate, rng)
+            if cfg.biaffine_bias and kind.startswith("edge"):
+                h = ad.concat([h, ad.constant(np.ones((h.shape[0], 1)))], axis=1)
             heads[kind] = h
         # sentence b has n_b dependent rows and n_b + 1 head rows
         sizes = np.stack([batch.sizes, batch.sizes + 1], axis=1)
 
-        # written form: score(i, j) = h_i^(dep) W h_j^(head); stored as [head, dep]
-        s_edge = ad.transpose(ad.bilinear(heads["edge_dep"], self.params[f"scorer/{task}/edge"],
-                                          heads["edge_head"], sizes), (0, 2, 1))
-        if cfg.biaffine_bias:
-            # one bias column per head kind, scattered from the packed rows into
-            # the padded layout; cells past a sentence's end read a zero row
-            count, steps = batch.sizes.size, int(batch.sizes.max()) + 1
-            zero = ad.constant(np.zeros((1, 1)))
-            for kind, first, shape in (("dep", 1, (count, 1, steps - 1)),
-                                       ("head", 0, (count, steps, 1))):
-                bias = ad.matmul(heads[f"edge_{kind}"],
-                                 ad.reshape(self.params[f"scorer/{task}/edge_bias_{kind}"],
-                                            (cfg.fnn_size, 1)))
-                bias = ad.lookup(ad.concat([zero, bias]), batch.padded_rows(first).reshape(-1))
-                s_edge = ad.add(s_edge, ad.reshape(bias, shape))
-            s_edge = ad.add(s_edge, ad.reshape(self.params[f"scorer/{task}/edge_bias"],
-                                               (1, 1, 1)))
+        # score(i, j) = h_j^(dep) W h_i^(head), written [head i, dep j]
+        s_edge = ad.bilinear(heads["edge_dep"], self.params[f"scorer/{task}/edge"],
+                             heads["edge_head"], sizes)
         valid = batch.edge_cells()
         s_edge = ad.add(ad.mul(s_edge, ad.constant(valid)),
                         ad.constant((1.0 - valid) * NEG_SCORE))
 
-        s_label = ad.transpose(ad.bilinear(heads["label_dep"], self.params[f"scorer/{task}/label"],
-                                           heads["label_head"], sizes), (0, 1, 3, 2))
+        s_label = ad.bilinear(heads["label_dep"], self.params[f"scorer/{task}/label"],
+                              heads["label_head"], sizes)
         return s_edge, s_label
 
     def forward(self, sentences: Sequence[Sequence[Token]], task: str,

@@ -261,8 +261,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     context_dim = model.config.context_dim
     examples = {task: _examples(items, context_dim, task) for task, items in corpora.items()}
     heldout = _examples(heldout, context_dim, "heldout")
-    data = {task: items for task, items in examples.items()
-            if (weights[task] > 0 or not multitask)}
+    data = {task: items for task, items in examples.items() if weights[task] > 0}
     params = model.parameters()
 
     result = TrainResult()

@@ -457,27 +457,30 @@ class TestKernelsMatchReference:
 
     @pytest.mark.parametrize("w_shape", [(6, 5), (4, 6, 5)], ids=["2d", "3d"])
     def test_bilinear(self, w_shape):
+        # the result is y-major: x_i W y_j at [j, i], the reference's [i, j]
         rng = np.random.default_rng(len(w_shape))
         x, w, y = (rng.standard_normal(shape) for shape in ((7, 6), w_shape, (8, 5)))
         g = rng.standard_normal(w_shape[:-2] + (7, 8))
         tx, tw, ty = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(y, "y")
         out = ad.bilinear(tx, tw, ty, [(7, 8)])  # one sentence
-        ad.sum_all(ad.mul(out, ad.constant(g[None]))).backward()
+        assert out.shape == (1,) + w_shape[:-2] + (8, 7)
+        ad.sum_all(ad.mul(out, ad.constant(np.swapaxes(g, -1, -2)[None]))).backward()
         ref_out, *ref_grads = reference_bilinear(x, w, y, g)
-        assert_close(out.data[0], ref_out)
+        assert_close(out.data[0], np.swapaxes(ref_out, -1, -2))
         for name, got, want in zip("xwy", (tx.grad, tw.grad, ty.grad), ref_grads):
             assert_close(got, want, err_msg=name)
 
     @staticmethod
     def _ragged_bilinear(rng, w_shape, sizes, g=None):
         """A packed bilinear over sentences of `sizes` (n_b, m_b), backpropagated from
-        the upstream gradient `g` (random if None); returns (x, w, y, g, out, tx, tw, ty)."""
+        the y-major upstream gradient `g` (random if None); returns
+        (x, w, y, g, out, tx, tw, ty)."""
         counts = np.array(sizes)
         (rows_x, rows_y), (n, m) = counts.sum(axis=0), counts.max(axis=0)
         x, y = rng.standard_normal((rows_x, w_shape[-2])), rng.standard_normal((rows_y, w_shape[-1]))
         w = rng.standard_normal(w_shape)
         if g is None:
-            g = rng.standard_normal((len(sizes),) + w_shape[:-2] + (n, m))
+            g = np.swapaxes(rng.standard_normal((len(sizes),) + w_shape[:-2] + (n, m)), -1, -2)
         tx, tw, ty = ad.Parameter(x, "x"), ad.Parameter(w, "w"), ad.Parameter(y, "y")
         out = ad.bilinear(tx, tw, ty, sizes)
         assert out.shape == g.shape
@@ -495,9 +498,10 @@ class TestKernelsMatchReference:
             x0 = y0 = 0
             for b, (n, m) in enumerate(sizes):
                 xs, ys = slice(x0, x0 + n), slice(y0, y0 + m)
-                ref_out, ref_dx, ref_dw, ref_dy = reference_bilinear(x[xs], w, y[ys],
-                                                                     g[b, ..., :n, :m])
-                assert_close(out.data[b, ..., :n, :m], ref_out, err_msg=f"out {sizes}")
+                ref_out, ref_dx, ref_dw, ref_dy = reference_bilinear(
+                    x[xs], w, y[ys], np.swapaxes(g[b, ..., :m, :n], -1, -2))
+                assert_close(out.data[b, ..., :m, :n], np.swapaxes(ref_out, -1, -2),
+                             err_msg=f"out {sizes}")
                 assert_close(tx.grad[xs], ref_dx, err_msg=f"x {sizes}")
                 assert_close(ty.grad[ys], ref_dy, err_msg=f"y {sizes}")
                 dw += ref_dw
@@ -507,11 +511,11 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("w_shape", [(6, 5), (4, 6, 5)], ids=["2d", "3d"])
     def test_ragged_bilinear_padding_is_zero_and_passes_no_gradient(self, w_shape):
         sizes = [(2, 5), (4, 1), (3, 3)]
-        pad = np.ones((3, 4, 5), dtype=bool)
+        pad = np.ones((3, 5, 4), dtype=bool)
         for b, (n, m) in enumerate(sizes):
-            pad[b, :n, :m] = False
+            pad[b, :m, :n] = False
         if len(w_shape) == 3:
-            pad = np.broadcast_to(pad[:, None], (3, w_shape[0], 4, 5))
+            pad = np.broadcast_to(pad[:, None], (3, w_shape[0], 5, 4))
         first = self._ragged_bilinear(np.random.default_rng(5), w_shape, sizes)
         out, g = first[4], first[3]
         assert np.all(out.data[pad] == 0.0)

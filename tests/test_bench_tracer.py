@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sdpkit
 import sdpkit.cli
@@ -46,13 +47,15 @@ def test_tracer_installs_and_restores_every_name():
         assert all(now[name] is value for name, value in saved.items()), owner
 
 
-def test_tracer_sees_every_scorer_and_encoder_span():
+@pytest.mark.parametrize("biaffine_bias", [False, True])
+def test_tracer_sees_every_scorer_and_encoder_span(biaffine_bias):
     # the per-layer metrics read these span names: a signature change that
     # moves the weight argument or merges the char calls must fail here
     golds = synth_corpus(SynthConfig(sentences=3, seed=5)).target_gold.graphs()
     sentences = [g.sentence for g in golds]
     labels = semantic_label_vocab(DEFAULT_LABELS)
-    config = NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=3, fnn_size=8)
+    config = NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=3, fnn_size=8,
+                           biaffine_bias=biaffine_bias)
     model = ParserModel(config, {SEMANTIC: labels}, *build_vocabs(sentences), seed=1)
     tracer = _load_tracer().Tracer()
     try:
@@ -67,4 +70,5 @@ def test_tracer_sees_every_scorer_and_encoder_span():
     required |= {f"autodiff.lstm_seq.layer{k}.{phase}" for k in range(3)
                  for phase in ("fwd", "bwd")}
     assert required <= set(names), sorted(required - set(names))
+    assert not [name for name in names if ".other." in name]
     assert names.count("autodiff.lstm_seq.char.fwd") == 2

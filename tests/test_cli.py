@@ -140,9 +140,20 @@ def test_gradcheck(monkeypatch, biaffine_bias):
     if biaffine_bias:
         monkeypatch.setattr(cli, "NetworkConfig",
                             lambda **kw: NetworkConfig(biaffine_bias=True, **kw))
+    shapes = {}
+    check = ad.gradient_check
+
+    def spy(closure, params, **kwargs):
+        shapes.update((p.name, p.shape) for p in params)
+        return check(closure, params, **kwargs)
+
+    monkeypatch.setattr(ad, "gradient_check", spy)
     report = cli.run_gradcheck()
     assert report.max_rel_error <= 1e-4, str(report)
-    assert ("scorer/semantic/edge_bias" in report.per_param) == biaffine_bias
+    # the bias is a border of the edge weight (fnn_size 4), checked with it
+    edge = 5 if biaffine_bias else 4
+    assert shapes["scorer/semantic/edge"] == (edge, edge)
+    assert "scorer/semantic/edge" in report.per_param
 
 
 def test_semantic_weight_config_key_rejected(pipeline, tmp_path, capsys):
@@ -199,6 +210,25 @@ def test_train_rejects_syntactic_task_with_context_channel(pipeline, tmp_path, c
                      "--tasks", "sem,syn", "--config", str(config), "--out", str(out)]) == 2
     assert "needs network.context_dim 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_rejects_a_conllu_block_without_tokens(pipeline, tmp_path, capsys, monkeypatch):
+    trees = tmp_path / "target.conllu"
+    with open(os.path.join(pipeline["corpus"], "target.conllu"), encoding="utf-8") as f:
+        text = f.read()
+    trees.write_text(text.rstrip("\n") + "\n\n# sent_id = empty\n", encoding="utf-8")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "model.npz"
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                     "--syntactic", str(trees), "--tasks", "sem,syn",
+                     "--config", pipeline["tiny.json"], "--out", str(out)]) == 2
+    empty_block = text.rstrip("\n").count("\n") + 3
+    assert f"line {empty_block}: sentence has no token lines" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["target.conllu"]
 
 
 def test_sample_keeps_corpus_order_and_masks(pipeline, tmp_path, capsys):

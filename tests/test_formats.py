@@ -170,6 +170,14 @@ class TestConllu:
         with pytest.raises(FormatError, match="non-numeric"):
             read_conllu(io.StringIO("1\ta\ta\tN\t_\t_\tx\tdep\t_\t_\n"))
 
+    @pytest.mark.parametrize("block", ["# sent_id = empty\n# text =\n",
+                                       "1-2\tdu\t_\t_\t_\t_\t_\t_\t_\t_\n"],
+                             ids=["comments", "multiword-only"])
+    def test_block_without_token_lines_is_an_error(self, block):
+        text = "1\ta\ta\tN\t_\t_\t0\troot\t_\t_\n\n" + block
+        with pytest.raises(FormatError, match="line 3: sentence has no token lines"):
+            read_conllu(io.StringIO(text))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 15))
     def test_roundtrip_property(self, seed, n):
@@ -241,6 +249,11 @@ class TestWordVectors:
         vecs = read_word_vectors(io.StringIO(text), 3)
         assert set(vecs) == {"rok", "zprava"}
         np.testing.assert_array_equal(vecs["rok"], [1, 2, 3])
+        # at dimension 1 a first line "10 3" is the vector of the word "10", not
+        # a header: a header's second field is the dimension
+        vecs = read_word_vectors(io.StringIO("10 3\n20 4\n"), 1)
+        assert {word: list(vec) for word, vec in vecs.items()} == {"10": [3.0], "20": [4.0]}
+        assert set(read_word_vectors(io.StringIO("2 1\n10 3\n20 4\n"), 1)) == {"10", "20"}
 
     def test_bad_width(self):
         with pytest.raises(FormatError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import reference_folded_adam_step
@@ -123,13 +125,49 @@ def test_common_parameters_initialise_identically(graphs, topology):
     multi = _model(graphs, (SEMANTIC, SYNTACTIC), topology)
     common = set(single.params) & set(multi.params)
     assert {"emb/word", "char_rnn/fw/w", "scorer/semantic/label",
-            "scorer/semantic/edge_bias"} <= common
+            "scorer/semantic/edge"} <= common
     if not topology.shared_rnn:
         assert "rnn/semantic/layer1/bw/u" in common
     if not topology.shared_fnn:
         assert "fnn/semantic/label_head/w" in common
     for name in sorted(common):
         assert np.array_equal(single.params[name].data, multi.params[name].data), name
+
+
+def test_biaffine_bias_is_the_border_of_the_edge_weight(graphs):
+    # x'W'y' with ones appended to both row sets is dep W head + dep a + b head + c
+    model = _model(graphs)
+    f = TINY.fnn_size
+    edge = model.params["scorer/semantic/edge"].data
+    plain = ParserModel(replace(TINY, biaffine_bias=False), model.tasks, model.word_vocab,
+                        model.char_vocab, model.pos_vocab, seed=4)
+    # a fresh model starts from the bias-off Glorot values and a zero border
+    assert edge.shape == (f + 1, f + 1)
+    assert np.array_equal(edge[:f, :f], plain.params["scorer/semantic/edge"].data)
+    assert not edge[f].any() and not edge[:, f].any()
+    rng = np.random.default_rng(3)
+    edge[f] = rng.standard_normal(f + 1)
+    edge[:f, f] = rng.standard_normal(f)
+    w, a, b, c = edge[:f, :f], edge[:f, f], edge[f, :f], edge[f, f]
+    assert a.all() and b.all() and c != 0.0
+    sentences = [g.sentence for g in graphs]
+    with ad.no_grad():
+        batch = model.batch(sentences)
+        states = model.encode(model.embed_tokens(batch), batch, SEMANTIC).data
+        s_edge = model.score_edges_labels(ad.constant(states), batch, SEMANTIC)[0].data
+
+    def fnn(kind, rows):
+        return np.tanh(rows @ model.params[f"fnn/semantic/{kind}/w"].data
+                       + model.params[f"fnn/semantic/{kind}/b"].data)
+
+    heads, deps = fnn("edge_head", states), fnn("edge_dep", states[batch.token_rows])
+    valid = batch.edge_cells().astype(bool)
+    for k, n in enumerate(batch.sizes):
+        first = batch.sizes[:k].sum()  # tokens before sentence k, and k roots
+        head, dep = heads[first + k:][:n + 1], deps[first:][:n]
+        want = head @ w.T @ dep.T + (dep @ a)[None] + (head @ b)[:, None] + c
+        cells = valid[k, :n + 1, :n]
+        _close(s_edge[k, :n + 1, :n][cells], want[cells], 1e-12)
 
 
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])

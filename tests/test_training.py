@@ -136,19 +136,30 @@ def test_load_draws_no_random_initialisation(tmp_path, monkeypatch):
         assert loaded.params[name].data.dtype == np.float64
 
 
+def _old_bias_layout(arrays, meta):
+    """The biaffine-bias layout from before the bias was a border of the edge
+    weight: an (f, f) edge weight and three separate bias tensors."""
+    meta["config"]["biaffine_bias"] = True
+    arrays.update({"scorer/semantic/edge_bias_dep": np.zeros(8),
+                   "scorer/semantic/edge_bias_head": np.zeros(8),
+                   "scorer/semantic/edge_bias": np.zeros(1)})
+
+
 @pytest.mark.parametrize("edit,message", [
-    (lambda arrays: arrays.pop("scorer/semantic/edge"), "missing tensors"),
-    (lambda arrays: arrays.update({"fnn/semantic/edge_dep/b": np.zeros(3)}), "has shape"),
-], ids=["missing-tensor", "wrong-shape"])
+    (lambda arrays, meta: arrays.pop("scorer/semantic/edge"), "missing tensors"),
+    (lambda arrays, meta: arrays.update({"fnn/semantic/edge_dep/b": np.zeros(3)}), "has shape"),
+    (_old_bias_layout, r"scorer/semantic/edge has shape \(8, 8\), expected \(9, 9\)"),
+], ids=["missing-tensor", "wrong-shape", "old-bias-layout"])
 def test_load_rejects_bad_tensors(tmp_path, edit, message):
     graphs, _ = _corpus(4)
     path = str(tmp_path / "model.npz")
     _model(graphs).save(path)
     arrays, meta = ad.load_arrays(path)
-    edit(arrays)
+    edit(arrays, meta)
     ad.save_arrays(path, arrays, meta)
-    with pytest.raises(CheckpointError, match=message):
+    with pytest.raises(CheckpointError, match=message) as excinfo:
         ParserModel.load(path)
+    assert path in str(excinfo.value)
 
 
 def test_zero_syntactic_weight_follows_the_single_task_trajectory():
