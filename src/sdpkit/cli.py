@@ -109,24 +109,28 @@ def _finish(args, inputs: list[str], outputs: list[str], config: dict) -> int:
     return 0
 
 
-def _read_sdp_file(path: str) -> SdpDocument:
+def _read(path: str, reader, *args):
+    """`reader(stream, *args)` on the file at `path`. Every input file is read
+    through here, so a FormatError names the file before its line."""
     with open(path, "r", encoding="utf-8") as f:
-        return read_sdp(f)
+        try:
+            return reader(f, *args)
+        except FormatError as exc:
+            named = FormatError(f"{path}: {exc}")
+            named.line = exc.line
+            raise named from exc
 
 
 def _read_sentences(path: str):
     if path.endswith(".conllu"):
-        with open(path, "r", encoding="utf-8") as f:
-            return [t.sentence for t in read_conllu(f)]
-    with open(path, "r", encoding="utf-8") as f:
-        return [g.sentence for g in read_sdp(f).semantic_graphs()]
+        return [t.sentence for t in _read(path, read_conllu)]
+    return [g.sentence for g in _read(path, read_sdp).semantic_graphs()]
 
 
 def _read_contexts(path: str | None, dim: int, sentences):
     if path is None:
         return None
-    with open(path, "r", encoding="utf-8") as f:
-        vectors = read_context_vectors(f, dim)
+    vectors = _read(path, read_context_vectors, dim)
     if len(vectors) != len(sentences):
         raise FormatError(f"{path}: {len(vectors)} sentences, corpus has {len(sentences)}")
     for i, (sent, mat) in enumerate(zip(sentences, vectors)):
@@ -141,10 +145,8 @@ def _read_contexts(path: str | None, dim: int, sentences):
 
 
 def cmd_intersect(args) -> int:
-    with open(args.forward, "r", encoding="utf-8") as f:
-        forward = read_alignments(f)
-    with open(args.backward, "r", encoding="utf-8") as f:
-        backward = read_alignments(f)
+    forward = _read(args.forward, read_alignments)
+    backward = _read(args.backward, read_alignments)
     if len(forward) != len(backward):
         raise FormatError(f"alignment files differ in length: {len(forward)} vs "
                           f"{len(backward)} sentence pairs")
@@ -156,9 +158,8 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_project(args) -> int:
-    source = _read_sdp_file(args.source)
-    with open(args.alignments, "r", encoding="utf-8") as f:
-        alignments = read_alignments(f)
+    source = _read(args.source, read_sdp)
+    alignments = _read(args.alignments, read_alignments)
     targets = _read_sentences(args.target)
     if not (len(source) == len(alignments) == len(targets)):
         raise FormatError(f"corpus sizes differ: {len(source)} source graphs, "
@@ -174,7 +175,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    doc = _read_sdp_file(args.input)
+    doc = _read(args.input, read_sdp)
     entries = [(sid, as_partial(g)) for sid, g in doc]
     graphs = [g for _, g in entries]
     chosen = density_sample(graphs, args.size, args.threshold, seed=args.seed or 0)
@@ -187,7 +188,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_split(args) -> int:
-    doc = _read_sdp_file(args.input)
+    doc = _read(args.input, read_sdp)
     train_part, held_part = heldout_split(list(doc.sentences), args.heldout,
                                           seed=args.seed or 0)
     with atomic_open(args.train_out) as f:
@@ -263,12 +264,9 @@ def cmd_train(args) -> int:
     if (args.context or args.heldout_context) and not net_cfg.context_dim:
         raise ConfigError("--context/--heldout-context given but network.context_dim is 0")
 
-    train_doc = _read_sdp_file(args.train)
-    heldout_doc = _read_sdp_file(args.heldout)
-    trees = []
-    if args.syntactic:
-        with open(args.syntactic, "r", encoding="utf-8") as f:
-            trees = read_conllu(f)
+    train_doc = _read(args.train, read_sdp)
+    heldout_doc = _read(args.heldout, read_sdp)
+    trees = _read(args.syntactic, read_conllu) if args.syntactic else []
 
     train_cfg = TrainConfig(**train_section)
     topology = _parse_share(args.share, raw) if len(tasks) > 1 else None
@@ -290,8 +288,7 @@ def cmd_train(args) -> int:
 
     pretrained = None
     if args.word_vectors:
-        with open(args.word_vectors, "r", encoding="utf-8") as f:
-            vectors = read_word_vectors(f, net_cfg.word_dim)
+        vectors = _read(args.word_vectors, read_word_vectors, net_cfg.word_dim)
         pretrained = pretrained_table(vectors, word_vocab, net_cfg.word_dim)
 
     model = ParserModel(net_cfg, task_vocabs, word_vocab, char_vocab, pos_vocab,
@@ -346,8 +343,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_score(args) -> int:
-    pred = _read_sdp_file(args.pred).semantic_graphs()
-    gold = _read_sdp_file(args.gold).semantic_graphs()
+    pred = _read(args.pred, read_sdp).semantic_graphs()
+    gold = _read(args.gold, read_sdp).semantic_graphs()
     report = score_graphs(pred, gold)
     text = format_report(report)
     print(text)
@@ -374,10 +371,10 @@ def cmd_analyze(args) -> int:
     if missing:
         raise ConfigError(f"analyze --{mode} needs {', '.join(missing)}")
     inputs = [args.gold] + [getattr(args, name) for name in _ANALYZE_INPUTS[mode]]
-    gold = _read_sdp_file(args.gold).semantic_graphs()
+    gold = _read(args.gold, read_sdp).semantic_graphs()
     series: list[tuple[str, float]] = []
     if mode == "buckets":
-        pred = _read_sdp_file(args.pred).semantic_graphs()
+        pred = _read(args.pred, read_sdp).semantic_graphs()
         stats = length_buckets(pred, gold)
         print("bucket\tpredicted\tcorrect\tprecision")
         for bucket in LENGTH_BUCKETS:
@@ -386,10 +383,9 @@ def cmd_analyze(args) -> int:
                 print(f"{bucket}\t{s.predicted}\t{s.correct}\t{s.precision:.6f}")
                 series.append((bucket, s.precision))
     elif mode == "headmatch":
-        with open(args.trees, "r", encoding="utf-8") as f:
-            trees = read_conllu(f)
-        pred_a = _read_sdp_file(args.pred_a).semantic_graphs()
-        pred_b = _read_sdp_file(args.pred_b).semantic_graphs()
+        trees = _read(args.trees, read_conllu)
+        pred_a = _read(args.pred_a, read_sdp).semantic_graphs()
+        pred_b = _read(args.pred_b, read_sdp).semantic_graphs()
         stats = head_match_stats(gold, trees, pred_a, pred_b)
         print("mode\tset\ttokens\tmatch\tmismatch")
         for score_mode in ("labeled", "unlabeled"):
@@ -402,10 +398,9 @@ def cmd_analyze(args) -> int:
                     series.append((f"{score_mode}.{key}.match", s.match_rate))
                     series.append((f"{score_mode}.{key}.mismatch", s.mismatch_rate))
     else:
-        with open(args.trees, "r", encoding="utf-8") as f:
-            trees = read_conllu(f)
-        pred_multi = _read_sdp_file(args.pred_multi).semantic_graphs()
-        pred_single = _read_sdp_file(args.pred_single).semantic_graphs()
+        trees = _read(args.trees, read_conllu)
+        pred_multi = _read(args.pred_multi, read_sdp).semantic_graphs()
+        pred_single = _read(args.pred_single, read_sdp).semantic_graphs()
         contribution = label_contribution(pred_multi, pred_single, gold, trees)
         print("deprel\tpercent")
         for rel, pct in sorted(contribution.items(), key=lambda kv: (-kv[1], kv[0])):

@@ -142,6 +142,8 @@ def _read_sdp_block(start: int, block: list[tuple[int, str]]):
             if rows:
                 raise FormatError("comment after token lines", lineno)
             if line.startswith(ALIGNED_PREFIX):
+                if aligned is not None:
+                    raise FormatError(f"second {ALIGNED_PREFIX} comment", lineno)
                 aligned = set()
                 for field in line[len(ALIGNED_PREFIX):].split():
                     if not field.isdigit():

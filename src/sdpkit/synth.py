@@ -8,12 +8,21 @@ rate, a parallel source sentence with gold source annotations, and Pharaoh
 alignment files in both directions whose intersection is one-to-one. Source
 edges carry configurable label noise so that projections are imperfect, as
 real projected data would be.
+
+Every draw comes from one `numpy.random.Generator`, seeded from the config's
+seed, in the fixed order that `_generate_sentence` lists, so equal configs
+give byte-identical corpora. A weighted pick draws exactly one uniform, as
+`Generator.choice` does (`_weighted_pick`), and a block of k uniforms is the
+same draw as k single ones. A draw added, dropped or moved changes every
+later sentence, so a new generator setting must draw nothing while it is off.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +39,10 @@ _LEXICON = {
     "J": [f"j{i}" for i in range(1, 7)],
     "R": [f"r{i}" for i in range(1, 5)],
 }
+
+# cumulative POS distribution, normalised as `Generator.choice` does it
+_POS_CDF = np.cumsum([0.45, 0.2, 0.2, 0.15])
+_POS_CDF /= _POS_CDF[-1]
 
 DEFAULT_LABELS = ("ACT-arg", "PAT-arg", "ADDR-arg", "RSTR", "APP", "TWHEN")
 DEFAULT_DEPRELS = ("root", "nsubj", "obj", "nmod", "amod", "advmod", "conj")
@@ -73,75 +86,93 @@ class SynthCorpus:
     backward: AlignmentFile
 
 
-def _pos_code(pos: str) -> int:
-    return _POS_CLASSES.index(pos)
+def _pos_pair_table(names: Sequence[str], skip: int) -> dict[tuple[str, str], str]:
+    """The name for each (head, dependent) pair of POS classes: with the classes
+    numbered in `_POS_CLASSES` order, `names[skip + (4 * head + dependent) %
+    (len(names) - skip)]`."""
+    return {(h, d): names[skip + (4 * i + k) % (len(names) - skip)]
+            for i, h in enumerate(_POS_CLASSES) for k, d in enumerate(_POS_CLASSES)}
 
 
-def _semantic_label(labels: Sequence[str], head_pos: str, dep_pos: str) -> str:
-    return labels[(4 * _pos_code(head_pos) + _pos_code(dep_pos)) % len(labels)]
+def _weighted_pick(rng: np.random.Generator, weights: Sequence[float]) -> int:
+    """Index i drawn with probability `weights[i] / sum(weights)`, from one uniform.
 
-
-def _deprel(deprels: Sequence[str], head_pos: str, dep_pos: str) -> str:
-    return deprels[1 + (4 * _pos_code(head_pos) + _pos_code(dep_pos)) % (len(deprels) - 1)]
+    Same result and generator state as `rng.choice(len(weights), p=weights /
+    weights.sum())`, by the same arithmetic: numpy's sum (which adds 8 or more
+    terms pairwise, unlike Python's `sum`), the cumulative sum of the
+    normalised weights rescaled by its last entry, and the first entry above
+    `rng.random()`. It skips only the validation of p. A single weight still
+    uses up a uniform.
+    """
+    total = float(np.add.reduce(np.array(weights)))
+    cdf = list(accumulate([w / total for w in weights]))
+    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def _sample_pos_sequence(rng: np.random.Generator, n: int) -> list[str]:
-    probs = np.array([0.45, 0.2, 0.2, 0.15])
-    seq = [str(_POS_CLASSES[i]) for i in rng.choice(4, size=n, p=probs)]
+    # n uniforms searched in the cumulative POS distribution, as
+    # `rng.choice(4, size=n, p=...)` draws them
+    codes = _POS_CDF.searchsorted(rng.random(n), side="right").tolist()
+    seq = [_POS_CLASSES[i] for i in codes]
     if "V" not in seq:
         seq[int(rng.integers(n))] = "V"
     return seq
 
 
-def _sample_ranks(rng: np.random.Generator, n: int, top: int) -> list[int]:
-    # rank order mostly follows surface order, with occasional local swaps
+def _sample_order(rng: np.random.Generator, n: int, top: int) -> list[int]:
+    """Tokens by rank: the top, then surface order with occasional local swaps."""
     order = [top] + [j for j in range(1, n + 1) if j != top]
-    for k in range(1, len(order) - 1):
-        if rng.random() < 0.15:
+    for k, u in enumerate(rng.random(max(n - 2, 0)).tolist(), start=1):
+        if u < 0.15:
             order[k], order[k + 1] = order[k + 1], order[k]
+    return order
+
+
+def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig, sid: str,
+                       label_of: dict, deprel_of: dict):
+    """One sentence's target tokens, gold graph, tree, source graph, and the
+    backward and forward alignment links.
+
+    The draws, in order: the length; n uniforms for the POS classes (and an
+    integer if no verb came up); an integer per form; n - 2 uniforms for the
+    rank swaps; per non-top token in rank order, a pick of its head among the
+    lower ranks, then from rank 2 a uniform for reentrancy and on a hit a pick
+    of a second head; per non-top token in surface order, a uniform for
+    agreement and on a miss a pick among the other lower ranks; n uniforms for
+    the alignments; per unaligned token a uniform and on a hit an integer for
+    a noise link; with `edge_noise`, per sorted non-top source edge a uniform
+    and on a hit an integer for the label shift. Each pick draws one uniform.
+    """
+    n = int(rng.integers(cfg.min_len, cfg.max_len + 1))
+    pos = _sample_pos_sequence(rng, n)
+    forms = [_LEXICON[p][int(rng.integers(len(_LEXICON[p])))] for p in pos]
+    tokens = tuple(Token(j + 1, forms[j], forms[j], pos[j]) for j in range(n))
+
+    top = pos.index("V") + 1
+    order = _sample_order(rng, n, top)
     rank = [0] * (n + 1)
     for r, j in enumerate(order):
         rank[j] = r
-    return rank
+    verb = [0.0] + [2.0 if p == "V" else 1.0 for p in pos]
 
+    def weights(j, candidates):
+        return [verb[c] / (1.0 + abs(j - c)) ** 2 for c in candidates]
 
-def _pick_head(rng: np.random.Generator, j: int, candidates: list[int],
-               pos: list[str]) -> int:
-    weights = np.array([
-        (2.0 if pos[c - 1] == "V" else 1.0) / (1.0 + abs(j - c)) ** 2
-        for c in candidates
-    ])
-    weights /= weights.sum()
-    return candidates[int(rng.choice(len(candidates), p=weights))]
-
-
-def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig):
-    n = int(rng.integers(cfg.min_len, cfg.max_len + 1))
-    pos = _sample_pos_sequence(rng, n)
-    forms = [str(_LEXICON[p][int(rng.integers(len(_LEXICON[p])))]) for p in pos]
-    tokens = tuple(Token(j + 1, forms[j], forms[j], pos[j]) for j in range(n))
-
-    top = next(j for j in range(1, n + 1) if pos[j - 1] == "V")
-    rank = _sample_ranks(rng, n, top)
-
-    edges = {Edge(ROOT, top, TOP_LABEL)}
-    primary = {top: ROOT}
-    sem_heads: dict[int, set[int]] = {top: {ROOT}}
-    for j in sorted(range(1, n + 1), key=lambda t: rank[t]):
-        if j == top:
-            continue
-        candidates = [c for c in range(1, n + 1) if rank[c] < rank[j]]
-        head = _pick_head(rng, j, candidates, pos)
-        primary[j] = head
-        sem_heads[j] = {head}
-        edges.add(Edge(head, j, _semantic_label(cfg.labels, pos[head - 1], pos[j - 1])))
-        if rank[j] >= 2 and rng.random() < cfg.reentrancy:
-            extra = [c for c in candidates if c != head]
-            if extra:
-                second = _pick_head(rng, j, extra, pos)
-                sem_heads[j].add(second)
-                edges.add(Edge(second, j,
-                               _semantic_label(cfg.labels, pos[second - 1], pos[j - 1])))
+    edges = [Edge(ROOT, top, TOP_LABEL)]
+    sem_heads: dict[int, list[int]] = {}  # per non-top token, the primary head first
+    lower = [top]  # the tokens of lower rank than j, in surface order
+    for r in range(1, n):
+        j = order[r]
+        w = weights(j, lower)
+        i = _weighted_pick(rng, w)
+        head = lower[i]
+        sem_heads[j] = [head]
+        edges.append(Edge(head, j, label_of[pos[head - 1], pos[j - 1]]))
+        if r >= 2 and rng.random() < cfg.reentrancy:
+            second = (lower[:i] + lower[i + 1:])[_weighted_pick(rng, w[:i] + w[i + 1:])]
+            sem_heads[j].append(second)
+            edges.append(Edge(second, j, label_of[pos[second - 1], pos[j - 1]]))
+        insort(lower, j)
 
     heads = []
     deprels = []
@@ -150,20 +181,20 @@ def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig):
             heads.append(ROOT)
             deprels.append("root")
             continue
-        if rng.random() < cfg.agreement:
-            head = primary[j]
-        else:
+        head = sem_heads[j][0]
+        if rng.random() >= cfg.agreement:
             others = [c for c in range(1, n + 1)
                       if rank[c] < rank[j] and c not in sem_heads[j]]
-            head = _pick_head(rng, j, others, pos) if others else primary[j]
+            if others:
+                head = others[_weighted_pick(rng, weights(j, others))]
         heads.append(head)
-        deprels.append(_deprel(cfg.deprels, pos[head - 1], pos[j - 1]))
-    tree = SyntacticTree(tokens, tuple(heads), tuple(deprels))
+        deprels.append(deprel_of[pos[head - 1], pos[j - 1]])
+    tree = SyntacticTree(tokens, tuple(heads), tuple(deprels), (f"# sent_id = {sid}",))
 
-    aligned = {j for j in range(1, n + 1) if rng.random() < cfg.density}
-    links = frozenset((j, j) for j in sorted(aligned))
+    aligned = [j for j, u in enumerate(rng.random(n).tolist(), start=1) if u < cfg.density]
+    links = frozenset((j, j) for j in aligned)
     noise_links = set()
-    for j in sorted(set(range(1, n + 1)) - aligned):
+    for j in sorted(set(range(1, n + 1)).difference(aligned)):
         if rng.random() < 0.25:
             other = int(rng.integers(1, n + 1))
             if other != j:
@@ -171,22 +202,25 @@ def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig):
 
     source_tokens = tuple(Token(j + 1, "x" + forms[j], "x" + forms[j], pos[j])
                           for j in range(n))
-    source_edges = set()
+    decided = {ROOT, *aligned}
+    source_edges = []
     for h, d, label in sorted(edges):
-        if (h == ROOT or h in aligned) and d in aligned:
+        if h in decided and d in decided:
             if cfg.edge_noise > 0 and h != ROOT and rng.random() < cfg.edge_noise:
                 shifted = 1 + int(rng.integers(len(cfg.labels) - 1))
                 label = cfg.labels[(cfg.labels.index(label) + shifted) % len(cfg.labels)]
-            source_edges.add(Edge(h, d, label))
+            source_edges.append(Edge(h, d, label))
 
     gold = SemanticGraph(tokens, frozenset(edges))
     source = SemanticGraph(source_tokens, frozenset(source_edges))
-    return tokens, gold, tree, source, links, frozenset(links | noise_links)
+    return tokens, gold, tree, source, links, links | noise_links
 
 
 def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     """Generate the full parallel corpus; byte-identical for equal configs."""
     rng = np.random.default_rng([cfg.seed, 0x517F])
+    label_of = _pos_pair_table(cfg.labels, 0)
+    deprel_of = _pos_pair_table(cfg.deprels, 1)  # deprels[0] is "root"
     sources = []
     targets = []
     golds = []
@@ -195,11 +229,11 @@ def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     bwd = []
     for k in range(cfg.sentences):
         sid = f"s{k + 1:05d}"
-        tokens, gold, tree, source, links, fwd_links = _generate_sentence(rng, cfg)
+        tokens, gold, tree, source, links, fwd_links = _generate_sentence(
+            rng, cfg, sid, label_of, deprel_of)
         targets.append(tokens)
         golds.append((sid, gold))
-        trees.append(SyntacticTree(tree.sentence, tree.heads, tree.deprels,
-                                   (f"# sent_id = {sid}",)))
+        trees.append(tree)
         sources.append((sid, source))
         fwd.append(fwd_links)
         bwd.append(links)

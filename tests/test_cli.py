@@ -270,3 +270,52 @@ def test_train_combined_multitask_steps(pipeline, tmp_path):
         assert json.load(f)["config"]["train"]["combined_steps"] is True
     with open(out + ".metrics", encoding="utf-8") as f:
         assert "loss_syntactic=" in f.read()
+
+
+# One malformed file per format; each fault is on line 2.
+BAD_INPUTS = {
+    "sdp": "#s1\n1\ta\ta\tN\t-\t-\n",
+    "conllu": "# sent_id = s1\n1\ta\ta\tN\n",
+    "align": "0-0\n0-x\n",
+    "vec": "a " + " ".join(["0.5"] * TINY["word_dim"]) + "\nb 0.5\n",
+}
+
+
+@pytest.mark.parametrize("command,flag,fmt", [
+    ("train", "--train", "sdp"), ("train", "--heldout", "sdp"),
+    ("train", "--syntactic", "conllu"), ("train", "--word-vectors", "vec"),
+    ("parse", "--input", "sdp"), ("parse", "--input", "conllu"),
+    ("score", "--pred", "sdp"), ("score", "--gold", "sdp"),
+    ("project", "--source", "sdp"), ("project", "--alignments", "align"),
+    ("project", "--target", "conllu"),
+    ("intersect", "--forward", "align"), ("intersect", "--backward", "align"),
+    ("analyze", "--gold", "sdp"), ("analyze", "--trees", "conllu"),
+    ("analyze", "--pred-a", "sdp"),
+])
+def test_malformed_input_names_its_file_and_line(pipeline, tmp_path, capsys, command, flag, fmt):
+    bad = tmp_path / f"bad.{fmt}"
+    bad.write_text(BAD_INPUTS[fmt], encoding="utf-8")
+    held, out = pipeline["heldout.sdp"], str(tmp_path / "out")
+    corpus = {name: os.path.join(pipeline["corpus"], name) for name in
+              ("source.sdp", "target.conllu", "forward.align", "backward.align")}
+    argv = {
+        "train": ["train", "--train", pipeline["train.sdp"], "--heldout", held,
+                  "--syntactic", corpus["target.conllu"], "--tasks", "sem,syn",
+                  "--config", pipeline["tiny.json"], "--epochs", "1", "--out", out],
+        "parse": ["parse", "--model", pipeline["model.npz"], "--input", held, "--out", out],
+        "score": ["score", "--pred", held, "--gold", held, "--out", out],
+        "project": ["project", "--source", corpus["source.sdp"],
+                    "--alignments", pipeline["inter.align"],
+                    "--target", corpus["target.conllu"], "--out", out],
+        "intersect": ["intersect", "--forward", corpus["forward.align"],
+                      "--backward", corpus["backward.align"], "--out", out],
+        "analyze": ["analyze", "--headmatch", "--gold", held, "--trees", corpus["target.conllu"],
+                    "--pred-a", held, "--pred-b", held, "--series", out],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    assert cli.main(argv) == 2
+    assert f"sdpkit: error: {bad}: line 2: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == [bad.name]

@@ -45,6 +45,11 @@ class TestReadSdp:
         assert isinstance(g, PartialGraph)
         assert g.aligned == {0, 2}
 
+    def test_second_aligned_comment_is_an_error(self):
+        text = "#x\n#aligned: 1\n#aligned: 1 2\n1\ta\ta\tN\t-\t-\t_\n2\tb\tb\tN\t-\t-\t_\n"
+        with pytest.raises(FormatError, match="line 3: second #aligned: comment"):
+            read_sdp(io.StringIO(text))
+
     def test_missing_header_is_error(self):
         with pytest.raises(FormatError, match="header"):
             read_sdp(io.StringIO("1\ta\ta\tN\t-\t-\t_\n"))
