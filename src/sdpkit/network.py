@@ -5,14 +5,15 @@ optional external context features. The word component sums a trainable table,
 a fixed pretrained table, and a character BiLSTM's final states (no projection,
 so the char hidden size is half the word dimension per direction). A learned
 root row is prepended before encoding; scores are matrices over head positions
-0..n and dependent positions 1..n, head-major as `ad.bilinear` writes them,
-with self-loop edges masked to a large negative. The optional biaffine bias
-(Dozat & Manning) is a zero-initialised border of the edge weight, met by a
-ones column on the edge FNN rows. One model call runs every stage once over
-a `Batch` of sentences in one row layout, sentence after sentence in input
-order: each sentence's root and then its tokens on consecutive rows, from
-the encoder's input to the scorer's heads. Only the scores come back padded,
-and padded scores are masked like the self-loops.
+0..n and dependent positions 1..n, head-major as `ad.bilinear` writes them.
+Every cell is scored, the self-loop diagonal included; which cells can be
+edges is decided by the losses and the decoder (`training.edge_cells`). The
+optional biaffine bias (Dozat & Manning) is a zero-initialised border of the
+edge weight, met by a ones column on the edge FNN rows. One model call runs
+every stage once over a `Batch` of sentences in one row layout, sentence
+after sentence in input order: each sentence's root and then its tokens on
+consecutive rows, from the encoder's input to the scorer's heads. Only the
+scores come back padded, with 0 on the padding.
 
 In multitask mode the embedding layer is always shared; the recurrent stack
 and the four attention FNNs are shared or task-specific according to the
@@ -33,7 +34,6 @@ from .autodiff import Parameter, Tensor
 from .errors import CheckpointError, ConfigError
 from .graph import TOP_LABEL, Token
 
-NEG_SCORE = -1e9
 UNK = "<unk>"
 
 SEMANTIC = "semantic"
@@ -205,14 +205,6 @@ class Batch:
     contexts: np.ndarray | None   # (N, context_dim)
     input_ids: np.ndarray         # (N+B,) row of [root; tokens] behind each encoder row
     token_rows: np.ndarray        # (N,) encoder row of each token
-
-    def edge_cells(self) -> np.ndarray:
-        """(B, T+1, T) 0/1 mask of every sentence's real, non-diagonal edge cells."""
-        longest = self.sizes.max()
-        n = self.sizes[:, None, None]
-        head = np.arange(longest + 1)[:, None]
-        dep = np.arange(1, longest + 1)
-        return ((head <= n) & (dep <= n) & (head != dep)).astype(np.float64)
 
 
 def check_contexts(sentences: Sequence, contexts: Sequence | None):
@@ -448,10 +440,10 @@ class ParserModel:
         block of the padded result. With `biaffine_bias` the edge FNN rows
         carry an appended ones column, so the last column of the (f+1, f+1)
         edge weight holds the dependent bias, its last row the head bias and
-        its corner the constant. The diagonal (i == j) and the padding (i or
-        j beyond n_b) are masked to a large negative edge score, so decoding
-        and head softmaxes never select them; label scores are 0 on padding
-        and are read only at edges.
+        its corner the constant. The scores are the bilinears' as they
+        stand: the diagonal (i == j) is scored like any other cell, and both
+        edge and label scores are 0 on the padding (i or j beyond n_b). The
+        losses and the decoder read only the cells that can be edges.
         """
         self._check_task(task)
         cfg = self.config
@@ -474,9 +466,6 @@ class ParserModel:
         # score(i, j) = h_j^(dep) W h_i^(head), written [head i, dep j]
         s_edge = ad.bilinear(heads["edge_dep"], self.params[f"scorer/{task}/edge"],
                              heads["edge_head"], sizes)
-        valid = batch.edge_cells()
-        s_edge = ad.add(ad.mul(s_edge, ad.constant(valid)),
-                        ad.constant((1.0 - valid) * NEG_SCORE))
 
         s_label = ad.bilinear(heads["label_dep"], self.params[f"scorer/{task}/label"],
                               heads["label_head"], sizes)
@@ -495,7 +484,7 @@ class ParserModel:
         heads and bilinear scorers over those same rows. Edge scores are
         (B, T+1, T) and label scores (B, |L|, T+1, T), in input order, T the
         longest sentence; sentence b's scores are [b, :n_b+1, :n_b] and
-        [b, :, :n_b+1, :n_b].
+        [b, :, :n_b+1, :n_b], and every other cell holds 0.
         Train mode (all dropout on) is `rng is not None`.
         """
         batch = self.batch(sentences, contexts)

@@ -4,9 +4,12 @@ The semantic edge loss is a sigmoid cross-entropy summed over decided cells
 only: undecided cells are multiplied by a zero mask, which cancels
 backpropagation for those directions exactly. The label loss is a softmax
 cross-entropy gathered at decided gold-edge cells. The syntactic auxiliary
-task uses per-dependent softmaxes over candidate heads. Within a task the two
-losses are interpolated by `label_interp`. In multitask mode the syntactic
-loss is scaled by `syntactic_weight` and the semantic loss by one minus it.
+task uses per-dependent softmaxes over candidate heads. The scorer scores
+every cell; which cells can be edges at all (inside the sentence and off the
+diagonal) is decided here, by `edge_cells`, for both losses and the decoder.
+Within a task the two losses are interpolated by `label_interp`. In multitask
+mode the syntactic loss is scaled by `syntactic_weight` and the semantic loss
+by one minus it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
 from .network import SEMANTIC, SYNTACTIC, ParserModel, Vocab, check_contexts
 
 _TASK_CODE = {SEMANTIC: 0, SYNTACTIC: 1}
+
+# Head-softmax score of a cell that cannot be an edge (see `edge_cells`).
+NEG_SCORE = -1e9
 
 # Padded tokens (sentences times the longest) of one model call in
 # `parse_semantic`; bounds the score arrays a call holds.
@@ -65,6 +71,22 @@ class TrainConfig:
 # losses
 
 
+def edge_cells(sizes: Sequence[int]) -> np.ndarray:
+    """(B, T+1, T) 0/1 mask of the score cells that can be edges, T the longest.
+
+    Cell [b, i, j-1] (head i, dependent j) is 1 iff i and j both lie in
+    sentence b and i != j; the padding and the self-loop diagonal are 0. It
+    is the candidate set of `decode_semantic`, a factor of `semantic_loss`'s
+    mask, and the cells `syntactic_loss`'s head softmax does not mask.
+    """
+    sizes = np.asarray(sizes)
+    longest = sizes.max()
+    n = sizes[:, None, None]
+    head = np.arange(longest + 1)[:, None]
+    dep = np.arange(1, longest + 1)
+    return ((head <= n) & (dep <= n) & (head != dep)).astype(np.float64)
+
+
 def _check_scores(s_edge: Tensor, sizes: list[int]):
     longest = max(sizes)
     if s_edge.shape != (len(sizes), longest + 1, longest):
@@ -78,22 +100,22 @@ def semantic_loss(s_edge: Tensor, s_label: Tensor,
     """Masked interpolated loss, summed over a batch, against (partial) gold graphs.
 
     Scores are a batch from `ParserModel.forward`; `golds` are in its input
-    order. Cells outside decided x decided, the self-loop diagonal and the
-    padding of sentences shorter than the longest contribute exactly zero to
-    the loss and to every gradient; a `PartialGraph` has gold edges at
-    decided cells only, so every gold edge is a target.
+    order. Only decided x decided cells among `edge_cells` count: every other
+    cell (undecided, on the self-loop diagonal, or in the padding of a
+    sentence shorter than the longest) contributes exactly zero to the loss
+    and to every gradient. A `PartialGraph` has gold edges at decided cells
+    only, so every gold edge is a target.
     """
     golds = [as_partial(g) for g in golds]
-    _check_scores(s_edge, [gold.graph.n for gold in golds])
-    mask = np.zeros(s_edge.shape)
+    sizes = [gold.graph.n for gold in golds]
+    _check_scores(s_edge, sizes)
+    mask = edge_cells(sizes)
     edges = []  # (sentence, head, dependent - 1, label id)
     for b, gold in enumerate(golds):
         decided = np.zeros(gold.graph.n + 1)
         decided[list(gold.aligned)] = 1.0
-        mask[b, :len(decided), :len(decided) - 1] = np.outer(decided, decided[1:])
+        mask[b, :len(decided), :len(decided) - 1] *= np.outer(decided, decided[1:])
         edges.extend((b, h, d - 1, labels.id(label)) for h, d, label in gold.graph.sorted_edges())
-    longest = s_edge.shape[2]
-    mask[:, np.arange(1, longest + 1), np.arange(longest)] = 0.0  # self-loops
     b, h, d, ids = np.array(edges, dtype=np.int64).reshape(-1, 4).T
     targets = np.zeros(s_edge.shape)
     targets[b, h, d] = 1.0
@@ -110,10 +132,13 @@ def semantic_loss(s_edge: Tensor, s_label: Tensor,
 def syntactic_loss(s_edge: Tensor, s_label: Tensor, golds: Sequence[SyntacticTree],
                    labels: Vocab, label_interp: float = 0.5) -> Tensor:
     """Head-selection softmax per token plus label softmax at the gold head, summed
-    over a batch. Masked heads score `NEG_SCORE`, so each softmax is exact over its
-    own sentence's candidate heads; padded dependents carry a zero loss mask."""
+    over a batch. Cells outside `edge_cells` score `NEG_SCORE` in the head softmax,
+    so each softmax is exact over its own sentence's candidate heads, whatever the
+    scores on the diagonal and the padding; padded dependents carry a zero loss mask."""
     sizes = [gold.n for gold in golds]
     _check_scores(s_edge, sizes)
+    valid = edge_cells(sizes)
+    s_edge = ad.add(ad.mul(s_edge, ad.constant(valid)), ad.constant((1.0 - valid) * NEG_SCORE))
     rows, steps, longest = s_edge.shape
     head_ids = np.zeros((rows, longest), dtype=np.int64)
     real = np.zeros((rows, longest))
@@ -147,9 +172,7 @@ def decode_semantic(s_edge: np.ndarray, s_label: np.ndarray, labels: Vocab,
     n = len(sentence)
     if s_edge.shape != (n + 1, n):
         raise ConfigError(f"edge scores {s_edge.shape} do not match sentence length {n}")
-    chosen = s_edge >= 0
-    chosen[np.arange(1, n + 1), np.arange(n)] = False  # self-loops
-    heads, deps = np.nonzero(chosen)
+    heads, deps = np.nonzero((s_edge >= 0) & (edge_cells([n])[0] > 0))
     label_scores = s_label[:, heads, deps]
     if TOP_LABEL in labels and len(labels) > 1:
         label_scores[labels.id(TOP_LABEL)] = -np.inf

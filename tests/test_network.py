@@ -6,11 +6,10 @@ from helpers import reference_folded_adam_step
 
 from sdpkit import autodiff as ad
 from sdpkit.graph import PartialGraph, SemanticGraph
-from sdpkit.network import (NEG_SCORE, SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel,
-                            SharingTopology, build_vocabs, semantic_label_vocab,
-                            syntactic_label_vocab)
+from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
+                            build_vocabs, semantic_label_vocab, syntactic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
-from sdpkit.training import semantic_loss, syntactic_loss
+from sdpkit.training import edge_cells, semantic_loss, syntactic_loss
 
 TINY = NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=2, fnn_size=8,
                      biaffine_bias=True)
@@ -47,15 +46,14 @@ def test_batch_call_equals_one_sentence_calls(graphs):
     assert s_label.shape == (len(sentences), len(model.tasks[SEMANTIC]), longest + 1, longest)
     for b, (s, (edge_1, label_1)) in enumerate(zip(sentences, single)):
         n = len(s)
-        edge, edge_1 = s_edge.data[b, :n + 1, :n], edge_1.data[0]
-        assert edge_1.shape == (n + 1, n)
-        diagonal = np.eye(n + 1, n, k=-1, dtype=bool)
-        assert np.all(edge[diagonal] == NEG_SCORE) and np.all(edge_1[diagonal] == NEG_SCORE)
-        _close(edge[~diagonal], edge_1[~diagonal], 1e-12)
+        assert edge_1.shape == (1, n + 1, n)
+        # every cell of the block is scored as it stands, the diagonal included
+        _close(s_edge.data[b, :n + 1, :n], edge_1.data[0], 1e-12)
+        assert np.all(np.diag(edge_1.data[0], k=-1) != 0.0)
         _close(s_label.data[b, :, :n + 1, :n], label_1.data[0], 1e-12)
-        # padding is masked like the diagonal
-        assert np.all(s_edge.data[b, n + 1:] == NEG_SCORE)
-        assert np.all(s_edge.data[b, :, n:] == NEG_SCORE)
+        # and the padding holds 0
+        for scores in (s_edge.data[b], s_label.data[b].transpose(1, 2, 0)):
+            assert np.all(scores[n + 1:] == 0.0) and np.all(scores[:, n:] == 0.0)
 
 
 def test_char_vector_runs_once_per_distinct_form_per_call(graphs, monkeypatch):
@@ -161,7 +159,7 @@ def test_biaffine_bias_is_the_border_of_the_edge_weight(graphs):
                        + model.params[f"fnn/semantic/{kind}/b"].data)
 
     heads, deps = fnn("edge_head", states), fnn("edge_dep", states[batch.token_rows])
-    valid = batch.edge_cells().astype(bool)
+    valid = edge_cells(batch.sizes).astype(bool)
     for k, n in enumerate(batch.sizes):
         first = batch.sizes[:k].sum()  # tokens before sentence k, and k roots
         head, dep = heads[first + k:][:n + 1], deps[first:][:n]
@@ -251,6 +249,33 @@ def test_padded_cells_get_exactly_zero_gradient(task):
         assert np.all(s_edge.grad[b][pad] == 0.0)
         assert np.all(s_label.grad[b][:, pad] == 0.0)
     assert padded > 0
+
+
+def test_syntactic_loss_reads_no_diagonal_or_padding_score():
+    trees = synth_corpus(SynthConfig(sentences=5, seed=12)).trees
+    sizes = [t.n for t in trees]
+    longest = max(sizes)
+    labels = syntactic_label_vocab(DEFAULT_DEPRELS)
+    rng = np.random.default_rng(3)
+    edge = rng.standard_normal((len(trees), longest + 1, longest))
+    label = rng.standard_normal((len(trees), len(labels), longest + 1, longest))
+    outside = edge_cells(sizes) == 0.0
+    assert outside.sum() > len(trees) * longest  # the diagonal and some padding
+
+    def loss_and_grads(edge):
+        s_edge, s_label = ad.Tensor(edge, requires_grad=True), ad.Tensor(label, True)
+        loss = syntactic_loss(s_edge, s_label, trees, labels)
+        loss.backward()
+        return float(loss.data), s_edge.grad, s_label.grad
+
+    want = loss_and_grads(edge)
+    for fill in (0.0, 1e3, -1e3):
+        changed = edge.copy()
+        changed[outside] = fill
+        got = loss_and_grads(changed)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    assert np.all(want[1][outside] == 0.0)
 
 
 def _two_task():
