@@ -11,6 +11,10 @@
     sdpkit analyze    length buckets / head match / label contribution
     sdpkit gradcheck  end-to-end finite-difference gradient check
 
+`parse` writes each sentence under its input id, and `score` and `analyze`
+refuse a prediction file whose ids differ from the gold file's, position by
+position.
+
 Every run resolves its configuration (defaults < config file < flags), logs
 it, and writes a manifest with content hashes of its inputs next to its
 primary output. Runs are deterministic functions of (inputs, config, seed).
@@ -25,7 +29,7 @@ import sys
 from dataclasses import asdict
 
 from . import autodiff as ad
-from .errors import ConfigError, FormatError, SdpkitError
+from .errors import ConfigError, FormatError, ScoringError, SdpkitError
 from .evaluation import format_report, label_contribution, length_buckets, head_match_stats, score_graphs, write_series
 from .formats import (SdpDocument, atomic_open, read_alignments, read_conllu,
                       read_context_vectors, read_sdp, read_word_vectors, write_alignments,
@@ -121,10 +125,35 @@ def _read(path: str, reader, *args):
             raise named from exc
 
 
-def _read_sentences(path: str):
+def _conllu_id(tree) -> str | None:
+    """The value of a tree's ``# sent_id = <id>`` comment, if it has a nonempty one."""
+    for comment in tree.comments:
+        key, _, value = comment[1:].partition("=")
+        if key.strip() == "sent_id" and value.strip():
+            return value.strip()
+    return None
+
+
+def _read_sentences(path: str) -> tuple[list[str], list]:
+    """The ids and sentences of a .conllu or .sdp file. A sentence without an id
+    (a CoNLL-U block without ``# sent_id``) is numbered ``s%05d`` by position."""
     if path.endswith(".conllu"):
-        return [t.sentence for t in _read(path, read_conllu)]
-    return [g.sentence for g in _read(path, read_sdp).semantic_graphs()]
+        trees = _read(path, read_conllu)
+        ids = [_conllu_id(t) or f"s{k + 1:05d}" for k, t in enumerate(trees)]
+        return ids, [t.sentence for t in trees]
+    doc = _read(path, read_sdp)
+    return [sid for sid, _ in doc], [g.sentence for g in doc.semantic_graphs()]
+
+
+def _read_predictions(path: str, gold: SdpDocument) -> list[SemanticGraph]:
+    """The graphs of the .sdp file at `path`, after checking that it names its
+    sentences as `gold` does, position by position."""
+    doc = _read(path, read_sdp)
+    for k, ((pred_id, _), (gold_id, _)) in enumerate(zip(doc, gold), 1):
+        if pred_id != gold_id:
+            raise ScoringError(f"{path}: sentence {k} is {pred_id!r}, but gold sentence "
+                               f"{k} is {gold_id!r}")
+    return doc.semantic_graphs()
 
 
 def _read_contexts(path: str | None, dim: int, sentences):
@@ -160,7 +189,7 @@ def cmd_intersect(args) -> int:
 def cmd_project(args) -> int:
     source = _read(args.source, read_sdp)
     alignments = _read(args.alignments, read_alignments)
-    targets = _read_sentences(args.target)
+    _, targets = _read_sentences(args.target)
     if not (len(source) == len(alignments) == len(targets)):
         raise FormatError(f"corpus sizes differ: {len(source)} source graphs, "
                           f"{len(alignments)} alignment lines, {len(targets)} target sentences")
@@ -329,13 +358,13 @@ def cmd_train(args) -> int:
 
 def cmd_parse(args) -> int:
     model = ParserModel.load(args.model)
-    sentences = _read_sentences(args.input)
+    ids, sentences = _read_sentences(args.input)
     contexts = _read_contexts(args.context, model.config.context_dim, sentences) \
         if model.config.context_dim else None
     if args.context and not model.config.context_dim:
         raise ConfigError("--context given but the model has no context channel")
     graphs = parse_semantic(model, sentences, contexts)
-    doc = SdpDocument(tuple((f"s{i + 1:05d}", g) for i, g in enumerate(graphs)))
+    doc = SdpDocument(tuple(zip(ids, graphs)))
     with atomic_open(args.out) as f:
         write_sdp(doc, f)
     inputs = [args.model, args.input] + ([args.context] if args.context else [])
@@ -343,9 +372,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_score(args) -> int:
-    pred = _read(args.pred, read_sdp).semantic_graphs()
-    gold = _read(args.gold, read_sdp).semantic_graphs()
-    report = score_graphs(pred, gold)
+    gold = _read(args.gold, read_sdp)
+    report = score_graphs(_read_predictions(args.pred, gold), gold.semantic_graphs())
     text = format_report(report)
     print(text)
     outputs = []
@@ -371,10 +399,11 @@ def cmd_analyze(args) -> int:
     if missing:
         raise ConfigError(f"analyze --{mode} needs {', '.join(missing)}")
     inputs = [args.gold] + [getattr(args, name) for name in _ANALYZE_INPUTS[mode]]
-    gold = _read(args.gold, read_sdp).semantic_graphs()
+    gold_doc = _read(args.gold, read_sdp)
+    gold = gold_doc.semantic_graphs()
     series: list[tuple[str, float]] = []
     if mode == "buckets":
-        pred = _read(args.pred, read_sdp).semantic_graphs()
+        pred = _read_predictions(args.pred, gold_doc)
         stats = length_buckets(pred, gold)
         print("bucket\tpredicted\tcorrect\tprecision")
         for bucket in LENGTH_BUCKETS:
@@ -384,8 +413,8 @@ def cmd_analyze(args) -> int:
                 series.append((bucket, s.precision))
     elif mode == "headmatch":
         trees = _read(args.trees, read_conllu)
-        pred_a = _read(args.pred_a, read_sdp).semantic_graphs()
-        pred_b = _read(args.pred_b, read_sdp).semantic_graphs()
+        pred_a = _read_predictions(args.pred_a, gold_doc)
+        pred_b = _read_predictions(args.pred_b, gold_doc)
         stats = head_match_stats(gold, trees, pred_a, pred_b)
         print("mode\tset\ttokens\tmatch\tmismatch")
         for score_mode in ("labeled", "unlabeled"):
@@ -399,8 +428,8 @@ def cmd_analyze(args) -> int:
                     series.append((f"{score_mode}.{key}.mismatch", s.mismatch_rate))
     else:
         trees = _read(args.trees, read_conllu)
-        pred_multi = _read(args.pred_multi, read_sdp).semantic_graphs()
-        pred_single = _read(args.pred_single, read_sdp).semantic_graphs()
+        pred_multi = _read_predictions(args.pred_multi, gold_doc)
+        pred_single = _read_predictions(args.pred_single, gold_doc)
         contribution = label_contribution(pred_multi, pred_single, gold, trees)
         print("deprel\tpercent")
         for rel, pct in sorted(contribution.items(), key=lambda kv: (-kv[1], kv[0])):

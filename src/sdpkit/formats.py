@@ -13,11 +13,13 @@ Dialects (fixed here; this docstring is their specification):
 * ``.align`` -- Pharaoh word alignments: one sentence pair per line, pairs
   ``i-j`` 0-based on disk, converted to 1-based in memory.
 * ``.vec`` -- per-token context vectors: one token per line of
-  whitespace-separated floats, blank line between sentences.
+  whitespace-separated floats, blank line between sentences. Here and in
+  word-vector tables every component must be a finite number.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -372,7 +374,19 @@ def write_alignments(alignments: AlignmentFile | Iterable[frozenset], stream: Te
 
 
 # ---------------------------------------------------------------------------
-# Per-token context vectors
+# Per-token context vectors and word vectors
+
+
+def _vector(fields: list[str], lineno: int) -> list[float]:
+    """The floats of `fields`; FormatError at `lineno` unless each is a finite number."""
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        raise FormatError("non-numeric vector component", lineno) from None
+    for field, value in zip(fields, values):
+        if not math.isfinite(value):
+            raise FormatError(f"non-finite vector component {field!r}", lineno)
+    return values
 
 
 def read_context_vectors(stream: TextIO, expected_dim: int) -> list[np.ndarray]:
@@ -399,10 +413,7 @@ def read_context_vectors(stream: TextIO, expected_dim: int) -> list[np.ndarray]:
         fields = line.split()
         if len(fields) != expected_dim:
             raise FormatError(f"expected {expected_dim} values, got {len(fields)}", lineno)
-        try:
-            current.append([float(f) for f in fields])
-        except ValueError:
-            raise FormatError("non-numeric vector component", lineno) from None
+        current.append(_vector(fields, lineno))
     flush()
     return sentences
 
@@ -424,9 +435,6 @@ def read_word_vectors(stream: TextIO, expected_dim: int) -> dict[str, np.ndarray
         if len(fields) != expected_dim + 1:
             raise FormatError(f"expected a word and {expected_dim} values, "
                               f"got {len(fields)} fields", lineno)
-        try:
-            vectors[fields[0]] = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-        except ValueError:
-            raise FormatError("non-numeric vector component", lineno) from None
+        vectors[fields[0]] = np.array(_vector(fields[1:], lineno), dtype=np.float64)
     return vectors
 

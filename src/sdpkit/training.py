@@ -161,9 +161,17 @@ def syntactic_loss(s_edge: Tensor, s_label: Tensor, golds: Sequence[SyntacticTre
 
 def decode_semantic(s_edge: np.ndarray, s_label: np.ndarray, labels: Vocab,
                     sentence: Sequence[Token]) -> SemanticGraph:
-    """Sign-function decoding: an edge exists wherever its score is >= 0.
+    """Sign-function decoding, repaired where it would leave a directed cycle.
 
     Takes one sentence's score arrays, edge (n+1, n) and label (|L|, n+1, n).
+    The candidates are the `edge_cells` whose score is >= 0, the edges of
+    Dozat & Manning's sign decoding. They are added in descending score, ties
+    by head and then by dependent, and an edge is skipped if its head is
+    already reachable from its dependent; root edges never close a cycle. So
+    an acyclic sign decode is the result as it stands, and a cyclic one loses
+    only the edges that would close a cycle at their turn. The repair departs
+    from sign decoding so that every decoded graph can be written: `write_sdp`
+    rejects cycles, as gold SDP graphs have none.
     Root-row edges become tops (label TOP). Other edges take the highest
     scoring non-TOP label; exact ties go to the lowest label index in the
     vocabulary's canonical (sorted) order.
@@ -173,6 +181,8 @@ def decode_semantic(s_edge: np.ndarray, s_label: np.ndarray, labels: Vocab,
     if s_edge.shape != (n + 1, n):
         raise ConfigError(f"edge scores {s_edge.shape} do not match sentence length {n}")
     heads, deps = np.nonzero((s_edge >= 0) & (edge_cells([n])[0] > 0))
+    kept = _acyclic_greedy(s_edge[heads, deps], heads, deps + 1, n)
+    heads, deps = heads[kept], deps[kept]
     label_scores = s_label[:, heads, deps]
     if TOP_LABEL in labels and len(labels) > 1:
         label_scores[labels.id(TOP_LABEL)] = -np.inf
@@ -181,6 +191,38 @@ def decode_semantic(s_edge: np.ndarray, s_label: np.ndarray, labels: Vocab,
     edges = frozenset(Edge(i, j, TOP_LABEL if i == ROOT else names[k])
                       for i, j, k in zip(heads.tolist(), (deps + 1).tolist(), best.tolist()))
     return SemanticGraph(sentence, edges)
+
+
+def _acyclic_greedy(scores: np.ndarray, heads: np.ndarray, deps: np.ndarray,
+                    n: int) -> list[int]:
+    """Indices k of the candidate edges heads[k] -> deps[k], scored `scores`,
+    that the repair of `decode_semantic` keeps. Bit v of `below[u]` says that
+    v is reachable from u, and bit u of `above[v]` the same; both include the
+    node itself."""
+    below = [1 << v for v in range(n + 1)]
+    above = list(below)
+    heads_of, deps_of = heads.tolist(), deps.tolist()
+    kept = []
+    for k in np.lexsort((deps, heads, -scores)).tolist():
+        h, d = heads_of[k], deps_of[k]
+        if h != ROOT and not below[h] >> d & 1:  # else h -> d adds no reachability
+            if below[d] >> h & 1:
+                continue  # d already reaches h, so h -> d would close a cycle
+            sources, targets = above[h], below[d]
+            for u in _bits(sources):
+                below[u] |= targets
+            for v in _bits(targets):
+                above[v] |= sources
+        kept.append(k)
+    return kept
+
+
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------

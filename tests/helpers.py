@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sdpkit.graph import Edge, PartialGraph, SemanticGraph, SyntacticTree, Token
+from sdpkit.graph import Edge, PartialGraph, SemanticGraph, SyntacticTree, Token, is_acyclic
 
 LABELS = ("ACT-arg", "PAT-arg", "RSTR", "APP", "TWHEN", "NE")
 DEPRELS = ("root", "nsubj", "obj", "nmod", "amod")
@@ -254,3 +254,18 @@ def reference_decode_semantic(s_edge, s_label, labels, sentence):
             label = "TOP" if i == 0 else labels.items[best[i, j - 1]]
             edges.append(Edge(i, j, label))
     return SemanticGraph(sentence, frozenset(edges))
+
+
+def reference_acyclic_decode(s_edge, s_label, labels, sentence):
+    """`reference_decode_semantic`, repaired by brute force when it is cyclic:
+    its edges in descending score, ties by head and then by dependent, each
+    kept iff the graph of the edges kept so far stays acyclic."""
+    sign = reference_decode_semantic(s_edge, s_label, labels, sentence)
+    if is_acyclic(sign):
+        return sign
+    kept = set()
+    for e in sorted(sign.edges, key=lambda e: (-s_edge[e.head, e.dependent - 1],
+                                               e.head, e.dependent)):
+        if is_acyclic(SemanticGraph(sign.sentence, frozenset(kept | {e}))):
+            kept.add(e)
+    return SemanticGraph(sign.sentence, frozenset(kept))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ import pytest
 import sdpkit.cli as cli
 from sdpkit import autodiff as ad
 from sdpkit.errors import CheckpointError, FormatError
-from helpers import write_context_vectors
-from sdpkit.formats import SdpDocument, read_sdp, write_sdp
-from sdpkit.graph import PartialGraph, SemanticGraph
-from sdpkit.network import NetworkConfig, ParserModel
+from helpers import reference_decode_semantic, write_context_vectors
+from sdpkit.formats import SdpDocument, read_conllu, read_sdp, write_conllu, write_sdp
+from sdpkit.graph import PartialGraph, SemanticGraph, is_acyclic
+from sdpkit.network import SEMANTIC, NetworkConfig, ParserModel
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
         "word_dropout": 0.0, "recurrent_dropout": 0.0, "edge_dropout": 0.0,
@@ -186,19 +187,12 @@ def test_train_with_context_vectors(pipeline, tmp_path):
                      "--heldout-context", heldout_vec, "--out", out]) == 0
     with open(out + ".manifest.json", encoding="utf-8") as f:
         assert heldout_vec in json.load(f)["inputs"]
-    # one-token sentences decode acyclically whatever the model scores
-    with open(pipeline["heldout.sdp"], encoding="utf-8") as f:
-        firsts = [g.sentence[:1] for g in read_sdp(f).semantic_graphs()]
-    single, single_vec = str(tmp_path / "single.sdp"), str(tmp_path / "single.vec")
-    with open(single, "w", encoding="utf-8") as f:
-        write_sdp(SdpDocument(tuple((f"s{i}", SemanticGraph(s, frozenset()))
-                                    for i, s in enumerate(firsts))), f)
-    _write_contexts(single, single_vec, 3, seed=3)
     pred = str(tmp_path / "pred.sdp")
-    assert cli.main(["parse", "--model", out, "--input", single,
-                     "--context", single_vec, "--out", pred]) == 0
-    with open(pred, encoding="utf-8") as f:
-        assert [g.sentence for g in read_sdp(f).semantic_graphs()] == firsts
+    assert cli.main(["parse", "--model", out, "--input", pipeline["heldout.sdp"],
+                     "--context", heldout_vec, "--out", pred]) == 0
+    with open(pred, encoding="utf-8") as f, open(pipeline["heldout.sdp"], encoding="utf-8") as g:
+        assert ([g.sentence for g in read_sdp(f).semantic_graphs()]
+                == [g.sentence for g in read_sdp(g).semantic_graphs()])
 
 
 def test_train_rejects_syntactic_task_with_context_channel(pipeline, tmp_path, capsys):
@@ -319,3 +313,80 @@ def test_malformed_input_names_its_file_and_line(pipeline, tmp_path, capsys, com
     assert cli.main(argv) == 2
     assert f"sdpkit: error: {bad}: line 2: " in capsys.readouterr().err
     assert os.listdir(tmp_path) == [bad.name]
+
+
+def _ids_and_sentences(path):
+    with open(path, encoding="utf-8") as f:
+        doc = read_sdp(f)
+    return [sid for sid, _ in doc], [g.sentence for g in doc.semantic_graphs()]
+
+
+def test_parse_writes_cyclic_sign_decodes_repaired(pipeline, tmp_path):
+    ids, sentences = _ids_and_sentences(pipeline["heldout.sdp"])
+    model = ParserModel.load(pipeline["model.npz"])
+    labels = model.tasks[SEMANTIC]
+    with ad.no_grad():
+        s_edge, s_label = model.forward(sentences, SEMANTIC)
+    signs = [reference_decode_semantic(s_edge.data[b, :len(s) + 1, :len(s)],
+                                       s_label.data[b, :, :len(s) + 1, :len(s)], labels, s)
+             for b, s in enumerate(sentences)]
+    assert not all(is_acyclic(g) for g in signs)  # sign decoding alone could not be written
+    pred = tmp_path / "pred.sdp"
+    assert cli.main(["parse", "--model", pipeline["model.npz"],
+                     "--input", pipeline["heldout.sdp"], "--out", str(pred)]) == 0
+    written_ids, written = _ids_and_sentences(pred)
+    assert written_ids == ids and written == sentences
+    with open(pred, encoding="utf-8") as f:
+        graphs = read_sdp(f).semantic_graphs()
+    for graph, sign in zip(graphs, signs):
+        assert graph == sign if is_acyclic(sign) else graph.edges < sign.edges
+
+
+def test_parse_keeps_conllu_sentence_ids(pipeline, tmp_path):
+    conllu = os.path.join(pipeline["corpus"], "target.conllu")
+    with open(conllu, encoding="utf-8") as f:
+        trees = read_conllu(f)
+    # ids of another shape than the positional ones; the second tree has none
+    want = [f"doc-{k}" for k in range(len(trees))]
+    want[1] = "s00002"
+    trees = [replace(t, comments=("# text = x", f"# sent_id = {sid}") if k != 1 else ())
+             for k, (t, sid) in enumerate(zip(trees, want))]
+    renamed = tmp_path / "in.conllu"
+    with open(renamed, "w", encoding="utf-8") as f:
+        write_conllu(trees, f)
+    pred = tmp_path / "pred.sdp"
+    assert cli.main(["parse", "--model", pipeline["model.npz"], "--input", str(renamed),
+                     "--out", str(pred)]) == 0
+    assert _ids_and_sentences(pred) == (want, [t.sentence for t in trees])
+
+
+def test_score_and_analyze_refuse_mismatched_sentence_ids(pipeline, tmp_path, capsys):
+    with open(pipeline["heldout.sdp"], encoding="utf-8") as f:
+        graph = read_sdp(f).semantic_graphs()[0]
+    # two sentences of equal length, so pairing by position alone goes unnoticed
+    gold = (("s00002", graph), ("s00005", SemanticGraph(graph.sentence, frozenset())))
+    paths = {}
+    for name, entries in (("gold", gold), ("swapped", gold[::-1])):
+        paths[name] = str(tmp_path / f"{name}.sdp")
+        with open(paths[name], "w", encoding="utf-8") as f:
+            write_sdp(SdpDocument(entries), f)
+    message = (f"{paths['swapped']}: sentence 1 is 's00005', "
+               "but gold sentence 1 is 's00002'")
+    for argv in (["score", "--pred", paths["swapped"], "--gold", paths["gold"]],
+                 ["analyze", "--buckets", "--pred", paths["swapped"], "--gold", paths["gold"]]):
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_train_rejects_a_non_finite_word_vector(pipeline, tmp_path, capsys):
+    vectors = tmp_path / "words.vec"
+    dim = TINY["word_dim"]
+    vectors.write_text("a " + " ".join(["0.5"] * dim) + "\nb nan" + " 0.5" * (dim - 1) + "\n",
+                       encoding="utf-8")
+    out = tmp_path / "model.npz"
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--config", pipeline["tiny.json"],
+                     "--word-vectors", str(vectors), "--out", str(out)]) == 2
+    assert (f"{vectors}: line 2: non-finite vector component 'nan'"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["words.vec"]

@@ -238,6 +238,11 @@ class TestContextVectors:
         assert len(sents) == 2
         assert not sents[0].any()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_component_rejected_at_its_line(self, value):
+        with pytest.raises(FormatError, match=f"line 3: non-finite vector component '{value}'"):
+            read_context_vectors(io.StringIO(f"1 2\n\n3 {value}\n"), 2)
+
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
         sents = [rng.standard_normal((n, 3)) for n in (2, 5, 1)]
@@ -263,3 +268,8 @@ class TestWordVectors:
     def test_bad_width(self):
         with pytest.raises(FormatError):
             read_word_vectors(io.StringIO("rok 1 2\n"), 3)
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_component_rejected_at_its_line(self, value):
+        with pytest.raises(FormatError, match=f"line 2: non-finite vector component '{value}'"):
+            read_word_vectors(io.StringIO(f"rok 1 2\nzprava {value} 3\n"), 2)

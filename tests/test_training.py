@@ -1,11 +1,17 @@
+import io
+
 import numpy as np
 import pytest
-from helpers import LABELS, random_sentence, reference_decode_semantic
+from helpers import (LABELS, random_sentence, reference_acyclic_decode,
+                     reference_decode_semantic)
+from hypothesis import given, settings, strategies as st
 
 from sdpkit import autodiff as ad
 from sdpkit import network, training
 from sdpkit.errors import CheckpointError, ConfigError, TrainingDiverged
 from sdpkit.evaluation import ScoreReport
+from sdpkit.formats import SdpDocument, read_sdp, write_sdp
+from sdpkit.graph import SemanticGraph, is_acyclic
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                             build_vocabs, semantic_label_vocab, syntactic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
@@ -247,6 +253,7 @@ def test_decode_semantic_matches_the_cell_loop(top):
     rng = np.random.default_rng(8)
     labels = semantic_label_vocab(LABELS) if top else network.Vocab(["TOP"], unk=False)
     zeros = ties = top_wins = 0
+    cyclic = []
     for _ in range(30):
         n = int(rng.integers(1, 9))
         sentence = random_sentence(rng, n)
@@ -254,7 +261,11 @@ def test_decode_semantic_matches_the_cell_loop(top):
         s_edge = rng.integers(-2, 3, (n + 1, n)).astype(float)
         s_label = rng.integers(0, 3, (len(labels), n + 1, n)).astype(float)
         got = training.decode_semantic(s_edge, s_label, labels, sentence)
-        assert got == reference_decode_semantic(s_edge, s_label, labels, sentence)
+        sign = reference_decode_semantic(s_edge, s_label, labels, sentence)
+        # an acyclic sign decode is the result as it stands; a cyclic one is repaired
+        cyclic.append(not is_acyclic(sign))
+        assert got == (reference_acyclic_decode(s_edge, s_label, labels, sentence)
+                       if cyclic[-1] else sign)
         zeros += int((s_edge == 0.0).sum())
         ties += int(((s_label == s_label.max(axis=0)).sum(axis=0) > 1).sum())
         top_wins += int((s_label[labels.id("TOP")] > np.delete(s_label, labels.id("TOP"),
@@ -262,6 +273,48 @@ def test_decode_semantic_matches_the_cell_loop(top):
                         if len(labels) > 1 else 0)
     # decisions at 0.0, ties and a TOP label that must be passed over all occur
     assert zeros > 0 and (ties > 0 and top_wins > 0 or len(labels) == 1)
+    assert any(cyclic) and not all(cyclic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 25), seed=st.integers(0, 2**32 - 1), shift=st.floats(-1.0, 2.0))
+def test_decode_semantic_is_acyclic_writable_and_maximal(n, seed, shift):
+    rng = np.random.default_rng(seed)
+    labels = network.semantic_label_vocab(LABELS)
+    sentence = random_sentence(rng, n)
+    s_edge = rng.standard_normal((n + 1, n)) + shift  # dense for shift > 0
+    s_label = rng.standard_normal((len(labels), n + 1, n))
+    got = training.decode_semantic(s_edge, s_label, labels, sentence)
+    sign = reference_decode_semantic(s_edge, s_label, labels, sentence)
+    assert is_acyclic(got) and got.edges <= sign.edges
+    # the repair keeps every edge that would not close a cycle
+    for edge in sign.edges - got.edges:
+        assert not is_acyclic(SemanticGraph(got.sentence, got.edges | {edge}))
+    buf = io.StringIO()
+    write_sdp(SdpDocument((("s1", got),)), buf)
+    assert read_sdp(io.StringIO(buf.getvalue())).graphs() == [got]
+
+
+@pytest.mark.parametrize("cycle", [[(1, 2), (2, 3), (3, 1)], [(1, 3), (3, 2), (2, 1)]],
+                         ids=["forward", "backward"])
+def test_decode_semantic_repair_breaks_score_ties_by_head(cycle):
+    # a three-cycle of equal scores plus a top. Among tied edges of one head the
+    # dependent order cannot change which edges are kept, so only heads are pinned.
+    labels = network.semantic_label_vocab(LABELS)
+    sentence = random_sentence(np.random.default_rng(0), 3)
+    s_edge = np.full((4, 3), -1.0)
+    s_edge[0, 0] = 0.5
+    for h, d in cycle:
+        s_edge[h, d - 1] = 2.0
+    s_label = np.zeros((len(labels), 4, 3))
+    got = training.decode_semantic(s_edge, s_label, labels, sentence)
+    # the tied edge with the largest head comes last, and it is the one dropped
+    h, d = max(cycle)
+    assert got.unlabeled() == {(0, 1)} | set(cycle) - {(h, d)}
+    # a higher score outranks the tie order
+    s_edge[h, d - 1] = 3.0
+    got = training.decode_semantic(s_edge, s_label, labels, sentence)
+    assert (h, d) in got.unlabeled() and len(got.edges) == 3
 
 
 def test_combined_schedule_cycles_short_queues_and_alternating_sums_them():
