@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from . import autodiff as ad
@@ -359,6 +360,9 @@ def cmd_train(args) -> int:
 def cmd_parse(args) -> int:
     model = ParserModel.load(args.model)
     ids, sentences = _read_sentences(args.input)
+    repeated = sorted(sid for sid, count in Counter(ids).items() if count > 1)
+    if repeated:
+        raise FormatError(f"{args.input}: sentence ids {repeated} occur more than once")
     contexts = _read_contexts(args.context, model.config.context_dim, sentences) \
         if model.config.context_dim else None
     if args.context and not model.config.context_dim:

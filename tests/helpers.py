@@ -239,7 +239,7 @@ def reference_folded_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-
 
 
 def reference_decode_semantic(s_edge, s_label, labels, sentence):
-    """Cell-by-cell sign decoding: the loop form of training.decode_semantic."""
+    """Cell-by-cell sign decoding: training.decode_semantic without its acyclic repair."""
     sentence = tuple(sentence)
     n = len(sentence)
     label_scores = np.array(s_label, dtype=float)

@@ -167,6 +167,12 @@ def test_semantic_weight_config_key_rejected(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def _ids_and_sentences(path):
+    with open(path, encoding="utf-8") as f:
+        doc = read_sdp(f)
+    return [sid for sid, _ in doc], [g.sentence for g in doc.semantic_graphs()]
+
+
 def _write_contexts(sdp_path, out_path, dim, seed):
     with open(sdp_path, encoding="utf-8") as f:
         sentences = [g.sentence for g in read_sdp(f).semantic_graphs()]
@@ -190,9 +196,7 @@ def test_train_with_context_vectors(pipeline, tmp_path):
     pred = str(tmp_path / "pred.sdp")
     assert cli.main(["parse", "--model", out, "--input", pipeline["heldout.sdp"],
                      "--context", heldout_vec, "--out", pred]) == 0
-    with open(pred, encoding="utf-8") as f, open(pipeline["heldout.sdp"], encoding="utf-8") as g:
-        assert ([g.sentence for g in read_sdp(f).semantic_graphs()]
-                == [g.sentence for g in read_sdp(g).semantic_graphs()])
+    assert _ids_and_sentences(pred) == _ids_and_sentences(pipeline["heldout.sdp"])
 
 
 def test_train_rejects_syntactic_task_with_context_channel(pipeline, tmp_path, capsys):
@@ -315,12 +319,6 @@ def test_malformed_input_names_its_file_and_line(pipeline, tmp_path, capsys, com
     assert os.listdir(tmp_path) == [bad.name]
 
 
-def _ids_and_sentences(path):
-    with open(path, encoding="utf-8") as f:
-        doc = read_sdp(f)
-    return [sid for sid, _ in doc], [g.sentence for g in doc.semantic_graphs()]
-
-
 def test_parse_writes_cyclic_sign_decodes_repaired(pipeline, tmp_path):
     ids, sentences = _ids_and_sentences(pipeline["heldout.sdp"])
     model = ParserModel.load(pipeline["model.npz"])
@@ -334,15 +332,14 @@ def test_parse_writes_cyclic_sign_decodes_repaired(pipeline, tmp_path):
     pred = tmp_path / "pred.sdp"
     assert cli.main(["parse", "--model", pipeline["model.npz"],
                      "--input", pipeline["heldout.sdp"], "--out", str(pred)]) == 0
-    written_ids, written = _ids_and_sentences(pred)
-    assert written_ids == ids and written == sentences
     with open(pred, encoding="utf-8") as f:
-        graphs = read_sdp(f).semantic_graphs()
-    for graph, sign in zip(graphs, signs):
+        written = read_sdp(f)
+    assert [sid for sid, _ in written] == ids
+    for graph, sign in zip(written.semantic_graphs(), signs, strict=True):
         assert graph == sign if is_acyclic(sign) else graph.edges < sign.edges
 
 
-def test_parse_keeps_conllu_sentence_ids(pipeline, tmp_path):
+def test_parse_keeps_conllu_sentence_ids(pipeline, tmp_path, capsys):
     conllu = os.path.join(pipeline["corpus"], "target.conllu")
     with open(conllu, encoding="utf-8") as f:
         trees = read_conllu(f)
@@ -358,6 +355,14 @@ def test_parse_keeps_conllu_sentence_ids(pipeline, tmp_path):
     assert cli.main(["parse", "--model", pipeline["model.npz"], "--input", str(renamed),
                      "--out", str(pred)]) == 0
     assert _ids_and_sentences(pred) == (want, [t.sentence for t in trees])
+    # a numbered sentence whose number another sentence already carries
+    trees[0] = replace(trees[0], comments=("# sent_id = s00002",))
+    with open(renamed, "w", encoding="utf-8") as f:
+        write_conllu(trees, f)
+    assert cli.main(["parse", "--model", pipeline["model.npz"], "--input", str(renamed),
+                     "--out", str(tmp_path / "again.sdp")]) == 2
+    assert (f"{renamed}: sentence ids ['s00002'] occur more than once"
+            in capsys.readouterr().err)
 
 
 def test_score_and_analyze_refuse_mismatched_sentence_ids(pipeline, tmp_path, capsys):

@@ -263,7 +263,8 @@ def test_syntactic_loss_reads_no_diagonal_or_padding_score():
     assert outside.sum() > len(trees) * longest  # the diagonal and some padding
 
     def loss_and_grads(edge):
-        s_edge, s_label = ad.Tensor(edge, requires_grad=True), ad.Tensor(label, True)
+        s_edge = ad.Tensor(edge, requires_grad=True)
+        s_label = ad.Tensor(label, requires_grad=True)
         loss = syntactic_loss(s_edge, s_label, trees, labels)
         loss.backward()
         return float(loss.data), s_edge.grad, s_label.grad
