@@ -17,20 +17,16 @@ float64 data; input of any other dtype is converted.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AutodiffError, CheckpointError
-from .formats import atomic_open
+from .errors import AutodiffError
 
 _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
-
-CHECKPOINT_VERSION = 1
 
 
 def default_dtype():
@@ -926,36 +922,3 @@ def gradient_check(closure, params, epsilon: float = 1e-5,
             worst = name
     return GradCheckReport(worst_err, tolerance, worst, per_param)
 
-
-# ---------------------------------------------------------------------------
-# named-tensor checkpoint files
-
-_META_KEY = "__meta__"
-
-
-def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
-    """Write a versioned, name-keyed binary archive of arrays."""
-    if _META_KEY in arrays:
-        raise CheckpointError(f"array name {_META_KEY!r} is reserved")
-    header = dict(meta or {})
-    header["checkpoint_version"] = CHECKPOINT_VERSION
-    payload = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
-                            dtype=np.uint8)
-    with atomic_open(path, "wb") as f:
-        np.savez(f, **{_META_KEY: payload}, **arrays)
-
-
-def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint written by `save_arrays`; order-independent by name."""
-    try:
-        with np.load(path) as npz:
-            if _META_KEY not in npz:
-                raise CheckpointError(f"{path}: not a toolkit checkpoint (missing metadata)")
-            meta = json.loads(bytes(npz[_META_KEY].tobytes()).decode("utf-8"))
-            arrays = {k: npz[k] for k in npz.files if k != _META_KEY}
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
-    version = meta.get("checkpoint_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    return arrays, meta

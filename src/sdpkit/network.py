@@ -23,6 +23,7 @@ top of a shared stack. Bilinear scorers are always task-specific.
 
 from __future__ import annotations
 
+import json
 import zlib
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -32,9 +33,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import CheckpointError, ConfigError
+from .formats import atomic_open
 from .graph import TOP_LABEL, Token
 
 UNK = "<unk>"
+
+# Raise the version whenever the tensors or the metadata that `save` writes change.
+CHECKPOINT_VERSION = 1
+_META_KEY = "__meta__"
 
 SEMANTIC = "semantic"
 SYNTACTIC = "syntactic"
@@ -500,6 +506,7 @@ class ParserModel:
     def save(self, path):
         meta = {
             "kind": "sdpkit-parser",
+            "checkpoint_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "topology": asdict(self.topology) if self.topology else None,
             "seed": self.seed,
@@ -510,15 +517,28 @@ class ParserModel:
             },
             "tasks": {task: vocab.items for task, vocab in self.tasks.items()},
         }
+        payload = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                                dtype=np.uint8)
         arrays = {name: p.data for name, p in self.params.items()}
-        arrays["pretrained"] = self.pretrained
-        ad.save_arrays(path, arrays, meta)
+        with atomic_open(path, "wb") as f:
+            np.savez(f, **{_META_KEY: payload}, **arrays, pretrained=self.pretrained)
 
     @classmethod
     def load(cls, path) -> "ParserModel":
-        arrays, meta = ad.load_arrays(path)
-        if meta.get("kind") != "sdpkit-parser":
-            raise CheckpointError(f"{path}: not a parser checkpoint")
+        try:
+            with np.load(path) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        except (OSError, ValueError) as exc:
+            raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
+        try:
+            meta = json.loads(arrays.pop(_META_KEY).tobytes().decode("utf-8"))
+        except (KeyError, ValueError):  # no metadata, or not UTF-8 JSON
+            meta = None
+        found = (meta.get("kind"), meta.get("checkpoint_version")) \
+            if isinstance(meta, dict) else None
+        if found != ("sdpkit-parser", CHECKPOINT_VERSION):
+            raise CheckpointError(f"{path}: not a parser checkpoint of version "
+                                  f"{CHECKPOINT_VERSION} (metadata kind, version: {found})")
 
         def settings(kind, values):
             fields = set(kind.__dataclass_fields__)

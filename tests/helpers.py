@@ -1,5 +1,7 @@
 """Shared random-instance builders and brute-force oracles for the test suite."""
 
+import json
+
 import numpy as np
 
 from sdpkit.graph import Edge, PartialGraph, SemanticGraph, SyntacticTree, Token, is_acyclic
@@ -83,6 +85,19 @@ def write_context_vectors(sentences, stream):
             stream.write("\n")
         for row in np.asarray(mat):
             stream.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_checkpoint(path) -> tuple[dict, dict]:
+    """The named arrays and the metadata of a checkpoint, read with plain numpy."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    return arrays, json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
+
+
+def write_checkpoint(path, arrays: dict, meta):
+    """Write `meta` as JSON and `arrays` in the layout of `ParserModel.save`."""
+    payload = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, __meta__=payload, **arrays)
 
 
 def random_alignment_links(rng: np.random.Generator, m: int, n: int,

@@ -639,20 +639,3 @@ class TestGradientCheckMachinery:
 
         with ad.no_grad():
             assert float(closure().data) == float(closure().data)
-
-
-class TestCheckpoints:
-    def test_roundtrip_name_keyed(self, tmp_path):
-        path = tmp_path / "params.npz"
-        arrays = {"b/two": np.arange(6.0).reshape(2, 3), "a/one": np.ones(4)}
-        ad.save_arrays(path, arrays, meta={"kind": "test"})
-        loaded, meta = ad.load_arrays(path)
-        assert set(loaded) == {"a/one", "b/two"}
-        np.testing.assert_array_equal(loaded["b/two"], arrays["b/two"])
-        assert meta["kind"] == "test"
-        assert meta["checkpoint_version"] == ad.CHECKPOINT_VERSION
-
-    def test_reserved_name_rejected(self, tmp_path):
-        from sdpkit.errors import CheckpointError
-        with pytest.raises(CheckpointError):
-            ad.save_arrays(tmp_path / "x.npz", {"__meta__": np.ones(1)})

@@ -9,7 +9,8 @@ import pytest
 import sdpkit.cli as cli
 from sdpkit import autodiff as ad
 from sdpkit.errors import CheckpointError, FormatError
-from helpers import reference_decode_semantic, write_context_vectors
+from helpers import (read_checkpoint, reference_decode_semantic, write_checkpoint,
+                     write_context_vectors)
 from sdpkit.formats import SdpDocument, read_conllu, read_sdp, write_conllu, write_sdp
 from sdpkit.graph import PartialGraph, SemanticGraph, is_acyclic
 from sdpkit.network import SEMANTIC, NetworkConfig, ParserModel
@@ -57,9 +58,9 @@ def test_failed_write_leaves_no_output(pipeline, tmp_path, monkeypatch):
 
 
 def _rewrite_checkpoint(src, dst, edit):
-    arrays, meta = ad.load_arrays(src)
+    arrays, meta = read_checkpoint(src)
     edit(meta, arrays)
-    ad.save_arrays(dst, arrays, meta)
+    write_checkpoint(dst, arrays, meta)
 
 
 @pytest.mark.parametrize("edit", [

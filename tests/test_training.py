@@ -2,8 +2,8 @@ import io
 
 import numpy as np
 import pytest
-from helpers import (LABELS, random_sentence, reference_acyclic_decode,
-                     reference_decode_semantic)
+from helpers import (LABELS, random_sentence, read_checkpoint, reference_acyclic_decode,
+                     reference_decode_semantic, write_checkpoint)
 from hypothesis import given, settings, strategies as st
 
 from sdpkit import autodiff as ad
@@ -160,9 +160,9 @@ def test_load_rejects_bad_tensors(tmp_path, edit, message):
     graphs, _ = _corpus(4)
     path = str(tmp_path / "model.npz")
     _model(graphs).save(path)
-    arrays, meta = ad.load_arrays(path)
+    arrays, meta = read_checkpoint(path)
     edit(arrays, meta)
-    ad.save_arrays(path, arrays, meta)
+    write_checkpoint(path, arrays, meta)
     with pytest.raises(CheckpointError, match=message) as excinfo:
         ParserModel.load(path)
     assert path in str(excinfo.value)
