@@ -11,7 +11,8 @@ convention the parser uses. Six have no caller in the package: `flip_rows`,
 `mean_all`, `sigmoid`, `slice_rows`, `softmax_rows` and `shift` (reached only
 through `Tensor + float`). They stay because `bench/tracer.py` wraps each of
 them by name, and a missing name breaks every traced run. Every tensor holds
-float64 data; input of any other dtype is converted.
+float64 data; input of any other dtype is converted. The module reads and
+writes no files: `network.ParserModel` owns the checkpoint format.
 """
 
 from __future__ import annotations

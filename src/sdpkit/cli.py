@@ -146,15 +146,29 @@ def _read_sentences(path: str) -> tuple[list[str], list]:
     return [sid for sid, _ in doc], [g.sentence for g in doc.semantic_graphs()]
 
 
+def _check_ids(path: str, ids, gold: SdpDocument):
+    """Refuse the file at `path` if an id it gives differs from the gold id at
+    the same position; None stands for a sentence without an id."""
+    for k, (sid, (gold_id, _)) in enumerate(zip(ids, gold), 1):
+        if sid is not None and sid != gold_id:
+            raise ScoringError(f"{path}: sentence {k} is {sid!r}, but gold sentence "
+                               f"{k} is {gold_id!r}")
+
+
 def _read_predictions(path: str, gold: SdpDocument) -> list[SemanticGraph]:
     """The graphs of the .sdp file at `path`, after checking that it names its
     sentences as `gold` does, position by position."""
     doc = _read(path, read_sdp)
-    for k, ((pred_id, _), (gold_id, _)) in enumerate(zip(doc, gold), 1):
-        if pred_id != gold_id:
-            raise ScoringError(f"{path}: sentence {k} is {pred_id!r}, but gold sentence "
-                               f"{k} is {gold_id!r}")
+    _check_ids(path, (sid for sid, _ in doc), gold)
     return doc.semantic_graphs()
+
+
+def _read_trees(path: str, gold: SdpDocument) -> list:
+    """The trees of the .conllu file at `path`, after checking each ``sent_id``
+    it gives against `gold`'s id at the same position."""
+    trees = _read(path, read_conllu)
+    _check_ids(path, map(_conllu_id, trees), gold)
+    return trees
 
 
 def _read_contexts(path: str | None, dim: int, sentences):
@@ -416,10 +430,9 @@ def cmd_analyze(args) -> int:
                 print(f"{bucket}\t{s.predicted}\t{s.correct}\t{s.precision:.6f}")
                 series.append((bucket, s.precision))
     elif mode == "headmatch":
-        trees = _read(args.trees, read_conllu)
         pred_a = _read_predictions(args.pred_a, gold_doc)
         pred_b = _read_predictions(args.pred_b, gold_doc)
-        stats = head_match_stats(gold, trees, pred_a, pred_b)
+        stats = head_match_stats(gold, _read_trees(args.trees, gold_doc), pred_a, pred_b)
         print("mode\tset\ttokens\tmatch\tmismatch")
         for score_mode in ("labeled", "unlabeled"):
             for key in ("a_improved", "b_improved"):
@@ -431,10 +444,10 @@ def cmd_analyze(args) -> int:
                     series.append((f"{score_mode}.{key}.match", s.match_rate))
                     series.append((f"{score_mode}.{key}.mismatch", s.mismatch_rate))
     else:
-        trees = _read(args.trees, read_conllu)
         pred_multi = _read_predictions(args.pred_multi, gold_doc)
         pred_single = _read_predictions(args.pred_single, gold_doc)
-        contribution = label_contribution(pred_multi, pred_single, gold, trees)
+        contribution = label_contribution(pred_multi, pred_single, gold,
+                                          _read_trees(args.trees, gold_doc))
         print("deprel\tpercent")
         for rel, pct in sorted(contribution.items(), key=lambda kv: (-kv[1], kv[0])):
             print(f"{rel}\t{pct:.6f}")

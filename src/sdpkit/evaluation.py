@@ -7,7 +7,7 @@ the corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import ScoringError
@@ -58,28 +58,18 @@ class ScoreReport:
     def uf(self) -> float:
         return _f1(self.up, self.ur)
 
-    def as_dict(self) -> dict:
-        return {
-            "lp": self.lp, "lr": self.lr, "lf": self.lf,
-            "up": self.up, "ur": self.ur, "uf": self.uf,
-            "labeled_gold": self.labeled_gold,
-            "labeled_pred": self.labeled_pred,
-            "labeled_correct": self.labeled_correct,
-            "unlabeled_gold": self.unlabeled_gold,
-            "unlabeled_pred": self.unlabeled_pred,
-            "unlabeled_correct": self.unlabeled_correct,
-        }
 
-
-def _check_aligned_corpora(predicted: Sequence, gold: Sequence):
+def _check_aligned_corpora(predicted: Sequence, gold: Sequence, what: str = "predicted"):
+    """Refuse corpora of different sizes or sentence lengths; `predicted` may
+    hold graphs or trees."""
     if len(predicted) != len(gold):
-        raise ScoringError(f"corpus size mismatch: {len(predicted)} predicted "
+        raise ScoringError(f"corpus size mismatch: {len(predicted)} {what} "
                            f"vs {len(gold)} gold sentences")
     for i, (p, g) in enumerate(zip(predicted, gold)):
         n_pred, n_gold = as_semantic(p).n, as_semantic(g).n
         if n_pred != n_gold:
             raise ScoringError(f"sentence {i + 1}: length mismatch "
-                               f"({n_pred} predicted vs {n_gold} gold)")
+                               f"({n_pred} {what} vs {n_gold} gold)")
 
 
 def score_graphs(predicted: Sequence[SemanticGraph | PartialGraph],
@@ -164,16 +154,13 @@ def head_match_stats(gold: Sequence[SemanticGraph | PartialGraph],
     """
     _check_aligned_corpora(predictions_a, gold)
     _check_aligned_corpora(predictions_b, gold)
-    if len(trees) != len(gold):
-        raise ScoringError(f"tree corpus size mismatch: {len(trees)} vs {len(gold)}")
+    _check_aligned_corpora(trees, gold, "tree")
     result: dict[str, dict[str, HeadMatchStats]] = {}
     for mode in ("labeled", "unlabeled"):
         labeled = mode == "labeled"
         sets: dict[str, list[int]] = {"a_improved": [0, 0, 0], "b_improved": [0, 0, 0]}
         for g, tree, pa, pb in zip(gold, trees, predictions_a, predictions_b):
             gg = as_semantic(g)
-            if tree.n != gg.n:
-                raise ScoringError("tree/sentence length mismatch")
             sem_heads = {j: {h for h, d, _ in gg.edges if d == j} for j in range(1, gg.n + 1)}
             for j in range(1, gg.n + 1):
                 ok_a = _token_correct(as_semantic(pa), gg, j, labeled)
@@ -207,14 +194,11 @@ def label_contribution(predictions_multitask: Sequence[SemanticGraph | PartialGr
     """
     _check_aligned_corpora(predictions_multitask, gold)
     _check_aligned_corpora(predictions_single, gold)
-    if len(trees) != len(gold):
-        raise ScoringError(f"tree corpus size mismatch: {len(trees)} vs {len(gold)}")
+    _check_aligned_corpora(trees, gold, "tree")
     counts: dict[str, int] = {}
     total = 0
     for pm, ps, g, tree in zip(predictions_multitask, predictions_single, gold, trees):
         gg = as_semantic(g)
-        if tree.n != gg.n:
-            raise ScoringError("tree/sentence length mismatch")
         improved = (gg.edges & as_semantic(pm).edges) - as_semantic(ps).edges
         for _, d, _ in sorted(improved):
             deprel = tree.deprel_of(d)
@@ -227,10 +211,8 @@ def label_contribution(predictions_multitask: Sequence[SemanticGraph | PartialGr
 
 def format_report(report: ScoreReport) -> str:
     """Machine-parsable key=value lines followed by a small aligned table."""
-    d = report.as_dict()
-    kv = " ".join(f"{k}={d[k]:.6f}" if isinstance(d[k], float) else f"{k}={d[k]}"
-                  for k in ("lp", "lr", "lf", "up", "ur", "uf"))
-    counts = " ".join(f"{k}={d[k]}" for k in d if isinstance(d[k], int))
+    kv = " ".join(f"{k}={getattr(report, k):.6f}" for k in ("lp", "lr", "lf", "up", "ur", "uf"))
+    counts = " ".join(f"{f.name}={getattr(report, f.name)}" for f in fields(report))
     rows = [("", "P", "R", "F1"),
             ("labeled", f"{report.lp:.4f}", f"{report.lr:.4f}", f"{report.lf:.4f}"),
             ("unlabeled", f"{report.up:.4f}", f"{report.ur:.4f}", f"{report.uf:.4f}")]

@@ -218,9 +218,10 @@ def _check_cell(value: str, what: str):
 def write_sdp(doc: SdpDocument, stream: TextIO):
     """Serialize a document; inverse of `read_sdp` on valid input.
 
-    Graphs must be acyclic per `is_acyclic`. Labels and forms may not contain
-    tabs or newlines; a label equal to the empty-cell marker cannot be
-    represented.
+    Graphs must be acyclic per `is_acyclic`. Sentence ids, labels and forms
+    may not contain tabs or newlines; a label equal to the empty-cell marker
+    cannot be represented, nor can a sentence id with whitespace at either end
+    or one that begins with ``aligned:``, since neither reads back.
     """
     first = True
     for sid, entry in doc:
@@ -231,6 +232,8 @@ def write_sdp(doc: SdpDocument, stream: TextIO):
             stream.write("\n")
         first = False
         _check_cell(sid, "sentence id")
+        if sid != sid.strip() or f"#{sid}".startswith(ALIGNED_PREFIX):
+            raise FormatError(f"sentence id {sid!r} would not read back")
         stream.write(f"#{sid}\n")
         if isinstance(entry, PartialGraph):
             listed = sorted(i for i in entry.aligned if i != ROOT)

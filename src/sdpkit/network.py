@@ -19,11 +19,16 @@ In multitask mode the embedding layer is always shared; the recurrent stack
 and the four attention FNNs are shared or task-specific according to the
 `SharingTopology`, with an optional extra task-specific recurrent layer on
 top of a shared stack. Bilinear scorers are always task-specific.
+
+A trained model passes from `sdpkit train` to `sdpkit parse` as one
+checkpoint file. Its format is this module's alone: `ParserModel.save` writes
+it, `ParserModel.load` reads it, and `CHECKPOINT_VERSION` versions it.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 import zlib
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -504,6 +509,10 @@ class ParserModel:
     # ------------------------------------------------------------- checkpoint
 
     def save(self, path):
+        """Write the model to `path`, through `atomic_open`, as an npz archive:
+        first `__meta__`, a uint8 array holding the UTF-8 JSON (keys sorted) of
+        the dict below, then each parameter by name in `params` order, then
+        `pretrained`. All arrays but `__meta__` are float64."""
         meta = {
             "kind": "sdpkit-parser",
             "checkpoint_version": CHECKPOINT_VERSION,
@@ -525,10 +534,17 @@ class ParserModel:
 
     @classmethod
     def load(cls, path) -> "ParserModel":
+        """Read a file that `save` wrote, finding its arrays by name. Any other
+        file raises `CheckpointError` naming `path`."""
         try:
-            with np.load(path) as npz:
-                arrays = {name: npz[name] for name in npz.files}
-        except (OSError, ValueError) as exc:
+            # opened here: `np.load(path)` leaves its file open if the archive is cut short
+            with open(path, "rb") as f:
+                npz = np.load(f)
+                if not isinstance(npz, np.lib.npyio.NpzFile):
+                    raise ValueError("one array, not an npz archive")
+                with npz:
+                    arrays = {name: npz[name] for name in npz.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
         try:
             meta = json.loads(arrays.pop(_META_KEY).tobytes().decode("utf-8"))

@@ -44,6 +44,7 @@ _LEXICON = {
 _POS_CDF = np.cumsum([0.45, 0.2, 0.2, 0.15])
 _POS_CDF /= _POS_CDF[-1]
 
+# The language's semantic labels and syntactic relations
 DEFAULT_LABELS = ("ACT-arg", "PAT-arg", "ADDR-arg", "RSTR", "APP", "TWHEN")
 DEFAULT_DEPRELS = ("root", "nsubj", "obj", "nmod", "amod", "advmod", "conj")
 
@@ -53,8 +54,6 @@ class SynthConfig:
     sentences: int
     min_len: int = 5
     max_len: int = 12
-    labels: tuple[str, ...] = DEFAULT_LABELS
-    deprels: tuple[str, ...] = DEFAULT_DEPRELS
     density: float = 0.8
     agreement: float = 0.8
     edge_noise: float = 0.0
@@ -66,10 +65,6 @@ class SynthConfig:
             raise SynthError("sentences must be >= 1")
         if not 1 <= self.min_len <= self.max_len:
             raise SynthError(f"invalid length range [{self.min_len},{self.max_len}]")
-        if len(self.labels) < 2:
-            raise SynthError("need at least two semantic labels")
-        if len(self.deprels) < 2 or self.deprels[0] != "root":
-            raise SynthError("deprels must start with 'root' and have another relation")
         for name in ("density", "agreement", "edge_noise", "reentrancy"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -92,6 +87,10 @@ def _pos_pair_table(names: Sequence[str], skip: int) -> dict[tuple[str, str], st
     (len(names) - skip)]`."""
     return {(h, d): names[skip + (4 * i + k) % (len(names) - skip)]
             for i, h in enumerate(_POS_CLASSES) for k, d in enumerate(_POS_CLASSES)}
+
+
+_LABEL_OF = _pos_pair_table(DEFAULT_LABELS, 0)
+_DEPREL_OF = _pos_pair_table(DEFAULT_DEPRELS, 1)  # DEFAULT_DEPRELS[0] is "root"
 
 
 def _weighted_pick(rng: np.random.Generator, weights: Sequence[float]) -> int:
@@ -128,8 +127,7 @@ def _sample_order(rng: np.random.Generator, n: int, top: int) -> list[int]:
     return order
 
 
-def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig, sid: str,
-                       label_of: dict, deprel_of: dict):
+def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig, sid: str):
     """One sentence's target tokens, gold graph, tree, source graph, and the
     backward and forward alignment links.
 
@@ -167,11 +165,11 @@ def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig, sid: str,
         i = _weighted_pick(rng, w)
         head = lower[i]
         sem_heads[j] = [head]
-        edges.append(Edge(head, j, label_of[pos[head - 1], pos[j - 1]]))
+        edges.append(Edge(head, j, _LABEL_OF[pos[head - 1], pos[j - 1]]))
         if r >= 2 and rng.random() < cfg.reentrancy:
             second = (lower[:i] + lower[i + 1:])[_weighted_pick(rng, w[:i] + w[i + 1:])]
             sem_heads[j].append(second)
-            edges.append(Edge(second, j, label_of[pos[second - 1], pos[j - 1]]))
+            edges.append(Edge(second, j, _LABEL_OF[pos[second - 1], pos[j - 1]]))
         insort(lower, j)
 
     heads = []
@@ -188,7 +186,7 @@ def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig, sid: str,
             if others:
                 head = others[_weighted_pick(rng, weights(j, others))]
         heads.append(head)
-        deprels.append(deprel_of[pos[head - 1], pos[j - 1]])
+        deprels.append(_DEPREL_OF[pos[head - 1], pos[j - 1]])
     tree = SyntacticTree(tokens, tuple(heads), tuple(deprels), (f"# sent_id = {sid}",))
 
     aligned = [j for j, u in enumerate(rng.random(n).tolist(), start=1) if u < cfg.density]
@@ -207,8 +205,9 @@ def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig, sid: str,
     for h, d, label in sorted(edges):
         if h in decided and d in decided:
             if cfg.edge_noise > 0 and h != ROOT and rng.random() < cfg.edge_noise:
-                shifted = 1 + int(rng.integers(len(cfg.labels) - 1))
-                label = cfg.labels[(cfg.labels.index(label) + shifted) % len(cfg.labels)]
+                shifted = 1 + int(rng.integers(len(DEFAULT_LABELS) - 1))
+                label = DEFAULT_LABELS[(DEFAULT_LABELS.index(label) + shifted)
+                                       % len(DEFAULT_LABELS)]
             source_edges.append(Edge(h, d, label))
 
     gold = SemanticGraph(tokens, frozenset(edges))
@@ -219,8 +218,6 @@ def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig, sid: str,
 def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     """Generate the full parallel corpus; byte-identical for equal configs."""
     rng = np.random.default_rng([cfg.seed, 0x517F])
-    label_of = _pos_pair_table(cfg.labels, 0)
-    deprel_of = _pos_pair_table(cfg.deprels, 1)  # deprels[0] is "root"
     sources = []
     targets = []
     golds = []
@@ -229,8 +226,7 @@ def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     bwd = []
     for k in range(cfg.sentences):
         sid = f"s{k + 1:05d}"
-        tokens, gold, tree, source, links, fwd_links = _generate_sentence(
-            rng, cfg, sid, label_of, deprel_of)
+        tokens, gold, tree, source, links, fwd_links = _generate_sentence(rng, cfg, sid)
         targets.append(tokens)
         golds.append((sid, gold))
         trees.append(tree)

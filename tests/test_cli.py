@@ -2,6 +2,7 @@ import json
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sdpkit.errors import CheckpointError, FormatError
 from helpers import (read_checkpoint, reference_decode_semantic, write_checkpoint,
                      write_context_vectors)
 from sdpkit.formats import SdpDocument, read_conllu, read_sdp, write_conllu, write_sdp
-from sdpkit.graph import PartialGraph, SemanticGraph, is_acyclic
+from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, is_acyclic
 from sdpkit.network import SEMANTIC, NetworkConfig, ParserModel
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
@@ -84,6 +85,42 @@ def test_malformed_checkpoint_metadata(pipeline, tmp_path, edit):
     assert cli.main(["parse", "--model", bad, "--input", pipeline["heldout.sdp"],
                      "--out", str(tmp_path / "pred.sdp")]) == 2
     assert not (tmp_path / "pred.sdp").exists()
+
+
+def _save_one_array(good, bad):
+    with open(bad, "wb") as f:  # a file object, so np.save adds no .npy suffix
+        np.save(f, np.zeros(3))
+
+
+# Each case writes at `bad` a file that is no checkpoint, given a good one.
+@pytest.mark.parametrize("make,reason", [
+    (lambda good, bad: None, "unreadable checkpoint"),
+    (lambda good, bad: bad.write_bytes(b""), "unreadable checkpoint"),
+    (lambda good, bad: bad.write_text("s00001\n"), "unreadable checkpoint"),
+    (lambda good, bad: bad.write_bytes(good.read_bytes()[:2000]), "unreadable checkpoint"),
+    (_save_one_array, "one array, not an npz archive"),
+    (lambda good, bad: np.savez(bad, **read_checkpoint(good)[0]), "not a parser checkpoint"),
+    (lambda good, bad: np.savez(bad, __meta__=np.frombuffer(b"{", np.uint8)),
+     "not a parser checkpoint"),
+    (lambda good, bad: write_checkpoint(bad, read_checkpoint(good)[0], [1]),
+     "not a parser checkpoint"),
+    (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m, a: m.update(kind="other")),
+     r"\('other', 1\)"),
+    (lambda good, bad: _rewrite_checkpoint(good, bad,
+                                           lambda m, a: m.update(checkpoint_version=2)),
+     r"\('sdpkit-parser', 2\)"),
+], ids=["missing-file", "empty", "not-a-zip", "truncated", "plain-array", "no-metadata",
+        "metadata-not-json", "metadata-not-an-object", "wrong-kind", "wrong-version"])
+def test_unreadable_checkpoint_refused(pipeline, tmp_path, capsys, make, reason):
+    bad = tmp_path / "bad.npz"
+    make(Path(pipeline["model.npz"]), bad)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: .*{reason}"):
+        ParserModel.load(str(bad))
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["parse", "--model", str(bad), "--input", pipeline["heldout.sdp"],
+                     "--out", str(tmp_path / "pred.sdp")]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_train_with_a_zero_learning_rate_writes_no_model(pipeline, tmp_path, capsys):
@@ -366,6 +403,20 @@ def test_parse_keeps_conllu_sentence_ids(pipeline, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_parse_refuses_an_id_that_would_not_read_back(pipeline, tmp_path, capsys):
+    conllu = os.path.join(pipeline["corpus"], "target.conllu")
+    with open(conllu, encoding="utf-8") as f:
+        trees = read_conllu(f)
+    trees[0] = replace(trees[0], comments=("# sent_id = aligned: 1",))
+    renamed = tmp_path / "in.conllu"
+    with open(renamed, "w", encoding="utf-8") as f:
+        write_conllu(trees, f)
+    assert cli.main(["parse", "--model", pipeline["model.npz"], "--input", str(renamed),
+                     "--out", str(tmp_path / "pred.sdp")]) == 2
+    assert "sentence id 'aligned: 1' would not read back" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["in.conllu"]
+
+
 def test_score_and_analyze_refuse_mismatched_sentence_ids(pipeline, tmp_path, capsys):
     with open(pipeline["heldout.sdp"], encoding="utf-8") as f:
         graph = read_sdp(f).semantic_graphs()[0]
@@ -382,6 +433,21 @@ def test_score_and_analyze_refuse_mismatched_sentence_ids(pipeline, tmp_path, ca
                  ["analyze", "--buckets", "--pred", paths["swapped"], "--gold", paths["gold"]]):
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
+    n = graph.n
+    trees = [SyntacticTree(graph.sentence, (0,) + (1,) * (n - 1), ("root",) + ("dep",) * (n - 1),
+                           (f"# sent_id = {sid}",)) for sid, _ in gold]
+    for name, entries in (("trees", trees), ("swapped-trees", trees[::-1])):
+        paths[name] = str(tmp_path / f"{name}.conllu")
+        with open(paths[name], "w", encoding="utf-8") as f:
+            write_conllu(entries, f)
+    for mode in (["--headmatch", "--pred-a", paths["gold"], "--pred-b", paths["gold"]],
+                 ["--contribution", "--pred-multi", paths["gold"],
+                  "--pred-single", paths["gold"]]):
+        argv = ["analyze", *mode, "--gold", paths["gold"], "--trees"]
+        assert cli.main(argv + [paths["trees"]]) == 0
+        assert cli.main(argv + [paths["swapped-trees"]]) == 2
+        assert (f"{paths['swapped-trees']}: sentence 1 is 's00005', but gold sentence 1 "
+                "is 's00002'" in capsys.readouterr().err)
 
 
 def test_train_rejects_a_non_finite_word_vector(pipeline, tmp_path, capsys):

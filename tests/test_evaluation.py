@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import LABELS, brute_force_score, random_graph, random_partial
-from sdpkit.evaluation import head_match_stats, label_contribution, length_buckets, score_graphs
+from sdpkit.evaluation import (ScoreReport, format_report, head_match_stats, label_contribution,
+                               length_buckets, score_graphs)
 from sdpkit.graph import (LENGTH_BUCKETS, Edge, PartialGraph, SemanticGraph, SyntacticTree,
                           make_sentence)
 
@@ -94,3 +95,23 @@ def test_label_contribution_is_a_percentage_by_dependent_deprel():
     assert contribution == {"nsubj": pytest.approx(200 / 3), "root": pytest.approx(100 / 3)}
     assert sum(contribution.values()) == pytest.approx(100.0)
     assert label_contribution([single], [multi], [gold], [tree]) == {}
+
+
+@pytest.mark.parametrize("counts,text", [
+    ((7, 5, 4, 7, 6, 5),
+     "lp=0.800000 lr=0.571429 lf=0.666667 up=0.833333 ur=0.714286 uf=0.769231\n"
+     "labeled_gold=7 labeled_pred=5 labeled_correct=4 unlabeled_gold=7 unlabeled_pred=6 "
+     "unlabeled_correct=5\n"
+     "           P       R       F1\n"
+     "labeled    0.8000  0.5714  0.6667\n"
+     "unlabeled  0.8333  0.7143  0.7692"),
+    ((0, 0, 0, 3, 0, 0),
+     "lp=0.000000 lr=0.000000 lf=0.000000 up=0.000000 ur=0.000000 uf=0.000000\n"
+     "labeled_gold=0 labeled_pred=0 labeled_correct=0 unlabeled_gold=3 unlabeled_pred=0 "
+     "unlabeled_correct=0\n"
+     "           P       R       F1\n"
+     "labeled    0.0000  0.0000  0.0000\n"
+     "unlabeled  0.0000  0.0000  0.0000"),
+], ids=["counts", "nothing-predicted"])
+def test_format_report_text(counts, text):
+    assert format_report(ScoreReport(*counts)) == text

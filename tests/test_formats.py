@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ class TestWriteSdp:
         g = SemanticGraph(make_sentence(["a", "b"]), frozenset({(1, 2, "bad\tlabel")}))
         with pytest.raises(FormatError, match="tab"):
             write_sdp(SdpDocument((("s", g),)), io.StringIO())
+
+    @pytest.mark.parametrize("sid", ["aligned: 1", "aligned:", " x", "x ", "\tx"])
+    def test_sentence_id_that_would_not_read_back_rejected(self, sid):
+        from sdpkit.graph import SemanticGraph
+        g = SemanticGraph(make_sentence(["a"]), frozenset())
+        with pytest.raises(FormatError, match=re.escape(repr(sid))):
+            write_sdp(SdpDocument(((sid, g),)), io.StringIO())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=6))
+    def test_written_sentence_id_reads_back(self, sid):
+        from sdpkit.graph import SemanticGraph
+        doc = SdpDocument(((sid, SemanticGraph(make_sentence(["a"]), frozenset())),))
+        buf = io.StringIO()
+        try:
+            write_sdp(doc, buf)
+        except FormatError:
+            return
+        assert read_sdp(io.StringIO(buf.getvalue())) == doc
 
     def test_cyclic_graph_not_writable(self):
         from sdpkit.graph import SemanticGraph

@@ -1,4 +1,6 @@
 import io
+import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -123,6 +125,25 @@ def test_checkpoint_round_trip(tmp_path):
     sentences = [g.sentence for g in graphs]
     assert training.parse_semantic(loaded, sentences) == \
         training.parse_semantic(model, sentences)
+
+
+def test_checkpoint_file_layout(tmp_path):
+    """The layout `ParserModel.save` documents, which files already written rely on."""
+    graphs, trees = _corpus(4)
+    model = _model(graphs, trees)
+    path = tmp_path / "model.npz"
+    model.save(str(path))
+    with zipfile.ZipFile(path) as archive:
+        assert archive.namelist() == [f"{name}.npy" for name in
+                                      ["__meta__", *model.params, "pretrained"]]
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+    arrays, meta = read_checkpoint(path)
+    assert (meta["kind"], meta["checkpoint_version"]) == ("sdpkit-parser", 1)
+    with np.load(path) as npz:
+        raw = npz["__meta__"]
+    assert raw.dtype == np.uint8
+    assert raw.tobytes() == json.dumps(meta, sort_keys=True).encode("utf-8")
+    assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
 
 
 def test_load_draws_no_random_initialisation(tmp_path, monkeypatch):
