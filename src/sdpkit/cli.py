@@ -11,9 +11,10 @@
     sdpkit analyze    length buckets / head match / label contribution
     sdpkit gradcheck  end-to-end finite-difference gradient check
 
-`parse` writes each sentence under its input id, and `score` and `analyze`
-refuse a prediction file whose ids differ from the gold file's, position by
-position.
+`parse` reads its input and checks its sentence ids (`formats.check_sentence_ids`)
+before it loads the model, and writes each sentence under its input id. `score`
+and `analyze` refuse a prediction file whose ids differ from the gold file's,
+position by position.
 
 Every run resolves its configuration (defaults < config file < flags), logs
 it, and writes a manifest with content hashes of its inputs next to its
@@ -26,15 +27,15 @@ import argparse
 import hashlib
 import json
 import sys
-from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import autodiff as ad
 from .errors import ConfigError, FormatError, ScoringError, SdpkitError
 from .evaluation import format_report, label_contribution, length_buckets, head_match_stats, score_graphs, write_series
-from .formats import (SdpDocument, atomic_open, read_alignments, read_conllu,
-                      read_context_vectors, read_sdp, read_word_vectors, write_alignments,
-                      write_sdp)
+from .formats import (SdpDocument, atomic_open, check_sentence_ids, conllu_id,
+                      read_alignments, read_conllu, read_context_vectors, read_sdp,
+                      read_word_vectors, write_alignments, write_sdp)
 from .graph import (LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, as_semantic,
                     make_sentence)
 from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
@@ -114,25 +115,22 @@ def _finish(args, inputs: list[str], outputs: list[str], config: dict) -> int:
     return 0
 
 
+@contextmanager
+def _naming(path: str):
+    """Prefix `path` to a FormatError raised in the block, keeping its line."""
+    try:
+        yield
+    except FormatError as exc:
+        named = FormatError(f"{path}: {exc}")
+        named.line = exc.line
+        raise named from exc
+
+
 def _read(path: str, reader, *args):
     """`reader(stream, *args)` on the file at `path`. Every input file is read
     through here, so a FormatError names the file before its line."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return reader(f, *args)
-        except FormatError as exc:
-            named = FormatError(f"{path}: {exc}")
-            named.line = exc.line
-            raise named from exc
-
-
-def _conllu_id(tree) -> str | None:
-    """The value of a tree's ``# sent_id = <id>`` comment, if it has a nonempty one."""
-    for comment in tree.comments:
-        key, _, value = comment[1:].partition("=")
-        if key.strip() == "sent_id" and value.strip():
-            return value.strip()
-    return None
+    with _naming(path), open(path, "r", encoding="utf-8") as f:
+        return reader(f, *args)
 
 
 def _read_sentences(path: str) -> tuple[list[str], list]:
@@ -140,7 +138,7 @@ def _read_sentences(path: str) -> tuple[list[str], list]:
     (a CoNLL-U block without ``# sent_id``) is numbered ``s%05d`` by position."""
     if path.endswith(".conllu"):
         trees = _read(path, read_conllu)
-        ids = [_conllu_id(t) or f"s{k + 1:05d}" for k, t in enumerate(trees)]
+        ids = [conllu_id(t) or f"s{k + 1:05d}" for k, t in enumerate(trees)]
         return ids, [t.sentence for t in trees]
     doc = _read(path, read_sdp)
     return [sid for sid, _ in doc], [g.sentence for g in doc.semantic_graphs()]
@@ -167,7 +165,7 @@ def _read_trees(path: str, gold: SdpDocument) -> list:
     """The trees of the .conllu file at `path`, after checking each ``sent_id``
     it gives against `gold`'s id at the same position."""
     trees = _read(path, read_conllu)
-    _check_ids(path, map(_conllu_id, trees), gold)
+    _check_ids(path, map(conllu_id, trees), gold)
     return trees
 
 
@@ -208,10 +206,8 @@ def cmd_project(args) -> int:
     if not (len(source) == len(alignments) == len(targets)):
         raise FormatError(f"corpus sizes differ: {len(source)} source graphs, "
                           f"{len(alignments)} alignment lines, {len(targets)} target sentences")
-    projected = []
-    for (sid, graph), links, target in zip(source, alignments, targets):
-        alignment = intersect_alignments(links, links)
-        projected.append((sid, project_graph(as_semantic(graph), alignment, target)))
+    projected = [(sid, project_graph(as_semantic(g), intersect_alignments(links, links), target))
+                 for (sid, g), links, target in zip(source, alignments, targets)]
     with atomic_open(args.out) as f:
         write_sdp(SdpDocument(tuple(projected)), f)
     return _finish(args, [args.source, args.alignments, args.target], [args.out],
@@ -358,25 +354,18 @@ def cmd_train(args) -> int:
         "sharing": asdict(topology) if topology else None,
         "tasks": tasks,
     }
-    inputs = [args.train, args.heldout]
-    if args.syntactic:
-        inputs.append(args.syntactic)
-    for path in (args.context, args.heldout_context):
-        if path:
-            inputs.append(path)
-    if args.word_vectors:
-        inputs.append(args.word_vectors)
+    inputs = [path for path in (args.train, args.heldout, args.syntactic, args.context,
+                                args.heldout_context, args.word_vectors) if path]
     print(f"best_epoch={result.best_epoch} best_heldout_lf={result.best_lf:.6f} "
           f"epochs_run={result.epochs_run}")
     return _finish(args, inputs, [args.out, metrics_path], config)
 
 
 def cmd_parse(args) -> int:
-    model = ParserModel.load(args.model)
     ids, sentences = _read_sentences(args.input)
-    repeated = sorted(sid for sid, count in Counter(ids).items() if count > 1)
-    if repeated:
-        raise FormatError(f"{args.input}: sentence ids {repeated} occur more than once")
+    with _naming(args.input):
+        check_sentence_ids(ids)
+    model = ParserModel.load(args.model)
     contexts = _read_contexts(args.context, model.config.context_dim, sentences) \
         if model.config.context_dim else None
     if args.context and not model.config.context_dim:

@@ -7,7 +7,9 @@ Dialects (fixed here; this docstring is their specification):
   of rows with ``+`` in PRED. Each block starts with a ``#<id>`` header line.
   A ``#aligned: i j ...`` line after the header marks a partial (projected)
   graph; listed indices are the aligned target positions (root 0 implied).
-  ``_`` denotes an empty cell.
+  ``_`` denotes an empty cell. The sentence-id rule (`check_sentence_ids`,
+  which `SdpDocument` enforces): ids are unique, and none holds a tab or
+  newline, has whitespace at either end or begins with ``aligned:``.
 * ``.conllu`` -- standard 10-column CoNLL-U; multiword-token and empty-node
   lines are skipped on read; comment lines are preserved verbatim.
 * ``.align`` -- Pharaoh word alignments: one sentence pair per line, pairs
@@ -15,6 +17,8 @@ Dialects (fixed here; this docstring is their specification):
 * ``.vec`` -- per-token context vectors: one token per line of
   whitespace-separated floats, blank line between sentences. Here and in
   word-vector tables every component must be a finite number.
+
+A FORM is never empty (`graph.Token`): the readers refuse one at its line.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, TextIO
@@ -35,21 +40,29 @@ from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
 EMPTY = "_"
 ALIGNED_PREFIX = "#aligned:"
 _PAIR_RE = re.compile(r"^(\d+)-(\d+)$")
+_UNREADABLE_ID = re.compile(r"[\t\n\r]|\A\s|\s\Z|\Aaligned:")  # see check_sentence_ids
+
+
+def check_sentence_ids(ids: Iterable[str], line: int | None = None):
+    """FormatError (at `line`, if given) unless `ids` obey the sentence-id rule."""
+    counts = Counter(ids)
+    for sid in counts:
+        if _UNREADABLE_ID.search(sid):
+            raise FormatError(f"sentence id {sid!r} would not read back", line)
+    repeated = sorted(sid for sid, count in counts.items() if count > 1)
+    if repeated:
+        raise FormatError(f"sentence ids {repeated} occur more than once", line)
 
 
 @dataclass(frozen=True)
 class SdpDocument:
-    """An ordered collection of (sentence id, graph) pairs with unique ids."""
+    """Ordered (sentence id, graph) pairs whose ids obey `check_sentence_ids`."""
 
     sentences: tuple[tuple[str, SemanticGraph | PartialGraph], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        seen = set()
-        for sid, _ in self.sentences:
-            if sid in seen:
-                raise FormatError(f"duplicate sentence id {sid!r}")
-            seen.add(sid)
+        check_sentence_ids(sid for sid, _ in self.sentences)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -153,6 +166,7 @@ def _read_sdp_block(start: int, block: list[tuple[int, str]]):
                     aligned.add(int(field))
             elif sid is None:
                 sid = line[1:].strip()
+                check_sentence_ids([sid], lineno)
             else:
                 raise FormatError(f"unexpected extra comment {line!r}", lineno)
         else:
@@ -170,16 +184,11 @@ def _read_sdp_block(start: int, block: list[tuple[int, str]]):
     for i, (lineno, cols) in enumerate(rows):
         if len(cols) != width:
             raise FormatError(f"expected {width} columns, got {len(cols)}", lineno)
-        if not cols[0].isdigit() or int(cols[0]) != i + 1:
-            raise FormatError(f"token ids must be contiguous from 1, got {cols[0]!r}", lineno)
+        tokens.append(_token(lineno, i + 1, cols, _cell(cols[6])))
         if cols[4] not in ("+", "-"):
             raise FormatError(f"TOP column must be '+' or '-', got {cols[4]!r}", lineno)
         if cols[5] not in ("+", "-"):
             raise FormatError(f"PRED column must be '+' or '-', got {cols[5]!r}", lineno)
-        frame = "" if cols[6] == EMPTY else cols[6]
-        lemma = "" if cols[2] == EMPTY else cols[2]
-        pos = "" if cols[3] == EMPTY else cols[3]
-        tokens.append(Token(i + 1, cols[1], lemma, pos, frame))
         if cols[5] == "+":
             pred_positions.append(i + 1)
 
@@ -210,6 +219,20 @@ def _read_sdp_block(start: int, block: list[tuple[int, str]]):
         raise FormatError(str(exc), start) from exc
 
 
+def _cell(value: str) -> str:
+    return "" if value == EMPTY else value
+
+
+def _token(lineno: int, index: int, cols: list[str], frame: str = "") -> Token:
+    """Token `index` from a row's ID FORM LEMMA POS columns; FormatError at `lineno`."""
+    if not cols[0].isdigit() or int(cols[0]) != index:
+        raise FormatError(f"token ids must be contiguous from 1, got {cols[0]!r}", lineno)
+    try:
+        return Token(index, cols[1], _cell(cols[2]), _cell(cols[3]), frame)
+    except GraphError as exc:
+        raise FormatError(str(exc), lineno) from exc
+
+
 def _check_cell(value: str, what: str):
     if "\t" in value or "\n" in value or "\r" in value:
         raise FormatError(f"{what} {value!r} contains a tab or newline")
@@ -218,23 +241,16 @@ def _check_cell(value: str, what: str):
 def write_sdp(doc: SdpDocument, stream: TextIO):
     """Serialize a document; inverse of `read_sdp` on valid input.
 
-    Graphs must be acyclic per `is_acyclic`. Sentence ids, labels and forms
-    may not contain tabs or newlines; a label equal to the empty-cell marker
-    cannot be represented, nor can a sentence id with whitespace at either end
-    or one that begins with ``aligned:``, since neither reads back.
+    Graphs must be acyclic per `is_acyclic`. Labels and token fields may not
+    contain tabs or newlines, and a label equal to the empty-cell marker cannot
+    be represented. Sentence ids need no check here: `SdpDocument` holds only
+    ids that read back.
     """
-    first = True
-    for sid, entry in doc:
+    for k, (sid, entry) in enumerate(doc):
         graph = as_semantic(entry)
         if not is_acyclic(graph):
             raise FormatError(f"sentence {sid!r} is not writable: graph contains a directed cycle")
-        if not first:
-            stream.write("\n")
-        first = False
-        _check_cell(sid, "sentence id")
-        if sid != sid.strip() or f"#{sid}".startswith(ALIGNED_PREFIX):
-            raise FormatError(f"sentence id {sid!r} would not read back")
-        stream.write(f"#{sid}\n")
+        stream.write(f"\n#{sid}\n" if k else f"#{sid}\n")
         if isinstance(entry, PartialGraph):
             listed = sorted(i for i in entry.aligned if i != ROOT)
             stream.write(ALIGNED_PREFIX + "".join(f" {i}" for i in listed) + "\n")
@@ -252,8 +268,6 @@ def write_sdp(doc: SdpDocument, stream: TextIO):
             args.setdefault(d, {})[pred_col[h]] = label
 
         for tok in graph.sentence:
-            if tok.form == "":
-                raise FormatError(f"token {tok.index} has an empty form")
             for value, what in ((tok.form, "form"), (tok.lemma, "lemma"),
                                 (tok.pos, "pos"), (tok.frame, "frame")):
                 _check_cell(value, what)
@@ -273,6 +287,15 @@ def write_sdp(doc: SdpDocument, stream: TextIO):
 
 # ---------------------------------------------------------------------------
 # CoNLL-U
+
+
+def conllu_id(tree: SyntacticTree) -> str | None:
+    """The value of a tree's ``# sent_id = <id>`` comment, if it has a nonempty one."""
+    for comment in tree.comments:
+        key, _, value = comment[1:].partition("=")
+        if key.strip() == "sent_id" and value.strip():
+            return value.strip()
+    return None
 
 
 def read_conllu(stream: TextIO) -> list[SyntacticTree]:
@@ -299,17 +322,13 @@ def read_conllu(stream: TextIO) -> list[SyntacticTree]:
         heads = []
         deprels = []
         for i, (lineno, cols) in enumerate(rows):
-            if not cols[0].isdigit() or int(cols[0]) != i + 1:
-                raise FormatError(f"token ids must be contiguous from 1, got {cols[0]!r}", lineno)
+            tokens.append(_token(lineno, i + 1, cols))
             try:
                 head = int(cols[6])
             except ValueError:
                 raise FormatError(f"non-numeric head {cols[6]!r}", lineno) from None
-            lemma = "" if cols[2] == EMPTY else cols[2]
-            pos = "" if cols[3] == EMPTY else cols[3]
-            tokens.append(Token(i + 1, cols[1], lemma, pos))
             heads.append(head)
-            deprels.append("" if cols[7] == EMPTY else cols[7])
+            deprels.append(_cell(cols[7]))
         n = len(tokens)
         for (lineno, _), head in zip(rows, heads):
             if head < 0 or head > n:
@@ -324,11 +343,9 @@ def read_conllu(stream: TextIO) -> list[SyntacticTree]:
 
 def write_conllu(trees: Iterable[SyntacticTree], stream: TextIO):
     """Serialize trees to CoNLL-U; inverse of `read_conllu` on valid input."""
-    first = True
-    for tree in trees:
-        if not first:
+    for k, tree in enumerate(trees):
+        if k:
             stream.write("\n")
-        first = False
         for comment in tree.comments:
             stream.write(comment + "\n")
         for tok in tree.sentence:
@@ -338,7 +355,7 @@ def write_conllu(trees: Iterable[SyntacticTree], stream: TextIO):
             _check_cell(deprel, "deprel")
             cols = [
                 str(tok.index),
-                tok.form if tok.form else EMPTY,
+                tok.form,
                 tok.lemma if tok.lemma else EMPTY,
                 tok.pos if tok.pos else EMPTY,
                 EMPTY, EMPTY,
@@ -400,24 +417,15 @@ def read_context_vectors(stream: TextIO, expected_dim: int) -> list[np.ndarray]:
     """
     if expected_dim < 1:
         raise FormatError(f"expected_dim must be >= 1, got {expected_dim}")
-    sentences: list[np.ndarray] = []
-    current: list[list[float]] = []
-
-    def flush():
-        if current:
-            sentences.append(np.array(current, dtype=np.float64))
-            current.clear()
-
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            flush()
-            continue
-        fields = line.split()
-        if len(fields) != expected_dim:
-            raise FormatError(f"expected {expected_dim} values, got {len(fields)}", lineno)
-        current.append(_vector(fields, lineno))
-    flush()
+    sentences = []
+    for _, block in _blocks(stream):
+        rows = []
+        for lineno, line in block:
+            fields = line.split()
+            if len(fields) != expected_dim:
+                raise FormatError(f"expected {expected_dim} values, got {len(fields)}", lineno)
+            rows.append(_vector(fields, lineno))
+        sentences.append(np.array(rows, dtype=np.float64))
     return sentences
 
 

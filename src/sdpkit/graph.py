@@ -20,7 +20,8 @@ LENGTH_BUCKETS = ("1", "2", "3", "4", "5-9", ">=10")
 
 @dataclass(frozen=True)
 class Token:
-    """One token; `frame` is carried opaquely and may be empty."""
+    """One token. Its form is never empty, as the char BiLSTM needs a character;
+    `frame` is carried opaquely and may be empty."""
 
     index: int
     form: str
@@ -31,6 +32,8 @@ class Token:
     def __post_init__(self):
         if self.index < 1:
             raise GraphError(f"token index must be >= 1, got {self.index}")
+        if not self.form:
+            raise GraphError(f"token {self.index} has an empty form")
 
 
 class Edge(NamedTuple):

@@ -417,6 +417,72 @@ def test_parse_refuses_an_id_that_would_not_read_back(pipeline, tmp_path, capsys
     assert os.listdir(tmp_path) == ["in.conllu"]
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("the model was loaded or run")
+
+
+@pytest.mark.parametrize("sent_id,message", [
+    ("s00002", "sentence ids ['s00002'] occur more than once"),
+    ("aligned: 1", "sentence id 'aligned: 1' would not read back"),
+], ids=["repeated", "aligned"])
+def test_parse_checks_ids_before_loading_the_model(pipeline, tmp_path, capsys, monkeypatch,
+                                                   sent_id, message):
+    with open(os.path.join(pipeline["corpus"], "target.conllu"), encoding="utf-8") as f:
+        trees = read_conllu(f)
+    # the second tree has no sent_id, so it is numbered s00002
+    trees = [replace(trees[0], comments=(f"# sent_id = {sent_id}",)),
+             replace(trees[1], comments=())] + trees[2:]
+    bad = tmp_path / "in.conllu"
+    with open(bad, "w", encoding="utf-8") as f:
+        write_conllu(trees, f)
+    monkeypatch.setattr(cli.ParserModel, "load", _fail)
+    monkeypatch.setattr(cli, "parse_semantic", _fail)
+    assert cli.main(["parse", "--model", pipeline["model.npz"], "--input", str(bad),
+                     "--out", str(tmp_path / "pred.sdp")]) == 2
+    assert f"sdpkit: error: {bad}: {message}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["in.conllu"]
+
+
+def _without_a_form(src, dst) -> int:
+    """Copy the file at `src` to `dst` with the FORM of its first token line
+    emptied; returns that line's number."""
+    with open(src, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    k = next(k for k, line in enumerate(lines) if line and not line.startswith("#"))
+    cols = lines[k].split("\t")
+    lines[k] = "\t".join(cols[:1] + [""] + cols[2:])
+    dst.write_text("\n".join(lines), encoding="utf-8")
+    return k + 1
+
+
+@pytest.mark.parametrize("command,flag,fmt", [
+    ("train", "--train", "sdp"), ("train", "--heldout", "sdp"),
+    ("train", "--syntactic", "conllu"), ("parse", "--input", "sdp"),
+    ("parse", "--input", "conllu"),
+])
+def test_empty_form_refused_before_the_model_runs(pipeline, tmp_path, capsys, monkeypatch,
+                                                  command, flag, fmt):
+    src = (os.path.join(pipeline["corpus"], "target.conllu") if fmt == "conllu"
+           else pipeline[f"{flag[2:]}.sdp" if command == "train" else "heldout.sdp"])
+    bad = tmp_path / f"bad.{fmt}"
+    line = _without_a_form(src, bad)
+    monkeypatch.setattr(ad, "lstm_seq", _fail)
+    out = str(tmp_path / "out")
+    argv = {"train": ["train", "--train", pipeline["train.sdp"], "--heldout",
+                      pipeline["heldout.sdp"], "--config", pipeline["tiny.json"],
+                      "--epochs", "1", "--out", out],
+            "parse": ["parse", "--model", pipeline["model.npz"], "--input", str(bad),
+                      "--out", out]}[command]
+    if flag == "--syntactic":
+        argv += ["--syntactic", str(bad), "--tasks", "sem,syn"]
+    elif command == "train":
+        argv[argv.index(flag) + 1] = str(bad)
+    assert cli.main(argv) == 2
+    assert (f"sdpkit: error: {bad}: line {line}: token 1 has an empty form"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == [bad.name]
+
+
 def test_score_and_analyze_refuse_mismatched_sentence_ids(pipeline, tmp_path, capsys):
     with open(pipeline["heldout.sdp"], encoding="utf-8") as f:
         graph = read_sdp(f).semantic_graphs()[0]

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_graph, random_partial, random_tree, write_context_vectors
 from sdpkit.errors import FormatError
-from sdpkit.formats import (AlignmentFile, SdpDocument, read_alignments, read_conllu,
-                            read_context_vectors, read_sdp, read_word_vectors,
-                            write_alignments, write_conllu, write_sdp)
-from sdpkit.graph import PartialGraph, make_sentence
+from sdpkit.formats import (AlignmentFile, SdpDocument, check_sentence_ids, conllu_id,
+                            read_alignments, read_conllu, read_context_vectors, read_sdp,
+                            read_word_vectors, write_alignments, write_conllu, write_sdp)
+from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, make_sentence
 
 
 def sdp_roundtrip(doc: SdpDocument) -> SdpDocument:
@@ -72,8 +72,45 @@ class TestReadSdp:
 
     def test_duplicate_sentence_ids(self):
         text = "#x\n1\ta\ta\tN\t-\t-\t_\n\n#x\n1\ta\ta\tN\t-\t-\t_\n"
-        with pytest.raises(FormatError, match="duplicate"):
+        with pytest.raises(FormatError, match="occur more than once"):
             read_sdp(io.StringIO(text))
+
+    @pytest.mark.parametrize("header,sid", [("# aligned: 1", "aligned: 1"),
+                                            ("#a\tb", "a\tb"), ("#a\rb", "a\rb")])
+    def test_unreadable_header_id_is_an_error_at_its_line(self, header, sid):
+        text = f"#x\n1\ta\ta\tN\t-\t-\t_\n\n{header}\n1\ta\ta\tN\t-\t-\t_\n"
+        with pytest.raises(FormatError, match=re.escape(f"line 4: sentence id {sid!r} would "
+                                                        "not read back")):
+            read_sdp(io.StringIO(text))
+
+    def test_empty_form_is_an_error_at_its_line(self):
+        text = "#x\n#aligned: 1\n1\ta\ta\tN\t-\t-\t_\n2\t\tb\tN\t-\t-\t_\n"
+        with pytest.raises(FormatError, match="line 4: token 2 has an empty form"):
+            read_sdp(io.StringIO(text))
+
+
+class TestSentenceIds:
+    @pytest.mark.parametrize("ids", [[], ["s1", "s2"], ["a b", "", "x aligned:", "#y"]])
+    def test_ids_that_read_back_pass(self, ids):
+        check_sentence_ids(ids)
+        doc = SdpDocument(tuple((sid, SemanticGraph(make_sentence(["a"]), frozenset()))
+                                for sid in ids))
+        assert sdp_roundtrip(doc) == doc
+
+    @pytest.mark.parametrize("ids,message", [
+        (["a", "b", "a", "b", "c"], "sentence ids ['a', 'b'] occur more than once"),
+        (["ok", "a\nb"], "sentence id 'a\\nb' would not read back"),
+        (["a\rb"], "sentence id 'a\\rb' would not read back"),
+        (["a\tb"], "sentence id 'a\\tb' would not read back"),
+        (["\u00a0x"], "sentence id '\\xa0x' would not read back"),
+        (["aligned:x"], "sentence id 'aligned:x' would not read back"),
+    ], ids=["repeated", "newline", "carriage-return", "tab", "leading-space", "aligned"])
+    def test_ids_that_would_not_read_back_are_refused(self, ids, message):
+        with pytest.raises(FormatError, match=f"^line 7: {re.escape(message)}$"):
+            check_sentence_ids(ids, 7)
+        graph = SemanticGraph(make_sentence(["a"]), frozenset())
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            SdpDocument(tuple((sid, graph) for sid in ids))
 
 
 class TestWriteSdp:
@@ -111,12 +148,12 @@ class TestWriteSdp:
     @given(st.text(max_size=6))
     def test_written_sentence_id_reads_back(self, sid):
         from sdpkit.graph import SemanticGraph
-        doc = SdpDocument(((sid, SemanticGraph(make_sentence(["a"]), frozenset())),))
         buf = io.StringIO()
         try:
-            write_sdp(doc, buf)
+            doc = SdpDocument(((sid, SemanticGraph(make_sentence(["a"]), frozenset())),))
         except FormatError:
             return
+        write_sdp(doc, buf)
         assert read_sdp(io.StringIO(buf.getvalue())) == doc
 
     def test_cyclic_graph_not_writable(self):
@@ -190,6 +227,20 @@ class TestConllu:
                 "2\tle\tle\tDET\t_\t_\t0\troot\t_\t_\n")
         trees = read_conllu(io.StringIO(text))
         assert trees[0].n == 2
+
+    def test_empty_form_is_an_error_at_its_line(self):
+        text = "# sent_id = x\n1\ta\ta\tN\t_\t_\t0\troot\t_\t_\n2\t\tb\tN\t_\t_\t1\tdep\t_\t_\n"
+        with pytest.raises(FormatError, match="line 3: token 2 has an empty form"):
+            read_conllu(io.StringIO(text))
+
+    def test_an_underscore_form_round_trips(self):
+        tree = SyntacticTree(make_sentence(["_"], lemmas=[""]), (0,), ("root",),
+                             ("# sent_id = u",))
+        buf = io.StringIO()
+        write_conllu([tree], buf)
+        assert buf.getvalue() == "# sent_id = u\n1\t_\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        assert read_conllu(io.StringIO(buf.getvalue())) == [tree]
+        assert conllu_id(tree) == "u"
 
     def test_non_numeric_head(self):
         with pytest.raises(FormatError, match="non-numeric"):

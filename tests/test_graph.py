@@ -66,6 +66,10 @@ class TestConstruction:
         with pytest.raises(GraphError, match="contiguous"):
             SemanticGraph((Token(1, "a"), Token(3, "b")), frozenset())
 
+    def test_empty_form_rejected(self):
+        with pytest.raises(GraphError, match="token 2 has an empty form"):
+            make_sentence(["a", ""])
+
 
 def _write(g):
     buf = io.StringIO()
