@@ -131,8 +131,9 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
     into its buffer view (see `Parameter`), bit for bit as adoption or fresh
     zeros plus `g` would give it. For any other tensor a backward closure
     passes `owned` for an array it has just allocated and keeps no reference
-    to; the first one is adopted as the gradient instead of being added into
-    fresh zeros."""
+    to; the first one is adopted as the gradient. A first gradient that is not
+    owned is `g + 0.0` in a fresh array like `t.data`: one pass, with the bits
+    and layout of fresh zeros plus `g`."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -143,10 +144,8 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
                 np.add(g, 0.0, out=t._buffer)  # as 0 + g: -0.0 becomes 0.0
             t.grad = t._buffer
             return
-        if owned:
-            t.grad = g
-            return
-        t.grad = np.zeros_like(t.data)
+        t.grad = g if owned else np.add(g, 0.0, out=np.empty_like(t.data))
+        return
     t.grad += g
 
 

@@ -76,10 +76,15 @@ def _section(raw: dict, name: str, cls) -> dict:
     data = raw.get(name, {})
     if not isinstance(data, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(data) - valid
+    fields = cls.__dataclass_fields__
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"config section {name!r} has unknown keys {sorted(unknown)}")
+    for key, value in data.items():
+        kind = type(fields[key].default)  # bool, int or float; a float takes an int
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ConfigError(f"config section {name!r} key {key!r} must be of type {kind.__name__}, "
+                              f"got {json.dumps(value)}")
     return dict(data)
 
 

@@ -63,12 +63,14 @@ def project_graph(source: SemanticGraph, alignment: IntersectedAlignment,
 
     Top edges transfer through the implicit root self-link. The result's
     aligned set is {0} plus all linked target positions; cells touching any
-    other position are undecided.
+    other position are undecided. Every link must lie inside both sentences.
     """
     target_sentence = tuple(target_sentence)
     n = len(target_sentence)
     mapping = alignment.mapping()
-    for t in mapping.values():
+    for s, t in mapping.items():
+        if s > source.n:
+            raise ProjectionError(f"alignment source {s} exceeds sentence length {source.n}")
         if t > n:
             raise ProjectionError(f"alignment target {t} exceeds sentence length {n}")
     projected: dict[tuple[int, int], str] = {}

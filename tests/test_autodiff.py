@@ -144,6 +144,18 @@ class TestBackward:
         ad.sum_all(y).backward()
         assert x.grad[0] == 4.0
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_first_gradient_not_owned_is_a_fresh_copy_with_positive_zeros(self, order):
+        t = ad.Tensor(np.zeros((2, 3), order=order), requires_grad=True)
+        g = np.array([[-0.0, 1.0, -2.0], [0.0, -0.0, 3.0]])
+        ad._accumulate(t, g)
+        assert not np.shares_memory(t.grad, g)
+        assert t.grad.flags.f_contiguous == (order == "F")
+        np.testing.assert_array_equal(t.grad, g)
+        assert not np.signbit(t.grad[t.grad == 0]).any()  # as fresh zeros plus g
+        ad._accumulate(t, g)
+        np.testing.assert_array_equal(t.grad, 2 * g)
+
 
 class TestPerPrimitiveGradients:
     """Central-difference checks, dims <= 6, 64-bit floats, rel err < 1e-7."""

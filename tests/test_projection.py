@@ -84,6 +84,13 @@ class TestProjectGraph:
         with pytest.raises(ProjectionError, match="exceeds"):
             project_graph(src, a, sentence(3))
 
+    def test_alignment_source_exceeding_source_length(self):
+        # target 3 would count as decided with no source token behind it
+        src = SemanticGraph(sentence(2), frozenset({(0, 1, "TOP"), (1, 2, "ACT-arg")}))
+        a = IntersectedAlignment(frozenset({(1, 1), (2, 2), (9, 3)}))
+        with pytest.raises(ProjectionError, match="alignment source 9 exceeds sentence length 2"):
+            project_graph(src, a, sentence(3))
+
     def test_never_more_edges_and_labels_verbatim(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
