@@ -83,8 +83,8 @@ def _section(raw: dict, name: str, cls) -> dict:
     for key, value in data.items():
         kind = type(fields[key].default)  # bool, int or float; a float takes an int
         if type(value) not in ((int, float) if kind is float else (kind,)):
-            raise ConfigError(f"config section {name!r} key {key!r} must be of type {kind.__name__}, "
-                              f"got {json.dumps(value)}")
+            raise ConfigError(f"config section {name!r} key {key!r} must be of type "
+                              f"{kind.__name__}, got {json.dumps(value)}")
     return dict(data)
 
 

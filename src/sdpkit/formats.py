@@ -40,7 +40,7 @@ from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
 EMPTY = "_"
 ALIGNED_PREFIX = "#aligned:"
 _PAIR_RE = re.compile(r"^(\d+)-(\d+)$")
-_UNREADABLE_ID = re.compile(r"[\t\n\r]|\A\s|\s\Z|\Aaligned:")  # see check_sentence_ids
+_UNREADABLE_ID = re.compile(r"[\t\n\r]|\A\s|\s\Z|\Aaligned:")  # ids whose header misreads
 
 
 def check_sentence_ids(ids: Iterable[str], line: int | None = None):
