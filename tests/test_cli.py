@@ -566,10 +566,10 @@ def test_train_rejects_a_non_finite_word_vector(pipeline, tmp_path, capsys):
 
 # The golden pipeline's held-out LF against partial gold, measured on seeds 0-11
 # (CHANGES.md lists them), ranged 0.311-0.457 with mean 0.393 and standard
-# deviation 0.047; one epoch gives 0. The floor is the mean minus three
-# standard deviations, rounded down. The seed was fixed before measuring.
+# deviation 0.049; one epoch gives 0. The floor is the mean minus three
+# standard deviations (0.246), rounded down. The seed was fixed before measuring.
 GOLDEN_SEED = 0
-GOLDEN_LF_FLOOR = 0.25
+GOLDEN_LF_FLOOR = 0.24
 
 
 def test_golden_pipeline_clears_its_lf_floor(tmp_path, capsys):
