@@ -14,7 +14,8 @@
 `parse` reads its input and checks its sentence ids (`formats.check_sentence_ids`)
 before it loads the model, and writes each sentence under its input id. `score`
 and `analyze` refuse a prediction file whose ids differ from the gold file's,
-position by position.
+position by position. A context file (`--context`, `--heldout-context`) is
+checked against its corpus by `network.check_contexts` before any model call.
 
 Every run resolves its configuration (defaults < config file < flags), logs
 it, and writes a manifest with content hashes of its inputs next to its
@@ -39,8 +40,8 @@ from .formats import (SdpDocument, atomic_open, check_sentence_ids, conllu_id,
 from .graph import (LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, as_semantic,
                     make_sentence)
 from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
-                      build_vocabs, semantic_label_vocab, syntactic_label_vocab,
-                      pretrained_table)
+                      build_vocabs, check_contexts, semantic_label_vocab,
+                      syntactic_label_vocab, pretrained_table)
 from .projection import density_sample, heldout_split, intersect_alignments, project_graph
 from .synth import SynthConfig, synth_corpus, write_corpus
 from .training import TrainConfig, parse_semantic, train
@@ -174,16 +175,17 @@ def _read_trees(path: str, gold: SdpDocument) -> list:
     return trees
 
 
-def _read_contexts(path: str | None, dim: int, sentences):
-    if path is None:
-        return None
-    vectors = _read(path, read_context_vectors, dim)
-    if len(vectors) != len(sentences):
-        raise FormatError(f"{path}: {len(vectors)} sentences, corpus has {len(sentences)}")
-    for i, (sent, mat) in enumerate(zip(sentences, vectors)):
-        if mat.shape[0] != len(sent):
-            raise FormatError(f"{path}: sentence {i + 1} has {mat.shape[0]} vectors "
-                              f"for {len(sent)} tokens")
+def _read_contexts(path: str | None, dim: int, corpus: str, sentences) -> list | None:
+    """The context matrices of the sentences of the file at `corpus`: read from
+    the .vec file at `path` (None without one) and held to `check_contexts`,
+    whose errors name the .vec file and the corpus item."""
+    vectors = None if path is None else _read(path, read_context_vectors, dim)
+    try:
+        check_contexts(sentences, vectors, dim, corpus)
+    except ConfigError as exc:
+        if path is None:
+            raise
+        raise ConfigError(f"{path}: {exc}") from exc
     return vectors
 
 
@@ -326,9 +328,9 @@ def cmd_train(args) -> int:
         task_vocabs[SYNTACTIC] = syntactic_label_vocab(
             [r for t in trees for r in t.deprels])
 
-    contexts = _read_contexts(args.context, net_cfg.context_dim, sentences)
+    contexts = _read_contexts(args.context, net_cfg.context_dim, args.train, sentences)
     heldout_graphs = heldout_doc.graphs()
-    heldout_contexts = _read_contexts(args.heldout_context, net_cfg.context_dim,
+    heldout_contexts = _read_contexts(args.heldout_context, net_cfg.context_dim, args.heldout,
                                       [g.sentence for g in heldout_graphs])
 
     pretrained = None
@@ -371,10 +373,9 @@ def cmd_parse(args) -> int:
     with _naming(args.input):
         check_sentence_ids(ids)
     model = ParserModel.load(args.model)
-    contexts = _read_contexts(args.context, model.config.context_dim, sentences) \
-        if model.config.context_dim else None
     if args.context and not model.config.context_dim:
-        raise ConfigError("--context given but the model has no context channel")
+        raise ConfigError(f"--context given but model {args.model} has no context channel")
+    contexts = _read_contexts(args.context, model.config.context_dim, args.input, sentences)
     graphs = parse_semantic(model, sentences, contexts)
     doc = SdpDocument(tuple(zip(ids, graphs)))
     with atomic_open(args.out) as f:

@@ -218,11 +218,27 @@ class Batch:
     token_rows: np.ndarray        # (N,) encoder row of each token
 
 
-def check_contexts(sentences: Sequence, contexts: Sequence | None):
-    """Raise ConfigError unless `contexts` is None or holds one entry per sentence."""
-    if contexts is not None and len(contexts) != len(sentences):
+def check_contexts(sentences: Sequence, contexts: Sequence | None, context_dim: int,
+                   what: str):
+    """Raise ConfigError unless `contexts` follows the context-vector rule.
+
+    The rule: one entry per sentence, and sentence k's entry is an
+    (n_k, context_dim) matrix when `context_dim` > 0 and None otherwise;
+    `contexts` None stands for an entry of None for every sentence. An error
+    names the entry as `<what> item <k>`, k counting from 1.
+    """
+    if contexts is None:
+        contexts = [None] * len(sentences)
+    elif len(contexts) != len(sentences):
         raise ConfigError(f"{len(contexts)} context entries given for "
                           f"{len(sentences)} sentences")
+    for k, (sentence, mat) in enumerate(zip(sentences, contexts), 1):
+        if (mat is None) == bool(context_dim):  # present exactly when context_dim > 0
+            raise ConfigError(f"{what} item {k} has {'no ' if mat is None else ''}context "
+                              f"vectors, but the model has context_dim {context_dim}")
+        if mat is not None and np.shape(mat) != (len(sentence), context_dim):
+            raise ConfigError(f"{what} item {k} has context shape {np.shape(mat)}, "
+                              f"expected ({len(sentence)}, {context_dim})")
 
 
 class ParserModel:
@@ -333,23 +349,10 @@ class ParserModel:
         sizes = np.array([len(s) for s in sentences], dtype=np.int64)
         if sizes.size == 0 or sizes.min() == 0:
             raise ConfigError("cannot embed an empty sentence")
-        check_contexts(sentences, contexts)
+        check_contexts(sentences, contexts, cfg.context_dim, "input")
         tokens = [tok for s in sentences for tok in s]
         forms = sorted({tok.form for tok in tokens})
         column = {form: k for k, form in enumerate(forms)}
-
-        packed = None
-        if cfg.context_dim:
-            if contexts is None or any(c is None for c in contexts):
-                raise ConfigError("model was configured with context vectors; none given")
-            mats = [np.asarray(c, dtype=np.float64) for c in contexts]
-            for n, mat in zip(sizes, mats):
-                if mat.shape != (n, cfg.context_dim):
-                    raise ConfigError(f"context shape {mat.shape} != ({n}, {cfg.context_dim})")
-            packed = np.concatenate(mats)
-        elif contexts is not None and any(c is not None for c in contexts):
-            raise ConfigError("context vectors given but context_dim is 0")
-
         count = len(tokens)
         return Batch(
             sizes=sizes,
@@ -359,7 +362,8 @@ class ParserModel:
             char_ids=np.array([self.char_vocab.id(c) for form in forms for c in form],
                               dtype=np.int64),
             char_lengths=np.array([len(form) for form in forms], dtype=np.int64),
-            contexts=packed,
+            contexts=(np.concatenate([np.asarray(c, dtype=np.float64) for c in contexts])
+                      if cfg.context_dim else None),
             # row 0 of [root; tokens] is the root, row 1 + k token k
             input_ids=np.insert(np.arange(1, count + 1), np.cumsum(sizes) - sizes, 0),
             token_rows=np.arange(count) + np.repeat(np.arange(1, sizes.size + 1), sizes))

@@ -238,19 +238,6 @@ class Example(NamedTuple):
     context: np.ndarray | None = None
 
 
-def _examples(items, context_dim: int, what: str) -> list[Example]:
-    """The items as `Example`s, each with context vectors exactly when the model uses them."""
-    examples = [Example(*item) for item in items]
-    for k, example in enumerate(examples, 1):
-        if context_dim and example.context is None:
-            raise ConfigError(f"{what} item {k} has no context vectors, but the model "
-                              f"has context_dim {context_dim}")
-        if not context_dim and example.context is not None:
-            raise ConfigError(f"{what} item {k} has context vectors, but the model "
-                              "has context_dim 0")
-    return examples
-
-
 def pack_minibatches(lengths: Sequence[int], order: Sequence[int],
                      token_budget: int) -> list[list[int]]:
     """Greedy packing of sentence indices up to roughly token_budget tokens.
@@ -304,9 +291,9 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     """Train (single- or multi-task) with early stopping on heldout labeled F1.
 
     `corpora` maps task ids to lists of (sentence, gold) or
-    (sentence, gold, context) items; `heldout` holds semantic items. Every
-    item must carry context vectors if the model has a context channel and
-    must not otherwise; this is checked before the first step. The model is
+    (sentence, gold, context) items; `heldout` holds semantic items. Each
+    corpus and the held-out list are held to `check_contexts`, count,
+    presence and shape, before the first step. The model is
     left holding the best checkpoint seen, also when training
     stops by raising (such as `TrainingDiverged`). In multitask mode the
     semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
@@ -323,9 +310,11 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     multitask = len(corpora) > 1
     weights = {SEMANTIC: 1.0 - cfg.syntactic_weight if multitask else 1.0,
                SYNTACTIC: cfg.syntactic_weight if multitask else 1.0}
-    context_dim = model.config.context_dim
-    examples = {task: _examples(items, context_dim, task) for task, items in corpora.items()}
-    heldout = _examples(heldout, context_dim, "heldout")
+    examples = {task: [Example(*item) for item in items] for task, items in corpora.items()}
+    heldout = [Example(*item) for item in heldout]
+    for what, items in [*examples.items(), ("heldout", heldout)]:
+        check_contexts([e.sentence for e in items], [e.context for e in items],
+                       model.config.context_dim, what)
     data = {task: items for task, items in examples.items() if weights[task] > 0}
     params = model.parameters()
 
@@ -444,8 +433,9 @@ def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]],
     Sentences go to the model in input order, in runs of at most
     `PARSE_BATCH_TOKENS` padded tokens (sentences times the longest); each
     run is one `ParserModel.forward` call, decoded before the next is scored.
+    The whole input is held to `check_contexts` before the first call.
     """
-    check_contexts(sentences, contexts)
+    check_contexts(sentences, contexts, model.config.context_dim, "input")
     labels = model.tasks[SEMANTIC]
     graphs = []
     with ad.no_grad():

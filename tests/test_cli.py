@@ -14,7 +14,9 @@ from helpers import (read_checkpoint, reference_decode_semantic, write_checkpoin
                      write_context_vectors)
 from sdpkit.formats import SdpDocument, read_conllu, read_sdp, write_conllu, write_sdp
 from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, is_acyclic
-from sdpkit.network import SEMANTIC, NetworkConfig, ParserModel
+from sdpkit.network import (SEMANTIC, NetworkConfig, ParserModel, build_vocabs,
+                            semantic_label_vocab)
+from sdpkit.synth import DEFAULT_LABELS
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
         "word_dropout": 0.0, "recurrent_dropout": 0.0, "edge_dropout": 0.0,
@@ -280,6 +282,57 @@ def test_train_rejects_syntactic_task_with_context_channel(pipeline, tmp_path, c
                      "--tasks", "sem,syn", "--config", str(config), "--out", str(out)]) == 2
     assert "needs network.context_dim 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("short", ["sentence", "row"])
+def test_train_checks_its_context_file_against_the_corpus(pipeline, tmp_path, capsys, short):
+    config = tmp_path / "context.json"
+    config.write_text(json.dumps({"network": {**TINY, "context_dim": 3}}))
+    vec = tmp_path / "train.vec"
+    sentences = _ids_and_sentences(pipeline["train.sdp"])[1]
+    mats = [np.zeros((len(s), 3)) for s in sentences]
+    if short == "sentence":
+        mats.pop()
+        message = f"{vec}: {len(mats)} context entries given for {len(sentences)} sentences"
+    else:
+        n = len(sentences[1])
+        assert n > 1
+        mats[1] = mats[1][1:]
+        message = (f"{vec}: {pipeline['train.sdp']} item 2 has context shape ({n - 1}, 3), "
+                   f"expected ({n}, 3)")
+    with open(vec, "w", encoding="utf-8") as f:
+        write_context_vectors(mats, f)
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                     "--config", str(config), "--context", str(vec),
+                     "--out", str(tmp_path / "model.npz")]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["context.json", "train.vec"]
+
+
+@pytest.mark.parametrize("model_has_channel", [False, True], ids=["no-channel", "no-file"])
+def test_parse_checks_context_vectors_against_the_model(pipeline, tmp_path, capsys,
+                                                        model_has_channel):
+    sentences = _ids_and_sentences(pipeline["heldout.sdp"])[1]
+    if model_has_channel:  # an untrained context_dim 3 model, parsed without --context
+        model = str(tmp_path / "context.npz")
+        ParserModel(NetworkConfig(**TINY, context_dim=3),
+                    {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)},
+                    *build_vocabs(sentences)).save(model)
+        flags = []
+        message = (f"{pipeline['heldout.sdp']} item 1 has no context vectors, "
+                   "but the model has context_dim 3")
+    else:
+        model = pipeline["model.npz"]
+        vec = tmp_path / "heldout.vec"
+        with open(vec, "w", encoding="utf-8") as f:
+            write_context_vectors([np.zeros((len(s), 3)) for s in sentences], f)
+        flags = ["--context", str(vec)]
+        message = f"--context given but model {model} has no context channel"
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["parse", "--model", model, "--input", pipeline["heldout.sdp"],
+                     "--out", str(tmp_path / "pred.sdp"), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_train_rejects_a_conllu_block_without_tokens(pipeline, tmp_path, capsys, monkeypatch):

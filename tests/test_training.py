@@ -224,7 +224,8 @@ def test_optimizer_settings_that_cannot_train_rejected(setting):
     (3, "heldout", "heldout item 1 has no context vectors"),
     (3, "semantic", "semantic item 2 has no context vectors"),
     (0, "heldout", "heldout item 1 has context vectors"),
-], ids=["heldout-missing", "train-missing", "given-without-channel"])
+    (3, "shape", r"semantic item 3 has context shape \(\d+, 2\), expected \(\d+, 3\)"),
+], ids=["heldout-missing", "train-missing", "given-without-channel", "train-wrong-shape"])
 def test_train_checks_context_vectors_before_the_first_step(monkeypatch, context_dim, which,
                                                             message):
     graphs, _ = _corpus(4)
@@ -236,7 +237,9 @@ def test_train_checks_context_vectors_before_the_first_step(monkeypatch, context
     items = [(g.sentence, g, rng.standard_normal((g.n, 3)) if context_dim else None)
              for g in graphs]
     corpus, heldout = list(items), list(items[:2])
-    if context_dim:  # drop one context
+    if which == "shape":  # one matrix a column short
+        corpus[2] = corpus[2][:2] + (corpus[2][2][:, :2],)
+    elif context_dim:  # drop one context
         target = heldout if which == "heldout" else corpus
         k = 0 if which == "heldout" else 1
         target[k] = target[k][:2]
@@ -267,6 +270,25 @@ def test_contexts_need_one_entry_per_sentence(entry, surplus):
             model.forward(sentences, SEMANTIC, contexts=contexts)
         else:
             training.parse_semantic(model, sentences, contexts)
+
+
+def test_parse_semantic_checks_every_context_before_the_first_call(monkeypatch):
+    graphs, _ = _corpus(4)
+    words, chars, pos = build_vocabs([g.sentence for g in graphs])
+    model = ParserModel(NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=1,
+                                      fnn_size=8, context_dim=3),
+                        {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}, words, chars, pos)
+    rng = np.random.default_rng(0)
+    sentences = [g.sentence for g in graphs]
+    contexts = [rng.standard_normal((len(s), 3)) for s in sentences]
+    contexts[-1] = contexts[-1][:-1]  # the last sentence's matrix is a row short
+    monkeypatch.setattr(training, "PARSE_BATCH_TOKENS", 1)  # each sentence a run of its own
+    calls, forward = [], model.forward
+    monkeypatch.setattr(model, "forward",
+                        lambda *args, **kwargs: calls.append(1) or forward(*args, **kwargs))
+    with pytest.raises(ConfigError, match=f"input item {len(sentences)} has context shape"):
+        training.parse_semantic(model, sentences, contexts)
+    assert calls == []
 
 
 @pytest.mark.parametrize("top", [True, False], ids=["with-top", "top-only-vocab"])
