@@ -271,8 +271,15 @@ def _parse_tasks(spec: str) -> list[str]:
     return tasks
 
 
-def _parse_share(spec: str | None, raw: dict) -> SharingTopology:
+def _parse_share(spec: str | None, raw: dict, tasks: list[str]) -> SharingTopology | None:
+    """The sharing topology of a multitask run from --share or the config's
+    `sharing` section; a single-task run refuses both and has none."""
     section = _section(raw, "sharing", SharingTopology)
+    if len(tasks) == 1:
+        if spec is not None or section:
+            given = "--share" if spec is not None else "config section 'sharing'"
+            raise ConfigError(f"{given} given but the syn task is not enabled")
+        return None
     if spec is not None:
         mapping = {"rnn": "shared_rnn", "fnn": "shared_fnn", "taskrnn": "task_rnn"}
         section = {field: False for field in mapping.values()}
@@ -290,6 +297,9 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args, raw)
     net_section = _section(raw, "network", NetworkConfig)
     train_section = _section(raw, "train", TrainConfig)
+    if "seed" in train_section:
+        raise ConfigError("config section 'train' key 'seed' is not read; set the seed "
+                          "with the top-level 'seed' key or --seed")
     for flag, key in (("lr", "lr"), ("epochs", "max_epochs"), ("patience", "patience"),
                       ("token_budget", "token_budget")):
         value = getattr(args, flag)
@@ -304,6 +314,7 @@ def cmd_train(args) -> int:
         raise ConfigError("--syntactic FILE is required for the syn task")
     if args.syntactic and SYNTACTIC not in tasks:
         raise ConfigError("--syntactic given but the syn task is not enabled")
+    topology = _parse_share(args.share, raw, tasks)
     net_cfg = NetworkConfig(**net_section)
     if SYNTACTIC in tasks and net_cfg.context_dim:
         raise ConfigError("the syn task has no context vectors; it needs "
@@ -316,7 +327,6 @@ def cmd_train(args) -> int:
     trees = _read(args.syntactic, read_conllu) if args.syntactic else []
 
     train_cfg = TrainConfig(**train_section)
-    topology = _parse_share(args.share, raw) if len(tasks) > 1 else None
 
     sentences = [g.sentence for g in train_doc.semantic_graphs()]
     all_sentences = sentences + [t.sentence for t in trees]

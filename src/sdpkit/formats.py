@@ -238,6 +238,13 @@ def _check_cell(value: str, what: str):
         raise FormatError(f"{what} {value!r} contains a tab or newline")
 
 
+def _token_cells(tok: Token) -> list[str]:
+    """The ID FORM LEMMA POS cells of `tok`; the written counterpart of `_token`."""
+    for value, what in ((tok.form, "form"), (tok.lemma, "lemma"), (tok.pos, "pos")):
+        _check_cell(value, what)
+    return [str(tok.index), tok.form, tok.lemma or EMPTY, tok.pos or EMPTY]
+
+
 def write_sdp(doc: SdpDocument, stream: TextIO):
     """Serialize a document; inverse of `read_sdp` on valid input.
 
@@ -268,18 +275,11 @@ def write_sdp(doc: SdpDocument, stream: TextIO):
             args.setdefault(d, {})[pred_col[h]] = label
 
         for tok in graph.sentence:
-            for value, what in ((tok.form, "form"), (tok.lemma, "lemma"),
-                                (tok.pos, "pos"), (tok.frame, "frame")):
-                _check_cell(value, what)
-            cols = [
-                str(tok.index),
-                tok.form,
-                tok.lemma if tok.lemma else EMPTY,
-                tok.pos if tok.pos else EMPTY,
-                "+" if tok.index in tops else "-",
-                "+" if tok.index in pred_col else "-",
-                tok.frame if tok.frame else EMPTY,
-            ]
+            cols = _token_cells(tok)
+            _check_cell(tok.frame, "frame")
+            cols += ["+" if tok.index in tops else "-",
+                     "+" if tok.index in pred_col else "-",
+                     tok.frame or EMPTY]
             row_args = args.get(tok.index, {})
             cols.extend(row_args.get(k, EMPTY) for k in range(len(preds)))
             stream.write("\t".join(cols) + "\n")
@@ -349,20 +349,10 @@ def write_conllu(trees: Iterable[SyntacticTree], stream: TextIO):
         for comment in tree.comments:
             stream.write(comment + "\n")
         for tok in tree.sentence:
-            for value, what in ((tok.form, "form"), (tok.lemma, "lemma"), (tok.pos, "pos")):
-                _check_cell(value, what)
+            cols = _token_cells(tok)
             deprel = tree.deprel_of(tok.index)
             _check_cell(deprel, "deprel")
-            cols = [
-                str(tok.index),
-                tok.form,
-                tok.lemma if tok.lemma else EMPTY,
-                tok.pos if tok.pos else EMPTY,
-                EMPTY, EMPTY,
-                str(tree.head_of(tok.index)),
-                deprel if deprel else EMPTY,
-                EMPTY, EMPTY,
-            ]
+            cols += [EMPTY, EMPTY, str(tree.head_of(tok.index)), deprel or EMPTY, EMPTY, EMPTY]
             stream.write("\t".join(cols) + "\n")
 
 

@@ -335,6 +335,31 @@ def test_parse_checks_context_vectors_against_the_model(pipeline, tmp_path, caps
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def test_train_seed_config_key_rejected(pipeline, tmp_path, capsys):
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"network": TINY, "train": {"seed": 5}}))
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--config", str(config), "--epochs", "1",
+                     "--out", str(tmp_path / "model.npz")]) == 2
+    assert ("config section 'train' key 'seed' is not read; set the seed with the "
+            "top-level 'seed' key or --seed" in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["seed.json"]
+
+
+@pytest.mark.parametrize("sharing,flags,given", [
+    ({"shared_fnn": True}, [], "config section 'sharing'"),
+    ({}, ["--share", "fnn"], "--share"),
+], ids=["config-section", "flag"])
+def test_single_task_train_refuses_sharing(pipeline, tmp_path, capsys, sharing, flags, given):
+    config = tmp_path / "share.json"
+    config.write_text(json.dumps({"network": TINY, "sharing": sharing}))
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--config", str(config), "--epochs", "1",
+                     "--out", str(tmp_path / "model.npz"), *flags]) == 2
+    assert f"{given} given but the syn task is not enabled" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["share.json"]
+
+
 def test_train_rejects_a_conllu_block_without_tokens(pipeline, tmp_path, capsys, monkeypatch):
     trees = tmp_path / "target.conllu"
     with open(os.path.join(pipeline["corpus"], "target.conllu"), encoding="utf-8") as f:
