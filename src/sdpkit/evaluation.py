@@ -204,8 +204,6 @@ def label_contribution(predictions_multitask: Sequence[SemanticGraph | PartialGr
             deprel = tree.deprel_of(d)
             counts[deprel] = counts.get(deprel, 0) + 1
             total += 1
-    if total == 0:
-        return {}
     return {rel: 100.0 * c / total for rel, c in sorted(counts.items())}
 
 

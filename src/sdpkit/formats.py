@@ -198,17 +198,13 @@ def _read_sdp_block(start: int, block: list[tuple[int, str]]):
             "an argument column would reference a non-predicate", rows[0][0])
 
     edges = set()
-    for i, (lineno, cols) in enumerate(rows):
+    for i, (_, cols) in enumerate(rows):
         if cols[4] == "+":
             edges.add(Edge(ROOT, i + 1, TOP_LABEL))
         for k, cell in enumerate(cols[7:]):
             if cell == EMPTY:
                 continue
-            head = pred_positions[k]
-            try:
-                edges.add(Edge(head, i + 1, cell))
-            except GraphError as exc:
-                raise FormatError(str(exc), lineno) from exc
+            edges.add(Edge(pred_positions[k], i + 1, cell))
 
     try:
         graph = SemanticGraph(tuple(tokens), frozenset(edges))

@@ -282,13 +282,9 @@ class ParserModel:
 
     def _install(self, named: list[tuple[str, np.ndarray]]):
         """Make the arrays the parameters: one `ad.parameter_set`, so one
-        gradient buffer and one pair of Adam moments for the whole model."""
-        arrays = {}
-        for name, data in named:
-            if name in arrays:
-                raise ConfigError(f"duplicate parameter {name!r}")
-            arrays[name] = data
-        self.params: dict[str, Parameter] = ad.parameter_set(arrays)
+        gradient buffer and one pair of Adam moments for the whole model.
+        `_param_specs` names every parameter once."""
+        self.params: dict[str, Parameter] = ad.parameter_set(dict(named))
 
     def _owner(self, task: str, stack: str) -> str:
         """Owner of `task`'s "rnn" or "fnn" parameters: the task, or "shared"."""

@@ -61,9 +61,11 @@ def project_graph(source: SemanticGraph, alignment: IntersectedAlignment,
                   target_sentence: Sequence[Token]) -> PartialGraph:
     """Transfer every source edge whose endpoints are both aligned.
 
-    Top edges transfer through the implicit root self-link. The result's
-    aligned set is {0} plus all linked target positions; cells touching any
-    other position are undecided. Every link must lie inside both sentences.
+    Top edges transfer through the implicit root self-link. The map is
+    one-to-one and the source has one label per cell, so no two edges land on
+    one target cell. The result's aligned set is {0} plus all linked target
+    positions; cells touching any other position are undecided. Every link
+    must lie inside both sentences.
     """
     target_sentence = tuple(target_sentence)
     n = len(target_sentence)
@@ -73,24 +75,18 @@ def project_graph(source: SemanticGraph, alignment: IntersectedAlignment,
             raise ProjectionError(f"alignment source {s} exceeds sentence length {source.n}")
         if t > n:
             raise ProjectionError(f"alignment target {t} exceeds sentence length {n}")
-    projected: dict[tuple[int, int], str] = {}
-    for h, d, label in source.sorted_edges():
+    edges = set()
+    for h, d, label in source.edges:
         th = ROOT if h == ROOT else mapping.get(h)
         td = mapping.get(d)
-        if th is None or td is None:
-            continue
-        cell = (th, td)
-        if cell in projected and projected[cell] != label:
-            raise ProjectionError(f"conflicting labels projected onto cell {cell}: "
-                                  f"{projected[cell]!r} vs {label!r}")
-        projected[cell] = label
+        if th is not None and td is not None:
+            edges.add(Edge(th, td, label))
     aligned = frozenset({ROOT} | set(mapping.values()))
-    edges = frozenset(Edge(h, d, l) for (h, d), l in projected.items())
-    return PartialGraph(SemanticGraph(target_sentence, edges), aligned)
+    return PartialGraph(SemanticGraph(target_sentence, frozenset(edges)), aligned)
 
 
 def density_sample(corpus: Sequence[PartialGraph], size: int, threshold: float,
-                   seed: int = 0) -> list[PartialGraph]:
+                   seed: int) -> list[PartialGraph]:
     """Sample half the output below the density threshold and half at or above it.
 
     Deterministic for a given seed; preserves the corpus order of the
@@ -112,7 +108,7 @@ def density_sample(corpus: Sequence[PartialGraph], size: int, threshold: float,
     return [corpus[i] for i in chosen]
 
 
-def heldout_split(corpus: Sequence, fraction: float, seed: int = 0) -> tuple[list, list]:
+def heldout_split(corpus: Sequence, fraction: float, seed: int) -> tuple[list, list]:
     """Disjoint (train, heldout) partition with |heldout| = round(fraction * N).
 
     Both parts must be non-empty; a fraction that rounds to none or all of the

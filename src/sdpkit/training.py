@@ -184,7 +184,7 @@ def decode_semantic(s_edge: np.ndarray, s_label: np.ndarray, labels: Vocab,
     kept = _acyclic_greedy(s_edge[heads, deps], heads, deps + 1, n)
     heads, deps = heads[kept], deps[kept]
     label_scores = s_label[:, heads, deps]
-    if TOP_LABEL in labels and len(labels) > 1:
+    if TOP_LABEL in labels:
         label_scores[labels.id(TOP_LABEL)] = -np.inf
     best = label_scores.argmax(axis=0)
     names = labels.items
@@ -390,7 +390,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     finally:
         for name, p in model.params.items():
             p.data = best_snapshot[name]
-    result.best_lf = best_lf if best_lf >= 0 else 0.0
+    result.best_lf = best_lf
     return result
 
 

@@ -84,6 +84,25 @@ class TestForwardValues:
         with pytest.raises(AutodiffError, match="matmul"):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda a: ad.concat([]), "concat: needs at least one part"),
+        (lambda a: ad.slice_rows(a, 2, 2), r"slice_rows: range \[2,2\) invalid for 3 rows"),
+        (lambda a: ad.slice_rows(a, -1, 2), r"slice_rows: range \[-1,2\) invalid"),
+        (lambda a: ad.lookup(a, [-1]), "lookup: id out of range"),
+        (lambda a: ad.lookup(a, [3]), "lookup: id out of range"),
+        (lambda a: ad.softmax_cross_entropy(a, [0, 0, -1]), "softmax_cross_entropy: target id"),
+        (lambda a: ad.softmax_cross_entropy(ad.constant(a.data[:1]), [2]),
+         "softmax_cross_entropy: target id"),
+    ], ids=["concat-empty", "slice-empty", "slice-negative", "lookup-negative", "lookup-past-end",
+            "xent-negative", "xent-past-end"])
+    def test_out_of_range_arguments_name_the_op(self, call, message):
+        with pytest.raises(AutodiffError, match=message):
+            call(ad.constant(np.ones((3, 2))))
+
+    def test_slice_rows_takes_the_whole_range(self):
+        a = ad.constant(np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(ad.slice_rows(a, 0, 3).data, a.data)
+
 
     def test_float32_input_becomes_float64(self):
         assert ad.Tensor(np.ones(3, np.float32)).data.dtype == np.float64
@@ -205,6 +224,12 @@ class TestPerPrimitiveGradients:
         weights = ad.constant(np.linspace(0.5, 1.5, 20).reshape(4, 5))
         check_op(lambda: ad.sum_all(ad.mul(ad.softmax_rows(a), weights)), [a])
 
+    def test_tensor_plus_float_shifts(self):
+        rng = np.random.default_rng(26)
+        a = param(rng, 2, 3, name="a")
+        np.testing.assert_array_equal((a + 2.5).data, a.data + 2.5)
+        check_op(lambda: ad.sum_all(ad.tanh(2.5 + a)), [a])
+
     def test_mean_all(self):
         rng = np.random.default_rng(17)
         a = param(rng, 3, 3, name="a")
@@ -255,6 +280,12 @@ class TestPerPrimitiveGradients:
             return ad.sum_all(ad.dropout(a, 0.5, np.random.default_rng(99)))
 
         check_op(build, [a])
+
+    def test_dropout_zeroes_and_rescales(self):
+        a = ad.constant(np.ones((50, 4)))
+        assert ad.dropout(a, 0.0, np.random.default_rng(0)) is a
+        out = ad.dropout(a, 0.5, np.random.default_rng(0)).data
+        assert set(np.unique(out).tolist()) == {0.0, 2.0}
 
     def test_lstm_seq(self):
         # a 4-step and a 2-step sequence packed row after row, read both ways
@@ -543,8 +574,10 @@ class TestKernelsMatchReference:
         x, y = ad.constant(np.ones((5, 2))), ad.constant(np.ones((4, 3)))
         w = ad.constant(np.ones((2, 3)))
         assert ad.bilinear(x, w, y, [(2, 1), (3, 3)]).shape == (2, 3, 3)
-        for sizes in ([(2, 1), (2, 3)], [(5, 4), (0, 0)], [(5, 4, 1)]):
-            with pytest.raises(AutodiffError):
+        for sizes, message in (([(2, 1), (2, 3)], r"sum to \(5, 4\) rows"),
+                               ([(5, 4), (0, 0)], r"sum to \(5, 4\) rows"),
+                               ([(5, 4, 1)], r"sizes must be \(B, 2\)")):
+            with pytest.raises(AutodiffError, match=message):
                 ad.bilinear(x, w, y, sizes)
 
     def test_adam_step_is_bit_identical(self):
@@ -651,3 +684,17 @@ class TestGradientCheckMachinery:
 
         with ad.no_grad():
             assert float(closure().data) == float(closure().data)
+
+    def test_wrong_gradient_fails_and_names_its_parameter(self):
+        good, bad = ad.Parameter([1.0, 2.0], name="good"), ad.Parameter([3.0], name="bad")
+
+        def wrong_square(a):  # the value a^2 with the gradient of a^2 / 2
+            return ad._result(a.data ** 2, (a,), lambda g: ad._accumulate(a, g * a.data))
+
+        def closure():
+            return ad.add(ad.sum_all(ad.mul(good, good)), ad.sum_all(wrong_square(bad)))
+
+        report = ad.gradient_check(closure, [good, bad])
+        assert not report.passed and report.worst == "bad"
+        assert report.per_param["good"] < 1e-8
+        assert report.max_rel_error == report.per_param["bad"] == pytest.approx(0.5)

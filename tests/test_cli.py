@@ -1,7 +1,8 @@
+import hashlib
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from sdpkit.formats import SdpDocument, read_conllu, read_sdp, write_conllu, wri
 from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, is_acyclic
 from sdpkit.network import (SEMANTIC, NetworkConfig, ParserModel, build_vocabs,
                             semantic_label_vocab)
-from sdpkit.synth import DEFAULT_LABELS
+from sdpkit.synth import DEFAULT_LABELS, SynthConfig
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
         "word_dropout": 0.0, "recurrent_dropout": 0.0, "edge_dropout": 0.0,
@@ -158,6 +159,115 @@ def test_score_and_analyze_print_config_and_list_inputs(pipeline, tmp_path, caps
     assert list(manifest["inputs"]) == [held]
 
 
+def test_manifest_is_indented_json_with_the_inputs_sha256(pipeline, tmp_path):
+    held = pipeline["heldout.sdp"]
+    report = tmp_path / "score.txt"
+    assert cli.main(["score", "--pred", held, "--gold", held, "--out", str(report)]) == 0
+    with open(f"{report}.manifest.json", encoding="utf-8") as f:
+        text = f.read()
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    with open(held, "rb") as f:
+        assert manifest["inputs"] == {held: hashlib.sha256(f.read()).hexdigest()}
+
+
+def test_analyze_series_and_order(pipeline, tmp_path, capsys, monkeypatch):
+    # full gold against the projected graphs: A is right wherever B is, so
+    # b_improved is empty and its rates are None, which the series leaves out
+    gold = os.path.join(pipeline["corpus"], "target.gold.sdp")
+    trees = os.path.join(pipeline["corpus"], "target.conllu")
+    series = tmp_path / "headmatch.tsv"
+    assert cli.main(["analyze", "--headmatch", "--gold", gold, "--trees", trees,
+                     "--pred-a", gold, "--pred-b", pipeline["proj.sdp"],
+                     "--series", str(series)]) == 0
+    keys = [line.split("\t")[0] for line in series.read_text().splitlines()]
+    assert keys == [f"{mode}.a_improved.{rate}" for mode in ("labeled", "unlabeled")
+                    for rate in ("match", "mismatch")]
+    capsys.readouterr()
+    assert cli.main(["analyze", "--contribution", "--gold", gold, "--trees", trees,
+                     "--pred-multi", gold, "--pred-single", pipeline["proj.sdp"]]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) > 1
+    assert rows == sorted(rows, key=lambda r: (-float(r[1]), r[0]))
+    # equal percentages go in deprel order
+    monkeypatch.setattr(cli, "label_contribution", lambda *args: {"b": 25.0, "c": 50.0, "a": 25.0})
+    assert cli.main(["analyze", "--contribution", "--gold", gold, "--trees", trees,
+                     "--pred-multi", gold, "--pred-single", pipeline["proj.sdp"]]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["c\t50.000000", "a\t25.000000",
+                                                        "b\t25.000000"]
+
+
+def _refused_argv(case, p, inp, out):
+    """The argv of one refused invocation; inputs it needs are written to `inp`."""
+    conllu = os.path.join(p["corpus"], "target.conllu")
+    train = ["train", "--train", p["train.sdp"], "--heldout", p["heldout.sdp"],
+             "--epochs", "1", "--out", str(out / "model.npz")]
+    configs = {"config-not-an-object": "[1]", "section-not-an-object": '{"network": []}',
+               "unknown-config-key": '{"bogus": 1}', "config-not-json": "{"}
+    if case in configs:
+        config = inp / "bad.json"
+        config.write_text(configs[case])
+        return train + ["--config", str(config)]
+    if case == "intersect-lengths-differ":
+        with open(p["inter.align"], encoding="utf-8") as f:
+            (inp / "short.align").write_text("".join(f.readlines()[1:]))
+        return ["intersect", "--forward", p["inter.align"], "--backward", str(inp / "short.align"),
+                "--out", str(out / "inter.align")]
+    if case == "project-sizes-differ":
+        with open(p["inter.align"], encoding="utf-8") as f:
+            (inp / "short.align").write_text("".join(f.readlines()[1:]))
+        return ["project", "--source", os.path.join(p["corpus"], "source.sdp"),
+                "--alignments", str(inp / "short.align"), "--target", conllu,
+                "--out", str(out / "proj.sdp")]
+    if case == "syntactic-without-syn":
+        return train + ["--config", p["tiny.json"], "--syntactic", conllu]
+    if case == "unknown-share-flag":
+        return train + ["--config", p["tiny.json"], "--syntactic", conllu, "--tasks", "sem,syn",
+                        "--share", "rnn,bogus"]
+    tasks = {"no-semantic-task": "syn", "duplicate-task": "sem,sem", "syn-without-trees": "sem,syn",
+             "unknown-task": "sem,bogus"}
+    if case in tasks:
+        return train + ["--config", p["tiny.json"], "--tasks", tasks[case]]
+    if case in ("context-without-channel", "heldout-context-without-channel"):
+        flag = "--context" if case == "context-without-channel" else "--heldout-context"
+        return train + ["--config", p["tiny.json"], flag, str(inp / "context.vec")]
+    modes = {"analyze-no-mode": [], "analyze-two-modes": ["--buckets", "--headmatch"]}[case]
+    return ["analyze", *modes, "--gold", p["heldout.sdp"], "--pred", p["heldout.sdp"],
+            "--series", str(out / "series.tsv")]
+
+
+_REFUSALS = {  # each case `_refused_argv` builds, and its message
+    "config-not-an-object": "bad.json: configuration must be a JSON object",
+    "section-not-an-object": "config section 'network' must be an object",
+    "unknown-config-key": "bad.json: unknown config keys ['bogus']",
+    "config-not-json": "bad.json: invalid JSON",
+    "intersect-lengths-differ": "alignment files differ in length: 12 vs 11 sentence pairs",
+    "no-semantic-task": "the semantic task is required",
+    "duplicate-task": "duplicate task names",
+    "unknown-task": "unknown task 'bogus'; expected sem[,syn]",
+    "syn-without-trees": "--syntactic FILE is required for the syn task",
+    "context-without-channel": "--context/--heldout-context given but network.context_dim is 0",
+    "heldout-context-without-channel":
+        "--context/--heldout-context given but network.context_dim is 0",
+    "project-sizes-differ":
+        "corpus sizes differ: 12 source graphs, 11 alignment lines, 12 target sentences",
+    "syntactic-without-syn": "--syntactic given but the syn task is not enabled",
+    "unknown-share-flag": "unknown sharing flag 'bogus'; expected rnn[,fnn][,taskrnn]",
+    "analyze-no-mode": "exactly one of --buckets/--headmatch/--contribution is required",
+    "analyze-two-modes": "exactly one of --buckets/--headmatch/--contribution is required",
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refused_invocation_exits_2_and_writes_nothing(pipeline, tmp_path, capsys, case):
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    out.mkdir()
+    assert cli.main(_refused_argv(case, pipeline, inp, out)) == 2
+    assert _REFUSALS[case] in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("mode,given,missing", [
     ("buckets", [], "--pred"),
     ("headmatch", ["--pred-a", "--pred-b"], "--trees"),
@@ -184,17 +294,63 @@ def test_gradcheck(monkeypatch, biaffine_bias):
     shapes = {}
     check = ad.gradient_check
 
+    settings = []
+
     def spy(closure, params, **kwargs):
         shapes.update((p.name, p.shape) for p in params)
+        settings.append(kwargs)
         return check(closure, params, **kwargs)
 
     monkeypatch.setattr(ad, "gradient_check", spy)
+    seeds = []
+    model = cli.ParserModel
+    monkeypatch.setattr(cli, "ParserModel", lambda *a, **kw: seeds.append(kw["seed"]) or
+                        model(*a, **kw))
     report = cli.run_gradcheck()
     assert report.max_rel_error <= 1e-4, str(report)
+    # the defaults are seed 0, epsilon 1e-5 and tolerance 1e-4, and the check
+    # covers three encoder layers
+    assert seeds == [0] and settings == [{"epsilon": 1e-5, "tolerance": 1e-4}]
+    assert {name.split("/")[2] for name in shapes if name.startswith("rnn/")} == \
+        {"layer0", "layer1", "layer2"}
     # the bias is a border of the edge weight (fnn_size 4), checked with it
     edge = 5 if biaffine_bias else 4
     assert shapes["scorer/semantic/edge"] == (edge, edge)
     assert "scorer/semantic/edge" in report.per_param
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_gradcheck_exit_status_is_its_verdict(monkeypatch, capsys, passed):
+    report = ad.GradCheckReport(0.0 if passed else 1.0, 1e-4, "w")
+    configs = []
+    monkeypatch.setattr(cli, "run_gradcheck", lambda **config: configs.append(config) or report)
+    assert cli.main(["gradcheck"]) == (0 if passed else 1)
+    assert ("PASS" if passed else "FAIL") in capsys.readouterr().out
+    assert configs == [{"seed": 0, "epsilon": 1e-5, "tolerance": 1e-4}]
+
+
+def test_sample_and_split_flag_defaults():
+    parse = cli.build_parser().parse_args
+    assert parse(["sample", "--input", "a", "--out", "b", "--size", "2"]).threshold == 0.8
+    split = parse(["split", "--input", "a", "--train-out", "b", "--heldout-out", "c"])
+    assert split.heldout == 0.05
+
+
+def test_a_missing_context_file_is_named_by_its_corpus(pipeline, tmp_path, capsys):
+    config = tmp_path / "context.json"
+    config.write_text(json.dumps({"network": {**TINY, "context_dim": 3}}))
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--config", str(config), "--epochs", "1",
+                     "--out", str(tmp_path / "model.npz")]) == 2
+    assert (f"sdpkit: error: {pipeline['train.sdp']} item 1 has no context vectors"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["context.json"]
+
+
+def test_synth_flag_defaults_are_the_config_defaults(tmp_path):
+    assert cli.main(["synth", "--out", str(tmp_path), "--sentences", "2"]) == 0
+    with open(tmp_path / "source.sdp.manifest.json", encoding="utf-8") as f:
+        assert json.load(f)["config"]["synth"] == asdict(SynthConfig(sentences=2))
 
 
 def test_semantic_weight_config_key_rejected(pipeline, tmp_path, capsys):
@@ -343,6 +499,33 @@ def test_train_seed_config_key_rejected(pipeline, tmp_path, capsys):
                      "--out", str(tmp_path / "model.npz")]) == 2
     assert ("config section 'train' key 'seed' is not read; set the seed with the "
             "top-level 'seed' key or --seed" in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["seed.json"]
+
+
+@pytest.mark.parametrize("command", ["synth", "split", "sample", "train", "gradcheck"])
+def test_negative_seed_flag_rejected(pipeline, tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    argv = {"synth": ["--out", out, "--sentences", "2"],
+            "split": ["--input", pipeline["train.sdp"], "--train-out", out,
+                      "--heldout-out", str(tmp_path / "held.sdp")],
+            "sample": ["--input", pipeline["train.sdp"], "--out", out, "--size", "2"],
+            "train": ["--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                      "--config", pipeline["tiny.json"], "--epochs", "1", "--out", out],
+            "gradcheck": ["--manifest", out]}[command]
+    assert cli.main([command, *argv, "--seed", "-1"]) == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("seed", [True, -1, "3"])
+def test_config_seed_must_be_a_non_negative_integer(pipeline, tmp_path, capsys, seed):
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"network": TINY, "seed": seed}))
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--config", str(config), "--epochs", "1",
+                     "--out", str(tmp_path / "model.npz")]) == 2
+    assert (f"config key 'seed' must be a non-negative integer, got {json.dumps(seed)}"
+            in capsys.readouterr().err)
     assert os.listdir(tmp_path) == ["seed.json"]
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import LABELS, brute_force_score, random_graph, random_partial
+from sdpkit.errors import ScoringError
 from sdpkit.evaluation import (ScoreReport, format_report, head_match_stats, label_contribution,
                                length_buckets, score_graphs)
 from sdpkit.graph import (LENGTH_BUCKETS, Edge, PartialGraph, SemanticGraph, SyntacticTree,
@@ -83,6 +84,40 @@ def test_head_match_stats_counts_match_and_mismatch_per_improvement_set():
     for sets in same.values():
         for s in sets.values():
             assert (s.tokens, s.match_rate, s.mismatch_rate) == (0, None, None)
+
+
+def test_mismatch_counts_a_semantic_head_at_position_1():
+    # token 2's semantic head is token 1, whose syntactic head is token 2
+    tree = _tree((2, 0), ("nsubj", "root"))
+    gold = _graph(2, {(0, 1, "TOP"), (1, 2, "A")})
+    stats = head_match_stats([gold], [tree], [gold], [_graph(2, {(0, 1, "TOP")})])
+    s = stats["labeled"]["a_improved"]
+    assert (s.tokens, s.match_rate, s.mismatch_rate) == (1, 0.0, 1.0)
+
+
+def test_a_top_edge_is_no_mismatch():
+    # token 1's only semantic head is the root; the root is no token, so no
+    # syntactic edge can run against it (heads[-1] is token 2's head, 1)
+    tree = _tree((0, 1), ("root", "nsubj"))
+    gold = _graph(2, {(0, 1, "TOP")})
+    stats = head_match_stats([gold], [tree], [gold], [_graph(2, set())])
+    s = stats["labeled"]["a_improved"]
+    assert (s.tokens, s.match_rate, s.mismatch_rate) == (1, 1.0, 0.0)
+
+
+def test_length_buckets_refuse_an_empty_corpus():
+    with pytest.raises(ScoringError, match="cannot bucket an empty corpus"):
+        length_buckets([], [])
+
+
+@pytest.mark.parametrize("predicted,message", [
+    ([_graph(2, set())], "corpus size mismatch: 1 predicted vs 2 gold sentences"),
+    ([_graph(2, set()), _graph(3, set())],
+     r"sentence 2: length mismatch \(3 predicted vs 4 gold\)"),
+], ids=["size", "length"])
+def test_score_graphs_refuses_misaligned_corpora(predicted, message):
+    with pytest.raises(ScoringError, match=message):
+        score_graphs(predicted, [_graph(2, set()), _graph(4, set())])
 
 
 def test_label_contribution_is_a_percentage_by_dependent_deprel():

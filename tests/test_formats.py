@@ -1,4 +1,5 @@
 import io
+import os
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_graph, random_partial, random_tree, write_context_vectors
 from sdpkit.errors import FormatError
-from sdpkit.formats import (AlignmentFile, SdpDocument, check_sentence_ids, conllu_id,
+from sdpkit.formats import (AlignmentFile, SdpDocument, atomic_open, check_sentence_ids, conllu_id,
                             read_alignments, read_conllu, read_context_vectors, read_sdp,
                             read_word_vectors, write_alignments, write_conllu, write_sdp)
 from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, make_sentence
@@ -46,6 +47,11 @@ class TestReadSdp:
         assert isinstance(g, PartialGraph)
         assert g.aligned == {0, 2}
 
+    def test_non_numeric_aligned_index_is_an_error_at_its_line(self):
+        text = "#x\n#aligned: 1 a\n1\ta\ta\tN\t-\t-\t_\n"
+        with pytest.raises(FormatError, match="line 2: non-numeric aligned index 'a'"):
+            read_sdp(io.StringIO(text))
+
     def test_second_aligned_comment_is_an_error(self):
         text = "#x\n#aligned: 1\n#aligned: 1 2\n1\ta\ta\tN\t-\t-\t_\n2\tb\tb\tN\t-\t-\t_\n"
         with pytest.raises(FormatError, match="line 3: second #aligned: comment"):
@@ -55,6 +61,18 @@ class TestReadSdp:
         with pytest.raises(FormatError, match="header"):
             read_sdp(io.StringIO("1\ta\ta\tN\t-\t-\t_\n"))
 
+    def test_second_header_is_an_error_at_its_line(self):
+        with pytest.raises(FormatError, match="line 2: unexpected extra comment '#y'"):
+            read_sdp(io.StringIO("#x\n#y\n1\ta\ta\tN\t-\t-\t_\n"))
+
+    def test_comment_after_token_lines_is_an_error_at_its_line(self):
+        with pytest.raises(FormatError, match="line 3: comment after token lines"):
+            read_sdp(io.StringIO("#x\n1\ta\ta\tN\t-\t-\t_\n#y\n"))
+
+    def test_header_without_token_lines_is_an_error_at_the_block(self):
+        with pytest.raises(FormatError, match="line 4: sentence 'y' has no token lines"):
+            read_sdp(io.StringIO("#x\n1\ta\ta\tN\t-\t-\t_\n\n#y\n"))
+
     def test_ragged_columns_error_with_line_number(self):
         text = "#x\n1\ta\ta\tN\t-\t-\t_\n2\tb\tb\tN\t-\t-\n"
         with pytest.raises(FormatError, match="line 3"):
@@ -62,12 +80,15 @@ class TestReadSdp:
 
     def test_extra_arg_column_references_non_predicate(self):
         text = "#x\n1\ta\ta\tN\t-\t-\t_\tPAT\n"
-        with pytest.raises(FormatError, match="non-predicate"):
+        with pytest.raises(FormatError, match="^line 2: 1 argument columns but 0 predicates; "
+                                              "an argument column would reference a "
+                                              "non-predicate$"):
             read_sdp(io.StringIO(text))
 
     def test_non_contiguous_ids(self):
         text = "#x\n1\ta\ta\tN\t-\t-\t_\n3\tb\tb\tN\t-\t-\t_\n"
-        with pytest.raises(FormatError, match="contiguous"):
+        with pytest.raises(FormatError, match="line 3: token ids must be contiguous from 1, "
+                                              "got '3'"):
             read_sdp(io.StringIO(text))
 
     def test_duplicate_sentence_ids(self):
@@ -87,6 +108,23 @@ class TestReadSdp:
         text = "#x\n#aligned: 1\n1\ta\ta\tN\t-\t-\t_\n2\t\tb\tN\t-\t-\t_\n"
         with pytest.raises(FormatError, match="line 4: token 2 has an empty form"):
             read_sdp(io.StringIO(text))
+
+    @pytest.mark.parametrize("column,name", [(4, "TOP"), (5, "PRED")])
+    def test_flag_column_must_be_plus_or_minus(self, column, name):
+        row = ["2", "b", "b", "N", "-", "-", "_"]
+        row[column] = "x"
+        text = "#x\n1\ta\ta\tN\t-\t-\t_\n" + "\t".join(row) + "\n"
+        with pytest.raises(FormatError, match=f"line 3: {name} column must be '\\+' or '-', "
+                                              "got 'x'"):
+            read_sdp(io.StringIO(text))
+
+    @pytest.mark.parametrize("block,message", [
+        ("#x\n#aligned: 9\n1\ta\ta\tN\t-\t-\t_\n", r"aligned index 9 out of range 0\.\.1"),
+        ("#x\n1\ta\ta\tN\t-\t+\t_\tA\n", "self-loop at token 1"),
+    ], ids=["aligned-index", "self-loop"])
+    def test_graph_error_is_an_error_at_the_block(self, block, message):
+        with pytest.raises(FormatError, match=f"line 2: {message}"):
+            read_sdp(io.StringIO("\n" + block))
 
 
 class TestSentenceIds:
@@ -135,6 +173,11 @@ class TestWriteSdp:
         from sdpkit.graph import SemanticGraph
         g = SemanticGraph(make_sentence(["a", "b"]), frozenset({(1, 2, "bad\tlabel")}))
         with pytest.raises(FormatError, match="tab"):
+            write_sdp(SdpDocument((("s", g),)), io.StringIO())
+
+    def test_empty_cell_label_rejected(self):
+        g = SemanticGraph(make_sentence(["a", "b"]), frozenset({(1, 2, "_")}))
+        with pytest.raises(FormatError, match="label '_' cannot be written"):
             write_sdp(SdpDocument((("s", g),)), io.StringIO())
 
     @pytest.mark.parametrize("sid", ["aligned: 1", "aligned:", " x", "x ", "\tx"])
@@ -220,6 +263,12 @@ class TestConllu:
                                     "4\td\td\tN\t_\t_\t1\tdep\t_\t_\n"
                                     "5\te\te\tN\t_\t_\t1\tdep\t_\t_\n"))
 
+    def test_head_out_of_range_is_an_error_at_its_line(self):
+        text = ("1\ta\ta\tN\t_\t_\t0\troot\t_\t_\n2\tb\tb\tN\t_\t_\t1\tdep\t_\t_\n"
+                "3\tc\tc\tN\t_\t_\t9\tdep\t_\t_\n")
+        with pytest.raises(FormatError, match=r"^line 3: head 9 out of range 0\.\.3$"):
+            read_conllu(io.StringIO(text))
+
     def test_multiword_and_empty_nodes_skipped(self):
         text = ("1-2\tdu\t_\t_\t_\t_\t_\t_\t_\t_\n"
                 "1\tde\tde\tADP\t_\t_\t2\tcase\t_\t_\n"
@@ -242,8 +291,16 @@ class TestConllu:
         assert read_conllu(io.StringIO(buf.getvalue())) == [tree]
         assert conllu_id(tree) == "u"
 
+    def test_own_head_is_an_error_at_the_block(self):
+        with pytest.raises(FormatError, match="line 2: token 1 is its own head"):
+            read_conllu(io.StringIO("\n1\ta\ta\tN\t_\t_\t1\tdep\t_\t_\n"))
+
+    def test_comment_after_token_lines_is_an_error_at_its_line(self):
+        with pytest.raises(FormatError, match="line 2: comment after token lines"):
+            read_conllu(io.StringIO("1\ta\ta\tN\t_\t_\t0\troot\t_\t_\n# c\n"))
+
     def test_non_numeric_head(self):
-        with pytest.raises(FormatError, match="non-numeric"):
+        with pytest.raises(FormatError, match="line 1: non-numeric head 'x'"):
             read_conllu(io.StringIO("1\ta\ta\tN\t_\t_\tx\tdep\t_\t_\n"))
 
     @pytest.mark.parametrize("block", ["# sent_id = empty\n# text =\n",
@@ -293,6 +350,15 @@ class TestAlignments:
         assert read_alignments(io.StringIO(buf.getvalue())).links == tuple(links)
 
 
+class TestAtomicOpen:
+    def test_new_file_gets_the_mode_open_gives_it(self, tmp_path):
+        with atomic_open(str(tmp_path / "atomic")) as f:
+            f.write("x")
+        with open(tmp_path / "plain", "w", encoding="utf-8") as f:
+            f.write("x")
+        assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
 class TestContextVectors:
     def test_two_tokens_dim_four(self):
         text = "1 2 3 4\n5 6 7 8\n"
@@ -303,6 +369,16 @@ class TestContextVectors:
     def test_dim_mismatch(self):
         with pytest.raises(FormatError, match="expected 4"):
             read_context_vectors(io.StringIO("1 2 3 4 5\n"), 4)
+
+    def test_non_numeric_component_rejected_at_its_line(self):
+        with pytest.raises(FormatError, match="line 2: non-numeric vector component"):
+            read_context_vectors(io.StringIO("1 2\n3 x\n"), 2)
+
+    def test_dim_one_reads_and_dim_zero_is_refused(self):
+        np.testing.assert_array_equal(read_context_vectors(io.StringIO("1\n2\n"), 1)[0],
+                                      [[1.0], [2.0]])
+        with pytest.raises(FormatError, match="expected_dim must be >= 1, got 0"):
+            read_context_vectors(io.StringIO(""), 0)
 
     def test_zero_vectors_are_valid(self):
         sents = read_context_vectors(io.StringIO("0 0\n\n0 0\n"), 2)

@@ -47,6 +47,11 @@ class TestConstruction:
         with pytest.raises(GraphError, match="conflicting"):
             graph(3, {(1, 2, "A"), (1, 2, "B")})
 
+    @pytest.mark.parametrize("label", ["", 5])
+    def test_empty_or_non_string_label_rejected(self, label):
+        with pytest.raises(GraphError, match=r"edge \(1,2\) has an empty label"):
+            graph(3, {(1, 2, label)})
+
     def test_root_edge_must_be_top(self):
         with pytest.raises(GraphError, match="TOP"):
             graph(3, {(0, 2, "A")})
@@ -63,8 +68,25 @@ class TestConstruction:
 
     def test_noncontiguous_sentence_rejected(self):
         from sdpkit.graph import Token
-        with pytest.raises(GraphError, match="contiguous"):
+        with pytest.raises(GraphError, match="contiguous from 1; position 2 holds index 3"):
             SemanticGraph((Token(1, "a"), Token(3, "b")), frozenset())
+
+    def test_token_index_starts_at_1(self):
+        from sdpkit.graph import Token
+        assert Token(1, "a").index == 1
+        with pytest.raises(GraphError, match="token index must be >= 1, got 0"):
+            Token(0, "a")
+
+    @pytest.mark.parametrize("edge,message", [((1, 0, "A"), r"dependent 0 out of range 1\.\.3"),
+                                              ((-1, 1, "A"), r"head -1 out of range 0\.\.3")],
+                             ids=["dependent", "head"])
+    def test_endpoint_out_of_range_is_named(self, edge, message):
+        with pytest.raises(GraphError, match=message):
+            graph(3, {edge})
+
+    def test_make_sentence_needs_equal_lengths(self):
+        with pytest.raises(GraphError, match="forms, lemmas, and pos must have equal lengths"):
+            make_sentence(["a", "b"], pos=["N"])
 
     def test_empty_form_rejected(self):
         with pytest.raises(GraphError, match="token 2 has an empty form"):
@@ -148,16 +170,30 @@ class TestDependencyLength:
         assert [length_bucket(k) for k in (1, 2, 3, 4, 5, 9, 10, 40)] == \
             ["1", "2", "3", "4", "5-9", "5-9", ">=10", ">=10"]
 
+    def test_rejects_a_root_dependent_and_a_zero_length(self):
+        with pytest.raises(GraphError, match="dependent must be a token position >= 1"):
+            dependency_length(3, 0)
+        with pytest.raises(GraphError, match="length must be >= 1, got 0"):
+            length_bucket(0)
+
 
 class TestPartialGraph:
     def test_root_always_aligned(self):
         pg = PartialGraph(graph(3, set()), frozenset({1}))
         assert 0 in pg.aligned
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_aligned_index_out_of_range_rejected(self, index):
+        with pytest.raises(GraphError, match=rf"aligned index {index} out of range 0\.\.3"):
+            PartialGraph(graph(3, set()), frozenset({1, index}))
+
     def test_edge_outside_mask_rejected(self):
         g = graph(3, {(1, 2, "A")})
         with pytest.raises(GraphError, match="unaligned"):
             PartialGraph(g, frozenset({1}))
+
+    def test_one_token_sentence_has_a_density(self):
+        assert PartialGraph(graph(1, set()), frozenset({1})).density() == 1.0
 
     def test_fully_aligned_mask_is_all_decided(self):
         g = graph(3, {(0, 1, "TOP"), (1, 2, "A")})
@@ -189,6 +225,12 @@ class TestSyntacticTree:
     def test_head_out_of_range(self):
         with pytest.raises(GraphError):
             SyntacticTree(make_sentence(["a", "b"]), (0, 9), ("root", "x"))
+
+    @pytest.mark.parametrize("heads,deprels", [((0,), ("root", "x")), ((0, 1), ("root",))],
+                             ids=["heads-short", "deprels-short"])
+    def test_heads_and_deprels_must_match_the_length(self, heads, deprels):
+        with pytest.raises(GraphError, match="heads and deprels must match the sentence length"):
+            SyntacticTree(make_sentence(["a", "b"]), heads, deprels)
 
     def test_cycles_and_extra_roots_are_representable(self):
         # construction checks ranges and self-heads only

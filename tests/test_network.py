@@ -1,13 +1,16 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from helpers import reference_folded_adam_step
 
 from sdpkit import autodiff as ad
+from sdpkit import network
+from sdpkit.errors import ConfigError
 from sdpkit.graph import PartialGraph, SemanticGraph
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
-                            build_vocabs, semantic_label_vocab, syntactic_label_vocab)
+                            Vocab, build_vocabs, pretrained_table, semantic_label_vocab,
+                            syntactic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
 from sdpkit.training import edge_cells, semantic_loss, syntactic_loss
 
@@ -32,6 +35,145 @@ def _close(got, want, rtol):
     """Equal to `rtol` of the largest entry of `want`."""
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def test_config_defaults_are_the_paper_settings():
+    # the paper's dimensions (bench/workloads.py's PAPER) with Dozat & Manning's dropout rates
+    assert asdict(NetworkConfig()) == {
+        "word_dim": 100, "pos_dim": 100, "rnn_size": 600, "rnn_layers": 3, "fnn_size": 600,
+        "char_emb_dim": 0, "context_dim": 0, "word_dropout": 0.2, "recurrent_dropout": 0.25,
+        "edge_dropout": 0.25, "label_dropout": 0.33, "biaffine_bias": False}
+    assert NetworkConfig().char_dim == 50
+    assert asdict(SharingTopology()) == {"shared_rnn": True, "shared_fnn": False,
+                                         "task_rnn": False}
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"rnn_layers": 0}, "rnn_layers must be positive"),
+    ({"word_dim": 3}, r"word_dim must be even \(char BiLSTM"),
+    ({"rnn_size": 5}, r"rnn_size must be even \(half per direction\)"),
+    ({"context_dim": -1}, "dims must be non-negative"),
+    ({"char_emb_dim": -1}, "dims must be non-negative"),
+    ({"label_dropout": 1.0}, r"label_dropout must be in \[0,1\), got 1.0"),
+    ({"word_dropout": -0.1}, r"word_dropout must be in \[0,1\), got -0.1"),
+], ids=["rnn_layers", "word_dim", "rnn_size", "context_dim", "char_emb_dim", "label_dropout",
+        "word_dropout"])
+def test_network_config_refuses_invalid_settings(settings, message):
+    with pytest.raises(ConfigError, match=message):
+        NetworkConfig(**settings)
+
+
+def test_glorot_draws_fill_their_limit():
+    # Glorot & Bengio's uniform limit sqrt(6 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / 500)
+    w = np.abs(network._glorot(np.random.default_rng(0), (200, 300)))
+    assert 0.999 * limit < w.max() <= limit
+
+
+def test_embeddings_start_normal_with_scale_0_1(graphs):
+    for name, p in _model(graphs).params.items():
+        if name.startswith("emb/"):
+            assert 0.05 < p.data.std() < 0.2 and np.abs(p.data).max() < 0.6, name
+
+
+def test_word_dropout_swaps_in_the_unknown_embeddings(graphs):
+    model = _model(graphs)
+    model.config = replace(TINY, word_dropout=0.5)
+    batch = model.batch([graphs[0].sentence])
+    n, w = graphs[0].n, TINY.word_dim
+    kept = model.embed_tokens(batch).data
+    dropped = model.embed_tokens(batch, np.random.default_rng(0)).data
+    # one uniform per token for the word part, then one per token for the POS part
+    draws = np.random.default_rng(0).random(2 * n)
+    for k, unk, cols in ((0, "emb/unk_word", slice(0, w)), (1, "emb/unk_pos", slice(w, None))):
+        keep = draws[k * n:(k + 1) * n] >= 0.5
+        assert 0 < keep.sum() < n
+        np.testing.assert_array_equal(dropped[keep, cols], kept[keep, cols])
+        for row in dropped[~keep, cols]:
+            np.testing.assert_array_equal(row, model.params[unk].data)
+
+
+NO_DROPOUT = dict(word_dropout=0.0, recurrent_dropout=0.0, edge_dropout=0.0, label_dropout=0.0)
+
+
+def test_a_zero_word_dropout_draws_nothing(graphs):
+    model = _model(graphs)
+    model.config = replace(TINY, **NO_DROPOUT)
+    rng = np.random.default_rng(0)
+    model.embed_tokens(model.batch([graphs[0].sentence]), rng)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_recurrent_dropout_runs_between_layers_only(graphs, layers):
+    model = _model(graphs)
+    model.config = replace(TINY, **{**NO_DROPOUT, "recurrent_dropout": 0.5}, rnn_layers=layers)
+    model = ParserModel(model.config, model.tasks, model.word_vocab, model.char_vocab,
+                        model.pos_vocab)
+    batch = model.batch([g.sentence for g in graphs])
+    x = model.embed_tokens(batch)
+    train = model.encode(x, batch, SEMANTIC, np.random.default_rng(0)).data
+    assert np.array_equal(train, model.encode(x, batch, SEMANTIC).data) == (layers == 1)
+
+
+def test_edge_and_label_dropout_act_on_their_own_heads(graphs):
+    model = _model(graphs)
+    model.config = replace(TINY, **{**NO_DROPOUT, "edge_dropout": 0.5})
+    sentences = [g.sentence for g in graphs]
+    s_edge, s_label = model.forward(sentences, SEMANTIC, np.random.default_rng(0))
+    e_edge, e_label = model.forward(sentences, SEMANTIC)
+    assert not np.array_equal(s_edge.data, e_edge.data)
+    assert np.array_equal(s_label.data, e_label.data)
+
+
+def test_each_seed_draws_its_own_parameters(graphs):
+    a, b = _model(graphs, seed=0), _model(graphs, seed=1)
+    assert not np.array_equal(a.params["emb/word"].data, b.params["emb/word"].data)
+
+
+def test_model_checks_its_tasks_and_inputs(graphs):
+    model = _model(graphs)
+    sentence = graphs[0].sentence
+    for sentences in ([], [sentence, ()]):
+        with pytest.raises(ConfigError, match="cannot embed an empty sentence"):
+            model.forward(sentences, SEMANTIC)
+    with pytest.raises(ConfigError,
+                       match=r"model has no task 'syntactic' \(tasks: \['semantic'\]\)"):
+        model.forward([sentence], SYNTACTIC)
+    vocabs = (model.word_vocab, model.char_vocab, model.pos_vocab)
+    for tasks, message in (({"bogus": model.tasks[SEMANTIC]}, r"unknown tasks \['bogus'\]"),
+                           ({}, "at least one task is required"),
+                           ({SEMANTIC: model.tasks[SEMANTIC],
+                             SYNTACTIC: syntactic_label_vocab(DEFAULT_DEPRELS)},
+                            "multitask models need a SharingTopology")):
+        with pytest.raises(ConfigError, match=message):
+            ParserModel(TINY, tasks, *vocabs)
+    with pytest.raises(ConfigError, match="task_rnn requires shared_rnn"):
+        SharingTopology(shared_rnn=False, task_rnn=True)
+
+
+def test_an_open_vocabulary_maps_unknown_items_to_unk_and_a_closed_one_refuses_them():
+    assert Vocab(["b", "a"]).id("zzz") == 0 and Vocab(["b", "a"]).items[0] == "<unk>"
+    with pytest.raises(ConfigError, match="unknown item 'B' in a closed vocabulary"):
+        semantic_label_vocab(["A"]).id("B")
+
+
+def test_single_task_model_ignores_a_topology_and_seeds_0_by_default(graphs):
+    model = _model(graphs, seed=0)
+    plain = ParserModel(TINY, model.tasks, model.word_vocab, model.char_vocab, model.pos_vocab,
+                        topology=SharingTopology(shared_rnn=True, shared_fnn=True))
+    assert plain.topology is None
+    assert list(plain.params) == list(model.params)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(plain.params[name].data, p.data)
+
+
+def test_pretrained_table_rows_follow_the_vocabulary():
+    vocab = Vocab(["b", "a"])
+    table = pretrained_table({"a": np.array([1.0, 2.0]), "z": np.array([3.0, 4.0])}, vocab, 2)
+    np.testing.assert_array_equal(table, [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])  # <unk>, a, b
+    with pytest.raises(ConfigError, match=r"pretrained vector for 'a' has shape \(3,\)"):
+        pretrained_table({"a": np.ones(3)}, vocab, 2)
 
 
 def test_batch_call_equals_one_sentence_calls(graphs):

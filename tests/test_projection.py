@@ -48,6 +48,11 @@ class TestIntersect:
         with pytest.raises(ProjectionError, match="one-to-one"):
             IntersectedAlignment(frozenset({(1, 2), (3, 2)}))
 
+    @pytest.mark.parametrize("link", [(0, 1), (1, 0)])
+    def test_constructor_rejects_a_zero_position(self, link):
+        with pytest.raises(ProjectionError, match=rf"link \({link[0]},{link[1]}\) must be 1-based"):
+            IntersectedAlignment(frozenset({link}))
+
 
 def sentence(n, rng=None):
     return random_sentence(rng or np.random.default_rng(99), n)
@@ -193,7 +198,25 @@ class TestDensitySample:
 
     def test_odd_size_rejected(self):
         with pytest.raises(ProjectionError, match="even"):
-            density_sample([], 3, 0.5)
+            density_sample([], 3, 0.5, seed=0)
+
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_size_not_positive_rejected(self, size):
+        with pytest.raises(ProjectionError, match=f"positive and even, got {size}"):
+            density_sample([], size, 0.5, seed=0)
+
+    def test_density_at_the_threshold_counts_as_above(self):
+        rng = np.random.default_rng(9)
+        corpus = [partial_with_density(rng, 0.4), partial_with_density(rng, 0.5)]
+        assert density_sample(corpus, 2, 0.5, seed=0) == corpus
+
+    def test_sample_is_pinned_for_a_seed(self):
+        # Which sentences a seed picks is part of a run's output (numpy 2.4.6 streams).
+        rng = np.random.default_rng(8)
+        corpus = [partial_with_density(rng, d) for d in [0.2] * 10 + [0.9] * 10]
+        out = density_sample(corpus, 6, 0.5, seed=0)
+        assert [next(k for k, g in enumerate(corpus) if g is o) for o in out] == \
+            [2, 6, 7, 10, 16, 17]
 
 
 class TestHeldoutSplit:
@@ -210,8 +233,12 @@ class TestHeldoutSplit:
         corpus = list(range(50))
         assert heldout_split(corpus, 0.2, seed=9) == heldout_split(corpus, 0.2, seed=9)
 
+    def test_split_is_pinned_for_a_seed(self):
+        # Which sentences a seed holds out is part of a run's output (numpy 2.4.6 streams).
+        assert heldout_split(list(range(20)), 0.25, seed=0)[1] == [0, 5, 7, 14, 17]
+
     def test_empty_corpus(self):
-        with pytest.raises(ProjectionError):
+        with pytest.raises(ProjectionError, match="cannot split an empty corpus"):
             heldout_split([], 0.5, seed=0)
 
     @pytest.mark.parametrize("corpus,fraction,empty", [
@@ -225,3 +252,8 @@ class TestHeldoutSplit:
     def test_bad_fraction(self):
         with pytest.raises(ProjectionError):
             heldout_split([1], 1.5, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0, 1, -0.5, 1.5])
+    def test_fraction_outside_the_open_interval_refused(self, fraction):
+        with pytest.raises(ProjectionError, match=rf"fraction must be in \(0,1\), got {fraction}"):
+            heldout_split(list(range(10)), fraction, seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdpkit.errors import SynthError
 from sdpkit.graph import ROOT, is_acyclic
 from sdpkit.projection import intersect_alignments
 from sdpkit.synth import (_POS_CLASSES, CORPUS_FILES, SynthConfig, _sample_pos_sequence,
@@ -37,6 +38,23 @@ def corpus_bytes(cfg: SynthConfig, outdir) -> list[bytes]:
         with open(path, "rb") as f:
             contents.append(f.read())
     return contents
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"sentences": 0}, "sentences must be >= 1"),
+    ({"min_len": 0}, r"invalid length range \[0,12\]"),
+    ({"min_len": 4, "max_len": 3}, r"invalid length range \[4,3\]"),
+    ({"density": 1.5}, r"density must be in \[0,1\], got 1.5"),
+    ({"reentrancy": -0.5}, r"reentrancy must be in \[0,1\], got -0.5"),
+], ids=["sentences", "min_len", "min-above-max", "density", "reentrancy"])
+def test_config_refuses_infeasible_settings(settings, message):
+    with pytest.raises(SynthError, match=message):
+        SynthConfig(**{"sentences": 1, **settings})
+
+
+def test_equal_min_and_max_length_give_that_length():
+    corpus = synth_corpus(SynthConfig(sentences=3, min_len=4, max_len=4))
+    assert [len(s) for s in corpus.target_sentences] == [4, 4, 4]
 
 
 @pytest.fixture(scope="module")

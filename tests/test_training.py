@@ -13,7 +13,7 @@ from sdpkit import network, training
 from sdpkit.errors import CheckpointError, ConfigError, TrainingDiverged
 from sdpkit.evaluation import ScoreReport
 from sdpkit.formats import SdpDocument, read_sdp, write_sdp
-from sdpkit.graph import SemanticGraph, is_acyclic
+from sdpkit.graph import PartialGraph, SemanticGraph, is_acyclic
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                             build_vocabs, semantic_label_vocab, syntactic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
@@ -106,6 +106,49 @@ def test_train_ends_holding_the_best_epoch(monkeypatch, lfs, best):
     assert not np.array_equal(seen[best - 1]["emb/word"], seen[-1]["emb/word"])
     for name, p in model.params.items():
         assert np.array_equal(p.data, seen[best - 1][name]), name
+
+
+def test_train_stops_once_patience_runs_out(monkeypatch):
+    graphs, _ = _corpus(2)
+    scores = iter([5, 4, 4] + [9] * 7)
+    monkeypatch.setattr(training, "evaluate_semantic", lambda model, corpus: ScoreReport(
+        10, 10, next(scores), 10, 10, 0))
+    items = [(g.sentence, g) for g in graphs]
+    cfg = training.TrainConfig(max_epochs=10, patience=1)
+    result = training.train(_model(graphs), {SEMANTIC: items}, items, cfg)
+    assert (result.epochs_run, result.best_epoch, result.best_lf) == (3, 1, 0.5)
+
+
+def test_metrics_report_the_mean_loss_per_token():
+    graphs, _ = _corpus(3)
+    items = [(g.sentence, g) for g in graphs]
+    cfg = training.TrainConfig(max_epochs=1)  # one step: every sentence in one batch
+    result = training.train(_model(graphs), {SEMANTIC: items}, items, cfg)
+    batch = [items[i] for i in training._shuffle_rng(cfg.seed, 1, SEMANTIC).permutation(3)]
+    fresh = _model(graphs)
+    s_edge, s_label = fresh.forward([s for s, _ in batch], SEMANTIC,
+                                    training._dropout_rng(cfg.seed, 1, SEMANTIC, 0))
+    loss = training.semantic_loss(s_edge, s_label, [g for _, g in batch],
+                                  fresh.tasks[SEMANTIC], cfg.label_interp)
+    assert result.metrics[0]["loss_semantic"] == float(loss.data) / sum(g.n for g in graphs)
+
+
+def test_a_syntactic_weight_of_one_never_trains_the_semantic_task(monkeypatch):
+    graphs, trees = _corpus(2)
+    model = _model(graphs, trees)
+    forward = model.forward
+    trained = []
+
+    def spy(sentences, task, rng=None, contexts=None):
+        if rng is not None:  # a training step, not the held-out evaluation
+            trained.append(task)
+        return forward(sentences, task, rng, contexts)
+
+    monkeypatch.setattr(model, "forward", spy)
+    items = [(g.sentence, g) for g in graphs]
+    training.train(model, {SEMANTIC: items, SYNTACTIC: [(t.sentence, t) for t in trees]}, items,
+                   training.TrainConfig(max_epochs=1, syntactic_weight=1.0))
+    assert trained and set(trained) == {SYNTACTIC}
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -203,10 +246,104 @@ def test_zero_syntactic_weight_follows_the_single_task_trajectory():
         assert np.array_equal(multi.params[name].data, p.data), name
 
 
+def test_config_defaults_are_pinned():
+    # Adam's are Kingma & Ba's; a changed default changes every run that relies on it
+    assert training.TrainConfig() == training.TrainConfig(
+        lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8, token_budget=1000, label_interp=0.5,
+        syntactic_weight=0.025, max_epochs=100, patience=5, seed=0, combined_steps=False)
+
+
+def test_losses_default_to_the_config_interpolation():
+    graphs, trees = _corpus(2)
+    model = _model(graphs, trees)
+    sentences = [g.sentence for g in graphs]
+    for task, loss, golds in ((SEMANTIC, training.semantic_loss, graphs),
+                              (SYNTACTIC, training.syntactic_loss, trees)):
+        s_edge, s_label = model.forward(sentences, task)
+        labels = model.tasks[task]
+        assert float(loss(s_edge, s_label, golds, labels).data) == float(
+            loss(s_edge, s_label, golds, labels, training.TrainConfig().label_interp).data)
+
+
+def test_train_refuses_missing_corpora():
+    graphs, trees = _corpus(2)
+    items = [(g.sentence, g) for g in graphs]
+    cfg = training.TrainConfig(max_epochs=1)
+    for corpora, heldout, message in (
+            ({}, items, "at least one task corpus is required"),
+            ({SEMANTIC: items}, [], "heldout corpus must be non-empty"),
+            ({SYNTACTIC: [(t.sentence, t) for t in trees]}, items,
+             r"corpora given for tasks the model lacks: \['syntactic'\]")):
+        with pytest.raises(ConfigError, match=message):
+            training.train(_model(graphs), corpora, heldout, cfg)
+
+
+def test_decode_semantic_refuses_scores_of_another_length():
+    sentence = random_sentence(np.random.default_rng(0), 3)
+    with pytest.raises(ConfigError, match=r"edge scores \(3, 2\) do not match sentence length 3"):
+        training.decode_semantic(np.zeros((3, 2)), np.zeros((1, 3, 2)),
+                                 semantic_label_vocab(LABELS), sentence)
+
+
+def test_each_task_draws_its_own_streams():
+    for rng in (training._shuffle_rng, lambda *a: training._dropout_rng(*a, 0)):
+        assert rng(1, 1, SEMANTIC).random() != rng(1, 1, SYNTACTIC).random()
+
+
 @pytest.mark.parametrize("weight", [-0.1, 1.5])
 def test_syntactic_weight_outside_unit_interval_rejected(weight):
     with pytest.raises(ConfigError, match=r"syntactic_weight must be in \[0,1\]"):
         training.TrainConfig(syntactic_weight=weight)
+
+
+def test_boundary_settings_accepted():
+    cfg = training.TrainConfig(syntactic_weight=1.0, token_budget=1, max_epochs=1, patience=0,
+                               beta1=0.0, beta2=0.0)
+    assert (cfg.syntactic_weight, cfg.token_budget, cfg.max_epochs, cfg.patience, cfg.beta1,
+            cfg.beta2) == (1.0, 1, 1, 0, 0.0, 0.0)
+
+
+def test_schedule_interleaves_task_queues_by_their_midpoints():
+    # minibatch k of a queue of m sits at (k + 0.5) / m; ties go to the task name
+    queues = {SEMANTIC: [[0]], SYNTACTIC: [[0], [1]]}
+    assert training._schedule(queues) == [(SYNTACTIC, 0), (SEMANTIC, 0), (SYNTACTIC, 1)]
+    queues = {SEMANTIC: [[0], [1]], SYNTACTIC: [[0], [1]]}
+    assert training._schedule(queues) == [(SEMANTIC, 0), (SYNTACTIC, 0), (SEMANTIC, 1),
+                                          (SYNTACTIC, 1)]
+
+
+def test_an_empty_task_corpus_trains_no_step_and_reports_zero_loss(monkeypatch):
+    graphs, _ = _corpus(2)
+    monkeypatch.setattr(ad, "adam_step", lambda *args: pytest.fail("no step expected"))
+    items = [(g.sentence, g) for g in graphs]
+    result = training.train(_model(graphs), {SEMANTIC: []}, items,
+                            training.TrainConfig(max_epochs=1))
+    assert result.metrics[0]["loss_semantic"] == 0.0
+
+
+def test_a_sentence_longer_than_the_budget_is_a_run_of_its_own():
+    assert training._chunks([5, 1, 4, 1], 3) == [range(0, 1), range(1, 2), range(2, 3),
+                                                 range(3, 4)]
+
+
+def test_semantic_loss_of_an_undecided_sentence_is_zero():
+    graphs, _ = _corpus(1)
+    model = _model(graphs)
+    s_edge, s_label = model.forward([graphs[0].sentence], SEMANTIC)
+    gold = PartialGraph(SemanticGraph(graphs[0].sentence, frozenset()), frozenset())
+    assert float(training.semantic_loss(s_edge, s_label, [gold], model.tasks[SEMANTIC]).data) == 0.0
+
+
+@pytest.mark.parametrize("setting,message", [
+    ({"label_interp": 0.0}, r"label_interp must be in \(0,1\)"),
+    ({"label_interp": 1.0}, r"label_interp must be in \(0,1\)"),
+    ({"token_budget": 0}, "token_budget/max_epochs must be >= 1 and patience >= 0"),
+    ({"max_epochs": 0}, "token_budget/max_epochs must be >= 1 and patience >= 0"),
+    ({"patience": -1}, "token_budget/max_epochs must be >= 1 and patience >= 0"),
+], ids=["label_interp-0", "label_interp-1", "token_budget", "max_epochs", "patience"])
+def test_schedule_settings_out_of_range_rejected(setting, message):
+    with pytest.raises(ConfigError, match=message):
+        training.TrainConfig(**setting)
 
 
 @pytest.mark.parametrize("setting", [
