@@ -90,7 +90,7 @@ class Tensor:
             if i < len(node._parents):
                 stack.append((node, i + 1))
                 parent = node._parents[i]
-                if parent.requires_grad and id(parent) not in visited:
+                if parent.requires_grad:
                     stack.append((parent, 0))
             else:
                 topo.append(node)
@@ -128,20 +128,18 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
     """Add `g` into `t.grad`.
 
     A parameter never adopts an array: its first gradient of a step is written
-    into its buffer view (see `Parameter`), bit for bit as adoption or fresh
-    zeros plus `g` would give it. For any other tensor a backward closure
-    passes `owned` for an array it has just allocated and keeps no reference
-    to; the first one is adopted as the gradient. A first gradient that is not
-    owned is `g + 0.0` in a fresh array like `t.data`: one pass, with the bits
-    and layout of fresh zeros plus `g`."""
+    into its buffer view (see `Parameter`) as `g + 0.0`. For any other tensor
+    a backward closure passes `owned` for an array it has just allocated and
+    keeps no reference to; the first one is adopted as the gradient. A first
+    gradient that is not owned is `g + 0.0` in a fresh array like `t.data`:
+    one pass, with the bits and layout of fresh zeros plus `g`. (Only the sign
+    of a zero tells adoption from `g + 0.0`, and Adam's moments and update do
+    not see it.)"""
     if not t.requires_grad:
         return
     if t.grad is None:
         if isinstance(t, Parameter):
-            if owned:
-                np.copyto(t._buffer, g)
-            else:
-                np.add(g, 0.0, out=t._buffer)  # as 0 + g: -0.0 becomes 0.0
+            np.add(g, 0.0, out=t._buffer)  # as 0 + g: -0.0 becomes 0.0
             t.grad = t._buffer
             return
         t.grad = g if owned else np.add(g, 0.0, out=np.empty_like(t.data))
@@ -150,13 +148,13 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
 
 
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray):
-    """Add the GEMM a @ b into `t.grad`; a parameter's first gradient of a step
-    is computed straight into its buffer, with no copy."""
+    """Add the GEMM a @ b (a a matrix, b a matrix or a stack of them) into
+    `t.grad`; a parameter's first gradient of a step is computed straight into
+    its buffer, with no copy."""
     if not t.requires_grad:
         return
     if t.grad is None and isinstance(t, Parameter):
-        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-        np.matmul(a, b, out=t._buffer.reshape(shape))
+        np.matmul(a, b, out=t._buffer.reshape(b.shape[:-2] + (a.shape[0], b.shape[-1])))
         t.grad = t._buffer
     else:
         _accumulate(t, (a @ b).reshape(t.shape), owned=True)
@@ -257,7 +255,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: list[Tensor], axis: int) -> Tensor:
     _check(len(parts) > 0, "concat", "needs at least one part")
     data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
@@ -754,8 +752,7 @@ def parameter_set(named_arrays: dict[str, np.ndarray]) -> dict[str, Parameter]:
 _ADAM_BLOCK = 1 << 14
 
 
-def adam_step(params, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+def adam_step(params, lr: float, beta1: float, beta2: float, eps: float):
     """Bias-corrected Adam over parameters with populated gradients, with the
     bias corrections folded into the step size (Kingma & Ba 2015, section 2).
 
@@ -870,8 +867,7 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def gradient_check(closure, params, epsilon: float = 1e-5,
-                   tolerance: float = 1e-4) -> GradCheckReport:
+def gradient_check(closure, params, epsilon: float, tolerance: float) -> GradCheckReport:
     """Compare tape gradients against central differences, coordinate by coordinate.
 
     The closure must rebuild the loss from scratch on every call and be

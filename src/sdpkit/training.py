@@ -196,33 +196,20 @@ def decode_semantic(s_edge: np.ndarray, s_label: np.ndarray, labels: Vocab,
 def _acyclic_greedy(scores: np.ndarray, heads: np.ndarray, deps: np.ndarray,
                     n: int) -> list[int]:
     """Indices k of the candidate edges heads[k] -> deps[k], scored `scores`,
-    that the repair of `decode_semantic` keeps. Bit v of `below[u]` says that
-    v is reachable from u, and bit u of `above[v]` the same; both include the
-    node itself."""
-    below = [1 << v for v in range(n + 1)]
-    above = list(below)
+    that the repair of `decode_semantic` keeps. Bit v of `reach[u]` says that
+    v is reachable from u, which includes u itself."""
+    reach = [1 << v for v in range(n + 1)]
     heads_of, deps_of = heads.tolist(), deps.tolist()
     kept = []
     for k in np.lexsort((deps, heads, -scores)).tolist():
         h, d = heads_of[k], deps_of[k]
-        if h != ROOT and not below[h] >> d & 1:  # else h -> d adds no reachability
-            if below[d] >> h & 1:
+        if h != ROOT and not reach[h] >> d & 1:  # else h -> d adds no reachability
+            if reach[d] >> h & 1:
                 continue  # d already reaches h, so h -> d would close a cycle
-            sources, targets = above[h], below[d]
-            for u in _bits(sources):
-                below[u] |= targets
-            for v in _bits(targets):
-                above[v] |= sources
+            targets = reach[d]  # every node that reaches h now reaches these too
+            reach = [r | targets if r >> h & 1 else r for r in reach]
         kept.append(k)
     return kept
-
-
-def _bits(mask: int):
-    """The positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +279,9 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
 
     `corpora` maps task ids to lists of (sentence, gold) or
     (sentence, gold, context) items; `heldout` holds semantic items. Each
-    corpus and the held-out list are held to `check_contexts`, count,
-    presence and shape, before the first step. The model is
-    left holding the best checkpoint seen, also when training
+    corpus and the held-out list must be non-empty and are held to
+    `check_contexts`, count, presence and shape, before the first step. The
+    model is left holding the best checkpoint seen, also when training
     stops by raising (such as `TrainingDiverged`). In multitask mode the
     semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
     zero is skipped entirely, so a multitask run with a zero syntactic
@@ -305,14 +292,14 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     unknown = set(corpora) - set(model.tasks)
     if unknown:
         raise ConfigError(f"corpora given for tasks the model lacks: {sorted(unknown)}")
-    if not heldout:
-        raise ConfigError("heldout corpus must be non-empty")
     multitask = len(corpora) > 1
     weights = {SEMANTIC: 1.0 - cfg.syntactic_weight if multitask else 1.0,
                SYNTACTIC: cfg.syntactic_weight if multitask else 1.0}
     examples = {task: [Example(*item) for item in items] for task, items in corpora.items()}
     heldout = [Example(*item) for item in heldout]
     for what, items in [*examples.items(), ("heldout", heldout)]:
+        if not items:
+            raise ConfigError(f"{what} corpus must be non-empty")
         check_contexts([e.sentence for e in items], [e.context for e in items],
                        model.config.context_dim, what)
     data = {task: items for task, items in examples.items() if weights[task] > 0}
@@ -366,8 +353,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             report = evaluate_semantic(model, heldout)
             entry = {"epoch": epoch}
             for task in sorted(data):
-                entry[f"loss_{task}"] = (loss_sums[task] / token_sums[task]
-                                         if token_sums[task] else 0.0)
+                entry[f"loss_{task}"] = loss_sums[task] / token_sums[task]
             entry["heldout_lf"] = report.lf
             entry["heldout_uf"] = report.uf
             line = " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from sdpkit import autodiff as ad
 from sdpkit.graph import Edge, PartialGraph, SemanticGraph, SyntacticTree, Token, is_acyclic
 
 LABELS = ("ACT-arg", "PAT-arg", "RSTR", "APP", "TWHEN", "NE")
@@ -216,6 +217,12 @@ def reference_bilinear(x, w, y, g):
     dw = np.einsum("lnm,nd,me->lde", g3, x, y, optimize=True)
     dy = np.einsum("lnm,nd,lde->me", g3, x, w3, optimize=True)
     return (out[0] if squeeze else out), dx, (dw[0] if squeeze else dw), dy
+
+
+def adam_step(params, lr=0.001):
+    """`autodiff.adam_step` with the betas and eps of Kingma & Ba, which
+    `TrainConfig` and the two references below default to."""
+    ad.adam_step(params, lr, 0.9, 0.999, 1e-8)
 
 
 def reference_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (reference_adam_step, reference_bilinear, reference_folded_adam_step,
-                     reference_lstm_seq)
+from helpers import (adam_step, reference_adam_step, reference_bilinear,
+                     reference_folded_adam_step, reference_lstm_seq)
 
 from sdpkit import autodiff as ad
 from sdpkit.errors import AutodiffError
@@ -15,6 +15,10 @@ def check_op(build, params, tol=1e-7):
     report = ad.gradient_check(build, params, epsilon=1e-5, tolerance=tol)
     assert report.passed, str(report)
     return report
+
+
+def ones(*shape):
+    return ad.constant(np.ones(shape))
 
 
 def param(rng, *shape, name=""):
@@ -40,6 +44,14 @@ class TestForwardValues:
         rng = np.random.default_rng(0)
         p = ad.softmax_rows(ad.constant(rng.standard_normal((5, 7)) * 30))
         np.testing.assert_allclose(p.data.sum(axis=1), np.ones(5), atol=1e-12)
+
+    def test_sigmoid_takes_the_form_that_cannot_overflow(self):
+        # 1 / (1 + e^-x) from 0 up and e^x / (1 + e^x) below it, each bit for bit
+        x = np.linspace(-3.0, 3.0, 601)
+        s = ad.sigmoid(ad.constant(x)).data
+        up, down = x >= 0, x < 0
+        np.testing.assert_array_equal(s[up], 1.0 / (1.0 + np.exp(-x[up])))
+        np.testing.assert_array_equal(s[down], np.exp(x[down]) / (1.0 + np.exp(x[down])))
 
     def test_sigmoid_output_range(self):
         # strictly inside (0,1) for inputs below the float64 saturation point
@@ -85,7 +97,28 @@ class TestForwardValues:
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
     @pytest.mark.parametrize("call,message", [
-        (lambda a: ad.concat([]), "concat: needs at least one part"),
+        (lambda: ad.add(ones(2, 3), ones(2)), r"add: incompatible shapes \(2, 3\) and \(2,\)"),
+        (lambda: ad.mul(ones(2, 3), ones(3, 2)), r"mul: incompatible shapes \(2, 3\) and \(3, 2\)"),
+        (lambda: ad.matmul(ones(2, 3), ones(3)),
+         r"matmul: expects 2-D operands, got \(2, 3\) and \(3,\)"),
+        (lambda: ad.matmul(ones(3), ones(3, 2)),
+         r"matmul: expects 2-D operands, got \(3,\) and \(3, 2\)"),
+        (lambda: ad.pick_cells(ones(2, 3, 4, 3), [[0]], [[1]], [[1]]),
+         "pick_cells: sentences, heads and deps must be equal-length vectors"),
+        (lambda: ad.bilinear(ones(2, 3), ones(3, 3), ones(3), [(2, 1)]),
+         r"bilinear: x and y must be matrices, got \(2, 3\), \(3,\)"),
+        (lambda: ad.bilinear(ones(2, 3), ones(3, 3), ones(2, 4), [(2, 2)]),
+         r"bilinear: shape mismatch: x \(2, 3\), w \(3, 3\), y \(2, 4\)"),
+        (lambda: ad.softmax_cross_entropy(ones(3, 2), [0, 1]),
+         r"softmax_cross_entropy: target_ids shape \(2,\) does not match 3 rows"),
+    ], ids=["add", "mul", "matmul-1d-right", "matmul-1d-left", "pick_cells-2d", "bilinear-1d-y",
+            "bilinear-y-width", "xent-rows"])
+    def test_operands_of_the_wrong_shape_name_the_op(self, call, message):
+        with pytest.raises(AutodiffError, match=message):
+            call()
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda a: ad.concat([], axis=0), "concat: needs at least one part"),
         (lambda a: ad.slice_rows(a, 2, 2), r"slice_rows: range \[2,2\) invalid for 3 rows"),
         (lambda a: ad.slice_rows(a, -1, 2), r"slice_rows: range \[-1,2\) invalid"),
         (lambda a: ad.lookup(a, [-1]), "lookup: id out of range"),
@@ -93,11 +126,19 @@ class TestForwardValues:
         (lambda a: ad.softmax_cross_entropy(a, [0, 0, -1]), "softmax_cross_entropy: target id"),
         (lambda a: ad.softmax_cross_entropy(ad.constant(a.data[:1]), [2]),
          "softmax_cross_entropy: target id"),
+        (lambda a: ad.dropout(a, 1.0, np.random.default_rng(0)),
+         r"dropout: rate must be in \[0,1\), got 1.0"),
+        (lambda a: ad.dropout(a, -0.1, np.random.default_rng(0)),
+         r"dropout: rate must be in \[0,1\), got -0.1"),
     ], ids=["concat-empty", "slice-empty", "slice-negative", "lookup-negative", "lookup-past-end",
-            "xent-negative", "xent-past-end"])
+            "xent-negative", "xent-past-end", "dropout-one", "dropout-negative"])
     def test_out_of_range_arguments_name_the_op(self, call, message):
         with pytest.raises(AutodiffError, match=message):
             call(ad.constant(np.ones((3, 2))))
+
+    def test_concat_of_one_part_is_that_part(self):
+        a = ad.constant(np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(ad.concat([a], axis=1).data, a.data)
 
     def test_slice_rows_takes_the_whole_range(self):
         a = ad.constant(np.arange(6.0).reshape(3, 2))
@@ -316,14 +357,14 @@ class TestAdam:
     def test_zero_gradient_leaves_parameter_unchanged(self):
         p = ad.Parameter([1.0, -2.0], name="p")
         p.grad = np.zeros(2)
-        ad.adam_step([p])
+        adam_step([p])
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert p.grad is None
 
     def test_lr_zero_is_identity(self):
         p = ad.Parameter([1.0, -2.0], name="p")
         p.grad = np.array([0.3, -0.7])
-        ad.adam_step([p], lr=0.0)
+        adam_step([p], lr=0.0)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_constant_gradient_update_approaches_lr_sign(self):
@@ -336,7 +377,7 @@ class TestAdam:
         for _ in range(5000):
             p.grad = g.copy()
             prev = p.data.copy()
-            ad.adam_step([p], lr=lr)
+            adam_step([p], lr=lr)
         last_update = prev - p.data
         np.testing.assert_allclose(last_update, [lr], rtol=1e-4)
 
@@ -344,7 +385,7 @@ class TestAdam:
         p = ad.Parameter([1.0], name="p")
         q = ad.Parameter([1.0], name="q")
         q.grad = np.array([1.0])
-        ad.adam_step([p, q], lr=0.1)
+        adam_step([p, q], lr=0.1)
         assert p.step == 0 and q.step == 1
         np.testing.assert_array_equal(p.data, [1.0])
         assert q.data[0] != 1.0
@@ -576,7 +617,8 @@ class TestKernelsMatchReference:
         assert ad.bilinear(x, w, y, [(2, 1), (3, 3)]).shape == (2, 3, 3)
         for sizes, message in (([(2, 1), (2, 3)], r"sum to \(5, 4\) rows"),
                                ([(5, 4), (0, 0)], r"sum to \(5, 4\) rows"),
-                               ([(5, 4, 1)], r"sizes must be \(B, 2\)")):
+                               ([(5, 4, 1)], r"sizes must be \(B, 2\)"),
+                               (np.zeros((0, 2), dtype=int), r"got shape \(0, 2\)")):
             with pytest.raises(AutodiffError, match=message):
                 ad.bilinear(x, w, y, sizes)
 
@@ -595,7 +637,7 @@ class TestKernelsMatchReference:
                 if p.name != "idle":
                     p.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
                     q.grad = p.grad.copy()
-            ad.adam_step(fused, lr=0.01)
+            adam_step(fused, lr=0.01)
             reference_folded_adam_step(reference, lr=0.01)
         for p, q in zip(fused, reference):
             for attr in ("data", "m", "v"):
@@ -624,7 +666,7 @@ class TestKernelsMatchReference:
                 if p.name != skip:
                     q.grad = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)
                     p.grad = q.grad.copy()
-            ad.adam_step(fused, lr=0.01)
+            adam_step(fused, lr=0.01)
             reference_folded_adam_step(reference, lr=0.01)
             assert ["".join(run) for run in runs] == want
         for p, q in zip(fused, reference):
@@ -648,7 +690,7 @@ class TestKernelsMatchReference:
             g = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-6, 1, size)
             largest = np.maximum(largest, np.abs(g))
             fused.grad, textbook.grad = g.copy(), g.copy()
-            ad.adam_step([fused], lr=lr)
+            adam_step([fused], lr=lr)
             reference_adam_step([textbook], lr=lr)
         assert not np.array_equal(fused.data, textbook.data)
         assert np.all(np.abs(fused.data - textbook.data)
@@ -661,7 +703,7 @@ class TestKernelsMatchReference:
         p.data = np.asfortranarray(p.data)
         p.grad = np.ones((3, 4))
         with pytest.raises(AutodiffError, match="C-contiguous"):
-            ad.adam_step([p])
+            adam_step([p])
 
 
 class TestGradientCheckMachinery:
@@ -674,7 +716,7 @@ class TestGradientCheckMachinery:
             return ad.sum_all(ad.scale(p, state["k"]))
 
         with pytest.raises(AutodiffError, match="deterministic"):
-            ad.gradient_check(closure, [p])
+            ad.gradient_check(closure, [p], 1e-5, 1e-4)
 
     def test_frozen_dropout_forward_is_repeatable(self):
         p = ad.Parameter(np.arange(4.0), name="p")
@@ -694,7 +736,17 @@ class TestGradientCheckMachinery:
         def closure():
             return ad.add(ad.sum_all(ad.mul(good, good)), ad.sum_all(wrong_square(bad)))
 
-        report = ad.gradient_check(closure, [good, bad])
+        report = ad.gradient_check(closure, [good, bad], 1e-5, 1e-4)
         assert not report.passed and report.worst == "bad"
         assert report.per_param["good"] < 1e-8
         assert report.max_rel_error == report.per_param["bad"] == pytest.approx(0.5)
+
+    def test_a_check_at_its_tolerance_passes(self):
+        assert ad.GradCheckReport(1e-4, 1e-4, "p").passed
+
+    def test_a_tie_names_the_later_parameter(self):
+        # so a check with no error at all still names a parameter
+        used, unused = ad.Parameter([0.0], name="used"), ad.Parameter([1.0], name="unused")
+        report = ad.gradient_check(lambda: ad.sum_all(used), [used, unused], 1e-5, 1e-4)
+        assert report.per_param == {"used": 0.0, "unused": 0.0}
+        assert report.worst == "unused"

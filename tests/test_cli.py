@@ -228,6 +228,13 @@ def _refused_argv(case, p, inp, out):
              "unknown-task": "sem,bogus"}
     if case in tasks:
         return train + ["--config", p["tiny.json"], "--tasks", tasks[case]]
+    if case == "empty-train":
+        (inp / "empty.sdp").write_text("")
+        return [*train[:2], str(inp / "empty.sdp"), *train[3:], "--config", p["tiny.json"]]
+    if case == "empty-syntactic":
+        (inp / "empty.conllu").write_text("")
+        return train + ["--config", p["tiny.json"], "--tasks", "sem,syn",
+                        "--syntactic", str(inp / "empty.conllu")]
     if case in ("context-without-channel", "heldout-context-without-channel"):
         flag = "--context" if case == "context-without-channel" else "--heldout-context"
         return train + ["--config", p["tiny.json"], flag, str(inp / "context.vec")]
@@ -252,6 +259,8 @@ _REFUSALS = {  # each case `_refused_argv` builds, and its message
     "project-sizes-differ":
         "corpus sizes differ: 12 source graphs, 11 alignment lines, 12 target sentences",
     "syntactic-without-syn": "--syntactic given but the syn task is not enabled",
+    "empty-train": "semantic corpus must be non-empty",
+    "empty-syntactic": "syntactic corpus must be non-empty",
     "unknown-share-flag": "unknown sharing flag 'bogus'; expected rnn[,fnn][,taskrnn]",
     "analyze-no-mode": "exactly one of --buckets/--headmatch/--contribution is required",
     "analyze-two-modes": "exactly one of --buckets/--headmatch/--contribution is required",

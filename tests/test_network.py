@@ -2,7 +2,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from helpers import reference_folded_adam_step
+from helpers import adam_step, reference_folded_adam_step
 
 from sdpkit import autodiff as ad
 from sdpkit import network
@@ -534,7 +534,7 @@ def test_adam_over_a_two_task_model_matches_the_textbook_form(monkeypatch):
         for p, q in zip(params, reference):
             q.grad = None if p.grad is None else p.grad.copy()
         runs.append([])
-        ad.adam_step(params, lr=0.01)
+        adam_step(params, lr=0.01)
         assert sum(runs[-1]) == sum(q.grad is not None for q in reference)
         reference_folded_adam_step(reference, lr=0.01)
         for p, q in zip(params, reference):

@@ -312,13 +312,19 @@ def test_schedule_interleaves_task_queues_by_their_midpoints():
                                           (SYNTACTIC, 1)]
 
 
-def test_an_empty_task_corpus_trains_no_step_and_reports_zero_loss(monkeypatch):
-    graphs, _ = _corpus(2)
+def test_an_empty_task_corpus_is_refused_before_any_step(monkeypatch):
+    graphs, trees = _corpus(2)
     monkeypatch.setattr(ad, "adam_step", lambda *args: pytest.fail("no step expected"))
     items = [(g.sentence, g) for g in graphs]
-    result = training.train(_model(graphs), {SEMANTIC: []}, items,
-                            training.TrainConfig(max_epochs=1))
-    assert result.metrics[0]["loss_semantic"] == 0.0
+    tree_items = [(t.sentence, t) for t in trees]
+    cfg = training.TrainConfig(max_epochs=1)
+    for corpora, task in (({SEMANTIC: []}, SEMANTIC),
+                          ({SEMANTIC: items, SYNTACTIC: []}, SYNTACTIC),
+                          ({SEMANTIC: [], SYNTACTIC: tree_items}, SEMANTIC)):
+        metrics = io.StringIO()
+        with pytest.raises(ConfigError, match=f"^{task} corpus must be non-empty$"):
+            training.train(_model(graphs, trees), corpora, items, cfg, metrics)
+        assert metrics.getvalue() == ""
 
 
 def test_a_sentence_longer_than_the_budget_is_a_run_of_its_own():
