@@ -248,12 +248,8 @@ def pack_minibatches(lengths: Sequence[int], order: Sequence[int],
 
 def _schedule(task_batches: dict[str, list[list[int]]]) -> list[tuple[str, int]]:
     """Proportional deterministic interleave of per-task minibatch queues."""
-    keyed = []
-    for task in sorted(task_batches):
-        total = len(task_batches[task])
-        for k in range(total):
-            keyed.append(((k + 0.5) / total, task, k))
-    keyed.sort(key=lambda item: (item[0], item[1]))
+    keyed = sorted(((k + 0.5) / len(batches), task, k)
+                   for task, batches in task_batches.items() for k in range(len(batches)))
     return [(task, k) for _, task, k in keyed]
 
 
@@ -400,12 +396,11 @@ def _combined_schedule(task_batches: dict[str, list[list[int]]]
 def _chunks(sizes: Sequence[int], budget: int) -> list[range]:
     """Consecutive runs of sentences whose padded size (count times longest)
     stays within `budget`; a longer sentence is a run of its own."""
-    runs, start, longest = [], 0, 0
-    for i, n in enumerate(sizes):
-        if i > start and (i - start + 1) * max(longest, n) > budget:
+    runs, start = [], 0
+    for i in range(1, len(sizes)):
+        if (i - start + 1) * max(sizes[start:i + 1]) > budget:
             runs.append(range(start, i))
-            start, longest = i, 0
-        longest = max(longest, n)
+            start = i
     if sizes:
         runs.append(range(start, len(sizes)))
     return runs

@@ -291,3 +291,41 @@ def reference_acyclic_decode(s_edge, s_label, labels, sentence):
         if is_acyclic(SemanticGraph(sign.sentence, frozenset(kept | {e}))):
             kept.add(e)
     return SemanticGraph(sign.sentence, frozenset(kept))
+
+
+def _log_softmax_at(row, k):
+    """-log softmax(row)[k]."""
+    top = row.max()
+    return top + np.log(np.exp(row - top).sum()) - row[k]
+
+
+def reference_semantic_loss(s_edge, s_label, golds, labels, label_interp):
+    """Cell-by-cell `training.semantic_loss` against partial golds: sigmoid
+    cross-entropy at every decided x decided cell off the diagonal, softmax
+    cross-entropy of the gold label at every gold edge."""
+    edge = label = 0.0
+    for b, gold in enumerate(golds):
+        gold_labels = {(h, d): name for h, d, name in gold.graph.sorted_edges()}
+        for h in gold.aligned:
+            for d in gold.aligned - {0, h}:
+                s = s_edge[b, h, d - 1]
+                if (h, d) in gold_labels:
+                    edge += np.logaddexp(0.0, -s)  # -log sigmoid(s)
+                    label += _log_softmax_at(s_label[b, :, h, d - 1],
+                                             labels.id(gold_labels[h, d]))
+                else:
+                    edge += np.logaddexp(0.0, s)  # -log (1 - sigmoid(s))
+    return label_interp * label + (1.0 - label_interp) * edge
+
+
+def reference_syntactic_loss(s_edge, s_label, golds, labels, label_interp):
+    """Cell-by-cell `training.syntactic_loss`: for each token, the softmax
+    cross-entropy of its gold head over the other positions of its own
+    sentence, and of its gold relation over the labels at that head."""
+    head = label = 0.0
+    for b, tree in enumerate(golds):
+        for d, (h, rel) in enumerate(zip(tree.heads, tree.deprels), start=1):
+            candidates = [i for i in range(tree.n + 1) if i != d]
+            head += _log_softmax_at(s_edge[b, candidates, d - 1], candidates.index(h))
+            label += _log_softmax_at(s_label[b, :, h, d - 1], labels.id(rel))
+    return label_interp * label + (1.0 - label_interp) * head

@@ -5,7 +5,8 @@ import zipfile
 import numpy as np
 import pytest
 from helpers import (LABELS, random_sentence, read_checkpoint, reference_acyclic_decode,
-                     reference_decode_semantic, write_checkpoint)
+                     reference_decode_semantic, reference_semantic_loss,
+                     reference_syntactic_loss, write_checkpoint)
 from hypothesis import given, settings, strategies as st
 
 from sdpkit import autodiff as ad
@@ -131,6 +132,27 @@ def test_metrics_report_the_mean_loss_per_token():
     loss = training.semantic_loss(s_edge, s_label, [g for _, g in batch],
                                   fresh.tasks[SEMANTIC], cfg.label_interp)
     assert result.metrics[0]["loss_semantic"] == float(loss.data) / sum(g.n for g in graphs)
+
+
+@pytest.mark.parametrize("task", [SEMANTIC, SYNTACTIC])
+def test_a_single_task_step_scales_the_loss_by_its_tokens_alone(task):
+    # one epoch of one minibatch is one Adam step on the batch loss over its tokens
+    graphs, trees = _corpus(3)
+    golds = graphs if task == SEMANTIC else trees
+    items = [(g.sentence, g) for g in golds]
+    cfg = training.TrainConfig(max_epochs=1)
+    model = _model(graphs, trees)
+    training.train(model, {task: items}, [(g.sentence, g) for g in graphs], cfg)
+    batch = [items[i] for i in training._shuffle_rng(cfg.seed, 1, task).permutation(3)]
+    fresh = _model(graphs, trees)
+    s_edge, s_label = fresh.forward([s for s, _ in batch], task,
+                                    training._dropout_rng(cfg.seed, 1, task, 0))
+    loss = (training.semantic_loss if task == SEMANTIC else training.syntactic_loss)(
+        s_edge, s_label, [g for _, g in batch], fresh.tasks[task], cfg.label_interp)
+    (loss * (1.0 / sum(len(s) for s, _ in batch))).backward()
+    ad.adam_step(fresh.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    for name, p in fresh.params.items():
+        assert np.array_equal(model.params[name].data, p.data), name
 
 
 def test_a_syntactic_weight_of_one_never_trains_the_semantic_task(monkeypatch):
@@ -278,6 +300,43 @@ def test_train_refuses_missing_corpora():
             training.train(_model(graphs), corpora, heldout, cfg)
 
 
+def test_losses_match_a_cell_by_cell_reference():
+    graphs, trees = _corpus(4)
+    model = _model(graphs, trees)
+    rng = np.random.default_rng(2)
+    partial = []  # about a third of the tokens undecided
+    for g in graphs:
+        aligned = frozenset(j for j in range(1, g.n + 1) if rng.random() < 0.7)
+        edges = frozenset(e for e in g.edges if {e.head, e.dependent} <= aligned | {0})
+        partial.append(PartialGraph(SemanticGraph(g.sentence, edges), aligned))
+    sentences = [g.sentence for g in graphs]
+    assert len({len(s) for s in sentences}) > 1  # shorter sentences are padded
+    for task, loss, reference, golds in (
+            (SEMANTIC, training.semantic_loss, reference_semantic_loss, partial),
+            (SYNTACTIC, training.syntactic_loss, reference_syntactic_loss, trees)):
+        s_edge, s_label = model.forward(sentences, task)
+        labels = model.tasks[task]
+        got = float(loss(s_edge, s_label, golds, labels, 0.3).data)
+        assert got == pytest.approx(reference(s_edge.data, s_label.data, golds, labels, 0.3),
+                                    rel=1e-12, abs=0.0), task
+
+
+def test_losses_refuse_scores_of_another_shape():
+    graphs, trees = _corpus(2)
+    model = _model(graphs, trees)
+    sentences = [g.sentence for g in graphs]
+    longest = max(len(s) for s in sentences)
+    for task, loss, golds in ((SEMANTIC, training.semantic_loss, graphs),
+                              (SYNTACTIC, training.syntactic_loss, trees)):
+        s_edge, s_label = model.forward(sentences, task)
+        labels = model.tasks[task]
+        with pytest.raises(ConfigError, match=rf"edge scores \(2, {longest}, {longest}\) do not "
+                                              rf"match 2 sentences of at most {longest} tokens"):
+            loss(ad.constant(s_edge.data[:, 1:]), s_label, golds, labels)
+        with pytest.raises(ConfigError, match=r"do not match 1 sentences"):
+            loss(s_edge, s_label, golds[:1], labels)
+
+
 def test_decode_semantic_refuses_scores_of_another_length():
     sentence = random_sentence(np.random.default_rng(0), 3)
     with pytest.raises(ConfigError, match=r"edge scores \(3, 2\) do not match sentence length 3"):
@@ -288,6 +347,15 @@ def test_decode_semantic_refuses_scores_of_another_length():
 def test_each_task_draws_its_own_streams():
     for rng in (training._shuffle_rng, lambda *a: training._dropout_rng(*a, 0)):
         assert rng(1, 1, SEMANTIC).random() != rng(1, 1, SYNTACTIC).random()
+
+
+def test_shuffle_and_dropout_streams_are_pinned():
+    # the minibatch order and dropout masks of every earlier run come from these seeds
+    for task, code in ((SEMANTIC, 0), (SYNTACTIC, 1)):
+        assert (training._shuffle_rng(7, 3, task).random(4).tolist()
+                == np.random.default_rng([7, 0xB41C, 3, code]).random(4).tolist())
+        assert (training._dropout_rng(7, 3, task, 2).random(4).tolist()
+                == np.random.default_rng([7, 0xD20F, 3, code, 2]).random(4).tolist())
 
 
 @pytest.mark.parametrize("weight", [-0.1, 1.5])
@@ -330,6 +398,20 @@ def test_an_empty_task_corpus_is_refused_before_any_step(monkeypatch):
 def test_a_sentence_longer_than_the_budget_is_a_run_of_its_own():
     assert training._chunks([5, 1, 4, 1], 3) == [range(0, 1), range(1, 2), range(2, 3),
                                                  range(3, 4)]
+
+
+def test_parse_runs_are_greedy_within_the_budget():
+    assert training._chunks([2, 2, 1], 4) == [range(0, 2), range(2, 3)]  # exactly the budget
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        sizes = rng.integers(1, 12, int(rng.integers(1, 20))).tolist()
+        budget = int(rng.integers(1, 60))
+        runs = training._chunks(sizes, budget)
+        assert [i for run in runs for i in run] == list(range(len(sizes)))
+        for k, run in enumerate(runs):
+            assert len(run) * max(sizes[i] for i in run) <= budget or len(run) == 1
+            if k + 1 < len(runs):  # greedy: the next sentence did not fit
+                assert (len(run) + 1) * max(sizes[run.start:run.stop + 1]) > budget
 
 
 def test_semantic_loss_of_an_undecided_sentence_is_zero():

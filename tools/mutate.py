@@ -14,22 +14,27 @@ A site is one AST node that a mutant changes:
   raise  a raise statement replaced by pass
 
 A positional MODULE runs that module's sites, MODULE:LINE only the sites on
-that line. The mutated module is the original's `ast.unparse` with the one
-node changed, and each module's unmutated `ast.unparse` must pass first. It
-is written into one of two scratch copies of src/, tests/ and bench/ (made
-under TMPDIR), so at most two mutants run at a time. Each mutant runs the
-module's own test file with -x --hypothesis-seed=0, then the rest of the
-suite if it survived. A child that fails, times out (TIMEOUT seconds) or hits
-the address-space limit (MEMORY bytes, set in the child) kills the mutant.
-Each result is appended to --log as one JSON line, and sites already in the
-log are not run again. The run ends with a per-module table and the list of
-survivors. The driver runs no test of its own: pytest collects only tests/.
+that line (a line with none is refused). Each module's source is read once,
+when its sites are numbered, and every mutant of it is made from that text,
+so an edit during a run moves no mutant onto another node. The mutated module
+is that source's `ast.unparse` with the one node changed, and the unmutated
+`ast.unparse` must pass first. It is written into one of two scratch copies
+of src/, tests/, bench/ and tools/ (made under TMPDIR), so at most two mutants
+run at a time. Each mutant runs the module's own test file with -x
+--hypothesis-seed=0, then the rest of the suite if it survived. A child that
+fails, times out (TIMEOUT seconds) or hits the address-space limit (MEMORY
+bytes, set in the child) kills the mutant. Each result is appended to --log
+as one JSON line with the sha256 of the module source it was made from, and
+sites already in the log are not run again; a log that holds another source
+of a chosen module is refused (exit 2), since its site ids number other code.
+The run ends with a per-module table and the list of survivors.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import shutil
@@ -100,23 +105,23 @@ class _Replace(ast.NodeTransformer):
         return self.generic_visit(node)
 
 
-def sites(module: str) -> list[dict]:
-    """Every site of `module`, numbered in `ast.walk` order."""
-    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as f:
-        tree = ast.parse(f.read())
+def sites(module: str, source: str) -> list[dict]:
+    """Every site of `module`'s `source`, numbered in `ast.walk` order. Each
+    site holds that source and its sha256, from which its mutant is made."""
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
     found = []
-    for n, node in enumerate(ast.walk(tree)):
+    for n, node in enumerate(ast.walk(ast.parse(source))):
         for kind, i in _sites(node):
             where = f"{node.lineno}:{node.col_offset}-{node.end_col_offset}"
             found.append({"module": module, "node": n, "kind": kind, "i": i,
-                          "line": node.lineno, "id": f"{module}:{where}:{kind}:{i}"})
+                          "line": node.lineno, "id": f"{module}:{where}:{kind}:{i}",
+                          "source": source, "sha256": digest})
     return found
 
 
 def mutant_source(site: dict) -> tuple[str, str]:
     """The source of `site`'s mutant, and a one-line before -> after."""
-    with open(os.path.join(PACKAGE, site["module"] + ".py"), encoding="utf-8") as f:
-        tree = ast.parse(f.read())
+    tree = ast.parse(site["source"])
     target = next(node for n, node in enumerate(ast.walk(tree)) if n == site["node"])
     before = ast.unparse(target).split("\n")[0]
     tree = _Replace(target, site["kind"], site["i"]).visit(tree)
@@ -170,7 +175,7 @@ def run(site: dict, work: str, source: str | None = None) -> dict:
         with open(path, "w", encoding="utf-8") as f:
             f.write(original)
     return {"id": site["id"], "module": site["module"], "line": site["line"],
-            "kind": site["kind"], "change": change,
+            "kind": site["kind"], "change": change, "sha256": site["sha256"],
             "outcome": "survived" if outcome == "pass" else f"killed:{stage}:{outcome}",
             "seconds": round(time.perf_counter() - start, 1)}
 
@@ -178,7 +183,7 @@ def run(site: dict, work: str, source: str | None = None) -> dict:
 def _scratch_copy(base: str) -> str:
     work = tempfile.mkdtemp(dir=base)
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests", "bench"):
+    for name in ("src", "tests", "bench", "tools"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(work, name), ignore=skip)
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), work)
     return work
@@ -186,12 +191,18 @@ def _scratch_copy(base: str) -> str:
 
 def _select(args) -> list[dict]:
     modules = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
-    chosen = []
+    chosen, sources = [], {}
     for spec in args.targets or modules:
         module, _, line = spec.partition(":")
         if module not in modules:
             sys.exit(f"mutate: no module {module!r}")
-        found = [s for s in sites(module) if not line or s["line"] == int(line)]
+        if module not in sources:
+            with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as f:
+                sources[module] = f.read()
+        found = [s for s in sites(module, sources[module])
+                 if not line or s["line"] == int(line)]
+        if line and not found:
+            sys.exit(f"mutate: no site on {spec}")
         chosen += found[::args.every]
     return chosen
 
@@ -230,6 +241,11 @@ def main(argv=None) -> int:
     if args.log and os.path.exists(args.log):
         with open(args.log, encoding="utf-8") as f:
             done = [json.loads(line) for line in f]
+    digests = {s["module"]: s["sha256"] for s in chosen}
+    for r in done:
+        if r["module"] in digests and r.get("sha256") != digests[r["module"]]:
+            p.exit(2, f"mutate: {r['module']} is not the source {args.log} was run on "
+                      f"(sha256 differs); start a new log\n")
     seen = {r["id"] for r in done}
     todo = [s for s in chosen if s["id"] not in seen]
     base = tempfile.mkdtemp(prefix="mutate-")
@@ -247,10 +263,9 @@ def main(argv=None) -> int:
         for _ in range(WORKERS):
             free.put(_scratch_copy(base))
         for module in sorted({s["module"] for s in todo}):
-            with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as f:
-                unparsed = ast.unparse(ast.parse(f.read()))
-            check = one({"module": module, "id": f"{module}:baseline", "line": 0,
-                         "kind": "baseline"}, unparsed)
+            first = next(s for s in todo if s["module"] == module)
+            check = one({**first, "id": f"{module}:baseline", "line": 0, "kind": "baseline"},
+                        ast.unparse(ast.parse(first["source"])))
             if check["outcome"] != "survived":
                 sys.exit(f"mutate: the unmutated {module} fails its tests: {check}")
         with ThreadPoolExecutor(WORKERS) as pool:
