@@ -218,24 +218,12 @@ def _generate_sentence(rng: np.random.Generator, cfg: SynthConfig, sid: str):
 def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     """Generate the full parallel corpus; byte-identical for equal configs."""
     rng = np.random.default_rng([cfg.seed, 0x517F])
-    sources = []
-    targets = []
-    golds = []
-    trees = []
-    fwd = []
-    bwd = []
-    for k in range(cfg.sentences):
-        sid = f"s{k + 1:05d}"
-        tokens, gold, tree, source, links, fwd_links = _generate_sentence(rng, cfg, sid)
-        targets.append(tokens)
-        golds.append((sid, gold))
-        trees.append(tree)
-        sources.append((sid, source))
-        fwd.append(fwd_links)
-        bwd.append(links)
-    return SynthCorpus(SdpDocument(tuple(sources)), tuple(targets),
-                       SdpDocument(tuple(golds)), tuple(trees),
-                       AlignmentFile(tuple(fwd)), AlignmentFile(tuple(bwd)))
+    sids = [f"s{k + 1:05d}" for k in range(cfg.sentences)]
+    targets, golds, trees, sources, bwd, fwd = zip(
+        *(_generate_sentence(rng, cfg, sid) for sid in sids))
+    return SynthCorpus(SdpDocument(tuple(zip(sids, sources))), targets,
+                       SdpDocument(tuple(zip(sids, golds))), trees,
+                       AlignmentFile(fwd), AlignmentFile(bwd))
 
 
 CORPUS_FILES = ("source.sdp", "target.gold.sdp", "target.conllu",
@@ -246,14 +234,10 @@ def write_corpus(corpus: SynthCorpus, outdir: str) -> list[str]:
     """Write the five corpus files into a directory; returns their paths."""
     os.makedirs(outdir, exist_ok=True)
     paths = [os.path.join(outdir, name) for name in CORPUS_FILES]
-    with atomic_open(paths[0]) as f:
-        write_sdp(corpus.source, f)
-    with atomic_open(paths[1]) as f:
-        write_sdp(corpus.target_gold, f)
-    with atomic_open(paths[2]) as f:
-        write_conllu(corpus.trees, f)
-    with atomic_open(paths[3]) as f:
-        write_alignments(corpus.forward, f)
-    with atomic_open(paths[4]) as f:
-        write_alignments(corpus.backward, f)
+    parts = [(write_sdp, corpus.source), (write_sdp, corpus.target_gold),
+             (write_conllu, corpus.trees), (write_alignments, corpus.forward),
+             (write_alignments, corpus.backward)]
+    for path, (write, part) in zip(paths, parts):
+        with atomic_open(path) as f:
+            write(part, f)
     return paths

@@ -246,19 +246,42 @@ def pack_minibatches(lengths: Sequence[int], order: Sequence[int],
     return batches
 
 
-def _schedule(task_batches: dict[str, list[list[int]]]) -> list[tuple[str, int]]:
-    """Proportional deterministic interleave of per-task minibatch queues."""
+def _steps(task_batches: dict[str, list[list[int]]], combined: bool
+           ) -> list[list[tuple[str, int]]]:
+    """An epoch's optimizer steps, each a list of (task, minibatch index) pairs.
+
+    Alternating: one minibatch per step, the task queues interleaved by their
+    midpoints (minibatch k of a queue of m at (k + 0.5) / m, ties by task
+    name). Combined: step k sums minibatch k of every task, a shorter queue
+    cycling. With one queue both are its minibatches in order.
+    """
+    if combined:
+        longest = max(len(batches) for batches in task_batches.values())
+        return [[(task, k % len(batches)) for task, batches in sorted(task_batches.items())]
+                for k in range(longest)]
     keyed = sorted(((k + 0.5) / len(batches), task, k)
                    for task, batches in task_batches.items() for k in range(len(batches)))
-    return [(task, k) for _, task, k in keyed]
+    return [[(task, k)] for _, task, k in keyed]
 
 
 @dataclass
 class TrainResult:
+    """One `metrics` entry per epoch run; everything else here is read from it."""
+
     metrics: list[dict] = field(default_factory=list)
-    best_epoch: int = 0
-    best_lf: float = 0.0
-    epochs_run: int = 0
+
+    @property
+    def best_epoch(self) -> int:
+        """The first epoch with the highest held-out LF."""
+        return max(self.metrics, key=lambda entry: entry["heldout_lf"])["epoch"]
+
+    @property
+    def best_lf(self) -> float:
+        return max(entry["heldout_lf"] for entry in self.metrics)
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.metrics)
 
 
 def _shuffle_rng(seed: int, epoch: int, task: str) -> np.random.Generator:
@@ -273,11 +296,13 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
           cfg: TrainConfig, metrics_out: TextIO | None = None) -> TrainResult:
     """Train (single- or multi-task) with early stopping on heldout labeled F1.
 
-    `corpora` maps task ids to lists of (sentence, gold) or
-    (sentence, gold, context) items; `heldout` holds semantic items. Each
+    The best epoch is the first with the highest held-out LF, and training
+    stops after `cfg.patience` epochs without a higher one. `corpora` maps
+    task ids to lists of (sentence, gold) or (sentence, gold, context)
+    items; `heldout` holds semantic items. Each
     corpus and the held-out list must be non-empty and are held to
     `check_contexts`, count, presence and shape, before the first step. The
-    model is left holding the best checkpoint seen, also when training
+    model is left holding the best epoch's parameters, also when training
     stops by raising (such as `TrainingDiverged`). In multitask mode the
     semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
     zero is skipped entirely, so a multitask run with a zero syntactic
@@ -302,29 +327,22 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     params = model.parameters()
 
     result = TrainResult()
-    # allocated once and overwritten in place on every improving epoch
+    # allocated once and overwritten in place on every best epoch
     best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
-    best_lf = -1.0
-    since_improve = 0
+    lengths = {task: [len(example.sentence) for example in items]
+               for task, items in data.items()}
 
     try:
         for epoch in range(1, cfg.max_epochs + 1):
             task_batches = {}
             for task in sorted(data):
-                items = data[task]
-                order = _shuffle_rng(cfg.seed, epoch, task).permutation(len(items))
-                lengths = [len(example.sentence) for example in items]
-                task_batches[task] = pack_minibatches(lengths, order.tolist(), cfg.token_budget)
+                order = _shuffle_rng(cfg.seed, epoch, task).permutation(len(data[task]))
+                task_batches[task] = pack_minibatches(lengths[task], order.tolist(),
+                                                      cfg.token_budget)
 
             loss_sums = {task: 0.0 for task in data}
             token_sums = {task: 0 for task in data}
-
-            if cfg.combined_steps and multitask:
-                steps = _combined_schedule(task_batches)
-            else:
-                steps = [[pair] for pair in _schedule(task_batches)]
-
-            for step_index, step in enumerate(steps):
+            for step_index, step in enumerate(_steps(task_batches, cfg.combined_steps)):
                 total: Tensor | None = None
                 for task, batch_index in step:
                     batch = [data[task][idx] for idx in task_batches[task][batch_index]]
@@ -340,7 +358,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                     scaled = part * (weights[task] / tokens)
                     total = scaled if total is None else total + scaled
                 value = float(total.data)
-                if math.isnan(value) or math.isinf(value):
+                if not math.isfinite(value):
                     raise TrainingDiverged(f"loss became {value} at epoch {epoch}, "
                                            f"step {step_index + 1}")
                 total.backward()
@@ -357,36 +375,15 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             result.metrics.append(entry)
             if metrics_out is not None:
                 metrics_out.write(line + "\n")
-
-            if report.lf > best_lf:
-                best_lf = report.lf
-                result.best_epoch = epoch
+            if result.best_epoch == epoch:
                 for name, p in model.params.items():
                     np.copyto(best_snapshot[name], p.data)
-                since_improve = 0
-            else:
-                since_improve += 1
-            result.epochs_run = epoch
-            if since_improve > cfg.patience:
+            elif epoch - result.best_epoch > cfg.patience:
                 break
     finally:
         for name, p in model.params.items():
             p.data = best_snapshot[name]
-    result.best_lf = best_lf
     return result
-
-
-def _combined_schedule(task_batches: dict[str, list[list[int]]]
-                       ) -> list[list[tuple[str, int]]]:
-    """One optimizer step per index, pairing task queues (short queues cycle)."""
-    longest = max(len(b) for b in task_batches.values())
-    steps = []
-    for k in range(longest):
-        step = []
-        for task in sorted(task_batches):
-            step.append((task, k % len(task_batches[task])))
-        steps.append(step)
-    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,10 @@ def test_a_resume_refuses_a_module_whose_source_changed(mutate, tmp_path, capsys
     assert "toy" in capsys.readouterr().err
 
 
-def test_a_resume_over_the_same_source_runs_nothing_logged(mutate, tmp_path, capsys):
+def test_a_resume_over_the_same_source_runs_nothing_logged(mutate, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(mutate, "_scratch_copy",
+                        lambda base: pytest.fail("a finished resume makes no scratch copy"))
     chosen = mutate._select(argparse.Namespace(targets=["toy"], every=1))
     log = tmp_path / "log.jsonl"
     log.write_text("".join(json.dumps({"id": s["id"], "module": "toy", "line": s["line"],

@@ -87,8 +87,8 @@ def test_divergence_after_epoch_one_restores_the_epoch_one_snapshot(monkeypatch)
         assert np.array_equal(model.params[name].data, p.data), name
 
 
-@pytest.mark.parametrize("lfs,best", [((5, 4), 1), ((4, 5, 3), 2)],
-                         ids=["epoch-1-best", "epoch-2-best"])
+@pytest.mark.parametrize("lfs,best", [((5, 4), 1), ((4, 5, 3), 2), ((4, 6, 6), 2)],
+                         ids=["epoch-1-best", "epoch-2-best", "tie-keeps-the-first"])
 def test_train_ends_holding_the_best_epoch(monkeypatch, lfs, best):
     graphs, _ = _corpus(4)
     scores = iter(lfs)
@@ -118,6 +118,43 @@ def test_train_stops_once_patience_runs_out(monkeypatch):
     cfg = training.TrainConfig(max_epochs=10, patience=1)
     result = training.train(_model(graphs), {SEMANTIC: items}, items, cfg)
     assert (result.epochs_run, result.best_epoch, result.best_lf) == (3, 1, 0.5)
+
+
+@pytest.mark.parametrize("multitask", [False, True], ids=["single-task", "multitask"])
+def test_the_metrics_line_is_pinned(monkeypatch, multitask):
+    graphs, trees = _corpus(3)
+    monkeypatch.setattr(training, "evaluate_semantic",
+                        lambda model, corpus: ScoreReport(3, 3, 2, 4, 4, 2))
+    items = [(g.sentence, g) for g in graphs]
+    corpora = {SEMANTIC: items}
+    if multitask:
+        corpora[SYNTACTIC] = [(t.sentence, t) for t in trees]
+    out = io.StringIO()
+    result = training.train(_model(graphs, trees), corpora, items,
+                            training.TrainConfig(max_epochs=2), out)
+    lines = []
+    for entry in result.metrics:
+        losses = [f"loss_{task}={entry[f'loss_{task}']:.6f}" for task in sorted(corpora)]
+        # LF 2/3 and UF 1/2, each to six decimals; the epoch is an integer
+        lines.append(" ".join([f"epoch={entry['epoch']}", *losses,
+                               "heldout_lf=0.666667 heldout_uf=0.500000"]) + "\n")
+    assert lines[0].startswith("epoch=1 loss_semantic=")
+    assert out.getvalue() == "".join(lines) and len(lines) == 2
+
+
+def test_combined_steps_leave_a_single_task_run_unchanged():
+    graphs, _ = _corpus(6)
+    items = [(g.sentence, g) for g in graphs]
+    runs = []
+    for combined in (False, True):
+        model = _model(graphs)
+        cfg = training.TrainConfig(token_budget=20, max_epochs=2, lr=0.01,
+                                   combined_steps=combined)
+        runs.append((model, training.train(model, {SEMANTIC: items}, items[:2], cfg)))
+    (alternating, alternating_result), (combined, combined_result) = runs
+    assert combined_result.metrics == alternating_result.metrics
+    for name, p in alternating.params.items():
+        assert np.array_equal(combined.params[name].data, p.data), name
 
 
 def test_metrics_report_the_mean_loss_per_token():
@@ -374,10 +411,11 @@ def test_boundary_settings_accepted():
 def test_schedule_interleaves_task_queues_by_their_midpoints():
     # minibatch k of a queue of m sits at (k + 0.5) / m; ties go to the task name
     queues = {SEMANTIC: [[0]], SYNTACTIC: [[0], [1]]}
-    assert training._schedule(queues) == [(SYNTACTIC, 0), (SEMANTIC, 0), (SYNTACTIC, 1)]
+    assert training._steps(queues, False) == [[(SYNTACTIC, 0)], [(SEMANTIC, 0)],
+                                              [(SYNTACTIC, 1)]]
     queues = {SEMANTIC: [[0], [1]], SYNTACTIC: [[0], [1]]}
-    assert training._schedule(queues) == [(SEMANTIC, 0), (SYNTACTIC, 0), (SEMANTIC, 1),
-                                          (SYNTACTIC, 1)]
+    assert training._steps(queues, False) == [[(SEMANTIC, 0)], [(SYNTACTIC, 0)],
+                                              [(SEMANTIC, 1)], [(SYNTACTIC, 1)]]
 
 
 def test_an_empty_task_corpus_is_refused_before_any_step(monkeypatch):
@@ -587,11 +625,11 @@ def test_decode_semantic_repair_breaks_score_ties_by_head(cycle):
 
 def test_combined_schedule_cycles_short_queues_and_alternating_sums_them():
     queues = {SEMANTIC: [[0], [1], [2]], SYNTACTIC: [[0]]}
-    assert training._combined_schedule(queues) == [
+    assert training._steps(queues, True) == [
         [(SEMANTIC, 0), (SYNTACTIC, 0)], [(SEMANTIC, 1), (SYNTACTIC, 0)],
         [(SEMANTIC, 2), (SYNTACTIC, 0)]]
-    assert sorted(training._schedule(queues)) == [
-        (SEMANTIC, 0), (SEMANTIC, 1), (SEMANTIC, 2), (SYNTACTIC, 0)]
+    assert sorted(training._steps(queues, False)) == [
+        [(SEMANTIC, 0)], [(SEMANTIC, 1)], [(SEMANTIC, 2)], [(SYNTACTIC, 0)]]
 
 
 def _logging(log: list, name: str, func):

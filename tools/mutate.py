@@ -248,6 +248,15 @@ def main(argv=None) -> int:
                       f"(sha256 differs); start a new log\n")
     seen = {r["id"] for r in done}
     todo = [s for s in chosen if s["id"] not in seen]
+    if todo:  # a finished resume makes no scratch copies
+        done += _run_all(todo, args.log)
+    _table([r for r in done if r["id"] in {s["id"] for s in chosen}])
+    return 0
+
+
+def _run_all(todo: list[dict], log_path: str | None) -> list[dict]:
+    """Run every site of `todo` in two scratch copies, baselines first;
+    appends each result to `log_path` as it comes and returns them all."""
     base = tempfile.mkdtemp(prefix="mutate-")
     free: Queue = Queue()
 
@@ -258,7 +267,8 @@ def main(argv=None) -> int:
         finally:
             free.put(work)
 
-    log = open(args.log, "a", encoding="utf-8") if args.log else None
+    results = []
+    log = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
         for _ in range(WORKERS):
             free.put(_scratch_copy(base))
@@ -270,7 +280,7 @@ def main(argv=None) -> int:
                 sys.exit(f"mutate: the unmutated {module} fails its tests: {check}")
         with ThreadPoolExecutor(WORKERS) as pool:
             for result in pool.map(one, todo):
-                done.append(result)
+                results.append(result)
                 print(f"{result['outcome']:<22} {result['id']}  {result['change']}",
                       flush=True)
                 if log:
@@ -280,8 +290,7 @@ def main(argv=None) -> int:
         if log:
             log.close()
         shutil.rmtree(base, ignore_errors=True)
-    _table([r for r in done if r["id"] in {s["id"] for s in chosen}])
-    return 0
+    return results
 
 
 if __name__ == "__main__":
