@@ -529,7 +529,7 @@ def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
 _GATES = 4
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=256)
 def _packing(key: bytes, reverse: bool):
     """The step layout of one set of sequence lengths (the int64 bytes `key`).
 
@@ -538,7 +538,10 @@ def _packing(key: bytes, reverse: bool):
     cell p is the r-th longest sequence still live at its step, and src[p] is
     its row in x; prev[p - k_0] is the packed cell of the same sequence one
     step earlier. The arrays are read-only, since every call with these
-    lengths shares them."""
+    lengths shares them. The memo holds 256 layouts: two pipeline-desk units
+    of the bench at seed 7 look up 212 distinct keys. An entry holds two
+    int64 arrays of the cells, so at the default 1000-token budget the memo
+    stays under about 4 MB."""
     lengths = np.frombuffer(key, dtype=np.int64)
     cells = int(lengths.sum())
     order = np.argsort(-lengths, kind="stable")
@@ -567,8 +570,10 @@ def _gate_constants(hidden: int):
 
 
 def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
-             reverse: bool = False) -> Tensor:
-    """Run an LSTM over sequences packed row after row; returns all hidden states (N, H).
+             reverse: bool = False, *, bw: tuple[Tensor, Tensor, Tensor] | None = None
+             ) -> Tensor:
+    """Run an LSTM over sequences packed row after row; returns all hidden states,
+    (N, H), or (N, 2H) with `bw`.
 
     x is (N, d_in): sequence k sits on `lengths[k]` consecutive rows, in the
     order of `lengths`, which may be any order of positive values summing to
@@ -580,6 +585,21 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
     memoised per lengths and direction (`_packing`), so the layers of an
     encoder, which share their lengths, compute it once.
 
+    `bw`, the (w, u, b) of a second direction, makes the call a BiLSTM layer:
+    the second direction reads every sequence the other way, with the same H
+    and d_in, and the result is (N, 2H), the first direction's states in the
+    left half. Both directions run in one step loop. They share the step
+    bounds and `prev`, since both take the same lengths longest first; only
+    the rows they read (`src`) differ. The buffers are (cells, directions, .),
+    so each step makes one `h @ U` product per direction into one scratch
+    block and then runs every elementwise operation once for both. A call
+    with `bw` gives, bit for bit, the output and gradients of two
+    one-direction calls joined by `concat` (x's gradient arrives as one sum
+    of the two directions' terms, so it matches wherever x feeds nothing
+    else, as in `ParserModel.encode`). The input weight of the first
+    direction stays the second positional argument, which the bench tracer
+    labels its spans by.
+
     Gate layout in the 4H axis is input | forget | cell | output. Initial
     hidden and cell states are zero. The whole batch is one tape node. The
     cells are packed step by step (k_0 of step 0, then k_1 of step 1 ...), so
@@ -587,44 +607,52 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
     computes all four gates with one tanh over the 4H pre-activation, taking
     every sigmoid in its tanh form 0.5 + 0.5 tanh(z/2). Backward replays only
     the recurrence in reverse (exact BPTT), collecting the gate gradients dZ
-    (one row per cell); the input, weight and bias gradients are then one
-    GEMM or sum each over all cells: dX = dZ W^T, dW = X^T dZ,
-    dU = H_prev^T dZ and db = sum dZ.
+    (one row per cell and direction); the input, weight and bias gradients
+    are then one GEMM or sum each per direction over all cells: dX = dZ W^T,
+    dW = X^T dZ, dU = H_prev^T dZ and db = sum dZ, each direction's dZ a
+    strided view. dX sums the two directions' scatters.
     """
-    xs, ws, us, bs = x.shape, w.shape, u.shape, b.shape
-    if not (len(xs) == 2 and len(us) == 2 and us[1] == _GATES * us[0]
-            and ws == (xs[1], us[1]) and bs == (us[1],)):
-        raise AutodiffError(f"lstm_seq: expects x (N, d_in), w (d_in, 4H), u (H, 4H) and "
-                            f"b (4H,), got x {xs}, w {ws}, u {us}, b {bs}")
-    cells, hidden = xs[0], us[0]
+    weights = [(w, u, b)] if bw is None else [(w, u, b), tuple(bw)]
+    xs, us = x.shape, u.shape
+    for name, (wd, ud, bd) in zip(("", "bw "), weights):
+        ws, bs = wd.shape, bd.shape
+        if not (len(xs) == 2 and len(us) == 2 and us[1] == _GATES * us[0] and ud.shape == us
+                and ws == (xs[1], us[1]) and bs == (us[1],)):
+            raise AutodiffError(f"lstm_seq: expects x (N, d_in), w (d_in, 4H), u (H, 4H) and "
+                                f"b (4H,), got x {xs}, {name}w {ws}, {name}u {ud.shape}, "
+                                f"{name}b {bs}")
+    cells, hidden, width, dirs = xs[0], us[0], us[1], len(weights)
     lengths = np.asarray(lengths, dtype=np.int64)
     if not (lengths.ndim == 1 and lengths.size and lengths.min() >= 1
             and lengths.sum() == cells):
         raise AutodiffError(f"lstm_seq: lengths must be positive and sum to the {cells} "
                             f"rows of x, got {lengths.tolist()}")
-    steps, bounds, live0, src, prev = _packing(lengths.tobytes(), reverse)
-
-    def unpack(p):
-        full = np.empty_like(p)
-        full[src] = p
-        return full
+    packs = [_packing(lengths.tobytes(), r) for r in (reverse, not reverse)[:dirs]]
+    steps, bounds, live0, _, prev = packs[0]
+    srcs = [pack[3] for pack in packs]
 
     dtype = x.data.dtype
     half, offset = _gate_constants(hidden)
     # the pre-activations x W + b, turned into the gates step by step
-    gates = x.data[src] @ w.data + b.data
-    gi, gf, gc, go = (gates[:, k * hidden:(k + 1) * hidden] for k in range(_GATES))
-    cell = np.empty((cells, hidden), dtype=dtype)
-    tc = np.empty((cells, hidden), dtype=dtype)
-    out = np.empty((cells, hidden), dtype=dtype)
-    u_data = u.data
+    gates = np.empty((cells, dirs, width), dtype=dtype)
+    for d, ((wd, _, bd), src) in enumerate(zip(weights, srcs)):
+        np.add(x.data[src] @ wd.data, bd.data, out=gates[:, d])
+    gi, gf, gc, go = (gates[..., k * hidden:(k + 1) * hidden] for k in range(_GATES))
+    cell = np.empty((cells, dirs, hidden), dtype=dtype)
+    tc = np.empty((cells, dirs, hidden), dtype=dtype)
+    out = np.empty((cells, dirs, hidden), dtype=dtype)
+    recur = np.empty((live0, dirs, width), dtype=dtype)  # h @ U of every direction
+    # per direction: its states, its block of `recur` and its U
+    recurrent = [(out[:, d], recur[:, d], ud.data) for d, (_, ud, _) in enumerate(weights)]
 
     for t in range(steps):
         lo, hi = bounds[t], bounds[t + 1]
         a = gates[lo:hi]
         if t:
-            before = bounds[t - 1]
-            a += out[before:before + hi - lo] @ u_data
+            before, k = bounds[t - 1], hi - lo
+            for h, r, ud in recurrent:
+                np.matmul(h[before:before + k], ud, out=r[:k])
+            a += recur[:k]
         a *= half
         np.tanh(a, out=a)
         a *= half
@@ -632,9 +660,16 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
         c = cell[lo:hi]
         np.multiply(gi[lo:hi], gc[lo:hi], out=c)
         if t:
-            c += gf[lo:hi] * cell[before:before + hi - lo]
+            c += gf[lo:hi] * cell[before:before + k]
         np.tanh(c, out=tc[lo:hi])
         np.multiply(go[lo:hi], tc[lo:hi], out=out[lo:hi])
+
+    def unpack(p):
+        """(N, dirs * H) from the packed (cells, dirs, H): each state on its row."""
+        full = np.empty_like(p)
+        for d, src in enumerate(srcs):
+            full[src, d] = p[:, d]
+        return full.reshape(cells, -1)
 
     def backward(g):
         # All of the gate gradients but dh_t and dc_t is known before the loop:
@@ -642,13 +677,13 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
         # coef = (gc gi, c_in gf, gi, tc go) * (1-gi, 1-gf, 1-gc^2, 1-go), the
         # right-hand factors built in dz, which the loop overwrites; c_in is
         # the previous cell state, 0 at step 0.
-        coef = np.empty((cells, _GATES * hidden), dtype=dtype)
-        dz = np.empty((cells, _GATES * hidden), dtype=dtype)
+        coef = np.empty((cells, dirs, width), dtype=dtype)
+        dz = np.empty((cells, dirs, width), dtype=dtype)
         np.subtract(1.0, gates, out=dz)
-        dz_c = dz[:, 2 * hidden:3 * hidden]
+        dz_c = dz[..., 2 * hidden:3 * hidden]
         np.multiply(gc, gc, out=dz_c)
         np.subtract(1.0, dz_c, out=dz_c)
-        ci, cf, cc, co = (coef[:, k * hidden:(k + 1) * hidden] for k in range(_GATES))
+        ci, cf, cc, co = (coef[..., k * hidden:(k + 1) * hidden] for k in range(_GATES))
         np.multiply(gc, gi, out=ci)
         cf[:live0] = 0.0
         np.take(cell, prev, axis=0, out=cf[live0:])
@@ -656,38 +691,47 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
         np.copyto(cc, gi)
         np.multiply(tc, go, out=co)
         coef *= dz
-        coef = coef.reshape(cells, _GATES, hidden)
-        dz = dz.reshape(cells, _GATES, hidden)
+        coef4, dz4 = (buf.reshape(cells, dirs, _GATES, hidden) for buf in (coef, dz))
         dtc = np.multiply(tc, tc)  # go (1 - tc^2)
         np.subtract(1.0, dtc, out=dtc)
         dtc *= go
-        g_live = g[src]
-        u_t = u_data.T
+        g = g.reshape(cells, dirs, hidden)
+        g_live = np.empty((cells, dirs, hidden), dtype=dtype)
+        for d, src in enumerate(srcs):
+            g_live[:, d] = g[src, d]
         # sequences that are not live yet (in reverse time) keep zero dh and dc
-        dh = np.zeros((live0, hidden), dtype=dtype)
-        dc = np.zeros((live0, hidden), dtype=dtype)
+        dh = np.zeros((live0, dirs, hidden), dtype=dtype)
+        dc = np.zeros((live0, dirs, hidden), dtype=dtype)
+        # per direction: its gate gradients (a strided view), its dh and U^T
+        recurrent = [(dz[:, d], dh[:, d], ud.data.T) for d, (_, ud, _) in enumerate(weights)]
         for t in range(steps - 1, -1, -1):
             lo, hi = bounds[t], bounds[t + 1]
             k = hi - lo
             dht = g_live[lo:hi] + dh[:k]
             dct = dc[:k] + dht * dtc[lo:hi]
-            np.multiply(coef[lo:hi, :3], dct[:, None], out=dz[lo:hi, :3])
-            np.multiply(coef[lo:hi, 3], dht, out=dz[lo:hi, 3])
+            np.multiply(coef4[lo:hi, :, :3], dct[:, :, None], out=dz4[lo:hi, :, :3])
+            np.multiply(coef4[lo:hi, :, 3], dht, out=dz4[lo:hi, :, 3])
             if t:
-                np.matmul(dz[lo:hi].reshape(k, -1), u_t, out=dh[:k])
+                for dz_d, dh_d, ud_t in recurrent:
+                    np.matmul(dz_d[lo:hi], ud_t, out=dh_d[:k])
                 np.multiply(dct, gf[lo:hi], out=dc[:k])
-        dz = dz.reshape(cells, _GATES * hidden)
         if x.requires_grad:
-            _accumulate(x, unpack(dz @ w.data.T), owned=True)
-        if w.requires_grad:
-            _accumulate_product(w, x.data[src].T, dz)
-        if u.requires_grad:
-            # zero when no sequence is longer than one step
-            _accumulate_product(u, out[prev].T, dz[live0:])
-        if b.requires_grad:
-            _accumulate(b, dz.sum(axis=0), owned=True)
+            dx = np.empty((cells, xs[1]), dtype=dtype)
+            dx[srcs[0]] = dz[:, 0] @ w.data.T
+            if bw is not None:
+                dx[srcs[1]] += dz[:, 1] @ weights[1][0].data.T
+            _accumulate(x, dx, owned=True)
+        for d, ((wd, ud, bd), src) in enumerate(zip(weights, srcs)):
+            dz_d = dz[:, d]
+            if wd.requires_grad:
+                _accumulate_product(wd, x.data[src].T, dz_d)
+            if ud.requires_grad:
+                # zero when no sequence is longer than one step
+                _accumulate_product(ud, out[prev, d].T, dz_d[live0:])
+            if bd.requires_grad:
+                _accumulate(bd, dz_d.sum(axis=0), owned=True)
 
-    return _result(unpack(out), (x, w, u, b), backward)
+    return _result(unpack(out), (x, *(p for triple in weights for p in triple)), backward)
 
 
 # ---------------------------------------------------------------------------

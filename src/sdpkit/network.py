@@ -13,7 +13,10 @@ edge weight, met by a ones column on the edge FNN rows. One model call runs
 every stage once over a `Batch` of sentences in one row layout, sentence
 after sentence in input order: each sentence's root and then its tokens on
 consecutive rows, from the encoder's input to the scorer's heads. Only the
-scores come back padded, with 0 on the padding.
+scores come back padded, with 0 on the padding. Each encoder layer is one
+`ad.lstm_seq` call that runs both directions in one step loop. The char
+BiLSTM keeps one call per direction: the bench tracer counts its two spans
+per run for `network.char_cache_hit_ratio`.
 
 In multitask mode the embedding layer is always shared; the recurrent stack
 and the four attention FNNs are shared or task-specific according to the
@@ -366,8 +369,9 @@ class ParserModel:
 
     def _char_vectors(self, batch: Batch) -> Tensor:
         """Final states of the char BiLSTM, (F, word_dim): one row per distinct form."""
-        fw, bw = self._bilstm(ad.lookup(self.params["emb/char"], batch.char_ids),
-                              batch.char_lengths, "char_rnn")
+        chars = ad.lookup(self.params["emb/char"], batch.char_ids)
+        fw, bw = (ad.lstm_seq(chars, *self._lstm(f"char_rnn/{d}"), batch.char_lengths,
+                              reverse=d == "bw") for d in ("fw", "bw"))
         # forward: the state at each form's last char; backward: at its first
         ends = np.cumsum(batch.char_lengths)
         return ad.concat([ad.lookup(fw, ends - 1), ad.lookup(bw, ends - batch.char_lengths)],
@@ -406,18 +410,17 @@ class ParserModel:
             parts.append(ad.constant(batch.contexts))
         return ad.concat(parts, axis=1)
 
-    def _bilstm(self, x: Tensor, lengths: np.ndarray, prefix: str) -> tuple[Tensor, Tensor]:
-        """The forward and backward `lstm_seq` states of the BiLSTM `prefix`."""
-        return tuple(ad.lstm_seq(x, self.params[f"{prefix}/{d}/w"],
-                                 self.params[f"{prefix}/{d}/u"], self.params[f"{prefix}/{d}/b"],
-                                 lengths, reverse=d == "bw")
-                     for d in ("fw", "bw"))
+    def _lstm(self, direction: str) -> tuple[Parameter, Parameter, Parameter]:
+        """The (w, u, b) of one LSTM direction, e.g. "char_rnn/fw"."""
+        return tuple(self.params[f"{direction}/{k}"] for k in "wub")
 
     def encode(self, embedded: Tensor, batch: Batch, task: str,
                rng: np.random.Generator | None = None) -> Tensor:
         """Recurrent states (N+B, rnn_size): each sentence's root, then its tokens.
 
-        The root row is the learned root embedding. With an `rng` (train
+        The root row is the learned root embedding. Each BiLSTM layer is one
+        `lstm_seq` call that runs both directions in one step loop and
+        returns the forward states in the left half. With an `rng` (train
         mode) recurrent dropout is applied between layers.
         """
         self._check_task(task)
@@ -433,7 +436,8 @@ class ParserModel:
         for layer, prefix in enumerate(prefixes):
             if layer > 0 and dropout:
                 states = ad.dropout(states, cfg.recurrent_dropout, rng)
-            states = ad.concat(self._bilstm(states, lengths, prefix), axis=1)
+            states = ad.lstm_seq(states, *self._lstm(f"{prefix}/fw"), lengths,
+                                 bw=self._lstm(f"{prefix}/bw"))
         return states
 
     def score_edges_labels(self, states: Tensor, batch: Batch, task: str,
@@ -490,12 +494,13 @@ class ParserModel:
 
         The call lays the sentences out once, packed sentence after sentence
         in input order, and runs every stage once over that layout: the char
-        BiLSTM over the call's distinct forms, one `lstm_seq` per encoder
-        layer and direction over each sentence's root and tokens, and the FNN
-        heads and bilinear scorers over those same rows. Edge scores are
-        (B, T+1, T) and label scores (B, |L|, T+1, T), in input order, T the
-        longest sentence; sentence b's scores are [b, :n_b+1, :n_b] and
-        [b, :, :n_b+1, :n_b], and every other cell holds 0.
+        BiLSTM over the call's distinct forms (one `lstm_seq` per direction),
+        one two-direction `lstm_seq` per encoder layer over each sentence's
+        root and tokens, and the FNN heads and bilinear scorers over those
+        same rows. Edge scores are (B, T+1, T) and label scores
+        (B, |L|, T+1, T), in input order, T the longest sentence; sentence
+        b's scores are [b, :n_b+1, :n_b] and [b, :, :n_b+1, :n_b], and every
+        other cell holds 0.
         Train mode (all dropout on) is `rng is not None`.
         """
         batch = self.batch(sentences, contexts)

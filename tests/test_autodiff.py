@@ -457,6 +457,61 @@ class TestKernelsMatchReference:
         for name, got, want in zip("wub", (tw.grad, tu.grad, tb.grad), sums):
             assert_close(got, want, err_msg=name)
 
+    @staticmethod
+    def _bilstm_runs(lengths, d_in, hidden, reverse, x_grad):
+        """One two-direction lstm_seq call and two one-direction calls joined by
+        concat, on the same inputs and upstream gradient; returns the output and
+        the x and six weight gradients of each, as arrays."""
+        rng = np.random.default_rng(len(lengths) * 100 + hidden)
+        rows = sum(lengths)
+        x = rng.standard_normal((rows, d_in))
+        fw = TestKernelsMatchReference._lstm_weights(rng, d_in, hidden)
+        bw = TestKernelsMatchReference._lstm_weights(rng, d_in, hidden)
+        g = ad.constant(rng.standard_normal((rows, 2 * hidden)))
+        runs = []
+        for merged in (True, False):
+            tx = ad.Parameter(x, name="x") if x_grad else ad.constant(x)
+            tfw, tbw = ([ad.Parameter(a, name=f"{d}/{n}") for a, n in zip(triple, "wub")]
+                        for d, triple in (("fw", fw), ("bw", bw)))
+            if merged:
+                out = ad.lstm_seq(tx, *tfw, lengths, reverse=reverse, bw=tbw)
+            else:
+                out = ad.concat([ad.lstm_seq(tx, *tfw, lengths, reverse=reverse),
+                                 ad.lstm_seq(tx, *tbw, lengths, reverse=not reverse)], axis=1)
+            ad.sum_all(ad.mul(out, g)).backward()
+            runs.append([out.data, tx.grad] + [p.grad for p in tfw + tbw])
+        return runs
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward-first", "reverse-first"])
+    @pytest.mark.parametrize("lengths,d_in,hidden,x_grad", [
+        ((2, 7, 1, 4, 4), 5, 3, True), ((6,), 4, 2, True), ((1, 1, 1), 3, 2, True),
+        (tuple(np.random.default_rng(16).integers(5, 13, 16).tolist()), 16, 8, True),
+        ((9, 3, 6), 24, 40, True), ((4, 2, 3), 5, 3, False)],
+        ids=["unsorted", "one-sequence", "all-one", "16-sentences", "wide-hidden", "x-constant"])
+    def test_two_direction_lstm_seq_equals_two_calls_and_concat(self, lengths, d_in, hidden,
+                                                                x_grad, reverse):
+        merged, separate = self._bilstm_runs(lengths, d_in, hidden, reverse, x_grad)
+        assert merged[0].shape == (sum(lengths), 2 * hidden)
+        names = ["out", "x", "fw w", "fw u", "fw b", "bw w", "bw u", "bw b"]
+        for name, got, want in zip(names, merged, separate):
+            if name == "x" and not x_grad:
+                assert got is None and want is None
+                continue
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("bw_shapes,named", [
+        (((3, 12), (3, 12), (12,)), "bw w (3, 12), bw u (3, 12), bw b (12,)"),
+        (((4, 8), (2, 8), (8,)), "bw w (4, 8), bw u (2, 8), bw b (8,)"),
+        (((3, 8), (2, 8), (6,)), "bw w (3, 8), bw u (2, 8), bw b (6,)"),
+    ], ids=["hidden", "input-width", "bias"])
+    def test_two_direction_lstm_seq_refuses_a_mismatched_second_direction(self, bw_shapes,
+                                                                          named):
+        x, w, u, b = (ad.constant(np.ones(shape)) for shape in ((5, 3), (3, 8), (2, 8), (8,)))
+        bw = [ad.constant(np.ones(shape)) for shape in bw_shapes]
+        with pytest.raises(AutodiffError, match=re.escape(f"got x (5, 3), {named}")):
+            ad.lstm_seq(x, w, u, b, [3, 2], bw=bw)
+
     @pytest.mark.parametrize("lengths", [(3, 0, 2), (4, -1, 2), (3, 3), (2, 2), ()],
                              ids=["zero", "negative", "too-many-rows", "too-few-rows", "none"])
     def test_lstm_seq_rejects_lengths_that_do_not_cover_the_rows(self, lengths):

@@ -72,3 +72,7 @@ def test_tracer_sees_every_scorer_and_encoder_span(biaffine_bias):
     assert required <= set(names), sorted(required - set(names))
     assert not [name for name in names if ".other." in name]
     assert names.count("autodiff.lstm_seq.char.fwd") == 2
+    # each encoder layer is one two-direction call: one span per pass and phase
+    for k in range(3):
+        for phase in ("fwd", "bwd"):
+            assert names.count(f"autodiff.lstm_seq.layer{k}.{phase}") == 1, (k, phase)

@@ -206,10 +206,10 @@ def test_char_vector_runs_once_per_distinct_form_per_call(graphs, monkeypatch):
     char_calls = []
     lstm_seq = ad.lstm_seq
 
-    def counted(x, w, u, b, lengths, reverse=False):
+    def counted(x, w, u, b, lengths, reverse=False, *, bw=None):
         if w.name.startswith("char_rnn/"):
             char_calls.append((w.name, x.shape[0], sorted(lengths), reverse))
-        return lstm_seq(x, w, u, b, lengths, reverse)
+        return lstm_seq(x, w, u, b, lengths, reverse, bw=bw)
 
     monkeypatch.setattr(ad, "lstm_seq", counted)
     lengths = sorted(len(form) for form in set(forms))
