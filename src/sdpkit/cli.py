@@ -14,8 +14,7 @@
 `parse` reads its input and checks its sentence ids (`formats.check_sentence_ids`)
 before it loads the model, and writes each sentence under its input id. `score`
 and `analyze` refuse a prediction file whose ids differ from the gold file's,
-position by position. A context file (`--context`, `--heldout-context`) is
-checked against its corpus by `network.check_contexts` before any model call.
+position by position.
 
 Every run resolves its configuration (defaults < config file < flags), logs
 it, and writes a manifest with content hashes of its inputs next to its
@@ -35,13 +34,13 @@ from . import autodiff as ad
 from .errors import ConfigError, FormatError, ScoringError, SdpkitError
 from .evaluation import format_report, label_contribution, length_buckets, head_match_stats, score_graphs, write_series
 from .formats import (SdpDocument, atomic_open, check_sentence_ids, conllu_id,
-                      read_alignments, read_conllu, read_context_vectors, read_sdp,
-                      read_word_vectors, write_alignments, write_sdp)
+                      read_alignments, read_conllu, read_sdp, read_word_vectors,
+                      write_alignments, write_sdp)
 from .graph import (LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, as_semantic,
                     make_sentence)
 from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
-                      build_vocabs, check_contexts, semantic_label_vocab,
-                      syntactic_label_vocab, pretrained_table)
+                      build_vocabs, semantic_label_vocab, syntactic_label_vocab,
+                      pretrained_table)
 from .projection import density_sample, heldout_split, intersect_alignments, project_graph
 from .synth import SynthConfig, synth_corpus, write_corpus
 from .training import TrainConfig, parse_semantic, train
@@ -178,20 +177,6 @@ def _read_trees(path: str, gold: SdpDocument) -> list:
     return trees
 
 
-def _read_contexts(path: str | None, dim: int, corpus: str, sentences) -> list | None:
-    """The context matrices of the sentences of the file at `corpus`: read from
-    the .vec file at `path` (None without one) and held to `check_contexts`,
-    whose errors name the .vec file and the corpus item."""
-    vectors = None if path is None else _read(path, read_context_vectors, dim)
-    try:
-        check_contexts(sentences, vectors, dim, corpus)
-    except ConfigError as exc:
-        if path is None:
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
-    return vectors
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -320,11 +305,6 @@ def cmd_train(args) -> int:
         raise ConfigError("--syntactic given but the syn task is not enabled")
     topology = _parse_share(args.share, raw, tasks)
     net_cfg = NetworkConfig(**net_section)
-    if SYNTACTIC in tasks and net_cfg.context_dim:
-        raise ConfigError("the syn task has no context vectors; it needs "
-                          "network.context_dim 0")
-    if (args.context or args.heldout_context) and not net_cfg.context_dim:
-        raise ConfigError("--context/--heldout-context given but network.context_dim is 0")
 
     train_doc = _read(args.train, read_sdp)
     heldout_doc = _read(args.heldout, read_sdp)
@@ -332,20 +312,14 @@ def cmd_train(args) -> int:
 
     train_cfg = TrainConfig(**train_section)
 
-    sentences = [g.sentence for g in train_doc.semantic_graphs()]
-    all_sentences = sentences + [t.sentence for t in trees]
-    word_vocab, char_vocab, pos_vocab = build_vocabs(all_sentences)
+    word_vocab, char_vocab, pos_vocab = build_vocabs(
+        [g.sentence for g in train_doc.semantic_graphs()] + [t.sentence for t in trees])
     sem_labels = semantic_label_vocab(
         [e.label for g in train_doc.semantic_graphs() for e in g.edges])
     task_vocabs = {SEMANTIC: sem_labels}
     if SYNTACTIC in tasks:
         task_vocabs[SYNTACTIC] = syntactic_label_vocab(
             [r for t in trees for r in t.deprels])
-
-    contexts = _read_contexts(args.context, net_cfg.context_dim, args.train, sentences)
-    heldout_graphs = heldout_doc.graphs()
-    heldout_contexts = _read_contexts(args.heldout_context, net_cfg.context_dim, args.heldout,
-                                      [g.sentence for g in heldout_graphs])
 
     pretrained = None
     if args.word_vectors:
@@ -355,13 +329,10 @@ def cmd_train(args) -> int:
     model = ParserModel(net_cfg, task_vocabs, word_vocab, char_vocab, pos_vocab,
                         topology=topology, seed=seed, pretrained=pretrained)
 
-    sem_corpus = [(graph.sentence, graph, contexts[i] if contexts else None)
-                  for i, graph in enumerate(train_doc.graphs())]
-    corpora = {SEMANTIC: sem_corpus}
+    corpora = {SEMANTIC: [(g.sentence, g) for g in train_doc.graphs()]}
     if SYNTACTIC in tasks:
         corpora[SYNTACTIC] = [(t.sentence, t) for t in trees]
-    held_corpus = [(g.sentence, g, heldout_contexts[i] if heldout_contexts else None)
-                   for i, g in enumerate(heldout_graphs)]
+    held_corpus = [(g.sentence, g) for g in heldout_doc.graphs()]
 
     metrics_path = args.metrics or args.out + ".metrics"
     with atomic_open(metrics_path) as metrics_f:
@@ -375,8 +346,8 @@ def cmd_train(args) -> int:
         "sharing": asdict(topology) if topology else None,
         "tasks": tasks,
     }
-    inputs = [path for path in (args.train, args.heldout, args.syntactic, args.context,
-                                args.heldout_context, args.word_vectors) if path]
+    inputs = [path for path in (args.train, args.heldout, args.syntactic, args.word_vectors)
+              if path]
     print(f"best_epoch={result.best_epoch} best_heldout_lf={result.best_lf:.6f} "
           f"epochs_run={result.epochs_run}")
     return _finish(args, inputs, [args.out, metrics_path], config)
@@ -387,15 +358,11 @@ def cmd_parse(args) -> int:
     with _naming(args.input):
         check_sentence_ids(ids)
     model = ParserModel.load(args.model)
-    if args.context and not model.config.context_dim:
-        raise ConfigError(f"--context given but model {args.model} has no context channel")
-    contexts = _read_contexts(args.context, model.config.context_dim, args.input, sentences)
-    graphs = parse_semantic(model, sentences, contexts)
+    graphs = parse_semantic(model, sentences)
     doc = SdpDocument(tuple(zip(ids, graphs)))
     with atomic_open(args.out) as f:
         write_sdp(doc, f)
-    inputs = [args.model, args.input] + ([args.context] if args.context else [])
-    return _finish(args, inputs, [args.out], {"model": args.model})
+    return _finish(args, [args.model, args.input], [args.out], {"model": args.model})
 
 
 def cmd_score(args) -> int:
@@ -574,15 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--combined", action="store_true",
                    help="combined multitask steps instead of alternating")
     p.add_argument("--metrics", help="metrics log path (default: <out>.metrics)")
-    p.add_argument("--context", help="per-token context vectors (.vec) of --train")
-    p.add_argument("--heldout-context", help="per-token context vectors (.vec) of --heldout")
     p.add_argument("--word-vectors", help="pretrained word vectors (text)")
 
     p = add("parse", cmd_parse, "parse sentences with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="sentences (.conllu or .sdp)")
     p.add_argument("--out", required=True)
-    p.add_argument("--context", help="per-token context vectors (.vec)")
 
     p = add("score", cmd_score, "score predictions against gold graphs")
     p.add_argument("--pred", required=True)

@@ -14,9 +14,7 @@ Dialects (fixed here; this docstring is their specification):
   lines are skipped on read; comment lines are preserved verbatim.
 * ``.align`` -- Pharaoh word alignments: one sentence pair per line, pairs
   ``i-j`` 0-based on disk, converted to 1-based in memory.
-* ``.vec`` -- per-token context vectors: one token per line of
-  whitespace-separated floats, blank line between sentences. Here and in
-  word-vector tables every component must be a finite number.
+* word vectors -- a word2vec-style text table (`read_word_vectors`).
 
 A FORM is never empty (`graph.Token`): the readers refuse one at its line.
 """
@@ -380,7 +378,7 @@ def write_alignments(alignments: AlignmentFile | Iterable[frozenset], stream: Te
 
 
 # ---------------------------------------------------------------------------
-# Per-token context vectors and word vectors
+# Word vectors
 
 
 def _vector(fields: list[str], lineno: int) -> list[float]:
@@ -395,28 +393,9 @@ def _vector(fields: list[str], lineno: int) -> list[float]:
     return values
 
 
-def read_context_vectors(stream: TextIO, expected_dim: int) -> list[np.ndarray]:
-    """Read per-sentence matrices of per-token context vectors.
-
-    Every row must have exactly `expected_dim` floats. Returns one
-    (n_tokens, expected_dim) float64 array per sentence.
-    """
-    if expected_dim < 1:
-        raise FormatError(f"expected_dim must be >= 1, got {expected_dim}")
-    sentences = []
-    for _, block in _blocks(stream):
-        rows = []
-        for lineno, line in block:
-            fields = line.split()
-            if len(fields) != expected_dim:
-                raise FormatError(f"expected {expected_dim} values, got {len(fields)}", lineno)
-            rows.append(_vector(fields, lineno))
-        sentences.append(np.array(rows, dtype=np.float64))
-    return sentences
-
-
 def read_word_vectors(stream: TextIO, expected_dim: int) -> dict[str, np.ndarray]:
-    """Read a word2vec-style text table: ``word v1 .. vd`` per line.
+    """Read a word2vec-style text table: ``word v1 .. vd`` per line, each
+    component a finite number.
 
     A leading ``count dim`` header line is tolerated and skipped: a first line
     of two integers whose second is `expected_dim`.

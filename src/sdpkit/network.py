@@ -1,11 +1,12 @@
 """The parser network: embeddings, deep BiLSTM encoder, FNN heads, bilinear scorers.
 
-A token vector is the concatenation of a word component, a POS embedding, and
-optional external context features. The word component sums a trainable table,
-a fixed pretrained table, and a character BiLSTM's final states (no projection,
-so the char hidden size is half the word dimension per direction). A learned
-root row is prepended before encoding; scores are matrices over head positions
-0..n and dependent positions 1..n, head-major as `ad.bilinear` writes them.
+A token vector is its word component followed by its POS embedding, so the
+encoder reads word_dim + pos_dim per token. The word component sums a
+trainable table, a fixed pretrained table, and a character BiLSTM's final
+states (no projection, so the char hidden size is half the word dimension per
+direction). A learned root row is prepended before encoding; scores are
+matrices over head positions 0..n and dependent positions 1..n, head-major as
+`ad.bilinear` writes them.
 Every cell is scored, the self-loop diagonal included; which cells can be
 edges is decided by the losses and the decoder (`training.edge_cells`). The
 optional biaffine bias (Dozat & Manning) is a zero-initialised border of the
@@ -47,7 +48,7 @@ from .graph import TOP_LABEL, Token
 UNK = "<unk>"
 
 # Raise the version whenever the tensors or the metadata that `save` writes change.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _META_KEY = "__meta__"
 
 SEMANTIC = "semantic"
@@ -62,7 +63,6 @@ class NetworkConfig:
     rnn_layers: int = 3
     fnn_size: int = 600
     char_emb_dim: int = 0        # 0 means word_dim // 2
-    context_dim: int = 0
     word_dropout: float = 0.2    # input word/POS replacement rate
     recurrent_dropout: float = 0.25
     edge_dropout: float = 0.25
@@ -77,7 +77,7 @@ class NetworkConfig:
             raise ConfigError("word_dim must be even (char BiLSTM uses word_dim/2 per direction)")
         if self.rnn_size % 2 != 0:
             raise ConfigError("rnn_size must be even (half per direction)")
-        if self.context_dim < 0 or self.char_emb_dim < 0:
+        if self.char_emb_dim < 0:
             raise ConfigError("dims must be non-negative")
         for name in ("word_dropout", "recurrent_dropout", "edge_dropout", "label_dropout"):
             rate = getattr(self, name)
@@ -90,7 +90,7 @@ class NetworkConfig:
 
     @property
     def input_dim(self) -> int:
-        return self.word_dim + self.pos_dim + self.context_dim
+        return self.word_dim + self.pos_dim
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,11 @@ class Batch:
     """The sentences of one model call, in the one row layout every stage reads.
 
     Everything is packed sentence after sentence in input order. The tokens
-    take N rows (`word_ids`, `pos_ids`, `form_ids`, `contexts`). The encoder
-    runs on N + B rows, each sentence's root and then its tokens, so sentence
-    b's positions 0..n_b are n_b + 1 consecutive rows; the scorer takes those
-    rows as its head rows and the token rows (`token_rows`) as its dependent
-    rows. The char BiLSTM reads the call's distinct forms in sorted order,
+    take N rows (`word_ids`, `pos_ids`, `form_ids`). The encoder runs on
+    N + B rows, each sentence's root and then its tokens, so sentence b's
+    positions 0..n_b are n_b + 1 consecutive rows; the scorer takes those rows
+    as its head rows and the token rows (`token_rows`) as its dependent rows.
+    The char BiLSTM reads the call's distinct forms in sorted order,
     packed form after form. Scores come back padded and batch-major, in
     input order, T the longest sentence: sentence b's edge scores are its
     [b, :n_b+1, :n_b] block, [head, dependent - 1], as the scorer writes them.
@@ -216,32 +216,8 @@ class Batch:
     form_ids: np.ndarray          # (N,) index of each token's form among the distinct forms
     char_ids: np.ndarray          # (C,) the distinct forms' characters, form after form
     char_lengths: np.ndarray      # (F,) characters per distinct form
-    contexts: np.ndarray | None   # (N, context_dim)
     input_ids: np.ndarray         # (N+B,) row of [root; tokens] behind each encoder row
     token_rows: np.ndarray        # (N,) encoder row of each token
-
-
-def check_contexts(sentences: Sequence, contexts: Sequence | None, context_dim: int,
-                   what: str):
-    """Raise ConfigError unless `contexts` follows the context-vector rule.
-
-    The rule: one entry per sentence, and sentence k's entry is an
-    (n_k, context_dim) matrix when `context_dim` > 0 and None otherwise;
-    `contexts` None stands for an entry of None for every sentence. An error
-    names the entry as `<what> item <k>`, k counting from 1.
-    """
-    if contexts is None:
-        contexts = [None] * len(sentences)
-    elif len(contexts) != len(sentences):
-        raise ConfigError(f"{len(contexts)} context entries given for "
-                          f"{len(sentences)} sentences")
-    for k, (sentence, mat) in enumerate(zip(sentences, contexts), 1):
-        if (mat is None) == bool(context_dim):  # present exactly when context_dim > 0
-            raise ConfigError(f"{what} item {k} has {'no ' if mat is None else ''}context "
-                              f"vectors, but the model has context_dim {context_dim}")
-        if mat is not None and np.shape(mat) != (len(sentence), context_dim):
-            raise ConfigError(f"{what} item {k} has context shape {np.shape(mat)}, "
-                              f"expected ({len(sentence)}, {context_dim})")
 
 
 class ParserModel:
@@ -341,14 +317,11 @@ class ParserModel:
 
     # ---------------------------------------------------------------- forward
 
-    def batch(self, sentences: Sequence[Sequence[Token]],
-              contexts: Sequence[np.ndarray | None] | None = None) -> Batch:
-        """Lay out the sentences (and their context vectors) of one model call."""
-        cfg = self.config
+    def batch(self, sentences: Sequence[Sequence[Token]]) -> Batch:
+        """Lay out the sentences of one model call."""
         sizes = np.array([len(s) for s in sentences], dtype=np.int64)
         if sizes.size == 0 or sizes.min() == 0:
             raise ConfigError("cannot embed an empty sentence")
-        check_contexts(sentences, contexts, cfg.context_dim, "input")
         tokens = [tok for s in sentences for tok in s]
         forms = sorted({tok.form for tok in tokens})
         column = {form: k for k, form in enumerate(forms)}
@@ -361,8 +334,6 @@ class ParserModel:
             char_ids=np.array([self.char_vocab.id(c) for form in forms for c in form],
                               dtype=np.int64),
             char_lengths=np.array([len(form) for form in forms], dtype=np.int64),
-            contexts=(np.concatenate([np.asarray(c, dtype=np.float64) for c in contexts])
-                      if cfg.context_dim else None),
             # row 0 of [root; tokens] is the root, row 1 + k token k
             input_ids=np.insert(np.arange(1, count + 1), np.cumsum(sizes) - sizes, 0),
             token_rows=np.arange(count) + np.repeat(np.arange(1, sizes.size + 1), sizes))
@@ -378,7 +349,7 @@ class ParserModel:
                          axis=1)
 
     def embed_tokens(self, batch: Batch, rng: np.random.Generator | None = None) -> Tensor:
-        """Token input matrix (N, word_dim + pos_dim + context_dim), packed in input order.
+        """Token input matrix (N, word_dim + pos_dim), packed in input order.
 
         The word component sums the trainable table row, the fixed pretrained
         row, and the char BiLSTM vector; the char BiLSTM runs once per
@@ -405,10 +376,7 @@ class ParserModel:
             x_te = ad.add(ad.mul(x_te, keep_t),
                           ad.mul(unk_t, ad.constant(1.0 - keep_t.data)))
 
-        parts = [x_we, x_te]
-        if batch.contexts is not None:
-            parts.append(ad.constant(batch.contexts))
-        return ad.concat(parts, axis=1)
+        return ad.concat([x_we, x_te], axis=1)
 
     def _lstm(self, direction: str) -> tuple[Parameter, Parameter, Parameter]:
         """The (w, u, b) of one LSTM direction, e.g. "char_rnn/fw"."""
@@ -487,9 +455,7 @@ class ParserModel:
         return s_edge, s_label
 
     def forward(self, sentences: Sequence[Sequence[Token]], task: str,
-                rng: np.random.Generator | None = None,
-                contexts: Sequence[np.ndarray | None] | None = None
-                ) -> tuple[Tensor, Tensor]:
+                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """Scores of `score_edges_labels` for all sentences, from one `Batch`.
 
         The call lays the sentences out once, packed sentence after sentence
@@ -503,7 +469,7 @@ class ParserModel:
         other cell holds 0.
         Train mode (all dropout on) is `rng is not None`.
         """
-        batch = self.batch(sentences, contexts)
+        batch = self.batch(sentences)
         x = self.embed_tokens(batch, rng)
         return self.score_edges_labels(self.encode(x, batch, task, rng), batch, task, rng)
 

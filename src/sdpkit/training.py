@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import ConfigError, TrainingDiverged
 from .evaluation import ScoreReport, score_graphs
 from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
                     SyntacticTree, Token, as_partial)
-from .network import SEMANTIC, SYNTACTIC, ParserModel, Vocab, check_contexts
+from .network import SEMANTIC, SYNTACTIC, ParserModel, Vocab
 
 _TASK_CODE = {SEMANTIC: 0, SYNTACTIC: 1}
 
@@ -216,15 +216,6 @@ def _acyclic_greedy(scores: np.ndarray, heads: np.ndarray, deps: np.ndarray,
 # corpora and batching
 
 
-class Example(NamedTuple):
-    """One corpus item; a (sentence, gold) or (sentence, gold, context) tuple
-    unpacks into it as `Example(*item)`."""
-
-    sentence: Sequence[Token]
-    gold: PartialGraph | SemanticGraph | SyntacticTree
-    context: np.ndarray | None = None
-
-
 def pack_minibatches(lengths: Sequence[int], order: Sequence[int],
                      token_budget: int) -> list[list[int]]:
     """Greedy packing of sentence indices up to roughly token_budget tokens.
@@ -298,11 +289,9 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
 
     The best epoch is the first with the highest held-out LF, and training
     stops after `cfg.patience` epochs without a higher one. `corpora` maps
-    task ids to lists of (sentence, gold) or (sentence, gold, context)
-    items; `heldout` holds semantic items. Each
-    corpus and the held-out list must be non-empty and are held to
-    `check_contexts`, count, presence and shape, before the first step. The
-    model is left holding the best epoch's parameters, also when training
+    task ids to lists of (sentence, gold) pairs; `heldout` holds semantic
+    pairs. Each corpus and the held-out list must be non-empty. The model is
+    left holding the best epoch's parameters, also when training
     stops by raising (such as `TrainingDiverged`). In multitask mode the
     semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
     zero is skipped entirely, so a multitask run with a zero syntactic
@@ -316,21 +305,16 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     multitask = len(corpora) > 1
     weights = {SEMANTIC: 1.0 - cfg.syntactic_weight if multitask else 1.0,
                SYNTACTIC: cfg.syntactic_weight if multitask else 1.0}
-    examples = {task: [Example(*item) for item in items] for task, items in corpora.items()}
-    heldout = [Example(*item) for item in heldout]
-    for what, items in [*examples.items(), ("heldout", heldout)]:
+    for what, items in [*corpora.items(), ("heldout", heldout)]:
         if not items:
             raise ConfigError(f"{what} corpus must be non-empty")
-        check_contexts([e.sentence for e in items], [e.context for e in items],
-                       model.config.context_dim, what)
-    data = {task: items for task, items in examples.items() if weights[task] > 0}
+    data = {task: items for task, items in corpora.items() if weights[task] > 0}
     params = model.parameters()
 
     result = TrainResult()
     # allocated once and overwritten in place on every best epoch
     best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
-    lengths = {task: [len(example.sentence) for example in items]
-               for task, items in data.items()}
+    lengths = {task: [len(sentence) for sentence, _ in items] for task, items in data.items()}
 
     try:
         for epoch in range(1, cfg.max_epochs + 1):
@@ -346,10 +330,10 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                 total: Tensor | None = None
                 for task, batch_index in step:
                     batch = [data[task][idx] for idx in task_batches[task][batch_index]]
-                    sentences, golds, contexts = zip(*batch)
+                    sentences, golds = zip(*batch)
                     rng = _dropout_rng(cfg.seed, epoch, task, batch_index)
                     task_loss = semantic_loss if task == SEMANTIC else syntactic_loss
-                    s_edge, s_label = model.forward(sentences, task, rng, contexts)
+                    s_edge, s_label = model.forward(sentences, task, rng)
                     part = task_loss(s_edge, s_label, golds, model.tasks[task],
                                      cfg.label_interp)
                     tokens = sum(len(sentence) for sentence in sentences)
@@ -403,24 +387,20 @@ def _chunks(sizes: Sequence[int], budget: int) -> list[range]:
     return runs
 
 
-def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]],
-                   contexts: Sequence[np.ndarray | None] | None = None
+def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]]
                    ) -> list[SemanticGraph]:
     """Decode semantic graphs for raw sentences in eval mode.
 
     Sentences go to the model in input order, in runs of at most
     `PARSE_BATCH_TOKENS` padded tokens (sentences times the longest); each
     run is one `ParserModel.forward` call, decoded before the next is scored.
-    The whole input is held to `check_contexts` before the first call.
     """
-    check_contexts(sentences, contexts, model.config.context_dim, "input")
     labels = model.tasks[SEMANTIC]
     graphs = []
     with ad.no_grad():
         for run in _chunks([len(s) for s in sentences], PARSE_BATCH_TOKENS):
             part = [sentences[i] for i in run]
-            s_edge, s_label = model.forward(
-                part, SEMANTIC, contexts=None if contexts is None else [contexts[i] for i in run])
+            s_edge, s_label = model.forward(part, SEMANTIC)
             for b, sentence in enumerate(part):
                 n = len(sentence)
                 graphs.append(decode_semantic(s_edge.data[b, :n + 1, :n],
@@ -429,7 +409,7 @@ def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]],
 
 
 def evaluate_semantic(model: ParserModel, corpus: list) -> ScoreReport:
-    """Labeled/unlabeled F1 of decoded graphs against (possibly partial) gold."""
-    items = [Example(*item) for item in corpus]
-    predicted = parse_semantic(model, [e.sentence for e in items], [e.context for e in items])
-    return score_graphs(predicted, [e.gold for e in items])
+    """Labeled/unlabeled F1 of decoded graphs against (possibly partial) gold,
+    `corpus` a list of (sentence, gold) pairs."""
+    predicted = parse_semantic(model, [sentence for sentence, _ in corpus])
+    return score_graphs(predicted, [gold for _, gold in corpus])

@@ -79,15 +79,6 @@ def random_tree(rng: np.random.Generator, n: int | None = None,
     return SyntacticTree(sentence, tuple(heads), tuple(deprels), comments)
 
 
-def write_context_vectors(sentences, stream):
-    """Per-token context vectors in the `.vec` text format `read_context_vectors` reads."""
-    for i, mat in enumerate(sentences):
-        if i:
-            stream.write("\n")
-        for row in np.asarray(mat):
-            stream.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 def read_checkpoint(path) -> tuple[dict, dict]:
     """The named arrays and the metadata of a checkpoint, read with plain numpy."""
     with np.load(path) as npz:

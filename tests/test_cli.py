@@ -11,13 +11,11 @@ import pytest
 import sdpkit.cli as cli
 from sdpkit import autodiff as ad
 from sdpkit.errors import CheckpointError, FormatError
-from helpers import (read_checkpoint, reference_decode_semantic, write_checkpoint,
-                     write_context_vectors)
+from helpers import read_checkpoint, reference_decode_semantic, write_checkpoint
 from sdpkit.formats import SdpDocument, read_conllu, read_sdp, write_conllu, write_sdp
 from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, is_acyclic
-from sdpkit.network import (SEMANTIC, NetworkConfig, ParserModel, build_vocabs,
-                            semantic_label_vocab)
-from sdpkit.synth import DEFAULT_LABELS, SynthConfig
+from sdpkit.network import SEMANTIC, NetworkConfig, ParserModel
+from sdpkit.synth import SynthConfig
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
         "word_dropout": 0.0, "recurrent_dropout": 0.0, "edge_dropout": 0.0,
@@ -90,6 +88,12 @@ def test_malformed_checkpoint_metadata(pipeline, tmp_path, edit):
     assert not (tmp_path / "pred.sdp").exists()
 
 
+def _version_1(meta, arrays):
+    """A checkpoint as version 1 wrote it: its config held `context_dim`."""
+    meta["checkpoint_version"] = 1
+    meta["config"]["context_dim"] = 0
+
+
 def _save_one_array(good, bad):
     with open(bad, "wb") as f:  # a file object, so np.save adds no .npy suffix
         np.save(f, np.zeros(3))
@@ -108,12 +112,14 @@ def _save_one_array(good, bad):
     (lambda good, bad: write_checkpoint(bad, read_checkpoint(good)[0], [1]),
      "not a parser checkpoint"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m, a: m.update(kind="other")),
-     r"\('other', 1\)"),
+     r"\('other', 2\)"),
+    (lambda good, bad: _rewrite_checkpoint(good, bad, _version_1), r"\('sdpkit-parser', 1\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad,
-                                           lambda m, a: m.update(checkpoint_version=2)),
-     r"\('sdpkit-parser', 2\)"),
+                                           lambda m, a: m.update(checkpoint_version=3)),
+     r"\('sdpkit-parser', 3\)"),
 ], ids=["missing-file", "empty", "not-a-zip", "truncated", "plain-array", "no-metadata",
-        "metadata-not-json", "metadata-not-an-object", "wrong-kind", "wrong-version"])
+        "metadata-not-json", "metadata-not-an-object", "wrong-kind", "version-1",
+        "wrong-version"])
 def test_unreadable_checkpoint_refused(pipeline, tmp_path, capsys, make, reason):
     bad = tmp_path / "bad.npz"
     make(Path(pipeline["model.npz"]), bad)
@@ -203,7 +209,8 @@ def _refused_argv(case, p, inp, out):
     train = ["train", "--train", p["train.sdp"], "--heldout", p["heldout.sdp"],
              "--epochs", "1", "--out", str(out / "model.npz")]
     configs = {"config-not-an-object": "[1]", "section-not-an-object": '{"network": []}',
-               "unknown-config-key": '{"bogus": 1}', "config-not-json": "{"}
+               "unknown-config-key": '{"bogus": 1}', "config-not-json": "{",
+               "context-dim-config-key": '{"network": {"context_dim": 3}}'}
     if case in configs:
         config = inp / "bad.json"
         config.write_text(configs[case])
@@ -235,9 +242,6 @@ def _refused_argv(case, p, inp, out):
         (inp / "empty.conllu").write_text("")
         return train + ["--config", p["tiny.json"], "--tasks", "sem,syn",
                         "--syntactic", str(inp / "empty.conllu")]
-    if case in ("context-without-channel", "heldout-context-without-channel"):
-        flag = "--context" if case == "context-without-channel" else "--heldout-context"
-        return train + ["--config", p["tiny.json"], flag, str(inp / "context.vec")]
     modes = {"analyze-no-mode": [], "analyze-two-modes": ["--buckets", "--headmatch"]}[case]
     return ["analyze", *modes, "--gold", p["heldout.sdp"], "--pred", p["heldout.sdp"],
             "--series", str(out / "series.tsv")]
@@ -248,14 +252,12 @@ _REFUSALS = {  # each case `_refused_argv` builds, and its message
     "section-not-an-object": "config section 'network' must be an object",
     "unknown-config-key": "bad.json: unknown config keys ['bogus']",
     "config-not-json": "bad.json: invalid JSON",
+    "context-dim-config-key": "config section 'network' has unknown keys ['context_dim']",
     "intersect-lengths-differ": "alignment files differ in length: 12 vs 11 sentence pairs",
     "no-semantic-task": "the semantic task is required",
     "duplicate-task": "duplicate task names",
     "unknown-task": "unknown task 'bogus'; expected sem[,syn]",
     "syn-without-trees": "--syntactic FILE is required for the syn task",
-    "context-without-channel": "--context/--heldout-context given but network.context_dim is 0",
-    "heldout-context-without-channel":
-        "--context/--heldout-context given but network.context_dim is 0",
     "project-sizes-differ":
         "corpus sizes differ: 12 source graphs, 11 alignment lines, 12 target sentences",
     "syntactic-without-syn": "--syntactic given but the syn task is not enabled",
@@ -275,6 +277,24 @@ def test_refused_invocation_exits_2_and_writes_nothing(pipeline, tmp_path, capsy
     assert cli.main(_refused_argv(case, pipeline, inp, out)) == 2
     assert _REFUSALS[case] in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--context"), ("train", "--heldout-context"), ("parse", "--context"),
+], ids=["train-context", "train-heldout-context", "parse-context"])
+def test_context_flags_are_unrecognized(pipeline, tmp_path, capsys, command, flag):
+    if command == "train":
+        argv = ["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                "--config", pipeline["tiny.json"], "--epochs", "1",
+                "--out", str(tmp_path / "model.npz")]
+    else:
+        argv = ["parse", "--model", pipeline["model.npz"], "--input", pipeline["heldout.sdp"],
+                "--out", str(tmp_path / "pred.sdp")]
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv + [flag, "x.vec"])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag} x.vec" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("mode,given,missing", [
@@ -345,17 +365,6 @@ def test_sample_and_split_flag_defaults():
     assert split.heldout == 0.05
 
 
-def test_a_missing_context_file_is_named_by_its_corpus(pipeline, tmp_path, capsys):
-    config = tmp_path / "context.json"
-    config.write_text(json.dumps({"network": {**TINY, "context_dim": 3}}))
-    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
-                     pipeline["heldout.sdp"], "--config", str(config), "--epochs", "1",
-                     "--out", str(tmp_path / "model.npz")]) == 2
-    assert (f"sdpkit: error: {pipeline['train.sdp']} item 1 has no context vectors"
-            in capsys.readouterr().err)
-    assert os.listdir(tmp_path) == ["context.json"]
-
-
 def test_synth_flag_defaults_are_the_config_defaults(tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path), "--sentences", "2"]) == 0
     with open(tmp_path / "source.sdp.manifest.json", encoding="utf-8") as f:
@@ -410,94 +419,6 @@ def _ids_and_sentences(path):
     with open(path, encoding="utf-8") as f:
         doc = read_sdp(f)
     return [sid for sid, _ in doc], [g.sentence for g in doc.semantic_graphs()]
-
-
-def _write_contexts(sdp_path, out_path, dim, seed):
-    with open(sdp_path, encoding="utf-8") as f:
-        sentences = [g.sentence for g in read_sdp(f).semantic_graphs()]
-    rng = np.random.default_rng(seed)
-    with open(out_path, "w", encoding="utf-8") as f:
-        write_context_vectors([rng.standard_normal((len(s), dim)) for s in sentences], f)
-
-
-def test_train_with_context_vectors(pipeline, tmp_path):
-    config = tmp_path / "context.json"
-    config.write_text(json.dumps({"network": {**TINY, "context_dim": 3}}))
-    train_vec, heldout_vec = str(tmp_path / "train.vec"), str(tmp_path / "heldout.vec")
-    _write_contexts(pipeline["train.sdp"], train_vec, 3, seed=1)
-    _write_contexts(pipeline["heldout.sdp"], heldout_vec, 3, seed=2)
-    out = str(tmp_path / "model.npz")
-    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
-                     "--config", str(config), "--epochs", "1", "--context", train_vec,
-                     "--heldout-context", heldout_vec, "--out", out]) == 0
-    with open(out + ".manifest.json", encoding="utf-8") as f:
-        assert heldout_vec in json.load(f)["inputs"]
-    pred = str(tmp_path / "pred.sdp")
-    assert cli.main(["parse", "--model", out, "--input", pipeline["heldout.sdp"],
-                     "--context", heldout_vec, "--out", pred]) == 0
-    assert _ids_and_sentences(pred) == _ids_and_sentences(pipeline["heldout.sdp"])
-
-
-def test_train_rejects_syntactic_task_with_context_channel(pipeline, tmp_path, capsys):
-    config = tmp_path / "context.json"
-    config.write_text(json.dumps({"network": {**TINY, "context_dim": 3}}))
-    out = tmp_path / "model.npz"
-    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
-                     "--syntactic", os.path.join(pipeline["corpus"], "target.conllu"),
-                     "--tasks", "sem,syn", "--config", str(config), "--out", str(out)]) == 2
-    assert "needs network.context_dim 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("short", ["sentence", "row"])
-def test_train_checks_its_context_file_against_the_corpus(pipeline, tmp_path, capsys, short):
-    config = tmp_path / "context.json"
-    config.write_text(json.dumps({"network": {**TINY, "context_dim": 3}}))
-    vec = tmp_path / "train.vec"
-    sentences = _ids_and_sentences(pipeline["train.sdp"])[1]
-    mats = [np.zeros((len(s), 3)) for s in sentences]
-    if short == "sentence":
-        mats.pop()
-        message = f"{vec}: {len(mats)} context entries given for {len(sentences)} sentences"
-    else:
-        n = len(sentences[1])
-        assert n > 1
-        mats[1] = mats[1][1:]
-        message = (f"{vec}: {pipeline['train.sdp']} item 2 has context shape ({n - 1}, 3), "
-                   f"expected ({n}, 3)")
-    with open(vec, "w", encoding="utf-8") as f:
-        write_context_vectors(mats, f)
-    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
-                     "--config", str(config), "--context", str(vec),
-                     "--out", str(tmp_path / "model.npz")]) == 2
-    assert message in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["context.json", "train.vec"]
-
-
-@pytest.mark.parametrize("model_has_channel", [False, True], ids=["no-channel", "no-file"])
-def test_parse_checks_context_vectors_against_the_model(pipeline, tmp_path, capsys,
-                                                        model_has_channel):
-    sentences = _ids_and_sentences(pipeline["heldout.sdp"])[1]
-    if model_has_channel:  # an untrained context_dim 3 model, parsed without --context
-        model = str(tmp_path / "context.npz")
-        ParserModel(NetworkConfig(**TINY, context_dim=3),
-                    {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)},
-                    *build_vocabs(sentences)).save(model)
-        flags = []
-        message = (f"{pipeline['heldout.sdp']} item 1 has no context vectors, "
-                   "but the model has context_dim 3")
-    else:
-        model = pipeline["model.npz"]
-        vec = tmp_path / "heldout.vec"
-        with open(vec, "w", encoding="utf-8") as f:
-            write_context_vectors([np.zeros((len(s), 3)) for s in sentences], f)
-        flags = ["--context", str(vec)]
-        message = f"--context given but model {model} has no context channel"
-    before = sorted(os.listdir(tmp_path))
-    assert cli.main(["parse", "--model", model, "--input", pipeline["heldout.sdp"],
-                     "--out", str(tmp_path / "pred.sdp"), *flags]) == 2
-    assert message in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_train_seed_config_key_rejected(pipeline, tmp_path, capsys):

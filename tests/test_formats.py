@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_graph, random_partial, random_tree, write_context_vectors
+from helpers import random_graph, random_partial, random_tree
 from sdpkit.errors import FormatError
 from sdpkit.formats import (AlignmentFile, SdpDocument, atomic_open, check_sentence_ids, conllu_id,
-                            read_alignments, read_conllu, read_context_vectors, read_sdp,
-                            read_word_vectors, write_alignments, write_conllu, write_sdp)
+                            read_alignments, read_conllu, read_sdp, read_word_vectors,
+                            write_alignments, write_conllu, write_sdp)
 from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, make_sentence
 
 
@@ -359,47 +359,6 @@ class TestAtomicOpen:
         assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
 
 
-class TestContextVectors:
-    def test_two_tokens_dim_four(self):
-        text = "1 2 3 4\n5 6 7 8\n"
-        sents = read_context_vectors(io.StringIO(text), 4)
-        assert len(sents) == 1
-        np.testing.assert_array_equal(sents[0], [[1, 2, 3, 4], [5, 6, 7, 8]])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(FormatError, match="expected 4"):
-            read_context_vectors(io.StringIO("1 2 3 4 5\n"), 4)
-
-    def test_non_numeric_component_rejected_at_its_line(self):
-        with pytest.raises(FormatError, match="line 2: non-numeric vector component"):
-            read_context_vectors(io.StringIO("1 2\n3 x\n"), 2)
-
-    def test_dim_one_reads_and_dim_zero_is_refused(self):
-        np.testing.assert_array_equal(read_context_vectors(io.StringIO("1\n2\n"), 1)[0],
-                                      [[1.0], [2.0]])
-        with pytest.raises(FormatError, match="expected_dim must be >= 1, got 0"):
-            read_context_vectors(io.StringIO(""), 0)
-
-    def test_zero_vectors_are_valid(self):
-        sents = read_context_vectors(io.StringIO("0 0\n\n0 0\n"), 2)
-        assert len(sents) == 2
-        assert not sents[0].any()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
-    def test_non_finite_component_rejected_at_its_line(self, value):
-        with pytest.raises(FormatError, match=f"line 3: non-finite vector component '{value}'"):
-            read_context_vectors(io.StringIO(f"1 2\n\n3 {value}\n"), 2)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(4)
-        sents = [rng.standard_normal((n, 3)) for n in (2, 5, 1)]
-        buf = io.StringIO()
-        write_context_vectors(sents, buf)
-        back = read_context_vectors(io.StringIO(buf.getvalue()), 3)
-        for a, b in zip(sents, back):
-            np.testing.assert_array_equal(a, b)
-
-
 class TestWordVectors:
     def test_basic_and_header(self):
         text = "2 3\nrok 1 2 3\nzprava 4 5 6\n"
@@ -415,6 +374,10 @@ class TestWordVectors:
     def test_bad_width(self):
         with pytest.raises(FormatError):
             read_word_vectors(io.StringIO("rok 1 2\n"), 3)
+
+    def test_non_numeric_component_rejected_at_its_line(self):
+        with pytest.raises(FormatError, match="line 2: non-numeric vector component"):
+            read_word_vectors(io.StringIO("rok 1 2\nzprava 3 x\n"), 2)
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
     def test_non_finite_component_rejected_at_its_line(self, value):

@@ -1,26 +1,37 @@
 """The mutation driver `tools/mutate.py`: a logged site names one node of the
-source it was numbered from, and a log is not resumed over other source."""
+source it was numbered from, a log is not resumed over other source, and the
+CI step "Mutation smoke" names lines that hold the statements it means."""
 
 import argparse
 import ast
 import importlib.util
 import json
 import os
+import re
 import tempfile
 
 import pytest
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "mutate.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "mutate.py")
+WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
+# The statement at each MODULE:LINE that the CI step "Mutation smoke" mutates
+SMOKE_STATEMENTS = {"projection": 'raise ProjectionError("intersected alignment must be one-to-one")',
+                    "autodiff": "a += recur[:k]"}
 TOY = "def f(i):\n    return i + 1\n"
 EDITED = "import os\nx = 2 - 1\n" + TOY
 
 
-@pytest.fixture
-def mutate(tmp_path, monkeypatch):
+def _load_tool():
     spec = importlib.util.spec_from_file_location("mutate_tool", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.fixture
+def mutate(tmp_path, monkeypatch):
+    tool = _load_tool()
     monkeypatch.setattr(tool, "PACKAGE", str(tmp_path / "pkg"))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # the run's scratch copies
     os.mkdir(tool.PACKAGE)
@@ -78,3 +89,22 @@ def test_a_resume_over_the_same_source_runs_nothing_logged(mutate, tmp_path, cap
 def test_a_line_without_a_site_is_refused(mutate):
     with pytest.raises(SystemExit, match="no site on toy:1"):
         mutate._select(argparse.Namespace(targets=["toy:1"], every=1))
+
+
+# The driver's scratch copies hold no .github, and their mutated module is
+# `ast.unparse`d onto other lines; there the check has nothing to read.
+@pytest.mark.skipif(not os.path.exists(WORKFLOW), reason="no CI workflow in this copy")
+def test_the_mutation_smoke_lines_hold_their_statements():
+    """A source edit that moves a smoke site's line fails here until the
+    workflow's MODULE:LINE follows it."""
+    with open(WORKFLOW, encoding="utf-8") as f:
+        step = f.read().split("- name: Mutation smoke", 1)[1]
+    command = next(line for line in step.splitlines() if "tools/mutate.py" in line)
+    targets = re.findall(r"\b([a-z_]+):(\d+)\b", command)
+    assert sorted(module for module, _ in targets) == sorted(SMOKE_STATEMENTS)
+    tool = _load_tool()
+    for module, line in targets:
+        with open(os.path.join(tool.PACKAGE, module + ".py"), encoding="utf-8") as f:
+            source = f.read()
+        assert source.splitlines()[int(line) - 1].strip() == SMOKE_STATEMENTS[module], module
+        assert any(site["line"] == int(line) for site in tool.sites(module, source)), module

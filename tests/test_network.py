@@ -41,7 +41,7 @@ def test_config_defaults_are_the_paper_settings():
     # the paper's dimensions (bench/workloads.py's PAPER) with Dozat & Manning's dropout rates
     assert asdict(NetworkConfig()) == {
         "word_dim": 100, "pos_dim": 100, "rnn_size": 600, "rnn_layers": 3, "fnn_size": 600,
-        "char_emb_dim": 0, "context_dim": 0, "word_dropout": 0.2, "recurrent_dropout": 0.25,
+        "char_emb_dim": 0, "word_dropout": 0.2, "recurrent_dropout": 0.25,
         "edge_dropout": 0.25, "label_dropout": 0.33, "biaffine_bias": False}
     assert NetworkConfig().char_dim == 50
     assert asdict(SharingTopology()) == {"shared_rnn": True, "shared_fnn": False,
@@ -52,12 +52,10 @@ def test_config_defaults_are_the_paper_settings():
     ({"rnn_layers": 0}, "rnn_layers must be positive"),
     ({"word_dim": 3}, r"word_dim must be even \(char BiLSTM"),
     ({"rnn_size": 5}, r"rnn_size must be even \(half per direction\)"),
-    ({"context_dim": -1}, "dims must be non-negative"),
     ({"char_emb_dim": -1}, "dims must be non-negative"),
     ({"label_dropout": 1.0}, r"label_dropout must be in \[0,1\), got 1.0"),
     ({"word_dropout": -0.1}, r"word_dropout must be in \[0,1\), got -0.1"),
-], ids=["rnn_layers", "word_dim", "rnn_size", "context_dim", "char_emb_dim", "label_dropout",
-        "word_dropout"])
+], ids=["rnn_layers", "word_dim", "rnn_size", "char_emb_dim", "label_dropout", "word_dropout"])
 def test_network_config_refuses_invalid_settings(settings, message):
     with pytest.raises(ConfigError, match=message):
         NetworkConfig(**settings)

@@ -198,10 +198,10 @@ def test_a_syntactic_weight_of_one_never_trains_the_semantic_task(monkeypatch):
     forward = model.forward
     trained = []
 
-    def spy(sentences, task, rng=None, contexts=None):
+    def spy(sentences, task, rng=None):
         if rng is not None:  # a training step, not the held-out evaluation
             trained.append(task)
-        return forward(sentences, task, rng, contexts)
+        return forward(sentences, task, rng)
 
     monkeypatch.setattr(model, "forward", spy)
     items = [(g.sentence, g) for g in graphs]
@@ -240,7 +240,9 @@ def test_checkpoint_file_layout(tmp_path):
                                       ["__meta__", *model.params, "pretrained"]]
         assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
     arrays, meta = read_checkpoint(path)
-    assert (meta["kind"], meta["checkpoint_version"]) == ("sdpkit-parser", 1)
+    assert (meta["kind"], meta["checkpoint_version"]) == ("sdpkit-parser",
+                                                          network.CHECKPOINT_VERSION)
+    assert "context_dim" not in meta["config"]
     with np.load(path) as npz:
         raw = npz["__meta__"]
     assert raw.dtype == np.uint8
@@ -481,77 +483,6 @@ def test_optimizer_settings_that_cannot_train_rejected(setting):
     (name, value), = setting.items()
     with pytest.raises(ConfigError, match=f"{name}={value}"):
         training.TrainConfig(**setting)
-
-
-@pytest.mark.parametrize("context_dim,which,message", [
-    (3, "heldout", "heldout item 1 has no context vectors"),
-    (3, "semantic", "semantic item 2 has no context vectors"),
-    (0, "heldout", "heldout item 1 has context vectors"),
-    (3, "shape", r"semantic item 3 has context shape \(\d+, 2\), expected \(\d+, 3\)"),
-], ids=["heldout-missing", "train-missing", "given-without-channel", "train-wrong-shape"])
-def test_train_checks_context_vectors_before_the_first_step(monkeypatch, context_dim, which,
-                                                            message):
-    graphs, _ = _corpus(4)
-    words, chars, pos = build_vocabs([g.sentence for g in graphs])
-    model = ParserModel(NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=1,
-                                      fnn_size=8, context_dim=context_dim),
-                        {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}, words, chars, pos)
-    rng = np.random.default_rng(0)
-    items = [(g.sentence, g, rng.standard_normal((g.n, 3)) if context_dim else None)
-             for g in graphs]
-    corpus, heldout = list(items), list(items[:2])
-    if which == "shape":  # one matrix a column short
-        corpus[2] = corpus[2][:2] + (corpus[2][2][:, :2],)
-    elif context_dim:  # drop one context
-        target = heldout if which == "heldout" else corpus
-        k = 0 if which == "heldout" else 1
-        target[k] = target[k][:2]
-    else:
-        heldout[0] = heldout[0][:2] + (rng.standard_normal((graphs[0].n, 3)),)
-    steps = []
-    monkeypatch.setattr(ad, "adam_step", lambda *args, **kwargs: steps.append(1))
-    with pytest.raises(ConfigError, match=message):
-        training.train(model, {SEMANTIC: corpus}, heldout, training.TrainConfig(max_epochs=1))
-    assert steps == []
-
-
-@pytest.mark.parametrize("entry", ["forward", "parse_semantic"])
-@pytest.mark.parametrize("surplus", [-1, 1], ids=["short", "long"])
-def test_contexts_need_one_entry_per_sentence(entry, surplus):
-    graphs, _ = _corpus(4)
-    words, chars, pos = build_vocabs([g.sentence for g in graphs])
-    model = ParserModel(NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=1,
-                                      fnn_size=8, context_dim=3),
-                        {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}, words, chars, pos)
-    rng = np.random.default_rng(0)
-    sentences = [g.sentence for g in graphs]
-    contexts = [rng.standard_normal((len(s), 3)) for s in sentences + sentences[:1]]
-    contexts = contexts[:len(sentences) + surplus]
-    message = f"{len(contexts)} context entries given for {len(sentences)} sentences"
-    with pytest.raises(ConfigError, match=message):
-        if entry == "forward":
-            model.forward(sentences, SEMANTIC, contexts=contexts)
-        else:
-            training.parse_semantic(model, sentences, contexts)
-
-
-def test_parse_semantic_checks_every_context_before_the_first_call(monkeypatch):
-    graphs, _ = _corpus(4)
-    words, chars, pos = build_vocabs([g.sentence for g in graphs])
-    model = ParserModel(NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=1,
-                                      fnn_size=8, context_dim=3),
-                        {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}, words, chars, pos)
-    rng = np.random.default_rng(0)
-    sentences = [g.sentence for g in graphs]
-    contexts = [rng.standard_normal((len(s), 3)) for s in sentences]
-    contexts[-1] = contexts[-1][:-1]  # the last sentence's matrix is a row short
-    monkeypatch.setattr(training, "PARSE_BATCH_TOKENS", 1)  # each sentence a run of its own
-    calls, forward = [], model.forward
-    monkeypatch.setattr(model, "forward",
-                        lambda *args, **kwargs: calls.append(1) or forward(*args, **kwargs))
-    with pytest.raises(ConfigError, match=f"input item {len(sentences)} has context shape"):
-        training.parse_semantic(model, sentences, contexts)
-    assert calls == []
 
 
 @pytest.mark.parametrize("top", [True, False], ids=["with-top", "top-only-vocab"])
