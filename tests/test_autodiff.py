@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -149,6 +150,16 @@ class TestForwardValues:
         assert ad.Tensor(np.ones(3, np.float32)).data.dtype == np.float64
 
 
+    def test_repr_names_the_shape_and_whether_it_needs_a_gradient(self):
+        assert repr(ad.constant(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), requires_grad=False)"
+        assert repr(ad.Parameter([1.0])) == "Tensor(shape=(1,), requires_grad=True)"
+
+    def test_the_default_dtype_is_float64(self):
+        # the benchmark refuses to run on any other
+        assert ad.default_dtype() is np.float64
+        assert ad.constant([1]).data.dtype == np.float64
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = ad.Parameter(np.arange(6.0).reshape(2, 3))
@@ -217,6 +228,29 @@ class TestBackward:
         np.testing.assert_array_equal(t.grad, 2 * g)
 
 
+    @pytest.mark.parametrize("leave", ["return", "raise"])
+    def test_no_grad_records_nothing_and_restores_recording_on_exit(self, leave):
+        p = ad.Parameter([1.0, 2.0])
+        with pytest.raises(ValueError) if leave == "raise" else contextlib.nullcontext():
+            with ad.no_grad():
+                inside = ad.mul(p, p)
+                if leave == "raise":
+                    raise ValueError
+        if leave == "return":
+            assert not inside.requires_grad and inside._backward is None
+        after = ad.sum_all(ad.mul(p, p))
+        assert after.requires_grad
+        after.backward()
+        np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+
+    def test_a_constant_operand_of_a_matmul_gets_no_gradient(self):
+        c = ad.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        p = ad.Parameter(np.ones((2, 4)))
+        ad.sum_all(ad.matmul(c, p)).backward()
+        assert c.grad is None
+        np.testing.assert_array_equal(p.grad, c.data.T @ np.ones((3, 4)))
+
+
 class TestPerPrimitiveGradients:
     """Central-difference checks, dims <= 6, 64-bit floats, rel err < 1e-7."""
 
@@ -264,6 +298,12 @@ class TestPerPrimitiveGradients:
         check_op(lambda: ad.sum_all(ad.tanh(a)), [a])
         weights = ad.constant(np.linspace(0.5, 1.5, 20).reshape(4, 5))
         check_op(lambda: ad.sum_all(ad.mul(ad.softmax_rows(a), weights)), [a])
+
+    def test_tensor_times_tensor_is_mul(self):
+        rng = np.random.default_rng(13)
+        a, b = param(rng, 3, 4, name="a"), param(rng, 3, 4, name="b")
+        np.testing.assert_array_equal((a * b).data, ad.mul(a, b).data)
+        check_op(lambda: ad.sum_all(ad.tanh(a * b)), [a, b])
 
     def test_tensor_plus_float_shifts(self):
         rng = np.random.default_rng(26)
@@ -798,6 +838,13 @@ class TestGradientCheckMachinery:
 
     def test_a_check_at_its_tolerance_passes(self):
         assert ad.GradCheckReport(1e-4, 1e-4, "p").passed
+
+    def test_the_report_lists_each_parameter_by_name(self):
+        report = ad.GradCheckReport(2.5e-6, 1e-4, "w", {"w": 2.5e-6, "b": 1e-9})
+        assert str(report).splitlines() == [
+            "gradient check: max_rel_error=2.500e-06 tolerance=1.0e-04 PASS (worst: w)",
+            "  b: 1.000e-09", "  w: 2.500e-06"]
+        assert str(ad.GradCheckReport(0.5, 1e-4, "b")).endswith("FAIL (worst: b)")
 
     def test_a_tie_names_the_later_parameter(self):
         # so a check with no error at all still names a parameter

@@ -421,6 +421,32 @@ def _ids_and_sentences(path):
     return [sid for sid, _ in doc], [g.sentence for g in doc.semantic_graphs()]
 
 
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "count-dim-header"])
+def test_train_with_word_vectors(pipeline, tmp_path, header):
+    forms = sorted({t.form for s in _ids_and_sentences(pipeline["train.sdp"])[1] for t in s})
+    dim = TINY["word_dim"]
+    table = {form: np.arange(dim) + k for k, form in enumerate(forms[:3])}
+    table["not-in-the-corpus"] = np.ones(dim)
+    vectors = tmp_path / "words.vec"
+    lines = [f"{form} " + " ".join(map(str, vec)) for form, vec in table.items()]
+    vectors.write_text("\n".join([f"{len(table)} {dim}"] * header + lines) + "\n",
+                       encoding="utf-8")
+    out = str(tmp_path / "model.npz")
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                     "--config", pipeline["tiny.json"], "--epochs", "1",
+                     "--word-vectors", str(vectors), "--out", out]) == 0
+    with open(out + ".manifest.json", encoding="utf-8") as f:
+        assert str(vectors) in json.load(f)["inputs"]
+    model = ParserModel.load(out)
+    assert model.pretrained.shape == (len(model.word_vocab), dim)
+    for k, word in enumerate(model.word_vocab.items):  # a word with no vector has a zero row
+        np.testing.assert_array_equal(model.pretrained[k], table.get(word, np.zeros(dim)))
+    pred = str(tmp_path / "pred.sdp")
+    assert cli.main(["parse", "--model", out, "--input", pipeline["heldout.sdp"],
+                     "--out", pred]) == 0
+    assert _ids_and_sentences(pred) == _ids_and_sentences(pipeline["heldout.sdp"])
+
+
 def test_train_seed_config_key_rejected(pipeline, tmp_path, capsys):
     config = tmp_path / "seed.json"
     config.write_text(json.dumps({"network": TINY, "train": {"seed": 5}}))

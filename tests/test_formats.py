@@ -379,7 +379,18 @@ class TestWordVectors:
         with pytest.raises(FormatError, match="line 2: non-numeric vector component"):
             read_word_vectors(io.StringIO("rok 1 2\nzprava 3 x\n"), 2)
 
-    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "-Infinity", "1e999"])
     def test_non_finite_component_rejected_at_its_line(self, value):
         with pytest.raises(FormatError, match=f"line 2: non-finite vector component '{value}'"):
             read_word_vectors(io.StringIO(f"rok 1 2\nzprava {value} 3\n"), 2)
+
+    def test_blank_lines_are_skipped_and_keep_the_line_count(self):
+        vecs = read_word_vectors(io.StringIO("\nrok 1 2\n  \nzprava 0 0\n"), 2)
+        assert {word: list(vec) for word, vec in vecs.items()} == {"rok": [1.0, 2.0],
+                                                                  "zprava": [0.0, 0.0]}
+        with pytest.raises(FormatError, match="line 3: expected a word and 2 values, got 2"):
+            read_word_vectors(io.StringIO("rok 1 2\n\nzprava 3\n"), 2)
+
+    def test_a_header_is_read_on_the_first_line_only(self):
+        with pytest.raises(FormatError, match="line 2: expected a word and 2 values, got 2"):
+            read_word_vectors(io.StringIO("rok 1 2\n1 2\n"), 2)

@@ -50,12 +50,20 @@ def test_config_defaults_are_the_paper_settings():
 
 @pytest.mark.parametrize("settings,message", [
     ({"rnn_layers": 0}, "rnn_layers must be positive"),
+    ({"word_dim": 0}, "word_dim must be positive"),
+    ({"pos_dim": 0}, "pos_dim must be positive"),
+    ({"rnn_size": 0}, "rnn_size must be positive"),
+    ({"fnn_size": -2}, "fnn_size must be positive"),
     ({"word_dim": 3}, r"word_dim must be even \(char BiLSTM"),
     ({"rnn_size": 5}, r"rnn_size must be even \(half per direction\)"),
     ({"char_emb_dim": -1}, "dims must be non-negative"),
     ({"label_dropout": 1.0}, r"label_dropout must be in \[0,1\), got 1.0"),
     ({"word_dropout": -0.1}, r"word_dropout must be in \[0,1\), got -0.1"),
-], ids=["rnn_layers", "word_dim", "rnn_size", "char_emb_dim", "label_dropout", "word_dropout"])
+    ({"recurrent_dropout": 1.5}, r"recurrent_dropout must be in \[0,1\), got 1.5"),
+    ({"edge_dropout": -0.25}, r"edge_dropout must be in \[0,1\), got -0.25"),
+], ids=["rnn_layers", "word_dim-zero", "pos_dim-zero", "rnn_size-zero", "fnn_size-negative",
+        "word_dim", "rnn_size", "char_emb_dim", "label_dropout", "word_dropout",
+        "recurrent_dropout", "edge_dropout"])
 def test_network_config_refuses_invalid_settings(settings, message):
     with pytest.raises(ConfigError, match=message):
         NetworkConfig(**settings)
@@ -164,6 +172,22 @@ def test_single_task_model_ignores_a_topology_and_seeds_0_by_default(graphs):
     assert list(plain.params) == list(model.params)
     for name, p in model.params.items():
         np.testing.assert_array_equal(plain.params[name].data, p.data)
+
+
+def test_a_token_vector_is_its_word_part_then_its_pos_part(graphs):
+    # the word part sums the trainable row, the fixed pretrained row and the
+    # char BiLSTM vector; the POS part is the POS row
+    model = _model(graphs)
+    w = TINY.word_dim
+    pretrained = np.random.default_rng(3).standard_normal((len(model.word_vocab), w))
+    shifted = ParserModel(TINY, model.tasks, model.word_vocab, model.char_vocab, model.pos_vocab,
+                          seed=4, pretrained=pretrained)
+    batch = model.batch([g.sentence for g in graphs])
+    x, y = model.embed_tokens(batch).data, shifted.embed_tokens(batch).data
+    assert x.shape == (batch.word_ids.size, TINY.input_dim) == (batch.word_ids.size, w + 4)
+    np.testing.assert_array_equal(x[:, w:], model.params["emb/pos"].data[batch.pos_ids])
+    np.testing.assert_array_equal(y[:, w:], x[:, w:])
+    np.testing.assert_allclose(y[:, :w] - x[:, :w], pretrained[batch.word_ids], atol=1e-12)
 
 
 def test_pretrained_table_rows_follow_the_vocabulary():

@@ -339,6 +339,27 @@ def test_train_refuses_missing_corpora():
             training.train(_model(graphs), corpora, heldout, cfg)
 
 
+@pytest.mark.parametrize("case", ["no-corpus", "empty-heldout", "task-the-model-lacks"])
+def test_refused_corpora_take_no_step_and_write_no_metrics(monkeypatch, case):
+    graphs, trees = _corpus(2)
+    monkeypatch.setattr(ad, "adam_step", lambda *args: pytest.fail("no step expected"))
+    items = [(g.sentence, g) for g in graphs]
+    corpora, heldout = {
+        "no-corpus": ({}, items),
+        "empty-heldout": ({SEMANTIC: items}, []),
+        "task-the-model-lacks": ({SEMANTIC: items, SYNTACTIC: [(t.sentence, t) for t in trees]},
+                                 items),
+    }[case]
+    model = _model(graphs)
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    metrics = io.StringIO()
+    with pytest.raises(ConfigError):
+        training.train(model, corpora, heldout, training.TrainConfig(max_epochs=1), metrics)
+    assert metrics.getvalue() == ""
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p.data, before[name])
+
+
 def test_losses_match_a_cell_by_cell_reference():
     graphs, trees = _corpus(4)
     model = _model(graphs, trees)
@@ -622,6 +643,13 @@ def test_pack_minibatches_is_greedy_and_keeps_the_order():
             assert used <= budget or len(batch) == 1
             if k + 1 < len(batches):  # greedy: the next sentence did not fit
                 assert used + lengths[batches[k + 1][0]] > budget
+
+
+def test_parse_semantic_of_no_sentences_calls_nothing(monkeypatch):
+    graphs, _ = _corpus(2)
+    model = _model(graphs)
+    monkeypatch.setattr(model, "forward", lambda *args: pytest.fail("no forward expected"))
+    assert training.parse_semantic(model, []) == []
 
 
 def test_parse_semantic_runs_stay_within_the_token_budget_in_input_order(monkeypatch):
