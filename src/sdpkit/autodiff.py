@@ -8,11 +8,11 @@ contributes exactly 0.0 to every upstream gradient.
 
 Only the primitives the parser needs are provided, each with the one calling
 convention the parser uses. Six have no caller in the package: `flip_rows`,
-`mean_all`, `sigmoid`, `slice_rows`, `softmax_rows` and `shift` (reached only
-through `Tensor + float`). They stay because `bench/tracer.py` wraps each of
-them by name, and a missing name breaks every traced run. Every tensor holds
-float64 data; input of any other dtype is converted. The module reads and
-writes no files: `network.ParserModel` owns the checkpoint format.
+`mean_all`, `sigmoid`, `slice_rows`, `softmax_rows` and `shift`. They stay
+because `bench/tracer.py` wraps each of them by name, and a missing name
+breaks every traced run. Every tensor holds float64 data; input of any other
+dtype is converted. The module reads and writes no files:
+`network.ParserModel` owns the checkpoint format.
 """
 
 from __future__ import annotations
@@ -98,21 +98,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
-
-    # Operator sugar; scalars are folded into the closure, not lifted to nodes.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
 
 def _result(data, parents, backward) -> Tensor:
@@ -276,10 +261,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     data = a.data[start:stop]
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            _accumulate(a, full, owned=True)
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        _accumulate(a, full, owned=True)
 
     return _result(data, (a,), backward)
 
@@ -382,16 +366,9 @@ def lookup(table: Tensor, ids) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None and isinstance(table, Parameter):
-            table._buffer.fill(0.0)
-            np.add.at(table._buffer, ids, g)
-            table.grad = table._buffer
-        else:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
-            _accumulate(table, full, owned=True)
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        _accumulate(table, full, owned=True)
 
     return _result(data, (table,), backward)
 
@@ -407,10 +384,9 @@ def pick_cells(a: Tensor, sentences, heads, deps) -> Tensor:
     data = a.data[cells]
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, cells, g)
-            _accumulate(a, full, owned=True)
+        full = np.zeros_like(a.data)
+        np.add.at(full, cells, g)
+        _accumulate(a, full, owned=True)
 
     return _result(data, (a,), backward)
 
@@ -515,10 +491,9 @@ def softmax_cross_entropy(logits: Tensor, target_ids) -> Tensor:
     data = np.log(denom) - z[rows, ids]
 
     def backward(g):
-        if logits.requires_grad:
-            p = e / denom[:, None]
-            p[rows, ids] -= 1.0
-            _accumulate(logits, p * g[:, None])
+        p = e / denom[:, None]
+        p[rows, ids] -= 1.0
+        _accumulate(logits, p * g[:, None])
 
     return _result(data, (logits,), backward)
 

@@ -126,7 +126,7 @@ def semantic_loss(s_edge: Tensor, s_label: Tensor,
         label_loss = ad.sum_all(ad.softmax_cross_entropy(ad.pick_cells(s_label, b, h, d), ids))
     else:
         label_loss = ad.constant(0.0)
-    return label_interp * label_loss + (1.0 - label_interp) * edge_loss
+    return ad.add(ad.scale(label_loss, label_interp), ad.scale(edge_loss, 1.0 - label_interp))
 
 
 def syntactic_loss(s_edge: Tensor, s_label: Tensor, golds: Sequence[SyntacticTree],
@@ -152,7 +152,7 @@ def syntactic_loss(s_edge: Tensor, s_label: Tensor, golds: Sequence[SyntacticTre
     picked = ad.pick_cells(s_label, b, head_ids[b, d], d)
     deprel_ids = np.array([labels.id(r) for gold in golds for r in gold.deprels], dtype=np.int64)
     label_loss = ad.sum_all(ad.softmax_cross_entropy(picked, deprel_ids))
-    return label_interp * label_loss + (1.0 - label_interp) * head_loss
+    return ad.add(ad.scale(label_loss, label_interp), ad.scale(head_loss, 1.0 - label_interp))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +339,8 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                     tokens = sum(len(sentence) for sentence in sentences)
                     loss_sums[task] += float(part.data)
                     token_sums[task] += tokens
-                    scaled = part * (weights[task] / tokens)
-                    total = scaled if total is None else total + scaled
+                    scaled = ad.scale(part, weights[task] / tokens)
+                    total = scaled if total is None else ad.add(total, scaled)
                 value = float(total.data)
                 if not math.isfinite(value):
                     raise TrainingDiverged(f"loss became {value} at epoch {epoch}, "

@@ -453,7 +453,7 @@ def _two_task():
 def _task_loss(model, task, golds, weight: float = 1.0):
     loss_of = semantic_loss if task == SEMANTIC else syntactic_loss
     s_edge, s_label = model.forward([g.sentence for g in golds], task)
-    return loss_of(s_edge, s_label, golds, model.tasks[task]) * weight
+    return ad.scale(loss_of(s_edge, s_label, golds, model.tasks[task]), weight)
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
@@ -518,7 +518,7 @@ def test_combined_step_gradients_are_the_sum_of_each_task():
         total = None
         for task, weight in tasks:
             part = _task_loss(model, task, golds[task], weight)
-            total = part if total is None else total + part
+            total = part if total is None else ad.add(total, part)
         total.backward()
         return {p.name: None if p.grad is None else p.grad.copy() for p in params}
 

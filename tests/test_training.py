@@ -47,7 +47,7 @@ def test_divergence_restores_best_snapshot(monkeypatch):
     def nan_at_second_step(*args, **kwargs):
         calls.append(1)
         loss = real_loss(*args, **kwargs)
-        return loss * float("nan") if len(calls) == 2 else loss
+        return ad.scale(loss, float("nan")) if len(calls) == 2 else loss
 
     monkeypatch.setattr(training, "semantic_loss", nan_at_second_step)
     cfg = training.TrainConfig(token_budget=1, max_epochs=1)  # one sentence per step
@@ -74,7 +74,7 @@ def test_divergence_after_epoch_one_restores_the_epoch_one_snapshot(monkeypatch)
     def nan_at_third_step_of_epoch_two(*args, **kwargs):
         calls.append(1)
         loss = real_loss(*args, **kwargs)
-        return loss * float("nan") if len(calls) == len(graphs) + 3 else loss
+        return ad.scale(loss, float("nan")) if len(calls) == len(graphs) + 3 else loss
 
     monkeypatch.setattr(training, "semantic_loss", nan_at_third_step_of_epoch_two)
     model = _model(graphs)
@@ -186,7 +186,7 @@ def test_a_single_task_step_scales_the_loss_by_its_tokens_alone(task):
                                     training._dropout_rng(cfg.seed, 1, task, 0))
     loss = (training.semantic_loss if task == SEMANTIC else training.syntactic_loss)(
         s_edge, s_label, [g for _, g in batch], fresh.tasks[task], cfg.label_interp)
-    (loss * (1.0 / sum(len(s) for s, _ in batch))).backward()
+    ad.scale(loss, 1.0 / sum(len(s) for s, _ in batch)).backward()
     ad.adam_step(fresh.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     for name, p in fresh.params.items():
         assert np.array_equal(model.params[name].data, p.data), name
