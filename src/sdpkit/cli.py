@@ -448,9 +448,9 @@ def run_gradcheck(seed: int = 0, epsilon: float = 1e-5, tolerance: float = 1e-4)
     """End-to-end finite-difference check of the full parser loss at toy dims."""
     from .training import semantic_loss
 
-    config = NetworkConfig(word_dim=4, pos_dim=2, rnn_size=4, rnn_layers=3,
-                           fnn_size=4, char_emb_dim=2, word_dropout=0.0,
-                           recurrent_dropout=0.0, edge_dropout=0.0, label_dropout=0.0)
+    config = NetworkConfig(word_dim=4, pos_dim=2, rnn_size=4, rnn_layers=3, fnn_size=4,
+                           word_dropout=0.0, recurrent_dropout=0.0, edge_dropout=0.0,
+                           label_dropout=0.0)
     # two sentences of unequal length that share a form
     sentences = [make_sentence(["v1", "n1", "n2", "j1"], pos=["V", "N", "N", "J"]),
                  make_sentence(["n2", "v2"], pos=["N", "V"])]

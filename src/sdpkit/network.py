@@ -3,8 +3,9 @@
 A token vector is its word component followed by its POS embedding, so the
 encoder reads word_dim + pos_dim per token. The word component sums a
 trainable table, a fixed pretrained table, and a character BiLSTM's final
-states (no projection, so the char hidden size is half the word dimension per
-direction). A learned root row is prepended before encoding; scores are
+states. The char embedding and the char BiLSTM's hidden size per direction are
+both half the word dimension, so its two final states make word_dim with no
+projection. A learned root row is prepended before encoding; scores are
 matrices over head positions 0..n and dependent positions 1..n, head-major as
 `ad.bilinear` writes them.
 Every cell is scored, the self-loop diagonal included; which cells can be
@@ -48,7 +49,7 @@ from .graph import TOP_LABEL, Token
 UNK = "<unk>"
 
 # Raise the version whenever the tensors or the metadata that `save` writes change.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _META_KEY = "__meta__"
 
 SEMANTIC = "semantic"
@@ -62,7 +63,6 @@ class NetworkConfig:
     rnn_size: int = 600          # concatenated output, half per direction
     rnn_layers: int = 3
     fnn_size: int = 600
-    char_emb_dim: int = 0        # 0 means word_dim // 2
     word_dropout: float = 0.2    # input word/POS replacement rate
     recurrent_dropout: float = 0.25
     edge_dropout: float = 0.25
@@ -77,16 +77,10 @@ class NetworkConfig:
             raise ConfigError("word_dim must be even (char BiLSTM uses word_dim/2 per direction)")
         if self.rnn_size % 2 != 0:
             raise ConfigError("rnn_size must be even (half per direction)")
-        if self.char_emb_dim < 0:
-            raise ConfigError("dims must be non-negative")
         for name in ("word_dropout", "recurrent_dropout", "edge_dropout", "label_dropout"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must be in [0,1), got {rate}")
-
-    @property
-    def char_dim(self) -> int:
-        return self.char_emb_dim if self.char_emb_dim else self.word_dim // 2
 
     @property
     def input_dim(self) -> int:
@@ -275,7 +269,7 @@ class ParserModel:
         cfg = self.config
         specs = [("emb/word", (len(self.word_vocab), cfg.word_dim), _normal(0.1)),
                  ("emb/pos", (len(self.pos_vocab), cfg.pos_dim), _normal(0.1)),
-                 ("emb/char", (len(self.char_vocab), cfg.char_dim), _normal(0.1)),
+                 ("emb/char", (len(self.char_vocab), cfg.word_dim // 2), _normal(0.1)),
                  ("emb/unk_word", (cfg.word_dim,), _normal(0.1)),
                  ("emb/unk_pos", (cfg.pos_dim,), _normal(0.1)),
                  ("emb/root", (cfg.input_dim,), _normal(0.1))]
@@ -286,7 +280,7 @@ class ParserModel:
                               (f"{prefix}/{direction}/u", (hidden, 4 * hidden), _glorot),
                               (f"{prefix}/{direction}/b", (4 * hidden,), _zeros)])
 
-        lstm("char_rnn", cfg.char_dim, cfg.word_dim // 2)
+        lstm("char_rnn", cfg.word_dim // 2, cfg.word_dim // 2)
         half = cfg.rnn_size // 2
         for owner in sorted({self._owner(task, "rnn") for task in self.tasks}):
             d_in = cfg.input_dim

@@ -16,6 +16,7 @@ from sdpkit.formats import SdpDocument, read_conllu, read_sdp, write_conllu, wri
 from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, is_acyclic
 from sdpkit.network import SEMANTIC, NetworkConfig, ParserModel
 from sdpkit.synth import SynthConfig
+from sdpkit.training import TrainConfig, TrainResult
 
 TINY = {"word_dim": 8, "pos_dim": 4, "rnn_size": 8, "rnn_layers": 1, "fnn_size": 8,
         "word_dropout": 0.0, "recurrent_dropout": 0.0, "edge_dropout": 0.0,
@@ -94,6 +95,12 @@ def _version_1(meta, arrays):
     meta["config"]["context_dim"] = 0
 
 
+def _version_2(meta, arrays):
+    """A checkpoint as version 2 wrote it: its config held `char_emb_dim`."""
+    meta["checkpoint_version"] = 2
+    meta["config"]["char_emb_dim"] = 0
+
+
 def _save_one_array(good, bad):
     with open(bad, "wb") as f:  # a file object, so np.save adds no .npy suffix
         np.save(f, np.zeros(3))
@@ -112,14 +119,15 @@ def _save_one_array(good, bad):
     (lambda good, bad: write_checkpoint(bad, read_checkpoint(good)[0], [1]),
      "not a parser checkpoint"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m, a: m.update(kind="other")),
-     r"\('other', 2\)"),
+     r"\('other', 3\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, _version_1), r"\('sdpkit-parser', 1\)"),
+    (lambda good, bad: _rewrite_checkpoint(good, bad, _version_2), r"\('sdpkit-parser', 2\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad,
-                                           lambda m, a: m.update(checkpoint_version=3)),
-     r"\('sdpkit-parser', 3\)"),
+                                           lambda m, a: m.update(checkpoint_version=4)),
+     r"\('sdpkit-parser', 4\)"),
 ], ids=["missing-file", "empty", "not-a-zip", "truncated", "plain-array", "no-metadata",
         "metadata-not-json", "metadata-not-an-object", "wrong-kind", "version-1",
-        "wrong-version"])
+        "version-2", "wrong-version"])
 def test_unreadable_checkpoint_refused(pipeline, tmp_path, capsys, make, reason):
     bad = tmp_path / "bad.npz"
     make(Path(pipeline["model.npz"]), bad)
@@ -210,7 +218,8 @@ def _refused_argv(case, p, inp, out):
              "--epochs", "1", "--out", str(out / "model.npz")]
     configs = {"config-not-an-object": "[1]", "section-not-an-object": '{"network": []}',
                "unknown-config-key": '{"bogus": 1}', "config-not-json": "{",
-               "context-dim-config-key": '{"network": {"context_dim": 3}}'}
+               "context-dim-config-key": '{"network": {"context_dim": 3}}',
+               "char-emb-dim-config-key": '{"network": {"char_emb_dim": 50}}'}
     if case in configs:
         config = inp / "bad.json"
         config.write_text(configs[case])
@@ -253,6 +262,7 @@ _REFUSALS = {  # each case `_refused_argv` builds, and its message
     "unknown-config-key": "bad.json: unknown config keys ['bogus']",
     "config-not-json": "bad.json: invalid JSON",
     "context-dim-config-key": "config section 'network' has unknown keys ['context_dim']",
+    "char-emb-dim-config-key": "config section 'network' has unknown keys ['char_emb_dim']",
     "intersect-lengths-differ": "alignment files differ in length: 12 vs 11 sentence pairs",
     "no-semantic-task": "the semantic task is required",
     "duplicate-task": "duplicate task names",
@@ -342,6 +352,9 @@ def test_gradcheck(monkeypatch, biaffine_bias):
     assert seeds == [0] and settings == [{"epsilon": 1e-5, "tolerance": 1e-4}]
     assert {name.split("/")[2] for name in shapes if name.startswith("rnn/")} == \
         {"layer0", "layer1", "layer2"}
+    # at toy widths: words 4, so the char BiLSTM 2 per direction, and POS 2
+    assert (shapes["emb/word"][1], shapes["emb/char"][1], shapes["char_rnn/fw/u"][0],
+            shapes["emb/pos"][1]) == (4, 2, 2, 2)
     # the bias is a border of the edge weight (fnn_size 4), checked with it
     edge = 5 if biaffine_bias else 4
     assert shapes["scorer/semantic/edge"] == (edge, edge)
@@ -413,6 +426,27 @@ def test_config_float_field_takes_an_int(pipeline, tmp_path):
                      "--out", str(out)]) == 0
     with open(f"{out}.manifest.json", encoding="utf-8") as f:
         assert json.load(f)["config"]["train"]["syntactic_weight"] == 0
+
+
+def test_train_without_a_config_file_uses_the_defaults(pipeline, tmp_path, monkeypatch):
+    # flags only: the network is NetworkConfig's defaults, the paper's dimensions
+    calls = []
+
+    def spy(model, corpora, heldout, cfg, metrics_out=None):  # no training, for speed
+        calls.append((model.config, cfg))
+        return TrainResult([{"epoch": 1, "heldout_lf": 0.5}])
+
+    monkeypatch.setattr(cli, "train", spy)
+    out = tmp_path / "model.npz"
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--seed", "5", "--lr", "0.01", "--epochs", "7",
+                     "--patience", "2", "--token-budget", "300", "--out", str(out)]) == 0
+    train_cfg = TrainConfig(lr=0.01, max_epochs=7, patience=2, token_budget=300, seed=5)
+    assert calls == [(NetworkConfig(), train_cfg)]
+    with open(f"{out}.manifest.json", encoding="utf-8") as f:
+        config = json.load(f)["config"]
+    assert config["network"] == asdict(NetworkConfig())
+    assert (config["seed"], config["train"]) == (5, asdict(train_cfg))
 
 
 def _ids_and_sentences(path):

@@ -37,13 +37,18 @@ def _close(got, want, rtol):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-def test_config_defaults_are_the_paper_settings():
+def test_config_defaults_are_the_paper_settings(graphs):
     # the paper's dimensions (bench/workloads.py's PAPER) with Dozat & Manning's dropout rates
     assert asdict(NetworkConfig()) == {
         "word_dim": 100, "pos_dim": 100, "rnn_size": 600, "rnn_layers": 3, "fnn_size": 600,
-        "char_emb_dim": 0, "word_dropout": 0.2, "recurrent_dropout": 0.25,
-        "edge_dropout": 0.25, "label_dropout": 0.33, "biaffine_bias": False}
-    assert NetworkConfig().char_dim == 50
+        "word_dropout": 0.2, "recurrent_dropout": 0.25, "edge_dropout": 0.25,
+        "label_dropout": 0.33, "biaffine_bias": False}
+    # the char embedding and each char BiLSTM direction are half the word dimension
+    words, chars, pos = build_vocabs([g.sentence for g in graphs])
+    model = ParserModel(NetworkConfig(), {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)},
+                        words, chars, pos)
+    assert model.params["emb/char"].shape == (len(chars), 50)
+    assert model.params["char_rnn/fw/w"].shape == (50, 200)
     assert asdict(SharingTopology()) == {"shared_rnn": True, "shared_fnn": False,
                                          "task_rnn": False}
 
@@ -56,13 +61,12 @@ def test_config_defaults_are_the_paper_settings():
     ({"fnn_size": -2}, "fnn_size must be positive"),
     ({"word_dim": 3}, r"word_dim must be even \(char BiLSTM"),
     ({"rnn_size": 5}, r"rnn_size must be even \(half per direction\)"),
-    ({"char_emb_dim": -1}, "dims must be non-negative"),
     ({"label_dropout": 1.0}, r"label_dropout must be in \[0,1\), got 1.0"),
     ({"word_dropout": -0.1}, r"word_dropout must be in \[0,1\), got -0.1"),
     ({"recurrent_dropout": 1.5}, r"recurrent_dropout must be in \[0,1\), got 1.5"),
     ({"edge_dropout": -0.25}, r"edge_dropout must be in \[0,1\), got -0.25"),
 ], ids=["rnn_layers", "word_dim-zero", "pos_dim-zero", "rnn_size-zero", "fnn_size-negative",
-        "word_dim", "rnn_size", "char_emb_dim", "label_dropout", "word_dropout",
+        "word_dim", "rnn_size", "label_dropout", "word_dropout",
         "recurrent_dropout", "edge_dropout"])
 def test_network_config_refuses_invalid_settings(settings, message):
     with pytest.raises(ConfigError, match=message):
