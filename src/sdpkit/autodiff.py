@@ -261,9 +261,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     data = a.data[start:stop]
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        _accumulate(a, full, owned=True)
+        _scatter_back(a, slice(start, stop), g)
 
     return _result(data, (a,), backward)
 
@@ -356,6 +354,13 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # gathers
 
 
+def _scatter_back(t: Tensor, index, g: np.ndarray):
+    """Backward of the gather `t.data[index]`: scatter-add `g` into `t.grad`."""
+    full = np.zeros_like(t.data)
+    np.add.at(full, index, g)
+    _accumulate(t, full, owned=True)
+
+
 def lookup(table: Tensor, ids) -> Tensor:
     """Embedding row gather; gradients scatter-add back into the table."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -366,9 +371,7 @@ def lookup(table: Tensor, ids) -> Tensor:
     data = table.data[ids]
 
     def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        _accumulate(table, full, owned=True)
+        _scatter_back(table, ids, g)
 
     return _result(data, (table,), backward)
 
@@ -384,9 +387,7 @@ def pick_cells(a: Tensor, sentences, heads, deps) -> Tensor:
     data = a.data[cells]
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, cells, g)
-        _accumulate(a, full, owned=True)
+        _scatter_back(a, cells, g)
 
     return _result(data, (a,), backward)
 

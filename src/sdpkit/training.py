@@ -109,13 +109,12 @@ def semantic_loss(s_edge: Tensor, s_label: Tensor,
     golds = [as_partial(g) for g in golds]
     sizes = [gold.graph.n for gold in golds]
     _check_scores(s_edge, sizes)
-    mask = edge_cells(sizes)
-    edges = []  # (sentence, head, dependent - 1, label id)
+    decided = np.zeros(s_edge.shape[:2])  # (B, T+1): 1 at each aligned position
     for b, gold in enumerate(golds):
-        decided = np.zeros(gold.graph.n + 1)
-        decided[list(gold.aligned)] = 1.0
-        mask[b, :len(decided), :len(decided) - 1] *= np.outer(decided, decided[1:])
-        edges.extend((b, h, d - 1, labels.id(label)) for h, d, label in gold.graph.sorted_edges())
+        decided[b, list(gold.aligned)] = 1.0
+    mask = edge_cells(sizes) * decided[:, :, None] * decided[:, None, 1:]
+    edges = [(b, h, d - 1, labels.id(label))  # (sentence, head, dependent - 1, label id)
+             for b, gold in enumerate(golds) for h, d, label in gold.graph.sorted_edges()]
     b, h, d, ids = np.array(edges, dtype=np.int64).reshape(-1, 4).T
     targets = np.zeros(s_edge.shape)
     targets[b, h, d] = 1.0
@@ -140,11 +139,9 @@ def syntactic_loss(s_edge: Tensor, s_label: Tensor, golds: Sequence[SyntacticTre
     valid = edge_cells(sizes)
     s_edge = ad.add(ad.mul(s_edge, ad.constant(valid)), ad.constant((1.0 - valid) * NEG_SCORE))
     rows, steps, longest = s_edge.shape
+    real = np.arange(longest) < np.array(sizes)[:, None]
     head_ids = np.zeros((rows, longest), dtype=np.int64)
-    real = np.zeros((rows, longest))
-    for b, gold in enumerate(golds):
-        head_ids[b, :gold.n] = gold.heads
-        real[b, :gold.n] = 1.0
+    head_ids[real] = [h for gold in golds for h in gold.heads]
     logits = ad.reshape(ad.transpose(s_edge, (0, 2, 1)), (rows * longest, steps))
     head_loss = ad.sum_all(ad.mul(ad.softmax_cross_entropy(logits, head_ids.reshape(-1)),
                                   ad.constant(real.reshape(-1))))

@@ -369,10 +369,14 @@ def test_losses_match_a_cell_by_cell_reference():
         aligned = frozenset(j for j in range(1, g.n + 1) if rng.random() < 0.7)
         edges = frozenset(e for e in g.edges if {e.head, e.dependent} <= aligned | {0})
         partial.append(PartialGraph(SemanticGraph(g.sentence, edges), aligned))
+    # the same batch with its shortest sentence wholly undecided: no cell of it counts
+    undecided = [PartialGraph(SemanticGraph(p.sentence, frozenset()), frozenset())
+                 if p.graph.n == 5 else p for p in partial]
     sentences = [g.sentence for g in graphs]
-    assert len({len(s) for s in sentences}) > 1  # shorter sentences are padded
+    assert sorted(len(s) for s in sentences) == [5, 7, 8, 9]  # shorter sentences are padded
     for task, loss, reference, golds in (
             (SEMANTIC, training.semantic_loss, reference_semantic_loss, partial),
+            (SEMANTIC, training.semantic_loss, reference_semantic_loss, undecided),
             (SYNTACTIC, training.syntactic_loss, reference_syntactic_loss, trees)):
         s_edge, s_label = model.forward(sentences, task)
         labels = model.tasks[task]
