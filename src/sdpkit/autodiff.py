@@ -717,19 +717,20 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
 class Parameter(Tensor):
     """A named trainable tensor with its gradient buffer, Adam moments and step counter.
 
-    `data` is the parameter's own array. Its gradient buffer, `m` and `v` are
-    views at one offset into three flat float64 arrays, one per role, shared
-    by every parameter of a `parameter_set`; a standalone `Parameter` gets
-    flat arrays of its own size. With one allocation per role, a model-sized
-    np.empty or np.zeros maps lazily zeroed pages, so a model that never
-    trains (one loaded to parse) neither fills nor touches its moments and
-    gradient buffer; small per-parameter arrays would come from recycled heap
-    and be zero-filled at once.
+    `data`, the gradient buffer, `m` and `v` are views at one offset into four
+    flat float64 arrays, one per role, shared by every parameter of a
+    `parameter_set`; a standalone `Parameter(data)` is a one-parameter set
+    over a copy of `data`. Write `data` in place and never rebind it: the
+    flat data array is what a checkpoint saves and what Adam updates. With
+    one allocation per role, a model-sized np.empty or np.zeros maps lazily
+    zeroed pages, so a model that never trains (one loaded to parse) neither
+    fills nor touches its moments and gradient buffer; small per-parameter
+    arrays would come from recycled heap and be zero-filled at once.
 
     `grad` is None or the buffer view. Backward writes a step's first gradient
     straight into the view and adds later ones to it. `adam_step` only reads
-    it, but it stays valid only until the next `clear_grads` plus backward
-    (which overwrites it); copy it to keep it.
+    the buffer, but it stays valid only until the next `clear_grads` plus
+    backward (which overwrites it); copy it to keep it.
 
     `m` and `v` are Adam's moments as unnormalised sums, M = b1 M + g and
     V = b2 V + g^2: the textbook m and v divided by (1-b1) and (1-b2). See
@@ -738,32 +739,39 @@ class Parameter(Tensor):
 
     __slots__ = ("name", "m", "v", "step", "_flat", "_offset", "_buffer")
 
-    def __init__(self, data, name: str = "", *, flat=None, offset: int = 0):
-        # adopts `data` when it already is a C-contiguous float64 array
-        super().__init__(np.ascontiguousarray(data, dtype=_DEFAULT_DTYPE), requires_grad=True)
-        self.name = name
-        size = self.data.size
-        self._flat = _flat_state(size) if flat is None else flat
-        self._offset = offset
-        self._buffer, self.m, self.v = (a[offset:offset + size].reshape(self.data.shape)
-                                        for a in self._flat)
-        self.step = 0
+    def __init__(self, data, name: str = ""):
+        data = np.array(data, dtype=_DEFAULT_DTYPE)  # copied: the set's flat data
+        self._place(name, _flat_state(data.reshape(-1)), 0, data.shape)
+
+    def _place(self, name: str, flat: tuple, offset: int, shape: tuple):
+        size = math.prod(shape)
+        data, self._buffer, self.m, self.v = (a[offset:offset + size].reshape(shape)
+                                              for a in flat)
+        super().__init__(data, requires_grad=True)
+        self.name, self._flat, self._offset, self.step = name, flat, offset, 0
 
 
-def _flat_state(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat gradient buffer, m and v of `size` float64 elements each."""
-    return np.empty(size), np.zeros(size), np.zeros(size)
+def _flat_state(data: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four flat roles over the flat `data`: itself, a gradient buffer, m and v."""
+    return data, np.empty(data.size), np.zeros(data.size), np.zeros(data.size)
 
 
-def parameter_set(named_arrays: dict[str, np.ndarray]) -> dict[str, Parameter]:
-    """Parameters over the named arrays, in the dict's order, sharing one flat
-    gradient buffer, `m` and `v`, laid out in sorted-name order."""
-    flat = _flat_state(sum(np.size(a) for a in named_arrays.values()))
-    params, offset = {}, 0
-    for name in sorted(named_arrays):
-        params[name] = Parameter(named_arrays[name], name, flat=flat, offset=offset)
-        offset += params[name].data.size
-    return {name: params[name] for name in named_arrays}
+def parameter_set(shapes: dict[str, tuple], data: np.ndarray) -> dict[str, Parameter]:
+    """Parameters of the given shapes, in the dict's order, over the flat
+    float64 `data` (a fresh np.empty to draw into, or an array read from a
+    checkpoint), which they adopt, plus one flat gradient buffer, `m` and `v`
+    of its size. Each parameter's views sit at one offset into all four,
+    laid out in sorted-name order; `data` must hold exactly their elements."""
+    size = sum(math.prod(shape) for shape in shapes.values())
+    if data.dtype != _DEFAULT_DTYPE or data.shape != (size,):
+        raise AutodiffError(f"parameter_set: data is {data.dtype} of shape {data.shape}, "
+                            f"expected float64 of shape ({size},)")
+    flat, params, offset = _flat_state(data), {}, 0
+    for name in sorted(shapes):
+        params[name] = p = Parameter.__new__(Parameter)
+        p._place(name, flat, offset, shapes[name])
+        offset += p.data.size
+    return {name: params[name] for name in shapes}
 
 
 # Elements per block of the in-place Adam update. A block of the gradient, both
@@ -777,13 +785,12 @@ def adam_step(params, lr: float, beta1: float, beta2: float, eps: float):
     bias corrections folded into the step size (Kingma & Ba 2015, section 2).
 
     Parameters whose gradient is unset are skipped (their moments and step
-    counters do not advance); a gradient assigned from outside is first
-    copied into the parameter's buffer. Walking `params` in order, each
-    parameter joins the run of the one before it when it sits right after it
-    in the same flat arrays and reaches the same step count. Each run is one
-    blocked, in-place pass over its slices of the flat gradient buffer and
-    moments, which builds each block's update in a scratch block and
-    subtracts it from the parameters' data; the gradient is only read.
+    counters do not advance); a set gradient is the parameter's buffer, and
+    only the buffer is read. Walking `params` in order, each parameter joins
+    the run of the one before it when it sits right after it in the same flat
+    arrays and reaches the same step count. Each run is one blocked, in-place
+    pass over its slices of the four flat arrays, which builds each block's
+    update in a scratch block and subtracts it from the block's data.
     Gradients are cleared.
 
     `m` and `v` hold the unnormalised sums M = m / (1-b1) and V = v / (1-b2)
@@ -805,11 +812,6 @@ def adam_step(params, lr: float, beta1: float, beta2: float, eps: float):
         if p.grad is None:
             continue
         p.step += 1
-        if not p.data.flags.c_contiguous:
-            raise AutodiffError(f"adam_step: {p.name}: data must be C-contiguous to update "
-                                "in place")
-        if p.grad is not p._buffer:
-            np.copyto(p._buffer, p.grad)
         p.grad = None
         if run:
             last = run[-1]
@@ -824,18 +826,14 @@ def adam_step(params, lr: float, beta1: float, beta2: float, eps: float):
 
 def _adam_run(run: list[Parameter], scratch: np.ndarray, lr: float, beta1: float,
               beta2: float, eps: float):
-    """One Adam step over parameters that tile a slice of the same flat arrays.
-
-    Blocks may span parameters. Each block's update is subtracted from the data
-    of the parameters it covers while the block is still in cache."""
-    lo = run[0]._offset
-    grad, m, v = (a[lo:run[-1]._offset + run[-1].data.size] for a in run[0]._flat)
-    parts = [(p._offset - lo, p.data.reshape(-1)) for p in run]  # C-contiguous: views
+    """One Adam step over parameters that tile a slice of the same flat arrays,
+    in blocks that may span parameters."""
+    lo, hi = run[0]._offset, run[-1]._offset + run[-1].data.size
+    data, grad, m, v = (a[lo:hi] for a in run[0]._flat)
     step = run[0].step
     k = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** step))
     alpha = lr * (1.0 - beta1) / ((1.0 - beta1 ** step) * k)
     eps_hat = eps / k
-    at_part = 0
     for start in range(0, grad.size, _ADAM_BLOCK):
         stop = min(start + _ADAM_BLOCK, grad.size)
         g, mb, vb = grad[start:stop], m[start:stop], v[start:stop]
@@ -849,13 +847,7 @@ def _adam_run(run: list[Parameter], scratch: np.ndarray, lr: float, beta1: float
         s += eps_hat
         np.divide(mb, s, out=s)
         s *= alpha
-        while at_part < len(parts):  # data -= update, over the parameters the block covers
-            at, data = parts[at_part]
-            first, last = max(start, at), min(stop, at + data.size)
-            data[first - at:last - at] -= s[first - start:last - start]
-            if at + data.size > stop:
-                break
-            at_part += 1
+        data[start:stop] -= s
 
 
 def clear_grads(params):

@@ -120,14 +120,13 @@ def length_buckets(predicted: Sequence[SemanticGraph | PartialGraph],
     return {b: BucketStat(c[0], c[1]) for b, c in counts.items()}
 
 
-def _incoming(graph: SemanticGraph, j: int, labeled: bool) -> frozenset:
-    if labeled:
-        return frozenset((h, l) for h, d, l in graph.edges if d == j)
-    return frozenset(h for h, d, _ in graph.edges if d == j)
-
-
-def _token_correct(pred: SemanticGraph, gold: SemanticGraph, j: int, labeled: bool) -> bool:
-    return _incoming(pred, j, labeled) == _incoming(gold, j, labeled)
+def _incoming_pairs(graph: SemanticGraph | PartialGraph) -> list[set]:
+    """The (head, label) pairs of each position's incoming edges, by position."""
+    graph = as_semantic(graph)
+    incoming = [set() for _ in range(graph.n + 1)]
+    for h, d, l in graph.edges:
+        incoming[d].add((h, l))
+    return incoming
 
 
 @dataclass(frozen=True)
@@ -155,31 +154,28 @@ def head_match_stats(gold: Sequence[SemanticGraph | PartialGraph],
     _check_aligned_corpora(predictions_a, gold)
     _check_aligned_corpora(predictions_b, gold)
     _check_aligned_corpora(trees, gold, "tree")
-    result: dict[str, dict[str, HeadMatchStats]] = {}
-    for mode in ("labeled", "unlabeled"):
-        labeled = mode == "labeled"
-        sets: dict[str, list[int]] = {"a_improved": [0, 0, 0], "b_improved": [0, 0, 0]}
-        for g, tree, pa, pb in zip(gold, trees, predictions_a, predictions_b):
-            gg = as_semantic(g)
-            sem_heads = {j: {h for h, d, _ in gg.edges if d == j} for j in range(1, gg.n + 1)}
-            for j in range(1, gg.n + 1):
-                ok_a = _token_correct(as_semantic(pa), gg, j, labeled)
-                ok_b = _token_correct(as_semantic(pb), gg, j, labeled)
-                if ok_a == ok_b:
-                    continue
-                key = "a_improved" if ok_a else "b_improved"
-                match = tree.head_of(j) in sem_heads[j]
-                mismatch = any(h >= 1 and tree.head_of(h) == j for h in sem_heads[j])
-                sets[key][0] += 1
-                sets[key][1] += int(match)
-                sets[key][2] += int(mismatch)
-        result[mode] = {
-            key: HeadMatchStats(c[0],
-                                None if c[0] == 0 else c[1] / c[0],
-                                None if c[0] == 0 else c[2] / c[0])
-            for key, c in sets.items()
-        }
-    return result
+    # [tokens, matches, mismatches] per mode and improvement set
+    counts = {mode: {"a_improved": [0, 0, 0], "b_improved": [0, 0, 0]}
+              for mode in ("labeled", "unlabeled")}
+    for g, tree, pa, pb in zip(gold, trees, predictions_a, predictions_b):
+        incoming = [_incoming_pairs(graph) for graph in (g, pa, pb)]
+        for j in range(1, len(incoming[0])):
+            labeled = [pairs[j] for pairs in incoming]  # gold, A, B
+            unlabeled = [{h for h, _ in pairs} for pairs in labeled]
+            sem_heads = unlabeled[0]
+            match = tree.head_of(j) in sem_heads
+            mismatch = any(h >= 1 and tree.head_of(h) == j for h in sem_heads)
+            for mode, (want, a, b) in (("labeled", labeled), ("unlabeled", unlabeled)):
+                if (a == want) != (b == want):
+                    c = counts[mode]["a_improved" if a == want else "b_improved"]
+                    c[0] += 1
+                    c[1] += match
+                    c[2] += mismatch
+    return {mode: {key: HeadMatchStats(c[0],
+                                       None if c[0] == 0 else c[1] / c[0],
+                                       None if c[0] == 0 else c[2] / c[0])
+                   for key, c in sets.items()}
+            for mode, sets in counts.items()}
 
 
 def label_contribution(predictions_multitask: Sequence[SemanticGraph | PartialGraph],

@@ -25,14 +25,17 @@ and the four attention FNNs are shared or task-specific according to the
 `SharingTopology`, with an optional extra task-specific recurrent layer on
 top of a shared stack. Bilinear scorers are always task-specific.
 
-A trained model passes from `sdpkit train` to `sdpkit parse` as one
-checkpoint file. Its format is this module's alone: `ParserModel.save` writes
-it, `ParserModel.load` reads it, and `CHECKPOINT_VERSION` versions it.
+Every parameter's data is a view into one flat array, `ParserModel.param_data`
+(see `ad.parameter_set`), which a trained model passes from `sdpkit train` to
+`sdpkit parse` as one member of a checkpoint file. Its format is this module's
+alone: `ParserModel.save` writes it, `ParserModel.load` reads it, and
+`CHECKPOINT_VERSION` versions it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass
@@ -42,15 +45,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import CheckpointError, ConfigError
+from .errors import AutodiffError, CheckpointError, ConfigError
 from .formats import atomic_open
 from .graph import TOP_LABEL, Token
 
 UNK = "<unk>"
 
 # Raise the version whenever the tensors or the metadata that `save` writes change.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _META_KEY = "__meta__"
+_PARAMS_KEY = "parameters"
 
 SEMANTIC = "semantic"
 SYNTACTIC = "syntactic"
@@ -166,24 +170,31 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0x7FFFFFFF, zlib.crc32(name.encode("utf-8"))])
 
 
-# initializers of `ParserModel._param_specs`: (rng, shape) -> array
+# initializers of `ParserModel._param_specs`: (rng, out) draws in place into
+# `out`, a parameter's data, bit for bit what rng.normal(0, 0.1) and
+# rng.uniform(-limit, limit) would return for its shape
 
-def _normal(scale: float):
-    return lambda rng, shape: rng.normal(0.0, scale, size=shape)
-
-
-def _glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
-    return rng.uniform(-limit, limit, size=shape)
+def _normal(rng: np.random.Generator, out: np.ndarray):
+    rng.standard_normal(out=out)
+    out *= 0.1
 
 
-def _glorot_bordered(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+def _glorot(rng: np.random.Generator, out: np.ndarray):
+    limit = np.sqrt(6.0 / (out.shape[-2] + out.shape[-1]))
+    rng.random(out=out)
+    out *= 2.0 * limit
+    out -= limit
+
+
+def _glorot_bordered(rng: np.random.Generator, out: np.ndarray):
     """`_glorot` of the shape one smaller, then a zero last row and column."""
-    return np.pad(_glorot(rng, (shape[0] - 1, shape[1] - 1)), (0, 1))
+    inner = np.empty((out.shape[0] - 1, out.shape[1] - 1))
+    _glorot(rng, inner)
+    out[...] = np.pad(inner, (0, 1))
 
 
-def _zeros(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    return np.zeros(shape)
+def _zeros(rng: np.random.Generator, out: np.ndarray):
+    out.fill(0.0)
 
 
 FNN_TYPES = ("edge_dep", "edge_head", "label_dep", "label_head")
@@ -223,8 +234,14 @@ class ParserModel:
                  pretrained: np.ndarray | None = None):
         self._configure(config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed,
                         pretrained)
-        self._install([(name, init(_rng_for(seed, name), shape))
-                       for name, shape, init in self._param_specs()])
+        specs = self._param_specs()
+        # one flat data array, so one gradient buffer and one pair of Adam
+        # moments, for the whole model; each initializer draws into its view
+        self.param_data = np.empty(sum(math.prod(shape) for _, shape, _ in specs))
+        self.params: dict[str, Parameter] = ad.parameter_set(
+            {name: shape for name, shape, _ in specs}, self.param_data)
+        for name, _, init in specs:
+            init(_rng_for(seed, name), self.params[name].data)
 
     # ------------------------------------------------------------------ setup
 
@@ -253,26 +270,21 @@ class ParserModel:
                               f"({len(word_vocab)}, {config.word_dim})")
         self.pretrained = pretrained  # fixed; never updated
 
-    def _install(self, named: list[tuple[str, np.ndarray]]):
-        """Make the arrays the parameters: one `ad.parameter_set`, so one
-        gradient buffer and one pair of Adam moments for the whole model.
-        `_param_specs` names every parameter once."""
-        self.params: dict[str, Parameter] = ad.parameter_set(dict(named))
-
     def _owner(self, task: str, stack: str) -> str:
         """Owner of `task`'s "rnn" or "fnn" parameters: the task, or "shared"."""
         shared = self.topology is not None and getattr(self.topology, f"shared_{stack}")
         return "shared" if shared else task
 
     def _param_specs(self) -> list[tuple[str, tuple, object]]:
-        """(name, shape, initializer) of every parameter the model owns."""
+        """(name, shape, initializer) of every parameter the model owns, each
+        named once."""
         cfg = self.config
-        specs = [("emb/word", (len(self.word_vocab), cfg.word_dim), _normal(0.1)),
-                 ("emb/pos", (len(self.pos_vocab), cfg.pos_dim), _normal(0.1)),
-                 ("emb/char", (len(self.char_vocab), cfg.word_dim // 2), _normal(0.1)),
-                 ("emb/unk_word", (cfg.word_dim,), _normal(0.1)),
-                 ("emb/unk_pos", (cfg.pos_dim,), _normal(0.1)),
-                 ("emb/root", (cfg.input_dim,), _normal(0.1))]
+        specs = [("emb/word", (len(self.word_vocab), cfg.word_dim), _normal),
+                 ("emb/pos", (len(self.pos_vocab), cfg.pos_dim), _normal),
+                 ("emb/char", (len(self.char_vocab), cfg.word_dim // 2), _normal),
+                 ("emb/unk_word", (cfg.word_dim,), _normal),
+                 ("emb/unk_pos", (cfg.pos_dim,), _normal),
+                 ("emb/root", (cfg.input_dim,), _normal)]
 
         def lstm(prefix: str, d_in: int, hidden: int):
             for direction in ("fw", "bw"):
@@ -474,10 +486,11 @@ class ParserModel:
     # ------------------------------------------------------------- checkpoint
 
     def save(self, path):
-        """Write the model to `path`, through `atomic_open`, as an npz archive:
-        first `__meta__`, a uint8 array holding the UTF-8 JSON (keys sorted) of
-        the dict below, then each parameter by name in `params` order, then
-        `pretrained`. All arrays but `__meta__` are float64."""
+        """Write the model to `path`, through `atomic_open`, as an npz archive
+        of three members: first `__meta__`, a uint8 array holding the UTF-8
+        JSON (keys sorted) of the dict below, then `parameters`, the flat
+        `param_data` (every parameter in sorted-name order, each flattened),
+        then `pretrained`. Both are float64."""
         meta = {
             "kind": "sdpkit-parser",
             "checkpoint_version": CHECKPOINT_VERSION,
@@ -493,14 +506,15 @@ class ParserModel:
         }
         payload = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
                                 dtype=np.uint8)
-        arrays = {name: p.data for name, p in self.params.items()}
         with atomic_open(path, "wb") as f:
-            np.savez(f, **{_META_KEY: payload}, **arrays, pretrained=self.pretrained)
+            np.savez(f, **{_META_KEY: payload, _PARAMS_KEY: self.param_data},
+                     pretrained=self.pretrained)
 
     @classmethod
     def load(cls, path) -> "ParserModel":
-        """Read a file that `save` wrote, finding its arrays by name. Any other
-        file raises `CheckpointError` naming `path`."""
+        """Read a file that `save` wrote, finding its members by name; the model
+        adopts the `parameters` array as read, with no copy. Any other file
+        raises `CheckpointError` naming `path`."""
         try:
             # opened here: `np.load(path)` leaves its file open if the archive is cut short
             with open(path, "rb") as f:
@@ -544,22 +558,19 @@ class ParserModel:
         except (KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint metadata "
                                   f"({type(exc).__name__}: {exc})") from exc
-        # the saved arrays become the parameters; nothing is drawn at random
+        # `save` always writes the pretrained table; zeros must not stand in for it
+        missing = {_PARAMS_KEY, "pretrained"} - set(arrays)
+        if missing:
+            raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
+        # the saved array becomes the parameters' data; nothing is drawn at random
         model = cls.__new__(cls)
         try:
             model._configure(config, tasks, words, chars, pos, topology, seed,
-                             arrays.get("pretrained"))
-        except ConfigError as exc:  # such as a pretrained table of the wrong shape
+                             arrays["pretrained"])
+            model.params = ad.parameter_set({name: shape for name, shape, _
+                                             in model._param_specs()}, arrays[_PARAMS_KEY])
+        # such as a pretrained table or a parameters member of the wrong shape
+        except (ConfigError, AutodiffError) as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
-        specs = model._param_specs()
-        # `save` always writes the pretrained table; zeros must not stand in for it
-        missing = ({name for name, _, _ in specs} | {"pretrained"}) - set(arrays)
-        if missing:
-            raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
-        for name, shape, _ in specs:
-            data = arrays[name]
-            if data.shape != shape:
-                raise CheckpointError(f"{path}: tensor {name} has shape {data.shape}, "
-                                      f"expected {shape}")
-        model._install([(name, arrays[name]) for name, _, _ in specs])
+        model.param_data = arrays[_PARAMS_KEY]
         return model

@@ -288,8 +288,10 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     stops after `cfg.patience` epochs without a higher one. `corpora` maps
     task ids to lists of (sentence, gold) pairs; `heldout` holds semantic
     pairs. Each corpus and the held-out list must be non-empty. The model is
-    left holding the best epoch's parameters, also when training
-    stops by raising (such as `TrainingDiverged`). In multitask mode the
+    left holding the best epoch's parameters, also when training stops by
+    raising (such as `TrainingDiverged`): the flat `model.param_data` is
+    copied once before training and on each best epoch, and copied back
+    once at the end. In multitask mode the
     semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
     zero is skipped entirely, so a multitask run with a zero syntactic
     weight follows the single-task trajectory exactly.
@@ -310,7 +312,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
 
     result = TrainResult()
     # allocated once and overwritten in place on every best epoch
-    best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
+    best_snapshot = model.param_data.copy()
     lengths = {task: [len(sentence) for sentence, _ in items] for task, items in data.items()}
 
     try:
@@ -357,13 +359,11 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             if metrics_out is not None:
                 metrics_out.write(line + "\n")
             if result.best_epoch == epoch:
-                for name, p in model.params.items():
-                    np.copyto(best_snapshot[name], p.data)
+                np.copyto(best_snapshot, model.param_data)
             elif epoch - result.best_epoch > cfg.patience:
                 break
     finally:
-        for name, p in model.params.items():
-            p.data = best_snapshot[name]
+        np.copyto(model.param_data, best_snapshot)
     return result
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from sdpkit import autodiff as ad
+from sdpkit import network
 from sdpkit.graph import Edge, PartialGraph, SemanticGraph, SyntacticTree, Token, is_acyclic
 
 LABELS = ("ACT-arg", "PAT-arg", "RSTR", "APP", "TWHEN", "NE")
@@ -249,6 +250,30 @@ def reference_folded_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-
         alpha = lr * (1.0 - beta1) / ((1.0 - beta1 ** p.step) * k)
         p.data -= alpha * (p.m / (np.sqrt(p.v) + eps / k))
         p.grad = None
+
+
+def reference_initial_params(model) -> dict:
+    """The initial value of each parameter of a fresh `model`, drawn one array
+    per tensor from its per-name stream: rng.normal(0, 0.1) for the
+    embeddings, zeros for the biases, Glorot's rng.uniform(-limit, limit) for
+    the weights, and for the biaffine edge weight a Glorot weight one smaller
+    with a zero last row and column."""
+    def glorot(rng, shape):
+        limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+        return rng.uniform(-limit, limit, shape)
+
+    want = {}
+    for name, p in model.params.items():
+        rng = network._rng_for(model.seed, name)
+        if name.startswith("emb/"):
+            want[name] = rng.normal(0.0, 0.1, p.shape)
+        elif name.endswith("/b"):
+            want[name] = np.zeros(p.shape)
+        elif name.endswith("/edge") and model.config.biaffine_bias:
+            want[name] = np.pad(glorot(rng, (p.shape[0] - 1, p.shape[1] - 1)), (0, 1))
+        else:
+            want[name] = glorot(rng, p.shape)
+    return want
 
 
 def reference_decode_semantic(s_edge, s_label, labels, sentence):

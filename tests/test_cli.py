@@ -101,6 +101,15 @@ def _version_2(meta, arrays):
     meta["config"]["char_emb_dim"] = 0
 
 
+def _version_3(good, bad):
+    """`good` as version 3 wrote it: each parameter a member of its own."""
+    arrays, meta = read_checkpoint(good)
+    meta["checkpoint_version"] = 3
+    del arrays["parameters"]
+    arrays.update({name: p.data for name, p in ParserModel.load(str(good)).params.items()})
+    write_checkpoint(bad, arrays, meta)
+
+
 def _save_one_array(good, bad):
     with open(bad, "wb") as f:  # a file object, so np.save adds no .npy suffix
         np.save(f, np.zeros(3))
@@ -119,15 +128,16 @@ def _save_one_array(good, bad):
     (lambda good, bad: write_checkpoint(bad, read_checkpoint(good)[0], [1]),
      "not a parser checkpoint"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m, a: m.update(kind="other")),
-     r"\('other', 3\)"),
+     r"\('other', 4\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, _version_1), r"\('sdpkit-parser', 1\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, _version_2), r"\('sdpkit-parser', 2\)"),
+    (_version_3, r"\('sdpkit-parser', 3\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad,
-                                           lambda m, a: m.update(checkpoint_version=4)),
-     r"\('sdpkit-parser', 4\)"),
+                                           lambda m, a: m.update(checkpoint_version=5)),
+     r"\('sdpkit-parser', 5\)"),
 ], ids=["missing-file", "empty", "not-a-zip", "truncated", "plain-array", "no-metadata",
         "metadata-not-json", "metadata-not-an-object", "wrong-kind", "version-1",
-        "version-2", "wrong-version"])
+        "version-2", "version-3", "wrong-version"])
 def test_unreadable_checkpoint_refused(pipeline, tmp_path, capsys, make, reason):
     bad = tmp_path / "bad.npz"
     make(Path(pipeline["model.npz"]), bad)

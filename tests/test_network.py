@@ -2,7 +2,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from helpers import adam_step, reference_folded_adam_step
+from helpers import adam_step, reference_folded_adam_step, reference_initial_params
 
 from sdpkit import autodiff as ad
 from sdpkit import network
@@ -23,11 +23,12 @@ def graphs():
     return synth_corpus(SynthConfig(sentences=6, seed=11)).target_gold.graphs()
 
 
-def _model(graphs, tasks=(SEMANTIC,), topology=None, seed: int = 4) -> ParserModel:
+def _model(graphs, tasks=(SEMANTIC,), topology=None, seed: int = 4,
+           config: NetworkConfig = TINY) -> ParserModel:
     vocabs = {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS),
               SYNTACTIC: syntactic_label_vocab(DEFAULT_DEPRELS)}
     words, chars, pos = build_vocabs([g.sentence for g in graphs])
-    return ParserModel(TINY, {task: vocabs[task] for task in tasks}, words, chars, pos,
+    return ParserModel(config, {task: vocabs[task] for task in tasks}, words, chars, pos,
                        topology=topology, seed=seed)
 
 
@@ -76,8 +77,23 @@ def test_network_config_refuses_invalid_settings(settings, message):
 def test_glorot_draws_fill_their_limit():
     # Glorot & Bengio's uniform limit sqrt(6 / (fan_in + fan_out))
     limit = np.sqrt(6.0 / 500)
-    w = np.abs(network._glorot(np.random.default_rng(0), (200, 300)))
-    assert 0.999 * limit < w.max() <= limit
+    w = np.empty((200, 300))
+    network._glorot(np.random.default_rng(0), w)
+    assert 0.999 * limit < np.abs(w).max() <= limit
+
+
+@pytest.mark.parametrize("tasks,topology,config", [
+    ((SEMANTIC,), None, replace(TINY, biaffine_bias=False)),
+    ((SEMANTIC, SYNTACTIC), SharingTopology(shared_rnn=True, shared_fnn=True, task_rnn=True),
+     replace(TINY, biaffine_bias=False)),
+    ((SEMANTIC,), None, TINY),
+], ids=["single-task", "two-task", "biaffine-bias"])
+def test_in_place_draws_match_the_per_tensor_draws(graphs, tasks, topology, config):
+    model = _model(graphs, tasks, topology, seed=9, config=config)
+    want = reference_initial_params(model)
+    assert set(want) == set(model.params)
+    for name, p in model.params.items():
+        assert p.data.tobytes() == want[name].tobytes(), name
 
 
 def test_embeddings_start_normal_with_scale_0_1(graphs):
@@ -461,18 +477,28 @@ def _task_loss(model, task, golds, weight: float = 1.0):
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
-def test_parameter_state_is_three_flat_arrays_in_sorted_name_order(graphs, tmp_path, loaded):
+def test_parameter_state_is_four_flat_arrays_in_sorted_name_order(graphs, tmp_path, loaded,
+                                                                   monkeypatch):
     model = _model(graphs)
     if loaded:
         model.save(str(tmp_path / "model.npz"))
+        read = {}
+        get = np.lib.npyio.NpzFile.__getitem__
+
+        def spy(npz, key):
+            read[key] = get(npz, key)
+            return read[key]
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
         model = ParserModel.load(str(tmp_path / "model.npz"))
+        assert model.param_data is read["parameters"]  # adopted as read, with no copy
     s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
                                     np.random.default_rng(1))
     semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC]).backward()
     params = [model.params[name] for name in sorted(model.params)]
     assert all(p.grad is not None for p in params)  # train mode reaches every parameter
     flats = []
-    for role in ("grad", "m", "v"):
+    for role in ("data", "grad", "m", "v"):
         views = [getattr(p, role) for p in params]
         flat = views[0].base
         assert flat.ndim == 1 and flat.size == sum(p.data.size for p in params), role
@@ -485,10 +511,11 @@ def test_parameter_state_is_three_flat_arrays_in_sorted_name_order(graphs, tmp_p
                     == offset * flat.itemsize), (role, p.name)
             offset += p.data.size
         flats.append(flat)
-    grads, m, v = flats
-    assert not (np.shares_memory(grads, m) or np.shares_memory(grads, v)
-                or np.shares_memory(m, v))
-    assert not any(np.shares_memory(p.data, flat) for p in params for flat in flats)
+    # the data views tile the model's flat array (for a loaded model its base
+    # may be the buffer numpy read the member into)
+    assert (model.param_data.shape == flats[0].shape and model.param_data.__array_interface__
+            == flats[0].__array_interface__)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[i + 1:])
 
 
 def test_backward_overwrites_the_gradient_buffers(graphs):

@@ -236,8 +236,7 @@ def test_checkpoint_file_layout(tmp_path):
     path = tmp_path / "model.npz"
     model.save(str(path))
     with zipfile.ZipFile(path) as archive:
-        assert archive.namelist() == [f"{name}.npy" for name in
-                                      ["__meta__", *model.params, "pretrained"]]
+        assert archive.namelist() == ["__meta__.npy", "parameters.npy", "pretrained.npy"]
         assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
     arrays, meta = read_checkpoint(path)
     assert (meta["kind"], meta["checkpoint_version"]) == ("sdpkit-parser",
@@ -248,6 +247,9 @@ def test_checkpoint_file_layout(tmp_path):
     assert raw.dtype == np.uint8
     assert raw.tobytes() == json.dumps(meta, sort_keys=True).encode("utf-8")
     assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+    # every parameter flattened, in sorted-name order
+    assert arrays["parameters"].tobytes() == b"".join(
+        model.params[name].data.tobytes() for name in sorted(model.params))
 
 
 def test_load_draws_no_random_initialisation(tmp_path, monkeypatch):
@@ -268,27 +270,32 @@ def test_load_draws_no_random_initialisation(tmp_path, monkeypatch):
 
 
 def _old_bias_layout(arrays, meta):
-    """The biaffine-bias layout from before the bias was a border of the edge
-    weight: an (f, f) edge weight and three separate bias tensors."""
+    """The biaffine bias switched on over parameters saved without it: the
+    edge weight is (f, f), not (f+1, f+1), so the member is too small."""
     meta["config"]["biaffine_bias"] = True
-    arrays.update({"scorer/semantic/edge_bias_dep": np.zeros(8),
-                   "scorer/semantic/edge_bias_head": np.zeros(8),
-                   "scorer/semantic/edge_bias": np.zeros(1)})
 
 
+# `{n}` in a message stands for the size of the saved parameters member
 @pytest.mark.parametrize("edit,message", [
-    (lambda arrays, meta: arrays.pop("scorer/semantic/edge"), "missing tensors"),
-    (lambda arrays, meta: arrays.update({"fnn/semantic/edge_dep/b": np.zeros(3)}), "has shape"),
-    (_old_bias_layout, r"scorer/semantic/edge has shape \(8, 8\), expected \(9, 9\)"),
-], ids=["missing-tensor", "wrong-shape", "old-bias-layout"])
+    (lambda arrays, meta: arrays.pop("parameters"), r"missing tensors \['parameters'\]"),
+    (lambda arrays, meta: arrays.update(parameters=arrays["parameters"][1:]),
+     r"parameter_set: data is float64 of shape \({short},\), expected float64 of shape \({n},\)"),
+    (lambda arrays, meta: arrays.update(parameters=arrays["parameters"][None]),
+     r"parameter_set: data is float64 of shape \(1, {n}\), expected float64 of shape \({n},\)"),
+    (lambda arrays, meta: arrays.update(parameters=arrays["parameters"].astype(np.float32)),
+     r"parameter_set: data is float32 of shape \({n},\), expected float64 of shape \({n},\)"),
+    (_old_bias_layout,
+     r"parameter_set: data is float64 of shape \({n},\), expected float64 of shape"),
+], ids=["missing-parameters", "wrong-size", "two-dimensional", "float32", "old-bias-layout"])
 def test_load_rejects_bad_tensors(tmp_path, edit, message):
     graphs, _ = _corpus(4)
     path = str(tmp_path / "model.npz")
     _model(graphs).save(path)
     arrays, meta = read_checkpoint(path)
+    n = arrays["parameters"].size
     edit(arrays, meta)
     write_checkpoint(path, arrays, meta)
-    with pytest.raises(CheckpointError, match=message) as excinfo:
+    with pytest.raises(CheckpointError, match=message.format(n=n, short=n - 1)) as excinfo:
         ParserModel.load(path)
     assert path in str(excinfo.value)
 
