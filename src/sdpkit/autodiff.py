@@ -72,8 +72,10 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self):
-        """Backpropagate from this scalar through the recorded tape."""
+    def backward(self, complete=None):
+        """Backpropagate from this scalar through the recorded tape. The walk
+        reaches a node after all its consumers, so `complete(p)`, if given, is called
+        for each parameter `p` once its gradient is whole and no closure left reads `p.data`."""
         if self.data.size != 1:
             raise AutodiffError(f"backward requires a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
@@ -98,6 +100,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+            elif complete is not None and isinstance(node, Parameter):
+                complete(node)
 
 
 def _result(data, parents, backward) -> Tensor:
@@ -110,11 +114,9 @@ def _result(data, parents, backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
-    """Add `g` into `t.grad`.
+    """Add `g` into `t.grad`, for a parameter as for any other tensor.
 
-    A parameter never adopts an array: its first gradient of a step is written
-    into its buffer view (see `Parameter`) as `g + 0.0`. For any other tensor
-    a backward closure passes `owned` for an array it has just allocated and
+    A backward closure passes `owned` for an array it has just allocated and
     keeps no reference to; the first one is adopted as the gradient. A first
     gradient that is not owned is `g + 0.0` in a fresh array like `t.data`:
     one pass, with the bits and layout of fresh zeros plus `g`. (Only the sign
@@ -123,25 +125,14 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
     if not t.requires_grad:
         return
     if t.grad is None:
-        if isinstance(t, Parameter):
-            np.add(g, 0.0, out=t._buffer)  # as 0 + g: -0.0 becomes 0.0
-            t.grad = t._buffer
-            return
         t.grad = g if owned else np.add(g, 0.0, out=np.empty_like(t.data))
         return
     t.grad += g
 
 
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray):
-    """Add the GEMM a @ b (a a matrix, b a matrix or a stack of them) into
-    `t.grad`; a parameter's first gradient of a step is computed straight into
-    its buffer, with no copy."""
-    if not t.requires_grad:
-        return
-    if t.grad is None and isinstance(t, Parameter):
-        np.matmul(a, b, out=t._buffer.reshape(b.shape[:-2] + (a.shape[0], b.shape[-1])))
-        t.grad = t._buffer
-    else:
+    """Add the GEMM a @ b (b a matrix or a stack of them) into `t.grad`, if `t` needs one."""
+    if t.requires_grad:
         _accumulate(t, (a @ b).reshape(t.shape), owned=True)
 
 
@@ -699,13 +690,10 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
             _accumulate(x, dx, owned=True)
         for d, ((wd, ud, bd), src) in enumerate(zip(weights, srcs)):
             dz_d = dz[:, d]
-            if wd.requires_grad:
-                _accumulate_product(wd, x.data[src].T, dz_d)
-            if ud.requires_grad:
-                # zero when no sequence is longer than one step
-                _accumulate_product(ud, out[prev, d].T, dz_d[live0:])
-            if bd.requires_grad:
-                _accumulate(bd, dz_d.sum(axis=0), owned=True)
+            _accumulate_product(wd, x.data[src].T, dz_d)
+            # zero when no sequence is longer than one step
+            _accumulate_product(ud, out[prev, d].T, dz_d[live0:])
+            _accumulate(bd, dz_d.sum(axis=0), owned=True)
 
     return _result(unpack(out), (x, *(p for triple in weights for p in triple)), backward)
 
@@ -715,58 +703,46 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
 
 
 class Parameter(Tensor):
-    """A named trainable tensor with its gradient buffer, Adam moments and step counter.
+    """A named trainable tensor with its Adam moments and step counter.
 
-    `data`, the gradient buffer, `m` and `v` are views at one offset into four
-    flat float64 arrays, one per role, shared by every parameter of a
-    `parameter_set`; a standalone `Parameter(data)` is a one-parameter set
-    over a copy of `data`. Write `data` in place and never rebind it: the
-    flat data array is what a checkpoint saves and what Adam updates. With
-    one allocation per role, a model-sized np.empty or np.zeros maps lazily
-    zeroed pages, so a model that never trains (one loaded to parse) neither
-    fills nor touches its moments and gradient buffer; small per-parameter
-    arrays would come from recycled heap and be zero-filled at once.
-
-    `grad` is None or the buffer view. Backward writes a step's first gradient
-    straight into the view and adds later ones to it. `adam_step` only reads
-    the buffer, but it stays valid only until the next `clear_grads` plus
-    backward (which overwrites it); copy it to keep it.
+    `data`, `m` and `v` are views at one offset into three flat float64
+    arrays, one per role, shared by every parameter of a `parameter_set`; a
+    standalone `Parameter(data)` is a one-parameter set over a copy of `data`.
+    Write `data` in place and never rebind it: the flat data array is what a
+    checkpoint saves and what Adam updates. A model-sized np.zeros maps lazily
+    zeroed pages, so a model loaded to parse never touches its moments. `grad`
+    is None or an array of its own (`_accumulate`) until Adam uses it up.
 
     `m` and `v` are Adam's moments as unnormalised sums, M = b1 M + g and
     V = b2 V + g^2: the textbook m and v divided by (1-b1) and (1-b2). See
     `adam_step` for the update and its bound against the textbook form.
     """
 
-    __slots__ = ("name", "m", "v", "step", "_flat", "_offset", "_buffer")
+    __slots__ = ("name", "m", "v", "step", "_flat", "_offset")
 
     def __init__(self, data, name: str = ""):
         data = np.array(data, dtype=_DEFAULT_DTYPE)  # copied: the set's flat data
-        self._place(name, _flat_state(data.reshape(-1)), 0, data.shape)
+        flat = data.reshape(-1)
+        self._place(name, (flat, np.zeros(flat.size), np.zeros(flat.size)), 0, data.shape)
 
     def _place(self, name: str, flat: tuple, offset: int, shape: tuple):
         size = math.prod(shape)
-        data, self._buffer, self.m, self.v = (a[offset:offset + size].reshape(shape)
-                                              for a in flat)
+        data, self.m, self.v = (a[offset:offset + size].reshape(shape) for a in flat)
         super().__init__(data, requires_grad=True)
         self.name, self._flat, self._offset, self.step = name, flat, offset, 0
-
-
-def _flat_state(data: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four flat roles over the flat `data`: itself, a gradient buffer, m and v."""
-    return data, np.empty(data.size), np.zeros(data.size), np.zeros(data.size)
 
 
 def parameter_set(shapes: dict[str, tuple], data: np.ndarray) -> dict[str, Parameter]:
     """Parameters of the given shapes, in the dict's order, over the flat
     float64 `data` (a fresh np.empty to draw into, or an array read from a
-    checkpoint), which they adopt, plus one flat gradient buffer, `m` and `v`
-    of its size. Each parameter's views sit at one offset into all four,
-    laid out in sorted-name order; `data` must hold exactly their elements."""
+    checkpoint), which they adopt, plus one flat `m` and `v` of its size.
+    Each parameter's views sit at one offset into all three, laid out in
+    sorted-name order; `data` must hold exactly their elements."""
     size = sum(math.prod(shape) for shape in shapes.values())
     if data.dtype != _DEFAULT_DTYPE or data.shape != (size,):
         raise AutodiffError(f"parameter_set: data is {data.dtype} of shape {data.shape}, "
                             f"expected float64 of shape ({size},)")
-    flat, params, offset = _flat_state(data), {}, 0
+    flat, params, offset = (data, np.zeros(size), np.zeros(size)), {}, 0
     for name in sorted(shapes):
         params[name] = p = Parameter.__new__(Parameter)
         p._place(name, flat, offset, shapes[name])
@@ -775,8 +751,8 @@ def parameter_set(shapes: dict[str, tuple], data: np.ndarray) -> dict[str, Param
 
 
 # Elements per block of the in-place Adam update. A block of the gradient, both
-# moments, the data and the scratch (5 x 128 KiB in float64) stays in L2 cache
-# while the ten elementwise passes of the update run over it.
+# moments and the data (4 x 128 KiB in float64) stays in L2 cache while the ten
+# elementwise passes of the update run over it.
 _ADAM_BLOCK = 1 << 14
 
 
@@ -785,13 +761,14 @@ def adam_step(params, lr: float, beta1: float, beta2: float, eps: float):
     bias corrections folded into the step size (Kingma & Ba 2015, section 2).
 
     Parameters whose gradient is unset are skipped (their moments and step
-    counters do not advance); a set gradient is the parameter's buffer, and
-    only the buffer is read. Walking `params` in order, each parameter joins
-    the run of the one before it when it sits right after it in the same flat
-    arrays and reaches the same step count. Each run is one blocked, in-place
-    pass over its slices of the four flat arrays, which builds each block's
-    update in a scratch block and subtracts it from the block's data.
-    Gradients are cleared.
+    counters do not advance), such as those `adam_on_complete` has stepped.
+    Walking `params` in order, each parameter joins the run of the one before
+    it when it sits right after it in the same flat arrays and reaches the
+    same step count. Each run is one blocked, in-place pass over its slices
+    of the flat data, m and v and over its gradients joined by one
+    np.concatenate. An element's arithmetic is the same in any run or block.
+    Gradients are overwritten (each block, once read, holds the update) and
+    dropped.
 
     `m` and `v` hold the unnormalised sums M = m / (1-b1) and V = v / (1-b2)
     of the textbook moments m = b1 m + (1-b1) g and v = b2 v + (1-b2) g^2, so
@@ -806,30 +783,42 @@ def adam_step(params, lr: float, beta1: float, beta2: float, eps: float):
     the float64 machine epsilon and the maxima over the element's gradients
     (`test_adam_step_is_within_a_bound_of_the_textbook_form`).
     """
-    scratch = np.empty(_ADAM_BLOCK, dtype=_DEFAULT_DTYPE)
     run: list[Parameter] = []
     for p in params:
         if p.grad is None:
             continue
-        p.step += 1
-        p.grad = None
         if run:
             last = run[-1]
             if (p._flat is not last._flat or p.step != last.step
                     or p._offset != last._offset + last.data.size):
-                _adam_run(run, scratch, lr, beta1, beta2, eps)
+                _adam_run(run, lr, beta1, beta2, eps)
                 run = []
         run.append(p)
     if run:
-        _adam_run(run, scratch, lr, beta1, beta2, eps)
+        _adam_run(run, lr, beta1, beta2, eps)
 
 
-def _adam_run(run: list[Parameter], scratch: np.ndarray, lr: float, beta1: float,
-              beta2: float, eps: float):
-    """One Adam step over parameters that tile a slice of the same flat arrays,
-    in blocks that may span parameters."""
+def adam_on_complete(lr: float, beta1: float, beta2: float, eps: float):
+    """A `complete` callback for `Tensor.backward` that gives each parameter of
+    at least `_ADAM_BLOCK` elements its `adam_step` step at once and drops its
+    gradient. An `adam_step` after the backward steps the rest, to the bits of
+    `backward()` then `adam_step`, and no two large gradients need be alive."""
+    def complete(p: Parameter):
+        if p.data.size >= _ADAM_BLOCK:
+            _adam_run([p], lr, beta1, beta2, eps)
+
+    return complete
+
+
+def _adam_run(run: list[Parameter], lr: float, beta1: float, beta2: float, eps: float):
+    """One Adam step over parameters at one step count that tile a slice of the
+    same flat arrays, in blocks that may span parameters; uses up their gradients."""
     lo, hi = run[0]._offset, run[-1]._offset + run[-1].data.size
-    data, grad, m, v = (a[lo:hi] for a in run[0]._flat)
+    data, m, v = (a[lo:hi] for a in run[0]._flat)
+    grad = (np.concatenate([p.grad.reshape(-1) for p in run]) if len(run) > 1
+            else run[0].grad.reshape(-1))
+    for p in run:
+        p.grad, p.step = None, p.step + 1
     step = run[0].step
     k = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** step))
     alpha = lr * (1.0 - beta1) / ((1.0 - beta1 ** step) * k)
@@ -837,17 +826,16 @@ def _adam_run(run: list[Parameter], scratch: np.ndarray, lr: float, beta1: float
     for start in range(0, grad.size, _ADAM_BLOCK):
         stop = min(start + _ADAM_BLOCK, grad.size)
         g, mb, vb = grad[start:stop], m[start:stop], v[start:stop]
-        s = scratch[:g.size]
         mb *= beta1
         mb += g
-        np.multiply(g, g, out=s)
+        g *= g  # the gradient, once read, holds the update
         vb *= beta2
-        vb += s
-        np.sqrt(vb, out=s)
-        s += eps_hat
-        np.divide(mb, s, out=s)
-        s *= alpha
-        data[start:stop] -= s
+        vb += g
+        np.sqrt(vb, out=g)
+        g += eps_hat
+        np.divide(mb, g, out=g)
+        g *= alpha
+        data[start:stop] -= g
 
 
 def clear_grads(params):

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import autodiff as ad
-from .errors import ConfigError, FormatError, ScoringError, SdpkitError
+from .errors import ConfigError, FormatError, ProjectionError, ScoringError, SdpkitError
 from .evaluation import format_report, label_contribution, length_buckets, head_match_stats, score_graphs, write_series
 from .formats import (SdpDocument, atomic_open, check_sentence_ids, conllu_id,
                       read_alignments, read_conllu, read_sdp, read_word_vectors,
@@ -41,7 +41,8 @@ from .graph import (LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, as_
 from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                       build_vocabs, semantic_label_vocab, syntactic_label_vocab,
                       pretrained_table)
-from .projection import density_sample, heldout_split, intersect_alignments, project_graph
+from .projection import (IntersectedAlignment, density_sample, heldout_split,
+                         intersect_alignments, project_graph)
 from .synth import SynthConfig, synth_corpus, write_corpus
 from .training import TrainConfig, parse_semantic, train
 
@@ -201,8 +202,15 @@ def cmd_project(args) -> int:
     if not (len(source) == len(alignments) == len(targets)):
         raise FormatError(f"corpus sizes differ: {len(source)} source graphs, "
                           f"{len(alignments)} alignment lines, {len(targets)} target sentences")
-    projected = [(sid, project_graph(as_semantic(g), intersect_alignments(links, links), target))
-                 for (sid, g), links, target in zip(source, alignments, targets)]
+    maps = []
+    with _naming(args.alignments):  # a map must be one-to-one already, as `intersect` writes
+        for line, links in enumerate(alignments, 1):
+            try:
+                maps.append(IntersectedAlignment(links))
+            except ProjectionError as exc:
+                raise FormatError(str(exc), line) from None
+    projected = [(sid, project_graph(as_semantic(g), alignment, target))
+                 for (sid, g), alignment, target in zip(source, maps, targets)]
     with atomic_open(args.out) as f:
         write_sdp(SdpDocument(tuple(projected)), f)
     return _finish(args, [args.source, args.alignments, args.target], [args.out],

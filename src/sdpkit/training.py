@@ -290,8 +290,8 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     pairs. Each corpus and the held-out list must be non-empty. The model is
     left holding the best epoch's parameters, also when training stops by
     raising (such as `TrainingDiverged`): the flat `model.param_data` is
-    copied once before training and on each best epoch, and copied back
-    once at the end. In multitask mode the
+    copied before training and on each best epoch another can follow, and
+    back at the end if a step moved it since. In multitask mode the
     semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
     zero is skipped entirely, so a multitask run with a zero syntactic
     weight follows the single-task trajectory exactly.
@@ -311,8 +311,8 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     params = model.parameters()
 
     result = TrainResult()
-    # allocated once and overwritten in place on every best epoch
-    best_snapshot = model.param_data.copy()
+    # overwritten in place on a best epoch; `holds_best`: the model holds the best
+    best_snapshot, holds_best = model.param_data.copy(), True
     lengths = {task: [len(sentence) for sentence, _ in items] for task, items in data.items()}
 
     try:
@@ -344,7 +344,8 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                 if not math.isfinite(value):
                     raise TrainingDiverged(f"loss became {value} at epoch {epoch}, "
                                            f"step {step_index + 1}")
-                total.backward()
+                holds_best = False
+                total.backward(ad.adam_on_complete(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps))
                 ad.adam_step(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
             report = evaluate_semantic(model, heldout)
@@ -358,12 +359,14 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             result.metrics.append(entry)
             if metrics_out is not None:
                 metrics_out.write(line + "\n")
-            if result.best_epoch == epoch:
+            holds_best = result.best_epoch == epoch
+            if holds_best and epoch < cfg.max_epochs:
                 np.copyto(best_snapshot, model.param_data)
             elif epoch - result.best_epoch > cfg.patience:
                 break
     finally:
-        np.copyto(model.param_data, best_snapshot)
+        if not holds_best:
+            np.copyto(model.param_data, best_snapshot)
     return result
 
 

@@ -27,9 +27,9 @@ def param(rng, *shape, name=""):
 
 
 def backward_with_grads(pairs):
-    """One backward pass that writes each gradient `g` into the buffer of its
-    parameter `p`, for the (p, g) in `pairs`: the loss is the sum of every
-    sum(p * g). The buffer holds g bit for bit, but for the sign of a zero."""
+    """One backward pass that gives each parameter `p` the gradient `g`, for the
+    (p, g) in `pairs`: the loss is the sum of every sum(p * g). `p.grad` holds
+    g bit for bit, but for the sign of a zero."""
     terms = [ad.sum_all(ad.mul(p, ad.constant(g))) for p, g in pairs]
     loss = terms[0]
     for term in terms[1:]:
@@ -356,8 +356,6 @@ class TestPerPrimitiveGradients:
             want += scattered
             assert table.grad.tobytes() == want.tobytes(), step
         assert not np.signbit(table.grad[table.grad == 0]).any()
-        if kind != "tensor":
-            assert table.grad is table._buffer
 
     def test_pick_cells(self):
         # (B, L, T+1, T) label scores; one cell is picked twice and accumulates
@@ -809,6 +807,62 @@ class TestKernelsMatchReference:
                 assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
             assert p.step == q.step == (2 if p.name == "c" else 3)
             assert p.grad is None
+
+    def test_stepping_during_backward_is_bit_identical_to_a_step_after_it(self, monkeypatch):
+        # "b" is larger than a block and steps as the walk reaches it; "a"
+        # and "c", on either side of it in the flat arrays, step after, and
+        # no longer in one run
+        rng = np.random.default_rng(34)
+        shapes = {"a": (5,), "b": (2, ad._ADAM_BLOCK // 2 + 3), "c": (3, 2)}
+        start = rng.standard_normal(sum(math.prod(shape) for shape in shapes.values()))
+        late, early = (ad.parameter_set(shapes, start.copy()) for _ in range(2))
+        runs = []
+        adam_run = ad._adam_run
+        monkeypatch.setattr(ad, "_adam_run", lambda run, *args: (
+            runs.append("".join(p.name for p in run)), adam_run(run, *args)))
+        for _ in range(3):
+            g = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            for params, stepped in ((late, False), (early, True)):
+                runs.clear()
+                a, b, c = (ad.sum_all(ad.mul(ad.tanh(params[name]), ad.constant(g[name])))
+                           for name in shapes)
+                loss = ad.add(ad.add(a, b), c)
+                loss.backward(ad.adam_on_complete(0.01, 0.9, 0.999, 1e-8) if stepped else None)
+                if stepped:
+                    assert runs == ["b"] and params["b"].grad is None
+                    assert params["a"].grad is not None and params["c"].grad is not None
+                adam_step(list(params.values()), lr=0.01)
+                assert runs == (["b", "a", "c"] if stepped else ["abc"])
+        for name in shapes:
+            p, q = late[name], early[name]
+            for attr in ("data", "m", "v"):
+                assert getattr(p, attr).tobytes() == getattr(q, attr).tobytes(), (name, attr)
+            assert p.step == q.step == 3 and p.grad is None and q.grad is None
+
+    def test_complete_runs_once_per_parameter_after_all_its_consumers(self):
+        rng = np.random.default_rng(35)
+        p, q, idle = (param(rng, 3, name=name) for name in ("p", "q", "idle"))
+        x = ad.Tensor(rng.standard_normal(3), requires_grad=True)  # not a parameter
+        log = []
+
+        def spied(t, label):
+            closure = t._backward
+            t._backward = lambda g: (log.append(label), closure(g))
+            return t
+
+        # p feeds two ops, one of them through a chain that also reads q
+        first = spied(ad.tanh(p), "tanh(p)")
+        second = spied(ad.mul(spied(ad.mul(p, q), "p*q"), x), "(p*q)*x")
+        loss = ad.add(ad.sum_all(first), ad.sum_all(second))
+        loss.backward(lambda t: log.append(("complete", t.name, t.grad.copy())))
+        completed = [entry for entry in log if isinstance(entry, tuple)]
+        assert sorted(name for _, name, _ in completed) == ["p", "q"]  # once each, idle never
+        for _, name, grad in completed:
+            np.testing.assert_array_equal(grad, getattr({"p": p, "q": q}[name], "grad"))
+        where = {entry if isinstance(entry, str) else entry[1]: k for k, entry in enumerate(log)}
+        assert where["p"] > max(where["tanh(p)"], where["p*q"])
+        assert where["q"] > where["p*q"] > where["(p*q)*x"]
+        assert idle.grad is None and x.grad is not None
 
     def test_adam_step_is_within_a_bound_of_the_textbook_form(self):
         # The folded form rounds differently from the textbook form. With

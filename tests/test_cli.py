@@ -245,6 +245,13 @@ def _refused_argv(case, p, inp, out):
         return ["project", "--source", os.path.join(p["corpus"], "source.sdp"),
                 "--alignments", str(inp / "short.align"), "--target", conllu,
                 "--out", str(out / "proj.sdp")]
+    if case == "project-not-one-to-one":
+        with open(p["inter.align"], encoding="utf-8") as f:
+            lines = f.readlines()
+        (inp / "many.align").write_text("".join(["0-0 1-0 2-2\n", *lines[1:]]))
+        return ["project", "--source", os.path.join(p["corpus"], "source.sdp"),
+                "--alignments", str(inp / "many.align"), "--target", conllu,
+                "--out", str(out / "proj.sdp")]
     if case == "syntactic-without-syn":
         return train + ["--config", p["tiny.json"], "--syntactic", conllu]
     if case == "unknown-share-flag":
@@ -280,6 +287,8 @@ _REFUSALS = {  # each case `_refused_argv` builds, and its message
     "syn-without-trees": "--syntactic FILE is required for the syn task",
     "project-sizes-differ":
         "corpus sizes differ: 12 source graphs, 11 alignment lines, 12 target sentences",
+    "project-not-one-to-one":
+        "many.align: line 1: intersected alignment must be one-to-one",
     "syntactic-without-syn": "--syntactic given but the syn task is not enabled",
     "empty-train": "semantic corpus must be non-empty",
     "empty-syntactic": "syntactic corpus must be non-empty",

@@ -1,6 +1,7 @@
 """The mutation driver `tools/mutate.py`: a logged site names one node of the
-source it was numbered from, a log is not resumed over other source, and the
-CI step "Mutation smoke" names lines that hold the statements it means."""
+source it was numbered from, a log is not resumed over other source, a site
+named by its statement follows that statement, and the CI step "Mutation
+smoke" names the statements it means."""
 
 import argparse
 import ast
@@ -8,6 +9,7 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import tempfile
 
 import pytest
@@ -15,9 +17,10 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "mutate.py")
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
-# The statement at each MODULE:LINE that the CI step "Mutation smoke" mutates
-SMOKE_STATEMENTS = {"projection": 'raise ProjectionError("intersected alignment must be one-to-one")',
-                    "autodiff": "a += recur[:k]"}
+# The MODULE:FUNCTION:STATEMENT sites that the CI step "Mutation smoke" mutates
+SMOKE_SITES = ['projection:IntersectedAlignment.__post_init__:'
+               'raise ProjectionError("intersected alignment must be one-to-one")',
+               "autodiff:lstm_seq:a += recur[:k]"]
 TOY = "def f(i):\n    return i + 1\n"
 EDITED = "import os\nx = 2 - 1\n" + TOY
 
@@ -91,20 +94,43 @@ def test_a_line_without_a_site_is_refused(mutate):
         mutate._select(argparse.Namespace(targets=["toy:1"], every=1))
 
 
+def test_a_site_named_by_its_statement_follows_it_when_lines_move(mutate):
+    by_line = mutate._select(argparse.Namespace(targets=["toy:2"], every=1))
+    by_statement = mutate._select(argparse.Namespace(targets=["toy:f:return  i + 1"], every=1))
+    assert [s["id"] for s in by_statement] == [s["id"] for s in by_line]
+    assert {s["kind"] for s in by_line} == {"arith", "const"}
+    _edit(mutate)  # two lines above f
+    moved = mutate._select(argparse.Namespace(targets=["toy:f:return i + 1"], every=1))
+    assert [s["line"] for s in moved] == [4, 4]
+    assert [s["id"].split(":", 1)[1] for s in moved] == [
+        s["id"].split(":", 1)[1].replace("2:", "4:", 1) for s in by_line]
+
+
+@pytest.mark.parametrize("spec,matches", [
+    ("toy:f:return i - 1", 0), ("toy:g:return i + 1", 0), ("toy:f:i + 1", 0),
+    ("toy:f:return i + 1", 2)], ids=["other-text", "other-function", "an-expression",
+                                     "two-statements"])
+def test_a_statement_that_names_no_single_statement_is_refused(mutate, spec, matches):
+    if matches == 2:
+        with open(os.path.join(mutate.PACKAGE, "toy.py"), "a", encoding="utf-8") as f:
+            f.write("    if i:\n        return i + 1\n")
+    with pytest.raises(SystemExit,
+                       match=re.escape(f"no site on {spec} ({matches} statements match)")):
+        mutate._select(argparse.Namespace(targets=[spec], every=1))
+
+
 # The driver's scratch copies hold no .github, and their mutated module is
 # `ast.unparse`d onto other lines; there the check has nothing to read.
 @pytest.mark.skipif(not os.path.exists(WORKFLOW), reason="no CI workflow in this copy")
 def test_the_mutation_smoke_lines_hold_their_statements():
-    """A source edit that moves a smoke site's line fails here until the
-    workflow's MODULE:LINE follows it."""
+    """The step names each site as MODULE:FUNCTION:STATEMENT, so a source edit
+    elsewhere in a module does not move it, and each names one statement that
+    has a site."""
     with open(WORKFLOW, encoding="utf-8") as f:
         step = f.read().split("- name: Mutation smoke", 1)[1]
     command = next(line for line in step.splitlines() if "tools/mutate.py" in line)
-    targets = re.findall(r"\b([a-z_]+):(\d+)\b", command)
-    assert sorted(module for module, _ in targets) == sorted(SMOKE_STATEMENTS)
+    targets = [arg for arg in shlex.split(command) if arg.count(":") >= 2]
+    assert targets == SMOKE_SITES
     tool = _load_tool()
-    for module, line in targets:
-        with open(os.path.join(tool.PACKAGE, module + ".py"), encoding="utf-8") as f:
-            source = f.read()
-        assert source.splitlines()[int(line) - 1].strip() == SMOKE_STATEMENTS[module], module
-        assert any(site["line"] == int(line) for site in tool.sites(module, source)), module
+    chosen = tool._select(argparse.Namespace(targets=targets, every=1))
+    assert sorted(site["module"] for site in chosen) == ["autodiff", "projection"]

@@ -477,8 +477,8 @@ def _task_loss(model, task, golds, weight: float = 1.0):
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
-def test_parameter_state_is_four_flat_arrays_in_sorted_name_order(graphs, tmp_path, loaded,
-                                                                   monkeypatch):
+def test_parameter_state_is_three_flat_arrays_in_sorted_name_order(graphs, tmp_path, loaded,
+                                                                    monkeypatch):
     model = _model(graphs)
     if loaded:
         model.save(str(tmp_path / "model.npz"))
@@ -498,7 +498,7 @@ def test_parameter_state_is_four_flat_arrays_in_sorted_name_order(graphs, tmp_pa
     params = [model.params[name] for name in sorted(model.params)]
     assert all(p.grad is not None for p in params)  # train mode reaches every parameter
     flats = []
-    for role in ("data", "grad", "m", "v"):
+    for role in ("data", "m", "v"):
         views = [getattr(p, role) for p in params]
         flat = views[0].base
         assert flat.ndim == 1 and flat.size == sum(p.data.size for p in params), role
@@ -518,26 +518,64 @@ def test_parameter_state_is_four_flat_arrays_in_sorted_name_order(graphs, tmp_pa
     assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[i + 1:])
 
 
-def test_backward_overwrites_the_gradient_buffers(graphs):
-    model = _model(graphs)
+# One BiLSTM layer of 64 units per direction: each direction's recurrent weight
+# (64, 256) is exactly one Adam block, and every other parameter is smaller.
+ONE_BLOCK_RNN = replace(TINY, rnn_size=128, rnn_layers=1)
+
+
+def _train_style_steps(model, golds, tasks, early: bool, steps: int = 3):
+    """`steps` optimizer steps as `training.train` takes them, each summing one
+    scaled loss per task: with `early`, backward takes each large parameter's
+    Adam step (`ad.adam_on_complete`), else backward and then `adam_step`."""
     params = model.parameters()
+    for step in range(steps):
+        total = None
+        for k, (task, weight) in enumerate(tasks):
+            s_edge, s_label = model.forward([g.sentence for g in golds[task]], task,
+                                            np.random.default_rng([step, k]))
+            loss_of = semantic_loss if task == SEMANTIC else syntactic_loss
+            part = ad.scale(loss_of(s_edge, s_label, golds[task], model.tasks[task]), weight)
+            total = part if total is None else ad.add(total, part)
+        total.backward(ad.adam_on_complete(0.01, 0.9, 0.999, 1e-8) if early else None)
+        adam_step(params, lr=0.01)
 
-    def backward():
-        ad.clear_grads(params)
-        s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
-                                        np.random.default_rng(5))
-        semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC]).backward()
-        return {p.name: p.grad for p in params}
 
-    first = backward()
-    flat = params[0].grad.base
-    assert all(grad.base is flat for grad in first.values())
-    kept = {name: grad.copy() for name, grad in first.items()}
-    flat.fill(np.nan)  # stale contents, such as an Adam update left in the buffer
-    second = backward()
-    for name, grad in second.items():
-        assert grad.base is flat and np.shares_memory(grad, first[name]), name
-        assert np.array_equal(grad, kept[name]), name
+@pytest.mark.parametrize("two_task", [False, True], ids=["single-task", "two-task-combined"])
+def test_stepping_large_parameters_during_backward_changes_no_bit(graphs, two_task):
+    if two_task:
+        corpus = synth_corpus(SynthConfig(sentences=5, seed=12))
+        golds = {SEMANTIC: corpus.target_gold.graphs(), SYNTACTIC: corpus.trees}
+        tasks = [(SEMANTIC, 0.975 / 40), (SYNTACTIC, 0.025 / 40)]
+        build = lambda: _model(golds[SEMANTIC], (SEMANTIC, SYNTACTIC),
+                               SharingTopology(shared_rnn=True), config=ONE_BLOCK_RNN)
+    else:
+        golds, tasks = {SEMANTIC: graphs}, [(SEMANTIC, 1.0 / 40)]
+        build = lambda: _model(graphs, config=ONE_BLOCK_RNN)
+    late, early = build(), build()
+    sizes = {p.name: p.data.size for p in early.parameters()}
+    assert max(sizes.values()) == ad._ADAM_BLOCK and min(sizes.values()) < ad._ADAM_BLOCK
+    _train_style_steps(late, golds, tasks, early=False)
+    _train_style_steps(early, golds, tasks, early=True)
+    assert early.param_data.tobytes() != build().param_data.tobytes()
+    for p, q in zip(late.parameters(), early.parameters()):
+        for attr in ("data", "m", "v"):
+            assert getattr(p, attr).tobytes() == getattr(q, attr).tobytes(), (p.name, attr)
+        assert p.step == q.step == 3 and p.grad is None and q.grad is None, p.name
+
+
+def test_backward_steps_the_large_parameters_and_leaves_the_small_their_gradients(graphs):
+    model = _model(graphs, config=ONE_BLOCK_RNN)
+    s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
+                                    np.random.default_rng(5))
+    loss = semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC])
+    loss.backward(ad.adam_on_complete(0.01, 0.9, 0.999, 1e-8))
+    large = [p for p in model.parameters() if p.data.size >= ad._ADAM_BLOCK]
+    assert [p.name for p in large] == ["rnn/semantic/layer0/bw/u", "rnn/semantic/layer0/fw/u"]
+    for p in model.parameters():
+        if p in large:
+            assert p.grad is None and p.step == 1 and np.any(p.m != 0.0), p.name
+        else:
+            assert p.grad is not None and p.step == 0 and not np.any(p.m), p.name
 
 
 def test_combined_step_gradients_are_the_sum_of_each_task():

@@ -109,6 +109,27 @@ def test_train_ends_holding_the_best_epoch(monkeypatch, lfs, best):
         assert np.array_equal(p.data, seen[best - 1][name]), name
 
 
+@pytest.mark.parametrize("lfs,copies", [((5,), 0), ((5, 4), 2), ((4, 5), 1), ((4, 5, 3), 3)],
+                         ids=["one-epoch", "best-then-worse", "best-last", "best-in-between"])
+def test_train_copies_the_snapshot_only_when_it_can_be_read(monkeypatch, lfs, copies):
+    # a best epoch is copied only if another epoch can follow, and the
+    # snapshot copied back only if a step has moved the model since its best
+    graphs, _ = _corpus(4)
+    scores = iter(lfs)
+    monkeypatch.setattr(training, "evaluate_semantic", lambda model, corpus: ScoreReport(
+        10, 10, next(scores), 10, 10, 0))
+    model = _model(graphs)
+    copyto, calls = np.copyto, []
+
+    def counted(dst, src, *args, **kwargs):
+        calls.append(dst.size == model.param_data.size)
+        return copyto(dst, src, *args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", counted)
+    _train_one_sentence_per_step(model, graphs, max_epochs=len(lfs))
+    assert calls.count(True) == copies
+
+
 def test_train_stops_once_patience_runs_out(monkeypatch):
     graphs, _ = _corpus(2)
     scores = iter([5, 4, 4] + [9] * 7)

@@ -3,6 +3,7 @@
     python tools/mutate.py --count                    # sites per module; runs nothing
     python tools/mutate.py --log results.jsonl        # every site of every module
     python tools/mutate.py --log results.jsonl graph cli:297
+    python tools/mutate.py --log results.jsonl "autodiff:lstm_seq:a += recur[:k]"
     python tools/mutate.py --log results.jsonl --every 3   # a third of each module
 
 A site is one AST node that a mutant changes:
@@ -14,7 +15,11 @@ A site is one AST node that a mutant changes:
   raise  a raise statement replaced by pass
 
 A positional MODULE runs that module's sites, MODULE:LINE only the sites on
-that line (a line with none is refused). Each module's source is read once,
+that line (a line with none is refused), and MODULE:FUNCTION:STATEMENT the
+sites of the one statement in FUNCTION (a dotted name such as Class.method or
+outer.inner) whose source is STATEMENT, whitespace aside; such a site does not
+move when lines above it do. A name that matches no statement with a site, or
+more than one statement, is refused. Each module's source is read once,
 when its sites are numbered, and every mutant of it is made from that text,
 so an edit during a run moves no mutant onto another node. The mutated module
 is that source's `ast.unparse` with the one node changed, and the unmutated
@@ -119,6 +124,28 @@ def sites(module: str, source: str) -> list[dict]:
     return found
 
 
+def statement_lines(source: str, function: str, statement: str) -> list[range]:
+    """The line span of each statement of `function` (a dotted name of
+    enclosing classes and functions) whose source is `statement`, whitespace
+    aside."""
+    want = " ".join(statement.split())
+    spans = []
+
+    def visit(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if name == function:
+                    spans.extend(range(stmt.lineno, stmt.end_lineno + 1)
+                                 for stmt in ast.walk(child) if isinstance(stmt, ast.stmt)
+                                 and " ".join(ast.get_source_segment(source, stmt).split())
+                                 == want)
+                visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return spans
+
+
 def mutant_source(site: dict) -> tuple[str, str]:
     """The source of `site`'s mutant, and a one-line before -> after."""
     tree = ast.parse(site["source"])
@@ -199,10 +226,15 @@ def _select(args) -> list[dict]:
         if module not in sources:
             with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as f:
                 sources[module] = f.read()
-        found = [s for s in sites(module, sources[module])
-                 if not line or s["line"] == int(line)]
+        found = sites(module, sources[module])
+        if ":" in line:
+            spans = statement_lines(sources[module], *line.split(":", 1))
+            found = [s for s in found if len(spans) == 1 and s["line"] in spans[0]]
+        elif line:
+            found = [s for s in found if s["line"] == int(line)]
         if line and not found:
-            sys.exit(f"mutate: no site on {spec}")
+            sys.exit(f"mutate: no site on {spec}" + (f" ({len(spans)} statements match)"
+                                                     if ":" in line else ""))
         chosen += found[::args.every]
     return chosen
 
@@ -220,7 +252,8 @@ def _table(results: list[dict]) -> None:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("targets", nargs="*", help="MODULE or MODULE:LINE (default: all)")
+    p.add_argument("targets", nargs="*",
+                   help="MODULE, MODULE:LINE or MODULE:FUNCTION:STATEMENT (default: all)")
     p.add_argument("--count", action="store_true", help="list the sites; run nothing")
     p.add_argument("--log", help="JSON-lines results; sites already in it are skipped")
     p.add_argument("--every", type=int, default=1, metavar="N",
