@@ -710,12 +710,13 @@ class Parameter(Tensor):
     standalone `Parameter(data)` is a one-parameter set over a copy of `data`.
     Write `data` in place and never rebind it: the flat data array is what a
     checkpoint saves and what Adam updates. A model-sized np.zeros maps lazily
-    zeroed pages, so a model loaded to parse never touches its moments. `grad`
-    is None or an array of its own (`_accumulate`) until Adam uses it up.
+    zeroed pages, so a model loaded to parse never touches its moments.
 
-    `m` and `v` are Adam's moments as unnormalised sums, M = b1 M + g and
-    V = b2 V + g^2: the textbook m and v divided by (1-b1) and (1-b2). See
-    `adam_step` for the update and its bound against the textbook form.
+    `grad` is None or an array of its own (`_accumulate`). `adam_step(loss, …)`
+    steps exactly the parameters `loss` reaches, each large one as the walk
+    completes its gradient and the rest in joined runs after it; it uses up
+    their gradients and counts `step`. `m` and `v` are Adam's moments as
+    unnormalised sums, M = b1 M + g and V = b2 V + g^2 (see `adam_step`).
     """
 
     __slots__ = ("name", "m", "v", "step", "_flat", "_offset")
@@ -756,19 +757,19 @@ def parameter_set(shapes: dict[str, tuple], data: np.ndarray) -> dict[str, Param
 _ADAM_BLOCK = 1 << 14
 
 
-def adam_step(params, lr: float, beta1: float, beta2: float, eps: float):
-    """Bias-corrected Adam over parameters with populated gradients, with the
-    bias corrections folded into the step size (Kingma & Ba 2015, section 2).
+def adam_step(loss: Tensor, lr: float, beta1: float, beta2: float, eps: float):
+    """One optimizer step: backpropagate from the scalar `loss`, then one
+    bias-corrected Adam step, the corrections folded into the step size
+    (Kingma & Ba 2015, section 2), for exactly the parameters `loss` reaches.
 
-    Parameters whose gradient is unset are skipped (their moments and step
-    counters do not advance), such as those `adam_on_complete` has stepped.
-    Walking `params` in order, each parameter joins the run of the one before
+    A parameter of at least `_ADAM_BLOCK` elements steps as soon as the walk
+    completes its gradient, so no two large gradients need be alive. The rest
+    step after the walk, in layout order: each joins the run of the one before
     it when it sits right after it in the same flat arrays and reaches the
-    same step count. Each run is one blocked, in-place pass over its slices
-    of the flat data, m and v and over its gradients joined by one
-    np.concatenate. An element's arithmetic is the same in any run or block.
-    Gradients are overwritten (each block, once read, holds the update) and
-    dropped.
+    same step count. A run is one blocked, in-place pass over its slices of
+    the flat data, m and v and over its gradients joined by np.concatenate.
+    An element's arithmetic is the same in any run or block. Gradients are
+    overwritten (each block, once read, holds the update) and dropped.
 
     `m` and `v` hold the unnormalised sums M = m / (1-b1) and V = v / (1-b2)
     of the textbook moments m = b1 m + (1-b1) g and v = b2 v + (1-b2) g^2, so
@@ -783,31 +784,24 @@ def adam_step(params, lr: float, beta1: float, beta2: float, eps: float):
     the float64 machine epsilon and the maxima over the element's gradients
     (`test_adam_step_is_within_a_bound_of_the_textbook_form`).
     """
-    run: list[Parameter] = []
-    for p in params:
-        if p.grad is None:
-            continue
-        if run:
-            last = run[-1]
-            if (p._flat is not last._flat or p.step != last.step
-                    or p._offset != last._offset + last.data.size):
-                _adam_run(run, lr, beta1, beta2, eps)
-                run = []
-        run.append(p)
-    if run:
-        _adam_run(run, lr, beta1, beta2, eps)
+    small: list[Parameter] = []
 
-
-def adam_on_complete(lr: float, beta1: float, beta2: float, eps: float):
-    """A `complete` callback for `Tensor.backward` that gives each parameter of
-    at least `_ADAM_BLOCK` elements its `adam_step` step at once and drops its
-    gradient. An `adam_step` after the backward steps the rest, to the bits of
-    `backward()` then `adam_step`, and no two large gradients need be alive."""
     def complete(p: Parameter):
         if p.data.size >= _ADAM_BLOCK:
             _adam_run([p], lr, beta1, beta2, eps)
+        else:
+            small.append(p)
 
-    return complete
+    loss.backward(complete)
+    run: list[Parameter] = []
+    for p in sorted(small, key=lambda p: p._offset):
+        if run and (p._flat is not run[-1]._flat or p.step != run[-1].step
+                    or p._offset != run[-1]._offset + run[-1].data.size):
+            _adam_run(run, lr, beta1, beta2, eps)
+            run = []
+        run.append(p)
+    if run:
+        _adam_run(run, lr, beta1, beta2, eps)
 
 
 def _adam_run(run: list[Parameter], lr: float, beta1: float, beta2: float, eps: float):

@@ -9,7 +9,9 @@ Dialects (fixed here; this docstring is their specification):
   graph; listed indices are the aligned target positions (root 0 implied).
   ``_`` denotes an empty cell. The sentence-id rule (`check_sentence_ids`,
   which `SdpDocument` enforces): ids are unique, and none holds a tab or
-  newline, has whitespace at either end or begins with ``aligned:``.
+  newline, has whitespace at either end, begins with ``aligned:`` or is
+  ``SDP 2015``: a first line ``#SDP 2015`` is the SemEval 2015 file header,
+  which `read_sdp` skips and `write_sdp` never writes.
 * ``.conllu`` -- standard 10-column CoNLL-U; multiword-token and empty-node
   lines are skipped on read; comment lines are preserved verbatim.
 * ``.align`` -- Pharaoh word alignments: one sentence pair per line, pairs
@@ -37,8 +39,9 @@ from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
 
 EMPTY = "_"
 ALIGNED_PREFIX = "#aligned:"
+SDP_2015_HEADER = "#SDP 2015"
 _PAIR_RE = re.compile(r"^(\d+)-(\d+)$")
-_UNREADABLE_ID = re.compile(r"[\t\n\r]|\A\s|\s\Z|\Aaligned:")  # ids whose header misreads
+_UNREADABLE_ID = re.compile(r"[\t\n\r]|\A\s|\s\Z|\Aaligned:|\ASDP 2015\Z")
 
 
 def check_sentence_ids(ids: Iterable[str], line: int | None = None):
@@ -141,8 +144,11 @@ def read_sdp(stream: TextIO) -> SdpDocument:
     all other blocks produce plain `SemanticGraph` entries.
     """
     sentences = []
-    for start, block in _blocks(stream):
-        sentences.append(_read_sdp_block(start, block))
+    for _, block in _blocks(stream):
+        if block[0] == (1, SDP_2015_HEADER):  # the file header, never a sentence id
+            block = block[1:]
+        if block:
+            sentences.append(_read_sdp_block(block[0][0], block))
     return SdpDocument(tuple(sentences))
 
 

@@ -65,8 +65,8 @@ class SemanticGraph:
 
     Construction rejects self-loops, out-of-range endpoints, conflicting
     labels on one (head, dependent) pair, and root edges not labeled TOP.
-    Acyclicity is checked separately, by `is_acyclic`, because a decoded
-    graph may have a cycle; `write_sdp` rejects such a graph.
+    Acyclicity is checked by `is_acyclic` only: a graph read from a file may
+    have a cycle, and scoring does not need acyclicity; `write_sdp` rejects one.
     """
 
     sentence: tuple[Token, ...]

@@ -235,8 +235,8 @@ class ParserModel:
         self._configure(config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed,
                         pretrained)
         specs = self._param_specs()
-        # one flat data array, so one gradient buffer and one pair of Adam
-        # moments, for the whole model; each initializer draws into its view
+        # one flat data array, beside one pair of flat Adam moments, for the
+        # whole model; each initializer draws into its view
         self.param_data = np.empty(sum(math.prod(shape) for _, shape, _ in specs))
         self.params: dict[str, Parameter] = ad.parameter_set(
             {name: shape for name, shape, _ in specs}, self.param_data)

@@ -308,7 +308,6 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
         if not items:
             raise ConfigError(f"{what} corpus must be non-empty")
     data = {task: items for task, items in corpora.items() if weights[task] > 0}
-    params = model.parameters()
 
     result = TrainResult()
     # overwritten in place on a best epoch; `holds_best`: the model holds the best
@@ -345,8 +344,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                     raise TrainingDiverged(f"loss became {value} at epoch {epoch}, "
                                            f"step {step_index + 1}")
                 holds_best = False
-                total.backward(ad.adam_on_complete(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps))
-                ad.adam_step(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+                ad.adam_step(total, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
             report = evaluate_semantic(model, heldout)
             entry = {"epoch": epoch}

@@ -211,10 +211,10 @@ def reference_bilinear(x, w, y, g):
     return (out[0] if squeeze else out), dx, (dw[0] if squeeze else dw), dy
 
 
-def adam_step(params, lr=0.001):
+def adam_step(loss, lr=0.001):
     """`autodiff.adam_step` with the betas and eps of Kingma & Ba, which
     `TrainConfig` and the two references below default to."""
-    ad.adam_step(params, lr, 0.9, 0.999, 1e-8)
+    ad.adam_step(loss, lr, 0.9, 0.999, 1e-8)
 
 
 def reference_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):

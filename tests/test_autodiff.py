@@ -26,15 +26,15 @@ def param(rng, *shape, name=""):
     return ad.Parameter(rng.standard_normal(shape), name=name)
 
 
-def backward_with_grads(pairs):
-    """One backward pass that gives each parameter `p` the gradient `g`, for the
-    (p, g) in `pairs`: the loss is the sum of every sum(p * g). `p.grad` holds
-    g bit for bit, but for the sign of a zero."""
+def loss_with_grads(pairs):
+    """A loss whose backward pass gives each parameter `p` the gradient `g`, for
+    the (p, g) in `pairs`, and reaches no other parameter: the sum of every
+    sum(p * g). `p.grad` holds g bit for bit, but for the sign of a zero."""
     terms = [ad.sum_all(ad.mul(p, ad.constant(g))) for p, g in pairs]
     loss = terms[0]
     for term in terms[1:]:
         loss = ad.add(loss, term)
-    loss.backward()
+    return loss
 
 
 def assert_close(got, want, rtol=1e-12, err_msg=""):
@@ -431,15 +431,13 @@ class TestPerPrimitiveGradients:
 class TestAdam:
     def test_zero_gradient_leaves_parameter_unchanged(self):
         p = ad.Parameter([1.0, -2.0], name="p")
-        backward_with_grads([(p, np.zeros(2))])
-        adam_step([p])
+        adam_step(loss_with_grads([(p, np.zeros(2))]))
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert p.grad is None
 
     def test_lr_zero_is_identity(self):
         p = ad.Parameter([1.0, -2.0], name="p")
-        backward_with_grads([(p, np.array([0.3, -0.7]))])
-        adam_step([p], lr=0.0)
+        adam_step(loss_with_grads([(p, np.array([0.3, -0.7]))]), lr=0.0)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_constant_gradient_update_approaches_lr_sign(self):
@@ -450,19 +448,17 @@ class TestAdam:
         g = np.array([3.7])
         prev = p.data.copy()
         for _ in range(5000):
-            backward_with_grads([(p, g)])
             prev = p.data.copy()
-            adam_step([p], lr=lr)
+            adam_step(loss_with_grads([(p, g)]), lr=lr)
         last_update = prev - p.data
         np.testing.assert_allclose(last_update, [lr], rtol=1e-4)
 
-    def test_unpopulated_grad_skips_parameter(self):
-        p = ad.Parameter([1.0], name="p")
-        q = ad.Parameter([1.0], name="q")
-        backward_with_grads([(q, np.array([1.0]))])
-        adam_step([p, q], lr=0.1)
+    def test_a_parameter_the_loss_does_not_reach_is_not_stepped(self):
+        p, q = ad.parameter_set({"p": (1,), "q": (1,)}, np.ones(2)).values()
+        adam_step(loss_with_grads([(q, np.array([1.0]))]), lr=0.1)
         assert p.step == 0 and q.step == 1
         np.testing.assert_array_equal(p.data, [1.0])
+        assert not p.m.any() and not p.v.any()
         assert q.data[0] != 1.0
 
 
@@ -766,9 +762,8 @@ class TestKernelsMatchReference:
             for q in reference:
                 if q.name != "idle":
                     q.grad = rng.standard_normal(q.shape) * 10.0 ** rng.integers(-6, 2)
-            backward_with_grads([(p, q.grad) for p, q in zip(fused, reference)
-                                 if q.grad is not None])
-            adam_step(fused, lr=0.01)
+            adam_step(loss_with_grads([(p, q.grad) for p, q in zip(fused, reference)
+                                       if q.grad is not None]), lr=0.01)
             reference_folded_adam_step(reference, lr=0.01)
         for p, q in zip(fused, reference):
             for attr in ("data", "m", "v"):
@@ -779,7 +774,12 @@ class TestKernelsMatchReference:
 
     def test_adam_runs_over_a_parameter_set_are_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(32)
-        shapes = {"e": (5,), "a": (3, ad._ADAM_BLOCK // 2 + 7), "d": (2, 2), "c": (9,), "b": (4,)}
+        # "a" and "b" are each under a block and together over one, so a run
+        # holding both has a block that spans them
+        shapes = {"e": (5,), "a": (3, ad._ADAM_BLOCK // 4 + 7), "d": (2, 2), "c": (9,),
+                  "b": (ad._ADAM_BLOCK // 2 + 1,)}
+        assert max(map(math.prod, shapes.values())) < ad._ADAM_BLOCK
+        assert math.prod(shapes["a"]) + math.prod(shapes["b"]) > ad._ADAM_BLOCK
         start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         flat = ad.parameter_set(shapes, np.concatenate([start[name].reshape(-1)
                                                         for name in sorted(shapes)]))
@@ -797,9 +797,8 @@ class TestKernelsMatchReference:
             for q in reference:
                 if q.name != skip:
                     q.grad = rng.standard_normal(q.shape) * 10.0 ** rng.integers(-6, 2)
-            backward_with_grads([(p, q.grad) for p, q in zip(fused, reference)
-                                 if q.grad is not None])
-            adam_step(fused, lr=0.01)
+            adam_step(loss_with_grads([(p, q.grad) for p, q in zip(fused, reference)
+                                       if q.grad is not None]), lr=0.01)
             reference_folded_adam_step(reference, lr=0.01)
             assert ["".join(run) for run in runs] == want
         for p, q in zip(fused, reference):
@@ -811,28 +810,35 @@ class TestKernelsMatchReference:
     def test_stepping_during_backward_is_bit_identical_to_a_step_after_it(self, monkeypatch):
         # "b" is larger than a block and steps as the walk reaches it; "a"
         # and "c", on either side of it in the flat arrays, step after, and
-        # no longer in one run
+        # no longer in one run. With a block larger than any parameter, all
+        # three step after the walk, in one run.
         rng = np.random.default_rng(34)
         shapes = {"a": (5,), "b": (2, ad._ADAM_BLOCK // 2 + 3), "c": (3, 2)}
         start = rng.standard_normal(sum(math.prod(shape) for shape in shapes.values()))
         late, early = (ad.parameter_set(shapes, start.copy()) for _ in range(2))
-        runs = []
-        adam_run = ad._adam_run
+        log = []
+        adam_run, backward = ad._adam_run, ad.Tensor.backward
         monkeypatch.setattr(ad, "_adam_run", lambda run, *args: (
-            runs.append("".join(p.name for p in run)), adam_run(run, *args)))
+            log.append("".join(p.name for p in run)), adam_run(run, *args)))
+
+        def walk(loss, complete):
+            # brackets the walk, and logs which parameters still hold a gradient after it
+            log.append("(")
+            backward(loss, complete)
+            log.append(")" + "".join(name for name, p in params.items() if p.grad is not None))
+
+        monkeypatch.setattr(ad.Tensor, "backward", walk)
         for _ in range(3):
             g = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
             for params, stepped in ((late, False), (early, True)):
-                runs.clear()
+                log.clear()
                 a, b, c = (ad.sum_all(ad.mul(ad.tanh(params[name]), ad.constant(g[name])))
                            for name in shapes)
-                loss = ad.add(ad.add(a, b), c)
-                loss.backward(ad.adam_on_complete(0.01, 0.9, 0.999, 1e-8) if stepped else None)
-                if stepped:
-                    assert runs == ["b"] and params["b"].grad is None
-                    assert params["a"].grad is not None and params["c"].grad is not None
-                adam_step(list(params.values()), lr=0.01)
-                assert runs == (["b", "a", "c"] if stepped else ["abc"])
+                with monkeypatch.context() as patch:
+                    if not stepped:
+                        patch.setattr(ad, "_ADAM_BLOCK", 1 << 62)
+                    adam_step(ad.add(ad.add(a, b), c), lr=0.01)
+                assert log == (["(", "b", ")ac", "a", "c"] if stepped else ["(", ")abc", "abc"])
         for name in shapes:
             p, q = late[name], early[name]
             for attr in ("data", "m", "v"):
@@ -878,9 +884,8 @@ class TestKernelsMatchReference:
         for _ in range(3):
             g = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-6, 1, size)
             largest = np.maximum(largest, np.abs(g))
-            backward_with_grads([(fused, g)])
             textbook.grad = g
-            adam_step([fused], lr=lr)
+            adam_step(loss_with_grads([(fused, g)]), lr=lr)
             reference_adam_step([textbook], lr=lr)
         assert not np.array_equal(fused.data, textbook.data)
         assert np.all(np.abs(fused.data - textbook.data)

@@ -27,7 +27,46 @@ SIMPLE_BLOCK = """#s1
 """
 
 
+# two sentences in the SemEval 2015 layout: the file header, then blocks
+# whose seventh column is FRAME
+SDP_2015_FILE = """#SDP 2015
+#20001001
+1\tPierre\tPierre\tNNP\t-\t-\t_\tcompound
+2\tVinken\tVinken\tNNP\t+\t+\tnamed:x-c\t_
+
+#20001002
+1\tMr.\tMr.\tNNP\t-\t+\tn:x\t_
+2\tVinken\tVinken\tNNP\t+\t-\t_\tcompound
+"""
+
+
 class TestReadSdp:
+    def test_the_2015_file_header_is_skipped_and_not_written_back(self):
+        doc = read_sdp(io.StringIO(SDP_2015_FILE))
+        assert [sid for sid, _ in doc] == ["20001001", "20001002"]
+        first, second = doc.graphs()
+        assert first.edges == {(0, 2, "TOP"), (2, 1, "compound")}
+        assert [t.frame for t in first.sentence] == ["", "named:x-c"]
+        assert second.edges == {(0, 2, "TOP"), (1, 2, "compound")}
+        buf = io.StringIO()
+        write_sdp(doc, buf)
+        assert buf.getvalue() == SDP_2015_FILE.split("\n", 1)[1]
+
+    @pytest.mark.parametrize("text,sentences", [("#SDP 2015\n", 0),
+                                                ("#SDP 2015\n\n" + SIMPLE_BLOCK, 1)])
+    def test_the_2015_header_alone_or_before_a_blank_line(self, text, sentences):
+        assert len(read_sdp(io.StringIO(text))) == sentences
+
+    @pytest.mark.parametrize("text,message", [
+        (SIMPLE_BLOCK + "\n" + SDP_2015_FILE, "line 6: sentence id 'SDP 2015' would not read back"),
+        ("\n" + SDP_2015_FILE, "line 2: sentence id 'SDP 2015' would not read back"),
+        ("#x\n" + SDP_2015_FILE, "line 2: unexpected extra comment '#SDP 2015'"),
+        ("#SDP 2015 \n#x\n1\ta\ta\tN\t-\t-\t_\n", "line 1: sentence id 'SDP 2015' would not"),
+    ], ids=["later-block", "after-a-blank-line", "after-an-id", "trailing-space"])
+    def test_the_2015_header_anywhere_else_is_refused(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            read_sdp(io.StringIO(text))
+
     def test_direct_column_semantics(self):
         doc = read_sdp(io.StringIO(SIMPLE_BLOCK))
         assert len(doc) == 1
@@ -128,7 +167,8 @@ class TestReadSdp:
 
 
 class TestSentenceIds:
-    @pytest.mark.parametrize("ids", [[], ["s1", "s2"], ["a b", "", "x aligned:", "#y"]])
+    @pytest.mark.parametrize("ids", [[], ["s1", "s2"], ["a b", "", "x aligned:", "#y"],
+                                     ["SDP 20150", "x SDP 2015"]])
     def test_ids_that_read_back_pass(self, ids):
         check_sentence_ids(ids)
         doc = SdpDocument(tuple((sid, SemanticGraph(make_sentence(["a"]), frozenset()))
@@ -142,7 +182,9 @@ class TestSentenceIds:
         (["a\tb"], "sentence id 'a\\tb' would not read back"),
         (["\u00a0x"], "sentence id '\\xa0x' would not read back"),
         (["aligned:x"], "sentence id 'aligned:x' would not read back"),
-    ], ids=["repeated", "newline", "carriage-return", "tab", "leading-space", "aligned"])
+        (["SDP 2015"], "sentence id 'SDP 2015' would not read back"),
+    ], ids=["repeated", "newline", "carriage-return", "tab", "leading-space", "aligned",
+            "sdp-2015-header"])
     def test_ids_that_would_not_read_back_are_refused(self, ids, message):
         with pytest.raises(FormatError, match=f"^line 7: {re.escape(message)}$"):
             check_sentence_ids(ids, 7)

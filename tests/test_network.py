@@ -384,7 +384,6 @@ def _loss_and_grads(model, task, sentences, golds):
     s_edge, s_label = model.forward(sentences, task)
     loss = loss_of(s_edge, s_label, golds, model.tasks[task])
     loss.backward()
-    # the gradient buffers are reused by the next backward
     grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
              for name, p in model.params.items()}
     ad.clear_grads(model.parameters())
@@ -523,11 +522,9 @@ def test_parameter_state_is_three_flat_arrays_in_sorted_name_order(graphs, tmp_p
 ONE_BLOCK_RNN = replace(TINY, rnn_size=128, rnn_layers=1)
 
 
-def _train_style_steps(model, golds, tasks, early: bool, steps: int = 3):
-    """`steps` optimizer steps as `training.train` takes them, each summing one
-    scaled loss per task: with `early`, backward takes each large parameter's
-    Adam step (`ad.adam_on_complete`), else backward and then `adam_step`."""
-    params = model.parameters()
+def _train_style_steps(model, golds, tasks, steps: int = 3):
+    """`steps` optimizer steps as `training.train` takes them, each one
+    `adam_step` on the sum of one scaled loss per task."""
     for step in range(steps):
         total = None
         for k, (task, weight) in enumerate(tasks):
@@ -536,12 +533,14 @@ def _train_style_steps(model, golds, tasks, early: bool, steps: int = 3):
             loss_of = semantic_loss if task == SEMANTIC else syntactic_loss
             part = ad.scale(loss_of(s_edge, s_label, golds[task], model.tasks[task]), weight)
             total = part if total is None else ad.add(total, part)
-        total.backward(ad.adam_on_complete(0.01, 0.9, 0.999, 1e-8) if early else None)
-        adam_step(params, lr=0.01)
+        adam_step(total, lr=0.01)
 
 
 @pytest.mark.parametrize("two_task", [False, True], ids=["single-task", "two-task-combined"])
-def test_stepping_large_parameters_during_backward_changes_no_bit(graphs, two_task):
+def test_stepping_large_parameters_during_backward_changes_no_bit(graphs, two_task,
+                                                                  monkeypatch):
+    # against `late`, whose block is larger than any parameter, so every
+    # parameter steps after the walk
     if two_task:
         corpus = synth_corpus(SynthConfig(sentences=5, seed=12))
         golds = {SEMANTIC: corpus.target_gold.graphs(), SYNTACTIC: corpus.trees}
@@ -554,8 +553,10 @@ def test_stepping_large_parameters_during_backward_changes_no_bit(graphs, two_ta
     late, early = build(), build()
     sizes = {p.name: p.data.size for p in early.parameters()}
     assert max(sizes.values()) == ad._ADAM_BLOCK and min(sizes.values()) < ad._ADAM_BLOCK
-    _train_style_steps(late, golds, tasks, early=False)
-    _train_style_steps(early, golds, tasks, early=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "_ADAM_BLOCK", 1 << 62)
+        _train_style_steps(late, golds, tasks)
+    _train_style_steps(early, golds, tasks)
     assert early.param_data.tobytes() != build().param_data.tobytes()
     for p, q in zip(late.parameters(), early.parameters()):
         for attr in ("data", "m", "v"):
@@ -563,19 +564,37 @@ def test_stepping_large_parameters_during_backward_changes_no_bit(graphs, two_ta
         assert p.step == q.step == 3 and p.grad is None and q.grad is None, p.name
 
 
-def test_backward_steps_the_large_parameters_and_leaves_the_small_their_gradients(graphs):
+def test_adam_step_steps_the_large_parameters_in_the_walk_and_the_small_after_it(
+        graphs, monkeypatch):
     model = _model(graphs, config=ONE_BLOCK_RNN)
     s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
                                     np.random.default_rng(5))
     loss = semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC])
-    loss.backward(ad.adam_on_complete(0.01, 0.9, 0.999, 1e-8))
-    large = [p for p in model.parameters() if p.data.size >= ad._ADAM_BLOCK]
-    assert [p.name for p in large] == ["rnn/semantic/layer0/bw/u", "rnn/semantic/layer0/fw/u"]
+    runs, after_walk = [], {}
+    adam_run, backward = ad._adam_run, ad.Tensor.backward
+    monkeypatch.setattr(ad, "_adam_run", lambda run, *args: (
+        runs.append((not after_walk, [p.name for p in run])), adam_run(run, *args)))
+
+    def walk(loss, complete):
+        backward(loss, complete)
+        after_walk.update((p.name, (p.grad is not None, p.step, bool(np.any(p.m))))
+                          for p in model.parameters())
+
+    monkeypatch.setattr(ad.Tensor, "backward", walk)
+    adam_step(loss, lr=0.01)
+    large = [p.name for p in model.parameters() if p.data.size >= ad._ADAM_BLOCK]
+    assert large == ["rnn/semantic/layer0/bw/u", "rnn/semantic/layer0/fw/u"]
+    # during the walk: each large parameter alone; after it: the others, in the
+    # runs of layout order that the large ones split
+    names = sorted(model.params)
+    cut = [names.index(name) for name in large]
+    assert runs == [(True, [large[0]]), (True, [large[1]]), (False, names[:cut[0]]),
+                    (False, names[cut[0] + 1:cut[1]]), (False, names[cut[1] + 1:])]
+    for name, (has_grad, step, moved) in after_walk.items():
+        assert (has_grad, step, moved) == ((False, 1, True) if name in large
+                                           else (True, 0, False)), name
     for p in model.parameters():
-        if p in large:
-            assert p.grad is None and p.step == 1 and np.any(p.m != 0.0), p.name
-        else:
-            assert p.grad is not None and p.step == 0 and not np.any(p.m), p.name
+        assert p.grad is None and p.step == 1, p.name
 
 
 def test_combined_step_gradients_are_the_sum_of_each_task():
@@ -620,12 +639,13 @@ def test_adam_over_a_two_task_model_matches_the_textbook_form(monkeypatch):
 
     monkeypatch.setattr(ad, "_adam_run", counted)
     for task in (SEMANTIC, SYNTACTIC, SEMANTIC, SYNTACTIC, SEMANTIC):
-        ad.clear_grads(params)
+        # the same deterministic loss twice: once for the reference's gradients
         _task_loss(model, task, golds[task], 1.0 / 40).backward()
         for p, q in zip(params, reference):
             q.grad = None if p.grad is None else p.grad.copy()
+        ad.clear_grads(params)
         runs.append([])
-        adam_step(params, lr=0.01)
+        adam_step(_task_loss(model, task, golds[task], 1.0 / 40), lr=0.01)
         assert sum(runs[-1]) == sum(q.grad is not None for q in reference)
         reference_folded_adam_step(reference, lr=0.01)
         for p, q in zip(params, reference):

@@ -1,6 +1,7 @@
 import io
 import json
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,14 +28,14 @@ def _corpus(sentences: int, seed: int = 5):
     return corpus.target_gold.graphs(), corpus.trees
 
 
-def _model(graphs, trees=(), seed: int = 5) -> ParserModel:
+def _model(graphs, trees=(), seed: int = 5, config: NetworkConfig = TINY) -> ParserModel:
     words, chars, pos = build_vocabs([g.sentence for g in graphs])
     tasks = {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}
     topology = None
     if trees:
         tasks[SYNTACTIC] = syntactic_label_vocab(DEFAULT_DEPRELS)
         topology = SharingTopology(shared_rnn=True, task_rnn=True)
-    return ParserModel(TINY, tasks, words, chars, pos, topology=topology, seed=seed)
+    return ParserModel(config, tasks, words, chars, pos, topology=topology, seed=seed)
 
 
 def test_divergence_restores_best_snapshot(monkeypatch):
@@ -207,8 +208,8 @@ def test_a_single_task_step_scales_the_loss_by_its_tokens_alone(task):
                                     training._dropout_rng(cfg.seed, 1, task, 0))
     loss = (training.semantic_loss if task == SEMANTIC else training.syntactic_loss)(
         s_edge, s_label, [g for _, g in batch], fresh.tasks[task], cfg.label_interp)
-    ad.scale(loss, 1.0 / sum(len(s) for s, _ in batch)).backward()
-    ad.adam_step(fresh.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    ad.adam_step(ad.scale(loss, 1.0 / sum(len(s) for s, _ in batch)), cfg.lr, cfg.beta1,
+                 cfg.beta2, cfg.eps)
     for name, p in fresh.params.items():
         assert np.array_equal(model.params[name].data, p.data), name
 
@@ -641,6 +642,27 @@ def test_epoch_step_count_follows_the_task_queues(monkeypatch, combined):
     # combined: one step per semantic batch, each with a (cycled) syntactic
     # batch; alternating: one step per batch of either task
     assert counts == ([4, 4, 4] if combined else [6, 4, 2])
+
+
+def test_each_parameter_steps_once_per_optimizer_step_whose_loss_reaches_it():
+    # alternating steps: 4 semantic and 2 syntactic; without word dropout no
+    # loss reaches the unknown-word and unknown-POS embeddings
+    graphs, trees = _corpus(5)
+    model = _model(graphs, trees, config=replace(TINY, word_dropout=0.0))
+    cfg = training.TrainConfig(token_budget=1, max_epochs=1, combined_steps=False)
+    training.train(model, {SEMANTIC: [(g.sentence, g) for g in graphs[:4]],
+                           SYNTACTIC: [(t.sentence, t) for t in trees[:2]]},
+                   [(graphs[4].sentence, graphs[4])], cfg)
+    for name, p in model.params.items():
+        assert p.grad is None, name
+        parts = name.split("/")
+        if name in ("emb/unk_word", "emb/unk_pos"):
+            assert p.step == 0 and not p.m.any() and not p.v.any(), name
+        else:
+            assert p.step == (4 if SEMANTIC in parts else 2 if SYNTACTIC in parts else 6), name
+    own = {name.split("/")[0] for name in model.params
+           if SEMANTIC in name.split("/") or SYNTACTIC in name.split("/")}
+    assert own == {"fnn", "scorer", "rnn_task"}
 
 
 def test_combined_zero_syntactic_weight_follows_the_single_task_trajectory():
