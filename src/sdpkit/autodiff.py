@@ -710,7 +710,8 @@ class Parameter(Tensor):
     standalone `Parameter(data)` is a one-parameter set over a copy of `data`.
     Write `data` in place and never rebind it: the flat data array is what a
     checkpoint saves and what Adam updates. A model-sized np.zeros maps lazily
-    zeroed pages, so a model loaded to parse never touches its moments.
+    zeroed pages, so a model loaded to parse never touches its moments; so does
+    `train`'s np.empty_like best snapshot, until a best epoch is copied into it.
 
     `grad` is None or an array of its own (`_accumulate`). `adam_step(loss, …)`
     steps exactly the parameters `loss` reaches, each large one as the walk

@@ -287,11 +287,13 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     The best epoch is the first with the highest held-out LF, and training
     stops after `cfg.patience` epochs without a higher one. `corpora` maps
     task ids to lists of (sentence, gold) pairs; `heldout` holds semantic
-    pairs. Each corpus and the held-out list must be non-empty. The model is
-    left holding the best epoch's parameters, also when training stops by
-    raising (such as `TrainingDiverged`): the flat `model.param_data` is
-    copied before training and on each best epoch another can follow, and
-    back at the end if a step moved it since. In multitask mode the
+    pairs. Each corpus and the held-out list must be non-empty. Once an
+    epoch has completed, the model is left holding the best epoch's
+    parameters, also when training stops by raising (such as
+    `TrainingDiverged`, raised before its step's update): the flat
+    `model.param_data` is copied on each best epoch another can follow, and
+    back at the end if a step moved it since. A raise inside epoch 1 leaves
+    the parameters as the last finished step left them. In multitask mode the
     semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
     zero is skipped entirely, so a multitask run with a zero syntactic
     weight follows the single-task trajectory exactly.
@@ -310,8 +312,9 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     data = {task: items for task, items in corpora.items() if weights[task] > 0}
 
     result = TrainResult()
-    # overwritten in place on a best epoch; `holds_best`: the model holds the best
-    best_snapshot, holds_best = model.param_data.copy(), True
+    # written in place on a best epoch another can follow, so its pages are mapped
+    # only then; `restore`: it holds the best epoch and a step has moved the model since
+    best_snapshot, restore = np.empty_like(model.param_data), False
     lengths = {task: [len(sentence) for sentence, _ in items] for task, items in data.items()}
 
     try:
@@ -343,7 +346,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                 if not math.isfinite(value):
                     raise TrainingDiverged(f"loss became {value} at epoch {epoch}, "
                                            f"step {step_index + 1}")
-                holds_best = False
+                restore = epoch > 1  # the snapshot holds the best earlier epoch
                 ad.adam_step(total, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
             report = evaluate_semantic(model, heldout)
@@ -357,13 +360,13 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
             result.metrics.append(entry)
             if metrics_out is not None:
                 metrics_out.write(line + "\n")
-            holds_best = result.best_epoch == epoch
-            if holds_best and epoch < cfg.max_epochs:
+            restore = result.best_epoch != epoch
+            if not restore and epoch < cfg.max_epochs:
                 np.copyto(best_snapshot, model.param_data)
             elif epoch - result.best_epoch > cfg.patience:
                 break
     finally:
-        if not holds_best:
+        if restore:
             np.copyto(model.param_data, best_snapshot)
     return result
 

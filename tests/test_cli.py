@@ -871,3 +871,72 @@ def test_golden_pipeline_clears_its_lf_floor(tmp_path, capsys):
     lf = float(re.search(r"^lp=\S+ lr=\S+ lf=([0-9.]+)", out, re.M).group(1))
     assert lf == best  # the parsed checkpoint is the epoch early stopping kept
     assert lf >= GOLDEN_LF_FLOOR
+
+
+# Two sentences in the SemEval 2015 layout (ID FORM LEMMA POS TOP PRED FRAME,
+# then one ARG column per predicate), written by hand: the first has two tops
+# (2 and 4), a token with two heads (5, from 2 and 4), FRAME values and a row
+# in no edge (3); in the second, token 2 has two heads.
+SDP_2015_SOURCE = """#SDP 2015
+#20001001
+1\tPierre\tPierre\tNNP\t-\t-\t_\tcompound\t_
+2\tVinken\tVinken\tNNP\t+\t+\tnamed:x-c\t_\tARG1
+3\t,\t_\t,\t-\t-\t_\t_\t_
+4\tjoins\tjoin\tVBZ\t+\t+\tv:e-i-p\t_\t_
+5\tboards\tboard\tNNS\t-\t-\t_\tposs\tARG2
+
+#20001002
+1\tMr.\tMr.\tNNP\t-\t+\tn:x\t_\t_
+2\tVinken\tVinken\tNNP\t-\t-\t_\tcompound\tARG1
+3\tchairs\tchair\tVBZ\t+\t+\tv:e-i\t_\t_
+"""
+SDP_2015_TARGET = """# sent_id = 20001001
+1\tPierre\tPierre\tPROPN\tNNP\t_\t2\tcompound\t_\t_
+2\tVinken\tVinken\tPROPN\tNNP\t_\t4\tnsubj\t_\t_
+3\t,\t,\tPUNCT\t,\t_\t2\tpunct\t_\t_
+4\tjoins\tjoin\tVERB\tVBZ\t_\t0\troot\t_\t_
+5\tboards\tboard\tNOUN\tNNS\t_\t4\tobj\t_\t_
+
+# sent_id = 20001002
+1\tMr.\tMr.\tPROPN\tNNP\t_\t2\tcompound\t_\t_
+2\tVinken\tVinken\tPROPN\tNNP\t_\t3\tnsubj\t_\t_
+3\tchairs\tchair\tVERB\tVBZ\t_\t0\troot\t_\t_
+"""
+
+
+def test_a_2015_file_runs_project_train_parse_and_score(tmp_path, capsys):
+    p = {name: str(tmp_path / name) for name in (
+        "source.sdp", "target.conllu", "identity.align", "tiny.json", "proj.sdp",
+        "model.npz", "pred.sdp")}
+    for name, text in (("source.sdp", SDP_2015_SOURCE), ("target.conllu", SDP_2015_TARGET),
+                       ("identity.align", "0-0 1-1 2-2 3-3 4-4\n0-0 1-1 2-2\n"),
+                       ("tiny.json", json.dumps({"network": TINY}))):
+        Path(p[name]).write_text(text, encoding="utf-8")
+    for argv in (
+            ["project", "--source", p["source.sdp"], "--alignments", p["identity.align"],
+             "--target", p["target.conllu"], "--out", p["proj.sdp"]],
+            ["train", "--train", p["proj.sdp"], "--heldout", p["proj.sdp"],
+             "--config", p["tiny.json"], "--epochs", "1", "--seed", "3", "--out", p["model.npz"]],
+            ["parse", "--model", p["model.npz"], "--input", p["target.conllu"],
+             "--out", p["pred.sdp"]],
+            ["score", "--pred", p["pred.sdp"], "--gold", p["source.sdp"]]):
+        assert cli.main(argv) == 0, argv
+    source = _read_sdp_file(p["source.sdp"])
+    first = source.graphs()[0]
+    assert first.tops == {2, 4}
+    assert {t.index: t.frame for t in first.sentence if t.frame} == {2: "named:x-c",
+                                                                     4: "v:e-i-p"}
+    assert sorted(h for h, d, _ in first.edges if d == 5) == [2, 4]
+    assert all(3 not in (h, d) for h, d, _ in first.edges)
+    projected = _read_sdp_file(p["proj.sdp"])  # identity links transfer every edge
+    assert [(sid, g.graph.edges) for sid, g in projected] == [
+        (sid, g.edges) for sid, g in source]
+    pred = _read_sdp_file(p["pred.sdp"])
+    assert [(sid, [t.form for t in g.sentence]) for sid, g in pred] == [
+        (sid, [t.form for t in g.sentence]) for sid, g in source]
+    assert re.search(r"^lp=\S+ lr=\S+ lf=", capsys.readouterr().out, re.M)
+
+
+def _read_sdp_file(path: str) -> SdpDocument:
+    with open(path, encoding="utf-8") as f:
+        return read_sdp(f)

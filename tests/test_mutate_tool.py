@@ -20,7 +20,8 @@ WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 # The MODULE:FUNCTION:STATEMENT sites that the CI step "Mutation smoke" mutates
 SMOKE_SITES = ['projection:IntersectedAlignment.__post_init__:'
                'raise ProjectionError("intersected alignment must be one-to-one")',
-               "autodiff:lstm_seq:a += recur[:k]", "autodiff:_adam_run:mb += g"]
+               "autodiff:lstm_seq:a += recur[:k]", "autodiff:_adam_run:mb += g",
+               "training:train:if restore: np.copyto(model.param_data, best_snapshot)"]
 TOY = "def f(i):\n    return i + 1\n"
 EDITED = "import os\nx = 2 - 1\n" + TOY
 
@@ -133,4 +134,5 @@ def test_the_mutation_smoke_lines_hold_their_statements():
     assert targets == SMOKE_SITES
     tool = _load_tool()
     chosen = tool._select(argparse.Namespace(targets=targets, every=1))
-    assert sorted(site["module"] for site in chosen) == ["autodiff", "autodiff", "projection"]
+    assert sorted(site["module"] for site in chosen) == ["autodiff", "autodiff", "projection",
+                                                         "training"]

@@ -38,25 +38,38 @@ def _model(graphs, trees=(), seed: int = 5, config: NetworkConfig = TINY) -> Par
     return ParserModel(config, tasks, words, chars, pos, topology=topology, seed=seed)
 
 
-def test_divergence_restores_best_snapshot(monkeypatch):
+@pytest.mark.parametrize("max_epochs", [1, 3], ids=["max_epochs=1", "max_epochs=3"])
+def test_divergence_in_the_first_epoch_keeps_the_last_finished_step(monkeypatch, max_epochs):
+    # no epoch has completed, so there is no snapshot to restore: the model
+    # keeps what step 1 made of it, and the NaN step never updates it
     graphs, _ = _corpus(4)
     model = _model(graphs)
-    initial = {name: p.data.copy() for name, p in model.params.items()}
     real_loss = training.semantic_loss
-    calls = []
+    calls, before_nan = [], []
 
     def nan_at_second_step(*args, **kwargs):
         calls.append(1)
         loss = real_loss(*args, **kwargs)
-        return ad.scale(loss, float("nan")) if len(calls) == 2 else loss
+        if len(calls) < 2:
+            return loss
+        before_nan.append(model.param_data.copy())
+        return ad.scale(loss, float("nan"))
+
+    copyto, full_copies = np.copyto, []
+
+    def counted(dst, src, *args, **kwargs):
+        full_copies.append(dst.size == model.param_data.size)
+        return copyto(dst, src, *args, **kwargs)
 
     monkeypatch.setattr(training, "semantic_loss", nan_at_second_step)
-    cfg = training.TrainConfig(token_budget=1, max_epochs=1)  # one sentence per step
+    monkeypatch.setattr(np, "copyto", counted)
+    cfg = training.TrainConfig(token_budget=1, max_epochs=max_epochs)  # one sentence per step
     with pytest.raises(TrainingDiverged, match="epoch 1, step 2"):
         training.train(model, {SEMANTIC: [(g.sentence, g) for g in graphs]},
                        [(g.sentence, g) for g in graphs], cfg)
-    for name, p in model.params.items():
-        np.testing.assert_array_equal(p.data, initial[name], err_msg=name)
+    assert np.isfinite(model.param_data).all()
+    np.testing.assert_array_equal(model.param_data, before_nan[0])
+    assert not any(full_copies)
 
 
 def _train_one_sentence_per_step(model, graphs, max_epochs: int):
