@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AutodiffError
+from .errors import AutodiffError, ConfigError
 
 _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
@@ -867,8 +867,14 @@ def gradient_check(closure, params, epsilon: float, tolerance: float) -> GradChe
 
     The closure must rebuild the loss from scratch on every call and be
     deterministic (dropout off or masks frozen); nondeterminism is detected
-    by running it twice and is reported as an error.
+    by running it twice and is reported as an error. `epsilon` must be
+    positive and `tolerance` non-negative, both finite. A coordinate whose
+    relative error is not finite (a NaN or infinite gradient on either side)
+    counts as an infinite error, so the check fails there.
     """
+    if not (0 < epsilon < math.inf and 0 <= tolerance < math.inf):
+        raise ConfigError("gradient check needs a finite epsilon > 0 and a finite tolerance "
+                          f">= 0, got epsilon={epsilon}, tolerance={tolerance}")
     params = list(params)
     with no_grad():
         first = float(closure().data)
@@ -905,8 +911,7 @@ def gradient_check(closure, params, epsilon: float, tolerance: float) -> GradChe
             p.data[idx] = saved
             numeric = (up - down) / (2.0 * epsilon)
             rel = abs(a[k] - numeric) / max(abs(a[k]), abs(numeric), 1.0)
-            if rel > err:
-                err = rel
+            err = max(err, rel if math.isfinite(rel) else math.inf)
         per_param[name] = err
         if err >= worst_err:
             worst_err = err

@@ -60,7 +60,7 @@ def _sha256(path: str) -> str:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as f:
+    with _naming(path), open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
         except json.JSONDecodeError as exc:
@@ -126,9 +126,12 @@ def _finish(args, inputs: list[str], outputs: list[str], config: dict) -> int:
 
 @contextmanager
 def _naming(path: str):
-    """Prefix `path` to a FormatError raised in the block, keeping its line."""
+    """Prefix `path` to a FormatError raised in the block, keeping its line. A
+    file that does not decode as UTF-8 raises a FormatError naming it, too."""
     try:
         yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x})") from exc
     except FormatError as exc:
         named = FormatError(f"{path}: {exc}")
         named.line = exc.line
@@ -549,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--combined", action="store_true",
                    help="combined multitask steps instead of alternating")
     p.add_argument("--metrics", help="metrics log path (default: <out>.metrics)")
-    p.add_argument("--word-vectors", help="pretrained word vectors (text)")
+    p.add_argument("--word-vectors", help="pretrained vectors (text) to initialise the word table")
 
     p = add("parse", cmd_parse, "parse sentences with a trained model")
     p.add_argument("--model", required=True)

@@ -2,12 +2,12 @@
 
 A token vector is its word component followed by its POS embedding, so the
 encoder reads word_dim + pos_dim per token. The word component sums a
-trainable table, a fixed pretrained table, and a character BiLSTM's final
-states. The char embedding and the char BiLSTM's hidden size per direction are
-both half the word dimension, so its two final states make word_dim with no
-projection. A learned root row is prepended before encoding; scores are
-matrices over head positions 0..n and dependent positions 1..n, head-major as
-`ad.bilinear` writes them.
+trainable table row and a character BiLSTM's final states; pretrained vectors
+only initialise that table (`ParserModel`). The char embedding and the char
+BiLSTM's hidden size per direction are both half the word dimension, so its
+two final states make word_dim with no projection. A learned root row is
+prepended before encoding; scores are matrices over head positions 0..n and
+dependent positions 1..n, head-major as `ad.bilinear` writes them.
 Every cell is scored, the self-loop diagonal included; which cells can be
 edges is decided by the losses and the decoder (`training.edge_cells`). The
 optional biaffine bias (Dozat & Manning) is a zero-initialised border of the
@@ -52,7 +52,7 @@ from .graph import TOP_LABEL, Token
 UNK = "<unk>"
 
 # Raise the version whenever the tensors or the metadata that `save` writes change.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _META_KEY = "__meta__"
 _PARAMS_KEY = "parameters"
 
@@ -148,10 +148,10 @@ def syntactic_label_vocab(labels: Sequence[str]) -> Vocab:
 
 def pretrained_table(vectors: dict[str, np.ndarray], vocab: Vocab,
                      dim: int) -> np.ndarray:
-    """Fixed pretrained embedding table aligned to a word vocabulary.
+    """Pretrained embedding table aligned to a word vocabulary, for `ParserModel`.
 
     Words without a pretrained vector (including <unk>) get zero rows, so
-    the trainable and character components alone carry them.
+    their word table rows keep the random draw.
     """
     table = np.zeros((len(vocab), dim))
     for i, word in enumerate(vocab.items):
@@ -232,8 +232,13 @@ class ParserModel:
                  word_vocab: Vocab, char_vocab: Vocab, pos_vocab: Vocab,
                  topology: SharingTopology | None = None, seed: int = 0,
                  pretrained: np.ndarray | None = None):
-        self._configure(config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed,
-                        pretrained)
+        """`pretrained` (see `pretrained_table`) is added to the drawn word table.
+        With no weight decay, training that sum takes the steps that Dozat &
+        Manning's trainable table beside a fixed pretrained one would take."""
+        self._configure(config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed)
+        if pretrained is not None and np.shape(pretrained) != (len(word_vocab), config.word_dim):
+            raise ConfigError(f"pretrained table shape {np.shape(pretrained)} != "
+                              f"({len(word_vocab)}, {config.word_dim})")
         specs = self._param_specs()
         # one flat data array, beside one pair of flat Adam moments, for the
         # whole model; each initializer draws into its view
@@ -242,11 +247,12 @@ class ParserModel:
             {name: shape for name, shape, _ in specs}, self.param_data)
         for name, _, init in specs:
             init(_rng_for(seed, name), self.params[name].data)
+        if pretrained is not None:
+            self.params["emb/word"].data += pretrained
 
     # ------------------------------------------------------------------ setup
 
-    def _configure(self, config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed,
-                   pretrained):
+    def _configure(self, config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed):
         """Validate and store everything but the parameters."""
         if not tasks:
             raise ConfigError("at least one task is required")
@@ -262,13 +268,6 @@ class ParserModel:
         self.char_vocab = char_vocab
         self.pos_vocab = pos_vocab
         self.seed = seed
-        if pretrained is None:
-            pretrained = np.zeros((len(word_vocab), config.word_dim))
-        pretrained = np.asarray(pretrained, dtype=np.float64)
-        if pretrained.shape != (len(word_vocab), config.word_dim):
-            raise ConfigError(f"pretrained table shape {pretrained.shape} != "
-                              f"({len(word_vocab)}, {config.word_dim})")
-        self.pretrained = pretrained  # fixed; never updated
 
     def _owner(self, task: str, stack: str) -> str:
         """Owner of `task`'s "rnn" or "fnn" parameters: the task, or "shared"."""
@@ -282,9 +281,9 @@ class ParserModel:
         specs = [("emb/word", (len(self.word_vocab), cfg.word_dim), _normal),
                  ("emb/pos", (len(self.pos_vocab), cfg.pos_dim), _normal),
                  ("emb/char", (len(self.char_vocab), cfg.word_dim // 2), _normal),
-                 ("emb/unk_word", (cfg.word_dim,), _normal),
-                 ("emb/unk_pos", (cfg.pos_dim,), _normal),
-                 ("emb/root", (cfg.input_dim,), _normal)]
+                 ("emb/unk_word", (1, cfg.word_dim), _normal),
+                 ("emb/unk_pos", (1, cfg.pos_dim), _normal),
+                 ("emb/root", (1, cfg.input_dim), _normal)]
 
         def lstm(prefix: str, d_in: int, hidden: int):
             for direction in ("fw", "bw"):
@@ -357,30 +356,23 @@ class ParserModel:
     def embed_tokens(self, batch: Batch, rng: np.random.Generator | None = None) -> Tensor:
         """Token input matrix (N, word_dim + pos_dim), packed in input order.
 
-        The word component sums the trainable table row, the fixed pretrained
-        row, and the char BiLSTM vector; the char BiLSTM runs once per
-        direction over the distinct forms of the batch. With an `rng` (train
-        mode) each token's word and POS components are independently replaced
-        by dedicated unknown embeddings at the configured word-dropout rate.
+        The word component sums the word table row and the char BiLSTM
+        vector; the char BiLSTM runs once per direction over the distinct
+        forms of the batch. With an `rng` (train mode) each token's word and
+        POS components are independently replaced by dedicated unknown rows at
+        the configured word-dropout rate, each by one row selection.
         """
         cfg = self.config
-        n = batch.word_ids.size
-        x_re = ad.lookup(self.params["emb/word"], batch.word_ids)
-        x_pe = ad.constant(self.pretrained[batch.word_ids])
-        x_ce = ad.lookup(self._char_vectors(batch), batch.form_ids)
-        x_we = ad.add(ad.add(x_re, x_pe), x_ce)
-
+        x_we = ad.add(ad.lookup(self.params["emb/word"], batch.word_ids),
+                      ad.lookup(self._char_vectors(batch), batch.form_ids))
         x_te = ad.lookup(self.params["emb/pos"], batch.pos_ids)
 
         if rng is not None and cfg.word_dropout > 0:
-            keep_w = ad.constant((rng.random((n, 1)) >= cfg.word_dropout).astype(np.float64))
-            keep_t = ad.constant((rng.random((n, 1)) >= cfg.word_dropout).astype(np.float64))
-            unk_w = ad.reshape(self.params["emb/unk_word"], (1, cfg.word_dim))
-            unk_t = ad.reshape(self.params["emb/unk_pos"], (1, cfg.pos_dim))
-            x_we = ad.add(ad.mul(x_we, keep_w),
-                          ad.mul(unk_w, ad.constant(1.0 - keep_w.data)))
-            x_te = ad.add(ad.mul(x_te, keep_t),
-                          ad.mul(unk_t, ad.constant(1.0 - keep_t.data)))
+            # a dropped token selects row n, the unknown row; words draw first, then POS
+            n = batch.word_ids.size
+            x_we, x_te = (ad.lookup(ad.concat([rows, self.params[unk]], axis=0),
+                                    np.where(rng.random(n) < cfg.word_dropout, n, np.arange(n)))
+                          for rows, unk in ((x_we, "emb/unk_word"), (x_te, "emb/unk_pos")))
 
         return ad.concat([x_we, x_te], axis=1)
 
@@ -400,8 +392,8 @@ class ParserModel:
         self._check_task(task)
         cfg = self.config
         dropout = rng is not None and cfg.recurrent_dropout > 0
-        root = ad.reshape(self.params["emb/root"], (1, cfg.input_dim))
-        states = ad.lookup(ad.concat([root, embedded], axis=0), batch.input_ids)
+        states = ad.lookup(ad.concat([self.params["emb/root"], embedded], axis=0),
+                           batch.input_ids)
         lengths = batch.sizes + 1
         owner = self._owner(task, "rnn")
         prefixes = [f"rnn/{owner}/layer{layer}" for layer in range(cfg.rnn_layers)]
@@ -487,10 +479,10 @@ class ParserModel:
 
     def save(self, path):
         """Write the model to `path`, through `atomic_open`, as an npz archive
-        of three members: first `__meta__`, a uint8 array holding the UTF-8
+        of two members: first `__meta__`, a uint8 array holding the UTF-8
         JSON (keys sorted) of the dict below, then `parameters`, the flat
-        `param_data` (every parameter in sorted-name order, each flattened),
-        then `pretrained`. Both are float64."""
+        float64 `param_data` (every parameter in sorted-name order, each
+        flattened). Pretrained vectors are part of the word table there."""
         meta = {
             "kind": "sdpkit-parser",
             "checkpoint_version": CHECKPOINT_VERSION,
@@ -507,13 +499,13 @@ class ParserModel:
         payload = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
                                 dtype=np.uint8)
         with atomic_open(path, "wb") as f:
-            np.savez(f, **{_META_KEY: payload, _PARAMS_KEY: self.param_data},
-                     pretrained=self.pretrained)
+            np.savez(f, **{_META_KEY: payload, _PARAMS_KEY: self.param_data})
 
     @classmethod
     def load(cls, path) -> "ParserModel":
         """Read a file that `save` wrote, finding its members by name; the model
-        adopts the `parameters` array as read, with no copy. Any other file
+        adopts the `parameters` array as read, with no copy, so its word table
+        holds whatever pretrained vectors it was built with. Any other file
         raises `CheckpointError` naming `path`."""
         try:
             # opened here: `np.load(path)` leaves its file open if the archive is cut short
@@ -558,18 +550,15 @@ class ParserModel:
         except (KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: malformed checkpoint metadata "
                                   f"({type(exc).__name__}: {exc})") from exc
-        # `save` always writes the pretrained table; zeros must not stand in for it
-        missing = {_PARAMS_KEY, "pretrained"} - set(arrays)
-        if missing:
-            raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
+        if _PARAMS_KEY not in arrays:
+            raise CheckpointError(f"{path}: missing tensors ['{_PARAMS_KEY}']")
         # the saved array becomes the parameters' data; nothing is drawn at random
         model = cls.__new__(cls)
         try:
-            model._configure(config, tasks, words, chars, pos, topology, seed,
-                             arrays["pretrained"])
+            model._configure(config, tasks, words, chars, pos, topology, seed)
             model.params = ad.parameter_set({name: shape for name, shape, _
                                              in model._param_specs()}, arrays[_PARAMS_KEY])
-        # such as a pretrained table or a parameters member of the wrong shape
+        # such as a parameters member of the wrong shape
         except (ConfigError, AutodiffError) as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         model.param_data = arrays[_PARAMS_KEY]

@@ -9,7 +9,7 @@ from helpers import (adam_step, reference_adam_step, reference_bilinear,
                      reference_folded_adam_step, reference_lstm_seq)
 
 from sdpkit import autodiff as ad
-from sdpkit.errors import AutodiffError
+from sdpkit.errors import AutodiffError, ConfigError
 
 
 def check_op(build, params, tol=1e-7):
@@ -928,6 +928,39 @@ class TestGradientCheckMachinery:
         assert not report.passed and report.worst == "bad"
         assert report.per_param["good"] < 1e-8
         assert report.max_rel_error == report.per_param["bad"] == pytest.approx(0.5)
+
+    def test_a_nan_gradient_fails_and_names_its_parameter(self):
+        good, bad = ad.Parameter([1.0, 2.0], name="good"), ad.Parameter([3.0], name="bad")
+
+        def nan_gradient(a):  # the value a with a NaN gradient
+            return ad._result(a.data.copy(), (a,),
+                              lambda g: ad._accumulate(a, np.full(a.shape, np.nan)))
+
+        def closure():
+            return ad.add(ad.sum_all(ad.mul(good, good)), ad.sum_all(nan_gradient(bad)))
+
+        report = ad.gradient_check(closure, [good, bad], 1e-5, 1e-4)
+        assert not report.passed and report.worst == "bad"
+        assert report.max_rel_error == report.per_param["bad"] == math.inf
+        assert report.per_param["good"] < 1e-8
+        assert str(report).startswith("gradient check: max_rel_error=inf tolerance=1.0e-04 "
+                                      "FAIL (worst: bad)")
+
+    @pytest.mark.parametrize("epsilon,tolerance", [
+        (0.0, 1e-4), (-1e-5, 1e-4), (math.nan, 1e-4), (math.inf, 1e-4),
+        (1e-5, -1e-4), (1e-5, math.nan), (1e-5, math.inf)])
+    def test_invalid_settings_are_refused_before_the_closure_runs(self, epsilon, tolerance):
+        def closure():
+            raise AssertionError("the closure ran")
+
+        message = ("gradient check needs a finite epsilon > 0 and a finite tolerance >= 0, "
+                   f"got epsilon={epsilon}, tolerance={tolerance}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ad.gradient_check(closure, [ad.Parameter([1.0])], epsilon, tolerance)
+
+    def test_a_zero_tolerance_is_a_setting(self):
+        p = ad.Parameter([1.0, 2.0], name="p")
+        assert ad.gradient_check(lambda: ad.sum_all(p), [p], 1e-5, 0.0).tolerance == 0.0
 
     def test_a_check_at_its_tolerance_passes(self):
         assert ad.GradCheckReport(1e-4, 1e-4, "p").passed

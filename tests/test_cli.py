@@ -73,12 +73,9 @@ def _rewrite_checkpoint(src, dst, edit):
     lambda m, a: m["vocab"].pop("char"),
     lambda m, a: m.pop("tasks"),
     lambda m, a: m["vocab"]["word"].reverse(),
-    lambda m, a: a.pop("pretrained"),
-    lambda m, a: a.update(pretrained=np.zeros((3, 3))),
     lambda m, a: m["config"].update(word_dim=7),
 ], ids=["unknown-config-key", "missing-config-key", "missing-vocab", "missing-char-vocab",
-        "missing-tasks", "unsorted-vocab", "missing-pretrained", "misshapen-pretrained",
-        "invalid-config-value"])
+        "missing-tasks", "unsorted-vocab", "invalid-config-value"])
 def test_malformed_checkpoint_metadata(pipeline, tmp_path, edit):
     bad = str(tmp_path / "bad.npz")
     _rewrite_checkpoint(pipeline["model.npz"], bad, edit)
@@ -110,6 +107,13 @@ def _version_3(good, bad):
     write_checkpoint(bad, arrays, meta)
 
 
+def _version_4(meta, arrays):
+    """A checkpoint as version 4 wrote it: the fixed pretrained table a member
+    of its own, beside a word table that did not hold it."""
+    meta["checkpoint_version"] = 4
+    arrays["pretrained"] = np.zeros((len(meta["vocab"]["word"]), meta["config"]["word_dim"]))
+
+
 def _save_one_array(good, bad):
     with open(bad, "wb") as f:  # a file object, so np.save adds no .npy suffix
         np.save(f, np.zeros(3))
@@ -128,16 +132,17 @@ def _save_one_array(good, bad):
     (lambda good, bad: write_checkpoint(bad, read_checkpoint(good)[0], [1]),
      "not a parser checkpoint"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, lambda m, a: m.update(kind="other")),
-     r"\('other', 4\)"),
+     r"\('other', 5\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, _version_1), r"\('sdpkit-parser', 1\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad, _version_2), r"\('sdpkit-parser', 2\)"),
     (_version_3, r"\('sdpkit-parser', 3\)"),
+    (lambda good, bad: _rewrite_checkpoint(good, bad, _version_4), r"\('sdpkit-parser', 4\)"),
     (lambda good, bad: _rewrite_checkpoint(good, bad,
-                                           lambda m, a: m.update(checkpoint_version=5)),
-     r"\('sdpkit-parser', 5\)"),
+                                           lambda m, a: m.update(checkpoint_version=6)),
+     r"\('sdpkit-parser', 6\)"),
 ], ids=["missing-file", "empty", "not-a-zip", "truncated", "plain-array", "no-metadata",
         "metadata-not-json", "metadata-not-an-object", "wrong-kind", "version-1",
-        "version-2", "version-3", "wrong-version"])
+        "version-2", "version-3", "version-4", "wrong-version"])
 def test_unreadable_checkpoint_refused(pipeline, tmp_path, capsys, make, reason):
     bad = tmp_path / "bad.npz"
     make(Path(pipeline["model.npz"]), bad)
@@ -390,6 +395,34 @@ def test_gradcheck_exit_status_is_its_verdict(monkeypatch, capsys, passed):
     assert configs == [{"seed": 0, "epsilon": 1e-5, "tolerance": 1e-4}]
 
 
+@pytest.mark.parametrize("flag,got", [
+    ("--epsilon=0", "epsilon=0.0, tolerance=0.0001"),
+    ("--epsilon=nan", "epsilon=nan, tolerance=0.0001"),
+    ("--epsilon=-1e-5", "epsilon=-1e-05, tolerance=0.0001"),
+    ("--tolerance=-1", "epsilon=1e-05, tolerance=-1.0"),
+    ("--tolerance=inf", "epsilon=1e-05, tolerance=inf")])
+def test_gradcheck_refuses_invalid_settings(capsys, flag, got):
+    assert cli.main(["gradcheck", flag]) == 2
+    assert capsys.readouterr() == ("", "sdpkit: error: gradient check needs a finite epsilon > 0 "
+                                       f"and a finite tolerance >= 0, got {got}\n")
+
+
+def test_input_that_is_not_utf8_is_refused_naming_the_file(pipeline, tmp_path, capsys):
+    held = pipeline["heldout.sdp"]
+    latin = tmp_path / "latin.sdp"
+    latin.write_bytes(Path(held).read_bytes().replace(b"\t", b"\xe9\t", 1))
+    report = tmp_path / "score.txt"
+    assert cli.main(["score", "--pred", str(latin), "--gold", held, "--out", str(report)]) == 2
+    assert capsys.readouterr().err == f"sdpkit: error: {latin}: not UTF-8 text (byte 0xe9)\n"
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"network": {}}\xff')
+    out = tmp_path / "model.npz"
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", held,
+                     "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"sdpkit: error: {config}: not UTF-8 text (byte 0xff)\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "latin.sdp"]
+
+
 def test_sample_and_split_flag_defaults():
     parse = cli.build_parser().parse_args
     assert parse(["sample", "--input", "a", "--out", "b", "--size", "2"]).threshold == 0.8
@@ -475,7 +508,7 @@ def _ids_and_sentences(path):
 
 
 @pytest.mark.parametrize("header", [False, True], ids=["no-header", "count-dim-header"])
-def test_train_with_word_vectors(pipeline, tmp_path, header):
+def test_train_with_word_vectors(pipeline, tmp_path, monkeypatch, header):
     forms = sorted({t.form for s in _ids_and_sentences(pipeline["train.sdp"])[1] for t in s})
     dim = TINY["word_dim"]
     table = {form: np.arange(dim) + k for k, form in enumerate(forms[:3])}
@@ -485,15 +518,26 @@ def test_train_with_word_vectors(pipeline, tmp_path, header):
     vectors.write_text("\n".join([f"{len(table)} {dim}"] * header + lines) + "\n",
                        encoding="utf-8")
     out = str(tmp_path / "model.npz")
+    initial, train = {}, cli.train
+
+    def recording_train(model, *args, **kwargs):
+        initial["word"] = model.params["emb/word"].data.copy()
+        return train(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", recording_train)
     assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
                      "--config", pipeline["tiny.json"], "--epochs", "1",
                      "--word-vectors", str(vectors), "--out", out]) == 0
     with open(out + ".manifest.json", encoding="utf-8") as f:
         assert str(vectors) in json.load(f)["inputs"]
     model = ParserModel.load(out)
-    assert model.pretrained.shape == (len(model.word_vocab), dim)
-    for k, word in enumerate(model.word_vocab.items):  # a word with no vector has a zero row
-        np.testing.assert_array_equal(model.pretrained[k], table.get(word, np.zeros(dim)))
+    # training starts from the drawn word table plus the vectors; a word with
+    # no vector keeps its draw
+    drawn = ParserModel(model.config, model.tasks, model.word_vocab, model.char_vocab,
+                        model.pos_vocab, seed=model.seed).params["emb/word"].data
+    for k, word in enumerate(model.word_vocab.items):
+        np.testing.assert_array_equal(initial["word"][k],
+                                      drawn[k] + table.get(word, np.zeros(dim)))
     pred = str(tmp_path / "pred.sdp")
     assert cli.main(["parse", "--model", out, "--input", pipeline["heldout.sdp"],
                      "--out", pred]) == 0

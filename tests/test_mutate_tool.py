@@ -21,7 +21,8 @@ WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 SMOKE_SITES = ['projection:IntersectedAlignment.__post_init__:'
                'raise ProjectionError("intersected alignment must be one-to-one")',
                "autodiff:lstm_seq:a += recur[:k]", "autodiff:_adam_run:mb += g",
-               "training:train:if restore: np.copyto(model.param_data, best_snapshot)"]
+               "training:train:if restore: np.copyto(model.param_data, best_snapshot)",
+               'network:ParserModel.__init__:self.params["emb/word"].data += pretrained']
 TOY = "def f(i):\n    return i + 1\n"
 EDITED = "import os\nx = 2 - 1\n" + TOY
 
@@ -134,5 +135,5 @@ def test_the_mutation_smoke_lines_hold_their_statements():
     assert targets == SMOKE_SITES
     tool = _load_tool()
     chosen = tool._select(argparse.Namespace(targets=targets, every=1))
-    assert sorted(site["module"] for site in chosen) == ["autodiff", "autodiff", "projection",
-                                                         "training"]
+    assert sorted(site["module"] for site in chosen) == ["autodiff", "autodiff", "network",
+                                                         "projection", "training"]

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -108,7 +109,10 @@ def test_word_dropout_swaps_in_the_unknown_embeddings(graphs):
     batch = model.batch([graphs[0].sentence])
     n, w = graphs[0].n, TINY.word_dim
     kept = model.embed_tokens(batch).data
-    dropped = model.embed_tokens(batch, np.random.default_rng(0)).data
+    x = model.embed_tokens(batch, np.random.default_rng(0))
+    weights = np.random.default_rng(1).standard_normal(x.shape)
+    ad.sum_all(ad.mul(x, ad.constant(weights))).backward()
+    dropped = x.data
     # one uniform per token for the word part, then one per token for the POS part
     draws = np.random.default_rng(0).random(2 * n)
     for k, unk, cols in ((0, "emb/unk_word", slice(0, w)), (1, "emb/unk_pos", slice(w, None))):
@@ -116,7 +120,14 @@ def test_word_dropout_swaps_in_the_unknown_embeddings(graphs):
         assert 0 < keep.sum() < n
         np.testing.assert_array_equal(dropped[keep, cols], kept[keep, cols])
         for row in dropped[~keep, cols]:
-            np.testing.assert_array_equal(row, model.params[unk].data)
+            np.testing.assert_array_equal(row, model.params[unk].data[0])
+        # the unknown row takes the gradients of the tokens that selected it
+        np.testing.assert_allclose(model.params[unk].grad,
+                                   weights[~keep, cols].sum(axis=0, keepdims=True), rtol=1e-12)
+    # a word table row that only dropped tokens read gets no gradient
+    touched = np.zeros(len(model.word_vocab), dtype=bool)
+    touched[batch.word_ids[draws[:n] >= 0.5]] = True
+    assert not model.params["emb/word"].grad[~touched].any()
 
 
 NO_DROPOUT = dict(word_dropout=0.0, recurrent_dropout=0.0, edge_dropout=0.0, label_dropout=0.0)
@@ -195,19 +206,34 @@ def test_single_task_model_ignores_a_topology_and_seeds_0_by_default(graphs):
 
 
 def test_a_token_vector_is_its_word_part_then_its_pos_part(graphs):
-    # the word part sums the trainable row, the fixed pretrained row and the
-    # char BiLSTM vector; the POS part is the POS row
+    # the word part sums the word table row, which starts as the draw plus the
+    # pretrained row, and the char BiLSTM vector; the POS part is the POS row
     model = _model(graphs)
     w = TINY.word_dim
     pretrained = np.random.default_rng(3).standard_normal((len(model.word_vocab), w))
     shifted = ParserModel(TINY, model.tasks, model.word_vocab, model.char_vocab, model.pos_vocab,
                           seed=4, pretrained=pretrained)
+    np.testing.assert_array_equal(shifted.params["emb/word"].data,
+                                  model.params["emb/word"].data + pretrained)
+    for name, p in model.params.items():
+        if name != "emb/word":
+            np.testing.assert_array_equal(shifted.params[name].data, p.data, err_msg=name)
     batch = model.batch([g.sentence for g in graphs])
     x, y = model.embed_tokens(batch).data, shifted.embed_tokens(batch).data
     assert x.shape == (batch.word_ids.size, TINY.input_dim) == (batch.word_ids.size, w + 4)
     np.testing.assert_array_equal(x[:, w:], model.params["emb/pos"].data[batch.pos_ids])
     np.testing.assert_array_equal(y[:, w:], x[:, w:])
     np.testing.assert_allclose(y[:, :w] - x[:, :w], pretrained[batch.word_ids], atol=1e-12)
+
+
+def test_a_pretrained_table_of_another_shape_is_refused(graphs):
+    model = _model(graphs)
+    rows = len(model.word_vocab)
+    for shape in ((rows - 1, TINY.word_dim), (rows, TINY.word_dim + 1), (rows * TINY.word_dim,)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"pretrained table shape {shape} != ({rows}, {TINY.word_dim})")):
+            ParserModel(TINY, model.tasks, model.word_vocab, model.char_vocab, model.pos_vocab,
+                        pretrained=np.zeros(shape))
 
 
 def test_pretrained_table_rows_follow_the_vocabulary():

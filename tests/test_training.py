@@ -271,7 +271,7 @@ def test_checkpoint_file_layout(tmp_path):
     path = tmp_path / "model.npz"
     model.save(str(path))
     with zipfile.ZipFile(path) as archive:
-        assert archive.namelist() == ["__meta__.npy", "parameters.npy", "pretrained.npy"]
+        assert archive.namelist() == ["__meta__.npy", "parameters.npy"]
         assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
     arrays, meta = read_checkpoint(path)
     assert (meta["kind"], meta["checkpoint_version"]) == ("sdpkit-parser",
