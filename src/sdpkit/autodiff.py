@@ -712,6 +712,9 @@ class Parameter(Tensor):
     checkpoint saves and what Adam updates. A model-sized np.zeros maps lazily
     zeroed pages, so a model loaded to parse never touches its moments; so does
     `train`'s np.empty_like best snapshot, until a best epoch is copied into it.
+    Adam's state lasts one `train` call: `reset_adam` in its `finally` puts
+    every parameter back at step 0 on fresh zero moments, freeing the written
+    ones, so a model holds written moments only while `train` runs.
 
     `grad` is None or an array of its own (`_accumulate`). `adam_step(loss, …)`
     steps exactly the parameters `loss` reaches, each large one as the walk
@@ -831,6 +834,21 @@ def _adam_run(run: list[Parameter], lr: float, beta1: float, beta2: float, eps: 
         np.divide(mb, g, out=g)
         g *= alpha
         data[start:stop] -= g
+
+
+def reset_adam(params):
+    """Leave each of `params` as `parameter_set` makes it: step 0, with its
+    `m` and `v` views on new flat np.zeros (lazily zeroed pages) that every
+    parameter over the same flat data shares. The written moments are freed
+    once nothing else holds them."""
+    fresh: dict[int, tuple] = {}  # id of a flat data array -> its new (data, m, v)
+    for p in params:
+        data = p._flat[0]
+        if id(data) not in fresh:
+            fresh[id(data)] = (data, np.zeros(data.size), np.zeros(data.size))
+        p._flat = fresh[id(data)]
+        p.m, p.v = (a[p._offset:p._offset + p.data.size].reshape(p.shape) for a in p._flat[1:])
+        p.step = 0
 
 
 def clear_grads(params):

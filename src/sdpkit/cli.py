@@ -18,7 +18,10 @@ position by position.
 
 Every run resolves its configuration (defaults < config file < flags), logs
 it, and writes a manifest with content hashes of its inputs next to its
-primary output. Runs are deterministic functions of (inputs, config, seed).
+primary output. Before it reads anything, a command refuses an output (the
+manifest included) that would overwrite one of its inputs or another of its
+outputs, or whose directory does not exist. Runs are deterministic functions
+of (inputs, config, seed).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -43,7 +47,7 @@ from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTo
                       pretrained_table)
 from .projection import (IntersectedAlignment, density_sample, heldout_split,
                          intersect_alignments, project_graph)
-from .synth import SynthConfig, synth_corpus, write_corpus
+from .synth import CORPUS_FILES, SynthConfig, synth_corpus, write_corpus
 from .training import TrainConfig, parse_semantic, train
 
 _CONFIG_SECTIONS = ("seed", "network", "train", "sharing")
@@ -101,16 +105,37 @@ def _resolve_seed(args, raw: dict | None = None) -> int:
     return seed
 
 
-def _finish(args, inputs: list[str], outputs: list[str], config: dict) -> int:
-    """Every command's epilogue: log the config, write the manifest, return 0.
+def _manifest_path(args, outputs: list[str]) -> str | None:
+    """--manifest, or next to the first output; None for a command with neither."""
+    if args.manifest is None and outputs:
+        return outputs[0] + ".manifest.json"
+    return args.manifest
 
-    The manifest goes to --manifest, or next to the first output; a command
-    with neither writes none.
-    """
+
+def _check_outputs(args, inputs: list[str], outputs: list[str], made: str | None = None):
+    """Refuse the run before it reads anything if an output, the manifest
+    included, resolves to the same file as an input or another output, or
+    lies in a directory that does not exist and is not `made`, the directory
+    the command creates."""
+    manifest = _manifest_path(args, outputs)
+    claimed = {os.path.realpath(path): (path, "an input") for path in inputs}
+    for path in [*outputs, *([manifest] if manifest else [])]:
+        resolved = os.path.realpath(path)
+        if resolved in claimed:
+            other, role = claimed[resolved]
+            raise ConfigError(f"{path}: output is the same file as {other}, {role} "
+                              "of this command")
+        claimed[resolved] = (path, "another output")
+        directory = os.path.dirname(resolved)
+        if not (os.path.isdir(directory) or made and directory == os.path.realpath(made)):
+            raise ConfigError(f"{path}: output directory {directory} does not exist")
+
+
+def _finish(args, inputs: list[str], outputs: list[str], config: dict) -> int:
+    """Every command's epilogue: log the config, write the manifest (see
+    `_manifest_path`), return 0."""
     print(f"config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
-    path = args.manifest
-    if path is None and outputs:
-        path = outputs[0] + ".manifest.json"
+    path = _manifest_path(args, outputs)
     if path is not None:
         manifest = {
             "command": args.command,
@@ -186,6 +211,8 @@ def _read_trees(path: str, gold: SdpDocument) -> list:
 
 
 def cmd_intersect(args) -> int:
+    inputs, outputs = [args.forward, args.backward], [args.out]
+    _check_outputs(args, inputs, outputs)
     forward = _read(args.forward, read_alignments)
     backward = _read(args.backward, read_alignments)
     if len(forward) != len(backward):
@@ -195,10 +222,12 @@ def cmd_intersect(args) -> int:
                    for f_links, b_links in zip(forward, backward)]
     with atomic_open(args.out) as f:
         write_alignments(intersected, f)
-    return _finish(args, [args.forward, args.backward], [args.out], {"seed": None})
+    return _finish(args, inputs, outputs, {"seed": None})
 
 
 def cmd_project(args) -> int:
+    inputs, outputs = [args.source, args.alignments, args.target], [args.out]
+    _check_outputs(args, inputs, outputs)
     source = _read(args.source, read_sdp)
     alignments = _read(args.alignments, read_alignments)
     _, targets = _read_sentences(args.target)
@@ -216,11 +245,11 @@ def cmd_project(args) -> int:
                  for (sid, g), alignment, target in zip(source, maps, targets)]
     with atomic_open(args.out) as f:
         write_sdp(SdpDocument(tuple(projected)), f)
-    return _finish(args, [args.source, args.alignments, args.target], [args.out],
-                   {"seed": None})
+    return _finish(args, inputs, outputs, {"seed": None})
 
 
 def cmd_sample(args) -> int:
+    _check_outputs(args, [args.input], [args.out])
     seed = _resolve_seed(args)
     doc = _read(args.input, read_sdp)
     entries = [(sid, as_partial(g)) for sid, g in doc]
@@ -235,6 +264,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_split(args) -> int:
+    outputs = [args.train_out, args.heldout_out]
+    _check_outputs(args, [args.input], outputs)
     seed = _resolve_seed(args)
     doc = _read(args.input, read_sdp)
     train_part, held_part = heldout_split(list(doc.sentences), args.heldout, seed=seed)
@@ -242,17 +273,17 @@ def cmd_split(args) -> int:
         write_sdp(SdpDocument(tuple(train_part)), f)
     with atomic_open(args.heldout_out) as f:
         write_sdp(SdpDocument(tuple(held_part)), f)
-    return _finish(args, [args.input], [args.train_out, args.heldout_out],
-                   {"seed": seed, "heldout": args.heldout})
+    return _finish(args, [args.input], outputs, {"seed": seed, "heldout": args.heldout})
 
 
 def cmd_synth(args) -> int:
+    paths = [os.path.join(args.out, name) for name in CORPUS_FILES]
+    _check_outputs(args, [], paths, made=args.out)
     cfg = SynthConfig(sentences=args.sentences, min_len=args.min_len,
                       max_len=args.max_len, density=args.density,
                       agreement=args.agreement, edge_noise=args.edge_noise,
                       seed=_resolve_seed(args))
-    corpus = synth_corpus(cfg)
-    paths = write_corpus(corpus, args.out)
+    write_corpus(synth_corpus(cfg), args.out)
     return _finish(args, [], paths, {"synth": asdict(cfg)})
 
 
@@ -293,6 +324,11 @@ def _parse_share(spec: str | None, raw: dict, tasks: list[str]) -> SharingTopolo
 
 
 def cmd_train(args) -> int:
+    inputs = [path for path in (args.train, args.heldout, args.syntactic, args.word_vectors)
+              if path]
+    metrics_path = args.metrics or args.out + ".metrics"
+    outputs = [args.out, metrics_path]
+    _check_outputs(args, inputs + ([args.config] if args.config else []), outputs)
     raw = _load_config_file(args.config)
     seed = _resolve_seed(args, raw)
     net_section = _section(raw, "network", NetworkConfig)
@@ -345,10 +381,10 @@ def cmd_train(args) -> int:
         corpora[SYNTACTIC] = [(t.sentence, t) for t in trees]
     held_corpus = [(g.sentence, g) for g in heldout_doc.graphs()]
 
-    metrics_path = args.metrics or args.out + ".metrics"
+    # the metrics appear only once the model is saved, and not if the save fails
     with atomic_open(metrics_path) as metrics_f:
         result = train(model, corpora, held_corpus, train_cfg, metrics_out=metrics_f)
-    model.save(args.out)
+        model.save(args.out)
 
     config = {
         "seed": seed,
@@ -357,14 +393,14 @@ def cmd_train(args) -> int:
         "sharing": asdict(topology) if topology else None,
         "tasks": tasks,
     }
-    inputs = [path for path in (args.train, args.heldout, args.syntactic, args.word_vectors)
-              if path]
     print(f"best_epoch={result.best_epoch} best_heldout_lf={result.best_lf:.6f} "
           f"epochs_run={result.epochs_run}")
-    return _finish(args, inputs, [args.out, metrics_path], config)
+    return _finish(args, inputs, outputs, config)
 
 
 def cmd_parse(args) -> int:
+    inputs, outputs = [args.model, args.input], [args.out]
+    _check_outputs(args, inputs, outputs)
     ids, sentences = _read_sentences(args.input)
     with _naming(args.input):
         check_sentence_ids(ids)
@@ -373,20 +409,20 @@ def cmd_parse(args) -> int:
     doc = SdpDocument(tuple(zip(ids, graphs)))
     with atomic_open(args.out) as f:
         write_sdp(doc, f)
-    return _finish(args, [args.model, args.input], [args.out], {"model": args.model})
+    return _finish(args, inputs, outputs, {"model": args.model})
 
 
 def cmd_score(args) -> int:
+    inputs, outputs = [args.pred, args.gold], [args.out] if args.out else []
+    _check_outputs(args, inputs, outputs)
     gold = _read(args.gold, read_sdp)
     report = score_graphs(_read_predictions(args.pred, gold), gold.semantic_graphs())
     text = format_report(report)
     print(text)
-    outputs = []
     if args.out:
         with atomic_open(args.out) as f:
             f.write(text + "\n")
-        outputs.append(args.out)
-    return _finish(args, [args.pred, args.gold], outputs, {"seed": None})
+    return _finish(args, inputs, outputs, {"seed": None})
 
 
 # The input files each analysis mode reads besides --gold.
@@ -404,6 +440,8 @@ def cmd_analyze(args) -> int:
     if missing:
         raise ConfigError(f"analyze --{mode} needs {', '.join(missing)}")
     inputs = [args.gold] + [getattr(args, name) for name in _ANALYZE_INPUTS[mode]]
+    outputs = [args.series] if args.series else []
+    _check_outputs(args, inputs, outputs)
     gold_doc = _read(args.gold, read_sdp)
     gold = gold_doc.semantic_graphs()
     series: list[tuple[str, float]] = []
@@ -439,15 +477,14 @@ def cmd_analyze(args) -> int:
         for rel, pct in sorted(contribution.items(), key=lambda kv: (-kv[1], kv[0])):
             print(f"{rel}\t{pct:.6f}")
             series.append((rel, pct))
-    outputs = []
     if args.series:
         with atomic_open(args.series) as f:
             write_series(series, f)
-        outputs.append(args.series)
     return _finish(args, inputs, outputs, {"seed": None})
 
 
 def cmd_gradcheck(args) -> int:
+    _check_outputs(args, [], [])
     config = {"seed": _resolve_seed(args), "epsilon": args.epsilon, "tolerance": args.tolerance}
     report = run_gradcheck(**config)
     print(report)

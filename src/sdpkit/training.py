@@ -293,10 +293,14 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     `TrainingDiverged`, raised before its step's update): the flat
     `model.param_data` is copied on each best epoch another can follow, and
     back at the end if a step moved it since. A raise inside epoch 1 leaves
-    the parameters as the last finished step left them. In multitask mode the
-    semantic weight is `1 - cfg.syntactic_weight`, and a task with weight
-    zero is skipped entirely, so a multitask run with a zero syntactic
-    weight follows the single-task trajectory exactly.
+    the parameters as the last finished step left them. Adam's moments and
+    step counts belong to the call: on return or raise every parameter is at
+    step 0 with zero moments, as `ParserModel.load` leaves it, so a second
+    `train` on the same model takes the steps that `save`, `load` and
+    `train` would. In multitask mode the semantic weight is
+    `1 - cfg.syntactic_weight`, and a task with weight zero is skipped
+    entirely, so a multitask run with a zero syntactic weight follows the
+    single-task trajectory exactly.
     """
     if not corpora:
         raise ConfigError("at least one task corpus is required")
@@ -368,6 +372,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     finally:
         if restore:
             np.copyto(model.param_data, best_snapshot)
+        ad.reset_adam(model.parameters())
     return result
 
 

@@ -461,6 +461,32 @@ class TestAdam:
         assert not p.m.any() and not p.v.any()
         assert q.data[0] != 1.0
 
+    def test_reset_adam_leaves_each_set_as_parameter_set_makes_it(self):
+        # two sets and a standalone parameter: after the reset each steps as if
+        # new, and every parameter of a set shares its set's new flat moments
+        first = ad.parameter_set({"a": (2,), "b": (3,)}, np.arange(5.0))
+        second = ad.parameter_set({"c": (2, 2)}, np.ones(4))
+        params = [*first.values(), *second.values(), ad.Parameter([0.5], name="d")]
+        grads = [(p, np.full(p.shape, 0.25)) for p in params]
+        for _ in range(2):
+            adam_step(loss_with_grads(grads), lr=0.1)
+        written = [p.m.base for p in params]
+        start = [p.data.copy() for p in params]
+        ad.reset_adam(params)
+        for p, data in zip(params, start):
+            assert p.step == 0 and not p.m.any() and not p.v.any(), p.name
+            np.testing.assert_array_equal(p.data, data)
+        assert first["a"].m.base is first["b"].m.base is not second["c"].m.base
+        assert first["a"].v.base is first["b"].v.base is not first["a"].m.base
+        assert not any(p.m.base is old or p.v.base is old for p in params for old in written)
+        fresh = [ad.Parameter(data, name=p.name) for p, data in zip(params, start)]
+        adam_step(loss_with_grads(grads), lr=0.1)
+        adam_step(loss_with_grads([(q, g) for q, (_, g) in zip(fresh, grads)]), lr=0.1)
+        for p, q in zip(params, fresh):
+            assert p.step == q.step == 1
+            for attr in ("data", "m", "v"):
+                assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
+
 
 class TestKernelsMatchReference:
     """The fused kernels against the per-step, einsum and textbook forms."""

@@ -269,6 +269,22 @@ def _refused_argv(case, p, inp, out):
     if case == "empty-train":
         (inp / "empty.sdp").write_text("")
         return [*train[:2], str(inp / "empty.sdp"), *train[3:], "--config", p["tiny.json"]]
+    if case == "train-out-directory-missing":  # the metrics' directory exists
+        return [*train[:-1], str(out / "nodir" / "model.npz"), "--config", p["tiny.json"],
+                "--metrics", str(out / "metrics.txt")]
+    if case == "train-out-is-metrics":
+        return train + ["--config", p["tiny.json"], "--metrics", str(out / "model.npz")]
+    if case == "split-outputs-collide":  # the same file, named two ways
+        return ["split", "--input", p["proj.sdp"], "--train-out", str(out / "x.sdp"),
+                "--heldout-out", str(out / ".." / out.name / "x.sdp")]
+    if case in ("parse-out-is-model", "manifest-is-input"):
+        (inp / "model.npz").write_bytes(Path(p["model.npz"]).read_bytes())
+        (inp / "held.sdp").write_bytes(Path(p["heldout.sdp"]).read_bytes())
+        if case == "manifest-is-input":
+            return ["score", "--pred", str(inp / "held.sdp"), "--gold", str(inp / "held.sdp"),
+                    "--out", str(out / "score.txt"), "--manifest", str(inp / "held.sdp")]
+        return ["parse", "--model", str(inp / "model.npz"), "--input", str(inp / "held.sdp"),
+                "--out", str(inp / "model.npz")]
     if case == "empty-syntactic":
         (inp / "empty.conllu").write_text("")
         return train + ["--config", p["tiny.json"], "--tasks", "sem,syn",
@@ -300,6 +316,11 @@ _REFUSALS = {  # each case `_refused_argv` builds, and its message
     "unknown-share-flag": "unknown sharing flag 'bogus'; expected rnn[,fnn][,taskrnn]",
     "analyze-no-mode": "exactly one of --buckets/--headmatch/--contribution is required",
     "analyze-two-modes": "exactly one of --buckets/--headmatch/--contribution is required",
+    "train-out-directory-missing": f"{os.sep}nodir{os.sep}model.npz: output directory ",
+    "train-out-is-metrics": f"{os.sep}model.npz, another output of this command",
+    "split-outputs-collide": f"{os.sep}x.sdp, another output of this command",
+    "parse-out-is-model": f"{os.sep}model.npz, an input of this command",
+    "manifest-is-input": f"{os.sep}held.sdp, an input of this command",
 }
 
 
@@ -311,6 +332,22 @@ def test_refused_invocation_exits_2_and_writes_nothing(pipeline, tmp_path, capsy
     assert cli.main(_refused_argv(case, pipeline, inp, out)) == 2
     assert _REFUSALS[case] in capsys.readouterr().err
     assert os.listdir(out) == []
+    if os.path.exists(inp / "model.npz"):  # nothing it names as an input was overwritten
+        assert (inp / "model.npz").read_bytes() == Path(pipeline["model.npz"]).read_bytes()
+        assert (inp / "held.sdp").read_bytes() == Path(pipeline["heldout.sdp"]).read_bytes()
+
+
+def test_train_whose_save_fails_leaves_neither_file(pipeline, tmp_path, monkeypatch, capsys):
+    def failing_save(self, path):
+        raise OSError(f"{path}: no space left on device")
+
+    monkeypatch.setattr(ParserModel, "save", failing_save)
+    out = tmp_path / "model.npz"
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--config", pipeline["tiny.json"],
+                     "--epochs", "1", "--out", str(out)]) == 2
+    assert "no space left on device" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -22,7 +22,9 @@ SMOKE_SITES = ['projection:IntersectedAlignment.__post_init__:'
                'raise ProjectionError("intersected alignment must be one-to-one")',
                "autodiff:lstm_seq:a += recur[:k]", "autodiff:_adam_run:mb += g",
                "training:train:if restore: np.copyto(model.param_data, best_snapshot)",
-               'network:ParserModel.__init__:self.params["emb/word"].data += pretrained']
+               'network:ParserModel.__init__:self.params["emb/word"].data += pretrained',
+               "autodiff:reset_adam:if id(data) not in fresh: "
+               "fresh[id(data)] = (data, np.zeros(data.size), np.zeros(data.size))"]
 TOY = "def f(i):\n    return i + 1\n"
 EDITED = "import os\nx = 2 - 1\n" + TOY
 
@@ -135,5 +137,5 @@ def test_the_mutation_smoke_lines_hold_their_statements():
     assert targets == SMOKE_SITES
     tool = _load_tool()
     chosen = tool._select(argparse.Namespace(targets=targets, every=1))
-    assert sorted(site["module"] for site in chosen) == ["autodiff", "autodiff", "network",
-                                                         "projection", "training"]
+    assert sorted(site["module"] for site in chosen) == ["autodiff", "autodiff", "autodiff",
+                                                         "network", "projection", "training"]

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import weakref
 import zipfile
 from dataclasses import replace
 
@@ -657,25 +659,87 @@ def test_epoch_step_count_follows_the_task_queues(monkeypatch, combined):
     assert counts == ([4, 4, 4] if combined else [6, 4, 2])
 
 
-def test_each_parameter_steps_once_per_optimizer_step_whose_loss_reaches_it():
+def test_each_parameter_steps_once_per_optimizer_step_whose_loss_reaches_it(monkeypatch):
     # alternating steps: 4 semantic and 2 syntactic; without word dropout no
-    # loss reaches the unknown-word and unknown-POS embeddings
+    # loss reaches the unknown-word and unknown-POS embeddings. `train` resets
+    # the counts as it returns, so they are read after its last step.
     graphs, trees = _corpus(5)
     model = _model(graphs, trees, config=replace(TINY, word_dropout=0.0))
+    adam_step, seen = ad.adam_step, {}
+
+    def stepped(*args, **kwargs):
+        adam_step(*args, **kwargs)
+        seen.update((name, (p.grad, p.step, p.m.any() or p.v.any()))
+                    for name, p in model.params.items())
+
+    monkeypatch.setattr(ad, "adam_step", stepped)
     cfg = training.TrainConfig(token_budget=1, max_epochs=1, combined_steps=False)
     training.train(model, {SEMANTIC: [(g.sentence, g) for g in graphs[:4]],
                            SYNTACTIC: [(t.sentence, t) for t in trees[:2]]},
                    [(graphs[4].sentence, graphs[4])], cfg)
-    for name, p in model.params.items():
-        assert p.grad is None, name
+    assert seen.keys() == model.params.keys()
+    for name, (grad, step, moved) in seen.items():
+        assert grad is None, name
         parts = name.split("/")
         if name in ("emb/unk_word", "emb/unk_pos"):
-            assert p.step == 0 and not p.m.any() and not p.v.any(), name
+            assert step == 0 and not moved, name
         else:
-            assert p.step == (4 if SEMANTIC in parts else 2 if SYNTACTIC in parts else 6), name
+            assert step == (4 if SEMANTIC in parts else 2 if SYNTACTIC in parts else 6), name
     own = {name.split("/")[0] for name in model.params
            if SEMANTIC in name.split("/") or SYNTACTIC in name.split("/")}
     assert own == {"fnn", "scorer", "rnn_task"}
+
+
+@pytest.mark.parametrize("nan_at", [None, 2, 6], ids=["returns", "raises-in-epoch-1",
+                                                      "raises-in-epoch-2"])
+def test_train_frees_adams_state_as_it_returns_or_raises(monkeypatch, nan_at):
+    # every parameter ends at step 0 on zero moments shared by the whole model,
+    # as `ParserModel.load` leaves it, and the moments the steps wrote are freed
+    graphs, _ = _corpus(4)
+    model = _model(graphs)
+    real_loss, adam_step, calls, written = training.semantic_loss, ad.adam_step, [], []
+
+    def loss(*args, **kwargs):
+        calls.append(1)
+        value = real_loss(*args, **kwargs)
+        return ad.scale(value, float("nan")) if len(calls) == nan_at else value
+
+    def stepped(*args, **kwargs):
+        adam_step(*args, **kwargs)
+        p = model.params["emb/word"]
+        assert p.step == len(calls) and p.m.any()
+        written.extend(weakref.ref(a.base) for a in (p.m, p.v))
+
+    monkeypatch.setattr(training, "semantic_loss", loss)
+    monkeypatch.setattr(ad, "adam_step", stepped)
+    if nan_at is None:
+        _train_one_sentence_per_step(model, graphs, max_epochs=2)
+    else:
+        with pytest.raises(TrainingDiverged):
+            _train_one_sentence_per_step(model, graphs, max_epochs=2)
+    assert len(calls) == (nan_at or 8) and written
+    params = model.parameters()
+    for p in params:
+        assert p.step == 0 and not p.m.any() and not p.v.any(), p.name
+    bases = {role: {id(getattr(p, role).base) for p in params} for role in ("data", "m", "v")}
+    assert all(len(ids) == 1 for ids in bases.values())
+    assert len(set.union(*bases.values())) == 3
+    gc.collect()
+    assert all(ref() is None for ref in written)
+
+
+def test_a_second_train_takes_the_steps_of_save_load_train(tmp_path):
+    graphs, _ = _corpus(4)
+    items = [(g.sentence, g) for g in graphs]
+    cfg = training.TrainConfig(token_budget=5, max_epochs=2, patience=5, lr=0.01)
+    model = _model(graphs)
+    training.train(model, {SEMANTIC: items}, items, cfg)
+    model.save(tmp_path / "model.npz")
+    loaded, saved = ParserModel.load(tmp_path / "model.npz"), model.param_data.copy()
+    again = training.train(model, {SEMANTIC: items}, items, cfg)
+    assert training.train(loaded, {SEMANTIC: items}, items, cfg).metrics == again.metrics
+    assert not np.array_equal(model.param_data, saved)
+    assert np.array_equal(model.param_data, loaded.param_data)
 
 
 def test_combined_zero_syntactic_weight_follows_the_single_task_trajectory():
