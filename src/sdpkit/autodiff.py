@@ -703,56 +703,63 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
 
 
 class Parameter(Tensor):
-    """A named trainable tensor with its Adam moments and step counter.
-
-    `data`, `m` and `v` are views at one offset into three flat float64
-    arrays, one per role, shared by every parameter of a `parameter_set`; a
-    standalone `Parameter(data)` is a one-parameter set over a copy of `data`.
-    Write `data` in place and never rebind it: the flat data array is what a
-    checkpoint saves and what Adam updates. A model-sized np.zeros maps lazily
-    zeroed pages, so a model loaded to parse never touches its moments; so does
-    `train`'s np.empty_like best snapshot, until a best epoch is copied into it.
-    Adam's state lasts one `train` call: `reset_adam` in its `finally` puts
-    every parameter back at step 0 on fresh zero moments, freeing the written
-    ones, so a model holds written moments only while `train` runs.
-
-    `grad` is None or an array of its own (`_accumulate`). `adam_step(loss, …)`
-    steps exactly the parameters `loss` reaches, each large one as the walk
-    completes its gradient and the rest in joined runs after it; it uses up
-    their gradients and counts `step`. `m` and `v` are Adam's moments as
-    unnormalised sums, M = b1 M + g and V = b2 V + g^2 (see `adam_step`).
+    """A named trainable tensor: a view at one offset into a flat float64
+    data array that every parameter of a `parameter_set` shares; a standalone
+    `Parameter(data)` is a one-parameter set over a copy of `data`. Write
+    `data` in place and never rebind it: the flat data array is what a
+    checkpoint saves and what Adam updates. `grad` is None or an array of its
+    own (`_accumulate`). A parameter holds no optimizer state: the `Adam`
+    object of a run of steps holds its moments and step count.
     """
 
-    __slots__ = ("name", "m", "v", "step", "_flat", "_offset")
+    __slots__ = ("name", "_flat", "_offset")
 
     def __init__(self, data, name: str = ""):
         data = np.array(data, dtype=_DEFAULT_DTYPE)  # copied: the set's flat data
-        flat = data.reshape(-1)
-        self._place(name, (flat, np.zeros(flat.size), np.zeros(flat.size)), 0, data.shape)
+        self._place(name, data.reshape(-1), 0, data.shape)
 
-    def _place(self, name: str, flat: tuple, offset: int, shape: tuple):
-        size = math.prod(shape)
-        data, self.m, self.v = (a[offset:offset + size].reshape(shape) for a in flat)
-        super().__init__(data, requires_grad=True)
-        self.name, self._flat, self._offset, self.step = name, flat, offset, 0
+    def _place(self, name: str, flat: np.ndarray, offset: int, shape: tuple):
+        super().__init__(flat[offset:offset + math.prod(shape)].reshape(shape),
+                         requires_grad=True)
+        self.name, self._flat, self._offset = name, flat, offset
 
 
 def parameter_set(shapes: dict[str, tuple], data: np.ndarray) -> dict[str, Parameter]:
-    """Parameters of the given shapes, in the dict's order, over the flat
-    float64 `data` (a fresh np.empty to draw into, or an array read from a
-    checkpoint), which they adopt, plus one flat `m` and `v` of its size.
-    Each parameter's views sit at one offset into all three, laid out in
-    sorted-name order; `data` must hold exactly their elements."""
+    """Parameters of the given shapes, in the dict's order, as views into the
+    flat float64 `data` (a fresh np.empty to draw into, or an array read from
+    a checkpoint), which they adopt and which must hold exactly their
+    elements, laid out in sorted-name order. Nothing else is allocated."""
     size = sum(math.prod(shape) for shape in shapes.values())
     if data.dtype != _DEFAULT_DTYPE or data.shape != (size,):
         raise AutodiffError(f"parameter_set: data is {data.dtype} of shape {data.shape}, "
                             f"expected float64 of shape ({size},)")
-    flat, params, offset = (data, np.zeros(size), np.zeros(size)), {}, 0
+    params, offset = {}, 0
     for name in sorted(shapes):
         params[name] = p = Parameter.__new__(Parameter)
-        p._place(name, flat, offset, shapes[name])
+        p._place(name, data, offset, shapes[name])
         offset += p.data.size
     return {name: params[name] for name in shapes}
+
+
+@dataclass(eq=False)
+class Adam:
+    """Adam's settings and its state over one run of `adam_step` calls.
+
+    `moments` maps the id of each flat data array that a step has reached to
+    (that array, its flat M, its flat V): np.zeros of its size, mapped at that
+    first step as lazily zeroed pages. The entry holds the array, so the id
+    is not reused while the entry lives. `steps` maps each parameter that a
+    step has reached to its step count; a parameter of a multitask model
+    counts only the steps whose loss reaches it. Dropping the object frees
+    the moments.
+    """
+
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    moments: dict[int, tuple] = field(default_factory=dict)
+    steps: dict[Parameter, int] = field(default_factory=dict)
 
 
 # Elements per block of the in-place Adam update. A block of the gradient, both
@@ -761,21 +768,22 @@ def parameter_set(shapes: dict[str, tuple], data: np.ndarray) -> dict[str, Param
 _ADAM_BLOCK = 1 << 14
 
 
-def adam_step(loss: Tensor, lr: float, beta1: float, beta2: float, eps: float):
+def adam_step(loss: Tensor, adam: Adam):
     """One optimizer step: backpropagate from the scalar `loss`, then one
     bias-corrected Adam step, the corrections folded into the step size
-    (Kingma & Ba 2015, section 2), for exactly the parameters `loss` reaches.
+    (Kingma & Ba 2015, section 2), for exactly the parameters `loss` reaches,
+    with the settings and state in `adam`.
 
     A parameter of at least `_ADAM_BLOCK` elements steps as soon as the walk
     completes its gradient, so no two large gradients need be alive. The rest
     step after the walk, in layout order: each joins the run of the one before
     it when it sits right after it in the same flat arrays and reaches the
     same step count. A run is one blocked, in-place pass over its slices of
-    the flat data, m and v and over its gradients joined by np.concatenate.
+    the flat data, M and V and over its gradients joined by np.concatenate.
     An element's arithmetic is the same in any run or block. Gradients are
     overwritten (each block, once read, holds the update) and dropped.
 
-    `m` and `v` hold the unnormalised sums M = m / (1-b1) and V = v / (1-b2)
+    M and V are the unnormalised sums M = m / (1-b1) and V = v / (1-b2)
     of the textbook moments m = b1 m + (1-b1) g and v = b2 v + (1-b2) g^2, so
     M = b1 M + g and V = b2 V + g^2. With k = sqrt((1-b2) / (1-b2^t)) and
     a = lr (1-b1) / ((1-b1^t) k), the update is a M / (sqrt(V) + eps / k),
@@ -792,35 +800,39 @@ def adam_step(loss: Tensor, lr: float, beta1: float, beta2: float, eps: float):
 
     def complete(p: Parameter):
         if p.data.size >= _ADAM_BLOCK:
-            _adam_run([p], lr, beta1, beta2, eps)
+            _adam_run([p], adam)
         else:
             small.append(p)
 
     loss.backward(complete)
     run: list[Parameter] = []
     for p in sorted(small, key=lambda p: p._offset):
-        if run and (p._flat is not run[-1]._flat or p.step != run[-1].step
+        if run and (p._flat is not run[-1]._flat or adam.steps.get(p) != adam.steps.get(run[-1])
                     or p._offset != run[-1]._offset + run[-1].data.size):
-            _adam_run(run, lr, beta1, beta2, eps)
+            _adam_run(run, adam)
             run = []
         run.append(p)
     if run:
-        _adam_run(run, lr, beta1, beta2, eps)
+        _adam_run(run, adam)
 
 
-def _adam_run(run: list[Parameter], lr: float, beta1: float, beta2: float, eps: float):
+def _adam_run(run: list[Parameter], adam: Adam):
     """One Adam step over parameters at one step count that tile a slice of the
     same flat arrays, in blocks that may span parameters; uses up their gradients."""
+    flat = run[0]._flat
+    if id(flat) not in adam.moments:
+        adam.moments[id(flat)] = (flat, np.zeros(flat.size), np.zeros(flat.size))
     lo, hi = run[0]._offset, run[-1]._offset + run[-1].data.size
-    data, m, v = (a[lo:hi] for a in run[0]._flat)
+    data, m, v = (a[lo:hi] for a in adam.moments[id(flat)])
     grad = (np.concatenate([p.grad.reshape(-1) for p in run]) if len(run) > 1
             else run[0].grad.reshape(-1))
+    step = adam.steps.get(run[0], 0) + 1
     for p in run:
-        p.grad, p.step = None, p.step + 1
-    step = run[0].step
+        p.grad, adam.steps[p] = None, step
+    beta1, beta2 = adam.beta1, adam.beta2
     k = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** step))
-    alpha = lr * (1.0 - beta1) / ((1.0 - beta1 ** step) * k)
-    eps_hat = eps / k
+    alpha = adam.lr * (1.0 - beta1) / ((1.0 - beta1 ** step) * k)
+    eps_hat = adam.eps / k
     for start in range(0, grad.size, _ADAM_BLOCK):
         stop = min(start + _ADAM_BLOCK, grad.size)
         g, mb, vb = grad[start:stop], m[start:stop], v[start:stop]
@@ -834,21 +846,6 @@ def _adam_run(run: list[Parameter], lr: float, beta1: float, beta2: float, eps: 
         np.divide(mb, g, out=g)
         g *= alpha
         data[start:stop] -= g
-
-
-def reset_adam(params):
-    """Leave each of `params` as `parameter_set` makes it: step 0, with its
-    `m` and `v` views on new flat np.zeros (lazily zeroed pages) that every
-    parameter over the same flat data shares. The written moments are freed
-    once nothing else holds them."""
-    fresh: dict[int, tuple] = {}  # id of a flat data array -> its new (data, m, v)
-    for p in params:
-        data = p._flat[0]
-        if id(data) not in fresh:
-            fresh[id(data)] = (data, np.zeros(data.size), np.zeros(data.size))
-        p._flat = fresh[id(data)]
-        p.m, p.v = (a[p._offset:p._offset + p.data.size].reshape(p.shape) for a in p._flat[1:])
-        p.step = 0
 
 
 def clear_grads(params):

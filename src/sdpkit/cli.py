@@ -17,8 +17,11 @@ and `analyze` refuse a prediction file whose ids differ from the gold file's,
 position by position.
 
 Every run resolves its configuration (defaults < config file < flags), logs
-it, and writes a manifest with content hashes of its inputs next to its
-primary output. Before it reads anything, a command refuses an output (the
+it, and writes a manifest next to its primary output: the content hashes of
+its inputs, the numpy version, the BLAS thread variables and the run's wall
+time. `train`'s also counts the `--heldout` sentences whose token forms are
+those of a `--syntactic` sentence (`heldout_in_syntactic`), which it reports
+but does not refuse. Before it reads anything, a command refuses an output (the
 manifest included) that would overwrite one of its inputs or another of its
 outputs, or whose directory does not exist. Runs are deterministic functions
 of (inputs, config, seed).
@@ -31,8 +34,11 @@ import hashlib
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import asdict
+
+import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, FormatError, ProjectionError, ScoringError, SdpkitError
@@ -51,6 +57,8 @@ from .synth import CORPUS_FILES, SynthConfig, synth_corpus, write_corpus
 from .training import TrainConfig, parse_semantic, train
 
 _CONFIG_SECTIONS = ("seed", "network", "train", "sharing")
+# the environment variables that set numpy's BLAS thread count, which can change outputs
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path: str) -> str:
@@ -131,9 +139,10 @@ def _check_outputs(args, inputs: list[str], outputs: list[str], made: str | None
             raise ConfigError(f"{path}: output directory {directory} does not exist")
 
 
-def _finish(args, inputs: list[str], outputs: list[str], config: dict) -> int:
+def _finish(args, inputs: list[str], outputs: list[str], config: dict, **report) -> int:
     """Every command's epilogue: log the config, write the manifest (see
-    `_manifest_path`), return 0."""
+    `_manifest_path`) with `report`'s entries and the seconds since `main`
+    parsed the command line (`wall_s`), return 0."""
     print(f"config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
     path = _manifest_path(args, outputs)
     if path is not None:
@@ -142,6 +151,10 @@ def _finish(args, inputs: list[str], outputs: list[str], config: dict) -> int:
             "inputs": {p: _sha256(p) for p in sorted(set(inputs))},
             "outputs": sorted(set(outputs)),
             "config": config,
+            "numpy": np.__version__,
+            "threads_env": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+            "wall_s": time.perf_counter() - args.started,
+            **report,
         }
         with atomic_open(path) as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
@@ -380,6 +393,9 @@ def cmd_train(args) -> int:
     if SYNTACTIC in tasks:
         corpora[SYNTACTIC] = [(t.sentence, t) for t in trees]
     held_corpus = [(g.sentence, g) for g in heldout_doc.graphs()]
+    # reported, not refused: held-out sentences whose forms the auxiliary task trains on
+    tree_forms = {tuple(t.form for t in tree.sentence) for tree in trees}
+    overlap = sum(tuple(t.form for t in sentence) in tree_forms for sentence, _ in held_corpus)
 
     # the metrics appear only once the model is saved, and not if the save fails
     with atomic_open(metrics_path) as metrics_f:
@@ -395,7 +411,7 @@ def cmd_train(args) -> int:
     }
     print(f"best_epoch={result.best_epoch} best_heldout_lf={result.best_lf:.6f} "
           f"epochs_run={result.epochs_run}")
-    return _finish(args, inputs, outputs, config)
+    return _finish(args, inputs, outputs, config, heldout_in_syntactic=overlap)
 
 
 def cmd_parse(args) -> int:
@@ -626,6 +642,7 @@ def main(argv=None) -> int:
     """Parse argv (None: the command line) and run the selected subcommand;
     returns the exit status."""
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except (SdpkitError, OSError) as exc:

@@ -240,8 +240,8 @@ class ParserModel:
             raise ConfigError(f"pretrained table shape {np.shape(pretrained)} != "
                               f"({len(word_vocab)}, {config.word_dim})")
         specs = self._param_specs()
-        # one flat data array for the whole model (Adam's flat moments beside
-        # it are written only while `train` runs); each initializer draws into its view
+        # one flat data array for the whole model and nothing beside it (Adam's
+        # moments belong to one `train` call); each initializer draws into its view
         self.param_data = np.empty(sum(math.prod(shape) for _, shape, _ in specs))
         self.params: dict[str, Parameter] = ad.parameter_set(
             {name: shape for name, shape, _ in specs}, self.param_data)

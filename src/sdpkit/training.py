@@ -294,10 +294,9 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     `model.param_data` is copied on each best epoch another can follow, and
     back at the end if a step moved it since. A raise inside epoch 1 leaves
     the parameters as the last finished step left them. Adam's moments and
-    step counts belong to the call: on return or raise every parameter is at
-    step 0 with zero moments, as `ParserModel.load` leaves it, so a second
-    `train` on the same model takes the steps that `save`, `load` and
-    `train` would. In multitask mode the semantic weight is
+    step counts live in one `ad.Adam` that the call makes and drops on return
+    or raise, so a second `train` on the same model takes the steps that
+    `save`, `load` and `train` would. In multitask mode the semantic weight is
     `1 - cfg.syntactic_weight`, and a task with weight zero is skipped
     entirely, so a multitask run with a zero syntactic weight follows the
     single-task trajectory exactly.
@@ -320,6 +319,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     # only then; `restore`: it holds the best epoch and a step has moved the model since
     best_snapshot, restore = np.empty_like(model.param_data), False
     lengths = {task: [len(sentence) for sentence, _ in items] for task, items in data.items()}
+    adam = ad.Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
     try:
         for epoch in range(1, cfg.max_epochs + 1):
@@ -351,7 +351,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                     raise TrainingDiverged(f"loss became {value} at epoch {epoch}, "
                                            f"step {step_index + 1}")
                 restore = epoch > 1  # the snapshot holds the best earlier epoch
-                ad.adam_step(total, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+                ad.adam_step(total, adam)
 
             report = evaluate_semantic(model, heldout)
             entry = {"epoch": epoch}
@@ -372,7 +372,7 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
     finally:
         if restore:
             np.copyto(model.param_data, best_snapshot)
-        ad.reset_adam(model.parameters())
+        adam = None  # a raise keeps this frame, and so its locals, alive in the traceback
     return result
 
 

@@ -211,45 +211,60 @@ def reference_bilinear(x, w, y, g):
     return (out[0] if squeeze else out), dx, (dw[0] if squeeze else dw), dy
 
 
-def adam_step(loss, lr=0.001):
-    """`autodiff.adam_step` with the betas and eps of Kingma & Ba, which
+def kingma_ba(lr=0.001):
+    """An `autodiff.Adam` with the betas and eps of Kingma & Ba, which
     `TrainConfig` and the two references below default to."""
-    ad.adam_step(loss, lr, 0.9, 0.999, 1e-8)
+    return ad.Adam(lr, 0.9, 0.999, 1e-8)
 
 
-def reference_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Textbook bias-corrected Adam over `Parameter`s, allocating per step."""
+def adam_state(adam, p):
+    """(step count, M, V) of parameter `p` in the `autodiff.Adam` `adam`, M
+    and V views into its flat moments, or zeros if no step reached its flat data."""
+    entry = adam.moments.get(id(p._flat))
+    m, v = ((a[p._offset:p._offset + p.data.size].reshape(p.shape) for a in entry[1:])
+            if entry else (np.zeros(p.shape), np.zeros(p.shape)))
+    return adam.steps.get(p, 0), m, v
+
+
+def reference_adam_step(params, state, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook bias-corrected Adam over `Parameter`s, allocating per step.
+    `state` maps each of `params` to its (step count, m, v), zeros at first."""
     for p in params:
+        step, m, v = state.setdefault(p, (0, np.zeros(p.shape), np.zeros(p.shape)))
         if p.grad is None:
             continue
-        p.step += 1
+        step += 1
         g = p.grad
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
-        m_hat = p.m / (1.0 - beta1 ** p.step)
-        v_hat = p.v / (1.0 - beta2 ** p.step)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** step)
+        v_hat = v / (1.0 - beta2 ** step)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
         p.grad = None
+        state[p] = step, m, v
 
 
-def reference_folded_adam_step(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+def reference_folded_adam_step(params, state, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam with the bias corrections folded into the step size, allocating per step.
 
-    `m` and `v` hold the unnormalised sums M = b1 M + g and V = b2 V + g^2;
-    with k = sqrt((1-b2) / (1-b2^t)) and a = lr (1-b1) / ((1-b1^t) k) the
-    update is a M / (sqrt(V) + eps / k), the same operations in the same
-    order as `autodiff.adam_step`."""
+    `state` maps each of `params` to its (step count, M, V), zeros at first:
+    the unnormalised sums M = b1 M + g and V = b2 V + g^2. With
+    k = sqrt((1-b2) / (1-b2^t)) and a = lr (1-b1) / ((1-b1^t) k) the update
+    is a M / (sqrt(V) + eps / k), the same operations in the same order as
+    `autodiff.adam_step`."""
     for p in params:
+        step, m, v = state.setdefault(p, (0, np.zeros(p.shape), np.zeros(p.shape)))
         if p.grad is None:
             continue
-        p.step += 1
+        step += 1
         g = p.grad
-        p.m = beta1 * p.m + g
-        p.v = beta2 * p.v + g * g
-        k = np.sqrt((1.0 - beta2) / (1.0 - beta2 ** p.step))
-        alpha = lr * (1.0 - beta1) / ((1.0 - beta1 ** p.step) * k)
-        p.data -= alpha * (p.m / (np.sqrt(p.v) + eps / k))
+        m = beta1 * m + g
+        v = beta2 * v + g * g
+        k = np.sqrt((1.0 - beta2) / (1.0 - beta2 ** step))
+        alpha = lr * (1.0 - beta1) / ((1.0 - beta1 ** step) * k)
+        p.data -= alpha * (m / (np.sqrt(v) + eps / k))
         p.grad = None
+        state[p] = step, m, v
 
 
 def reference_initial_params(model) -> dict:

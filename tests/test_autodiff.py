@@ -1,11 +1,12 @@
 import contextlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import (adam_step, reference_adam_step, reference_bilinear,
+from helpers import (adam_state, kingma_ba, reference_adam_step, reference_bilinear,
                      reference_folded_adam_step, reference_lstm_seq)
 
 from sdpkit import autodiff as ad
@@ -431,13 +432,13 @@ class TestPerPrimitiveGradients:
 class TestAdam:
     def test_zero_gradient_leaves_parameter_unchanged(self):
         p = ad.Parameter([1.0, -2.0], name="p")
-        adam_step(loss_with_grads([(p, np.zeros(2))]))
+        ad.adam_step(loss_with_grads([(p, np.zeros(2))]), kingma_ba())
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert p.grad is None
 
     def test_lr_zero_is_identity(self):
         p = ad.Parameter([1.0, -2.0], name="p")
-        adam_step(loss_with_grads([(p, np.array([0.3, -0.7]))]), lr=0.0)
+        ad.adam_step(loss_with_grads([(p, np.array([0.3, -0.7]))]), kingma_ba(lr=0.0))
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_constant_gradient_update_approaches_lr_sign(self):
@@ -447,45 +448,64 @@ class TestAdam:
         lr = 0.01
         g = np.array([3.7])
         prev = p.data.copy()
+        adam = kingma_ba(lr)
         for _ in range(5000):
             prev = p.data.copy()
-            adam_step(loss_with_grads([(p, g)]), lr=lr)
+            ad.adam_step(loss_with_grads([(p, g)]), adam)
         last_update = prev - p.data
         np.testing.assert_allclose(last_update, [lr], rtol=1e-4)
 
     def test_a_parameter_the_loss_does_not_reach_is_not_stepped(self):
         p, q = ad.parameter_set({"p": (1,), "q": (1,)}, np.ones(2)).values()
-        adam_step(loss_with_grads([(q, np.array([1.0]))]), lr=0.1)
-        assert p.step == 0 and q.step == 1
+        adam = kingma_ba(0.1)
+        ad.adam_step(loss_with_grads([(q, np.array([1.0]))]), adam)
+        assert adam.steps == {q: 1}
         np.testing.assert_array_equal(p.data, [1.0])
-        assert not p.m.any() and not p.v.any()
+        _, m, v = adam_state(adam, p)
+        assert not m.any() and not v.any()
         assert q.data[0] != 1.0
 
-    def test_reset_adam_leaves_each_set_as_parameter_set_makes_it(self):
-        # two sets and a standalone parameter: after the reset each steps as if
-        # new, and every parameter of a set shares its set's new flat moments
+    def test_a_parameter_holds_no_optimizer_state(self):
+        # nothing beside the adopted data is allocated, at any size
+        assert ad.Parameter.__slots__ == ("name", "_flat", "_offset")
+        data = np.zeros(1 << 20)
+        tracemalloc.start()
+        try:
+            params = ad.parameter_set({"a": (1 << 19,), "b": (2, 1 << 18)}, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # the flat data is 8 MiB
+        assert all(p._flat is data and p.data.base is data for p in params.values())
+
+    def test_each_flat_data_array_gets_its_own_moments_at_its_first_step(self):
+        # two sets and a standalone parameter, each its own flat data array;
+        # the parameters of a set share its moments, and a set that no step
+        # reaches gets none. Each parameter steps bit for bit as it would alone.
         first = ad.parameter_set({"a": (2,), "b": (3,)}, np.arange(5.0))
         second = ad.parameter_set({"c": (2, 2)}, np.ones(4))
+        idle = ad.parameter_set({"e": (3,)}, np.ones(3))
         params = [*first.values(), *second.values(), ad.Parameter([0.5], name="d")]
-        grads = [(p, np.full(p.shape, 0.25)) for p in params]
-        for _ in range(2):
-            adam_step(loss_with_grads(grads), lr=0.1)
-        written = [p.m.base for p in params]
-        start = [p.data.copy() for p in params]
-        ad.reset_adam(params)
-        for p, data in zip(params, start):
-            assert p.step == 0 and not p.m.any() and not p.v.any(), p.name
-            np.testing.assert_array_equal(p.data, data)
-        assert first["a"].m.base is first["b"].m.base is not second["c"].m.base
-        assert first["a"].v.base is first["b"].v.base is not first["a"].m.base
-        assert not any(p.m.base is old or p.v.base is old for p in params for old in written)
-        fresh = [ad.Parameter(data, name=p.name) for p, data in zip(params, start)]
-        adam_step(loss_with_grads(grads), lr=0.1)
-        adam_step(loss_with_grads([(q, g) for q, (_, g) in zip(fresh, grads)]), lr=0.1)
-        for p, q in zip(params, fresh):
-            assert p.step == q.step == 1
-            for attr in ("data", "m", "v"):
-                assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
+        alone = [ad.Parameter(p.data, name=p.name) for p in params]
+        grads = [np.full(p.shape, 0.25) for p in params]
+        adam = kingma_ba(0.1)
+        ad.adam_step(loss_with_grads(list(zip(params[:2], grads))), adam)
+        assert list(adam.moments) == [id(first["a"]._flat)]
+        flat, m, v = adam.moments[id(first["a"]._flat)]
+        assert flat is first["a"]._flat and m.shape == v.shape == (5,) and m is not v
+        ad.adam_step(loss_with_grads(list(zip(params, grads))), adam)
+        flats = [p._flat for p in params if p.name != "b"]  # "a" and "b" share one
+        assert adam.moments.keys() == {id(flat) for flat in flats}
+        assert all(adam.moments[id(flat)][0] is flat for flat in flats)
+        assert adam.moments[id(flat)][1] is m and id(idle["e"]._flat) not in adam.moments
+        assert adam.steps == dict(zip(params, (2, 2, 1, 1)))
+        for p, q, g in zip(params, alone, grads):
+            own = kingma_ba(0.1)
+            for _ in range(adam.steps[p]):
+                ad.adam_step(loss_with_grads([(q, g)]), own)
+            for got, want in zip((p.data, *adam_state(adam, p)[1:]),
+                                 (q.data, *adam_state(own, q)[1:])):
+                assert got.tobytes() == want.tobytes(), p.name
 
 
 class TestKernelsMatchReference:
@@ -784,18 +804,21 @@ class TestKernelsMatchReference:
         # a Parameter copies its array, so each side has its own
         fused = [ad.Parameter(start[name], name=name) for name in shapes]
         reference = [ad.Parameter(start[name], name=name) for name in shapes]
+        adam, state = kingma_ba(0.01), {}
         for _ in range(3):
             for q in reference:
                 if q.name != "idle":
                     q.grad = rng.standard_normal(q.shape) * 10.0 ** rng.integers(-6, 2)
-            adam_step(loss_with_grads([(p, q.grad) for p, q in zip(fused, reference)
-                                       if q.grad is not None]), lr=0.01)
-            reference_folded_adam_step(reference, lr=0.01)
+            ad.adam_step(loss_with_grads([(p, q.grad) for p, q in zip(fused, reference)
+                                          if q.grad is not None]), adam)
+            reference_folded_adam_step(reference, state, lr=0.01)
         for p, q in zip(fused, reference):
-            for attr in ("data", "m", "v"):
-                assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
-            assert p.step == q.step == (0 if p.name == "idle" else 3)
+            (step, *moments), (want, *expected) = adam_state(adam, p), state[q]
+            for got, wanted, what in zip((p.data, *moments), (q.data, *expected), "dmv"):
+                assert np.array_equal(got, wanted), (p.name, what)
+            assert step == want == (0 if p.name == "idle" else 3)
             assert p.grad is None
+        assert id(fused[2]._flat) not in adam.moments
         np.testing.assert_array_equal(fused[2].data, start["idle"])
 
     def test_adam_runs_over_a_parameter_set_are_bit_identical(self, monkeypatch):
@@ -818,19 +841,21 @@ class TestKernelsMatchReference:
                             lambda run, *args: (runs.append([p.name for p in run]),
                                                 adam_run(run, *args)))
         # "c" skips the second step, which splits the runs then and after
+        adam, state = kingma_ba(0.01), {}
         for skip, want in (("", ["abcde"]), ("c", ["ab", "de"]), ("", ["ab", "c", "de"])):
             runs.clear()
             for q in reference:
                 if q.name != skip:
                     q.grad = rng.standard_normal(q.shape) * 10.0 ** rng.integers(-6, 2)
-            adam_step(loss_with_grads([(p, q.grad) for p, q in zip(fused, reference)
-                                       if q.grad is not None]), lr=0.01)
-            reference_folded_adam_step(reference, lr=0.01)
+            ad.adam_step(loss_with_grads([(p, q.grad) for p, q in zip(fused, reference)
+                                          if q.grad is not None]), adam)
+            reference_folded_adam_step(reference, state, lr=0.01)
             assert ["".join(run) for run in runs] == want
         for p, q in zip(fused, reference):
-            for attr in ("data", "m", "v"):
-                assert np.array_equal(getattr(p, attr), getattr(q, attr)), (p.name, attr)
-            assert p.step == q.step == (2 if p.name == "c" else 3)
+            (step, *moments), (want, *expected) = adam_state(adam, p), state[q]
+            for got, wanted, what in zip((p.data, *moments), (q.data, *expected), "dmv"):
+                assert np.array_equal(got, wanted), (p.name, what)
+            assert step == want == (2 if p.name == "c" else 3)
             assert p.grad is None
 
     def test_stepping_during_backward_is_bit_identical_to_a_step_after_it(self, monkeypatch):
@@ -854,22 +879,25 @@ class TestKernelsMatchReference:
             log.append(")" + "".join(name for name, p in params.items() if p.grad is not None))
 
         monkeypatch.setattr(ad.Tensor, "backward", walk)
+        late_adam, early_adam = kingma_ba(0.01), kingma_ba(0.01)
         for _ in range(3):
             g = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-            for params, stepped in ((late, False), (early, True)):
+            for params, stepped, adam in ((late, False, late_adam), (early, True, early_adam)):
                 log.clear()
                 a, b, c = (ad.sum_all(ad.mul(ad.tanh(params[name]), ad.constant(g[name])))
                            for name in shapes)
                 with monkeypatch.context() as patch:
                     if not stepped:
                         patch.setattr(ad, "_ADAM_BLOCK", 1 << 62)
-                    adam_step(ad.add(ad.add(a, b), c), lr=0.01)
+                    ad.adam_step(ad.add(ad.add(a, b), c), adam)
                 assert log == (["(", "b", ")ac", "a", "c"] if stepped else ["(", ")abc", "abc"])
         for name in shapes:
             p, q = late[name], early[name]
-            for attr in ("data", "m", "v"):
-                assert getattr(p, attr).tobytes() == getattr(q, attr).tobytes(), (name, attr)
-            assert p.step == q.step == 3 and p.grad is None and q.grad is None
+            (step, *moments), (other, *others) = (adam_state(late_adam, p),
+                                                  adam_state(early_adam, q))
+            for got, want, what in zip((p.data, *moments), (q.data, *others), "dmv"):
+                assert got.tobytes() == want.tobytes(), (name, what)
+            assert step == other == 3 and p.grad is None and q.grad is None
 
     def test_complete_runs_once_per_parameter_after_all_its_consumers(self):
         rng = np.random.default_rng(35)
@@ -907,17 +935,19 @@ class TestKernelsMatchReference:
         start = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 1, size)
         fused, textbook = ad.Parameter(start, "p"), ad.Parameter(start, "p")
         largest = np.zeros(size)
+        adam, state = kingma_ba(lr), {}
         for _ in range(3):
             g = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-6, 1, size)
             largest = np.maximum(largest, np.abs(g))
             textbook.grad = g
-            adam_step(loss_with_grads([(fused, g)]), lr=lr)
-            reference_adam_step([textbook], lr=lr)
+            ad.adam_step(loss_with_grads([(fused, g)]), adam)
+            reference_adam_step([textbook], state, lr=lr)
         assert not np.array_equal(fused.data, textbook.data)
         assert np.all(np.abs(fused.data - textbook.data)
                       <= 4 * eps * (np.abs(textbook.data) + 4 * lr))
-        assert np.all(np.abs((1 - 0.9) * fused.m - textbook.m) <= 2 * eps * largest)
-        assert np.all(np.abs((1 - 0.999) * fused.v - textbook.v) <= 2 * eps * largest ** 2)
+        (_, big_m, big_v), (_, m, v) = adam_state(adam, fused), state[textbook]
+        assert np.all(np.abs((1 - 0.9) * big_m - m) <= 2 * eps * largest)
+        assert np.all(np.abs((1 - 0.999) * big_v - v) <= 2 * eps * largest ** 2)
 
 
 class TestGradientCheckMachinery:

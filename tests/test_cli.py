@@ -188,6 +188,55 @@ def test_score_and_analyze_print_config_and_list_inputs(pipeline, tmp_path, caps
     assert list(manifest["inputs"]) == [held]
 
 
+def test_manifests_differing_in_a_thread_variable_differ_only_there_and_in_the_wall_time(
+        pipeline, tmp_path, monkeypatch):
+    out = str(tmp_path / "model.npz")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    manifests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                         pipeline["heldout.sdp"], "--config", pipeline["tiny.json"],
+                         "--epochs", "1", "--seed", "3", "--out", out]) == 0
+        with open(out + ".manifest.json", encoding="utf-8") as f:
+            manifests.append(json.load(f))
+    first, second = manifests
+    assert first["numpy"] == second["numpy"] == np.__version__
+    assert first["threads_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                    "MKL_NUM_THREADS": None}
+    assert second["threads_env"] == {**first["threads_env"], "OPENBLAS_NUM_THREADS": "2"}
+    assert all(0.0 < manifest["wall_s"] < 60.0 for manifest in manifests)
+    assert {key for key in first if first[key] != second[key]} <= {"threads_env", "wall_s"}
+    assert first.keys() == second.keys() == {"command", "inputs", "outputs", "config", "numpy",
+                                             "threads_env", "wall_s", "heldout_in_syntactic"}
+
+
+@pytest.mark.parametrize("trees", ["none", "disjoint", "all"])
+def test_train_manifest_counts_heldout_sentences_the_syntactic_task_trains_on(
+        pipeline, tmp_path, trees):
+    # reported, not refused: the synth trees hold every held-out sentence
+    with open(pipeline["heldout.sdp"], encoding="utf-8") as f:
+        held = {tuple(t.form for t in g.sentence) for g in read_sdp(f).graphs()}
+    conllu = os.path.join(pipeline["corpus"], "target.conllu")
+    flags = []
+    if trees != "none":
+        if trees == "disjoint":
+            with open(conllu, encoding="utf-8") as f:
+                kept = [t for t in read_conllu(f) if tuple(x.form for x in t.sentence) not in held]
+            conllu = str(tmp_path / "disjoint.conllu")
+            with open(conllu, "w", encoding="utf-8") as f:
+                write_conllu(kept, f)
+        flags = ["--syntactic", conllu, "--tasks", "sem,syn"]
+    out = str(tmp_path / "model.npz")
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                     pipeline["heldout.sdp"], "--config", pipeline["tiny.json"], "--epochs", "1",
+                     "--out", out, *flags]) == 0
+    with open(out + ".manifest.json", encoding="utf-8") as f:
+        overlap = json.load(f)["heldout_in_syntactic"]
+    assert len(held) == 3 and overlap == (3 if trees == "all" else 0)
+
+
 def test_manifest_is_indented_json_with_the_inputs_sha256(pipeline, tmp_path):
     held = pipeline["heldout.sdp"]
     report = tmp_path / "score.txt"

@@ -23,8 +23,8 @@ SMOKE_SITES = ['projection:IntersectedAlignment.__post_init__:'
                "autodiff:lstm_seq:a += recur[:k]", "autodiff:_adam_run:mb += g",
                "training:train:if restore: np.copyto(model.param_data, best_snapshot)",
                'network:ParserModel.__init__:self.params["emb/word"].data += pretrained',
-               "autodiff:reset_adam:if id(data) not in fresh: "
-               "fresh[id(data)] = (data, np.zeros(data.size), np.zeros(data.size))"]
+               "autodiff:_adam_run:if id(flat) not in adam.moments: "
+               "adam.moments[id(flat)] = (flat, np.zeros(flat.size), np.zeros(flat.size))"]
 TOY = "def f(i):\n    return i + 1\n"
 EDITED = "import os\nx = 2 - 1\n" + TOY
 

@@ -3,7 +3,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from helpers import adam_step, reference_folded_adam_step, reference_initial_params
+from helpers import adam_state, kingma_ba, reference_folded_adam_step, reference_initial_params
 
 from sdpkit import autodiff as ad
 from sdpkit import network
@@ -502,8 +502,10 @@ def _task_loss(model, task, golds, weight: float = 1.0):
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
-def test_parameter_state_is_three_flat_arrays_in_sorted_name_order(graphs, tmp_path, loaded,
-                                                                    monkeypatch):
+def test_the_data_and_adams_moments_are_flat_arrays_in_sorted_name_order(graphs, tmp_path,
+                                                                          loaded, monkeypatch):
+    # a built or loaded model holds one flat array, its data; an Adam step
+    # over it maps one flat M and one flat V beside it
     model = _model(graphs)
     if loaded:
         model.save(str(tmp_path / "model.npz"))
@@ -517,14 +519,17 @@ def test_parameter_state_is_three_flat_arrays_in_sorted_name_order(graphs, tmp_p
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
         model = ParserModel.load(str(tmp_path / "model.npz"))
         assert model.param_data is read["parameters"]  # adopted as read, with no copy
+    params = [model.params[name] for name in sorted(model.params)]
+    assert all(p._flat is model.param_data for p in params)
     s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
                                     np.random.default_rng(1))
-    semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC]).backward()
-    params = [model.params[name] for name in sorted(model.params)]
-    assert all(p.grad is not None for p in params)  # train mode reaches every parameter
+    adam = kingma_ba()
+    ad.adam_step(semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC]), adam)
+    assert adam.steps == dict.fromkeys(params, 1)  # train mode reaches every parameter
+    assert list(adam.moments) == [id(model.param_data)]
     flats = []
-    for role in ("data", "m", "v"):
-        views = [getattr(p, role) for p in params]
+    for role in range(3):
+        views = [(p.data, *adam_state(adam, p)[1:])[role] for p in params]
         flat = views[0].base
         assert flat.ndim == 1 and flat.size == sum(p.data.size for p in params), role
         offset = 0
@@ -550,7 +555,8 @@ ONE_BLOCK_RNN = replace(TINY, rnn_size=128, rnn_layers=1)
 
 def _train_style_steps(model, golds, tasks, steps: int = 3):
     """`steps` optimizer steps as `training.train` takes them, each one
-    `adam_step` on the sum of one scaled loss per task."""
+    `adam_step` on the sum of one scaled loss per task; returns their `Adam`."""
+    adam = kingma_ba(0.01)
     for step in range(steps):
         total = None
         for k, (task, weight) in enumerate(tasks):
@@ -559,7 +565,8 @@ def _train_style_steps(model, golds, tasks, steps: int = 3):
             loss_of = semantic_loss if task == SEMANTIC else syntactic_loss
             part = ad.scale(loss_of(s_edge, s_label, golds[task], model.tasks[task]), weight)
             total = part if total is None else ad.add(total, part)
-        adam_step(total, lr=0.01)
+        ad.adam_step(total, adam)
+    return adam
 
 
 @pytest.mark.parametrize("two_task", [False, True], ids=["single-task", "two-task-combined"])
@@ -581,13 +588,14 @@ def test_stepping_large_parameters_during_backward_changes_no_bit(graphs, two_ta
     assert max(sizes.values()) == ad._ADAM_BLOCK and min(sizes.values()) < ad._ADAM_BLOCK
     with monkeypatch.context() as patch:
         patch.setattr(ad, "_ADAM_BLOCK", 1 << 62)
-        _train_style_steps(late, golds, tasks)
-    _train_style_steps(early, golds, tasks)
+        late_adam = _train_style_steps(late, golds, tasks)
+    early_adam = _train_style_steps(early, golds, tasks)
     assert early.param_data.tobytes() != build().param_data.tobytes()
     for p, q in zip(late.parameters(), early.parameters()):
-        for attr in ("data", "m", "v"):
-            assert getattr(p, attr).tobytes() == getattr(q, attr).tobytes(), (p.name, attr)
-        assert p.step == q.step == 3 and p.grad is None and q.grad is None, p.name
+        (step, *moments), (other, *others) = adam_state(late_adam, p), adam_state(early_adam, q)
+        for got, want, what in zip((p.data, *moments), (q.data, *others), "dmv"):
+            assert got.tobytes() == want.tobytes(), (p.name, what)
+        assert step == other == 3 and p.grad is None and q.grad is None, p.name
 
 
 def test_adam_step_steps_the_large_parameters_in_the_walk_and_the_small_after_it(
@@ -596,18 +604,19 @@ def test_adam_step_steps_the_large_parameters_in_the_walk_and_the_small_after_it
     s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
                                     np.random.default_rng(5))
     loss = semantic_loss(s_edge, s_label, graphs, model.tasks[SEMANTIC])
-    runs, after_walk = [], {}
+    runs, after_walk, adam = [], {}, kingma_ba(0.01)
     adam_run, backward = ad._adam_run, ad.Tensor.backward
     monkeypatch.setattr(ad, "_adam_run", lambda run, *args: (
         runs.append((not after_walk, [p.name for p in run])), adam_run(run, *args)))
 
     def walk(loss, complete):
         backward(loss, complete)
-        after_walk.update((p.name, (p.grad is not None, p.step, bool(np.any(p.m))))
-                          for p in model.parameters())
+        for p in model.parameters():
+            step, m, _ = adam_state(adam, p)
+            after_walk[p.name] = (p.grad is not None, step, bool(np.any(m)))
 
     monkeypatch.setattr(ad.Tensor, "backward", walk)
-    adam_step(loss, lr=0.01)
+    ad.adam_step(loss, adam)
     large = [p.name for p in model.parameters() if p.data.size >= ad._ADAM_BLOCK]
     assert large == ["rnn/semantic/layer0/bw/u", "rnn/semantic/layer0/fw/u"]
     # during the walk: each large parameter alone; after it: the others, in the
@@ -620,7 +629,7 @@ def test_adam_step_steps_the_large_parameters_in_the_walk_and_the_small_after_it
         assert (has_grad, step, moved) == ((False, 1, True) if name in large
                                            else (True, 0, False)), name
     for p in model.parameters():
-        assert p.grad is None and p.step == 1, p.name
+        assert p.grad is None and adam.steps[p] == 1, p.name
 
 
 def test_combined_step_gradients_are_the_sum_of_each_task():
@@ -654,9 +663,9 @@ def test_adam_over_a_two_task_model_matches_the_textbook_form(monkeypatch):
     # of the kernel's folded arithmetic
     model, golds = _two_task()
     params = model.parameters()
-    # the reference on copies; it rebinds its moments to fresh arrays
+    # the reference on copies, with moments of its own
     reference = [ad.Parameter(p.data.copy(), name=p.name) for p in params]
-    runs = []
+    runs, adam, state = [], kingma_ba(0.01), {}
     adam_run = ad._adam_run
 
     def counted(run, *args):
@@ -671,13 +680,14 @@ def test_adam_over_a_two_task_model_matches_the_textbook_form(monkeypatch):
             q.grad = None if p.grad is None else p.grad.copy()
         ad.clear_grads(params)
         runs.append([])
-        adam_step(_task_loss(model, task, golds[task], 1.0 / 40), lr=0.01)
+        ad.adam_step(_task_loss(model, task, golds[task], 1.0 / 40), adam)
         assert sum(runs[-1]) == sum(q.grad is not None for q in reference)
-        reference_folded_adam_step(reference, lr=0.01)
+        reference_folded_adam_step(reference, state, lr=0.01)
         for p, q in zip(params, reference):
-            for attr in ("data", "m", "v"):
-                assert np.array_equal(getattr(p, attr), getattr(q, attr)), (task, p.name, attr)
-            assert p.step == q.step and p.grad is None, p.name
+            (step, *moments), (want, *expected) = adam_state(adam, p), state[q]
+            for got, wanted, what in zip((p.data, *moments), (q.data, *expected), "dmv"):
+                assert np.array_equal(got, wanted), (task, p.name, what)
+            assert step == want and p.grad is None, p.name
     # one pass per run of adjacent parameters at one step count: the unused
     # emb/unk_* and the other task's parameters split them
     assert [len(step) for step in runs] == [3, 5, 5, 5, 5]

@@ -7,9 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import (LABELS, random_sentence, read_checkpoint, reference_acyclic_decode,
-                     reference_decode_semantic, reference_semantic_loss,
-                     reference_syntactic_loss, write_checkpoint)
+from helpers import (LABELS, adam_state, random_sentence, read_checkpoint,
+                     reference_acyclic_decode, reference_decode_semantic,
+                     reference_semantic_loss, reference_syntactic_loss, write_checkpoint)
 from hypothesis import given, settings, strategies as st
 
 from sdpkit import autodiff as ad
@@ -223,8 +223,8 @@ def test_a_single_task_step_scales_the_loss_by_its_tokens_alone(task):
                                     training._dropout_rng(cfg.seed, 1, task, 0))
     loss = (training.semantic_loss if task == SEMANTIC else training.syntactic_loss)(
         s_edge, s_label, [g for _, g in batch], fresh.tasks[task], cfg.label_interp)
-    ad.adam_step(ad.scale(loss, 1.0 / sum(len(s) for s, _ in batch)), cfg.lr, cfg.beta1,
-                 cfg.beta2, cfg.eps)
+    ad.adam_step(ad.scale(loss, 1.0 / sum(len(s) for s, _ in batch)),
+                 ad.Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps))
     for name, p in fresh.params.items():
         assert np.array_equal(model.params[name].data, p.data), name
 
@@ -661,16 +661,17 @@ def test_epoch_step_count_follows_the_task_queues(monkeypatch, combined):
 
 def test_each_parameter_steps_once_per_optimizer_step_whose_loss_reaches_it(monkeypatch):
     # alternating steps: 4 semantic and 2 syntactic; without word dropout no
-    # loss reaches the unknown-word and unknown-POS embeddings. `train` resets
-    # the counts as it returns, so they are read after its last step.
+    # loss reaches the unknown-word and unknown-POS embeddings. `train` drops
+    # its `Adam` as it returns, so the counts are read after its last step.
     graphs, trees = _corpus(5)
     model = _model(graphs, trees, config=replace(TINY, word_dropout=0.0))
     adam_step, seen = ad.adam_step, {}
 
-    def stepped(*args, **kwargs):
-        adam_step(*args, **kwargs)
-        seen.update((name, (p.grad, p.step, p.m.any() or p.v.any()))
-                    for name, p in model.params.items())
+    def stepped(loss, adam):
+        adam_step(loss, adam)
+        for name, p in model.params.items():
+            step, m, v = adam_state(adam, p)
+            seen[name] = (p.grad, step, m.any() or v.any())
 
     monkeypatch.setattr(ad, "adam_step", stepped)
     cfg = training.TrainConfig(token_budget=1, max_epochs=1, combined_steps=False)
@@ -693,39 +694,41 @@ def test_each_parameter_steps_once_per_optimizer_step_whose_loss_reaches_it(monk
 @pytest.mark.parametrize("nan_at", [None, 2, 6], ids=["returns", "raises-in-epoch-1",
                                                       "raises-in-epoch-2"])
 def test_train_frees_adams_state_as_it_returns_or_raises(monkeypatch, nan_at):
-    # every parameter ends at step 0 on zero moments shared by the whole model,
-    # as `ParserModel.load` leaves it, and the moments the steps wrote are freed
+    # every step gets the one `Adam` that the call made; it and the moments
+    # it mapped are freed as `train` returns, or as it raises while the
+    # exception is still held. The model keeps only its flat data.
     graphs, _ = _corpus(4)
     model = _model(graphs)
-    real_loss, adam_step, calls, written = training.semantic_loss, ad.adam_step, [], []
+    real_loss, adam_step, calls, adams = training.semantic_loss, ad.adam_step, [], []
 
     def loss(*args, **kwargs):
         calls.append(1)
         value = real_loss(*args, **kwargs)
         return ad.scale(value, float("nan")) if len(calls) == nan_at else value
 
-    def stepped(*args, **kwargs):
-        adam_step(*args, **kwargs)
-        p = model.params["emb/word"]
-        assert p.step == len(calls) and p.m.any()
-        written.extend(weakref.ref(a.base) for a in (p.m, p.v))
+    def stepped(loss, adam):
+        adam_step(loss, adam)
+        assert adam.steps[model.params["emb/word"]] == len(calls)
+        adams.append(adam)
 
     monkeypatch.setattr(training, "semantic_loss", loss)
     monkeypatch.setattr(ad, "adam_step", stepped)
     if nan_at is None:
         _train_one_sentence_per_step(model, graphs, max_epochs=2)
     else:
-        with pytest.raises(TrainingDiverged):
+        # held to the end: its traceback holds `train`'s frame and locals
+        with pytest.raises(TrainingDiverged) as raised:
             _train_one_sentence_per_step(model, graphs, max_epochs=2)
-    assert len(calls) == (nan_at or 8) and written
-    params = model.parameters()
-    for p in params:
-        assert p.step == 0 and not p.m.any() and not p.v.any(), p.name
-    bases = {role: {id(getattr(p, role).base) for p in params} for role in ("data", "m", "v")}
-    assert all(len(ids) == 1 for ids in bases.values())
-    assert len(set.union(*bases.values())) == 3
+        assert raised.tb is not None
+    assert len(calls) == (nan_at or 8) and all(adam is adams[0] for adam in adams)
+    ((_, m, v),) = adams[0].moments.values()
+    assert m.any() and v.any()
+    written = [weakref.ref(a) for a in (adams[0], m, v)]
+    adams.clear()
+    del m, v
     gc.collect()
     assert all(ref() is None for ref in written)
+    assert all(p._flat is model.param_data for p in model.parameters())
 
 
 def test_a_second_train_takes_the_steps_of_save_load_train(tmp_path):
