@@ -14,17 +14,20 @@
 `parse` reads its input and checks its sentence ids (`formats.check_sentence_ids`)
 before it loads the model, and writes each sentence under its input id. `score`
 and `analyze` refuse a prediction file whose ids differ from the gold file's,
-position by position.
+position by position. After the labeled F1, `score` prints `decided_lf`, the
+labeled F1 over the gold's decided cells alone (`evaluation.at_decided_cells`).
 
 Every run resolves its configuration (defaults < config file < flags), logs
 it, and writes a manifest next to its primary output: the content hashes of
-its inputs, the numpy version, the BLAS thread variables and the run's wall
-time. `train`'s also counts the `--heldout` sentences whose token forms are
-those of a `--syntactic` sentence (`heldout_in_syntactic`), which it reports
-but does not refuse. Before it reads anything, a command refuses an output (the
-manifest included) that would overwrite one of its inputs or another of its
-outputs, or whose directory does not exist. Runs are deterministic functions
-of (inputs, config, seed).
+its inputs, the numpy version, the BLAS name and version, the BLAS thread
+variables and the run's wall time. `train`'s also counts the `--heldout`
+sentences whose token forms are those of a `--syntactic` sentence
+(`heldout_in_syntactic`), which it reports but does not refuse. `parse`'s
+gives the edges per token and the number of sentences per count of tops
+(`top_counts`) of the graphs it wrote. Before it reads anything, a command
+refuses an output (the manifest included) that would overwrite one of its
+inputs or another of its outputs, or whose directory does not exist. Runs are
+deterministic functions of (inputs, config, seed).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 
@@ -42,15 +46,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, FormatError, ProjectionError, ScoringError, SdpkitError
-from .evaluation import format_report, label_contribution, length_buckets, head_match_stats, score_graphs, write_series
+from .evaluation import (at_decided_cells, format_report, head_match_stats, label_contribution,
+                         length_buckets, score_graphs, write_series)
 from .formats import (SdpDocument, atomic_open, check_sentence_ids, conllu_id,
                       read_alignments, read_conllu, read_sdp, read_word_vectors,
                       write_alignments, write_sdp)
 from .graph import (LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, as_semantic,
                     make_sentence)
 from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
-                      build_vocabs, semantic_label_vocab, syntactic_label_vocab,
-                      pretrained_table)
+                      Vocab, build_vocabs, semantic_label_vocab)
 from .projection import (IntersectedAlignment, density_sample, heldout_split,
                          intersect_alignments, project_graph)
 from .synth import CORPUS_FILES, SynthConfig, synth_corpus, write_corpus
@@ -139,6 +143,17 @@ def _check_outputs(args, inputs: list[str], outputs: list[str], made: str | None
             raise ConfigError(f"{path}: output directory {directory} does not exist")
 
 
+def _blas() -> dict | None:
+    """The name and version of the BLAS that numpy reports it was built with;
+    None where numpy cannot report them (`show_config` has no dict mode before
+    numpy 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):
+        return None
+
+
 def _finish(args, inputs: list[str], outputs: list[str], config: dict, **report) -> int:
     """Every command's epilogue: log the config, write the manifest (see
     `_manifest_path`) with `report`'s entries and the seconds since `main`
@@ -152,6 +167,7 @@ def _finish(args, inputs: list[str], outputs: list[str], config: dict, **report)
             "outputs": sorted(set(outputs)),
             "config": config,
             "numpy": np.__version__,
+            "blas": _blas(),
             "threads_env": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
             "wall_s": time.perf_counter() - args.started,
             **report,
@@ -337,6 +353,11 @@ def _parse_share(spec: str | None, raw: dict, tasks: list[str]) -> SharingTopolo
 
 
 def cmd_train(args) -> int:
+    """Train on --train (and on --syntactic's trees for the syn task), stopping
+    early on --heldout, and write the checkpoint and the metrics lines. The
+    vocabularies come from the training sentences and trees. --word-vectors
+    is read straight into the new model's word table, so neither the vectors
+    nor a table of them is held while `train` runs."""
     inputs = [path for path in (args.train, args.heldout, args.syntactic, args.word_vectors)
               if path]
     metrics_path = args.metrics or args.out + ".metrics"
@@ -378,16 +399,11 @@ def cmd_train(args) -> int:
         [e.label for g in train_doc.semantic_graphs() for e in g.edges])
     task_vocabs = {SEMANTIC: sem_labels}
     if SYNTACTIC in tasks:
-        task_vocabs[SYNTACTIC] = syntactic_label_vocab(
-            [r for t in trees for r in t.deprels])
-
-    pretrained = None
-    if args.word_vectors:
-        vectors = _read(args.word_vectors, read_word_vectors, net_cfg.word_dim)
-        pretrained = pretrained_table(vectors, word_vocab, net_cfg.word_dim)
-
+        task_vocabs[SYNTACTIC] = Vocab([r for t in trees for r in t.deprels], unk=False)
     model = ParserModel(net_cfg, task_vocabs, word_vocab, char_vocab, pos_vocab,
-                        topology=topology, seed=seed, pretrained=pretrained)
+                        topology=topology, seed=seed,
+                        pretrained=_read(args.word_vectors, read_word_vectors, net_cfg.word_dim)
+                        if args.word_vectors else None)
 
     corpora = {SEMANTIC: [(g.sentence, g) for g in train_doc.graphs()]}
     if SYNTACTIC in tasks:
@@ -425,15 +441,21 @@ def cmd_parse(args) -> int:
     doc = SdpDocument(tuple(zip(ids, graphs)))
     with atomic_open(args.out) as f:
         write_sdp(doc, f)
-    return _finish(args, inputs, outputs, {"model": args.model})
+    tokens = sum(g.n for g in graphs)
+    tops = Counter(len(g.tops) for g in graphs)
+    return _finish(args, inputs, outputs, {"model": args.model},
+                   edges_per_token=sum(len(g.edges) for g in graphs) / tokens if tokens else None,
+                   top_counts={str(count): tops[count] for count in sorted(tops)})
 
 
 def cmd_score(args) -> int:
     inputs, outputs = [args.pred, args.gold], [args.out] if args.out else []
     _check_outputs(args, inputs, outputs)
     gold = _read(args.gold, read_sdp)
-    report = score_graphs(_read_predictions(args.pred, gold), gold.semantic_graphs())
-    text = format_report(report)
+    predicted, gold_graphs = _read_predictions(args.pred, gold), gold.graphs()
+    report = score_graphs(predicted, gold_graphs)
+    decided = score_graphs(at_decided_cells(predicted, gold_graphs), gold_graphs)
+    text = format_report(report, decided.lf)
     print(text)
     if args.out:
         with atomic_open(args.out) as f:

@@ -90,6 +90,23 @@ def score_graphs(predicted: Sequence[SemanticGraph | PartialGraph],
     return ScoreReport(lg, lp_, lc, ug, up_, uc)
 
 
+def at_decided_cells(predicted: Sequence[SemanticGraph | PartialGraph],
+                     gold: Sequence[SemanticGraph | PartialGraph]) -> list[SemanticGraph]:
+    """Each predicted graph with only its edges at decided x decided cells of its
+    gold graph, the cells the semantic loss reads; plain gold decides every
+    cell. `score_graphs` of these against the same gold scores the prediction
+    as the loss sees it: an edge at an undecided cell counts for nothing."""
+    _check_aligned_corpora(predicted, gold)
+    kept = []
+    for p, g in zip(predicted, gold):
+        p = as_semantic(p)
+        if isinstance(g, PartialGraph):
+            p = SemanticGraph(p.sentence, frozenset(
+                e for e in p.edges if e.head in g.aligned and e.dependent in g.aligned))
+        kept.append(p)
+    return kept
+
+
 @dataclass(frozen=True)
 class BucketStat:
     predicted: int
@@ -203,9 +220,11 @@ def label_contribution(predictions_multitask: Sequence[SemanticGraph | PartialGr
     return {rel: 100.0 * c / total for rel, c in sorted(counts.items())}
 
 
-def format_report(report: ScoreReport) -> str:
-    """Machine-parsable key=value lines followed by a small aligned table."""
+def format_report(report: ScoreReport, decided_lf: float) -> str:
+    """Machine-parsable key=value lines followed by a small aligned table; the
+    first line ends with `decided_lf`, the labeled F1 at decided cells alone."""
     kv = " ".join(f"{k}={getattr(report, k):.6f}" for k in ("lp", "lr", "lf", "up", "ur", "uf"))
+    kv += f" decided_lf={decided_lf:.6f}"
     counts = " ".join(f"{f.name}={getattr(report, f.name)}" for f in fields(report))
     rows = [("", "P", "R", "F1"),
             ("labeled", f"{report.lp:.4f}", f"{report.lr:.4f}", f"{report.lf:.4f}"),

@@ -142,28 +142,6 @@ def semantic_label_vocab(labels: Sequence[str]) -> Vocab:
     return Vocab(sorted(set(labels) | {TOP_LABEL}), unk=False)
 
 
-def syntactic_label_vocab(labels: Sequence[str]) -> Vocab:
-    return Vocab(sorted(set(labels)), unk=False)
-
-
-def pretrained_table(vectors: dict[str, np.ndarray], vocab: Vocab,
-                     dim: int) -> np.ndarray:
-    """Pretrained embedding table aligned to a word vocabulary, for `ParserModel`.
-
-    Words without a pretrained vector (including <unk>) get zero rows, so
-    their word table rows keep the random draw.
-    """
-    table = np.zeros((len(vocab), dim))
-    for i, word in enumerate(vocab.items):
-        vec = vectors.get(word)
-        if vec is not None:
-            if vec.shape != (dim,):
-                raise ConfigError(f"pretrained vector for {word!r} has shape "
-                                  f"{vec.shape}, expected ({dim},)")
-            table[i] = vec
-    return table
-
-
 def _rng_for(seed: int, name: str) -> np.random.Generator:
     # per-name streams keep initial values independent of creation order,
     # so single-task and multitask models share identical common parameters
@@ -231,14 +209,14 @@ class ParserModel:
     def __init__(self, config: NetworkConfig, tasks: dict[str, Vocab],
                  word_vocab: Vocab, char_vocab: Vocab, pos_vocab: Vocab,
                  topology: SharingTopology | None = None, seed: int = 0,
-                 pretrained: np.ndarray | None = None):
-        """`pretrained` (see `pretrained_table`) is added to the drawn word table.
-        With no weight decay, training that sum takes the steps that Dozat &
-        Manning's trainable table beside a fixed pretrained one would take."""
+                 pretrained: dict[str, np.ndarray] | None = None):
+        """`pretrained` maps words to vectors of `config.word_dim`, as
+        `formats.read_word_vectors` returns them. Each vocabulary word's vector
+        is added to its drawn row of the word table; every other row, <unk>
+        included, keeps its draw. With no weight decay, training that sum takes
+        the steps that Dozat & Manning's trainable table beside a fixed
+        pretrained one would take."""
         self._configure(config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed)
-        if pretrained is not None and np.shape(pretrained) != (len(word_vocab), config.word_dim):
-            raise ConfigError(f"pretrained table shape {np.shape(pretrained)} != "
-                              f"({len(word_vocab)}, {config.word_dim})")
         specs = self._param_specs()
         # one flat data array for the whole model and nothing beside it (Adam's
         # moments belong to one `train` call); each initializer draws into its view
@@ -247,8 +225,12 @@ class ParserModel:
             {name: shape for name, shape, _ in specs}, self.param_data)
         for name, _, init in specs:
             init(_rng_for(seed, name), self.params[name].data)
-        if pretrained is not None:
-            self.params["emb/word"].data += pretrained
+        for word, vector in (pretrained or {}).items():
+            if word in word_vocab:  # the vectors of other words are ignored
+                if vector.shape != (config.word_dim,):
+                    raise ConfigError(f"pretrained vector for {word!r} has shape "
+                                      f"{vector.shape}, expected ({config.word_dim},)")
+                self.params["emb/word"].data[word_vocab.id(word)] += vector
 
     # ------------------------------------------------------------------ setup
 
@@ -482,7 +464,8 @@ class ParserModel:
         of two members: first `__meta__`, a uint8 array holding the UTF-8
         JSON (keys sorted) of the dict below, then `parameters`, the flat
         float64 `param_data` (every parameter in sorted-name order, each
-        flattened). Pretrained vectors are part of the word table there."""
+        flattened). No pretrained vectors are stored apart: the word table
+        holds them as `__init__` added them and training moved them."""
         meta = {
             "kind": "sdpkit-parser",
             "checkpoint_version": CHECKPOINT_VERSION,

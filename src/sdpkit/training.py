@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingDiverged
-from .evaluation import ScoreReport, score_graphs
+from .evaluation import ScoreReport, at_decided_cells, score_graphs
 from .graph import (ROOT, TOP_LABEL, Edge, PartialGraph, SemanticGraph,
                     SyntacticTree, Token, as_partial)
 from .network import SEMANTIC, SYNTACTIC, ParserModel, Vocab
@@ -353,12 +353,13 @@ def train(model: ParserModel, corpora: dict[str, list], heldout: list,
                 restore = epoch > 1  # the snapshot holds the best earlier epoch
                 ad.adam_step(total, adam)
 
-            report = evaluate_semantic(model, heldout)
+            report, decided = evaluate_semantic(model, heldout)
             entry = {"epoch": epoch}
             for task in sorted(data):
                 entry[f"loss_{task}"] = loss_sums[task] / token_sums[task]
             entry["heldout_lf"] = report.lf
             entry["heldout_uf"] = report.uf
+            entry["heldout_decided_lf"] = decided.lf  # reported; the best epoch reads heldout_lf
             line = " ".join(f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
                             for k, v in entry.items())
             result.metrics.append(entry)
@@ -414,8 +415,10 @@ def parse_semantic(model: ParserModel, sentences: Sequence[Sequence[Token]]
     return graphs
 
 
-def evaluate_semantic(model: ParserModel, corpus: list) -> ScoreReport:
+def evaluate_semantic(model: ParserModel, corpus: list) -> tuple[ScoreReport, ScoreReport]:
     """Labeled/unlabeled F1 of decoded graphs against (possibly partial) gold,
-    `corpus` a list of (sentence, gold) pairs."""
+    `corpus` a list of (sentence, gold) pairs: of every predicted edge, and of
+    those at the gold's decided cells only (`evaluation.at_decided_cells`)."""
     predicted = parse_semantic(model, [sentence for sentence, _ in corpus])
-    return score_graphs(predicted, [gold for _, gold in corpus])
+    gold = [g for _, g in corpus]
+    return score_graphs(predicted, gold), score_graphs(at_decided_cells(predicted, gold), gold)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from sdpkit import autodiff as ad
 from sdpkit.errors import CheckpointError, FormatError
 from helpers import read_checkpoint, reference_decode_semantic, write_checkpoint
 from sdpkit.formats import SdpDocument, read_conllu, read_sdp, write_conllu, write_sdp
-from sdpkit.graph import PartialGraph, SemanticGraph, SyntacticTree, is_acyclic
+from sdpkit.graph import TOP_LABEL, Edge, PartialGraph, SemanticGraph, SyntacticTree, is_acyclic
 from sdpkit.network import SEMANTIC, NetworkConfig, ParserModel
 from sdpkit.synth import SynthConfig
 from sdpkit.training import TrainConfig, TrainResult
@@ -203,13 +204,32 @@ def test_manifests_differing_in_a_thread_variable_differ_only_there_and_in_the_w
             manifests.append(json.load(f))
     first, second = manifests
     assert first["numpy"] == second["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert first["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert first["threads_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                                     "MKL_NUM_THREADS": None}
     assert second["threads_env"] == {**first["threads_env"], "OPENBLAS_NUM_THREADS": "2"}
     assert all(0.0 < manifest["wall_s"] < 60.0 for manifest in manifests)
     assert {key for key in first if first[key] != second[key]} <= {"threads_env", "wall_s"}
     assert first.keys() == second.keys() == {"command", "inputs", "outputs", "config", "numpy",
-                                             "threads_env", "wall_s", "heldout_in_syntactic"}
+                                             "blas", "threads_env", "wall_s",
+                                             "heldout_in_syntactic"}
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_a_manifest_records_no_blas_where_numpy_cannot_report_it(pipeline, tmp_path,
+                                                                 monkeypatch, error):
+    # numpy before 1.26 has no show_config(mode="dicts"): TypeError
+    def show_config(mode="stdout"):
+        if error is TypeError:
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+        return {"Build Dependencies": {}}
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    held, report = pipeline["heldout.sdp"], str(tmp_path / "score.txt")
+    assert cli.main(["score", "--pred", held, "--gold", held, "--out", report]) == 0
+    with open(report + ".manifest.json", encoding="utf-8") as f:
+        assert json.load(f)["blas"] is None
 
 
 @pytest.mark.parametrize("trees", ["none", "disjoint", "all"])
@@ -235,6 +255,49 @@ def test_train_manifest_counts_heldout_sentences_the_syntactic_task_trains_on(
     with open(out + ".manifest.json", encoding="utf-8") as f:
         overlap = json.load(f)["heldout_in_syntactic"]
     assert len(held) == 3 and overlap == (3 if trees == "all" else 0)
+
+
+def test_score_prints_the_decided_cell_lf_after_the_full_one(pipeline, tmp_path, capsys):
+    held = pipeline["heldout.sdp"]
+    with open(held, encoding="utf-8") as f:
+        gold = read_sdp(f)
+    # one more top, at a token that no alignment decides
+    sid, partial = next((sid, g) for sid, g in gold if len(g.aligned) <= g.graph.n)
+    j = min(set(range(1, partial.graph.n + 1)) - partial.aligned)
+    extra = SemanticGraph(partial.sentence, partial.graph.edges | {Edge(0, j, TOP_LABEL)})
+    pred = str(tmp_path / "pred.sdp")
+    with open(pred, "w", encoding="utf-8") as f:
+        write_sdp(SdpDocument(tuple((s, extra if s == sid else g.graph) for s, g in gold)), f)
+    lfs = []
+    for path in (held, pred):
+        assert cli.main(["score", "--pred", path, "--gold", held]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert re.search(r"\blf=", first).start() < first.index("decided_lf=")
+        values = dict(kv.split("=") for kv in first.split())
+        lfs.append((float(values["lf"]), float(values["decided_lf"])))
+    assert lfs[0] == (1.0, 1.0) and lfs[1][0] < 1.0 == lfs[1][1]
+
+
+def test_parse_manifest_counts_the_edges_and_tops_it_wrote(pipeline, tmp_path):
+    out = str(tmp_path / "pred.sdp")
+    assert cli.main(["parse", "--model", pipeline["model.npz"], "--input",
+                     pipeline["heldout.sdp"], "--out", out]) == 0
+    with open(out, encoding="utf-8") as f:
+        written = read_sdp(f).semantic_graphs()
+    with open(out + ".manifest.json", encoding="utf-8") as f:
+        manifest = json.load(f)
+    tops = [len(g.tops) for g in written]
+    assert manifest["edges_per_token"] == pytest.approx(
+        sum(len(g.edges) for g in written) / sum(g.n for g in written), rel=1e-15)
+    assert manifest["top_counts"] == {str(k): tops.count(k) for k in sorted(set(tops))}
+    assert sum(manifest["top_counts"].values()) == len(written) == 3
+    empty = tmp_path / "empty.sdp"
+    empty.write_text("")
+    assert cli.main(["parse", "--model", pipeline["model.npz"], "--input", str(empty),
+                     "--out", out]) == 0
+    with open(out + ".manifest.json", encoding="utf-8") as f:
+        manifest = json.load(f)
+    assert manifest["edges_per_token"] is None and manifest["top_counts"] == {}
 
 
 def test_manifest_is_indented_json_with_the_inputs_sha256(pipeline, tmp_path):
@@ -628,6 +691,31 @@ def test_train_with_word_vectors(pipeline, tmp_path, monkeypatch, header):
     assert cli.main(["parse", "--model", out, "--input", pipeline["heldout.sdp"],
                      "--out", pred]) == 0
     assert _ids_and_sentences(pred) == _ids_and_sentences(pipeline["heldout.sdp"])
+
+
+def test_train_holds_no_word_vector_while_it_trains(pipeline, tmp_path, monkeypatch):
+    dim = TINY["word_dim"]
+    forms = sorted({t.form for s in _ids_and_sentences(pipeline["train.sdp"])[1] for t in s})
+    vectors = tmp_path / "words.vec"
+    vectors.write_text("".join(f"{form} {' '.join(['0.5'] * dim)}\n" for form in forms[:4]),
+                       encoding="utf-8")
+    refs, alive, read, train = [], [], cli.read_word_vectors, cli.train
+
+    def read_word_vectors(*args):
+        table = read(*args)
+        refs.extend(weakref.ref(vector) for vector in table.values())
+        return table
+
+    def counting_train(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_word_vectors", read_word_vectors)
+    monkeypatch.setattr(cli, "train", counting_train)
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                     "--config", pipeline["tiny.json"], "--epochs", "1",
+                     "--word-vectors", str(vectors), "--out", str(tmp_path / "model.npz")]) == 0
+    assert len(refs) == 4 and alive == [0]
 
 
 def test_train_seed_config_key_rejected(pipeline, tmp_path, capsys):

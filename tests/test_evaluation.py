@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import LABELS, brute_force_score, random_graph, random_partial
 from sdpkit.errors import ScoringError
-from sdpkit.evaluation import (ScoreReport, format_report, head_match_stats, label_contribution,
-                               length_buckets, score_graphs)
+from sdpkit.evaluation import (ScoreReport, at_decided_cells, format_report, head_match_stats,
+                               label_contribution, length_buckets, score_graphs)
 from sdpkit.graph import (LENGTH_BUCKETS, Edge, PartialGraph, SemanticGraph, SyntacticTree,
-                          make_sentence)
+                          as_partial, make_sentence)
 
 
 def _prediction(rng, gold: SemanticGraph) -> SemanticGraph:
@@ -37,6 +37,33 @@ def test_score_graphs_matches_brute_force(seed, sentences):
     assert (report.labeled_gold, report.labeled_pred, report.labeled_correct,
             report.unlabeled_gold, report.unlabeled_pred, report.unlabeled_correct) == \
         brute_force_score(predicted, plain_gold)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_decided_cell_lf_is_the_lf_on_fully_decided_gold(seed):
+    rng = np.random.default_rng(seed)
+    gold = [random_graph(rng) for _ in range(3)]
+    predicted = [_prediction(rng, g) for g in gold]
+    for fully_decided in (gold, [as_partial(g) for g in gold]):
+        assert at_decided_cells(predicted, fully_decided) == predicted
+        assert score_graphs(at_decided_cells(predicted, fully_decided), fully_decided) == \
+            score_graphs(predicted, fully_decided)
+
+
+def test_an_edge_at_an_undecided_cell_lowers_the_lf_and_not_the_decided_cell_lf():
+    # token 3 is unaligned, so every cell in its row or column is undecided
+    right = _graph(3, {(0, 1, "TOP"), (1, 2, "A")})
+    gold = PartialGraph(right, frozenset({1, 2}))
+    extra = _graph(3, {*right.edges, (2, 3, "A"), (0, 3, "TOP")})
+    assert at_decided_cells([extra], [gold]) == [right]
+    lfs = {}
+    for name, pred in (("right", right), ("extra", extra)):
+        lfs[name] = (score_graphs([pred], [gold]).lf,
+                     score_graphs(at_decided_cells([pred], [gold]), [gold]).lf)
+    assert lfs == {"right": (1.0, 1.0), "extra": (pytest.approx(2 / 3), 1.0)}
+    with pytest.raises(ScoringError, match="corpus size mismatch"):
+        at_decided_cells([extra], [gold, gold])
 
 
 def _graph(n, edges):
@@ -132,21 +159,23 @@ def test_label_contribution_is_a_percentage_by_dependent_deprel():
     assert label_contribution([single], [multi], [gold], [tree]) == {}
 
 
-@pytest.mark.parametrize("counts,text", [
-    ((7, 5, 4, 7, 6, 5),
-     "lp=0.800000 lr=0.571429 lf=0.666667 up=0.833333 ur=0.714286 uf=0.769231\n"
+@pytest.mark.parametrize("counts,decided_lf,text", [
+    ((7, 5, 4, 7, 6, 5), 0.8,
+     "lp=0.800000 lr=0.571429 lf=0.666667 up=0.833333 ur=0.714286 uf=0.769231 "
+     "decided_lf=0.800000\n"
      "labeled_gold=7 labeled_pred=5 labeled_correct=4 unlabeled_gold=7 unlabeled_pred=6 "
      "unlabeled_correct=5\n"
      "           P       R       F1\n"
      "labeled    0.8000  0.5714  0.6667\n"
      "unlabeled  0.8333  0.7143  0.7692"),
-    ((0, 0, 0, 3, 0, 0),
-     "lp=0.000000 lr=0.000000 lf=0.000000 up=0.000000 ur=0.000000 uf=0.000000\n"
+    ((0, 0, 0, 3, 0, 0), 0.0,
+     "lp=0.000000 lr=0.000000 lf=0.000000 up=0.000000 ur=0.000000 uf=0.000000 "
+     "decided_lf=0.000000\n"
      "labeled_gold=0 labeled_pred=0 labeled_correct=0 unlabeled_gold=3 unlabeled_pred=0 "
      "unlabeled_correct=0\n"
      "           P       R       F1\n"
      "labeled    0.0000  0.0000  0.0000\n"
      "unlabeled  0.0000  0.0000  0.0000"),
 ], ids=["counts", "nothing-predicted"])
-def test_format_report_text(counts, text):
-    assert format_report(ScoreReport(*counts)) == text
+def test_format_report_text(counts, decided_lf, text):
+    assert format_report(ScoreReport(*counts), decided_lf) == text

@@ -22,7 +22,8 @@ SMOKE_SITES = ['projection:IntersectedAlignment.__post_init__:'
                'raise ProjectionError("intersected alignment must be one-to-one")',
                "autodiff:lstm_seq:a += recur[:k]", "autodiff:_adam_run:mb += g",
                "training:train:if restore: np.copyto(model.param_data, best_snapshot)",
-               'network:ParserModel.__init__:self.params["emb/word"].data += pretrained',
+               'network:ParserModel.__init__:'
+               'self.params["emb/word"].data[word_vocab.id(word)] += vector',
                "autodiff:_adam_run:if id(flat) not in adam.moments: "
                "adam.moments[id(flat)] = (flat, np.zeros(flat.size), np.zeros(flat.size))"]
 TOY = "def f(i):\n    return i + 1\n"

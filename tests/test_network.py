@@ -10,8 +10,7 @@ from sdpkit import network
 from sdpkit.errors import ConfigError
 from sdpkit.graph import PartialGraph, SemanticGraph
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
-                            Vocab, build_vocabs, pretrained_table, semantic_label_vocab,
-                            syntactic_label_vocab)
+                            Vocab, build_vocabs, semantic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
 from sdpkit.training import edge_cells, semantic_loss, syntactic_loss
 
@@ -27,7 +26,7 @@ def graphs():
 def _model(graphs, tasks=(SEMANTIC,), topology=None, seed: int = 4,
            config: NetworkConfig = TINY) -> ParserModel:
     vocabs = {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS),
-              SYNTACTIC: syntactic_label_vocab(DEFAULT_DEPRELS)}
+              SYNTACTIC: Vocab(DEFAULT_DEPRELS, unk=False)}
     words, chars, pos = build_vocabs([g.sentence for g in graphs])
     return ParserModel(config, {task: vocabs[task] for task in tasks}, words, chars, pos,
                        topology=topology, seed=seed)
@@ -181,7 +180,7 @@ def test_model_checks_its_tasks_and_inputs(graphs):
     for tasks, message in (({"bogus": model.tasks[SEMANTIC]}, r"unknown tasks \['bogus'\]"),
                            ({}, "at least one task is required"),
                            ({SEMANTIC: model.tasks[SEMANTIC],
-                             SYNTACTIC: syntactic_label_vocab(DEFAULT_DEPRELS)},
+                             SYNTACTIC: Vocab(DEFAULT_DEPRELS, unk=False)},
                             "multitask models need a SharingTopology")):
         with pytest.raises(ConfigError, match=message):
             ParserModel(TINY, tasks, *vocabs)
@@ -207,14 +206,14 @@ def test_single_task_model_ignores_a_topology_and_seeds_0_by_default(graphs):
 
 def test_a_token_vector_is_its_word_part_then_its_pos_part(graphs):
     # the word part sums the word table row, which starts as the draw plus the
-    # pretrained row, and the char BiLSTM vector; the POS part is the POS row
+    # word's pretrained vector, and the char BiLSTM vector; the POS part is the POS row
     model = _model(graphs)
     w = TINY.word_dim
-    pretrained = np.random.default_rng(3).standard_normal((len(model.word_vocab), w))
+    table = np.random.default_rng(3).standard_normal((len(model.word_vocab), w))
     shifted = ParserModel(TINY, model.tasks, model.word_vocab, model.char_vocab, model.pos_vocab,
-                          seed=4, pretrained=pretrained)
+                          seed=4, pretrained=dict(zip(model.word_vocab.items, table)))
     np.testing.assert_array_equal(shifted.params["emb/word"].data,
-                                  model.params["emb/word"].data + pretrained)
+                                  model.params["emb/word"].data + table)
     for name, p in model.params.items():
         if name != "emb/word":
             np.testing.assert_array_equal(shifted.params[name].data, p.data, err_msg=name)
@@ -223,25 +222,26 @@ def test_a_token_vector_is_its_word_part_then_its_pos_part(graphs):
     assert x.shape == (batch.word_ids.size, TINY.input_dim) == (batch.word_ids.size, w + 4)
     np.testing.assert_array_equal(x[:, w:], model.params["emb/pos"].data[batch.pos_ids])
     np.testing.assert_array_equal(y[:, w:], x[:, w:])
-    np.testing.assert_allclose(y[:, :w] - x[:, :w], pretrained[batch.word_ids], atol=1e-12)
+    np.testing.assert_allclose(y[:, :w] - x[:, :w], table[batch.word_ids], atol=1e-12)
 
 
-def test_a_pretrained_table_of_another_shape_is_refused(graphs):
+def test_pretrained_vectors_move_only_their_vocabulary_words_rows(graphs):
     model = _model(graphs)
-    rows = len(model.word_vocab)
-    for shape in ((rows - 1, TINY.word_dim), (rows, TINY.word_dim + 1), (rows * TINY.word_dim,)):
+    vocab, w = model.word_vocab, TINY.word_dim
+    word = vocab.items[2]
+    # a word outside the vocabulary is ignored, whatever its vector's shape
+    vectors = {word: np.arange(1.0, w + 1), "not-in-the-vocabulary": np.ones(w + 3)}
+    shifted = ParserModel(TINY, model.tasks, vocab, model.char_vocab, model.pos_vocab,
+                          seed=4, pretrained=vectors)
+    drawn, got = model.params["emb/word"].data, shifted.params["emb/word"].data
+    np.testing.assert_array_equal(got[2], drawn[2] + vectors[word])
+    moved = np.any(got != drawn, axis=1)
+    assert moved.tolist() == [row == 2 for row in range(len(vocab))]  # <unk> keeps its draw
+    for shape in ((w + 1,), (1, w), ()):
         with pytest.raises(ConfigError, match=re.escape(
-                f"pretrained table shape {shape} != ({rows}, {TINY.word_dim})")):
-            ParserModel(TINY, model.tasks, model.word_vocab, model.char_vocab, model.pos_vocab,
-                        pretrained=np.zeros(shape))
-
-
-def test_pretrained_table_rows_follow_the_vocabulary():
-    vocab = Vocab(["b", "a"])
-    table = pretrained_table({"a": np.array([1.0, 2.0]), "z": np.array([3.0, 4.0])}, vocab, 2)
-    np.testing.assert_array_equal(table, [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])  # <unk>, a, b
-    with pytest.raises(ConfigError, match=r"pretrained vector for 'a' has shape \(3,\)"):
-        pretrained_table({"a": np.ones(3)}, vocab, 2)
+                f"pretrained vector for {word!r} has shape {shape}, expected ({w},)")):
+            ParserModel(TINY, model.tasks, vocab, model.char_vocab, model.pos_vocab,
+                        pretrained={**vectors, word: np.zeros(shape)})
 
 
 def test_batch_call_equals_one_sentence_calls(graphs):
@@ -464,7 +464,7 @@ def test_syntactic_loss_reads_no_diagonal_or_padding_score():
     trees = synth_corpus(SynthConfig(sentences=5, seed=12)).trees
     sizes = [t.n for t in trees]
     longest = max(sizes)
-    labels = syntactic_label_vocab(DEFAULT_DEPRELS)
+    labels = Vocab(DEFAULT_DEPRELS, unk=False)
     rng = np.random.default_rng(3)
     edge = rng.standard_normal((len(trees), longest + 1, longest))
     label = rng.standard_normal((len(trees), len(labels), longest + 1, longest))

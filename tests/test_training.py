@@ -19,7 +19,7 @@ from sdpkit.evaluation import ScoreReport
 from sdpkit.formats import SdpDocument, read_sdp, write_sdp
 from sdpkit.graph import PartialGraph, SemanticGraph, is_acyclic
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
-                            build_vocabs, semantic_label_vocab, syntactic_label_vocab)
+                            Vocab, build_vocabs, semantic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
 
 TINY = NetworkConfig(word_dim=8, pos_dim=4, rnn_size=8, rnn_layers=2, fnn_size=8)
@@ -35,7 +35,7 @@ def _model(graphs, trees=(), seed: int = 5, config: NetworkConfig = TINY) -> Par
     tasks = {SEMANTIC: semantic_label_vocab(DEFAULT_LABELS)}
     topology = None
     if trees:
-        tasks[SYNTACTIC] = syntactic_label_vocab(DEFAULT_DEPRELS)
+        tasks[SYNTACTIC] = Vocab(DEFAULT_DEPRELS, unk=False)
         topology = SharingTopology(shared_rnn=True, task_rnn=True)
     return ParserModel(config, tasks, words, chars, pos, topology=topology, seed=seed)
 
@@ -113,7 +113,8 @@ def test_train_ends_holding_the_best_epoch(monkeypatch, lfs, best):
     def scored(model, corpus):
         seen.append({name: p.data.copy() for name, p in model.params.items()})
         correct = next(scores)  # labeled F1 is correct / 10
-        return ScoreReport(10, 10, correct, 10, 10, correct)
+        report = ScoreReport(10, 10, correct, 10, 10, correct)
+        return report, report
 
     monkeypatch.setattr(training, "evaluate_semantic", scored)
     model = _model(graphs)
@@ -132,8 +133,8 @@ def test_train_copies_the_snapshot_only_when_it_can_be_read(monkeypatch, lfs, co
     # snapshot copied back only if a step has moved the model since its best
     graphs, _ = _corpus(4)
     scores = iter(lfs)
-    monkeypatch.setattr(training, "evaluate_semantic", lambda model, corpus: ScoreReport(
-        10, 10, next(scores), 10, 10, 0))
+    monkeypatch.setattr(training, "evaluate_semantic", lambda model, corpus: (ScoreReport(
+        10, 10, next(scores), 10, 10, 0),) * 2)
     model = _model(graphs)
     copyto, calls = np.copyto, []
 
@@ -149,8 +150,9 @@ def test_train_copies_the_snapshot_only_when_it_can_be_read(monkeypatch, lfs, co
 def test_train_stops_once_patience_runs_out(monkeypatch):
     graphs, _ = _corpus(2)
     scores = iter([5, 4, 4] + [9] * 7)
-    monkeypatch.setattr(training, "evaluate_semantic", lambda model, corpus: ScoreReport(
-        10, 10, next(scores), 10, 10, 0))
+    decided = iter(range(1, 11))  # rising every epoch, and not read by early stopping
+    monkeypatch.setattr(training, "evaluate_semantic", lambda model, corpus: (ScoreReport(
+        10, 10, next(scores), 10, 10, 0), ScoreReport(10, 10, next(decided), 10, 10, 0)))
     items = [(g.sentence, g) for g in graphs]
     cfg = training.TrainConfig(max_epochs=10, patience=1)
     result = training.train(_model(graphs), {SEMANTIC: items}, items, cfg)
@@ -160,8 +162,8 @@ def test_train_stops_once_patience_runs_out(monkeypatch):
 @pytest.mark.parametrize("multitask", [False, True], ids=["single-task", "multitask"])
 def test_the_metrics_line_is_pinned(monkeypatch, multitask):
     graphs, trees = _corpus(3)
-    monkeypatch.setattr(training, "evaluate_semantic",
-                        lambda model, corpus: ScoreReport(3, 3, 2, 4, 4, 2))
+    monkeypatch.setattr(training, "evaluate_semantic", lambda model, corpus: (
+        ScoreReport(3, 3, 2, 4, 4, 2), ScoreReport(3, 2, 2, 4, 4, 2)))
     items = [(g.sentence, g) for g in graphs]
     corpora = {SEMANTIC: items}
     if multitask:
@@ -172,11 +174,21 @@ def test_the_metrics_line_is_pinned(monkeypatch, multitask):
     lines = []
     for entry in result.metrics:
         losses = [f"loss_{task}={entry[f'loss_{task}']:.6f}" for task in sorted(corpora)]
-        # LF 2/3 and UF 1/2, each to six decimals; the epoch is an integer
-        lines.append(" ".join([f"epoch={entry['epoch']}", *losses,
-                               "heldout_lf=0.666667 heldout_uf=0.500000"]) + "\n")
+        # LF 2/3, UF 1/2 and decided-cell LF 4/5, each to six decimals; the
+        # epoch is an integer
+        lines.append(" ".join([f"epoch={entry['epoch']}", *losses, "heldout_lf=0.666667 "
+                               "heldout_uf=0.500000 heldout_decided_lf=0.800000"]) + "\n")
     assert lines[0].startswith("epoch=1 loss_semantic=")
     assert out.getvalue() == "".join(lines) and len(lines) == 2
+
+
+def test_the_decided_cell_lf_is_the_heldout_lf_on_fully_decided_gold():
+    graphs, _ = _corpus(4)
+    items = [(g.sentence, g) for g in graphs]
+    result = training.train(_model(graphs), {SEMANTIC: items}, items,
+                            training.TrainConfig(max_epochs=1))
+    entry = result.metrics[0]
+    assert entry["heldout_decided_lf"] == entry["heldout_lf"] > 0.0
 
 
 def test_combined_steps_leave_a_single_task_run_unchanged():
