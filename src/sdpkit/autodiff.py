@@ -524,18 +524,6 @@ def _packing(key: bytes, reverse: bool):
     return steps, (0, *ends.tolist()), int(live[0]), src, prev
 
 
-@functools.lru_cache(maxsize=8)
-def _gate_constants(hidden: int):
-    """(half, offset) over the 4H gate axis. Halving the i|f|o pre-activations
-    is exact, so tanh(half * z) * half + offset is sigmoid on those slices and
-    tanh on the cell slice."""
-    half = np.full(_GATES * hidden, 0.5, dtype=_DEFAULT_DTYPE)
-    half[2 * hidden:3 * hidden] = 1.0
-    offset = 1.0 - half
-    half.flags.writeable = offset.flags.writeable = False
-    return half, offset
-
-
 def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
              reverse: bool = False, *, bw: tuple[Tensor, Tensor, Tensor] | None = None
              ) -> Tensor:
@@ -599,7 +587,11 @@ def lstm_seq(x: Tensor, w: Tensor, u: Tensor, b: Tensor, lengths,
     srcs = [pack[3] for pack in packs]
 
     dtype = x.data.dtype
-    half, offset = _gate_constants(hidden)
+    # halving the i|f|o pre-activations is exact, so tanh(half * z) * half +
+    # offset is sigmoid on those slices and tanh on the cell slice
+    half = np.full(width, 0.5, dtype=dtype)
+    half[2 * hidden:3 * hidden] = 1.0
+    offset = 1.0 - half
     # the pre-activations x W + b, turned into the gates step by step
     gates = np.empty((cells, dirs, width), dtype=dtype)
     for d, ((wd, _, bd), src) in enumerate(zip(weights, srcs)):
@@ -725,20 +717,20 @@ class Parameter(Tensor):
 
 
 def parameter_set(shapes: dict[str, tuple], data: np.ndarray) -> dict[str, Parameter]:
-    """Parameters of the given shapes, in the dict's order, as views into the
-    flat float64 `data` (a fresh np.empty to draw into, or an array read from
-    a checkpoint), which they adopt and which must hold exactly their
-    elements, laid out in sorted-name order. Nothing else is allocated."""
+    """Parameters of the given shapes as views into the flat float64 `data`
+    (a fresh np.empty to draw into, or an array read from a checkpoint),
+    which they adopt and which must hold exactly their elements, laid out
+    one after another in the dict's order. Nothing else is allocated."""
     size = sum(math.prod(shape) for shape in shapes.values())
     if data.dtype != _DEFAULT_DTYPE or data.shape != (size,):
         raise AutodiffError(f"parameter_set: data is {data.dtype} of shape {data.shape}, "
                             f"expected float64 of shape ({size},)")
     params, offset = {}, 0
-    for name in sorted(shapes):
+    for name, shape in shapes.items():
         params[name] = p = Parameter.__new__(Parameter)
-        p._place(name, data, offset, shapes[name])
+        p._place(name, data, offset, shape)
         offset += p.data.size
-    return {name: params[name] for name in shapes}
+    return params
 
 
 @dataclass(eq=False)

@@ -355,9 +355,10 @@ def _parse_share(spec: str | None, raw: dict, tasks: list[str]) -> SharingTopolo
 def cmd_train(args) -> int:
     """Train on --train (and on --syntactic's trees for the syn task), stopping
     early on --heldout, and write the checkpoint and the metrics lines. The
-    vocabularies come from the training sentences and trees. --word-vectors
-    is read straight into the new model's word table, so neither the vectors
-    nor a table of them is held while `train` runs."""
+    vocabularies come from the training sentences and trees. Of --word-vectors
+    only the word vocabulary's vectors are kept, and they go straight into the
+    new model's word table, so neither the vectors nor a table of them is held
+    while `train` runs."""
     inputs = [path for path in (args.train, args.heldout, args.syntactic, args.word_vectors)
               if path]
     metrics_path = args.metrics or args.out + ".metrics"
@@ -402,8 +403,8 @@ def cmd_train(args) -> int:
         task_vocabs[SYNTACTIC] = Vocab([r for t in trees for r in t.deprels], unk=False)
     model = ParserModel(net_cfg, task_vocabs, word_vocab, char_vocab, pos_vocab,
                         topology=topology, seed=seed,
-                        pretrained=_read(args.word_vectors, read_word_vectors, net_cfg.word_dim)
-                        if args.word_vectors else None)
+                        pretrained=_read(args.word_vectors, read_word_vectors, net_cfg.word_dim,
+                                         word_vocab) if args.word_vectors else None)
 
     corpora = {SEMANTIC: [(g.sentence, g) for g in train_doc.graphs()]}
     if SYNTACTIC in tasks:
@@ -555,7 +556,7 @@ def run_gradcheck(seed: int = 0, epsilon: float = 1e-5, tolerance: float = 1e-4)
         s_edge, s_label = model.forward(sentences, SEMANTIC)
         return semantic_loss(s_edge, s_label, golds, labels)
 
-    return ad.gradient_check(closure, model.parameters(), epsilon=epsilon,
+    return ad.gradient_check(closure, model.params.values(), epsilon=epsilon,
                              tolerance=tolerance)
 
 

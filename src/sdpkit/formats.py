@@ -29,7 +29,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Container, Iterable, TextIO
 
 import numpy as np
 
@@ -399,9 +399,11 @@ def _vector(fields: list[str], lineno: int) -> list[float]:
     return values
 
 
-def read_word_vectors(stream: TextIO, expected_dim: int) -> dict[str, np.ndarray]:
+def read_word_vectors(stream: TextIO, expected_dim: int,
+                      words: Container[str]) -> dict[str, np.ndarray]:
     """Read a word2vec-style text table: ``word v1 .. vd`` per line, each
-    component a finite number.
+    component a finite number. Every line is checked, but only the vectors
+    of `words` (such as a training vocabulary) are kept.
 
     A leading ``count dim`` header line is tolerated and skipped: a first line
     of two integers whose second is `expected_dim`.
@@ -417,6 +419,8 @@ def read_word_vectors(stream: TextIO, expected_dim: int) -> dict[str, np.ndarray
         if len(fields) != expected_dim + 1:
             raise FormatError(f"expected a word and {expected_dim} values, "
                               f"got {len(fields)} fields", lineno)
-        vectors[fields[0]] = np.array(_vector(fields[1:], lineno), dtype=np.float64)
+        values = _vector(fields[1:], lineno)
+        if fields[0] in words:
+            vectors[fields[0]] = np.array(values, dtype=np.float64)
     return vectors
 

@@ -26,9 +26,10 @@ and the four attention FNNs are shared or task-specific according to the
 top of a shared stack. Bilinear scorers are always task-specific.
 
 Every parameter's data is a view into one flat array, `ParserModel.param_data`
-(see `ad.parameter_set`), which a trained model passes from `sdpkit train` to
-`sdpkit parse` as one member of a checkpoint file. Its format is this module's
-alone: `ParserModel.save` writes it, `ParserModel.load` reads it, and
+(see `ad.parameter_set`), laid out in `ParserModel._param_specs`' order. A
+trained model passes it from `sdpkit train` to `sdpkit parse` as one member of
+a checkpoint file. Its format is this module's alone: `_param_specs` orders
+it, `ParserModel.save` writes it, `ParserModel.load` reads it, and
 `CHECKPOINT_VERSION` versions it.
 """
 
@@ -39,7 +40,7 @@ import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class SharingTopology:
 class Vocab:
     """A deterministic string-to-index map; optionally with <unk> at index 0."""
 
-    def __init__(self, items: Sequence[str], unk: bool = True):
+    def __init__(self, items: Iterable[str], unk: bool = True):
         self.unk = unk
         items = sorted(set(items) - ({UNK} if unk else set()))
         self.items = ([UNK] if unk else []) + items
@@ -134,12 +135,12 @@ def build_vocabs(sentences: Sequence[Sequence[Token]]) -> tuple[Vocab, Vocab, Vo
             words.add(tok.form)
             chars.update(tok.form)
             pos.add(tok.pos)
-    return Vocab(sorted(words)), Vocab(sorted(chars)), Vocab(sorted(pos))
+    return Vocab(words), Vocab(chars), Vocab(pos)
 
 
 def semantic_label_vocab(labels: Sequence[str]) -> Vocab:
     """Closed label vocabulary for the semantic task; TOP is always a member."""
-    return Vocab(sorted(set(labels) | {TOP_LABEL}), unk=False)
+    return Vocab([*labels, TOP_LABEL], unk=False)
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -258,7 +259,8 @@ class ParserModel:
 
     def _param_specs(self) -> list[tuple[str, tuple, object]]:
         """(name, shape, initializer) of every parameter the model owns, each
-        named once."""
+        named once, sorted by name: the layout of `param_data` and so of a
+        checkpoint, which `CHECKPOINT_VERSION` versions."""
         cfg = self.config
         specs = [("emb/word", (len(self.word_vocab), cfg.word_dim), _normal),
                  ("emb/pos", (len(self.pos_vocab), cfg.pos_dim), _normal),
@@ -275,16 +277,16 @@ class ParserModel:
 
         lstm("char_rnn", cfg.word_dim // 2, cfg.word_dim // 2)
         half = cfg.rnn_size // 2
-        for owner in sorted({self._owner(task, "rnn") for task in self.tasks}):
+        for owner in {self._owner(task, "rnn") for task in self.tasks}:
             d_in = cfg.input_dim
             for layer in range(cfg.rnn_layers):
                 lstm(f"rnn/{owner}/layer{layer}", d_in, half)
                 d_in = cfg.rnn_size
         if self.topology is not None and self.topology.task_rnn:
-            for task in sorted(self.tasks):
+            for task in self.tasks:
                 lstm(f"rnn_task/{task}", cfg.rnn_size, half)
 
-        for owner in sorted({self._owner(task, "fnn") for task in self.tasks}):
+        for owner in {self._owner(task, "fnn") for task in self.tasks}:
             for kind in FNN_TYPES:
                 specs.extend([(f"fnn/{owner}/{kind}/w", (cfg.rnn_size, cfg.fnn_size), _glorot),
                               (f"fnn/{owner}/{kind}/b", (cfg.fnn_size,), _zeros)])
@@ -292,15 +294,12 @@ class ParserModel:
         # the biaffine bias is a border of the edge weight (see `score_edges_labels`)
         edge = cfg.fnn_size + cfg.biaffine_bias
         edge_init = _glorot_bordered if cfg.biaffine_bias else _glorot
-        for task in sorted(self.tasks):
+        for task in self.tasks:
             labels = len(self.tasks[task])
             specs.extend([(f"scorer/{task}/edge", (edge, edge), edge_init),
                           (f"scorer/{task}/label", (labels, cfg.fnn_size, cfg.fnn_size),
                            _glorot)])
-        return specs
-
-    def parameters(self) -> list[Parameter]:
-        return [self.params[name] for name in sorted(self.params)]
+        return sorted(specs, key=lambda spec: spec[0])
 
     # ---------------------------------------------------------------- forward
 
@@ -463,8 +462,8 @@ class ParserModel:
         """Write the model to `path`, through `atomic_open`, as an npz archive
         of two members: first `__meta__`, a uint8 array holding the UTF-8
         JSON (keys sorted) of the dict below, then `parameters`, the flat
-        float64 `param_data` (every parameter in sorted-name order, each
-        flattened). No pretrained vectors are stored apart: the word table
+        float64 `param_data` (every parameter flattened, in `_param_specs`'
+        order). No pretrained vectors are stored apart: the word table
         holds them as `__init__` added them and training moved them."""
         meta = {
             "kind": "sdpkit-parser",

@@ -478,6 +478,13 @@ class TestAdam:
         assert peak < 1 << 16  # the flat data is 8 MiB
         assert all(p._flat is data and p.data.base is data for p in params.values())
 
+    def test_a_parameter_set_lays_out_its_dict_in_the_order_given(self):
+        params = ad.parameter_set({"c": (2,), "a": (1, 3), "b": (1,)}, np.arange(6.0))
+        assert list(params) == ["c", "a", "b"]
+        assert [p._offset for p in params.values()] == [0, 2, 5]
+        for p, want in zip(params.values(), ([0, 1], [[2, 3, 4]], [5])):
+            np.testing.assert_array_equal(p.data, want)
+
     def test_each_flat_data_array_gets_its_own_moments_at_its_first_step(self):
         # two sets and a standalone parameter, each its own flat data array;
         # the parameters of a set share its moments, and a set that no step
@@ -673,7 +680,7 @@ class TestKernelsMatchReference:
         key = np.array([3, 1, 2], dtype=np.int64).tobytes()
         steps, bounds, live0, src, prev = ad._packing(key, True)
         assert (steps, bounds, live0) == (3, (0, 3, 5, 6), 3)
-        for array in (src, prev, *ad._gate_constants(4)):
+        for array in (src, prev):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -825,16 +832,14 @@ class TestKernelsMatchReference:
         rng = np.random.default_rng(32)
         # "a" and "b" are each under a block and together over one, so a run
         # holding both has a block that spans them
-        shapes = {"e": (5,), "a": (3, ad._ADAM_BLOCK // 4 + 7), "d": (2, 2), "c": (9,),
-                  "b": (ad._ADAM_BLOCK // 2 + 1,)}
+        shapes = {"a": (3, ad._ADAM_BLOCK // 4 + 7), "b": (ad._ADAM_BLOCK // 2 + 1,),
+                  "c": (9,), "d": (2, 2), "e": (5,)}
         assert max(map(math.prod, shapes.values())) < ad._ADAM_BLOCK
         assert math.prod(shapes["a"]) + math.prod(shapes["b"]) > ad._ADAM_BLOCK
         start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-        flat = ad.parameter_set(shapes, np.concatenate([start[name].reshape(-1)
-                                                        for name in sorted(shapes)]))
-        assert list(flat) == list(shapes)  # the dict keeps the given order
-        fused = [flat[name] for name in sorted(shapes)]
-        reference = [ad.Parameter(start[name], name=name) for name in sorted(shapes)]
+        fused = list(ad.parameter_set(shapes, np.concatenate([a.reshape(-1) for a in
+                                                             start.values()])).values())
+        reference = [ad.Parameter(start[name], name=name) for name in shapes]
         runs = []
         adam_run = ad._adam_run
         monkeypatch.setattr(ad, "_adam_run",

@@ -697,7 +697,8 @@ def test_train_holds_no_word_vector_while_it_trains(pipeline, tmp_path, monkeypa
     dim = TINY["word_dim"]
     forms = sorted({t.form for s in _ids_and_sentences(pipeline["train.sdp"])[1] for t in s})
     vectors = tmp_path / "words.vec"
-    vectors.write_text("".join(f"{form} {' '.join(['0.5'] * dim)}\n" for form in forms[:4]),
+    vectors.write_text("".join(f"{form} {' '.join(['0.5'] * dim)}\n"
+                               for form in [*forms[:4], "outside-1", "outside-2"]),
                        encoding="utf-8")
     refs, alive, read, train = [], [], cli.read_word_vectors, cli.train
 
@@ -715,7 +716,25 @@ def test_train_holds_no_word_vector_while_it_trains(pipeline, tmp_path, monkeypa
     assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
                      "--config", pipeline["tiny.json"], "--epochs", "1",
                      "--word-vectors", str(vectors), "--out", str(tmp_path / "model.npz")]) == 0
-    assert len(refs) == 4 and alive == [0]
+    assert len(refs) == 4 and alive == [0]  # the two words outside the vocabulary are not kept
+
+
+def test_train_ignores_the_vectors_of_words_outside_the_vocabulary(pipeline, tmp_path):
+    dim = TINY["word_dim"]
+    forms = sorted({t.form for s in _ids_and_sentences(pipeline["train.sdp"])[1] for t in s})
+    kept = [f"{form} {' '.join([str(k / 4)] * dim)}" for k, form in enumerate(forms[:5])]
+    outside = [f"outside-{k} {' '.join([str(k)] * dim)}" for k in (1, 2)]
+    members = []
+    for lines in (kept, [outside[0], *kept, outside[1]]):
+        vectors, out = tmp_path / "words.vec", tmp_path / f"model{len(members)}.npz"
+        vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout",
+                         pipeline["heldout.sdp"], "--config", pipeline["tiny.json"],
+                         "--epochs", "1", "--word-vectors", str(vectors),
+                         "--out", str(out)]) == 0
+        with np.load(out) as npz:
+            members.append({name: npz[name].tobytes() for name in npz.files})
+    assert members[0] == members[1]
 
 
 def test_train_seed_config_key_rejected(pipeline, tmp_path, capsys):
@@ -1056,8 +1075,13 @@ def test_train_rejects_a_non_finite_word_vector(pipeline, tmp_path, capsys):
 # (CHANGES.md lists them), ranged 0.311-0.457 with mean 0.393 and standard
 # deviation 0.049; one epoch gives 0. The floor is the mean minus three
 # standard deviations (0.246), rounded down. The seed was fixed before measuring.
+# The decided-cell LF that `score` prints beside it, on the same runs: 0.462963,
+# 0.387755, 0.473684, 0.515625, 0.388889, 0.436364, 0.456790, 0.413793,
+# 0.552381, 0.433962, 0.537815, 0.459459 (mean 0.460, standard deviation 0.054);
+# its floor is taken the same way (0.299). Early stopping reads the full LF.
 GOLDEN_SEED = 0
 GOLDEN_LF_FLOOR = 0.24
+GOLDEN_DECIDED_LF_FLOOR = 0.29
 
 
 def test_golden_pipeline_clears_its_lf_floor(tmp_path, capsys):
@@ -1086,9 +1110,11 @@ def test_golden_pipeline_clears_its_lf_floor(tmp_path, capsys):
         assert cli.main(argv) == 0, argv
     out = capsys.readouterr().out
     best = float(re.search(r"best_heldout_lf=([0-9.]+)", out).group(1))
-    lf = float(re.search(r"^lp=\S+ lr=\S+ lf=([0-9.]+)", out, re.M).group(1))
+    lf, decided_lf = map(float, re.search(r"^lp=\S+ lr=\S+ lf=([0-9.]+) .*\bdecided_lf=([0-9.]+)",
+                                          out, re.M).groups())
     assert lf == best  # the parsed checkpoint is the epoch early stopping kept
     assert lf >= GOLDEN_LF_FLOOR
+    assert decided_lf >= GOLDEN_DECIDED_LF_FLOOR
 
 
 # Two sentences in the SemEval 2015 layout (ID FORM LEMMA POS TOP PRED FRAME,

@@ -404,35 +404,48 @@ class TestAtomicOpen:
 class TestWordVectors:
     def test_basic_and_header(self):
         text = "2 3\nrok 1 2 3\nzprava 4 5 6\n"
-        vecs = read_word_vectors(io.StringIO(text), 3)
+        vecs = read_word_vectors(io.StringIO(text), 3, {"rok", "zprava"})
         assert set(vecs) == {"rok", "zprava"}
         np.testing.assert_array_equal(vecs["rok"], [1, 2, 3])
         # at dimension 1 a first line "10 3" is the vector of the word "10", not
         # a header: a header's second field is the dimension
-        vecs = read_word_vectors(io.StringIO("10 3\n20 4\n"), 1)
+        vecs = read_word_vectors(io.StringIO("10 3\n20 4\n"), 1, {"10", "20"})
         assert {word: list(vec) for word, vec in vecs.items()} == {"10": [3.0], "20": [4.0]}
-        assert set(read_word_vectors(io.StringIO("2 1\n10 3\n20 4\n"), 1)) == {"10", "20"}
+        assert set(read_word_vectors(io.StringIO("2 1\n10 3\n20 4\n"), 1,
+                                     {"2", "10", "20"})) == {"10", "20"}
 
     def test_bad_width(self):
         with pytest.raises(FormatError):
-            read_word_vectors(io.StringIO("rok 1 2\n"), 3)
+            read_word_vectors(io.StringIO("rok 1 2\n"), 3, {"rok"})
 
     def test_non_numeric_component_rejected_at_its_line(self):
         with pytest.raises(FormatError, match="line 2: non-numeric vector component"):
-            read_word_vectors(io.StringIO("rok 1 2\nzprava 3 x\n"), 2)
+            read_word_vectors(io.StringIO("rok 1 2\nzprava 3 x\n"), 2, {"rok", "zprava"})
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "-Infinity", "1e999"])
     def test_non_finite_component_rejected_at_its_line(self, value):
         with pytest.raises(FormatError, match=f"line 2: non-finite vector component '{value}'"):
-            read_word_vectors(io.StringIO(f"rok 1 2\nzprava {value} 3\n"), 2)
+            read_word_vectors(io.StringIO(f"rok 1 2\nzprava {value} 3\n"), 2, {"rok", "zprava"})
 
     def test_blank_lines_are_skipped_and_keep_the_line_count(self):
-        vecs = read_word_vectors(io.StringIO("\nrok 1 2\n  \nzprava 0 0\n"), 2)
+        vecs = read_word_vectors(io.StringIO("\nrok 1 2\n  \nzprava 0 0\n"), 2, {"rok", "zprava"})
         assert {word: list(vec) for word, vec in vecs.items()} == {"rok": [1.0, 2.0],
                                                                   "zprava": [0.0, 0.0]}
         with pytest.raises(FormatError, match="line 3: expected a word and 2 values, got 2"):
-            read_word_vectors(io.StringIO("rok 1 2\n\nzprava 3\n"), 2)
+            read_word_vectors(io.StringIO("rok 1 2\n\nzprava 3\n"), 2, {"rok", "zprava"})
 
     def test_a_header_is_read_on_the_first_line_only(self):
         with pytest.raises(FormatError, match="line 2: expected a word and 2 values, got 2"):
-            read_word_vectors(io.StringIO("rok 1 2\n1 2\n"), 2)
+            read_word_vectors(io.StringIO("rok 1 2\n1 2\n"), 2, {"rok", "1"})
+
+    def test_only_the_given_words_are_kept(self):
+        vecs = read_word_vectors(io.StringIO("rok 1 2\nzprava 3 4\nden 5 6\n"), 2, {"zprava"})
+        assert {word: list(vec) for word, vec in vecs.items()} == {"zprava": [3.0, 4.0]}
+
+    @pytest.mark.parametrize("line,message", [
+        ("den 5", "expected a word and 2 values, got 2 fields"),
+        ("den 5 x", "non-numeric vector component"),
+        ("den 5 inf", "non-finite vector component 'inf'")])
+    def test_a_malformed_line_is_refused_though_its_word_is_not_kept(self, line, message):
+        with pytest.raises(FormatError, match=f"line 2: {message}"):
+            read_word_vectors(io.StringIO(f"rok 1 2\n{line}\nzprava 3 4\n"), 2, {"rok"})

@@ -406,13 +406,13 @@ def test_undecided_cells_get_exactly_zero_gradient(graphs, train):
 
 def _loss_and_grads(model, task, sentences, golds):
     loss_of = semantic_loss if task == SEMANTIC else syntactic_loss
-    ad.clear_grads(model.parameters())
+    ad.clear_grads(model.params.values())
     s_edge, s_label = model.forward(sentences, task)
     loss = loss_of(s_edge, s_label, golds, model.tasks[task])
     loss.backward()
     grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
              for name, p in model.params.items()}
-    ad.clear_grads(model.parameters())
+    ad.clear_grads(model.params.values())
     return float(loss.data), grads, (s_edge, s_label)
 
 
@@ -519,7 +519,8 @@ def test_the_data_and_adams_moments_are_flat_arrays_in_sorted_name_order(graphs,
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
         model = ParserModel.load(str(tmp_path / "model.npz"))
         assert model.param_data is read["parameters"]  # adopted as read, with no copy
-    params = [model.params[name] for name in sorted(model.params)]
+    params = list(model.params.values())
+    assert list(model.params) == sorted(model.params)
     assert all(p._flat is model.param_data for p in params)
     s_edge, s_label = model.forward([g.sentence for g in graphs], SEMANTIC,
                                     np.random.default_rng(1))
@@ -584,14 +585,14 @@ def test_stepping_large_parameters_during_backward_changes_no_bit(graphs, two_ta
         golds, tasks = {SEMANTIC: graphs}, [(SEMANTIC, 1.0 / 40)]
         build = lambda: _model(graphs, config=ONE_BLOCK_RNN)
     late, early = build(), build()
-    sizes = {p.name: p.data.size for p in early.parameters()}
+    sizes = {p.name: p.data.size for p in early.params.values()}
     assert max(sizes.values()) == ad._ADAM_BLOCK and min(sizes.values()) < ad._ADAM_BLOCK
     with monkeypatch.context() as patch:
         patch.setattr(ad, "_ADAM_BLOCK", 1 << 62)
         late_adam = _train_style_steps(late, golds, tasks)
     early_adam = _train_style_steps(early, golds, tasks)
     assert early.param_data.tobytes() != build().param_data.tobytes()
-    for p, q in zip(late.parameters(), early.parameters()):
+    for p, q in zip(late.params.values(), early.params.values()):
         (step, *moments), (other, *others) = adam_state(late_adam, p), adam_state(early_adam, q)
         for got, want, what in zip((p.data, *moments), (q.data, *others), "dmv"):
             assert got.tobytes() == want.tobytes(), (p.name, what)
@@ -611,30 +612,30 @@ def test_adam_step_steps_the_large_parameters_in_the_walk_and_the_small_after_it
 
     def walk(loss, complete):
         backward(loss, complete)
-        for p in model.parameters():
+        for p in model.params.values():
             step, m, _ = adam_state(adam, p)
             after_walk[p.name] = (p.grad is not None, step, bool(np.any(m)))
 
     monkeypatch.setattr(ad.Tensor, "backward", walk)
     ad.adam_step(loss, adam)
-    large = [p.name for p in model.parameters() if p.data.size >= ad._ADAM_BLOCK]
+    large = [p.name for p in model.params.values() if p.data.size >= ad._ADAM_BLOCK]
     assert large == ["rnn/semantic/layer0/bw/u", "rnn/semantic/layer0/fw/u"]
     # during the walk: each large parameter alone; after it: the others, in the
     # runs of layout order that the large ones split
-    names = sorted(model.params)
+    names = list(model.params)
     cut = [names.index(name) for name in large]
     assert runs == [(True, [large[0]]), (True, [large[1]]), (False, names[:cut[0]]),
                     (False, names[cut[0] + 1:cut[1]]), (False, names[cut[1] + 1:])]
     for name, (has_grad, step, moved) in after_walk.items():
         assert (has_grad, step, moved) == ((False, 1, True) if name in large
                                            else (True, 0, False)), name
-    for p in model.parameters():
+    for p in model.params.values():
         assert p.grad is None and adam.steps[p] == 1, p.name
 
 
 def test_combined_step_gradients_are_the_sum_of_each_task():
     model, golds = _two_task()
-    params = model.parameters()
+    params = model.params.values()
 
     def grads(tasks):
         ad.clear_grads(params)
@@ -662,7 +663,7 @@ def test_adam_over_a_two_task_model_matches_the_textbook_form(monkeypatch):
     # bit for bit against `reference_folded_adam_step`, the per-parameter form
     # of the kernel's folded arithmetic
     model, golds = _two_task()
-    params = model.parameters()
+    params = model.params.values()
     # the reference on copies, with moments of its own
     reference = [ad.Parameter(p.data.copy(), name=p.name) for p in params]
     runs, adam, state = [], kingma_ba(0.01), {}

@@ -740,7 +740,7 @@ def test_train_frees_adams_state_as_it_returns_or_raises(monkeypatch, nan_at):
     del m, v
     gc.collect()
     assert all(ref() is None for ref in written)
-    assert all(p._flat is model.param_data for p in model.parameters())
+    assert all(p._flat is model.param_data for p in model.params.values())
 
 
 def test_a_second_train_takes_the_steps_of_save_load_train(tmp_path):
