@@ -6,8 +6,8 @@ parser on the projected partial data, optionally sharing encoder layers with
 a syntactic dependency parsing auxiliary task.
 """
 
-from .graph import (Edge, PartialGraph, SemanticGraph, SyntacticTree, Token,
-                    dependency_length, is_acyclic, length_bucket, make_sentence)
+from .graph import (Edge, PartialGraph, SemanticGraph, SyntacticTree, Token, is_acyclic,
+                    make_sentence)
 from .formats import (AlignmentFile, SdpDocument, read_alignments, read_conllu,
                       read_sdp, write_alignments, write_conllu, write_sdp)
 from .projection import (IntersectedAlignment, density_sample, heldout_split,

@@ -47,14 +47,13 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, FormatError, ProjectionError, ScoringError, SdpkitError
 from .evaluation import (at_decided_cells, format_report, head_match_stats, label_contribution,
-                         length_buckets, score_graphs, write_series)
+                         length_buckets, score_graphs)
 from .formats import (SdpDocument, atomic_open, check_sentence_ids, conllu_id,
                       read_alignments, read_conllu, read_sdp, read_word_vectors,
                       write_alignments, write_sdp)
-from .graph import (LENGTH_BUCKETS, PartialGraph, SemanticGraph, as_partial, as_semantic,
-                    make_sentence)
+from .graph import PartialGraph, SemanticGraph, as_partial, as_semantic, make_sentence
 from .network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
-                      Vocab, build_vocabs, semantic_label_vocab)
+                      Vocab, build_vocabs, check_field_types, semantic_label_vocab)
 from .projection import (IntersectedAlignment, density_sample, heldout_split,
                          intersect_alignments, project_graph)
 from .synth import CORPUS_FILES, SynthConfig, synth_corpus, write_corpus
@@ -97,11 +96,7 @@ def _section(raw: dict, name: str, cls) -> dict:
     unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"config section {name!r} has unknown keys {sorted(unknown)}")
-    for key, value in data.items():
-        kind = type(fields[key].default)  # bool, int or float; a float takes an int
-        if type(value) not in ((int, float) if kind is float else (kind,)):
-            raise ConfigError(f"config section {name!r} key {key!r} must be of type "
-                              f"{kind.__name__}, got {json.dumps(value)}")
+    check_field_types(cls, data, f"config section {name!r}")
     return dict(data)
 
 
@@ -449,6 +444,14 @@ def cmd_parse(args) -> int:
                    top_counts={str(count): tops[count] for count in sorted(tops)})
 
 
+def _print_and_write(text: str, path: str | None):
+    """Print `text`, and write the same text to `path` when one is given."""
+    print(text)
+    if path:
+        with atomic_open(path) as f:
+            f.write(text + "\n")
+
+
 def cmd_score(args) -> int:
     inputs, outputs = [args.pred, args.gold], [args.out] if args.out else []
     _check_outputs(args, inputs, outputs)
@@ -456,11 +459,7 @@ def cmd_score(args) -> int:
     predicted, gold_graphs = _read_predictions(args.pred, gold), gold.graphs()
     report = score_graphs(predicted, gold_graphs)
     decided = score_graphs(at_decided_cells(predicted, gold_graphs), gold_graphs)
-    text = format_report(report, decided.lf)
-    print(text)
-    if args.out:
-        with atomic_open(args.out) as f:
-            f.write(text + "\n")
+    _print_and_write(format_report(report, decided.lf), args.out)
     return _finish(args, inputs, outputs, {"seed": None})
 
 
@@ -479,46 +478,35 @@ def cmd_analyze(args) -> int:
     if missing:
         raise ConfigError(f"analyze --{mode} needs {', '.join(missing)}")
     inputs = [args.gold] + [getattr(args, name) for name in _ANALYZE_INPUTS[mode]]
-    outputs = [args.series] if args.series else []
+    outputs = [args.out] if args.out else []
     _check_outputs(args, inputs, outputs)
     gold_doc = _read(args.gold, read_sdp)
     gold = gold_doc.semantic_graphs()
-    series: list[tuple[str, float]] = []
     if mode == "buckets":
-        pred = _read_predictions(args.pred, gold_doc)
-        stats = length_buckets(pred, gold)
-        print("bucket\tpredicted\tcorrect\tprecision")
-        for bucket in LENGTH_BUCKETS:
-            if bucket in stats:
-                s = stats[bucket]
-                print(f"{bucket}\t{s.predicted}\t{s.correct}\t{s.precision:.6f}")
-                series.append((bucket, s.precision))
+        stats = length_buckets(_read_predictions(args.pred, gold_doc), gold)
+        lines = ["bucket\tpredicted\tcorrect\tprecision"]
+        lines += [f"{bucket}\t{s.predicted}\t{s.correct}\t{s.precision:.6f}"
+                  for bucket, s in stats.items()]
     elif mode == "headmatch":
         pred_a = _read_predictions(args.pred_a, gold_doc)
         pred_b = _read_predictions(args.pred_b, gold_doc)
         stats = head_match_stats(gold, _read_trees(args.trees, gold_doc), pred_a, pred_b)
-        print("mode\tset\ttokens\tmatch\tmismatch")
+        lines = ["mode\tset\ttokens\tmatch\tmismatch"]
         for score_mode in ("labeled", "unlabeled"):
             for key in ("a_improved", "b_improved"):
                 s = stats[score_mode][key]
                 match = "-" if s.match_rate is None else f"{s.match_rate:.6f}"
                 mismatch = "-" if s.mismatch_rate is None else f"{s.mismatch_rate:.6f}"
-                print(f"{score_mode}\t{key}\t{s.tokens}\t{match}\t{mismatch}")
-                if s.match_rate is not None:
-                    series.append((f"{score_mode}.{key}.match", s.match_rate))
-                    series.append((f"{score_mode}.{key}.mismatch", s.mismatch_rate))
+                lines.append(f"{score_mode}\t{key}\t{s.tokens}\t{match}\t{mismatch}")
     else:
         pred_multi = _read_predictions(args.pred_multi, gold_doc)
         pred_single = _read_predictions(args.pred_single, gold_doc)
         contribution = label_contribution(pred_multi, pred_single, gold,
                                           _read_trees(args.trees, gold_doc))
-        print("deprel\tpercent")
-        for rel, pct in sorted(contribution.items(), key=lambda kv: (-kv[1], kv[0])):
-            print(f"{rel}\t{pct:.6f}")
-            series.append((rel, pct))
-    if args.series:
-        with atomic_open(args.series) as f:
-            write_series(series, f)
+        lines = ["deprel\tpercent"]
+        lines += [f"{rel}\t{pct:.6f}" for rel, pct in
+                  sorted(contribution.items(), key=lambda kv: (-kv[1], kv[0]))]
+    _print_and_write("\n".join(lines), args.out)
     return _finish(args, inputs, outputs, {"seed": None})
 
 
@@ -651,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-multi", help="multitask predictions (--contribution)")
     p.add_argument("--pred-single", help="single-task predictions (--contribution)")
     p.add_argument("--trees", help="syntactic .conllu (--headmatch/--contribution)")
-    p.add_argument("--series", help="write a plain data series file")
+    p.add_argument("--out", help="also write the printed table to this file")
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of the parser loss")
     p.add_argument("--seed", type=int)

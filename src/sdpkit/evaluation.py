@@ -2,17 +2,20 @@
 
 Top edges are scored as ordinary edges from the virtual root, so a graph's
 edge universe is exactly its edge set. All scores are micro-averaged over
-the corpus.
+the corpus. `sdpkit analyze` prints one analysis as a tab-separated table
+with a header row, and `--out` writes the same text to a file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ScoringError
-from .graph import (PartialGraph, SemanticGraph, SyntacticTree, as_semantic,
-                    dependency_length, length_bucket)
+from .graph import PartialGraph, SemanticGraph, SyntacticTree, as_semantic
+
+# (longest length, label) of each dependency-length bucket, in order
+_BUCKET_BOUNDS = ((1, "1"), (2, "2"), (3, "3"), (4, "4"), (9, "5-9"), (float("inf"), ">=10"))
 
 
 def _f1(p: float, r: float) -> float:
@@ -119,22 +122,23 @@ class BucketStat:
 
 def length_buckets(predicted: Sequence[SemanticGraph | PartialGraph],
                    gold: Sequence[SemanticGraph | PartialGraph]) -> dict[str, BucketStat]:
-    """Labeled precision of predicted non-top edges, grouped by surface distance.
+    """Labeled precision of predicted non-top edges, grouped by their length
+    abs(head - dependent) into `_BUCKET_BOUNDS` (McDonald & Nivre 2007).
 
-    Buckets with no predicted edges are absent from the result.
+    The buckets that hold a predicted edge come back in table order.
     """
     if len(predicted) == 0:
         raise ScoringError("cannot bucket an empty corpus")
     _check_aligned_corpora(predicted, gold)
-    counts: dict[str, list[int]] = {}
+    counts = {label: [0, 0] for _, label in _BUCKET_BOUNDS}
     for p, g in zip(predicted, gold):
         ge = as_semantic(g).edges
         for edge in as_semantic(p).non_top_edges():
-            bucket = length_bucket(dependency_length(edge.head, edge.dependent))
-            stat = counts.setdefault(bucket, [0, 0])
+            length = abs(edge.head - edge.dependent)
+            stat = counts[next(label for longest, label in _BUCKET_BOUNDS if length <= longest)]
             stat[0] += 1
-            stat[1] += int(edge in ge)
-    return {b: BucketStat(c[0], c[1]) for b, c in counts.items()}
+            stat[1] += edge in ge
+    return {b: BucketStat(*c) for b, c in counts.items() if c[0]}
 
 
 def _incoming_pairs(graph: SemanticGraph | PartialGraph) -> list[set]:
@@ -233,9 +237,3 @@ def format_report(report: ScoreReport, decided_lf: float) -> str:
     table = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                       for row in rows)
     return f"{kv}\n{counts}\n{table}"
-
-
-def write_series(pairs: Iterable[tuple[str, float]], stream):
-    """Plain two-column data series for external plotting."""
-    for key, value in pairs:
-        stream.write(f"{key}\t{value:.6f}\n")

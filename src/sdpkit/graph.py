@@ -15,8 +15,6 @@ from .errors import GraphError
 ROOT = 0
 TOP_LABEL = "TOP"
 
-LENGTH_BUCKETS = ("1", "2", "3", "4", "5-9", ">=10")
-
 
 @dataclass(frozen=True)
 class Token:
@@ -222,27 +220,3 @@ def is_acyclic(g: SemanticGraph) -> bool:
                 queue.append(w)
     return visited == n
 
-
-def dependency_length(head: int, dependent: int) -> int:
-    """Surface distance |head - dependent| between two token positions.
-
-    Root edges are excluded from length analysis, so head must be >= 1.
-    """
-    if head == dependent:
-        raise GraphError("dependency length undefined for head == dependent")
-    if head < 1:
-        raise GraphError("dependency length undefined for root edges")
-    if dependent < 1:
-        raise GraphError("dependent must be a token position >= 1")
-    return abs(head - dependent)
-
-
-def length_bucket(length: int) -> str:
-    """Bucket label for a dependency length: 1, 2, 3, 4, 5-9, >=10."""
-    if length < 1:
-        raise GraphError(f"length must be >= 1, got {length}")
-    if length <= 4:
-        return str(length)
-    if length <= 9:
-        return "5-9"
-    return ">=10"

@@ -92,6 +92,17 @@ class NetworkConfig:
         return self.word_dim + self.pos_dim
 
 
+def check_field_types(kind, values: dict, where: str):
+    """Refuse, naming `where`, a value of `values` whose type is not that of the
+    default of its field of the dataclass `kind`: bool, int or float, where a
+    float field takes an int too, as JSON may write a whole float."""
+    for key, value in values.items():
+        want = type(kind.__dataclass_fields__[key].default)
+        if type(value) not in ((int, float) if want is float else (want,)):
+            raise ConfigError(f"{where} key {key!r} must be of type {want.__name__}, "
+                              f"got {json.dumps(value)}")
+
+
 @dataclass(frozen=True)
 class SharingTopology:
     shared_rnn: bool = True
@@ -146,7 +157,7 @@ def semantic_label_vocab(labels: Sequence[str]) -> Vocab:
 def _rng_for(seed: int, name: str) -> np.random.Generator:
     # per-name streams keep initial values independent of creation order,
     # so single-task and multitask models share identical common parameters
-    return np.random.default_rng([seed & 0x7FFFFFFF, zlib.crc32(name.encode("utf-8"))])
+    return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
 
 # initializers of `ParserModel._param_specs`: (rng, out) draws in place into
@@ -213,10 +224,12 @@ class ParserModel:
                  pretrained: dict[str, np.ndarray] | None = None):
         """`pretrained` maps words to vectors of `config.word_dim`, as
         `formats.read_word_vectors` returns them. Each vocabulary word's vector
-        is added to its drawn row of the word table; every other row, <unk>
-        included, keeps its draw. With no weight decay, training that sum takes
-        the steps that Dozat & Manning's trainable table beside a fixed
-        pretrained one would take."""
+        is added to its drawn row of the word table, <unk>'s to row 0, which every
+        form outside the vocabulary reads; every other row keeps its draw. With
+        no weight decay, training that sum takes the steps that Dozat & Manning's
+        trainable table beside a fixed pretrained one would take. No token of the
+        corpus a vocabulary was built from reads row 0 (`sdpkit train` builds it
+        so), and training leaves that row at its draw plus <unk>'s vector."""
         self._configure(config, tasks, word_vocab, char_vocab, pos_vocab, topology, seed)
         specs = self._param_specs()
         # one flat data array for the whole model and nothing beside it (Adam's
@@ -514,6 +527,7 @@ class ParserModel:
             if set(values) != fields:
                 raise CheckpointError(f"{path}: {kind.__name__} keys {sorted(values)} "
                                       f"differ from {sorted(fields)}")
+            check_field_types(kind, values, kind.__name__)
             return kind(**values)
 
         def vocab(items, unk):

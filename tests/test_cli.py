@@ -75,8 +75,11 @@ def _rewrite_checkpoint(src, dst, edit):
     lambda m, a: m.pop("tasks"),
     lambda m, a: m["vocab"]["word"].reverse(),
     lambda m, a: m["config"].update(word_dim=7),
+    lambda m, a: m["config"].update(rnn_layers=float(m["config"]["rnn_layers"])),
+    lambda m, a: m["config"].update(word_dim=float(m["config"]["word_dim"])),
 ], ids=["unknown-config-key", "missing-config-key", "missing-vocab", "missing-char-vocab",
-        "missing-tasks", "unsorted-vocab", "invalid-config-value"])
+        "missing-tasks", "unsorted-vocab", "invalid-config-value", "float-rnn-layers",
+        "float-word-dim"])
 def test_malformed_checkpoint_metadata(pipeline, tmp_path, edit):
     bad = str(tmp_path / "bad.npz")
     _rewrite_checkpoint(pipeline["model.npz"], bad, edit)
@@ -179,11 +182,11 @@ def test_score_and_analyze_print_config_and_list_inputs(pipeline, tmp_path, caps
     report = tmp_path / "score.txt"
     assert cli.main(["score", "--pred", held, "--gold", held, "--out", str(report)]) == 0
     assert "config: " in capsys.readouterr().err
-    series = tmp_path / "buckets.tsv"
+    table = tmp_path / "buckets.tsv"
     assert cli.main(["analyze", "--buckets", "--gold", held, "--pred", held,
-                     "--series", str(series)]) == 0
+                     "--out", str(table)]) == 0
     assert "config: " in capsys.readouterr().err
-    with open(str(series) + ".manifest.json", encoding="utf-8") as f:
+    with open(str(table) + ".manifest.json", encoding="utf-8") as f:
         manifest = json.load(f)
     assert manifest["command"] == "analyze"
     assert list(manifest["inputs"]) == [held]
@@ -313,21 +316,31 @@ def test_manifest_is_indented_json_with_the_inputs_sha256(pipeline, tmp_path):
 
 
 def test_analyze_series_and_order(pipeline, tmp_path, capsys, monkeypatch):
-    # full gold against the projected graphs: A is right wherever B is, so
-    # b_improved is empty and its rates are None, which the series leaves out
     gold = os.path.join(pipeline["corpus"], "target.gold.sdp")
     trees = os.path.join(pipeline["corpus"], "target.conllu")
-    series = tmp_path / "headmatch.tsv"
-    assert cli.main(["analyze", "--headmatch", "--gold", gold, "--trees", trees,
-                     "--pred-a", gold, "--pred-b", pipeline["proj.sdp"],
-                     "--series", str(series)]) == 0
-    keys = [line.split("\t")[0] for line in series.read_text().splitlines()]
-    assert keys == [f"{mode}.a_improved.{rate}" for mode in ("labeled", "unlabeled")
-                    for rate in ("match", "mismatch")]
-    capsys.readouterr()
-    assert cli.main(["analyze", "--contribution", "--gold", gold, "--trees", trees,
-                     "--pred-multi", gold, "--pred-single", pipeline["proj.sdp"]]) == 0
-    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    printed = {}
+    for mode, inputs in (("buckets", ["--pred", pipeline["proj.sdp"]]),
+                         ("headmatch", ["--trees", trees, "--pred-a", gold,
+                                        "--pred-b", pipeline["proj.sdp"]]),
+                         ("contribution", ["--trees", trees, "--pred-multi", gold,
+                                           "--pred-single", pipeline["proj.sdp"]])):
+        out = tmp_path / f"{mode}.tsv"
+        capsys.readouterr()
+        assert cli.main(["analyze", f"--{mode}", "--gold", gold, *inputs,
+                         "--out", str(out)]) == 0
+        printed[mode] = capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == printed[mode]  # --out holds what was printed
+    buckets = [line.split("\t")[0] for line in printed["buckets"].splitlines()]
+    assert buckets[0] == "bucket" and len(buckets) > 2
+    assert buckets[1:] == [b for b in ("1", "2", "3", "4", "5-9", ">=10") if b in buckets]
+    # full gold against the projected graphs: A is right wherever B is, so
+    # b_improved is empty and its rates print as "-"
+    assert [line.split("\t")[:2] for line in printed["headmatch"].splitlines()] == \
+        [["mode", "set"]] + [[mode, key] for mode in ("labeled", "unlabeled")
+                             for key in ("a_improved", "b_improved")]
+    assert all(line.endswith("\t0\t-\t-") for line in printed["headmatch"].splitlines()
+               if "\tb_improved\t" in line)
+    rows = [line.split("\t") for line in printed["contribution"].splitlines()[1:]]
     assert len(rows) > 1
     assert rows == sorted(rows, key=lambda r: (-float(r[1]), r[0]))
     # equal percentages go in deprel order
@@ -403,7 +416,7 @@ def _refused_argv(case, p, inp, out):
                         "--syntactic", str(inp / "empty.conllu")]
     modes = {"analyze-no-mode": [], "analyze-two-modes": ["--buckets", "--headmatch"]}[case]
     return ["analyze", *modes, "--gold", p["heldout.sdp"], "--pred", p["heldout.sdp"],
-            "--series", str(out / "series.tsv")]
+            "--out", str(out / "analysis.tsv")]
 
 
 _REFUSALS = {  # each case `_refused_argv` builds, and its message
@@ -492,10 +505,10 @@ def test_analyze_names_missing_inputs(pipeline, tmp_path, capsys, mode, given, m
     argv = ["analyze", f"--{mode}", "--gold", held]
     for flag in given:
         argv += [flag, files.get(flag, held)]
-    series = tmp_path / "series.tsv"
-    assert cli.main(argv + ["--series", str(series)]) == 2
+    table = tmp_path / "analysis.tsv"
+    assert cli.main(argv + ["--out", str(table)]) == 2
     assert f"analyze --{mode} needs {missing}" in capsys.readouterr().err
-    assert not series.exists()
+    assert not table.exists()
 
 
 @pytest.mark.parametrize("biaffine_bias", [False, True])
@@ -693,6 +706,25 @@ def test_train_with_word_vectors(pipeline, tmp_path, monkeypatch, header):
     assert _ids_and_sentences(pred) == _ids_and_sentences(pipeline["heldout.sdp"])
 
 
+def test_train_leaves_the_unknown_row_at_its_draw_plus_the_unk_vector(pipeline, tmp_path):
+    # every training form is in the vocabulary, so no training token reads row
+    # 0: its gradient and Adam update are zero, while the other rows move
+    dim = TINY["word_dim"]
+    unk = np.linspace(-1.0, 1.0, dim)
+    vectors = tmp_path / "words.vec"
+    vectors.write_text("<unk> " + " ".join(map(str, unk)) + "\n", encoding="utf-8")
+    out = str(tmp_path / "model.npz")
+    assert cli.main(["train", "--train", pipeline["train.sdp"], "--heldout", pipeline["heldout.sdp"],
+                     "--config", pipeline["tiny.json"], "--epochs", "2",
+                     "--word-vectors", str(vectors), "--out", out]) == 0
+    model = ParserModel.load(out)
+    drawn = ParserModel(model.config, model.tasks, model.word_vocab, model.char_vocab,
+                        model.pos_vocab, seed=model.seed).params["emb/word"].data
+    trained = model.params["emb/word"].data
+    np.testing.assert_array_equal(trained[0], drawn[0] + unk)
+    assert np.all(np.any(trained[1:] != drawn[1:], axis=1))
+
+
 def test_train_holds_no_word_vector_while_it_trains(pipeline, tmp_path, monkeypatch):
     dim = TINY["word_dim"]
     forms = sorted({t.form for s in _ids_and_sentences(pipeline["train.sdp"])[1] for t in s})
@@ -887,7 +919,7 @@ def test_malformed_input_names_its_file_and_line(pipeline, tmp_path, capsys, com
         "intersect": ["intersect", "--forward", corpus["forward.align"],
                       "--backward", corpus["backward.align"], "--out", out],
         "analyze": ["analyze", "--headmatch", "--gold", held, "--trees", corpus["target.conllu"],
-                    "--pred-a", held, "--pred-b", held, "--series", out],
+                    "--pred-a", held, "--pred-b", held, "--out", out],
     }[command]
     if flag in argv:
         argv[argv.index(flag) + 1] = str(bad)

@@ -6,8 +6,8 @@ from helpers import LABELS, brute_force_score, random_graph, random_partial
 from sdpkit.errors import ScoringError
 from sdpkit.evaluation import (ScoreReport, at_decided_cells, format_report, head_match_stats,
                                label_contribution, length_buckets, score_graphs)
-from sdpkit.graph import (LENGTH_BUCKETS, Edge, PartialGraph, SemanticGraph, SyntacticTree,
-                          as_partial, make_sentence)
+from sdpkit.graph import (Edge, PartialGraph, SemanticGraph, SyntacticTree, as_partial,
+                          make_sentence)
 
 
 def _prediction(rng, gold: SemanticGraph) -> SemanticGraph:
@@ -84,7 +84,24 @@ def test_length_buckets_split_at_4_5_and_9_10_without_top_edges():
     assert {b: (s.predicted, s.correct) for b, s in stats.items()} == \
         {"4": (1, 1), "5-9": (2, 1), ">=10": (1, 0)}
     assert stats["5-9"].precision == 0.5 and stats[">=10"].precision == 0.0
-    assert set(stats) < set(LENGTH_BUCKETS)  # buckets 1, 2 and 3 hold no edge: absent
+    assert list(stats) == ["4", "5-9", ">=10"]  # buckets 1, 2 and 3 hold no edge: absent
+
+
+def test_length_buckets_take_each_length_either_way_and_come_in_bucket_order():
+    # one edge of each length from token 1 rightwards and one into token 41
+    # from its left, so each length points both ways; labels are all correct
+    lengths = (1, 2, 3, 4, 5, 9, 10, 40)
+    want = ("1", "2", "3", "4", "5-9", "5-9", ">=10", ">=10")
+    for length, bucket in zip(lengths, want):
+        for edge in ((1, 1 + length, "A"), (41, 41 - length, "A")):
+            g = _graph(41, {edge})
+            assert {b: (s.predicted, s.correct) for b, s in
+                    length_buckets([g], [g]).items()} == {bucket: (1, 1)}, (edge, bucket)
+    both_ways = _graph(41, {e for length in lengths
+                            for e in ((1, 1 + length, "A"), (41, 41 - length, "A"))})
+    stats = length_buckets([both_ways], [both_ways])
+    assert list(stats) == ["1", "2", "3", "4", "5-9", ">=10"]
+    assert [stats[b].predicted for b in stats] == [2, 2, 2, 2, 4, 4]
 
 
 def test_head_match_stats_counts_match_and_mismatch_per_improvement_set():

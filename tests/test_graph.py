@@ -6,8 +6,7 @@ import pytest
 from sdpkit.errors import FormatError, GraphError
 from sdpkit.formats import SdpDocument, write_sdp
 from sdpkit.graph import (PartialGraph, SemanticGraph, SyntacticTree, as_partial,
-                          as_semantic, dependency_length, is_acyclic, length_bucket,
-                          make_sentence)
+                          as_semantic, is_acyclic, make_sentence)
 
 
 def graph(n, edges):
@@ -138,43 +137,6 @@ class TestAcyclicity:
                 if count else []
             g = graph(n, {(h, d, "L") for h, d in chosen})
             assert is_acyclic(g) == (not brute_force_has_cycle(n, chosen))
-
-
-class TestDependencyLength:
-    def test_adjacent(self):
-        assert dependency_length(3, 4) == 1
-
-    def test_long_edge_bucket(self):
-        length = dependency_length(2, 12)
-        assert length == 10
-        assert length_bucket(length) == ">=10"
-
-    def test_symmetry(self):
-        assert dependency_length(5, 3) == dependency_length(3, 5) == 2
-
-    def test_symmetric_and_positive_randomized(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            h, d = rng.integers(1, 50, size=2)
-            if h == d:
-                continue
-            assert dependency_length(int(h), int(d)) == dependency_length(int(d), int(h)) > 0
-
-    def test_rejects_self_and_root(self):
-        with pytest.raises(GraphError):
-            dependency_length(3, 3)
-        with pytest.raises(GraphError):
-            dependency_length(0, 3)
-
-    def test_buckets(self):
-        assert [length_bucket(k) for k in (1, 2, 3, 4, 5, 9, 10, 40)] == \
-            ["1", "2", "3", "4", "5-9", "5-9", ">=10", ">=10"]
-
-    def test_rejects_a_root_dependent_and_a_zero_length(self):
-        with pytest.raises(GraphError, match="dependent must be a token position >= 1"):
-            dependency_length(3, 0)
-        with pytest.raises(GraphError, match="length must be >= 1, got 0"):
-            length_bucket(0)
 
 
 class TestPartialGraph:

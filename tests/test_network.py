@@ -8,7 +8,7 @@ from helpers import adam_state, kingma_ba, reference_folded_adam_step, reference
 from sdpkit import autodiff as ad
 from sdpkit import network
 from sdpkit.errors import ConfigError
-from sdpkit.graph import PartialGraph, SemanticGraph
+from sdpkit.graph import PartialGraph, SemanticGraph, make_sentence
 from sdpkit.network import (SEMANTIC, SYNTACTIC, NetworkConfig, ParserModel, SharingTopology,
                             Vocab, build_vocabs, semantic_label_vocab)
 from sdpkit.synth import DEFAULT_DEPRELS, DEFAULT_LABELS, SynthConfig, synth_corpus
@@ -162,8 +162,10 @@ def test_edge_and_label_dropout_act_on_their_own_heads(graphs):
     assert np.array_equal(s_label.data, e_label.data)
 
 
-def test_each_seed_draws_its_own_parameters(graphs):
-    a, b = _model(graphs, seed=0), _model(graphs, seed=1)
+@pytest.mark.parametrize("other", [1, 2**31], ids=["1", "2**31"])
+def test_each_seed_draws_its_own_parameters(graphs, other):
+    # no bit of a seed is dropped: 2**31 was drawn as 0 when seeds were masked to 31 bits
+    a, b = _model(graphs, seed=0), _model(graphs, seed=other)
     assert not np.array_equal(a.params["emb/word"].data, b.params["emb/word"].data)
 
 
@@ -242,6 +244,17 @@ def test_pretrained_vectors_move_only_their_vocabulary_words_rows(graphs):
                 f"pretrained vector for {word!r} has shape {shape}, expected ({w},)")):
             ParserModel(TINY, model.tasks, vocab, model.char_vocab, model.pos_vocab,
                         pretrained={**vectors, word: np.zeros(shape)})
+
+
+def test_an_unk_vector_moves_the_unknown_row_that_out_of_vocabulary_forms_read(graphs):
+    model = _model(graphs)
+    vector = np.arange(1.0, TINY.word_dim + 1)
+    shifted = ParserModel(TINY, model.tasks, model.word_vocab, model.char_vocab,
+                          model.pos_vocab, seed=4, pretrained={"<unk>": vector})
+    drawn, got = model.params["emb/word"].data, shifted.params["emb/word"].data
+    np.testing.assert_array_equal(got[0], drawn[0] + vector)
+    np.testing.assert_array_equal(got[1:], drawn[1:])
+    assert shifted.batch([make_sentence(["never-seen"])]).word_ids.tolist() == [0]
 
 
 def test_batch_call_equals_one_sentence_calls(graphs):

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 import weakref
 import zipfile
 from dataclasses import replace
@@ -316,6 +317,23 @@ def test_load_draws_no_random_initialisation(tmp_path, monkeypatch):
     for name, p in model.params.items():
         np.testing.assert_array_equal(loaded.params[name].data, p.data, err_msg=name)
         assert loaded.params[name].data.dtype == np.float64
+
+
+def test_load_takes_an_integer_for_a_float_setting_and_no_float_for_an_integer(tmp_path):
+    # a config file may give a dropout rate as 0, and save writes it back as 0
+    graphs, _ = _corpus(4)
+    path = str(tmp_path / "model.npz")
+    _model(graphs).save(path)
+    arrays, meta = read_checkpoint(path)
+    meta["config"]["word_dropout"] = 0
+    write_checkpoint(path, arrays, meta)
+    assert ParserModel.load(path).config.word_dropout == 0
+    meta["config"]["rnn_layers"] = 2.0
+    write_checkpoint(path, arrays, meta)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: malformed checkpoint metadata (ConfigError: NetworkConfig key "
+            "'rnn_layers' must be of type int, got 2.0)")):
+        ParserModel.load(path)
 
 
 def _old_bias_layout(arrays, meta):
